@@ -29,24 +29,6 @@ pub struct AccessOutcome {
     pub admitted: bool,
 }
 
-/// One allocation change on the slab, recorded in the engine's delta log
-/// (see [`CacheEngine::set_delta_tracking`]).
-///
-/// `new_bytes` is the slot's allocation *after* the change: `0.0` records an
-/// eviction, anything else an admission or allocation change. Applying the
-/// drained deltas in order to any mirror of the cache contents (for example
-/// the proxy's byte store) reproduces [`CacheEngine::contents`] exactly,
-/// in O(changes) instead of O(cache size) per access.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CacheDelta {
-    /// Slab slot handle of the changed object.
-    pub slot: u32,
-    /// The object's cache key.
-    pub key: ObjectKey,
-    /// The object's allocation in bytes after the change (0 = evicted).
-    pub new_bytes: f64,
-}
-
 /// Per-object state, stored in one contiguous slab indexed by slot handle.
 ///
 /// `cached_bytes > 0` if and only if the slot is in the utility heap: the
@@ -106,14 +88,10 @@ pub struct CacheEngine<P> {
     key_to_slot: FxHashMap<ObjectKey, u32>,
     heap: UtilityHeap,
     /// Reusable victim buffer for [`rebalance`](Self::rebalance):
-    /// `(slot, cached bytes, utility)` of each popped candidate, kept until
-    /// the admission decision commits or rolls the pops back.
+    /// `(slot, cached bytes, utility)` of each popped candidate. A commit
+    /// leaves the victims in place for [`last_evictions`](Self::last_evictions);
+    /// a rollback re-inserts them and empties the buffer.
     scratch: Vec<(u32, f64, f64)>,
-    /// Allocation-change log, appended to only when `track_deltas` is set
-    /// (one predicted-not-taken branch on the default path, so callers that
-    /// never drain — the simulator — pay nothing).
-    deltas: Vec<CacheDelta>,
-    track_deltas: bool,
     clock: u64,
     stats: CacheStats,
 }
@@ -137,8 +115,6 @@ impl<P: UtilityPolicy> CacheEngine<P> {
             key_to_slot: FxHashMap::default(),
             heap: UtilityHeap::new(),
             scratch: Vec::new(),
-            deltas: Vec::new(),
-            track_deltas: false,
             clock: 0,
             stats: CacheStats::default(),
         })
@@ -183,35 +159,6 @@ impl<P: UtilityPolicy> CacheEngine<P> {
     /// (used at the warm-up/measurement boundary).
     pub fn reset_stats(&mut self) {
         self.stats.reset();
-    }
-
-    /// Enables or disables the allocation-change delta log.
-    ///
-    /// While enabled, every committed allocation change (admission growth,
-    /// eviction, [`clear`](Self::clear)) appends a [`CacheDelta`]; rolled-back
-    /// eviction attempts restore the pre-access state exactly and therefore
-    /// record nothing. Callers drain the log with
-    /// [`drain_deltas`](Self::drain_deltas) after each access and apply the
-    /// entries to whatever mirrors the cache contents — O(changes) per
-    /// access instead of rescanning [`contents`](Self::contents). Switching
-    /// tracking on or off clears any pending entries. Off by default, so the
-    /// simulator's hot loop pays only a never-taken branch.
-    pub fn set_delta_tracking(&mut self, enabled: bool) {
-        self.track_deltas = enabled;
-        self.deltas.clear();
-    }
-
-    /// Whether the delta log is currently recording.
-    pub fn delta_tracking(&self) -> bool {
-        self.track_deltas
-    }
-
-    /// Drains the pending allocation-change log in commit order.
-    ///
-    /// The drained buffer's capacity is retained, so a caller that drains
-    /// after every access keeps the steady state allocation-free.
-    pub fn drain_deltas(&mut self) -> std::vec::Drain<'_, CacheDelta> {
-        self.deltas.drain(..)
     }
 
     /// Pre-sizes the slab so that slot handle `i` denotes
@@ -313,18 +260,11 @@ impl<P: UtilityPolicy> CacheEngine<P> {
     /// Frequencies and statistics are preserved.
     pub fn clear(&mut self) -> usize {
         let n = self.heap.len();
-        for (i, slot) in self.slots.iter_mut().enumerate() {
+        for slot in &mut self.slots {
             if slot.cached_bytes > 0.0 {
                 self.stats.evictions += 1;
                 self.stats.bytes_evicted += slot.cached_bytes;
                 slot.cached_bytes = 0.0;
-                if self.track_deltas {
-                    self.deltas.push(CacheDelta {
-                        slot: i as u32,
-                        key: slot.key,
-                        new_bytes: 0.0,
-                    });
-                }
             }
         }
         self.heap.clear();
@@ -417,105 +357,20 @@ impl<P: UtilityPolicy> CacheEngine<P> {
         }
     }
 
-    // --- crate-internal hooks for the sharded wrapper (`crate::shard`) ---
-
-    /// The victims committed by the most recent access or regrow, as
-    /// `(slot, bytes, utility)` in eviction order.
+    /// The victims the most recent access evicted, as
+    /// `(slot, bytes, utility)` in eviction order: exactly
+    /// [`AccessOutcome::evictions`] entries, so empty after an access that
+    /// refreshed, admitted into free space or rolled its eviction attempt
+    /// back.
     ///
-    /// Only meaningful when that operation's outcome reported
-    /// `evictions > 0` (the scratch buffer also holds rolled-back pops and
-    /// stale entries from earlier accesses); the sharded wrapper uses it to
-    /// mirror per-victim byte counts into its atomic statistics with the
-    /// exact accumulation order of [`CacheStats::bytes_evicted`].
-    pub(crate) fn last_evictions(&self) -> &[(u32, f64, f64)] {
+    /// The engine only ever evicts a victim whole, and only while processing
+    /// an access, so `(outcome.cached_bytes_after, last_evictions())` is the
+    /// complete list of allocation changes that access made. Whoever keeps
+    /// per-object state beside the engine — the sharded wrapper's atomic
+    /// statistics, the proxy's stored prefixes — reads it under the same
+    /// lock as the access; no change log is kept.
+    pub fn last_evictions(&self) -> &[(u32, f64, f64)] {
         &self.scratch
-    }
-
-    /// Rebinds the capacity without touching contents. The caller must keep
-    /// `used_bytes <= capacity` (the budget-steal path only shrinks a shard
-    /// by bytes it just freed).
-    pub(crate) fn set_capacity(&mut self, capacity_bytes: f64) {
-        debug_assert!(capacity_bytes.is_finite() && capacity_bytes >= 0.0);
-        debug_assert!(self.used_bytes <= capacity_bytes + 1e-6);
-        self.capacity_bytes = capacity_bytes;
-    }
-
-    /// Evicts minimum-utility entries while their utility is strictly below
-    /// `max_utility`, until at least `needed_bytes` have been freed or no
-    /// eligible victim remains. Returns `(bytes freed, victims evicted)`.
-    ///
-    /// Evictions commit immediately (statistics and delta log included):
-    /// this is the donor half of a cross-shard budget steal, not an
-    /// admission attempt, so there is nothing to roll back.
-    pub(crate) fn evict_lowest(&mut self, max_utility: f64, needed_bytes: f64) -> (f64, usize) {
-        let mut freed = 0.0;
-        let mut count = 0;
-        while freed < needed_bytes {
-            match self.heap.peek_min() {
-                Some((victim, victim_utility)) if victim_utility < max_utility => {
-                    self.heap.pop_min();
-                    let bytes = self.slots[victim as usize].cached_bytes;
-                    self.slots[victim as usize].cached_bytes = 0.0;
-                    self.used_bytes -= bytes;
-                    freed += bytes;
-                    count += 1;
-                    self.stats.evictions += 1;
-                    self.stats.bytes_evicted += bytes;
-                    if self.track_deltas {
-                        self.deltas.push(CacheDelta {
-                            slot: victim,
-                            key: self.slots[victim as usize].key,
-                            new_bytes: 0.0,
-                        });
-                    }
-                }
-                _ => break,
-            }
-        }
-        (freed, count)
-    }
-
-    /// The utility the policy currently assigns to `slot` (present
-    /// frequency and clock, no state change) — what a repeat of the last
-    /// access would compete with.
-    pub(crate) fn current_utility(&self, slot: u32, meta: &ObjectMeta, bandwidth_bps: f64) -> f64 {
-        let s = &self.slots[slot as usize];
-        self.policy
-            .utility(meta, s.frequency, bandwidth_bps, self.clock)
-            .max(0.0)
-    }
-
-    /// Retries growing `slot` towards the policy target without recording a
-    /// new request: frequency, clock and the request/hit/byte-split
-    /// statistics are untouched; admissions and evictions count as usual.
-    /// Used after a budget steal has raised this engine's capacity.
-    ///
-    /// The returned outcome's `bytes_from_cache`/`bytes_from_origin` are
-    /// zero — no bytes moved on behalf of a client here.
-    pub(crate) fn regrow_slot(
-        &mut self,
-        slot: u32,
-        meta: &ObjectMeta,
-        bandwidth_bps: f64,
-    ) -> AccessOutcome {
-        let s = &self.slots[slot as usize];
-        debug_assert_eq!(s.key, meta.key, "slot/key mismatch in regrow");
-        let cached_before = s.cached_bytes;
-        let utility = self.current_utility(slot, meta, bandwidth_bps);
-        let target = self
-            .policy
-            .target_bytes(meta, bandwidth_bps)
-            .clamp(0.0, meta.size_bytes());
-        let (cached_after, evictions, admitted) =
-            self.rebalance(slot, cached_before, target, utility);
-        AccessOutcome {
-            cached_bytes_before: cached_before,
-            cached_bytes_after: cached_after,
-            bytes_from_cache: 0.0,
-            bytes_from_origin: 0.0,
-            evictions,
-            admitted,
-        }
     }
 
     /// Grows (never shrinks) the allocation of `slot` towards `target`,
@@ -528,6 +383,11 @@ impl<P: UtilityPolicy> CacheEngine<P> {
         target: f64,
         utility: f64,
     ) -> (f64, usize, bool) {
+        // The scratch buffer is reused across accesses, so the steady state
+        // allocates nothing; afterwards it holds this access's committed
+        // victims (see `last_evictions`).
+        self.scratch.clear();
+
         // Nothing to grow: refresh the heap key and return.
         if target <= cached_before {
             if self.heap.contains(slot) {
@@ -545,10 +405,7 @@ impl<P: UtilityPolicy> CacheEngine<P> {
 
         // Pop candidate victims (strictly lower utility) until the target
         // fits or no eligible victim remains. Eviction is committed only if
-        // admission succeeds; otherwise the pops are rolled back. The
-        // scratch buffer is reused across accesses, so the steady state
-        // allocates nothing.
-        self.scratch.clear();
+        // admission succeeds; otherwise the pops are rolled back.
         while self.capacity_bytes - self.used_bytes < target {
             match self.heap.peek_min() {
                 Some((victim, victim_utility)) if victim_utility < utility => {
@@ -581,13 +438,6 @@ impl<P: UtilityPolicy> CacheEngine<P> {
                 self.slots[victim as usize].cached_bytes = 0.0;
                 self.stats.evictions += 1;
                 self.stats.bytes_evicted += bytes;
-                if self.track_deltas {
-                    self.deltas.push(CacheDelta {
-                        slot: victim,
-                        key: self.slots[victim as usize].key,
-                        new_bytes: 0.0,
-                    });
-                }
             }
             let evicted = self.scratch.len();
             self.slots[slot as usize].cached_bytes = grant;
@@ -598,13 +448,6 @@ impl<P: UtilityPolicy> CacheEngine<P> {
                 self.stats.admissions += 1;
                 self.stats.bytes_admitted += grant - cached_before;
             }
-            if self.track_deltas && grant != cached_before {
-                self.deltas.push(CacheDelta {
-                    slot,
-                    key: self.slots[slot as usize].key,
-                    new_bytes: grant,
-                });
-            }
             debug_assert!(self.used_bytes <= self.capacity_bytes + 1e-6);
             (grant, evicted, grew)
         } else {
@@ -613,6 +456,7 @@ impl<P: UtilityPolicy> CacheEngine<P> {
                 self.used_bytes += bytes;
                 self.heap.insert(victim, victim_utility);
             }
+            self.scratch.clear();
             if cached_before > 0.0 {
                 self.used_bytes += cached_before;
                 self.heap.insert(slot, utility);
@@ -1025,40 +869,42 @@ mod tests {
         assert_eq!(cache.stats().evictions, 0);
     }
 
-    // --- delta log ---
+    // --- eviction report (`last_evictions`) ---
 
     #[test]
     fn delta_log_is_off_by_default_and_empty_when_off() {
+        // A fresh engine reports no victims, and an admission into free
+        // space leaves the report empty.
         let mut cache = CacheEngine::new(1e9, PartialBandwidth::new()).unwrap();
-        assert!(!cache.delta_tracking());
-        cache.on_access(&obj(1, 100.0), R / 2.0);
-        assert_eq!(cache.drain_deltas().count(), 0);
+        assert!(cache.last_evictions().is_empty());
+        let out = cache.on_access(&obj(1, 100.0), R / 2.0);
+        assert!(out.admitted);
+        assert!(cache.last_evictions().is_empty());
     }
 
     #[test]
     fn delta_log_records_admission_and_eviction() {
         let size = obj(1, 100.0).size_bytes();
         let mut cache = CacheEngine::new(size, IntegralBandwidth::new()).unwrap();
-        cache.set_delta_tracking(true);
 
         let a = obj(1, 100.0);
-        cache.on_access(&a, R / 2.0);
-        let deltas: Vec<CacheDelta> = cache.drain_deltas().collect();
-        assert_eq!(deltas.len(), 1);
-        assert_eq!(deltas[0].key, a.key);
-        assert_eq!(deltas[0].new_bytes, size);
+        let out = cache.on_access(&a, R / 2.0);
+        assert_eq!(out.cached_bytes_after, size);
+        assert!(cache.last_evictions().is_empty());
 
-        // A higher-utility object displaces `a`: one eviction delta (to 0)
-        // followed by the admission delta, in commit order.
+        // A higher-utility object displaces `a`: the report names `a`'s slot
+        // with the bytes it held, the outcome carries `b`'s new allocation.
         let b = obj(2, 100.0);
+        let out = cache.on_access(&b, R / 10.0);
+        assert_eq!(out.evictions, 1);
+        assert_eq!(out.cached_bytes_after, size);
+        let victims = cache.last_evictions();
+        assert_eq!(victims.len(), 1);
+        assert_eq!(Some(victims[0].0), cache.slot_of(a.key));
+        assert_eq!(victims[0].1, size);
+        // The report covers one access: a repeat evicts nothing.
         cache.on_access(&b, R / 10.0);
-        cache.on_access(&b, R / 10.0);
-        let deltas: Vec<CacheDelta> = cache.drain_deltas().collect();
-        assert_eq!(deltas.len(), 2);
-        assert_eq!(deltas[0].key, a.key);
-        assert_eq!(deltas[0].new_bytes, 0.0);
-        assert_eq!(deltas[1].key, b.key);
-        assert_eq!(deltas[1].new_bytes, size);
+        assert!(cache.last_evictions().is_empty());
     }
 
     #[test]
@@ -1066,34 +912,22 @@ mod tests {
         let small = obj(1, 50.0);
         let big = obj(2, 200.0);
         let mut cache = CacheEngine::new(small.size_bytes(), IntegralBandwidth::new()).unwrap();
-        cache.set_delta_tracking(true);
         cache.on_access(&small, R / 2.0);
-        cache.drain_deltas().count();
         // Rollback: big pops small as a victim but cannot fit; state is
-        // restored exactly, so no delta may be recorded.
+        // restored exactly, so no victim may be reported.
         cache.on_access(&big, R / 10.0);
-        cache.on_access(&big, R / 10.0);
-        assert_eq!(cache.drain_deltas().count(), 0);
-        // Refresh (target <= cached): no allocation change, no delta.
-        cache.on_access(&small, R / 2.0);
-        assert_eq!(cache.drain_deltas().count(), 0);
-    }
-
-    #[test]
-    fn delta_log_records_clear_and_toggling_clears_pending() {
-        let mut cache = CacheEngine::new(1e9, IntegralFrequency::new()).unwrap();
-        cache.set_delta_tracking(true);
-        cache.on_access(&obj(1, 100.0), R);
-        cache.on_access(&obj(2, 100.0), R);
-        cache.drain_deltas().count();
-        cache.clear();
-        let deltas: Vec<CacheDelta> = cache.drain_deltas().collect();
-        assert_eq!(deltas.len(), 2);
-        assert!(deltas.iter().all(|d| d.new_bytes == 0.0));
-
-        cache.on_access(&obj(3, 100.0), R);
-        cache.set_delta_tracking(false);
-        assert_eq!(cache.drain_deltas().count(), 0);
+        let out = cache.on_access(&big, R / 10.0);
+        assert_eq!(out.evictions, 0);
+        assert!(cache.last_evictions().is_empty());
+        assert!(cache.contains(small.key));
+        // Refresh (target <= cached): no allocation change, no victim — and
+        // the victim of an earlier access does not linger in the report.
+        let mut cache = CacheEngine::new(small.size_bytes(), Lru::new()).unwrap();
+        cache.on_access(&small, R);
+        cache.on_access(&obj(3, 50.0), R);
+        assert_eq!(cache.last_evictions().len(), 1);
+        cache.on_access(&obj(3, 50.0), R);
+        assert!(cache.last_evictions().is_empty());
     }
 
     #[test]

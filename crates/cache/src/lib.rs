@@ -24,9 +24,9 @@
 //!   slot handles, so the steady-state access path is hash-free and
 //!   allocation-free (see `ARCHITECTURE.md`, "Hot path & performance").
 //! * [`ShardedEngine`] — N-way sharding of the engine for concurrent
-//!   callers: independent slabs routed by key hash, per-shard byte budgets
-//!   with optional power-of-two-choices stealing, and lock-free aggregate
-//!   statistics ([`AtomicCacheStats`]).
+//!   callers: independent slabs routed by key hash, fixed per-shard byte
+//!   budgets, an optional per-shard companion under the engine's lock, and
+//!   lock-free aggregate statistics ([`AtomicCacheStats`]).
 //! * [`fx`] — the hand-rolled Fx-style hasher behind the engine's thin
 //!   key→slot interning map.
 //! * Offline solvers — [`optimal_partial_allocation`] (the fractional
@@ -77,7 +77,7 @@ mod stats;
 pub use alloc::{
     conservative_prefix_bytes, prefix_bytes_needed, service_delay_secs, stream_quality,
 };
-pub use engine::{AccessOutcome, CacheDelta, CacheEngine};
+pub use engine::{AccessOutcome, CacheEngine};
 pub use error::CacheError;
 pub use heap::UtilityHeap;
 pub use object::{ObjectKey, ObjectMeta};

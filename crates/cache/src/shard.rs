@@ -11,15 +11,19 @@
 //! lock at all.
 //!
 //! **Budgets.** The global byte budget is split evenly across shards
-//! (floored, with the remainder going to shard 0), and eviction is local to
-//! each shard by default: an object competes only with the objects that
-//! hash to its shard. Optionally ([`set_steal`](ShardedEngine::set_steal))
-//! a shard whose admission falls short of the policy target may steal
-//! budget with a power-of-two-choices probe: pick two other shards at
-//! random, evict strictly-lower-utility entries from the *richer* one (more
-//! used bytes), and migrate exactly the freed bytes of capacity to the
-//! requesting shard. The sum of shard capacities always equals the global
-//! budget; per-shard capacities drift to follow utility mass.
+//! (floored, with the remainder going to shard 0) and never moves: eviction
+//! is local to each shard, so an object competes only with the objects that
+//! hash to its shard, and an allocation changes only while its own shard
+//! processes an access.
+//!
+//! **Ownership.** Each shard can carry a caller-defined *companion* `S`
+//! under the same mutex as its engine (`ShardedEngine<P, S>`, `S = ()` by
+//! default). A caller that keeps per-object state beside the cache — the
+//! proxy's object records and stored prefixes — puts it there, indexed by the
+//! shard-local slot handle, and updates it inside
+//! [`access_with`](ShardedEngine::access_with) from the access outcome and
+//! [`CacheEngine::last_evictions`]: one lock covers the decision and
+//! everything that must agree with it.
 //!
 //! **Determinism.** `shards = 1` routes every key to one engine whose
 //! behaviour — outcomes, contents, and statistics, bit for bit — is
@@ -27,9 +31,8 @@
 //! is why the simulator's determinism-pinned paths keep using the plain
 //! engine (or one shard) while the proxy shards freely. With several
 //! shards, single-threaded runs are still deterministic (routing is a pure
-//! hash and the steal probe's RNG is seeded); under concurrency the
-//! interleaving of accesses to the *same* shard is scheduling-dependent,
-//! like any locked cache.
+//! hash); under concurrency the interleaving of accesses to the *same*
+//! shard is scheduling-dependent, like any locked cache.
 
 use crate::engine::CacheEngine;
 use crate::error::CacheError;
@@ -39,13 +42,9 @@ use crate::policy::UtilityPolicy;
 use crate::stats::{AtomicCacheStats, CacheStats};
 use crate::AccessOutcome;
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-/// Seed of the steal probe's xorshift RNG (an arbitrary non-zero odd
-/// constant; the probe only needs decorrelated shard picks).
-const STEAL_RNG_SEED: u64 = 0x9e37_79b9_7f4a_7c15;
-
-/// An array of independent [`CacheEngine`] shards routed by key hash.
+/// An array of independent [`CacheEngine`] shards routed by key hash, each
+/// optionally paired with a companion `S` under the same lock.
 ///
 /// Concurrency-safe by shard: all methods take `&self`, so the engine can
 /// sit directly in an `Arc` shared across worker threads.
@@ -64,21 +63,15 @@ const STEAL_RNG_SEED: u64 = 0x9e37_79b9_7f4a_7c15;
 /// # }
 /// ```
 #[derive(Debug)]
-pub struct ShardedEngine<P> {
-    shards: Vec<Mutex<CacheEngine<P>>>,
+pub struct ShardedEngine<P, S = ()> {
+    shards: Vec<Mutex<(CacheEngine<P>, S)>>,
     capacity_bytes: f64,
     stats: AtomicCacheStats,
-    steal: AtomicBool,
-    steal_rng: AtomicU64,
 }
 
 impl<P: UtilityPolicy> ShardedEngine<P> {
-    /// Creates `shards` engine slabs sharing `capacity_bytes`: every shard
-    /// gets `floor(capacity / shards)` bytes and shard 0 additionally keeps
-    /// the remainder, so the budgets sum to the global capacity exactly.
-    ///
-    /// `make_policy` is called once per shard (policies may carry state, so
-    /// each shard owns its own instance).
+    /// Creates `shards` engine slabs sharing `capacity_bytes`, without
+    /// companions; see [`with_companions`](Self::with_companions).
     ///
     /// # Errors
     ///
@@ -87,7 +80,61 @@ impl<P: UtilityPolicy> ShardedEngine<P> {
     pub fn new(
         capacity_bytes: f64,
         shards: usize,
+        make_policy: impl FnMut() -> P,
+    ) -> Result<Self, CacheError> {
+        Self::with_companions(capacity_bytes, shards, make_policy, || ())
+    }
+
+    /// Removes every cached object from every shard and returns the number
+    /// of evictions. Frequencies and statistics are preserved; aggregate
+    /// eviction counters are updated per victim in the engine's own
+    /// (slot-order) accumulation order, keeping the `shards = 1` counters
+    /// bit-identical to [`CacheEngine::clear`].
+    ///
+    /// Only offered without companions: a companion learns of evictions
+    /// from the access that caused them, and this is not an access.
+    pub fn clear(&self) -> usize {
+        let mut evicted = 0;
+        for shard in &self.shards {
+            let engine = &mut shard.lock().0;
+            // Victim bytes in slot order — the order `CacheEngine::clear`
+            // adds them to its own `bytes_evicted` counter.
+            let mut victims: Vec<(u32, f64)> = engine
+                .contents()
+                .into_iter()
+                .map(|(key, bytes)| {
+                    let slot = engine.slot_of(key).expect("cached keys are interned");
+                    (slot, bytes)
+                })
+                .collect();
+            victims.sort_unstable_by_key(|&(slot, _)| slot);
+            evicted += engine.clear();
+            for &(_, bytes) in &victims {
+                self.stats.record_evicted_bytes(bytes);
+            }
+            self.stats.record_evictions(victims.len() as u64);
+        }
+        evicted
+    }
+}
+
+impl<P: UtilityPolicy, S> ShardedEngine<P, S> {
+    /// Creates `shards` engine slabs sharing `capacity_bytes`: every shard
+    /// gets `floor(capacity / shards)` bytes and shard 0 additionally keeps
+    /// the remainder, so the budgets sum to the global capacity exactly.
+    ///
+    /// `make_policy` and `make_companion` are called once per shard
+    /// (policies may carry state, so each shard owns its own instance).
+    ///
+    /// # Errors
+    ///
+    /// [`CacheError::InvalidCapacity`] for a negative or non-finite
+    /// capacity, [`CacheError::InvalidShardCount`] for zero shards.
+    pub fn with_companions(
+        capacity_bytes: f64,
+        shards: usize,
         mut make_policy: impl FnMut() -> P,
+        mut make_companion: impl FnMut() -> S,
     ) -> Result<Self, CacheError> {
         if shards == 0 {
             return Err(CacheError::InvalidShardCount(shards));
@@ -97,18 +144,17 @@ impl<P: UtilityPolicy> ShardedEngine<P> {
         }
         let per_shard = (capacity_bytes / shards as f64).floor();
         let shard0 = capacity_bytes - per_shard * (shards - 1) as f64;
-        let engines = (0..shards)
+        let shards = (0..shards)
             .map(|i| {
                 let budget = if i == 0 { shard0 } else { per_shard };
-                CacheEngine::new(budget, make_policy()).map(Mutex::new)
+                let engine = CacheEngine::new(budget, make_policy())?;
+                Ok(Mutex::new((engine, make_companion())))
             })
-            .collect::<Result<Vec<_>, _>>()?;
+            .collect::<Result<Vec<_>, CacheError>>()?;
         Ok(ShardedEngine {
-            shards: engines,
+            shards,
             capacity_bytes,
             stats: AtomicCacheStats::new(),
-            steal: AtomicBool::new(false),
-            steal_rng: AtomicU64::new(STEAL_RNG_SEED),
         })
     }
 
@@ -127,41 +173,30 @@ impl<P: UtilityPolicy> ShardedEngine<P> {
         (fx::hash_u64(key.as_u64()) % self.shards.len() as u64) as usize
     }
 
-    /// Current byte budget of shard `index` (drifts from the initial even
-    /// split only when stealing is enabled).
+    /// Byte budget of shard `index` (fixed at construction).
     pub fn shard_capacity(&self, index: usize) -> f64 {
-        self.shards[index].lock().capacity_bytes()
+        self.shards[index].lock().0.capacity_bytes()
     }
 
     /// Bytes currently allocated in shard `index`.
     pub fn shard_used_bytes(&self, index: usize) -> f64 {
-        self.shards[index].lock().used_bytes()
+        self.shards[index].lock().0.used_bytes()
     }
 
     /// Total bytes allocated across all shards (locks each shard briefly;
     /// a moving target under concurrent writers).
     pub fn used_bytes(&self) -> f64 {
-        self.shards.iter().map(|s| s.lock().used_bytes()).sum()
+        self.shards.iter().map(|s| s.lock().0.used_bytes()).sum()
     }
 
     /// Number of objects with a cached prefix across all shards.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
+        self.shards.iter().map(|s| s.lock().0.len()).sum()
     }
 
     /// Returns `true` if nothing is cached anywhere.
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.lock().is_empty())
-    }
-
-    /// Enables or disables cross-shard budget stealing (off by default).
-    pub fn set_steal(&self, enabled: bool) {
-        self.steal.store(enabled, Ordering::Relaxed);
-    }
-
-    /// Whether budget stealing is enabled.
-    pub fn steal_enabled(&self) -> bool {
-        self.steal.load(Ordering::Relaxed)
+        self.shards.iter().all(|s| s.lock().0.is_empty())
     }
 
     /// Lock-free aggregate statistics (see [`AtomicCacheStats`]): no shard
@@ -179,186 +214,53 @@ impl<P: UtilityPolicy> ShardedEngine<P> {
     pub fn reset_stats(&self) {
         self.stats.reset();
         for shard in &self.shards {
-            shard.lock().reset_stats();
+            shard.lock().0.reset_stats();
         }
     }
 
-    /// Enables or disables the per-shard allocation delta logs (see
-    /// [`CacheEngine::set_delta_tracking`]). Slot handles in drained deltas
-    /// are **shard-local**; mirror consumers must keep one reverse mapping
-    /// per shard and drain inside [`with_shard`](Self::with_shard) /
-    /// [`access_with`](Self::access_with) closures.
-    pub fn set_delta_tracking(&self, enabled: bool) {
-        for shard in &self.shards {
-            shard.lock().set_delta_tracking(enabled);
-        }
-    }
-
-    /// Runs `f` with the engine shard that `key` routes to, under that
-    /// shard's lock, along with the shard index. The closure must not call
-    /// back into this `ShardedEngine` (the shard lock is held).
-    pub fn with_shard<R>(
-        &self,
-        key: ObjectKey,
-        f: impl FnOnce(&mut CacheEngine<P>, usize) -> R,
-    ) -> R {
-        let index = self.shard_of(key);
-        let mut engine = self.shards[index].lock();
-        f(&mut engine, index)
+    /// Runs `f` with the engine shard that `key` routes to and its
+    /// companion, under that shard's lock. The engine is read-only here —
+    /// accesses go through [`access_with`](Self::access_with) so the
+    /// aggregate statistics see them. The closure must not call back into
+    /// this `ShardedEngine` (the shard lock is held).
+    pub fn with_shard<R>(&self, key: ObjectKey, f: impl FnOnce(&CacheEngine<P>, &mut S) -> R) -> R {
+        self.with_shard_index(self.shard_of(key), f)
     }
 
     /// Runs `f` with shard `index` under its lock (observability walks).
-    pub fn with_shard_index<R>(&self, index: usize, f: impl FnOnce(&mut CacheEngine<P>) -> R) -> R {
-        let mut engine = self.shards[index].lock();
-        f(&mut engine)
+    pub fn with_shard_index<R>(
+        &self,
+        index: usize,
+        f: impl FnOnce(&CacheEngine<P>, &mut S) -> R,
+    ) -> R {
+        let (engine, companion) = &mut *self.shards[index].lock();
+        f(engine, companion)
     }
 
     /// Processes one access on the shard `meta.key` routes to. Semantics
     /// per shard are exactly [`CacheEngine::on_access`]; aggregate counters
-    /// are updated from the outcome; if stealing is enabled and the policy
-    /// target was not fully admitted, a budget steal is attempted after the
-    /// shard lock is released.
+    /// are updated from the outcome.
     pub fn on_access(&self, meta: &ObjectMeta, bandwidth_bps: f64) -> AccessOutcome {
         self.access_with(meta, bandwidth_bps, |_, _, out| out)
     }
 
-    /// [`on_access`](Self::on_access), then `f` under the same shard lock —
-    /// the hook mirror consumers (the proxy's byte store) use to drain the
-    /// shard's delta log atomically with the access that produced it.
-    /// `f` receives the engine, the shard index and the access outcome; its
-    /// return value is passed through.
+    /// [`on_access`](Self::on_access), then `f` under the same shard lock:
+    /// where the companion is brought in line with the access, from the
+    /// outcome and the engine's [`last_evictions`](CacheEngine::last_evictions).
+    /// `f`'s return value is passed through.
     pub fn access_with<R>(
         &self,
         meta: &ObjectMeta,
         bandwidth_bps: f64,
-        f: impl FnOnce(&mut CacheEngine<P>, usize, AccessOutcome) -> R,
+        f: impl FnOnce(&CacheEngine<P>, &mut S, AccessOutcome) -> R,
     ) -> R {
-        let index = self.shard_of(meta.key);
-        let (result, steal_request) = {
-            let mut engine = self.shards[index].lock();
-            let out = engine.on_access(meta, bandwidth_bps);
-            self.stats.record_access(meta.size_bytes(), &out);
-            if out.evictions > 0 {
-                for &(_, bytes, _) in engine.last_evictions() {
-                    self.stats.record_evicted_bytes(bytes);
-                }
-            }
-            let steal_request = if self.steal_enabled() && self.shards.len() > 1 {
-                self.shortfall_of(&engine, meta, bandwidth_bps, out.cached_bytes_after)
-            } else {
-                None
-            };
-            (f(&mut engine, index, out), steal_request)
-        };
-        if let Some((shortfall, utility)) = steal_request {
-            self.try_steal(index, meta, bandwidth_bps, shortfall, utility);
+        let (engine, companion) = &mut *self.shards[self.shard_of(meta.key)].lock();
+        let out = engine.on_access(meta, bandwidth_bps);
+        self.stats.record_access(meta.size_bytes(), &out);
+        for &(_, bytes, _) in engine.last_evictions() {
+            self.stats.record_evicted_bytes(bytes);
         }
-        result
-    }
-
-    /// How far the engine's allocation for `meta` falls short of the policy
-    /// target, plus the object's current utility — computed under the shard
-    /// lock so the steal attempt competes with the exact utility the access
-    /// just used.
-    fn shortfall_of(
-        &self,
-        engine: &CacheEngine<P>,
-        meta: &ObjectMeta,
-        bandwidth_bps: f64,
-        cached_after: f64,
-    ) -> Option<(f64, f64)> {
-        let target = engine
-            .policy()
-            .target_bytes(meta, bandwidth_bps)
-            .clamp(0.0, meta.size_bytes());
-        let shortfall = target - cached_after;
-        if shortfall <= 0.0 {
-            return None;
-        }
-        let slot = engine.slot_of(meta.key)?;
-        Some((shortfall, engine.current_utility(slot, meta, bandwidth_bps)))
-    }
-
-    /// Power-of-two-choices budget steal: probe two other shards, evict
-    /// strictly-lower-utility entries from the richer one, migrate the
-    /// freed capacity to `index`, and retry the grow. Locks are taken one
-    /// at a time (probe, donor, recipient), so no ordering issues arise.
-    fn try_steal(
-        &self,
-        index: usize,
-        meta: &ObjectMeta,
-        bandwidth_bps: f64,
-        shortfall: f64,
-        utility: f64,
-    ) {
-        let Some(donor) = self.pick_donor(index) else {
-            return;
-        };
-        let freed = {
-            let mut engine = self.shards[donor].lock();
-            let (freed, count) = engine.evict_lowest(utility, shortfall);
-            if freed > 0.0 {
-                let capacity = engine.capacity_bytes() - freed;
-                engine.set_capacity(capacity);
-                self.stats.record_evictions(count as u64, freed);
-            }
-            freed
-        };
-        if freed <= 0.0 {
-            return;
-        }
-        let mut engine = self.shards[index].lock();
-        let capacity = engine.capacity_bytes() + freed;
-        engine.set_capacity(capacity);
-        if let Some(slot) = engine.slot_of(meta.key) {
-            let out = engine.regrow_slot(slot, meta, bandwidth_bps);
-            self.stats.record_rebalance(&out);
-            if out.evictions > 0 {
-                for &(_, bytes, _) in engine.last_evictions() {
-                    self.stats.record_evicted_bytes(bytes);
-                }
-            }
-        }
-    }
-
-    /// Picks the donor shard: of two distinct random shards other than
-    /// `index`, the one with more used bytes (one brief lock each).
-    fn pick_donor(&self, index: usize) -> Option<usize> {
-        let n = self.shards.len();
-        let others = n - 1;
-        if others == 0 {
-            return None;
-        }
-        let skip = |i: u64| {
-            let i = i as usize;
-            if i >= index {
-                i + 1
-            } else {
-                i
-            }
-        };
-        let a = skip(self.next_rand() % others as u64);
-        if others == 1 {
-            return Some(a);
-        }
-        let b = skip(self.next_rand() % others as u64);
-        if a == b {
-            return Some(a);
-        }
-        let used_a = self.shards[a].lock().used_bytes();
-        let used_b = self.shards[b].lock().used_bytes();
-        Some(if used_a >= used_b { a } else { b })
-    }
-
-    /// A racy-but-adequate xorshift step: concurrent callers may observe the
-    /// same draw, which only makes two probes correlated, never unsound.
-    fn next_rand(&self) -> u64 {
-        let mut x = self.steal_rng.load(Ordering::Relaxed);
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.steal_rng.store(x, Ordering::Relaxed);
-        x
+        f(engine, companion, out)
     }
 
     /// Bytes of `key` currently cached (0 when absent).
@@ -382,38 +284,9 @@ impl<P: UtilityPolicy> ShardedEngine<P> {
     pub fn contents(&self) -> Vec<(ObjectKey, f64)> {
         let mut all = Vec::new();
         for shard in &self.shards {
-            all.extend(shard.lock().contents());
+            all.extend(shard.lock().0.contents());
         }
         all
-    }
-
-    /// Removes every cached object from every shard and returns the number
-    /// of evictions. Frequencies and statistics are preserved; aggregate
-    /// eviction counters are updated per victim in the engine's own
-    /// (slot-order) accumulation order, keeping the `shards = 1` counters
-    /// bit-identical to [`CacheEngine::clear`].
-    pub fn clear(&self) -> usize {
-        let mut evicted = 0;
-        for shard in &self.shards {
-            let mut engine = shard.lock();
-            // Victim bytes in slot order — the order `CacheEngine::clear`
-            // adds them to its own `bytes_evicted` counter.
-            let mut victims: Vec<(u32, f64)> = engine
-                .contents()
-                .into_iter()
-                .map(|(key, bytes)| {
-                    let slot = engine.slot_of(key).expect("cached keys are interned");
-                    (slot, bytes)
-                })
-                .collect();
-            victims.sort_unstable_by_key(|&(slot, _)| slot);
-            evicted += engine.clear();
-            for &(_, bytes) in &victims {
-                self.stats.record_evicted_bytes(bytes);
-            }
-            self.stats.record_evictions(victims.len() as u64, 0.0);
-        }
-        evicted
     }
 }
 
@@ -482,7 +355,7 @@ mod tests {
         for k in 0..16 {
             let key = ObjectKey::new(k);
             let shard = cache.shard_of(key);
-            let in_shard = cache.with_shard_index(shard, |engine| engine.cached_bytes(key));
+            let in_shard = cache.with_shard_index(shard, |engine, _| engine.cached_bytes(key));
             assert_eq!(in_shard, cache.cached_bytes(key));
             assert!(in_shard > 0.0);
         }
@@ -506,61 +379,6 @@ mod tests {
     }
 
     #[test]
-    fn steal_migrates_budget_and_conserves_the_total() {
-        // Shard budgets of ~2 objects each; a hot object behind a slow path
-        // needs more than its local budget once its shard fills up.
-        let unit = obj(0, 100.0).size_bytes();
-        let capacity = 4.0 * unit;
-        let cache = ShardedEngine::new(capacity, 2, IntegralBandwidth::new).unwrap();
-        cache.set_steal(true);
-        assert!(cache.steal_enabled());
-
-        // Fill both shards with cold objects (one access each).
-        for k in 0..4 {
-            cache.on_access(&obj(k, 100.0), R / 2.0);
-        }
-        // Hammer one big object (two object-units) over a much slower path:
-        // its utility dwarfs the cold entries', and its shard's local
-        // budget (2 units, partly occupied) cannot hold it.
-        let hot = obj(100, 200.0);
-        for _ in 0..6 {
-            cache.on_access(&hot, R / 16.0);
-        }
-        assert!(
-            cache.contains(hot.key),
-            "hot object must be admitted via stolen budget"
-        );
-        let total_capacity: f64 = (0..2).map(|i| cache.shard_capacity(i)).sum();
-        assert!(
-            (total_capacity - capacity).abs() < 1e-6,
-            "steal must conserve the global budget: {total_capacity} vs {capacity}"
-        );
-        for i in 0..2 {
-            assert!(
-                cache.shard_used_bytes(i) <= cache.shard_capacity(i) + 1e-6,
-                "shard {i} over budget"
-            );
-        }
-    }
-
-    #[test]
-    fn steal_disabled_keeps_budgets_fixed() {
-        let unit = obj(0, 100.0).size_bytes();
-        let capacity = 4.0 * unit;
-        let cache = ShardedEngine::new(capacity, 2, IntegralBandwidth::new).unwrap();
-        for k in 0..4 {
-            cache.on_access(&obj(k, 100.0), R / 2.0);
-        }
-        let hot = obj(100, 200.0);
-        for _ in 0..6 {
-            cache.on_access(&hot, R / 16.0);
-        }
-        let per = (capacity / 2.0).floor();
-        assert_eq!(cache.shard_capacity(1), per);
-        assert_eq!(cache.shard_capacity(0), capacity - per);
-    }
-
-    #[test]
     fn boxed_policies_shard_too() {
         let kind = PolicyKind::PartialBandwidth;
         let cache = ShardedEngine::new(1e9, 3, || kind.build()).unwrap();
@@ -571,21 +389,35 @@ mod tests {
     }
 
     #[test]
-    fn delta_tracking_is_per_shard() {
-        let cache = ShardedEngine::new(1e9, 2, PartialBandwidth::new).unwrap();
-        cache.set_delta_tracking(true);
-        let o = obj(1, 100.0);
-        let drained = cache.access_with(&o, R / 2.0, |engine, index, out| {
-            assert!(out.admitted);
-            assert_eq!(index, cache.shard_of(o.key));
-            engine.drain_deltas().count()
-        });
-        assert_eq!(drained, 1);
-        // The other shard saw nothing.
-        let other = 1 - cache.shard_of(o.key);
+    fn companion_is_per_shard() {
+        // Each shard's companion records the slots its own accesses touched
+        // and evicted, under the lock of the access that caused them.
+        let unit = obj(0, 100.0).size_bytes();
+        let cache: ShardedEngine<_, Vec<(u32, usize)>> =
+            ShardedEngine::with_companions(2.0 * unit, 2, IntegralBandwidth::new, Vec::new)
+                .unwrap();
+        let record = |o: &ObjectMeta, bandwidth: f64| {
+            cache.access_with(o, bandwidth, |engine, seen, out| {
+                assert_eq!(engine.last_evictions().len(), out.evictions);
+                let slot = engine.slot_of(o.key).expect("accessed keys are interned");
+                seen.push((slot, out.evictions));
+            })
+        };
+        // Two objects routed to one shard, each filling its one-unit budget:
+        // the second, behind a slower path, evicts the first.
+        let a = obj(1, 100.0);
+        let b = (2..)
+            .map(|k| obj(k, 100.0))
+            .find(|o| cache.shard_of(o.key) == cache.shard_of(a.key))
+            .unwrap();
+        record(&a, R / 2.0);
+        record(&b, R / 10.0);
+        let shard = cache.shard_of(a.key);
         assert_eq!(
-            cache.with_shard_index(other, |engine| engine.drain_deltas().count()),
-            0
+            cache.with_shard_index(shard, |_, seen| seen.clone()),
+            vec![(0, 0), (1, 1)]
         );
+        // The other shard saw nothing.
+        assert!(cache.with_shard_index(1 - shard, |_, seen| seen.is_empty()));
     }
 }

@@ -120,12 +120,6 @@ impl AtomicCacheStats {
         add_f64(&self.bytes_requested, size_bytes);
         add_f64(&self.bytes_from_cache, out.bytes_from_cache);
         add_f64(&self.bytes_from_origin, out.bytes_from_origin);
-        self.record_rebalance(out);
-    }
-
-    /// Records the admission/eviction half of an outcome only (used for
-    /// regrow attempts after a budget steal, which are not new requests).
-    pub fn record_rebalance(&self, out: &AccessOutcome) {
         if out.admitted {
             self.admissions.fetch_add(1, Ordering::Relaxed);
             add_f64(
@@ -137,17 +131,17 @@ impl AtomicCacheStats {
             .fetch_add(out.evictions as u64, Ordering::Relaxed);
     }
 
-    /// Records one eviction's byte count (admission-driven victims, budget
-    /// steals and `clear` all funnel through here).
+    /// Records one eviction's byte count (admission-driven victims and
+    /// `clear` both funnel through here).
     pub fn record_evicted_bytes(&self, bytes: f64) {
         add_f64(&self.bytes_evicted, bytes);
     }
 
-    /// Records `count` evictions totalling `bytes` (the steal path, where
-    /// victims are already aggregated).
-    pub fn record_evictions(&self, count: u64, bytes: f64) {
+    /// Records `count` evictions that are not part of any access outcome
+    /// (`clear`); their bytes go through
+    /// [`record_evicted_bytes`](Self::record_evicted_bytes), victim by victim.
+    pub fn record_evictions(&self, count: u64) {
         self.evictions.fetch_add(count, Ordering::Relaxed);
-        add_f64(&self.bytes_evicted, bytes);
     }
 
     /// A point-in-time [`CacheStats`] view of the counters (relaxed loads;

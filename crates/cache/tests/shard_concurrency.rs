@@ -111,52 +111,6 @@ fn overlapping_keys_respect_budgets_under_concurrency() {
     assert!((total - cache.used_bytes()).abs() < 1e-6);
 }
 
-/// Budget stealing under concurrency: the sum of shard capacities must stay
-/// exactly the global budget while capacities migrate.
-#[test]
-fn concurrent_steal_conserves_global_budget() {
-    let threads = threads();
-    let capacity = 12.0 * obj(0, 100.0).size_bytes();
-    let cache = Arc::new(ShardedEngine::new(capacity, 4, IntegralBandwidth::new).unwrap());
-    cache.set_steal(true);
-    let per_thread = 400u64;
-
-    std::thread::scope(|scope| {
-        for t in 0..threads {
-            let cache = Arc::clone(&cache);
-            scope.spawn(move || {
-                let mut rng = 0x0bad_5eed_0bad_5eedu64 ^ ((t as u64 + 1) << 17);
-                for _ in 0..per_thread {
-                    // A skewed pattern: key 0 is hot and large, the rest cold.
-                    let draw = xorshift(&mut rng) % 8;
-                    let (key, duration) = if draw < 4 {
-                        (0, 400.0)
-                    } else {
-                        (1 + xorshift(&mut rng) % 24, 80.0)
-                    };
-                    let bandwidth = R * 0.2 + (xorshift(&mut rng) % 16_000) as f64;
-                    cache.on_access(&obj(key, duration), bandwidth);
-                }
-            });
-        }
-    });
-
-    let total_capacity: f64 = (0..cache.shard_count())
-        .map(|i| cache.shard_capacity(i))
-        .sum();
-    assert!(
-        (total_capacity - capacity).abs() < 1e-6,
-        "steal must conserve the global budget: {total_capacity} vs {capacity}"
-    );
-    for i in 0..cache.shard_count() {
-        assert!(
-            cache.shard_used_bytes(i) <= cache.shard_capacity(i) + 1e-6,
-            "shard {i} exceeded its (possibly shifted) budget"
-        );
-    }
-    assert!(cache.used_bytes() <= cache.capacity_bytes() + 1e-6);
-}
-
 /// `shards = 1`, single thread: outcomes, contents and every statistics
 /// field must be **bit-identical** to the unsharded engine fed the same
 /// access sequence.

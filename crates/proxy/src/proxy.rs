@@ -1,12 +1,16 @@
 //! The caching proxy: prefix caching plus joint cache/origin delivery.
 //!
-//! The request path is built for throughput (see `ARCHITECTURE.md`, "Proxy
-//! data path"): a fixed worker pool drains a bounded accept queue, origin
-//! connections are bounded by a counting semaphore, the origin tail streams
-//! through a fixed-size reusable chunk ring (retaining only the prefix the
-//! policy may admit, never the whole object), and the byte store is
-//! reconciled against the cache engine via its O(changes) delta log instead
-//! of a per-request full-contents scan.
+//! Everything the proxy knows about an object — name, size, bit-rate and the
+//! stored prefix bytes — is one record owned by the engine shard the object
+//! hashes to, indexed by the shard's slot handle and guarded by the shard's
+//! mutex (see `ARCHITECTURE.md`, "Proxy data path"). A `GET` is a sequence
+//! of stages, [`handle_client`]: *parse* → *lookup* (first shard lock) →
+//! *plan* (pure) → *relay* → *admit* (second shard lock); no other
+//! per-object lock or name-keyed map exists. Around that, a fixed worker
+//! pool drains a bounded accept queue, origin connections are bounded by a
+//! counting semaphore, and the origin tail streams through a fixed-size
+//! reusable chunk ring, retaining only the prefix the policy may admit,
+//! never the whole object.
 //!
 //! On top of that sits the overload layer (see `ARCHITECTURE.md`,
 //! "Overload & admission control"): queued connections carry enqueue
@@ -24,14 +28,12 @@ use crate::protocol::{
 };
 use crate::ratelimit::RateLimiter;
 use crate::retry::{BreakerConfig, BreakerState, CircuitBreaker, RetryPolicy};
-use crate::store::PrefixStore;
 use bytes::Bytes;
 use parking_lot::Mutex;
-use sc_cache::fx::{FxHashMap, FxHasher};
 use sc_cache::policy::{PolicyKind, UtilityPolicy};
-use sc_cache::{CacheDelta, ObjectKey, ObjectMeta, ShardedEngine};
+use sc_cache::{ObjectKey, ObjectMeta, ShardedEngine};
 use sc_netmodel::{BandwidthEstimator, EwmaEstimator};
-use std::hash::Hasher as _;
+use std::hash::{DefaultHasher, Hasher as _};
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -229,22 +231,72 @@ impl ProxyStats {
     }
 }
 
+/// What the origin's `OK` header says about an object.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Header {
+    /// Total object size in bytes.
+    size: u64,
+    /// Encoding bit-rate in bytes per second.
+    bitrate_bps: f64,
+}
+
+/// Everything the proxy knows about one object: one record, owned by the
+/// shard the object's key routes to.
+#[derive(Debug)]
+struct Record {
+    /// The name the slot was first admitted under. Keys are 64-bit hashes
+    /// of client-supplied names, so two names can share a key (and with it
+    /// a slot); the record belongs to this name only, and a request under
+    /// any other name neither reads nor writes it.
+    name: String,
+    /// Learned from the origin on first contact.
+    header: Header,
+    /// The stored prefix (empty when nothing is cached); never longer than
+    /// the engine's allocation for the slot.
+    prefix: Bytes,
+}
+
+/// One shard's records, indexed by the shard engine's slot handle: the
+/// [`ShardedEngine`] companion, so it is only ever touched under the lock
+/// of the engine whose decisions it mirrors.
+#[derive(Debug, Default)]
+struct ShardRecords {
+    by_slot: Vec<Option<Record>>,
+    /// Running totals over `by_slot`'s prefixes, so `STATS` never walks.
+    stored_bytes: u64,
+    stored_objects: usize,
+}
+
+impl ShardRecords {
+    /// The record at `slot`, whichever name it belongs to.
+    fn at(&self, slot: Option<u32>) -> Option<&Record> {
+        self.by_slot.get(slot? as usize)?.as_ref()
+    }
+
+    /// Whether `name` may use `slot`: nobody's yet, or this very name's.
+    fn admits(&self, slot: Option<u32>, name: &str) -> bool {
+        self.at(slot).is_none_or(|r| r.name == name)
+    }
+
+    /// Replaces the prefix stored at `slot` (empty = drop it).
+    fn store(&mut self, slot: u32, prefix: Bytes) {
+        let record = self.by_slot[slot as usize]
+            .as_mut()
+            .expect("the access that interns a slot creates its record");
+        self.stored_bytes = self.stored_bytes - record.prefix.len() as u64 + prefix.len() as u64;
+        self.stored_objects = self.stored_objects - usize::from(!record.prefix.is_empty())
+            + usize::from(!prefix.is_empty());
+        record.prefix = prefix;
+    }
+}
+
 #[derive(Debug)]
 struct ProxyState {
     config: ProxyConfig,
-    /// N-way sharded cache engine: requests for objects in different shards
-    /// take different locks, so the cache decision is no longer a global
-    /// serialization point across the worker pool.
-    engine: ShardedEngine<Box<dyn UtilityPolicy + Send + Sync>>,
-    store: PrefixStore,
-    /// name → (size, bitrate) learned from origin response headers.
-    metadata: Mutex<FxHashMap<String, (u64, f64)>>,
-    /// Per-shard: engine slot handle → object name, the reverse of each
-    /// shard's key→slot interning. Slot handles are dense, stable and
-    /// **shard-local**, so this is one flat vector per shard; delta
-    /// application resolves names in O(1) under the same shard lock that
-    /// produced the deltas.
-    slot_names: Vec<Mutex<Vec<Option<String>>>>,
+    /// N-way sharded cache engine, each shard carrying the records of its
+    /// objects: requests for objects in different shards take different
+    /// locks, and one lock covers an object's cache decision and its bytes.
+    engine: ShardedEngine<Box<dyn UtilityPolicy + Send + Sync>, ShardRecords>,
     estimator: Mutex<EwmaEstimator>,
     /// The accept queue, shared with the accept thread and workers: it is
     /// part of the state so both the stats snapshot and the `STATS` verb
@@ -269,21 +321,36 @@ struct ProxyState {
 }
 
 impl ProxyState {
+    /// The origin-path bandwidth estimate, after folding in `observed_bps`
+    /// (if any) under the same estimator acquisition.
+    fn estimate_after(&self, observed_bps: Option<f64>) -> f64 {
+        let mut estimator = self.estimator.lock();
+        if let Some(bps) = observed_bps {
+            estimator.observe(bps);
+        }
+        estimator
+            .estimate_bps()
+            .unwrap_or(self.config.assumed_origin_bps)
+    }
+
     /// A consistent-enough snapshot of every counter: the hot counters are
-    /// read lock-free; only the store summary and the estimator take
-    /// locks. Used both by [`CachingProxy::stats`] and the `STATS` verb.
+    /// read lock-free; only the per-shard stored totals and the estimator
+    /// take locks. Used both by [`CachingProxy::stats`] and the `STATS`
+    /// verb.
     fn snapshot(&self) -> ProxyStats {
+        let (cached_objects, cached_bytes) = (0..self.engine.shard_count())
+            .map(|shard| {
+                self.engine
+                    .with_shard_index(shard, |_, r| (r.stored_objects, r.stored_bytes))
+            })
+            .fold((0, 0), |sum, shard| (sum.0 + shard.0, sum.1 + shard.1));
         ProxyStats {
             requests: self.requests.load(Ordering::Relaxed),
             bytes_from_cache: self.bytes_from_cache.load(Ordering::Relaxed),
             bytes_from_origin: self.bytes_from_origin.load(Ordering::Relaxed),
-            cached_objects: self.store.len(),
-            cached_bytes: self.store.total_bytes() as u64,
-            estimated_origin_bps: self
-                .estimator
-                .lock()
-                .estimate_bps()
-                .unwrap_or(self.config.assumed_origin_bps),
+            cached_objects,
+            cached_bytes,
+            estimated_origin_bps: self.estimate_after(None),
             peak_tail_bytes: self.peak_tail_bytes.load(Ordering::Relaxed),
             origin_retries: self.origin_retries.load(Ordering::Relaxed),
             origin_resumes: self.origin_resumes.load(Ordering::Relaxed),
@@ -373,13 +440,13 @@ impl CachingProxy {
         } else {
             config.engine_shards
         };
-        let engine = ShardedEngine::new(config.cache_capacity_bytes, shards, || {
-            config.policy.build()
-        })
+        let engine = ShardedEngine::with_companions(
+            config.cache_capacity_bytes,
+            shards,
+            || config.policy.build(),
+            ShardRecords::default,
+        )
         .map_err(|e| ProxyError::InvalidConfig("cache_capacity_bytes", e.to_string()))?;
-        // The proxy reconciles its byte store from the engine's delta log;
-        // the simulator (which shares the engine) leaves tracking off.
-        engine.set_delta_tracking(true);
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
@@ -389,9 +456,6 @@ impl CachingProxy {
         ));
         let state = Arc::new(ProxyState {
             engine,
-            store: PrefixStore::new(),
-            metadata: Mutex::new(FxHashMap::default()),
-            slot_names: (0..shards).map(|_| Mutex::new(Vec::new())).collect(),
             estimator: Mutex::new(EwmaEstimator::new(0.3)),
             queue: Arc::clone(&queue),
             origin_budget: OriginBudget::new(config.max_origin_connections),
@@ -477,7 +541,8 @@ impl CachingProxy {
     }
 
     /// A snapshot of the proxy's statistics. The hot counters are read
-    /// lock-free; only the store summary and the estimator take locks.
+    /// lock-free; only the per-shard stored totals and the estimator take
+    /// locks.
     pub fn stats(&self) -> ProxyStats {
         self.state.snapshot()
     }
@@ -494,34 +559,26 @@ impl CachingProxy {
 
     /// Bytes of `name` currently cached.
     pub fn cached_prefix_len(&self, name: &str) -> usize {
-        self.state.store.prefix_len(name)
+        lookup(&self.state, key_for(name), name).cached.len()
     }
 
     /// Snapshot of the cached objects as `(name, engine_bytes,
     /// store_bytes)` triples, in unspecified order — the engine's granted
-    /// allocation next to the bytes the store actually holds, for
+    /// allocation next to the bytes the object's record actually holds, for
     /// observability and byte-accounting tests.
     pub fn contents(&self) -> Vec<(String, f64, usize)> {
         let mut all = Vec::new();
         for shard in 0..self.state.engine.shard_count() {
-            let shard_contents = self.state.engine.with_shard_index(shard, |engine| {
-                let names = self.state.slot_names[shard].lock();
-                engine
-                    .contents()
-                    .into_iter()
-                    .map(|(key, engine_bytes)| {
-                        let name = engine
-                            .slot_of(key)
-                            .and_then(|slot| names.get(slot as usize).cloned().flatten())
-                            .unwrap_or_default();
-                        (name, engine_bytes)
-                    })
-                    .collect::<Vec<_>>()
-            });
-            all.extend(shard_contents.into_iter().map(|(name, engine_bytes)| {
-                let store_bytes = self.state.store.prefix_len(&name);
-                (name, engine_bytes, store_bytes)
-            }));
+            self.state
+                .engine
+                .with_shard_index(shard, |engine, records| {
+                    all.extend(engine.contents().into_iter().map(|(key, engine_bytes)| {
+                        let (name, store_bytes) = records
+                            .at(engine.slot_of(key))
+                            .map_or((String::new(), 0), |r| (r.name.clone(), r.prefix.len()));
+                        (name, engine_bytes, store_bytes)
+                    }));
+                });
         }
         all
     }
@@ -560,8 +617,6 @@ struct WorkerScratch {
     chunk: Vec<u8>,
     /// Tail-retention buffer, capped at the prefix the policy may admit.
     retained: Vec<u8>,
-    /// Reusable copy buffer for the engine's drained delta log.
-    deltas: Vec<CacheDelta>,
     /// Stateless policy clone used to size the retention cap without
     /// touching the engine lock from the relay loop.
     policy: Box<dyn UtilityPolicy + Send + Sync>,
@@ -572,34 +627,31 @@ impl WorkerScratch {
         WorkerScratch {
             chunk: vec![0u8; RING_BYTES],
             retained: Vec::new(),
-            deltas: Vec::new(),
             policy: policy.build(),
         }
     }
 }
 
-/// Stable mapping from object names to cache keys: the same Fx mix the
-/// engine's key→slot interning map uses (`sc_cache::fx`), applied to the
-/// name bytes. Keys only need to be stable within one proxy process.
+/// Stable mapping from object names to cache keys; keys only need to be
+/// stable within one proxy process. Names come from clients, so this is
+/// std's SipHash rather than the Fx mix the engine uses on the keys
+/// themselves: Fx collides on ordinary catalogs (`clip-1619` and
+/// `clip-1692` hash equal) and on crafted names at will, and a name whose
+/// key is already taken cannot be cached (see [`Lookup::ours`]).
 fn key_for(name: &str) -> ObjectKey {
-    let mut hasher = FxHasher::default();
+    let mut hasher = DefaultHasher::new();
     hasher.write(name.as_bytes());
     ObjectKey::new(hasher.finish())
 }
 
-/// Tail bytes worth retaining for the store, given the conservative
+/// Tail bytes worth retaining for the record, given the conservative
 /// bandwidth lower bound `b_lo`: the policy's target allocation at
 /// slightly-below `b_lo`, minus the prefix already stored. Policy targets
 /// are non-increasing in bandwidth and this request's own observation
 /// lands the EWMA between the prior estimate and the observed throughput,
 /// so a cap computed from a running minimum of those two quantities covers
-/// the engine's eventual grant in the common case. It is best-effort, not
-/// a guarantee: an origin stall after retention already stopped, or
-/// concurrent transfers dragging the shared estimator lower, can leave the
-/// grant larger than what was retained. The grow step then stores only the
-/// bytes in hand (store bytes never exceed the grant — the tolerated
-/// direction of drift) and the store catches up on the object's next
-/// request, which fetches from the shorter stored offset.
+/// the engine's eventual grant in the common case. It is best-effort: what
+/// happens when the grant turns out larger is [`admit`]'s rule.
 fn retain_cap(
     policy: &(dyn UtilityPolicy + Send + Sync),
     meta: &ObjectMeta,
@@ -659,11 +711,97 @@ fn write_paced(
     Ok(())
 }
 
+/// Serves one client connection as a sequence of stages: *parse* the
+/// command, *lookup* the object's record (first shard lock), *plan* the
+/// answer (pure, consulting the origin only when it must), send header and
+/// cached prefix, *relay* the origin tail, and *admit* the object (second
+/// shard lock).
 fn handle_client(
     stream: TcpStream,
     state: &ProxyState,
     scratch: &mut WorkerScratch,
 ) -> Result<(), ProxyError> {
+    let Some((mut writer, name)) = parse(stream, state)? else {
+        return Ok(());
+    };
+    // Per-client pacing: one token bucket per connection, so a greedy
+    // client is bounded without penalizing its neighbours.
+    let mut pace = RateLimiter::new(state.config.client_rate_limit_bps);
+    let key = key_for(&name);
+    let found = lookup(state, key, &name);
+
+    // The origin connection is opened *before* replying to the client so
+    // that the tail can be relayed as it arrives; its permit bounds
+    // concurrent origin connections for the whole transfer.
+    let mut origin = None;
+    let decided = plan(found.known, found.cached.len() as u64, |offset| {
+        let (answer, conn) = open_origin(state, &name, offset);
+        origin = conn;
+        answer
+    });
+    write_response(&mut writer, &wire_answer(&decided)).map_err(|e| client_err(state, e))?;
+    let plan = decided.map_err(|failure| failure.into_error(&name))?;
+
+    // The cached prefix goes out immediately (LAN speed).
+    let Header { size, bitrate_bps } = plan.header;
+    let prefix = &found.cached[..found.cached.len().min(size as usize)];
+    write_paced(state, &mut writer, prefix, &mut pace)?;
+
+    let mut tail_len = 0;
+    if plan.action == Action::Degrade {
+        // Degraded hit: the range-correct prefix is all the client gets.
+        // The record, the engine and the bandwidth estimator are left
+        // untouched — an outage should not perturb what the policy learned
+        // from healthy transfers.
+        state.degraded_hits.fetch_add(1, Ordering::Relaxed);
+    } else {
+        let job = Job {
+            name: &name,
+            meta: ObjectMeta::new(key, size as f64 / bitrate_bps, bitrate_bps, 0.0),
+            size,
+            prefix_bytes: prefix.len(),
+            cacheable: found.ours,
+        };
+        let origin_bps;
+        (tail_len, origin_bps) = relay(state, &job, origin, &mut writer, &mut pace, scratch)?;
+        // Defensive check: the retained tail must continue the cached prefix.
+        debug_assert_eq!(
+            verify_content(&name, prefix.len() as u64, &scratch.retained),
+            None,
+            "origin payload does not match expected content"
+        );
+        let estimated = state.estimate_after(origin_bps);
+        if job.cacheable {
+            admit(state, &job, prefix, &scratch.retained, estimated);
+        }
+        state
+            .peak_tail_bytes
+            .fetch_max(scratch.retained.len() as u64, Ordering::Relaxed);
+        // A request that retained a large prefix must not pin that capacity
+        // in the worker for the proxy's lifetime: release it back down to
+        // the ring size once the bytes have been handed to the record.
+        scratch.retained.clear();
+        scratch.retained.shrink_to(RING_BYTES);
+    }
+
+    // Request counters are lock-free: no stats critical section.
+    state.requests.fetch_add(1, Ordering::Relaxed);
+    state
+        .bytes_from_cache
+        .fetch_add(prefix.len() as u64, Ordering::Relaxed);
+    state
+        .bytes_from_origin
+        .fetch_add(tail_len, Ordering::Relaxed);
+    Ok(())
+}
+
+/// Stage 1: socket options and one command off the wire. `STATS` and
+/// malformed input are answered here (`Ok(None)` / `Err`); a `GET` comes
+/// back as the client's writer plus the requested name.
+fn parse(
+    stream: TcpStream,
+    state: &ProxyState,
+) -> Result<Option<(BufWriter<TcpStream>, String)>, ProxyError> {
     stream.set_nodelay(true).ok();
     if !state.config.client_write_timeout.is_zero() {
         stream
@@ -672,8 +810,8 @@ fn handle_client(
     }
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = BufWriter::new(stream);
-    let request = match read_command(&mut reader) {
-        Ok(Command::Get(request)) => request,
+    match read_command(&mut reader) {
+        Ok(Command::Get(request)) => Ok(Some((writer, request.name))),
         Ok(Command::Stats) => {
             let mut json = state.snapshot().to_json();
             json.push('\n');
@@ -681,293 +819,49 @@ fn handle_client(
                 .write_all(json.as_bytes())
                 .and_then(|()| writer.flush())
                 .map_err(|e| client_err(state, ProxyError::Io(e)))?;
-            return Ok(());
+            Ok(None)
         }
         Err(err @ ProxyError::Protocol(_)) => {
             // Malformed or adversarial input: the bounded parser already
             // stopped reading; answer with a clean ERR and drop the
             // connection (best-effort — the peer may be gone).
             let _ = write_response(&mut writer, &Response::Err("malformed request".into()));
-            return Err(err);
+            Err(err)
         }
-        Err(err) => return Err(err),
-    };
-    let name = request.name;
-    // Per-client pacing: one token bucket per connection, so a greedy
-    // client is bounded without penalizing its neighbours.
-    let mut pace = RateLimiter::new(state.config.client_rate_limit_bps);
-
-    let cached = state.store.get(&name).unwrap_or_default();
-    let known_meta = state.metadata.lock().get(&name).copied();
-
-    // Open an origin connection when the object is not fully cached or its
-    // metadata is still unknown; the connection is opened *before* replying
-    // to the client so that the tail can be relayed as it arrives. The
-    // permit bounds concurrent origin connections for the whole transfer.
-    // Opens go through the resilient path (timeouts, retry/backoff, circuit
-    // breaker); when the origin stays unreachable but a prefix is cached,
-    // the request degrades to serving that prefix — the paper's partial
-    // caching masking the outage — flagged on the wire.
-    let mut origin: Option<(BufReader<TcpStream>, OriginPermit<'_>)> = None;
-    let mut degraded = false;
-    let (size, bitrate) = match known_meta {
-        Some((size, bitrate)) => {
-            if (cached.len() as u64) < size {
-                match open_origin(state, &name, cached.len() as u64) {
-                    OriginOutcome::Stream { reader, permit, .. } => {
-                        origin = Some((reader, permit));
-                    }
-                    OriginOutcome::Unknown => {
-                        write_response(&mut writer, &Response::Err("unknown object".into()))?;
-                        return Err(ProxyError::UnknownObject(name));
-                    }
-                    OriginOutcome::Unavailable => {
-                        if cached.is_empty() {
-                            write_response(
-                                &mut writer,
-                                &Response::Err("origin unavailable".into()),
-                            )?;
-                            return Err(ProxyError::OriginUnavailable(name));
-                        }
-                        degraded = true;
-                    }
-                }
-            }
-            (size, bitrate)
-        }
-        None => {
-            // First contact: learn the metadata from the origin's header.
-            match open_origin(state, &name, cached.len() as u64) {
-                OriginOutcome::Stream {
-                    reader,
-                    size,
-                    bitrate_bps,
-                    permit,
-                } => {
-                    state
-                        .metadata
-                        .lock()
-                        .insert(name.clone(), (size, bitrate_bps));
-                    origin = Some((reader, permit));
-                    (size, bitrate_bps)
-                }
-                OriginOutcome::Unknown => {
-                    write_response(&mut writer, &Response::Err("unknown object".into()))?;
-                    return Err(ProxyError::UnknownObject(name));
-                }
-                OriginOutcome::Unavailable => {
-                    // Nothing cached, no metadata: the outage cannot be
-                    // masked.
-                    write_response(&mut writer, &Response::Err("origin unavailable".into()))?;
-                    return Err(ProxyError::OriginUnavailable(name));
-                }
-            }
-        }
-    };
-
-    // Serve the client: header and cached prefix immediately (LAN speed),
-    // then relay the origin bytes chunk by chunk as they trickle in.
-    write_response(
-        &mut writer,
-        &Response::Ok {
-            size,
-            bitrate_bps: bitrate,
-            degraded,
-        },
-    )
-    .map_err(|e| client_err(state, e))?;
-    let prefix_bytes = cached.len().min(size as usize);
-    write_paced(state, &mut writer, &cached[..prefix_bytes], &mut pace)?;
-
-    if degraded {
-        // Degraded hit: the range-correct prefix is all the client gets.
-        // Cache state, metadata and the bandwidth estimator are left
-        // untouched — an outage should not perturb what the policy learned
-        // from healthy transfers.
-        state.requests.fetch_add(1, Ordering::Relaxed);
-        state
-            .bytes_from_cache
-            .fetch_add(prefix_bytes as u64, Ordering::Relaxed);
-        state.degraded_hits.fetch_add(1, Ordering::Relaxed);
-        return Ok(());
+        Err(err) => Err(err),
     }
-
-    let key = key_for(&name);
-    let duration = size as f64 / bitrate;
-    let meta = ObjectMeta::new(key, duration, bitrate, 0.0);
-
-    // Relay the tail through the fixed-size ring, retaining only the
-    // leading bytes the policy could plausibly admit. `b_lo` is a running
-    // lower bound on this request's contribution to the post-transfer
-    // estimate: the minimum of the prior estimate and the observed
-    // throughput so far (see `retain_cap` for why this is best-effort
-    // rather than exact). Once a byte is dropped the retained prefix can
-    // never be extended again (it must stay contiguous), hence the
-    // `gapped` latch.
-    scratch.retained.clear();
-    let mut tail_len: u64 = 0;
-    let mut origin_bps: Option<f64> = None;
-    if origin.is_some() {
-        let expected_tail = size.saturating_sub(prefix_bytes as u64);
-        let mut b_lo = state
-            .estimator
-            .lock()
-            .estimate_bps()
-            .unwrap_or(state.config.assumed_origin_bps);
-        let started = Instant::now();
-        let mut gapped = false;
-        while tail_len < expected_tail {
-            let Some((origin_reader, _)) = origin.as_mut() else {
-                break;
-            };
-            let n = match origin_reader.read(&mut scratch.chunk) {
-                Ok(n) if n > 0 => n,
-                // Early EOF (mid-stream reset or truncated response) or a
-                // read timeout (stalled origin): drop the connection — and
-                // its budget permit — then resume from the current offset
-                // through the resilient open. If the origin stays down the
-                // client gets a short stream, and the store still keeps the
-                // contiguous bytes in hand.
-                Ok(_) | Err(_) => {
-                    origin = None;
-                    if let OriginOutcome::Stream { reader, permit, .. } =
-                        open_origin(state, &name, prefix_bytes as u64 + tail_len)
-                    {
-                        origin = Some((reader, permit));
-                        state.origin_resumes.fetch_add(1, Ordering::Relaxed);
-                    }
-                    continue;
-                }
-            };
-            write_paced(state, &mut writer, &scratch.chunk[..n], &mut pace)?;
-            tail_len += n as u64;
-            let elapsed = started.elapsed().as_secs_f64();
-            if elapsed > 0.0 {
-                b_lo = b_lo.min(tail_len as f64 / elapsed);
-            }
-            if !gapped {
-                let cap = retain_cap(scratch.policy.as_ref(), &meta, b_lo, prefix_bytes);
-                let keep = cap.saturating_sub(scratch.retained.len()).min(n);
-                scratch.retained.extend_from_slice(&scratch.chunk[..keep]);
-                gapped = keep < n;
-            }
-        }
-        drop(origin);
-        let secs = started.elapsed().as_secs_f64();
-        if secs > 0.0 && tail_len > 0 {
-            origin_bps = Some(tail_len as f64 / secs);
-        }
-    }
-
-    // Defensive check: the retained tail must continue the cached prefix.
-    debug_assert_eq!(
-        verify_content(&name, prefix_bytes as u64, &scratch.retained),
-        None,
-        "origin payload does not match expected content"
-    );
-
-    // Update the bandwidth estimate from the observed origin throughput
-    // (observe + read under a single estimator acquisition).
-    let estimated = {
-        let mut estimator = state.estimator.lock();
-        if let Some(bps) = origin_bps {
-            estimator.observe(bps);
-        }
-        estimator
-            .estimate_bps()
-            .unwrap_or(state.config.assumed_origin_bps)
-    };
-
-    // Let the policy decide how much of this object to keep, then apply
-    // the engine's delta log to the byte store: O(changes) per request,
-    // no contents() rescan. Only the shard this object hashes to is
-    // locked; store mutations stay inside that shard's critical section so
-    // they are serialized in engine-decision order per shard.
-    state
-        .engine
-        .access_with(&meta, estimated, |engine, shard, _| {
-            let target_bytes = engine.cached_bytes(key);
-            let slot = engine
-                .slot_of(key)
-                .expect("accessed keys are interned by on_access");
-            scratch.deltas.clear();
-            scratch.deltas.extend(engine.drain_deltas());
-
-            {
-                let mut names = state.slot_names[shard].lock();
-                if names.len() <= slot as usize {
-                    names.resize(slot as usize + 1, None);
-                }
-                if names[slot as usize].is_none() {
-                    names[slot as usize] = Some(name.clone());
-                }
-                for delta in &scratch.deltas {
-                    // The accessed object's own change is applied below from
-                    // the bytes in hand; deltas handle everything else
-                    // (evictions of other objects in this shard).
-                    if delta.slot == slot {
-                        continue;
-                    }
-                    if let Some(victim) = names.get(delta.slot as usize).and_then(Option::as_ref) {
-                        if delta.new_bytes <= 0.0 {
-                            state.store.remove(victim);
-                        } else {
-                            state.store.truncate(victim, delta.new_bytes as usize);
-                        }
-                    }
-                }
-            }
-
-            // Grow this object's stored prefix up to the engine's allocation
-            // using the bytes in hand (cached prefix + retained tail).
-            let desired = (target_bytes as usize).min(size as usize);
-            if desired > 0 {
-                let have = prefix_bytes + scratch.retained.len();
-                let usable = desired.min(have);
-                if usable > state.store.prefix_len(&name) {
-                    let mut prefix = Vec::with_capacity(usable);
-                    prefix.extend_from_slice(&cached[..prefix_bytes.min(usable)]);
-                    if usable > prefix_bytes {
-                        prefix.extend_from_slice(&scratch.retained[..usable - prefix_bytes]);
-                    }
-                    state.store.put(&name, Bytes::from(prefix));
-                }
-            } else {
-                state.store.remove(&name);
-            }
-        });
-
-    // Request counters are lock-free: no stats critical section.
-    state.requests.fetch_add(1, Ordering::Relaxed);
-    state
-        .bytes_from_cache
-        .fetch_add(prefix_bytes as u64, Ordering::Relaxed);
-    state
-        .bytes_from_origin
-        .fetch_add(tail_len, Ordering::Relaxed);
-    state
-        .peak_tail_bytes
-        .fetch_max(scratch.retained.len() as u64, Ordering::Relaxed);
-
-    // A request that retained a large prefix must not pin that capacity in
-    // the worker for the proxy's lifetime: release it back down to the
-    // ring size once the bytes have been handed to the store.
-    scratch.retained.clear();
-    scratch.retained.shrink_to(RING_BYTES);
-    Ok(())
 }
 
-/// Outcome of one resilient origin open.
-enum OriginOutcome<'a> {
-    /// The origin answered: a positioned reader plus the object's size and
-    /// bit-rate, with one origin-budget permit held for the connection's
-    /// lifetime.
-    Stream {
-        reader: BufReader<TcpStream>,
-        size: u64,
-        bitrate_bps: f64,
-        permit: OriginPermit<'a>,
-    },
+/// What the owning shard knows about a requested name.
+struct Lookup {
+    /// From the name's record; `None` on first contact.
+    known: Option<Header>,
+    /// The stored prefix (empty when nothing is cached).
+    cached: Bytes,
+    /// `false` when the key's slot already belongs to a *different* name
+    /// (a 64-bit key collision): this request is relayed uncached.
+    ours: bool,
+}
+
+/// Stage 2 (first shard lock): reads the name's record.
+fn lookup(state: &ProxyState, key: ObjectKey, name: &str) -> Lookup {
+    state.engine.with_shard(key, |engine, records| {
+        let slot = engine.slot_of(key);
+        let ours = records.admits(slot, name);
+        let record = records.at(slot).filter(|_| ours);
+        Lookup {
+            known: record.map(|r| r.header),
+            cached: record.map_or_else(Bytes::new, |r| r.prefix.clone()),
+            ours,
+        }
+    })
+}
+
+/// The origin's answer to one resilient open, without the connection.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum OriginAnswer {
+    /// The origin is streaming the object, under this header.
+    Stream(Header),
     /// The origin answered but does not know the object.
     Unknown,
     /// The origin could not be reached within the retry budget, or the
@@ -975,48 +869,264 @@ enum OriginOutcome<'a> {
     Unavailable,
 }
 
+/// How a plan serves the request.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Action {
+    /// The whole object is cached: the origin is never consulted.
+    ServeCached,
+    /// Metadata known, prefix short: the origin streams the tail.
+    FetchTail,
+    /// First contact: size and bit-rate come from the origin's header.
+    LearnFromOrigin,
+    /// The origin is down but a prefix is cached: serve that, flagged on
+    /// the wire — the paper's partial caching masking the outage.
+    Degrade,
+}
+
+/// The decision for one `GET`: the header to answer with and what follows.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Plan {
+    header: Header,
+    action: Action,
+}
+
+/// Why a `GET` cannot be served at all.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Failure {
+    UnknownObject,
+    /// Nothing cached, so the outage cannot be masked.
+    OriginUnavailable,
+}
+
+impl Failure {
+    fn into_error(self, name: &str) -> ProxyError {
+        match self {
+            Failure::UnknownObject => ProxyError::UnknownObject(name.into()),
+            Failure::OriginUnavailable => ProxyError::OriginUnavailable(name.into()),
+        }
+    }
+}
+
+/// Stage 3, pure: decides the answer from what `lookup` found, asking
+/// `open_origin(offset)` only when the object is not fully cached or its
+/// metadata is still unknown.
+fn plan(
+    known: Option<Header>,
+    cached_len: u64,
+    open_origin: impl FnOnce(u64) -> OriginAnswer,
+) -> Result<Plan, Failure> {
+    use Action::*;
+    if let Some(header) = known.filter(|header| cached_len >= header.size) {
+        return Ok(Plan {
+            header,
+            action: ServeCached,
+        });
+    }
+    let (header, action) = match (open_origin(cached_len), known) {
+        (OriginAnswer::Stream(_), Some(header)) => (header, FetchTail),
+        (OriginAnswer::Stream(header), None) => (header, LearnFromOrigin),
+        (OriginAnswer::Unknown, _) => return Err(Failure::UnknownObject),
+        (OriginAnswer::Unavailable, Some(header)) if cached_len > 0 => (header, Degrade),
+        (OriginAnswer::Unavailable, _) => return Err(Failure::OriginUnavailable),
+    };
+    Ok(Plan { header, action })
+}
+
+/// The response header a decision puts on the wire.
+fn wire_answer(decided: &Result<Plan, Failure>) -> Response {
+    match *decided {
+        Ok(Plan { header, action }) => Response::Ok {
+            size: header.size,
+            bitrate_bps: header.bitrate_bps,
+            degraded: action == Action::Degrade,
+        },
+        Err(Failure::UnknownObject) => Response::Err("unknown object".into()),
+        Err(Failure::OriginUnavailable) => Response::Err("origin unavailable".into()),
+    }
+}
+
+/// One planned `GET` on its way through relay and admit.
+struct Job<'a> {
+    name: &'a str,
+    meta: ObjectMeta,
+    size: u64,
+    /// Bytes already served from the record; the relay starts here.
+    prefix_bytes: usize,
+    /// Whether the object may be retained and admitted (see [`Lookup::ours`]).
+    cacheable: bool,
+}
+
+/// Stage 4: relays the origin tail to the client through the fixed-size
+/// ring, retaining in `scratch.retained` only the leading bytes the policy
+/// could plausibly admit. Returns the tail bytes relayed and the observed
+/// origin throughput.
+fn relay<'a>(
+    state: &'a ProxyState,
+    job: &Job<'_>,
+    mut origin: Option<OriginConn<'a>>,
+    writer: &mut BufWriter<TcpStream>,
+    pace: &mut RateLimiter,
+    scratch: &mut WorkerScratch,
+) -> Result<(u64, Option<f64>), ProxyError> {
+    scratch.retained.clear();
+    if origin.is_none() {
+        return Ok((0, None));
+    }
+    let mut tail_len: u64 = 0;
+    let expected_tail = job.size.saturating_sub(job.prefix_bytes as u64);
+    // `b_lo` is a running lower bound on this request's contribution to the
+    // post-transfer estimate: the minimum of the prior estimate and the
+    // observed throughput so far (see `retain_cap`). Once a byte is dropped
+    // the retained prefix can never be extended again (it must stay
+    // contiguous), hence the `gapped` latch.
+    let mut b_lo = state.estimate_after(None);
+    let started = Instant::now();
+    let mut gapped = !job.cacheable;
+    while tail_len < expected_tail {
+        let Some((origin_reader, _)) = origin.as_mut() else {
+            break;
+        };
+        let n = match origin_reader.read(&mut scratch.chunk) {
+            Ok(n) if n > 0 => n,
+            // Early EOF (mid-stream reset or truncated response) or a
+            // read timeout (stalled origin): drop the connection — and
+            // its budget permit — then resume from the current offset
+            // through the resilient open. If the origin stays down the
+            // client gets a short stream, and the record still keeps the
+            // contiguous bytes in hand.
+            Ok(_) | Err(_) => {
+                origin = None;
+                let offset = job.prefix_bytes as u64 + tail_len;
+                if let (_, Some(conn)) = open_origin(state, job.name, offset) {
+                    origin = Some(conn);
+                    state.origin_resumes.fetch_add(1, Ordering::Relaxed);
+                }
+                continue;
+            }
+        };
+        write_paced(state, writer, &scratch.chunk[..n], pace)?;
+        tail_len += n as u64;
+        let elapsed = started.elapsed().as_secs_f64();
+        if elapsed > 0.0 {
+            b_lo = b_lo.min(tail_len as f64 / elapsed);
+        }
+        if !gapped {
+            let cap = retain_cap(scratch.policy.as_ref(), &job.meta, b_lo, job.prefix_bytes);
+            let keep = cap.saturating_sub(scratch.retained.len()).min(n);
+            scratch.retained.extend_from_slice(&scratch.chunk[..keep]);
+            gapped = keep < n;
+        }
+    }
+    drop(origin);
+    let secs = started.elapsed().as_secs_f64();
+    let origin_bps = (secs > 0.0 && tail_len > 0).then(|| tail_len as f64 / secs);
+    Ok((tail_len, origin_bps))
+}
+
+/// Stage 5 (second shard lock): lets the policy decide how much of the
+/// object to keep, then brings the shard's records in line with that
+/// decision — victims lose their prefixes, this object's prefix grows to
+/// its grant from the bytes in hand (`cached` followed by `retained`).
+///
+/// **Stored ≤ granted.** A record never holds more bytes than the engine
+/// granted its slot; it may hold fewer. [`retain_cap`] is sized from a
+/// lower bound on the bandwidth estimate, but an origin stall after
+/// retention stopped, or concurrent transfers dragging the shared estimator
+/// lower, can make the grant larger than what was retained. Only the bytes
+/// in hand are stored, and the record catches up on the object's next
+/// request, which fetches from the shorter stored offset.
+///
+/// A slot belongs to the first name admitted under its key: should another
+/// name get here (a key collision that `lookup` could not see yet), the
+/// record is left alone.
+fn admit(state: &ProxyState, job: &Job<'_>, cached: &[u8], retained: &[u8], estimated_bps: f64) {
+    let key = job.meta.key;
+    state
+        .engine
+        .access_with(&job.meta, estimated_bps, |engine, records, out| {
+            // The engine evicts victims whole, and only here.
+            for &(victim, _, _) in engine.last_evictions() {
+                records.store(victim, Bytes::new());
+            }
+            let slot = engine
+                .slot_of(key)
+                .expect("accessed keys are interned by on_access");
+            if !records.admits(Some(slot), job.name) {
+                return;
+            }
+            let index = slot as usize;
+            if records.by_slot.len() <= index {
+                records.by_slot.resize_with(index + 1, || None);
+            }
+            let stored = records.by_slot[index]
+                .get_or_insert_with(|| Record {
+                    name: job.name.to_string(),
+                    header: Header {
+                        size: job.size,
+                        bitrate_bps: job.meta.bitrate_bps,
+                    },
+                    prefix: Bytes::new(),
+                })
+                .prefix
+                .len();
+            let granted = (out.cached_bytes_after as usize).min(job.size as usize);
+            let usable = granted.min(cached.len() + retained.len());
+            if usable > stored {
+                let mut prefix = Vec::with_capacity(usable);
+                prefix.extend_from_slice(&cached[..cached.len().min(usable)]);
+                prefix.extend_from_slice(&retained[..usable - prefix.len()]);
+                records.store(slot, Bytes::from(prefix));
+            }
+            debug_assert!(
+                stored <= granted,
+                "`{}` stored {stored} B but the engine granted {granted}",
+                job.name
+            );
+        });
+}
+
+/// An open origin connection positioned at the requested offset, holding
+/// one origin-budget permit for its lifetime.
+type OriginConn<'a> = (BufReader<TcpStream>, OriginPermit<'a>);
+
 /// Opens an origin connection for `name` starting at `offset` through the
 /// resilience stack: the circuit breaker gates every attempt, each attempt
 /// dials and reads under per-attempt timeouts, and failures back off
 /// exponentially (seeded jitter) until the attempt count or the deadline
 /// budget runs out. Transport failures are absorbed into
-/// [`OriginOutcome::Unavailable`] rather than propagated.
-fn open_origin<'a>(state: &'a ProxyState, name: &str, offset: u64) -> OriginOutcome<'a> {
+/// [`OriginAnswer::Unavailable`] rather than propagated; the connection
+/// comes back only with [`OriginAnswer::Stream`].
+fn open_origin<'a>(
+    state: &'a ProxyState,
+    name: &str,
+    offset: u64,
+) -> (OriginAnswer, Option<OriginConn<'a>>) {
     let policy = state.config.retry;
     let started = Instant::now();
     let nonce = state.open_nonce.fetch_add(1, Ordering::Relaxed);
     let mut attempt: u32 = 0;
     loop {
         if !state.breaker.allow() {
-            return OriginOutcome::Unavailable;
+            return (OriginAnswer::Unavailable, None);
         }
         let remaining = policy.deadline.saturating_sub(started.elapsed());
         let Some(permit) = state.origin_budget.acquire_within(remaining) else {
             // The budget, not the origin, ran out of room: release the
             // half-open probe slot (if we held it) without an outcome.
             state.breaker.release_probe();
-            return OriginOutcome::Unavailable;
+            return (OriginAnswer::Unavailable, None);
         };
-        match try_open_origin(state, name, offset, permit) {
-            Ok(Some((reader, size, bitrate_bps, permit))) => {
+        match try_open_origin(state, name, offset) {
+            // A definite answer from a healthy origin, streaming or not.
+            Ok((answer, reader)) => {
                 state.breaker.record_success();
-                return OriginOutcome::Stream {
-                    reader,
-                    size,
-                    bitrate_bps,
-                    permit,
-                };
-            }
-            Ok(None) => {
-                // A definite answer from a healthy origin.
-                state.breaker.record_success();
-                return OriginOutcome::Unknown;
+                return (answer, reader.map(|reader| (reader, permit)));
             }
             Err(_) => {
                 state.breaker.record_failure();
                 attempt += 1;
                 if attempt >= policy.max_attempts || started.elapsed() >= policy.deadline {
-                    return OriginOutcome::Unavailable;
+                    return (OriginAnswer::Unavailable, None);
                 }
                 let pause = policy
                     .backoff(attempt - 1, nonce)
@@ -1034,13 +1144,11 @@ fn open_origin<'a>(state: &'a ProxyState, name: &str, offset: u64) -> OriginOutc
 }
 
 /// One origin connection attempt under the per-attempt timeouts.
-#[allow(clippy::type_complexity)]
-fn try_open_origin<'a>(
+fn try_open_origin(
     state: &ProxyState,
     name: &str,
     offset: u64,
-    permit: OriginPermit<'a>,
-) -> Result<Option<(BufReader<TcpStream>, u64, f64, OriginPermit<'a>)>, ProxyError> {
+) -> Result<(OriginAnswer, Option<BufReader<TcpStream>>), ProxyError> {
     let stream =
         TcpStream::connect_timeout(&state.config.origin_addr, state.config.connect_timeout)?;
     stream.set_read_timeout(Some(state.config.origin_read_timeout))?;
@@ -1057,8 +1165,11 @@ fn try_open_origin<'a>(
     match read_response(&mut reader)? {
         Response::Ok {
             size, bitrate_bps, ..
-        } => Ok(Some((reader, size, bitrate_bps, permit))),
-        Response::Err(_) => Ok(None),
+        } => Ok((
+            OriginAnswer::Stream(Header { size, bitrate_bps }),
+            Some(reader),
+        )),
+        Response::Err(_) => Ok((OriginAnswer::Unknown, None)),
         // An overloaded origin counts as a transport failure: the caller
         // backs off and retries within the usual budget.
         Response::Busy { retry_after_ms } => Err(ProxyError::Busy(retry_after_ms)),
@@ -1073,6 +1184,9 @@ mod tests {
     fn keys_are_stable_and_distinct() {
         assert_eq!(key_for("movie-1"), key_for("movie-1"));
         assert_ne!(key_for("movie-1"), key_for("movie-2"));
+        // Pairs the Fx mix maps to one key.
+        assert_ne!(key_for("clip-1619"), key_for("clip-1692"));
+        assert_ne!(key_for("clip-aaaclip-bbb"), key_for("c2240331i,qmngqH"));
     }
 
     #[test]
@@ -1173,6 +1287,96 @@ mod tests {
         let mut cfg = ProxyConfig::new(addr, 1e6);
         cfg.retry.deadline = Duration::ZERO;
         assert!(CachingProxy::start(cfg).is_err());
+    }
+
+    #[test]
+    fn plan_covers_every_lookup_and_origin_outcome() {
+        use Action::*;
+        use OriginAnswer::{Stream, Unavailable, Unknown};
+        // What the shard's record says, and an origin header that
+        // deliberately disagrees: a known object is served under the
+        // metadata the shard holds.
+        let record = Header {
+            size: 1_000,
+            bitrate_bps: 8e3,
+        };
+        let origin = Header {
+            size: 2_000,
+            bitrate_bps: 16e3,
+        };
+        let known = Some(record);
+        let unknown = Err((Failure::UnknownObject, "unknown object"));
+        let down = Err((Failure::OriginUnavailable, "origin unavailable"));
+        // (metadata known?, cached bytes, origin outcome — `None` when the
+        // origin must not be consulted) → header and action, or failure
+        // and its `ERR` text.
+        let rows = [
+            (known, 1_000, None, Ok((record, ServeCached))),
+            (known, 1_001, None, Ok((record, ServeCached))),
+            (known, 400, Some(Stream(origin)), Ok((record, FetchTail))),
+            (known, 0, Some(Stream(origin)), Ok((record, FetchTail))),
+            (known, 400, Some(Unknown), unknown),
+            (known, 400, Some(Unavailable), Ok((record, Degrade))),
+            (known, 0, Some(Unavailable), down),
+            (None, 0, Some(Stream(origin)), Ok((origin, LearnFromOrigin))),
+            (None, 0, Some(Unknown), unknown),
+            (None, 0, Some(Unavailable), down),
+        ];
+        for (known, cached_len, answer, expected) in rows {
+            let row = format!("known {known:?}, cached {cached_len}, origin {answer:?}");
+            let decided = plan(known, cached_len, |offset| {
+                assert_eq!(offset, cached_len, "{row}: tail starts after the prefix");
+                answer.unwrap_or_else(|| panic!("{row}: origin consulted"))
+            });
+            let (decision, on_the_wire) = match expected {
+                Ok((header, action)) => (
+                    Ok(Plan { header, action }),
+                    Response::Ok {
+                        size: header.size,
+                        bitrate_bps: header.bitrate_bps,
+                        degraded: action == Degrade,
+                    },
+                ),
+                Err((failure, text)) => (Err(failure), Response::Err(text.into())),
+            };
+            assert_eq!(decided, decision, "{row}");
+            assert_eq!(wire_answer(&decided), on_the_wire, "{row}");
+        }
+    }
+
+    #[test]
+    fn a_slot_belongs_to_the_first_name_admitted_under_its_key() {
+        let mut cfg = ProxyConfig::new("127.0.0.1:9".parse().unwrap(), 1e6);
+        cfg.policy = PolicyKind::IntegralFrequency;
+        let proxy = CachingProxy::start(cfg).unwrap();
+        let state = &*proxy.state;
+        // Two names forged onto one key, as a 64-bit collision would.
+        let key = ObjectKey::new(7);
+        let job = |name, size: u64| Job {
+            name,
+            meta: ObjectMeta::new(key, size as f64 / 1e6, 1e6, 0.0),
+            size,
+            prefix_bytes: 0,
+            cacheable: true,
+        };
+        admit(state, &job("a", 1_000), &[], &[1u8; 1_000], 1e9);
+        let a = lookup(state, key, "a");
+        assert_eq!(a.known.map(|h| h.size), Some(1_000));
+        assert_eq!(&a.cached[..], &[1u8; 1_000][..]);
+        assert!(a.ours);
+
+        // The other name sees nothing of the record, so its request skips
+        // admit; one that raced past lookup leaves the record alone.
+        let b = lookup(state, key, "b");
+        assert!(!b.ours);
+        assert_eq!(b.known, None);
+        assert!(b.cached.is_empty());
+        admit(state, &job("b", 3_000), &[], &[2u8; 3_000], 1e9);
+        let a = lookup(state, key, "a");
+        assert_eq!(a.known.map(|h| h.size), Some(1_000));
+        assert_eq!(&a.cached[..], &[1u8; 1_000][..]);
+        let stats = proxy.stats();
+        assert_eq!((stats.cached_objects, stats.cached_bytes), (1, 1_000));
     }
 
     #[test]

@@ -1,15 +1,21 @@
-//! In-memory prefix store holding the actual cached bytes.
+//! A standalone name-keyed prefix store. Not on the proxy's request path:
+//! cached bytes live in per-shard object records (`proxy.rs`).
 
 use bytes::Bytes;
 use parking_lot::RwLock;
 use std::collections::HashMap;
 
-/// A thread-safe store of object prefixes.
+/// A thread-safe, name-keyed store of object prefixes.
 ///
-/// The cache-management decisions (which objects, how many bytes) are made
-/// by [`sc_cache::CacheEngine`]; this store holds the corresponding payload
-/// bytes so the proxy can serve them to clients. Storing a shorter prefix
-/// than before truncates; storing a longer one replaces the entry.
+/// [`CachingProxy`](crate::CachingProxy) does not use it: each engine shard
+/// owns its objects' prefixes in slot-indexed records under the shard lock.
+/// The type and its public API stay compiled solely because the benchmark's
+/// layer table (`benchmark/src/layers.rs`, the `proxy.store.*` rows) times
+/// them and a change to the proxy may not edit `benchmark/`; a later
+/// benchmark change can drop those rows and this type together.
+///
+/// Storing a shorter prefix than before truncates; storing a longer one
+/// replaces the entry.
 ///
 /// ```
 /// use bytes::Bytes;

@@ -511,13 +511,28 @@ fn queue_deadline_sheds_stale_requests_with_busy() {
     assert!(stats.peak_queue_depth >= 1);
 }
 
+/// An object size no loopback connection can absorb in its socket buffers:
+/// the kernel's send- plus receive-buffer maxima and a margin (64 MiB when
+/// `/proc` is unreadable), so a write to a reader that stopped must block.
+fn larger_than_socket_buffers() -> u64 {
+    const MIB: u64 = 1024 * 1024;
+    let max_of = |file: &str| -> Option<u64> {
+        let limits = std::fs::read_to_string(format!("/proc/sys/net/ipv4/{file}")).ok()?;
+        limits.split_whitespace().last()?.parse().ok()
+    };
+    match (max_of("tcp_wmem"), max_of("tcp_rmem")) {
+        (Some(wmem), Some(rmem)) => wmem + rmem + 4 * MIB,
+        _ => 64 * MIB,
+    }
+}
+
 /// A reader that stalls mid-download is cut off by the per-write timeout,
 /// counted, and does not wedge the pool for well-behaved clients.
 #[test]
 fn stalled_reader_is_disconnected_counted_and_does_not_wedge_the_pool() {
-    const BIG: u64 = 4 * 1024 * 1024;
+    let big = larger_than_socket_buffers();
     let origin = OriginServer::start(OriginConfig {
-        objects: vec![ObjectSpec::new("big", BIG, 8e6)],
+        objects: vec![ObjectSpec::new("big", big, 8e6)],
         rate_limit_bps: 0.0,
     })
     .unwrap();
@@ -533,12 +548,12 @@ fn stalled_reader_is_disconnected_counted_and_does_not_wedge_the_pool() {
 
     let client = StreamingClient::new();
     let warm = client.fetch(addr, "big").unwrap();
-    assert_eq!(warm.bytes, BIG);
-    assert_eq!(proxy.cached_prefix_len("big") as u64, BIG);
+    assert_eq!(warm.bytes, big);
+    assert_eq!(proxy.cached_prefix_len("big") as u64, big);
 
     // The wedged client: request the object, read a token amount, then
-    // stop reading entirely. The proxy's 4 MB of writes overwhelm the
-    // socket buffers and the write timeout fires.
+    // stop reading entirely. The proxy's writes overwhelm the socket
+    // buffers and the write timeout fires.
     let stream = TcpStream::connect(addr).unwrap();
     let mut reader = BufReader::new(stream.try_clone().unwrap());
     let mut writer = BufWriter::new(stream);
@@ -551,7 +566,7 @@ fn stalled_reader_is_disconnected_counted_and_does_not_wedge_the_pool() {
     // While the wedged client still holds its socket, a healthy client is
     // served in full: the pool was not wedged.
     let healthy = client.fetch(addr, "big").unwrap();
-    assert_eq!(healthy.bytes, BIG);
+    assert_eq!(healthy.bytes, big);
     assert!(healthy.content_ok);
     assert!(
         proxy.stats().client_timeouts >= 1,

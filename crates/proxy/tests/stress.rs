@@ -1,9 +1,9 @@
 //! Multi-client stress tests of the worker-pool proxy: concurrent requests
 //! over a shared catalog, with byte-accounting consistency between the
-//! cache engine's grants and the prefix store checked after the load
-//! drains. The store is reconciled from the engine's delta log, so these
-//! invariants are exactly what the O(changes) reconciliation must
-//! preserve against the old full-`contents()` rescan semantics.
+//! cache engine's grants and the stored prefixes checked after the load
+//! drains. Each shard owns its objects' records under the engine's lock and
+//! updates them from the access outcome and the reported victims, so these
+//! invariants are exactly what that O(changes) update must preserve.
 
 use sc_cache::policy::PolicyKind;
 use sc_proxy::{
@@ -85,6 +85,44 @@ fn concurrent_clients_shared_catalog_accounting_stays_consistent() {
     assert_eq!(stats.requests, 8 * 12);
     assert!(stats.bytes_from_origin > 0);
     assert_byte_accounting(&proxy, capacity);
+}
+
+/// Two names the Fx mix maps to one 64-bit key (the second word is chosen
+/// as `w2 ^ rotl5(h1) ^ rotl5(h1')`). Keyed by Fx they shared one engine
+/// slot while their bytes were stored twice; each must be served its own
+/// bytes and every stored byte must be accounted to the engine.
+#[test]
+fn names_colliding_under_fx_are_served_correctly_and_accounted() {
+    use std::hash::Hasher as _;
+    const A: (&str, u64) = ("clip-aaaclip-bbb", 48 * 1024);
+    const B: (&str, u64) = ("c2240331i,qmngqH", 80 * 1024);
+    let fx = |name: &str| {
+        let mut hasher = sc_cache::fx::FxHasher::default();
+        hasher.write(name.as_bytes());
+        hasher.finish()
+    };
+    assert_eq!(fx(A.0), fx(B.0), "the test needs a colliding pair");
+
+    let origin = OriginServer::start(OriginConfig {
+        objects: vec![
+            ObjectSpec::new(A.0, A.1, 1e6),
+            ObjectSpec::new(B.0, B.1, 1e6),
+        ],
+        rate_limit_bps: 0.0,
+    })
+    .unwrap();
+    let mut config = ProxyConfig::new(origin.addr(), 1e9);
+    config.policy = PolicyKind::IntegralFrequency;
+    let proxy = CachingProxy::start(config).unwrap();
+
+    let client = StreamingClient::new();
+    for (name, size) in [A, B, A, B] {
+        let report = client.fetch(proxy.addr(), name).unwrap();
+        assert!(report.content_ok, "`{name}` answered with foreign bytes");
+        assert_eq!(report.bytes, size);
+    }
+    assert_eq!(proxy.stats().requests, 4);
+    assert_byte_accounting(&proxy, 1e9);
 }
 
 #[test]
