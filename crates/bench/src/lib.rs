@@ -203,12 +203,18 @@ pub fn figure_to_json_with_info(figure: &FigureResult, info: Option<RunInfo>) ->
 /// schema (including the `egress_bins_bytes` array).
 pub fn emit_session_timed(figure: &SessionFigureResult, elapsed: Duration) {
     let info = RunInfo::from_elapsed(elapsed);
+    let t = figure.telemetry;
     println!("{}", figure.to_table());
     println!(
-        "(wall clock: {:.3} s on {} thread{})",
+        "(wall clock: {:.3} s on {} thread{}; events scheduled {}, cancelled {}, \
+         peak heap {}, re-divisions {})",
         info.wall_clock_secs,
         info.threads,
-        if info.threads == 1 { "" } else { "s" }
+        if info.threads == 1 { "" } else { "s" },
+        t.events_scheduled,
+        t.events_cancelled,
+        t.peak_heap_len,
+        t.redivisions
     );
     let dir = PathBuf::from("results");
     if std::fs::create_dir_all(&dir).is_ok() {
@@ -223,7 +229,10 @@ pub fn emit_session_timed(figure: &SessionFigureResult, elapsed: Duration) {
 }
 
 /// Serialises a [`SessionFigureResult`] to pretty-printed JSON; same
-/// hand-rolled schema conventions as [`figure_to_json_with_info`].
+/// hand-rolled schema conventions as [`figure_to_json_with_info`]. The
+/// run-info block also carries the figure's scheduling telemetry
+/// (`events_scheduled`, `events_cancelled`, `peak_heap_len`,
+/// `redivisions`).
 pub fn session_figure_to_json_with_info(
     figure: &SessionFigureResult,
     info: Option<RunInfo>,
@@ -240,6 +249,11 @@ pub fn session_figure_to_json_with_info(
             json_f64(info.wall_clock_secs)
         );
         let _ = writeln!(out, "  \"threads\": {},", info.threads);
+        let t = figure.telemetry;
+        let _ = writeln!(out, "  \"events_scheduled\": {},", t.events_scheduled);
+        let _ = writeln!(out, "  \"events_cancelled\": {},", t.events_cancelled);
+        let _ = writeln!(out, "  \"peak_heap_len\": {},", t.peak_heap_len);
+        let _ = writeln!(out, "  \"redivisions\": {},", t.redivisions);
     }
     out.push_str("  \"series\": [\n");
     for (si, series) in figure.series.iter().enumerate() {
@@ -392,6 +406,8 @@ mod tests {
     fn session_json_includes_bins_and_info() {
         use sc_sim::SessionFigureSeries;
         let mut fig = SessionFigureResult::new("selftest_sessions", "session emit", "x");
+        fig.telemetry.events_scheduled = 31;
+        fig.telemetry.redivisions = 7;
         let mut s = SessionFigureSeries::new("PB");
         s.push(
             0.05,
@@ -423,6 +439,8 @@ mod tests {
         assert!(json.contains("\"outage_secs\": 12.5"));
         assert!(json.contains("\"masked_stall_secs\": 3.75"));
         assert!(json.contains("\"wall_clock_secs\": 2.0"));
+        assert!(json.contains("\"events_scheduled\": 31"));
+        assert!(json.contains("\"redivisions\": 7"));
 
         emit_session_timed(&fig, Duration::from_millis(5));
         let path = std::path::Path::new("results/selftest_sessions.json");

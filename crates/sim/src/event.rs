@@ -8,15 +8,16 @@
 //! the property the session core's tie-break (simultaneous arrivals and
 //! departures) and its cross-thread byte-identity rest on.
 //!
-//! Completion events get cancelled and re-scheduled every time a
-//! processor-sharing re-division changes a session's bandwidth share.
-//! Rather than rebuilding the heap, [`EventQueue::cancel`] tombstones the
-//! event's sequence number and [`EventQueue::pop`] silently discards
-//! tombstoned entries, so a cancelled event is never observed by the
-//! simulation loop.
+//! The session core keeps one pending completion event per path — the
+//! earliest among the path's members — and replaces it at every
+//! processor-sharing re-division. Rather than rebuilding the heap,
+//! [`EventQueue::cancel`] clears the event's entry in a table indexed by
+//! sequence number (sequences are dense and monotonic, so the table is a
+//! plain vector: no hashing) and [`EventQueue::pop`] silently discards
+//! heap entries whose sequence is no longer pending, so a cancelled event
+//! is never observed by the simulation loop.
 
 use std::collections::BinaryHeap;
-use std::collections::HashSet;
 
 /// What happened, attached to every scheduled event.
 ///
@@ -84,7 +85,7 @@ impl Ord for HeapEntry {
 }
 
 /// A binary-heap event queue with deterministic `(time, sequence)` ordering
-/// and tombstone-based cancellation.
+/// and seq-indexed cancellation.
 ///
 /// ```
 /// use sc_sim::event::{EventKind, EventQueue};
@@ -102,13 +103,14 @@ impl Ord for HeapEntry {
 #[derive(Debug, Default)]
 pub struct EventQueue {
     heap: BinaryHeap<HeapEntry>,
-    /// Sequence numbers currently live in the heap (pushed, not yet popped
-    /// or cancelled) — makes [`cancel`](Self::cancel) O(1) instead of an
-    /// O(heap) scan, which matters because every processor-sharing
-    /// re-division cancels one completion event per path member.
-    pending: HashSet<u64>,
-    cancelled: HashSet<u64>,
-    next_seq: u64,
+    /// `pending[seq]` is true from the push of `seq` until it is popped or
+    /// cancelled; its length is the number of sequences handed out. A heap
+    /// entry whose flag is clear is a tombstone. One byte per event ever
+    /// scheduled buys a [`cancel`](Self::cancel) that is an indexed store
+    /// instead of an O(heap) scan or two hash-set updates.
+    pending: Vec<bool>,
+    /// Number of set flags in `pending`.
+    live: usize,
 }
 
 impl EventQueue {
@@ -131,9 +133,9 @@ impl EventQueue {
             time_secs.is_finite(),
             "event time must be finite, got {time_secs} for {kind:?}"
         );
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.pending.insert(seq);
+        let seq = self.pending.len() as u64;
+        self.pending.push(true);
+        self.live += 1;
         self.heap.push(HeapEntry(Event {
             time_secs,
             seq,
@@ -148,25 +150,27 @@ impl EventQueue {
     /// popped) and `false` if it had already been popped, cancelled, or was
     /// never scheduled.
     pub fn cancel(&mut self, seq: u64) -> bool {
-        // An already-popped (or already-cancelled, or never-scheduled) seq
-        // is not pending; tombstoning it would report a stale cancellation
-        // as successful.
-        if self.pending.remove(&seq) {
-            self.cancelled.insert(seq);
-            return true;
+        // An already-popped, already-cancelled or never-scheduled seq has
+        // no set flag: reporting that cancellation as successful would be
+        // a lie.
+        match self.pending.get_mut(seq as usize) {
+            Some(flag) if *flag => {
+                *flag = false;
+                self.live -= 1;
+                true
+            }
+            _ => false,
         }
-        false
     }
 
     /// Pops the next pending event in `(time, seq)` order, discarding
     /// cancelled entries.
     pub fn pop(&mut self) -> Option<Event> {
         while let Some(HeapEntry(event)) = self.heap.pop() {
-            if self.cancelled.remove(&event.seq) {
-                continue;
+            if std::mem::take(&mut self.pending[event.seq as usize]) {
+                self.live -= 1;
+                return Some(event);
             }
-            self.pending.remove(&event.seq);
-            return Some(event);
         }
         None
     }
@@ -175,20 +179,17 @@ impl EventQueue {
     pub fn peek_time(&mut self) -> Option<f64> {
         // Drain cancelled entries off the top so the peek is accurate.
         while let Some(HeapEntry(event)) = self.heap.peek() {
-            if self.cancelled.contains(&event.seq) {
-                let seq = event.seq;
-                self.heap.pop();
-                self.cancelled.remove(&seq);
-                continue;
+            if self.pending[event.seq as usize] {
+                return Some(event.time_secs);
             }
-            return Some(event.time_secs);
+            self.heap.pop();
         }
         None
     }
 
     /// Number of pending (non-cancelled) events.
     pub fn len(&self) -> usize {
-        self.pending.len()
+        self.live
     }
 
     /// Returns `true` when no pending events remain.
@@ -198,7 +199,13 @@ impl EventQueue {
 
     /// Total number of sequence numbers handed out so far.
     pub fn scheduled(&self) -> u64 {
-        self.next_seq
+        self.pending.len() as u64
+    }
+
+    /// Entries physically in the heap: pending events plus the tombstones
+    /// of cancelled ones that have not surfaced yet.
+    pub(crate) fn heap_len(&self) -> usize {
+        self.heap.len()
     }
 }
 
@@ -311,6 +318,20 @@ mod tests {
         q.pop();
         assert_eq!(q.peek_time(), None);
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn cancelled_entries_stay_in_the_heap_until_they_surface() {
+        let mut q = EventQueue::new();
+        let late = q.push(9.0, EventKind::TransferComplete(0));
+        q.push(1.0, EventKind::Arrival(0));
+        assert!(q.cancel(late));
+        assert_eq!((q.len(), q.heap_len()), (1, 2));
+        assert_eq!(q.pop().unwrap().kind, EventKind::Arrival(0));
+        assert_eq!((q.len(), q.heap_len()), (0, 1));
+        assert!(q.pop().is_none());
+        assert_eq!(q.heap_len(), 0);
+        assert_eq!(q.scheduled(), 2);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use crate::config::{PathFaultModel, SimError, SimulationConfig, VariabilityKind}
 use crate::exec::ParallelExecutor;
 use crate::experiments::ExperimentScale;
 use crate::report::{SessionFigureResult, SessionFigureSeries};
-use crate::session::run_session_grid;
+use crate::session::run_session_grid_traced;
 use sc_cache::policy::PolicyKind;
 
 /// The policies compared by [`fig_faults`], in series order.
@@ -96,13 +96,14 @@ pub fn fig_faults_with(
             }
         }
     }
-    let metrics = run_session_grid(&configs, scale.runs(), executor)?;
+    let (metrics, telemetry) = run_session_grid_traced(&configs, scale.runs(), executor)?;
 
     let mut fig = SessionFigureResult::new(
         "fig_faults",
         "Resilience under origin outages: rebuffer probability vs outage rate and MTTR",
         "outages per hour",
     );
+    fig.telemetry = telemetry;
     let mut points = metrics.into_iter();
     for &policy in &FIG_FAULTS_POLICIES {
         for &mttr_secs in &FIG_FAULTS_MTTRS {

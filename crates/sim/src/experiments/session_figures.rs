@@ -15,7 +15,7 @@ use crate::config::{SimError, SimulationConfig, VariabilityKind};
 use crate::exec::ParallelExecutor;
 use crate::experiments::ExperimentScale;
 use crate::report::{SessionFigureResult, SessionFigureSeries};
-use crate::session::run_session_grid;
+use crate::session::run_session_grid_traced;
 use sc_cache::policy::PolicyKind;
 
 /// The policies compared by [`fig_sessions`], in series order.
@@ -60,13 +60,14 @@ pub fn fig_sessions_with(
             configs.push(SimulationConfig { policy, ..base }.with_cache_fraction(fraction));
         }
     }
-    let metrics = run_session_grid(&configs, scale.runs(), executor)?;
+    let (metrics, telemetry) = run_session_grid_traced(&configs, scale.runs(), executor)?;
 
     let mut fig = SessionFigureResult::new(
         "fig_sessions",
         "Session-level contention: PB vs IB vs LRU under shared-bottleneck processor sharing",
         "cache fraction",
     );
+    fig.telemetry = telemetry;
     let mut points = metrics.into_iter();
     for &policy in &FIG_SESSIONS_POLICIES {
         let mut series = SessionFigureSeries::new(policy.label());

@@ -83,5 +83,5 @@ pub use runner::{
 pub use session::{
     run_session_grid, simulate_sessions, simulate_sessions_with_faults, NoCacheHooks,
     PathFaultTimeline, SessionFinal, SessionHooks, SessionRunResult, SessionSimOutput, SessionSpec,
-    SessionState, SessionWorker,
+    SessionState, SessionTelemetry, SessionWorker,
 };

@@ -1,6 +1,7 @@
 //! Structured experiment results and plain-text report formatting.
 
 use crate::metrics::{Metrics, SessionMetrics};
+use crate::session::SessionTelemetry;
 use std::fmt::Write as _;
 
 /// One measured point of a figure: an x-coordinate (cache fraction,
@@ -147,6 +148,8 @@ pub struct SessionFigureResult {
     pub x_label: String,
     /// The measured series.
     pub series: Vec<SessionFigureSeries>,
+    /// Scheduling work of all the runs behind the figure together.
+    pub telemetry: SessionTelemetry,
 }
 
 impl SessionFigureResult {
@@ -161,6 +164,7 @@ impl SessionFigureResult {
             title: title.into(),
             x_label: x_label.into(),
             series: Vec::new(),
+            telemetry: SessionTelemetry::default(),
         }
     }
 

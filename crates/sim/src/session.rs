@@ -9,9 +9,17 @@
 //!
 //! * **Processor sharing** — a path with capacity `C` and `n` sessions
 //!   actively transferring gives each session `C / n` bytes per second.
-//!   Every arrival on and departure from the path re-divides the capacity
-//!   and re-schedules all affected completion events (cancel + re-push on
-//!   the [`EventQueue`]).
+//!   Every arrival on, departure from and outage edge of the path
+//!   re-divides the capacity. Because all members get the same rate, only
+//!   the member with the smallest `now + remaining / share` can complete
+//!   before the next re-division, and every event on the path re-divides
+//!   it anyway — so the path keeps **one** pending completion event on the
+//!   [`EventQueue`] (its earliest member's; ties go to the lowest session
+//!   index) and each re-division replaces that one event. This pops the
+//!   same events in the same order as scheduling every member would: the
+//!   members' other completions would all have been cancelled before they
+//!   could pop, and the surviving events are pushed in the same relative
+//!   order, so every `(time, sequence)` tie-break falls the same way.
 //! * **Fluid sessions** — between events every session's download and
 //!   playback-buffer state evolve piecewise-linearly, so
 //!   [`SessionState::advance`] integrates them in closed form. A session
@@ -42,7 +50,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sc_cache::policy::UtilityPolicy;
 use sc_cache::CacheEngine;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// One streaming session to simulate: a path (bottleneck link) index plus
 /// the arrival instant and playback characteristics.
@@ -433,6 +441,32 @@ pub struct SessionFinal {
     pub transfer_end_secs: f64,
 }
 
+/// What the event loop did to produce a run — how much scheduling work,
+/// not what was simulated. Kept out of [`SessionMetrics`], whose values are
+/// the model's predictions.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SessionTelemetry {
+    /// Events pushed onto the queue (arrivals, playback ends, outage edges
+    /// and completions, cancelled ones included).
+    pub events_scheduled: u64,
+    /// Completion events cancelled by a later re-division.
+    pub events_cancelled: u64,
+    /// Largest number of heap entries, tombstones included.
+    pub peak_heap_len: u64,
+    /// Processor-sharing re-divisions of a path's capacity.
+    pub redivisions: u64,
+}
+
+impl SessionTelemetry {
+    /// Folds another run's counts into a total: sums, and the larger peak.
+    pub(crate) fn merge(&mut self, other: SessionTelemetry) {
+        self.events_scheduled += other.events_scheduled;
+        self.events_cancelled += other.events_cancelled;
+        self.peak_heap_len = self.peak_heap_len.max(other.peak_heap_len);
+        self.redivisions += other.redivisions;
+    }
+}
+
 /// Everything a session simulation produces: the aggregate time-weighted
 /// metrics plus the per-session final states.
 #[derive(Debug, Clone, PartialEq)]
@@ -441,6 +475,8 @@ pub struct SessionSimOutput {
     pub metrics: SessionMetrics,
     /// Final state of session `i` at index `i` (spec order).
     pub finals: Vec<SessionFinal>,
+    /// Scheduling work of the run.
+    pub telemetry: SessionTelemetry,
 }
 
 /// Runs the discrete-event session simulation over `specs`.
@@ -520,6 +556,41 @@ where
     C: Fn(usize, f64) -> f64,
     H: SessionHooks + ?Sized,
 {
+    run_event_loop(
+        specs,
+        n_paths,
+        capacity,
+        hooks,
+        egress_bins,
+        playback_horizon(specs),
+        faults,
+    )
+}
+
+/// The observation horizon of a run: the end of the last playback window.
+fn playback_horizon(specs: &[SessionSpec]) -> f64 {
+    specs
+        .iter()
+        .map(|s| s.arrival_secs + s.duration_secs)
+        .fold(0.0_f64, f64::max)
+}
+
+/// The event loop behind [`simulate_sessions_with_faults`], with the
+/// [`playback_horizon`] of `specs` passed in so a caller that needs it to
+/// draw the outage timeline computes it once.
+fn run_event_loop<C, H>(
+    specs: &[SessionSpec],
+    n_paths: usize,
+    capacity: C,
+    hooks: &mut H,
+    egress_bins: usize,
+    horizon_secs: f64,
+    faults: Option<&PathFaultTimeline>,
+) -> SessionSimOutput
+where
+    C: Fn(usize, f64) -> f64,
+    H: SessionHooks + ?Sized,
+{
     assert!(
         specs
             .windows(2)
@@ -531,26 +602,18 @@ where
         "session path index out of range"
     );
 
-    // The observation horizon: the end of the last playback window. Egress
-    // from transfers that outlast it is clamped into the final bin.
-    let horizon_secs = specs
-        .iter()
-        .map(|s| s.arrival_secs + s.duration_secs)
-        .fold(0.0_f64, f64::max);
+    // Egress from transfers that outlast the horizon is clamped into the
+    // final bin.
     let mut egress = EgressAccumulator::new(egress_bins, horizon_secs);
 
+    // Arrivals are pushed first and in spec order, so an arrival's seq
+    // equals its spec index: simultaneous arrivals pop in spec order.
     let mut queue = EventQueue::new();
-    for spec in specs {
-        queue.push(spec.arrival_secs, EventKind::Arrival(0));
+    for (i, spec) in specs.iter().enumerate() {
+        queue.push(spec.arrival_secs, EventKind::Arrival(i as u32));
     }
-    // Arrival events carry their index implicitly: they were pushed in spec
-    // order, so seq == spec index for the first `specs.len()` sequences.
-    // (EventKind still stores an index for the completion/playback events;
-    // arrivals resolve theirs from the seq instead, which keeps the
-    // pre-scheduling loop allocation-free.)
 
-    // Outage boundaries are scheduled strictly after the arrivals so the
-    // seq == spec index identity above survives fault injection.
+    // Outage boundaries are scheduled strictly after the arrivals.
     let residual = faults.map_or(1.0, |f| f.residual_capacity_fraction());
     if let Some(timeline) = faults {
         assert!(
@@ -568,39 +631,57 @@ where
     // Whether each path is currently inside an outage; capacity is scaled
     // by `residual` while true.
     let mut path_down: Vec<bool> = vec![false; n_paths];
+    // The path's healthy capacity at `now`, scaled by the residual while
+    // the path is `down`.
+    let path_capacity = |path: usize, now: f64, down: bool| {
+        let cap = capacity(path, now);
+        assert!(
+            cap.is_finite() && cap > 0.0,
+            "path {path} capacity must be positive and finite, got {cap}"
+        );
+        if down {
+            cap * residual
+        } else {
+            cap
+        }
+    };
 
     let mut states: Vec<SessionState> = Vec::with_capacity(specs.len());
-    // seq of the pending TransferComplete event per started session.
-    let mut completion_seq: Vec<Option<u64>> = Vec::with_capacity(specs.len());
+    // seq of the one pending TransferComplete event per path (its earliest
+    // member's); `None` while the path has no member.
+    let mut completion_seq: Vec<Option<u64>> = vec![None; n_paths];
     // Active (transferring) session indices per path, ascending — the
     // iteration order of every re-division, part of the determinism
     // contract shared with the reference model.
     let mut path_members: Vec<Vec<u32>> = vec![Vec::new(); n_paths];
+    // Every arrived session per path, ascending: what an outage edge has
+    // to integrate through the boundary.
+    let mut path_arrived: Vec<Vec<u32>> = vec![Vec::new(); n_paths];
+    let mut telemetry = SessionTelemetry::default();
 
     let mut viewers: u64 = 0;
     let mut peak_viewers: u64 = 0;
     let mut viewer_seconds = 0.0;
     let mut last_event_secs = 0.0;
 
-    while let Some(event) = queue.pop() {
+    loop {
+        // The heap only grows while an event is handled, so its length
+        // just before each pop is its peak.
+        telemetry.peak_heap_len = telemetry.peak_heap_len.max(queue.heap_len() as u64);
+        let Some(event) = queue.pop() else { break };
         viewer_seconds += viewers as f64 * (event.time_secs - last_event_secs);
         last_event_secs = event.time_secs;
         let now = event.time_secs;
 
         match event.kind {
-            EventKind::Arrival(_) => {
-                let index = event.seq as usize;
+            EventKind::Arrival(s) => {
+                debug_assert_eq!(u64::from(s), event.seq);
+                let index = s as usize;
                 let spec = &specs[index];
                 let path = spec.path as usize;
+                path_arrived[path].push(s);
 
-                let mut cap = capacity(path, now);
-                assert!(
-                    cap.is_finite() && cap > 0.0,
-                    "path {path} capacity must be positive and finite, got {cap}"
-                );
-                if path_down[path] {
-                    cap *= residual;
-                }
+                let cap = path_capacity(path, now, path_down[path]);
                 let share_if_joined = cap / (path_members[path].len() + 1) as f64;
                 let prefix = hooks.on_arrival(index, spec, share_if_joined);
 
@@ -616,7 +697,6 @@ where
                 if state.origin_bytes > 0.0 {
                     state.transferring = true;
                     states.push(state);
-                    completion_seq.push(None);
                     // Bring the existing members up to now at their old
                     // shares, admit the newcomer (highest index, so the
                     // member list stays ascending), then re-divide.
@@ -627,28 +707,29 @@ where
                         &mut egress,
                         path_down[path],
                     );
-                    path_members[path].push(index as u32);
+                    path_members[path].push(s);
                     reshare_path(
                         &path_members[path],
                         &mut states,
-                        &mut completion_seq,
+                        &mut completion_seq[path],
                         &mut queue,
                         cap,
                         now,
+                        &mut telemetry,
                     );
                 } else {
                     // Full cache hit: no origin transfer at all.
                     state.transfer_end_secs = now;
                     states.push(state);
-                    completion_seq.push(None);
                 }
             }
             EventKind::TransferComplete(s) => {
                 let index = s as usize;
-                // Stale completions are cancelled inside the queue, so
-                // every popped completion is live.
-                completion_seq[index] = None;
                 let path = states[index].spec.path as usize;
+                // Stale completions are cancelled inside the queue, so the
+                // popped one is the path's pending event.
+                debug_assert_eq!(completion_seq[path], Some(event.seq));
+                completion_seq[path] = None;
                 advance_path(
                     &path_members[path],
                     &mut states,
@@ -671,26 +752,18 @@ where
 
                 let members = &mut path_members[path];
                 let pos = members
-                    .iter()
-                    .position(|&m| m == s)
+                    .binary_search(&s)
                     .expect("completing session is a path member");
                 members.remove(pos);
                 if !members.is_empty() {
-                    let mut cap = capacity(path, now);
-                    assert!(
-                        cap.is_finite() && cap > 0.0,
-                        "path {path} capacity must be positive and finite, got {cap}"
-                    );
-                    if path_down[path] {
-                        cap *= residual;
-                    }
                     reshare_path(
                         &path_members[path],
                         &mut states,
-                        &mut completion_seq,
+                        &mut completion_seq[path],
                         &mut queue,
-                        cap,
+                        path_capacity(path, now, path_down[path]),
                         now,
+                        &mut telemetry,
                     );
                 }
             }
@@ -708,30 +781,25 @@ where
                 // and buffer-only players alike — through the boundary
                 // under the outgoing state, so no advance segment ever
                 // straddles an outage edge (the invariant masked-stall
-                // attribution rests on). Sessions not yet arrived or past
-                // their window are no-ops inside advance.
-                for state in states.iter_mut() {
-                    if state.spec.path as usize == path {
-                        state.advance_masked(now, &mut egress, path_down[path]);
-                    }
-                }
+                // attribution rests on). Sessions past their window are
+                // no-ops inside advance.
+                advance_path(
+                    &path_arrived[path],
+                    &mut states,
+                    now,
+                    &mut egress,
+                    path_down[path],
+                );
                 path_down[path] = goes_down;
                 if !path_members[path].is_empty() {
-                    let mut cap = capacity(path, now);
-                    assert!(
-                        cap.is_finite() && cap > 0.0,
-                        "path {path} capacity must be positive and finite, got {cap}"
-                    );
-                    if goes_down {
-                        cap *= residual;
-                    }
                     reshare_path(
                         &path_members[path],
                         &mut states,
-                        &mut completion_seq,
+                        &mut completion_seq[path],
                         &mut queue,
-                        cap,
+                        path_capacity(path, now, goes_down),
                         now,
+                        &mut telemetry,
                     );
                 }
             }
@@ -756,10 +824,16 @@ where
         egress.into_bins(),
     );
     metrics.outage_secs = faults.map_or(0.0, |f| f.outage_secs_within(horizon_secs));
-    SessionSimOutput { metrics, finals }
+    telemetry.events_scheduled = queue.scheduled();
+    SessionSimOutput {
+        metrics,
+        finals,
+        telemetry,
+    }
 }
 
-/// Integrates every member of a path up to `now` at its current share.
+/// Integrates the listed sessions of a path up to `now` at their current
+/// shares.
 fn advance_path(
     members: &[u32],
     states: &mut [SessionState],
@@ -772,26 +846,41 @@ fn advance_path(
     }
 }
 
-/// Re-divides a path's capacity among its members (already advanced to
-/// `now`) and re-schedules each member's completion event.
+/// Re-divides a path's capacity among its members (non-empty, already
+/// advanced to `now`) and replaces the path's pending completion event
+/// with that of the member now due to finish first.
 fn reshare_path(
     members: &[u32],
     states: &mut [SessionState],
-    completion_seq: &mut [Option<u64>],
+    completion_seq: &mut Option<u64>,
     queue: &mut EventQueue,
     capacity_bps: f64,
     now: f64,
+    telemetry: &mut SessionTelemetry,
 ) {
     let share = capacity_bps / members.len() as f64;
+    let mut earliest = (f64::INFINITY, u32::MAX);
     for &m in members {
         let state = &mut states[m as usize];
         state.share_bps = share;
-        if let Some(seq) = completion_seq[m as usize].take() {
-            queue.cancel(seq);
-        }
         let completes = now + state.remaining_bytes() / share;
-        completion_seq[m as usize] = Some(queue.push(completes, EventKind::TransferComplete(m)));
+        // Checked for every member, not just the one that gets scheduled.
+        assert!(
+            completes.is_finite(),
+            "completion time must be finite, got {completes} for session {m}"
+        );
+        // Strictly earlier only: among equal times the lowest index wins,
+        // as its event would have had the lowest sequence number.
+        if completes.total_cmp(&earliest.0).is_lt() {
+            earliest = (completes, m);
+        }
     }
+    if let Some(seq) = completion_seq.take() {
+        telemetry.events_cancelled += u64::from(queue.cancel(seq));
+    }
+    let (completes, m) = earliest;
+    *completion_seq = Some(queue.push(completes, EventKind::TransferComplete(m)));
+    telemetry.redivisions += 1;
 }
 
 /// Result of one session-mode simulation run.
@@ -888,6 +977,11 @@ impl SessionWorker {
     ///
     /// Returns a [`SimError`] if the configuration is invalid.
     pub fn run(&self) -> Result<SessionRunResult, SimError> {
+        self.run_traced().map(|(result, _)| result)
+    }
+
+    /// [`SessionWorker::run`] plus the run's scheduling telemetry.
+    fn run_traced(&self) -> Result<(SessionRunResult, SessionTelemetry), SimError> {
         let config = &self.config;
         config.validate()?;
         let generated;
@@ -939,27 +1033,26 @@ impl SessionWorker {
         };
         // The outage timeline (if any) is drawn up front from its own
         // derived seed, spanning the playback horizon of the trace.
+        let horizon_secs = playback_horizon(&specs);
         let timeline = config.path_faults.map(|model| {
-            let horizon_secs = specs
-                .iter()
-                .map(|s| s.arrival_secs + s.duration_secs)
-                .fold(0.0_f64, f64::max);
             PathFaultTimeline::generate(catalog.len(), horizon_secs, model, fault_seed(self.seed))
         });
-        let output = simulate_sessions_with_faults(
+        let output = run_event_loop(
             &specs,
             catalog.len(),
             |path, time| provider.capacity_bps(path, time),
             &mut hooks,
             config.session_egress_bins,
+            horizon_secs,
             timeline.as_ref(),
         );
 
-        Ok(SessionRunResult {
+        let result = SessionRunResult {
             metrics: output.metrics,
             final_cache_used_bytes: cache.used_bytes(),
             final_cached_objects: cache.len(),
-        })
+        };
+        Ok((result, output.telemetry))
     }
 }
 
@@ -977,7 +1070,20 @@ pub fn run_session_grid(
     runs: usize,
     executor: &ParallelExecutor,
 ) -> Result<Vec<SessionMetrics>, SimError> {
-    struct SessionGrid;
+    run_session_grid_traced(configs, runs, executor).map(|(metrics, _)| metrics)
+}
+
+/// [`run_session_grid`] plus the scheduling telemetry of all its runs
+/// together (merging is commutative, so the total does not depend on which
+/// thread finishes first).
+pub(crate) fn run_session_grid_traced(
+    configs: &[SimulationConfig],
+    runs: usize,
+    executor: &ParallelExecutor,
+) -> Result<(Vec<SessionMetrics>, SessionTelemetry), SimError> {
+    struct SessionGrid {
+        telemetry: Mutex<SessionTelemetry>,
+    }
     impl GridRunner for SessionGrid {
         type Out = SessionMetrics;
         fn run(
@@ -986,15 +1092,24 @@ pub fn run_session_grid(
             seed: u64,
             workload: Arc<SharedWorkload>,
         ) -> Result<SessionMetrics, SimError> {
-            SessionWorker::with_workload(*config, seed, workload)
-                .run()
-                .map(|r| r.metrics)
+            let (result, telemetry) =
+                SessionWorker::with_workload(*config, seed, workload).run_traced()?;
+            self.telemetry
+                .lock()
+                .expect("no run panics while merging")
+                .merge(telemetry);
+            Ok(result.metrics)
         }
         fn average(&self, runs: &[SessionMetrics]) -> SessionMetrics {
             SessionMetrics::average(runs)
         }
     }
-    run_grid_with(configs, runs, executor, &SessionGrid)
+    let grid = SessionGrid {
+        telemetry: Mutex::default(),
+    };
+    let metrics = run_grid_with(configs, runs, executor, &grid)?;
+    let telemetry = grid.telemetry.into_inner().expect("no run panicked");
+    Ok((metrics, telemetry))
 }
 
 #[cfg(test)]
@@ -1094,6 +1209,38 @@ mod tests {
         assert_eq!(out.metrics.peak_concurrent_viewers, 2);
         // Viewer curve integral = sum of durations.
         assert!((out.metrics.viewer_seconds - 200.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_path_holds_one_completion_event_however_many_members_it_has() {
+        // A alone, B joins at t=25, A done at t=75, B done at t=100: three
+        // re-divisions (B's completion leaves the path empty), each pushing
+        // one completion; only the one pending at B's arrival is cancelled.
+        let specs = [
+            spec(0, 0.0, 100.0, 48_000.0),
+            spec(0, 25.0, 100.0, 48_000.0),
+        ];
+        let out = simulate_sessions(&specs, 1, |_, _| 96_000.0, &mut NoCacheHooks, 4);
+        assert_eq!(
+            out.telemetry,
+            SessionTelemetry {
+                // 2 arrivals + 2 playback ends + 3 completions.
+                events_scheduled: 7,
+                events_cancelled: 1,
+                // At B's arrival: A's playback end, A's cancelled and new
+                // completions, B's playback end.
+                peak_heap_len: 4,
+                redivisions: 3,
+            }
+        );
+
+        // Forty simultaneous members cost one event per re-division, not
+        // forty: 40 arrivals + 40 playback ends + 40 + 39 re-divisions.
+        let crowd = [spec(0, 0.0, 50.0, 48_000.0); 40];
+        let out = simulate_sessions(&crowd, 1, |_, _| 96_000.0, &mut NoCacheHooks, 4);
+        assert_eq!(out.telemetry.redivisions, 79);
+        assert_eq!(out.telemetry.events_scheduled, 80 + 79);
+        assert_eq!(out.telemetry.events_cancelled, 39);
     }
 
     #[test]

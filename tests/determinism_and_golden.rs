@@ -18,7 +18,9 @@ use streamcache::cache::{
     OfflineObject,
 };
 use streamcache::netmodel::{NlanrBandwidthModel, PathSet, VariabilityModel};
-use streamcache::sim::{run_sessions, run_simulation, Metrics, SimulationConfig};
+use streamcache::sim::{
+    run_sessions, run_simulation, Metrics, PathFaultModel, SessionWorker, SimulationConfig,
+};
 use streamcache::workload::WorkloadBuilder;
 
 fn small(policy: PolicyKind, cache_fraction: f64) -> SimulationConfig {
@@ -227,6 +229,66 @@ fn session_mode_same_seed_is_byte_identical_and_seed_sensitive() {
     reseeded.seed += 1;
     let c = run_sessions(&reseeded).unwrap().metrics;
     assert_ne!(a, c, "changing the seed did not change the session metrics");
+}
+
+/// `Debug` form of `SessionWorker::new(small().with_cache_fraction(0.05), 7)
+/// .run()`, captured on the commit before the session core went from one
+/// completion event per member to one per path. `f64`'s `Debug` is its
+/// shortest round-trip decimal, so string equality is bit equality: this
+/// pins the whole run — every metric and every egress bin — not a
+/// tolerance around it.
+const GOLDEN_SESSION_RUN_HEALTHY: &str =
+    "Ok(SessionRunResult { metrics: SessionMetrics { sessions: 5000, \
+     viewer_seconds: 17887995.116060227, avg_concurrent_viewers: 1027.4813035423697, \
+     peak_concurrent_viewers: 3267, rebuffer_probability: 0.844, \
+     avg_rebuffer_secs: 2795.2986112868007, traffic_reduction_ratio: 0.07254352060412562, \
+     origin_bytes_total: 796336174742.0035, egress_bins_bytes: [14242199489.177872, \
+     25711799981.84984, 26770380169.21841, 28156804378.0023, 30471522934.593147, \
+     30132771837.003197, 29678895367.51525, 23877896926.413277, 19369497480.185486, \
+     16451302758.79521, 15283871665.004454, 13449130407.450106, 12312519235.441378, \
+     11703693534.49245, 10900017663.110098, 10408368596.228737, 9956262173.275307, \
+     9542148738.053532, 9026016406.659267, 8592020409.81989, 8138924395.631206, \
+     7901223985.1598, 7589976227.292613, 416668929981.72833], \
+     horizon_secs: 17409.557774325564, outage_secs: 0.0, masked_stall_secs: 0.0 }, \
+     final_cache_used_bytes: 3957889149.266642, final_cached_objects: 39 })";
+
+/// The same run with the outage model of
+/// `worker_with_faults_is_deterministic_and_sees_outages` (MTBF 1200 s,
+/// MTTR 120 s, residual 0.02).
+const GOLDEN_SESSION_RUN_FAULTED: &str =
+    "Ok(SessionRunResult { metrics: SessionMetrics { sessions: 5000, \
+     viewer_seconds: 17887995.116060417, avg_concurrent_viewers: 1027.4813035423806, \
+     peak_concurrent_viewers: 3267, rebuffer_probability: 0.8768, \
+     avg_rebuffer_secs: 2849.9662412558228, traffic_reduction_ratio: 0.07254352060412562, \
+     origin_bytes_total: 796336174742.0035, egress_bins_bytes: [13314342822.636261, \
+     23659289591.47985, 25034797350.069305, 26683569888.208565, 28631510698.73854, \
+     28568185406.434227, 28413844312.243736, 23379963836.575363, 19513957483.641422, \
+     16282921645.802193, 14647249938.361046, 13322053058.618507, 12220150119.49327, \
+     11434610756.197004, 10788053991.024078, 9939287662.48445, 9752253008.706049, \
+     9024193853.770205, 8642157335.101316, 8363819977.80775, 8155689961.27858, \
+     7890707228.81065, 7259634367.551325, 431413930447.04285], \
+     horizon_secs: 17409.557774325564, outage_secs: 769753.9337987372, \
+     masked_stall_secs: 306503.31161670526 }, final_cache_used_bytes: 3957889149.266642, \
+     final_cached_objects: 39 })";
+
+/// Bit-exact session-mode golden, healthy and under path outages.
+#[test]
+fn golden_session_run_fingerprints_are_bit_exact() {
+    let healthy = SimulationConfig::small().with_cache_fraction(0.05);
+    let mut faulted = healthy;
+    faulted.path_faults = Some(PathFaultModel {
+        mtbf_secs: 1_200.0,
+        mttr_secs: 120.0,
+        residual_capacity_fraction: 0.02,
+    });
+    assert_eq!(
+        format!("{:?}", SessionWorker::new(healthy, 7).run()),
+        GOLDEN_SESSION_RUN_HEALTHY
+    );
+    assert_eq!(
+        format!("{:?}", SessionWorker::new(faulted, 7).run()),
+        GOLDEN_SESSION_RUN_FAULTED
+    );
 }
 
 /// Rate-weighted delay-reduction utility of an allocation:
