@@ -1,6 +1,17 @@
-//! Worker-pool plumbing for the proxy's request path: a bounded accept
-//! queue feeding a fixed set of handler threads, and a counting semaphore
-//! bounding concurrent origin connections.
+//! Worker-pool plumbing for the proxy's request path: the leader/followers
+//! hand-over and the bounded accept queue behind it, and a counting
+//! semaphore bounding concurrent origin connections.
+//!
+//! The pool is `worker_threads + 1` identical threads. Exactly one is the
+//! *leader*, blocked in `accept()`; the rest serve requests or wait as idle
+//! *followers*. The leader hands every accepted connection to
+//! [`AcceptQueue::admit`], which decides under the queue's one mutex: with a
+//! follower idle and nothing queued the leader takes an in-flight slot,
+//! passes leadership to that follower and serves the connection itself (no
+//! queue, no wake-up on the request's path); otherwise it stays leader and
+//! queues the connection. A thread that finishes a request asks
+//! [`AcceptQueue::next_turn`], which drains the queue before it offers the
+//! vacant leadership or parks the thread as a follower.
 //!
 //! Both primitives are hand-rolled on `std::sync::{Mutex, Condvar}` because
 //! the build environment has no crates.io access (see `shims/`); the
@@ -8,11 +19,12 @@
 //! blocking coordination lives here on the standard library directly.
 //!
 //! The accept queue is also where the proxy's admission control lives:
-//! entries carry their enqueue timestamp (workers shed requests whose queue
-//! wait blew the configured deadline), an optional hard cap bounds requests
-//! in flight (queued + being handled) with deterministic drop-oldest
-//! shedding, and relaxed atomics count sheds, cumulative queue wait and the
-//! peak backlog for `ProxyStats`.
+//! entries carry their enqueue timestamp (the thread that dequeues one sheds
+//! it if its queue wait blew the configured deadline), an optional hard cap
+//! bounds requests in flight (queued + being handled) with deterministic
+//! drop-oldest shedding, and relaxed atomics count sheds, dequeued
+//! connections, their cumulative queue wait and the peak backlog for
+//! `ProxyStats`.
 
 use std::collections::VecDeque;
 use std::net::TcpStream;
@@ -29,8 +41,16 @@ fn lock_queue<'a, T>(mutex: &'a Mutex<T>) -> MutexGuard<'a, T> {
     }
 }
 
-/// An accepted connection waiting for a worker, stamped with its enqueue
-/// time so the worker that picks it up can judge the queue wait against
+/// [`Condvar::wait`] with the same poison recovery as [`lock_queue`].
+fn wait_on<'a, T>(condvar: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+    match condvar.wait(guard) {
+        Ok(guard) => guard,
+        Err(poisoned) => poisoned.into_inner(),
+    }
+}
+
+/// An accepted connection waiting in the queue, stamped with its enqueue
+/// time so the thread that picks it up can judge the queue wait against
 /// the admission deadline.
 #[derive(Debug)]
 pub(crate) struct QueuedConn {
@@ -38,54 +58,84 @@ pub(crate) struct QueuedConn {
     pub(crate) enqueued_at: Instant,
 }
 
-/// What [`AcceptQueue::push`] did with the connection.
+/// What [`AcceptQueue::admit`] decided for an accepted connection.
 #[derive(Debug)]
-pub(crate) enum PushOutcome {
+pub(crate) enum Admission {
     /// The queue is closed; the connection was dropped.
     Closed,
-    /// The connection was enqueued. With the in-flight cap hit, admitting
-    /// it evicted the oldest queued connection, returned here so the
-    /// caller can answer it with `BUSY` (drop-oldest: the newest arrival
-    /// is the one most likely to still be listening).
+    /// A follower was idle and nothing was queued: the connection holds an
+    /// in-flight slot (release it with [`InFlightSlot`]), leadership has
+    /// passed to the follower, and the caller serves the connection itself.
+    Inline(TcpStream),
+    /// The connection was enqueued and the caller is still the leader.
+    /// With the in-flight cap hit, admitting it evicted the oldest queued
+    /// connection, returned here so the caller can answer it with `BUSY`
+    /// (drop-oldest: the newest arrival is the one most likely to still be
+    /// listening).
     Queued { shed: Option<QueuedConn> },
     /// The in-flight cap is hit and nothing is queued to evict (every
     /// admitted request is already being handled), so the newcomer itself
-    /// is shed.
+    /// is shed. The caller is still the leader.
     ShedIncoming(TcpStream),
+}
+
+/// What a pool thread does next, from [`AcceptQueue::next_turn`].
+#[derive(Debug)]
+pub(crate) enum Turn {
+    /// Handle this queued connection; it occupies an in-flight slot until
+    /// [`AcceptQueue::finish`] (use [`InFlightSlot`] for panic-safe
+    /// release).
+    Serve(QueuedConn),
+    /// The queue is empty and nobody is accepting: the caller is now the
+    /// leader and stays so until [`AcceptQueue::admit`] returns
+    /// [`Admission::Inline`] or the queue closes.
+    Lead,
+    /// The queue is closed and drained.
+    Exit,
 }
 
 #[derive(Debug)]
 struct QueueInner {
     connections: VecDeque<QueuedConn>,
-    /// Connections popped by workers and still being handled; together
-    /// with `connections.len()` this is the in-flight total the admission
-    /// cap bounds.
+    /// Connections being handled; together with `connections.len()` this
+    /// is the in-flight total the admission cap bounds.
     active: usize,
+    /// Whether some thread holds the leader role.
+    has_leader: bool,
+    /// Followers parked in [`AcceptQueue::next_turn`]. A thread registers
+    /// here under the same lock that saw the queue empty, and `admit`
+    /// queues only when this is zero, so `idle > 0` implies an empty
+    /// queue: no connection is ever stranded behind a sleeping follower.
+    idle: usize,
     closed: bool,
 }
 
-/// A bounded MPMC queue of accepted client connections.
+/// The pool's one synchronisation point: leader hand-over plus a bounded
+/// FIFO of accepted client connections.
 ///
-/// The accept thread pushes, worker threads pop. When the queue is full the
-/// accept thread blocks, which stops it pulling connections off the
-/// listener: backpressure propagates to the OS listen backlog and from
-/// there to connecting clients, so overload slows clients down instead of
-/// growing proxy memory without bound. With a nonzero `max_in_flight` the
-/// queue never blocks at that cap — it sheds deterministically instead
-/// (see [`PushOutcome`]), trading silence for an explicit `BUSY`.
+/// The leader admits, every pool thread takes turns. When the queue is full
+/// the leader blocks, which stops it pulling connections off the listener:
+/// backpressure propagates to the OS listen backlog and from there to
+/// connecting clients, so overload slows clients down instead of growing
+/// proxy memory without bound. With a nonzero `max_in_flight` admission
+/// never blocks at that cap — it sheds deterministically instead (see
+/// [`Admission`]), trading silence for an explicit `BUSY`.
 ///
-/// Closing the queue wakes every waiter; pops keep draining whatever was
-/// already accepted (graceful shutdown finishes queued requests) and return
-/// `None` only once the queue is empty.
+/// Closing the queue wakes every waiter; turns keep draining whatever was
+/// already accepted (graceful shutdown finishes queued requests) and end
+/// with [`Turn::Exit`] only once the queue is empty.
 #[derive(Debug)]
 pub(crate) struct AcceptQueue {
     inner: Mutex<QueueInner>,
-    not_empty: Condvar,
+    /// Followers wait here for a queued connection, a vacant leadership or
+    /// the close.
+    work: Condvar,
     not_full: Condvar,
     capacity: usize,
     /// Hard cap on queued + active connections; 0 disables the cap.
     max_in_flight: usize,
     shed: AtomicU64,
+    dequeued: AtomicU64,
     queue_wait_micros: AtomicU64,
     peak_depth: AtomicU64,
 }
@@ -96,26 +146,30 @@ impl AcceptQueue {
             inner: Mutex::new(QueueInner {
                 connections: VecDeque::with_capacity(capacity.min(1024)),
                 active: 0,
+                has_leader: false,
+                idle: 0,
                 closed: false,
             }),
-            not_empty: Condvar::new(),
+            work: Condvar::new(),
             not_full: Condvar::new(),
             capacity,
             max_in_flight,
             shed: AtomicU64::new(0),
+            dequeued: AtomicU64::new(0),
             queue_wait_micros: AtomicU64::new(0),
             peak_depth: AtomicU64::new(0),
         }
     }
 
-    /// Enqueues a connection, blocking while the queue is at capacity.
-    /// At the in-flight cap the push never blocks: it sheds (and counts)
-    /// either the oldest queued connection or the newcomer instead.
-    pub(crate) fn push(&self, stream: TcpStream) -> PushOutcome {
+    /// The leader's one decision per accepted connection: serve it inline,
+    /// queue it (blocking while the queue is at capacity) or shed. At the
+    /// in-flight cap it never blocks: it sheds (and counts) either the
+    /// oldest queued connection or the newcomer instead.
+    pub(crate) fn admit(&self, stream: TcpStream) -> Admission {
         let mut inner = lock_queue(&self.inner);
         loop {
             if inner.closed {
-                return PushOutcome::Closed;
+                return Admission::Closed;
             }
             if self.max_in_flight > 0
                 && inner.connections.len() + inner.active >= self.max_in_flight
@@ -127,77 +181,90 @@ impl AcceptQueue {
                             stream,
                             enqueued_at: Instant::now(),
                         });
-                        self.not_empty.notify_one();
-                        PushOutcome::Queued { shed: Some(oldest) }
+                        debug_assert_eq!(inner.idle, 0, "queued behind an idle follower");
+                        Admission::Queued { shed: Some(oldest) }
                     }
-                    None => PushOutcome::ShedIncoming(stream),
+                    None => Admission::ShedIncoming(stream),
                 };
             }
+            if inner.idle > 0 && inner.connections.is_empty() {
+                inner.active += 1;
+                inner.has_leader = false;
+                // Unlock first, so the woken follower does not run straight
+                // into the mutex.
+                drop(inner);
+                self.work.notify_one();
+                return Admission::Inline(stream);
+            }
             if inner.connections.len() < self.capacity {
+                debug_assert_eq!(inner.idle, 0, "queued behind an idle follower");
                 inner.connections.push_back(QueuedConn {
                     stream,
                     enqueued_at: Instant::now(),
                 });
                 self.peak_depth
                     .fetch_max(inner.connections.len() as u64, Ordering::Relaxed);
-                self.not_empty.notify_one();
-                return PushOutcome::Queued { shed: None };
+                return Admission::Queued { shed: None };
             }
-            inner = match self.not_full.wait(inner) {
-                Ok(guard) => guard,
-                Err(poisoned) => poisoned.into_inner(),
-            };
+            inner = wait_on(&self.not_full, inner);
         }
     }
 
-    /// Dequeues the next connection, blocking while the queue is empty.
-    /// After [`close`](Self::close), keeps returning queued connections
-    /// until the backlog is drained, then `None`. The popped connection
-    /// occupies an in-flight slot until [`finish`](Self::finish) (use
-    /// [`InFlightSlot`] for panic-safe release).
-    pub(crate) fn pop(&self) -> Option<QueuedConn> {
+    /// Blocks until the calling thread has something to do: the oldest
+    /// queued connection first, then the leader role if it is vacant,
+    /// otherwise it parks as an idle follower. After
+    /// [`close`](Self::close), keeps handing out queued connections until
+    /// the backlog is drained, then [`Turn::Exit`].
+    pub(crate) fn next_turn(&self) -> Turn {
         let mut inner = lock_queue(&self.inner);
         loop {
             if let Some(conn) = inner.connections.pop_front() {
                 inner.active += 1;
                 self.not_full.notify_one();
-                return Some(conn);
+                return Turn::Serve(conn);
             }
             if inner.closed {
-                return None;
+                return Turn::Exit;
             }
-            inner = match self.not_empty.wait(inner) {
-                Ok(guard) => guard,
-                Err(poisoned) => poisoned.into_inner(),
-            };
+            if !inner.has_leader {
+                inner.has_leader = true;
+                return Turn::Lead;
+            }
+            inner.idle += 1;
+            inner = wait_on(&self.work, inner);
+            inner.idle -= 1;
         }
     }
 
-    /// Releases the in-flight slot of one popped connection.
+    /// Releases the in-flight slot of one served connection.
     pub(crate) fn finish(&self) {
         let mut inner = lock_queue(&self.inner);
         inner.active = inner.active.saturating_sub(1);
     }
 
-    /// Closes the queue and wakes every blocked pusher and popper.
+    /// Closes the queue and wakes every parked follower and a leader
+    /// blocked on a full queue. (A leader blocked in `accept()` is the
+    /// caller's to wake.)
     pub(crate) fn close(&self) {
         let mut inner = lock_queue(&self.inner);
         inner.closed = true;
         drop(inner);
-        self.not_empty.notify_all();
+        self.work.notify_all();
         self.not_full.notify_all();
     }
 
     /// Counts one shed decided outside the queue (a queue-wait deadline
-    /// miss in a worker); cap-driven sheds inside [`push`](Self::push)
+    /// miss at dequeue); cap-driven sheds inside [`admit`](Self::admit)
     /// count themselves.
     pub(crate) fn record_shed(&self) {
         self.shed.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Adds one popped connection's queue wait to the cumulative total.
+    /// Counts one dequeued connection and adds its queue wait to the
+    /// cumulative total.
     pub(crate) fn record_wait(&self, wait: Duration) {
         let micros = u64::try_from(wait.as_micros()).unwrap_or(u64::MAX);
+        self.dequeued.fetch_add(1, Ordering::Relaxed);
         self.queue_wait_micros.fetch_add(micros, Ordering::Relaxed);
     }
 
@@ -206,7 +273,14 @@ impl AcceptQueue {
         self.shed.load(Ordering::Relaxed)
     }
 
-    /// Cumulative queue wait over all popped connections, in microseconds.
+    /// Connections that waited in the queue and were dequeued (inline-served
+    /// ones never do): the denominator of
+    /// [`total_wait_micros`](Self::total_wait_micros).
+    pub(crate) fn dequeued_count(&self) -> u64 {
+        self.dequeued.load(Ordering::Relaxed)
+    }
+
+    /// Cumulative queue wait over all dequeued connections, in microseconds.
     pub(crate) fn total_wait_micros(&self) -> u64 {
         self.queue_wait_micros.load(Ordering::Relaxed)
     }
@@ -217,8 +291,8 @@ impl AcceptQueue {
     }
 }
 
-/// RAII in-flight slot of a popped connection: releases the slot on drop,
-/// so a panicking handler cannot leak admission capacity.
+/// RAII in-flight slot of a connection being handled: releases the slot on
+/// drop, so a panicking handler cannot leak admission capacity.
 #[derive(Debug)]
 pub(crate) struct InFlightSlot<'a> {
     queue: &'a AcceptQueue,
@@ -264,10 +338,7 @@ impl OriginBudget {
         if self.bounded {
             let mut permits = lock_queue(&self.permits);
             while *permits == 0 {
-                permits = match self.available.wait(permits) {
-                    Ok(guard) => guard,
-                    Err(poisoned) => poisoned.into_inner(),
-                };
+                permits = wait_on(&self.available, permits);
             }
             *permits -= 1;
         }
@@ -335,11 +406,36 @@ mod tests {
         client
     }
 
-    fn assert_queued(outcome: PushOutcome) {
+    fn assert_queued(outcome: Admission) {
         assert!(
-            matches!(outcome, PushOutcome::Queued { shed: None }),
+            matches!(outcome, Admission::Queued { shed: None }),
             "expected a plain enqueue, got {outcome:?}"
         );
+    }
+
+    /// The next queued connection; `None` once the queue is closed and
+    /// drained. For tests where no thread is parked, so a turn is never
+    /// `Lead` while something is queued.
+    fn pop(queue: &AcceptQueue) -> Option<QueuedConn> {
+        match queue.next_turn() {
+            Turn::Serve(conn) => Some(conn),
+            Turn::Exit => None,
+            Turn::Lead => panic!("nothing queued"),
+        }
+    }
+
+    /// Spawns a follower that reports the turn it eventually gets, and
+    /// waits until it is parked (the queue starts with a leader: the test).
+    fn parked_follower(queue: &Arc<AcceptQueue>) -> std::thread::JoinHandle<Turn> {
+        let before = lock_queue(&queue.inner).idle;
+        let handle = {
+            let queue = Arc::clone(queue);
+            std::thread::spawn(move || queue.next_turn())
+        };
+        while lock_queue(&queue.inner).idle == before {
+            std::thread::yield_now();
+        }
+        handle
     }
 
     #[test]
@@ -350,31 +446,31 @@ mod tests {
         let a_addr = a.local_addr().unwrap();
         let b = loopback_pair(&listener);
         let b_addr = b.local_addr().unwrap();
-        assert_queued(queue.push(a));
-        assert_queued(queue.push(b));
+        assert_queued(queue.admit(a));
+        assert_queued(queue.admit(b));
         queue.close();
         // Queued connections survive the close (graceful drain) ...
-        assert_eq!(queue.pop().unwrap().stream.local_addr().unwrap(), a_addr);
-        assert_eq!(queue.pop().unwrap().stream.local_addr().unwrap(), b_addr);
+        assert_eq!(pop(&queue).unwrap().stream.local_addr().unwrap(), a_addr);
+        assert_eq!(pop(&queue).unwrap().stream.local_addr().unwrap(), b_addr);
         // ... and only then does the queue report exhaustion.
-        assert!(queue.pop().is_none());
+        assert!(pop(&queue).is_none());
         // New connections are refused after close.
         let c = loopback_pair(&listener);
-        assert!(matches!(queue.push(c), PushOutcome::Closed));
+        assert!(matches!(queue.admit(c), Admission::Closed));
     }
 
     #[test]
     fn full_queue_blocks_pushers_until_a_pop() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let queue = Arc::new(AcceptQueue::new(1, 0));
-        assert_queued(queue.push(loopback_pair(&listener)));
+        assert_queued(queue.admit(loopback_pair(&listener)));
         let pushed = Arc::new(AtomicUsize::new(0));
         let handle = {
             let queue = Arc::clone(&queue);
             let pushed = Arc::clone(&pushed);
             let stream = loopback_pair(&listener);
             std::thread::spawn(move || {
-                queue.push(stream);
+                queue.admit(stream);
                 pushed.store(1, Ordering::SeqCst);
             })
         };
@@ -384,7 +480,7 @@ mod tests {
             0,
             "push must block while full"
         );
-        assert!(queue.pop().is_some());
+        assert!(pop(&queue).is_some());
         handle.join().unwrap();
         assert_eq!(pushed.load(Ordering::SeqCst), 1);
         queue.close();
@@ -398,22 +494,22 @@ mod tests {
         let a_addr = a.local_addr().unwrap();
         let b = loopback_pair(&listener);
         let b_addr = b.local_addr().unwrap();
-        assert_queued(queue.push(a));
-        assert_queued(queue.push(b));
+        assert_queued(queue.admit(a));
+        assert_queued(queue.admit(b));
         // Two in flight (both queued): the cap evicts the oldest (a) to
         // admit the newcomer.
         let c = loopback_pair(&listener);
         let c_addr = c.local_addr().unwrap();
-        match queue.push(c) {
-            PushOutcome::Queued { shed: Some(old) } => {
+        match queue.admit(c) {
+            Admission::Queued { shed: Some(old) } => {
                 assert_eq!(old.stream.local_addr().unwrap(), a_addr);
             }
             other => panic!("expected drop-oldest shed, got {other:?}"),
         }
         assert_eq!(queue.shed_count(), 1);
         // FIFO order among the survivors holds: b then c.
-        assert_eq!(queue.pop().unwrap().stream.local_addr().unwrap(), b_addr);
-        assert_eq!(queue.pop().unwrap().stream.local_addr().unwrap(), c_addr);
+        assert_eq!(pop(&queue).unwrap().stream.local_addr().unwrap(), b_addr);
+        assert_eq!(pop(&queue).unwrap().stream.local_addr().unwrap(), c_addr);
         queue.close();
     }
 
@@ -421,15 +517,15 @@ mod tests {
     fn in_flight_cap_sheds_incoming_when_nothing_is_queued() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let queue = AcceptQueue::new(8, 2);
-        assert_queued(queue.push(loopback_pair(&listener)));
-        assert_queued(queue.push(loopback_pair(&listener)));
+        assert_queued(queue.admit(loopback_pair(&listener)));
+        assert_queued(queue.admit(loopback_pair(&listener)));
         // Workers take both: in-flight stays 2 (all active, none queued).
-        let _a = queue.pop().unwrap();
-        let _b = queue.pop().unwrap();
+        let _a = pop(&queue).unwrap();
+        let _b = pop(&queue).unwrap();
         let c = loopback_pair(&listener);
         let c_addr = c.local_addr().unwrap();
-        match queue.push(c) {
-            PushOutcome::ShedIncoming(stream) => {
+        match queue.admit(c) {
+            Admission::ShedIncoming(stream) => {
                 assert_eq!(stream.local_addr().unwrap(), c_addr);
             }
             other => panic!("expected the newcomer shed, got {other:?}"),
@@ -437,7 +533,7 @@ mod tests {
         assert_eq!(queue.shed_count(), 1);
         // A finished handler frees the slot and admission resumes.
         queue.finish();
-        assert_queued(queue.push(loopback_pair(&listener)));
+        assert_queued(queue.admit(loopback_pair(&listener)));
         queue.close();
     }
 
@@ -445,8 +541,8 @@ mod tests {
     fn in_flight_slot_releases_on_drop_even_on_panic() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let queue = Arc::new(AcceptQueue::new(8, 1));
-        assert_queued(queue.push(loopback_pair(&listener)));
-        let popped = queue.pop().unwrap();
+        assert_queued(queue.admit(loopback_pair(&listener)));
+        let popped = pop(&queue).unwrap();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _slot = InFlightSlot::new(&queue);
             let _conn = popped;
@@ -454,7 +550,7 @@ mod tests {
         }));
         assert!(result.is_err());
         // The slot was released despite the panic, so the cap admits again.
-        assert_queued(queue.push(loopback_pair(&listener)));
+        assert_queued(queue.admit(loopback_pair(&listener)));
         queue.close();
     }
 
@@ -462,24 +558,186 @@ mod tests {
     fn overload_counters_track_waits_and_peak_depth() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let queue = AcceptQueue::new(8, 0);
-        assert_queued(queue.push(loopback_pair(&listener)));
-        assert_queued(queue.push(loopback_pair(&listener)));
+        assert_queued(queue.admit(loopback_pair(&listener)));
+        assert_queued(queue.admit(loopback_pair(&listener)));
         assert_eq!(queue.peak_depth(), 2);
         std::thread::sleep(Duration::from_millis(10));
-        let conn = queue.pop().unwrap();
+        let conn = pop(&queue).unwrap();
         queue.record_wait(conn.enqueued_at.elapsed());
         assert!(
             queue.total_wait_micros() >= 5_000,
             "wait {} µs",
             queue.total_wait_micros()
         );
+        assert_eq!(queue.dequeued_count(), 1);
         assert_eq!(queue.shed_count(), 0);
         queue.record_shed();
         assert_eq!(queue.shed_count(), 1);
         // Peak depth is a high-water mark: draining does not lower it.
-        let _ = queue.pop();
+        let _ = pop(&queue);
         assert_eq!(queue.peak_depth(), 2);
         queue.close();
+    }
+
+    #[test]
+    fn admit_is_inline_only_with_an_idle_follower_and_an_empty_queue() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let queue = Arc::new(AcceptQueue::new(4, 0));
+        // The test thread is the leader.
+        assert!(matches!(queue.next_turn(), Turn::Lead));
+        // Nobody idle: the connection is queued, and a thread coming for
+        // its turn is handed it instead of parking.
+        assert_queued(queue.admit(loopback_pair(&listener)));
+        assert!(pop(&queue).is_some());
+        queue.finish();
+        // A parked follower and an empty queue: the leader serves inline,
+        // holding an in-flight slot, and the follower takes over the lead.
+        let follower = parked_follower(&queue);
+        let a = loopback_pair(&listener);
+        let a_addr = a.local_addr().unwrap();
+        match queue.admit(a) {
+            Admission::Inline(stream) => assert_eq!(stream.local_addr().unwrap(), a_addr),
+            other => panic!("expected to serve inline, got {other:?}"),
+        }
+        assert!(matches!(follower.join().unwrap(), Turn::Lead));
+        assert_eq!(lock_queue(&queue.inner).active, 1);
+        queue.finish();
+        // The follower is gone again, so the next connection is queued —
+        // and nothing that skipped the queue counted as a wait.
+        assert_queued(queue.admit(loopback_pair(&listener)));
+        assert_eq!(queue.dequeued_count(), 0);
+        queue.close();
+    }
+
+    #[test]
+    fn inline_path_at_the_in_flight_cap_sheds_the_newcomer() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let queue = Arc::new(AcceptQueue::new(8, 1));
+        assert!(matches!(queue.next_turn(), Turn::Lead));
+        let first = parked_follower(&queue);
+        assert!(matches!(
+            queue.admit(loopback_pair(&listener)),
+            Admission::Inline(_)
+        ));
+        assert!(matches!(first.join().unwrap(), Turn::Lead));
+        // One in flight = the cap, nothing queued to evict: an idle
+        // follower does not buy the newcomer a slot.
+        let second = parked_follower(&queue);
+        let b = loopback_pair(&listener);
+        let b_addr = b.local_addr().unwrap();
+        match queue.admit(b) {
+            Admission::ShedIncoming(stream) => assert_eq!(stream.local_addr().unwrap(), b_addr),
+            other => panic!("expected the newcomer shed, got {other:?}"),
+        }
+        assert_eq!(queue.shed_count(), 1);
+        assert_eq!(
+            lock_queue(&queue.inner).idle,
+            1,
+            "the follower stays parked"
+        );
+        // The slot frees: the same follower now lets the leader go inline.
+        queue.finish();
+        assert!(matches!(
+            queue.admit(loopback_pair(&listener)),
+            Admission::Inline(_)
+        ));
+        assert!(matches!(second.join().unwrap(), Turn::Lead));
+        queue.close();
+    }
+
+    /// The stranded-entry race: were "is a follower idle?" and "queue it"
+    /// decided under different locks, a follower could park just after the
+    /// leader chose to queue, and the connection would wait for the *next*
+    /// arrival. Three pool threads run the real turn/admit protocol over a
+    /// channel standing in for the listener while the test thread checks,
+    /// under the queue's lock, that an idle follower never coexists with a
+    /// queued connection — and that every connection is served exactly once.
+    #[test]
+    fn an_idle_follower_never_coexists_with_a_queued_connection() {
+        const CONNECTIONS: usize = 400;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let queue = AcceptQueue::new(2, 0);
+        let (feed, accepted) = std::sync::mpsc::channel::<TcpStream>();
+        let accepted = Mutex::new(accepted);
+        let served = AtomicUsize::new(0);
+        // The leader's loop: `None` once the feed (the "listener") is gone.
+        let lead = || loop {
+            let Ok(stream) = lock_queue(&accepted).recv() else {
+                queue.close();
+                return None;
+            };
+            match queue.admit(stream) {
+                Admission::Inline(stream) => return Some(stream),
+                Admission::Queued { shed: None } => {}
+                other => panic!("no cap and only the leader closes: {other:?}"),
+            }
+        };
+        std::thread::scope(|scope| {
+            for _ in 0..3 {
+                scope.spawn(|| loop {
+                    let stream = match queue.next_turn() {
+                        Turn::Exit => break,
+                        Turn::Serve(conn) => conn.stream,
+                        Turn::Lead => match lead() {
+                            Some(stream) => stream,
+                            None => continue,
+                        },
+                    };
+                    drop(stream);
+                    served.fetch_add(1, Ordering::SeqCst);
+                    queue.finish();
+                });
+            }
+            for _ in 0..CONNECTIONS {
+                feed.send(loopback_pair(&listener)).unwrap();
+                let inner = lock_queue(&queue.inner);
+                assert!(
+                    inner.idle == 0 || inner.connections.is_empty(),
+                    "{} idle followers beside {} queued connections",
+                    inner.idle,
+                    inner.connections.len()
+                );
+            }
+            drop(feed);
+        });
+        assert_eq!(served.load(Ordering::SeqCst), CONNECTIONS);
+        assert_eq!(lock_queue(&queue.inner).active, 0);
+    }
+
+    #[test]
+    fn close_wakes_parked_followers_and_the_backlog_is_still_drained() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let queue = Arc::new(AcceptQueue::new(4, 0));
+        assert!(matches!(queue.next_turn(), Turn::Lead));
+        // Followers parked behind a leader are woken by the close ...
+        let parked = [parked_follower(&queue), parked_follower(&queue)];
+        queue.close();
+        for follower in parked {
+            assert!(matches!(follower.join().unwrap(), Turn::Exit));
+        }
+        // ... and with a backlog at close time (every thread was busy),
+        // threads coming back for a turn drain it before they exit.
+        let queue = Arc::new(AcceptQueue::new(4, 0));
+        assert!(matches!(queue.next_turn(), Turn::Lead));
+        assert_queued(queue.admit(loopback_pair(&listener)));
+        assert_queued(queue.admit(loopback_pair(&listener)));
+        queue.close();
+        let drained: usize = (0..2)
+            .map(|_| {
+                let queue = Arc::clone(&queue);
+                std::thread::spawn(move || {
+                    let mut served = 0;
+                    while let Turn::Serve(_) = queue.next_turn() {
+                        served += 1;
+                    }
+                    served
+                })
+            })
+            .collect::<Vec<_>>()
+            .into_iter()
+            .map(|handle| handle.join().unwrap())
+            .sum();
+        assert_eq!(drained, 2);
     }
 
     #[test]

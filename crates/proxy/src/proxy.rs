@@ -6,11 +6,14 @@
 //! mutex (see `ARCHITECTURE.md`, "Proxy data path"). A `GET` is a sequence
 //! of stages, [`handle_client`]: *parse* → *lookup* (first shard lock) →
 //! *plan* (pure) → *relay* → *admit* (second shard lock); no other
-//! per-object lock or name-keyed map exists. Around that, a fixed worker
-//! pool drains a bounded accept queue, origin connections are bounded by a
-//! counting semaphore, and the origin tail streams through a fixed-size
-//! reusable chunk ring, retaining only the prefix the policy may admit,
-//! never the whole object.
+//! per-object lock or name-keyed map exists. Around that, a fixed
+//! leader/followers pool (see [`crate::pool`]) accepts and serves: the
+//! thread that accepts a connection serves it whenever another thread is
+//! free to take over accepting, and only otherwise queues it; one fd per
+//! client connection, and a warm hit is one read and one vectored write.
+//! Origin connections are bounded by a counting semaphore, and the origin
+//! tail streams through a fixed-size reusable chunk ring, retaining only
+//! the prefix the policy may admit, never the whole object.
 //!
 //! On top of that sits the overload layer (see `ARCHITECTURE.md`,
 //! "Overload & admission control"): queued connections carry enqueue
@@ -22,7 +25,7 @@
 
 use crate::content::verify_content;
 use crate::error::ProxyError;
-use crate::pool::{AcceptQueue, InFlightSlot, OriginBudget, OriginPermit, PushOutcome};
+use crate::pool::{AcceptQueue, Admission, InFlightSlot, OriginBudget, OriginPermit, Turn};
 use crate::protocol::{
     read_command, read_response, write_request, write_response, Command, Request, Response,
 };
@@ -34,9 +37,9 @@ use sc_cache::policy::{PolicyKind, UtilityPolicy};
 use sc_cache::{ObjectKey, ObjectMeta, ShardedEngine};
 use sc_netmodel::{BandwidthEstimator, EwmaEstimator};
 use std::hash::{DefaultHasher, Hasher as _};
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufReader, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -66,11 +69,15 @@ pub struct ProxyConfig {
     /// observed (bytes per second). Subsequent transfers feed an EWMA
     /// estimator (passive measurement, Section 2.7 of the paper).
     pub assumed_origin_bps: f64,
-    /// Number of request-handler threads in the worker pool (must be ≥ 1).
+    /// Maximum number of requests handled concurrently (must be ≥ 1). The
+    /// pool runs one thread more than this: at any moment one thread is
+    /// the leader blocked in `accept()`, and the thread that accepts a
+    /// connection serves it itself whenever another is idle to take over
+    /// the accepting.
     pub worker_threads: usize,
-    /// Capacity of the bounded accept queue between the accept thread and
-    /// the workers (must be ≥ 1). A full queue blocks the accept thread,
-    /// pushing backpressure into the OS listen backlog.
+    /// Capacity of the bounded accept queue (must be ≥ 1). A connection is
+    /// queued only when every other pool thread is busy; a full queue
+    /// blocks the leader, pushing backpressure into the OS listen backlog.
     pub accept_queue_len: usize,
     /// Maximum concurrent connections to the origin server (0 = unlimited).
     pub max_origin_connections: usize,
@@ -93,8 +100,8 @@ pub struct ProxyConfig {
     /// [`BreakerConfig`]; a zero failure threshold disables the breaker).
     pub breaker: BreakerConfig,
     /// Maximum time a connection may sit in the accept queue before a
-    /// worker picks it up. A request whose queue wait exceeded this is
-    /// already past its latency budget, so the worker sheds it with a
+    /// thread picks it up. A request whose queue wait exceeded this is
+    /// already past its latency budget, so that thread sheds it with a
     /// `BUSY <retry-after-ms>` answer instead of serving a response
     /// nobody is waiting for. `Duration::ZERO` disables the deadline.
     pub queue_deadline: Duration,
@@ -186,13 +193,19 @@ pub struct ProxyStats {
     /// response carried only the policy-cached prefix, flagged on the wire.
     pub degraded_hits: u64,
     /// Requests shed under overload with a `BUSY` answer: in-flight-cap
-    /// evictions at admission plus queue-deadline misses in the workers.
+    /// evictions at admission plus queue-deadline misses at dequeue.
     pub shed_requests: u64,
-    /// Cumulative accept-queue wait over all dequeued connections, in
-    /// microseconds (shed or served alike).
+    /// Connections that went through the accept queue and were dequeued,
+    /// shed or served alike. Only the overflow path queues: a connection
+    /// accepted while another thread was idle is served by the accepting
+    /// thread and counts in none of the three queue figures.
+    pub queued_requests: u64,
+    /// Cumulative accept-queue wait over the `queued_requests` dequeued
+    /// connections, in microseconds.
     pub queue_wait_micros: u64,
     /// High-water mark of the accept-queue depth (connections waiting for
-    /// a worker, excluding those already being handled).
+    /// a thread, excluding those being handled); 0 as long as no
+    /// connection ever found every thread busy.
     pub peak_queue_depth: u64,
     /// Client connections dropped because a write to them timed out: the
     /// reader was too slow (or gone) and holding on would pin a worker.
@@ -209,8 +222,8 @@ impl ProxyStats {
              \"cached_objects\": {}, \"cached_bytes\": {}, \"estimated_origin_bps\": {}, \
              \"peak_tail_bytes\": {}, \"origin_retries\": {}, \"origin_resumes\": {}, \
              \"origin_backoff_micros\": {}, \"breaker_transitions\": {}, \
-             \"degraded_hits\": {}, \"shed_requests\": {}, \"queue_wait_micros\": {}, \
-             \"peak_queue_depth\": {}, \"client_timeouts\": {}}}",
+             \"degraded_hits\": {}, \"shed_requests\": {}, \"queued_requests\": {}, \
+             \"queue_wait_micros\": {}, \"peak_queue_depth\": {}, \"client_timeouts\": {}}}",
             self.requests,
             self.bytes_from_cache,
             self.bytes_from_origin,
@@ -224,6 +237,7 @@ impl ProxyStats {
             self.breaker_transitions,
             self.degraded_hits,
             self.shed_requests,
+            self.queued_requests,
             self.queue_wait_micros,
             self.peak_queue_depth,
             self.client_timeouts,
@@ -298,10 +312,10 @@ struct ProxyState {
     /// locks, and one lock covers an object's cache decision and its bytes.
     engine: ShardedEngine<Box<dyn UtilityPolicy + Send + Sync>, ShardRecords>,
     estimator: Mutex<EwmaEstimator>,
-    /// The accept queue, shared with the accept thread and workers: it is
-    /// part of the state so both the stats snapshot and the `STATS` verb
-    /// can read the shed/wait/depth counters it maintains.
-    queue: Arc<AcceptQueue>,
+    /// The pool's hand-over point and accept queue: part of the state so
+    /// both the stats snapshot and the `STATS` verb can read the
+    /// shed/wait/depth counters it maintains.
+    queue: AcceptQueue,
     origin_budget: OriginBudget,
     /// Per-origin circuit breaker guarding every dial-out.
     breaker: CircuitBreaker,
@@ -358,6 +372,7 @@ impl ProxyState {
             breaker_transitions: self.breaker.transitions(),
             degraded_hits: self.degraded_hits.load(Ordering::Relaxed),
             shed_requests: self.queue.shed_count(),
+            queued_requests: self.queue.dequeued_count(),
             queue_wait_micros: self.queue.total_wait_micros(),
             peak_queue_depth: self.queue.peak_depth(),
             client_timeouts: self.client_timeouts.load(Ordering::Relaxed),
@@ -365,7 +380,7 @@ impl ProxyState {
     }
 }
 
-/// A running caching proxy backed by a fixed worker pool.
+/// A running caching proxy backed by a fixed leader/followers pool.
 ///
 /// The proxy serves whatever prefix of the requested object it holds at
 /// LAN speed, streams the remainder from the origin over the (rate-limited)
@@ -373,19 +388,18 @@ impl ProxyState {
 /// from the observed origin throughput, and lets the configured
 /// [`PolicyKind`] decide how large a prefix of the object to retain.
 /// Shutdown is graceful: queued and in-flight requests are drained before
-/// the workers exit.
+/// the pool's threads exit.
 #[derive(Debug)]
 pub struct CachingProxy {
     addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    /// The `worker_threads + 1` pool threads; empty once shut down.
+    pool: Vec<JoinHandle<()>>,
     state: Arc<ProxyState>,
 }
 
 impl CachingProxy {
-    /// Binds to an ephemeral localhost port, spawns the worker pool and
-    /// starts accepting clients.
+    /// Binds to an ephemeral localhost port and spawns the pool, whose
+    /// first thread to run starts accepting clients.
     ///
     /// # Errors
     ///
@@ -447,17 +461,12 @@ impl CachingProxy {
             ShardRecords::default,
         )
         .map_err(|e| ProxyError::InvalidConfig("cache_capacity_bytes", e.to_string()))?;
-        let listener = TcpListener::bind("127.0.0.1:0")?;
+        let listener = Arc::new(TcpListener::bind("127.0.0.1:0")?);
         let addr = listener.local_addr()?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let queue = Arc::new(AcceptQueue::new(
-            config.accept_queue_len,
-            config.max_in_flight,
-        ));
         let state = Arc::new(ProxyState {
             engine,
             estimator: Mutex::new(EwmaEstimator::new(0.3)),
-            queue: Arc::clone(&queue),
+            queue: AcceptQueue::new(config.accept_queue_len, config.max_in_flight),
             origin_budget: OriginBudget::new(config.max_origin_connections),
             breaker: CircuitBreaker::new(config.breaker),
             open_nonce: AtomicU64::new(0),
@@ -473,66 +482,15 @@ impl CachingProxy {
             config,
         });
 
-        let workers = (0..state.config.worker_threads)
+        // Identical threads; the listener closes when the last one exits.
+        let pool = (0..=state.config.worker_threads)
             .map(|_| {
                 let state = Arc::clone(&state);
-                std::thread::spawn(move || {
-                    let mut scratch = WorkerScratch::new(state.config.policy);
-                    while let Some(conn) = state.queue.pop() {
-                        let _slot = InFlightSlot::new(&state.queue);
-                        let wait = conn.enqueued_at.elapsed();
-                        state.queue.record_wait(wait);
-                        let deadline = state.config.queue_deadline;
-                        if !deadline.is_zero() && wait > deadline {
-                            // The client has waited past its latency
-                            // budget: shedding now is cheaper for both
-                            // sides than serving a stale request.
-                            state.queue.record_shed();
-                            shed_with_busy(conn.stream, state.config.busy_retry_after_ms());
-                            continue;
-                        }
-                        let _ = handle_client(conn.stream, &state, &mut scratch);
-                    }
-                })
+                let listener = Arc::clone(&listener);
+                std::thread::spawn(move || run_pool_thread(&state, &listener))
             })
             .collect();
-
-        let accept_state = Arc::clone(&state);
-        let accept_shutdown = Arc::clone(&shutdown);
-        let accept_thread = std::thread::spawn(move || {
-            for stream in listener.incoming() {
-                if accept_shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                match stream {
-                    Ok(stream) => {
-                        let retry_after = accept_state.config.busy_retry_after_ms();
-                        match accept_state.queue.push(stream) {
-                            PushOutcome::Closed => break,
-                            PushOutcome::Queued { shed } => {
-                                if let Some(old) = shed {
-                                    shed_with_busy(old.stream, retry_after);
-                                }
-                            }
-                            PushOutcome::ShedIncoming(stream) => {
-                                shed_with_busy(stream, retry_after);
-                            }
-                        }
-                    }
-                    Err(_) => break,
-                }
-            }
-            // If the accept loop dies, let the workers drain and park
-            // rather than wait forever on a queue nobody fills.
-            accept_state.queue.close();
-        });
-        Ok(CachingProxy {
-            addr,
-            shutdown,
-            accept_thread: Some(accept_thread),
-            workers,
-            state,
-        })
+        Ok(CachingProxy { addr, pool, state })
     }
 
     /// The address streaming clients should connect to.
@@ -584,20 +542,18 @@ impl CachingProxy {
     }
 
     /// Requests shutdown, drains queued and in-flight requests, and joins
-    /// the accept thread and every worker.
+    /// every pool thread.
     pub fn shutdown(&mut self) {
-        if self.shutdown.swap(true, Ordering::SeqCst) {
+        if self.pool.is_empty() {
             return;
         }
-        // Refuse new connections (this also unblocks an accept thread stuck
-        // on a full queue), then nudge the accept loop awake.
+        // Refuse new connections (this wakes the idle followers and a
+        // leader stuck on a full queue), then nudge a leader parked in
+        // `accept()` awake; it finds the queue closed. Every thread drains
+        // whatever was queued before the close, then exits.
         self.state.queue.close();
         let _ = TcpStream::connect(self.addr);
-        if let Some(handle) = self.accept_thread.take() {
-            let _ = handle.join();
-        }
-        // Workers drain whatever was queued before the close, then exit.
-        for handle in self.workers.drain(..) {
+        for handle in self.pool.drain(..) {
             let _ = handle.join();
         }
     }
@@ -606,6 +562,62 @@ impl CachingProxy {
 impl Drop for CachingProxy {
     fn drop(&mut self) {
         self.shutdown();
+    }
+}
+
+/// One pool thread: take a turn — a queued connection, else the vacant
+/// leadership, else wait — until the queue is closed and drained.
+fn run_pool_thread(state: &ProxyState, listener: &TcpListener) {
+    let mut scratch = WorkerScratch::new(state.config.policy);
+    loop {
+        // A connection served by the thread that accepted it never waited.
+        let (stream, queue_wait) = match state.queue.next_turn() {
+            Turn::Exit => break,
+            Turn::Serve(conn) => (conn.stream, Some(conn.enqueued_at.elapsed())),
+            Turn::Lead => match lead(state, listener) {
+                Some(stream) => (stream, None),
+                None => continue,
+            },
+        };
+        let _slot = InFlightSlot::new(&state.queue);
+        if let Some(wait) = queue_wait {
+            state.queue.record_wait(wait);
+            let deadline = state.config.queue_deadline;
+            if !deadline.is_zero() && wait > deadline {
+                // The client has waited past its latency budget: shedding
+                // now is cheaper for both sides than serving a stale
+                // request.
+                state.queue.record_shed();
+                shed_with_busy(stream, state.config.busy_retry_after_ms());
+                continue;
+            }
+        }
+        let _ = handle_client(stream, state, &mut scratch);
+    }
+}
+
+/// The leader's loop: accepts and admits until a connection is this
+/// thread's to serve (leadership has then passed to a follower), or until
+/// the queue closes (`None`; the caller's next turn drains and exits).
+fn lead(state: &ProxyState, listener: &TcpListener) -> Option<TcpStream> {
+    let retry_after = state.config.busy_retry_after_ms();
+    loop {
+        let Ok((stream, _)) = listener.accept() else {
+            // Without a listener nothing will ever be admitted again: let
+            // the pool drain and exit rather than wait forever.
+            state.queue.close();
+            return None;
+        };
+        match state.queue.admit(stream) {
+            Admission::Closed => return None,
+            Admission::Inline(stream) => return Some(stream),
+            Admission::Queued { shed } => {
+                if let Some(old) = shed {
+                    shed_with_busy(old.stream, retry_after);
+                }
+            }
+            Admission::ShedIncoming(stream) => shed_with_busy(stream, retry_after),
+        }
     }
 }
 
@@ -670,8 +682,15 @@ fn retain_cap(
 /// peer that is already gone or wedged must not pin the shedding thread.
 fn shed_with_busy(stream: TcpStream, retry_after_ms: u64) {
     let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
-    let mut writer = BufWriter::new(stream);
-    let _ = write_response(&mut writer, &Response::Busy { retry_after_ms });
+    let _ = (&stream).write_all(&header_line(&Response::Busy { retry_after_ms }));
+}
+
+/// A response header framed in memory, so that it reaches the unbuffered
+/// socket in one write — alone, or in front of the first payload chunk.
+fn header_line(response: &Response) -> Vec<u8> {
+    let mut line = Vec::with_capacity(64);
+    write_response(&mut line, response).expect("writing to a Vec cannot fail");
+    line
 }
 
 /// Classifies a failed client-socket write: a timed-out write means the
@@ -690,38 +709,73 @@ fn client_err(state: &ProxyState, err: ProxyError) -> ProxyError {
     err
 }
 
-/// Writes payload bytes to the client in ring-sized chunks, paced by the
-/// per-client token bucket and with write failures classified through
-/// [`client_err`].
+/// Writes `head` (a framed response header, or nothing) and then payload
+/// bytes to the client in ring-sized chunks, paced by the per-client token
+/// bucket and with write failures classified through [`client_err`]. The
+/// header rides in front of the first chunk in one vectored write — one
+/// segment instead of two on a warm hit — and goes out alone only when
+/// there is no payload or the payload has to wait for the bucket.
 fn write_paced(
     state: &ProxyState,
-    writer: &mut BufWriter<TcpStream>,
+    mut client: &TcpStream,
+    mut head: &[u8],
     bytes: &[u8],
     pace: &mut RateLimiter,
 ) -> Result<(), ProxyError> {
-    for chunk in bytes.chunks(RING_BYTES) {
-        pace.acquire(chunk.len());
-        writer
-            .write_all(chunk)
-            .map_err(|e| client_err(state, ProxyError::Io(e)))?;
+    let classify = |e| client_err(state, ProxyError::Io(e));
+    let mut chunks = bytes.chunks(RING_BYTES);
+    let first = chunks.next().unwrap_or_default();
+    // The header never waits on the token bucket: if the first chunk must,
+    // the header goes ahead of it alone.
+    if !head.is_empty() && !pace.would_sleep(first.len()).is_zero() {
+        client
+            .write_all(std::mem::take(&mut head))
+            .map_err(classify)?;
     }
-    writer
-        .flush()
-        .map_err(|e| client_err(state, ProxyError::Io(e)))?;
+    pace.acquire(first.len());
+    write_all_pair(&mut client, head, first).map_err(classify)?;
+    for chunk in chunks {
+        pace.acquire(chunk.len());
+        client.write_all(chunk).map_err(classify)?;
+    }
     Ok(())
+}
+
+/// `write_all` of `head` followed by `body`, starting with one vectored
+/// write of both (std's `write_all_vectored` is unstable).
+fn write_all_pair<W: Write>(wire: &mut W, head: &[u8], body: &[u8]) -> std::io::Result<()> {
+    if head.is_empty() {
+        return wire.write_all(body);
+    }
+    let written = loop {
+        match wire.write_vectored(&[IoSlice::new(head), IoSlice::new(body)]) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => break n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    };
+    // A short write (full socket buffer): the rest goes out piecewise.
+    if let Some(rest) = head.get(written..) {
+        wire.write_all(rest)?;
+        wire.write_all(body)
+    } else {
+        wire.write_all(&body[written - head.len()..])
+    }
 }
 
 /// Serves one client connection as a sequence of stages: *parse* the
 /// command, *lookup* the object's record (first shard lock), *plan* the
 /// answer (pure, consulting the origin only when it must), send header and
-/// cached prefix, *relay* the origin tail, and *admit* the object (second
-/// shard lock).
+/// cached prefix in one write, *relay* the origin tail, and *admit* the
+/// object (second shard lock).
 fn handle_client(
     stream: TcpStream,
     state: &ProxyState,
     scratch: &mut WorkerScratch,
 ) -> Result<(), ProxyError> {
-    let Some((mut writer, name)) = parse(stream, state)? else {
+    let client = &stream;
+    let Some(name) = parse(client, state)? else {
         return Ok(());
     };
     // Per-client pacing: one token bucket per connection, so a greedy
@@ -739,13 +793,16 @@ fn handle_client(
         origin = conn;
         answer
     });
-    write_response(&mut writer, &wire_answer(&decided)).map_err(|e| client_err(state, e))?;
+    // The cached prefix goes out immediately (LAN speed), behind the
+    // header; an `ERR` goes out alone.
+    let prefix = match &decided {
+        Ok(plan) => &found.cached[..found.cached.len().min(plan.header.size as usize)],
+        Err(_) => &[],
+    };
+    let head = header_line(&wire_answer(&decided));
+    write_paced(state, client, &head, prefix, &mut pace)?;
     let plan = decided.map_err(|failure| failure.into_error(&name))?;
-
-    // The cached prefix goes out immediately (LAN speed).
     let Header { size, bitrate_bps } = plan.header;
-    let prefix = &found.cached[..found.cached.len().min(size as usize)];
-    write_paced(state, &mut writer, prefix, &mut pace)?;
 
     let mut tail_len = 0;
     if plan.action == Action::Degrade {
@@ -763,7 +820,7 @@ fn handle_client(
             cacheable: found.ours,
         };
         let origin_bps;
-        (tail_len, origin_bps) = relay(state, &job, origin, &mut writer, &mut pace, scratch)?;
+        (tail_len, origin_bps) = relay(state, &job, origin, client, &mut pace, scratch)?;
         // Defensive check: the retained tail must continue the cached prefix.
         debug_assert_eq!(
             verify_content(&name, prefix.len() as u64, &scratch.retained),
@@ -797,27 +854,24 @@ fn handle_client(
 
 /// Stage 1: socket options and one command off the wire. `STATS` and
 /// malformed input are answered here (`Ok(None)` / `Err`); a `GET` comes
-/// back as the client's writer plus the requested name.
-fn parse(
-    stream: TcpStream,
-    state: &ProxyState,
-) -> Result<Option<(BufWriter<TcpStream>, String)>, ProxyError> {
-    stream.set_nodelay(true).ok();
+/// back as the requested name.
+fn parse(mut client: &TcpStream, state: &ProxyState) -> Result<Option<String>, ProxyError> {
+    client.set_nodelay(true).ok();
     if !state.config.client_write_timeout.is_zero() {
-        stream
+        client
             .set_write_timeout(Some(state.config.client_write_timeout))
             .ok();
     }
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
-    match read_command(&mut reader) {
-        Ok(Command::Get(request)) => Ok(Some((writer, request.name))),
+    // Reads through the shared reference: no second fd. The buffer stays at
+    // std's 8 KiB — closing with more junk unread than a smaller one takes
+    // in makes the kernel answer RST and the peer never sees the `ERR`.
+    match read_command(&mut BufReader::new(client)) {
+        Ok(Command::Get(request)) => Ok(Some(request.name)),
         Ok(Command::Stats) => {
             let mut json = state.snapshot().to_json();
             json.push('\n');
-            writer
+            client
                 .write_all(json.as_bytes())
-                .and_then(|()| writer.flush())
                 .map_err(|e| client_err(state, ProxyError::Io(e)))?;
             Ok(None)
         }
@@ -825,7 +879,7 @@ fn parse(
             // Malformed or adversarial input: the bounded parser already
             // stopped reading; answer with a clean ERR and drop the
             // connection (best-effort — the peer may be gone).
-            let _ = write_response(&mut writer, &Response::Err("malformed request".into()));
+            let _ = client.write_all(&header_line(&Response::Err("malformed request".into())));
             Err(err)
         }
         Err(err) => Err(err),
@@ -964,7 +1018,7 @@ fn relay<'a>(
     state: &'a ProxyState,
     job: &Job<'_>,
     mut origin: Option<OriginConn<'a>>,
-    writer: &mut BufWriter<TcpStream>,
+    client: &TcpStream,
     pace: &mut RateLimiter,
     scratch: &mut WorkerScratch,
 ) -> Result<(u64, Option<f64>), ProxyError> {
@@ -1004,7 +1058,7 @@ fn relay<'a>(
                 continue;
             }
         };
-        write_paced(state, writer, &scratch.chunk[..n], pace)?;
+        write_paced(state, client, &[], &scratch.chunk[..n], pace)?;
         tail_len += n as u64;
         let elapsed = started.elapsed().as_secs_f64();
         if elapsed > 0.0 {
@@ -1153,15 +1207,18 @@ fn try_open_origin(
         TcpStream::connect_timeout(&state.config.origin_addr, state.config.connect_timeout)?;
     stream.set_read_timeout(Some(state.config.origin_read_timeout))?;
     stream.set_nodelay(true).ok();
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut origin_writer = BufWriter::new(stream);
+    // The request line is framed in memory and sent through the shared
+    // reference: one write, and the one fd then belongs to the reader.
+    let mut line = Vec::with_capacity(name.len() + 32);
     write_request(
-        &mut origin_writer,
+        &mut line,
         &Request {
             name: name.to_string(),
             offset,
         },
     )?;
+    (&stream).write_all(&line)?;
+    let mut reader = BufReader::new(stream);
     match read_response(&mut reader)? {
         Response::Ok {
             size, bitrate_bps, ..
@@ -1226,6 +1283,7 @@ mod tests {
         let stats = ProxyStats {
             requests: 7,
             shed_requests: 3,
+            queued_requests: 5,
             peak_queue_depth: 11,
             client_timeouts: 2,
             estimated_origin_bps: 64_000.0,
@@ -1235,12 +1293,59 @@ mod tests {
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"requests\": 7"));
         assert!(json.contains("\"shed_requests\": 3"));
+        assert!(json.contains("\"queued_requests\": 5"));
         assert!(json.contains("\"peak_queue_depth\": 11"));
         assert!(json.contains("\"client_timeouts\": 2"));
         assert!(json.contains("\"queue_wait_micros\": 0"));
         assert!(json.contains("\"estimated_origin_bps\": 64000"));
         // One line, no trailing newline: the verb handler appends it.
         assert!(!json.contains('\n'));
+    }
+
+    #[test]
+    fn write_all_pair_survives_a_short_first_write_at_every_split() {
+        /// Takes at most `first` bytes on its first call, everything after.
+        struct Short {
+            first: usize,
+            calls: usize,
+            out: Vec<u8>,
+        }
+        impl Write for Short {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.write_vectored(&[IoSlice::new(buf)])
+            }
+            fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+                self.calls += 1;
+                let room = std::mem::replace(&mut self.first, usize::MAX);
+                let before = self.out.len();
+                for buf in bufs {
+                    let take = buf.len().min(room - (self.out.len() - before));
+                    self.out.extend_from_slice(&buf[..take]);
+                }
+                Ok(self.out.len() - before)
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let wire = |first| Short {
+            first,
+            calls: 0,
+            out: Vec::new(),
+        };
+        let (head, body) = (b"OK 5 1000\n", b"hello");
+        for first in 1..=head.len() + body.len() {
+            let mut wire = wire(first);
+            write_all_pair(&mut wire, head, body).unwrap();
+            assert_eq!(wire.out, b"OK 5 1000\nhello", "first write took {first}");
+        }
+        // Nothing short: header and body leave in one call.
+        let mut whole = wire(usize::MAX);
+        write_all_pair(&mut whole, head, body).unwrap();
+        assert_eq!(whole.calls, 1);
+        // A wire that takes nothing is an error, not a spin.
+        let stuck = write_all_pair(&mut wire(0), head, body).unwrap_err();
+        assert_eq!(stuck.kind(), std::io::ErrorKind::WriteZero);
     }
 
     #[test]

@@ -176,3 +176,51 @@ fn capacity_pressure_evicts_lower_utility_objects() {
         stats.cached_bytes
     );
 }
+
+/// The header and the first cached chunk normally leave in one write; a
+/// per-client pace that makes the chunk wait must not hold the header back
+/// with it.
+#[test]
+fn paced_client_gets_its_header_before_the_bucket_opens() {
+    use sc_proxy::protocol::{read_response, write_request, Request, Response};
+    use std::io::{BufReader, Read};
+    use std::time::{Duration, Instant};
+
+    let origin = OriginServer::start(OriginConfig {
+        objects: vec![ObjectSpec::new("clip", 32 * 1024, 1e6)],
+        rate_limit_bps: 0.0,
+    })
+    .unwrap();
+    let mut config = ProxyConfig::new(origin.addr(), 1e9);
+    config.policy = PolicyKind::IntegralFrequency;
+    config.client_rate_limit_bps = 64.0 * 1024.0; // the 32 KiB prefix waits 0.5 s
+    let proxy = CachingProxy::start(config).unwrap();
+    StreamingClient::new().fetch(proxy.addr(), "clip").unwrap();
+    assert_eq!(proxy.cached_prefix_len("clip"), 32 * 1024);
+
+    let started = Instant::now();
+    let mut stream = std::net::TcpStream::connect(proxy.addr()).unwrap();
+    let request = Request {
+        name: "clip".into(),
+        offset: 0,
+    };
+    write_request(&mut stream, &request).unwrap();
+    let mut reader = BufReader::new(stream);
+    assert!(matches!(
+        read_response(&mut reader).unwrap(),
+        Response::Ok { size: 32_768, .. }
+    ));
+    let header_after = started.elapsed();
+    let mut body = Vec::new();
+    reader.read_to_end(&mut body).unwrap();
+    assert_eq!(body.len(), 32 * 1024);
+    assert!(
+        header_after < Duration::from_millis(250),
+        "header took {header_after:?}"
+    );
+    assert!(
+        started.elapsed() >= Duration::from_millis(400),
+        "the body was not paced: {:?}",
+        started.elapsed()
+    );
+}

@@ -182,6 +182,59 @@ fn graceful_shutdown_drains_and_joins() {
     assert!(client.fetch(proxy.addr(), "clip").is_err());
 }
 
+/// The leader/followers hand-over under sustained load at its tightest: one
+/// worker means two pool threads swapping the leader role on nearly every
+/// connection while up to three more wait in the queue. A lost wake-up or a
+/// stranded queue entry shows as a hung client; a double hand-over as a
+/// miscounted request.
+#[test]
+fn one_worker_pool_answers_every_request_once_and_joins_from_accept() {
+    const CLIENTS: usize = 4;
+    const REQUESTS_PER_CLIENT: usize = 2_000;
+    const OBJECT_BYTES: u64 = 4 * 1024;
+    let origin = OriginServer::start(OriginConfig {
+        objects: vec![ObjectSpec::new("clip", OBJECT_BYTES, 1e6)],
+        rate_limit_bps: 0.0,
+    })
+    .unwrap();
+    let mut config = ProxyConfig::new(origin.addr(), 1e9);
+    config.policy = PolicyKind::IntegralFrequency;
+    config.worker_threads = 1;
+    let mut proxy = CachingProxy::start(config).unwrap();
+    let addr = proxy.addr();
+
+    std::thread::scope(|scope| {
+        for _ in 0..CLIENTS {
+            scope.spawn(move || {
+                let client = StreamingClient::new();
+                for _ in 0..REQUESTS_PER_CLIENT {
+                    let report = client.fetch(addr, "clip").unwrap();
+                    assert!(report.content_ok);
+                    assert_eq!(report.bytes, OBJECT_BYTES);
+                }
+            });
+        }
+    });
+
+    let stats = proxy.stats();
+    assert_eq!(stats.requests, (CLIENTS * REQUESTS_PER_CLIENT) as u64);
+    assert_eq!(stats.shed_requests, 0);
+    // Closed-loop clients hold one connection each (a client may be back
+    // with its next one while the thread that served it is still tidying
+    // up), and those served by the thread that accepted them never queue.
+    assert!(stats.peak_queue_depth <= CLIENTS as u64);
+    assert!(stats.queued_requests <= stats.requests);
+    // Nothing in flight: one thread is parked in `accept()`, the other
+    // waits for its turn. Both must come home promptly.
+    let started = std::time::Instant::now();
+    proxy.shutdown();
+    assert!(
+        started.elapsed() < Duration::from_secs(1),
+        "joining the idle pool took {:?}",
+        started.elapsed()
+    );
+}
+
 /// A proxy config with test-friendly resilience bounds: short per-attempt
 /// timeouts, two attempts with millisecond backoff, and a breaker that
 /// trips after two consecutive failures and cools down in 80 ms.
