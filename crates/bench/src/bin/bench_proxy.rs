@@ -1,7 +1,6 @@
 //! End-to-end proxy load benchmark: concurrent streaming clients against a
 //! synthetic origin through the caching proxy, emitted as `BENCH_proxy.json`
-//! so the proxy request-path perf trajectory is tracked across PRs
-//! (alongside `BENCH_hotpath.json` for the cache core).
+//! so the proxy request-path perf trajectory is tracked across PRs.
 //!
 //! Run `cargo run --release -p sc_bench --bin bench_proxy` for the full
 //! measurement (64 concurrent clients), or `-- --smoke` for the reduced CI

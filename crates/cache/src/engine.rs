@@ -5,8 +5,8 @@
 
 use crate::error::CacheError;
 use crate::fx::FxHashMap;
-use crate::heap::UtilityHeap;
 use crate::object::{ObjectKey, ObjectMeta};
+use crate::order::EvictionOrder;
 use crate::policy::UtilityPolicy;
 use crate::stats::CacheStats;
 
@@ -31,7 +31,7 @@ pub struct AccessOutcome {
 
 /// Per-object state, stored in one contiguous slab indexed by slot handle.
 ///
-/// `cached_bytes > 0` if and only if the slot is in the utility heap: the
+/// `cached_bytes > 0` if and only if the slot is in the eviction order: the
 /// engine zeroes the field on every eviction, so membership, allocation
 /// and frequency are all one indexed load away from a slot handle.
 #[derive(Debug, Clone, Copy)]
@@ -48,7 +48,9 @@ struct Slot {
 /// utility, and on each access tries to bring the accessed object up to its
 /// policy-defined target allocation, evicting strictly-lower-utility objects
 /// as needed. Heap operations make each access `O(log n)` in the number of
-/// cached objects.
+/// cached objects; a policy that declares its utility to be the access
+/// clock ([`UtilityPolicy::utility_is_access_clock`], i.e. LRU) is kept in a
+/// recency list instead, `O(1)` per access with the same evictions.
 ///
 /// Internally all per-object state (frequency, cached bytes, heap
 /// position) lives in a dense slab addressed by `u32` slot handles. Callers
@@ -86,7 +88,9 @@ pub struct CacheEngine<P> {
     policy: P,
     slots: Vec<Slot>,
     key_to_slot: FxHashMap<ObjectKey, u32>,
-    heap: UtilityHeap,
+    /// The cached slots by utility: a heap, or a recency list when the
+    /// policy's utility is this engine's `clock`.
+    order: EvictionOrder,
     /// Reusable victim buffer for [`rebalance`](Self::rebalance):
     /// `(slot, cached bytes, utility)` of each popped candidate. A commit
     /// leaves the victims in place for [`last_evictions`](Self::last_evictions);
@@ -107,13 +111,14 @@ impl<P: UtilityPolicy> CacheEngine<P> {
         if !capacity_bytes.is_finite() || capacity_bytes < 0.0 {
             return Err(CacheError::InvalidCapacity(capacity_bytes));
         }
+        let order = EvictionOrder::new(policy.utility_is_access_clock());
         Ok(CacheEngine {
             capacity_bytes,
             used_bytes: 0.0,
             policy,
             slots: Vec::new(),
             key_to_slot: FxHashMap::default(),
-            heap: UtilityHeap::new(),
+            order,
             scratch: Vec::new(),
             clock: 0,
             stats: CacheStats::default(),
@@ -137,12 +142,12 @@ impl<P: UtilityPolicy> CacheEngine<P> {
 
     /// Number of objects with a cached prefix.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.order.len()
     }
 
     /// Returns `true` if nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.order.len() == 0
     }
 
     /// The policy driving this cache.
@@ -190,7 +195,7 @@ impl<P: UtilityPolicy> CacheEngine<P> {
                 slot.key
             );
         }
-        self.heap.reserve_handles(n);
+        self.order.reserve_handles(n);
         self.key_to_slot.reserve(n.saturating_sub(self.slots.len()));
         for i in self.slots.len()..n {
             let key = ObjectKey::new(i as u64);
@@ -235,7 +240,7 @@ impl<P: UtilityPolicy> CacheEngine<P> {
 
     /// Whether any prefix of `key` is cached.
     pub fn contains(&self, key: ObjectKey) -> bool {
-        self.slot_of(key).is_some_and(|s| self.heap.contains(s))
+        self.slot_of(key).is_some_and(|s| self.order.contains(s))
     }
 
     /// Number of requests observed for `key` so far.
@@ -247,7 +252,7 @@ impl<P: UtilityPolicy> CacheEngine<P> {
     /// Snapshot of the cache contents as `(key, cached_bytes)` pairs in
     /// unspecified order.
     pub fn contents(&self) -> Vec<(ObjectKey, f64)> {
-        self.heap
+        self.order
             .iter()
             .map(|(slot, _)| {
                 let s = &self.slots[slot as usize];
@@ -259,7 +264,7 @@ impl<P: UtilityPolicy> CacheEngine<P> {
     /// Removes every cached object and returns the number of evictions.
     /// Frequencies and statistics are preserved.
     pub fn clear(&mut self) -> usize {
-        let n = self.heap.len();
+        let n = self.order.len();
         for slot in &mut self.slots {
             if slot.cached_bytes > 0.0 {
                 self.stats.evictions += 1;
@@ -267,7 +272,7 @@ impl<P: UtilityPolicy> CacheEngine<P> {
                 slot.cached_bytes = 0.0;
             }
         }
-        self.heap.clear();
+        self.order.clear();
         self.used_bytes = 0.0;
         n
     }
@@ -388,18 +393,15 @@ impl<P: UtilityPolicy> CacheEngine<P> {
         // victims (see `last_evictions`).
         self.scratch.clear();
 
-        // Nothing to grow: refresh the heap key and return.
+        // Nothing to grow: refresh the key and return.
         if target <= cached_before {
-            if self.heap.contains(slot) {
-                self.heap.update(slot, utility);
-            }
+            self.order.update(slot, utility);
             return (cached_before, 0, false);
         }
 
         // Conceptually take the object's current allocation out, then try to
         // re-admit it at the target size.
-        if self.heap.contains(slot) {
-            self.heap.remove(slot);
+        if self.order.remove(slot).is_some() {
             self.used_bytes -= cached_before;
         }
 
@@ -407,9 +409,9 @@ impl<P: UtilityPolicy> CacheEngine<P> {
         // fits or no eligible victim remains. Eviction is committed only if
         // admission succeeds; otherwise the pops are rolled back.
         while self.capacity_bytes - self.used_bytes < target {
-            match self.heap.peek_min() {
+            match self.order.peek_min() {
                 Some((victim, victim_utility)) if victim_utility < utility => {
-                    self.heap.pop_min();
+                    self.order.pop_min();
                     let bytes = self.slots[victim as usize].cached_bytes;
                     self.used_bytes -= bytes;
                     self.scratch.push((victim, bytes, victim_utility));
@@ -442,7 +444,7 @@ impl<P: UtilityPolicy> CacheEngine<P> {
             let evicted = self.scratch.len();
             self.slots[slot as usize].cached_bytes = grant;
             self.used_bytes += grant;
-            self.heap.insert(slot, utility);
+            self.order.insert(slot, utility);
             let grew = grant > cached_before;
             if grew {
                 self.stats.admissions += 1;
@@ -454,12 +456,12 @@ impl<P: UtilityPolicy> CacheEngine<P> {
             // Roll back: restore the popped victims and the object itself.
             for &(victim, bytes, victim_utility) in self.scratch.iter().rev() {
                 self.used_bytes += bytes;
-                self.heap.insert(victim, victim_utility);
+                self.order.insert(victim, victim_utility);
             }
             self.scratch.clear();
             if cached_before > 0.0 {
                 self.used_bytes += cached_before;
-                self.heap.insert(slot, utility);
+                self.order.insert(slot, utility);
             }
             (cached_before, 0, false)
         }

@@ -14,6 +14,15 @@
 //! equal-utility entries pops first) is a pure function of the operation
 //! sequence — there is no hash-order or address-order dependence — which is
 //! what lets the simulator's golden-metrics tests pin results bit-for-bit.
+//!
+//! The sifts move a *hole* rather than swapping: the travelling entry is
+//! loaded once, each level pulls one neighbour into the hole (one entry
+//! write and one position write, not two of each), and the entry lands with
+//! a single write where the hole stops. The comparisons are the ones a
+//! swap-based sift makes — smaller child first, the left one on a tie, stop
+//! unless strictly smaller — so the array after every operation is the one
+//! swapping would produce. `tests/eviction_order.rs` keeps the swap version
+//! as a reference and compares layouts under heavy ties.
 
 /// Sentinel position meaning "handle not present".
 const ABSENT: u32 = u32::MAX;
@@ -128,9 +137,7 @@ impl UtilityHeap {
             return;
         }
         self.entries.push((handle, utility));
-        let idx = self.entries.len() - 1;
-        self.positions[handle as usize] = idx as u32;
-        self.sift_up(idx);
+        self.sift_up(self.entries.len() - 1, (handle, utility));
     }
 
     /// Updates the utility of an existing entry; inserts it if absent.
@@ -138,17 +145,16 @@ impl UtilityHeap {
     /// # Panics
     ///
     /// Panics if `utility` is NaN.
+    #[inline]
     pub fn update(&mut self, handle: u32, utility: f64) {
         assert!(!utility.is_nan(), "utility must not be NaN");
         match self.position(handle) {
             None => self.insert(handle, utility),
             Some(idx) => {
-                let old = self.entries[idx].1;
-                self.entries[idx].1 = utility;
-                if utility < old {
-                    self.sift_up(idx);
+                if utility < self.entries[idx].1 {
+                    self.sift_up(idx, (handle, utility));
                 } else {
-                    self.sift_down(idx);
+                    self.sift_down(idx, (handle, utility));
                 }
             }
         }
@@ -158,13 +164,10 @@ impl UtilityHeap {
     /// root-to-leaf sift.
     pub fn pop_min(&mut self) -> Option<(u32, f64)> {
         let min = *self.entries.first()?;
-        let last = self.entries.len() - 1;
-        self.entries.swap(0, last);
-        self.entries.pop();
+        let last = self.entries.pop()?;
         self.positions[min.0 as usize] = ABSENT;
         if !self.entries.is_empty() {
-            self.positions[self.entries[0].0 as usize] = 0;
-            self.sift_down(0);
+            self.sift_down(0, last);
         }
         Some(min)
     }
@@ -173,15 +176,11 @@ impl UtilityHeap {
     pub fn remove(&mut self, handle: u32) -> Option<f64> {
         let idx = self.position(handle)?;
         let removed_utility = self.entries[idx].1;
-        let last = self.entries.len() - 1;
-        self.entries.swap(idx, last);
-        let moved = self.entries[idx].0;
-        self.positions[moved as usize] = idx as u32;
-        self.entries.pop();
+        let last = self.entries.pop()?;
         self.positions[handle as usize] = ABSENT;
         if idx < self.entries.len() {
-            self.sift_down(idx);
-            self.sift_up(idx);
+            self.sift_down(idx, last);
+            self.sift_up(idx, self.entries[idx]);
         }
         Some(removed_utility)
     }
@@ -200,42 +199,55 @@ impl UtilityHeap {
         self.entries.iter().copied()
     }
 
-    fn sift_up(&mut self, mut idx: usize) {
-        while idx > 0 {
-            let parent = (idx - 1) / 2;
-            if self.entries[idx].1 < self.entries[parent].1 {
-                self.swap(idx, parent);
-                idx = parent;
+    /// Places `moving` at `hole` or nearer the root: parents larger than it
+    /// are pulled down into the hole, the entry and its position are written
+    /// once where the hole stops. Whatever `entries[hole]` held is
+    /// overwritten.
+    fn sift_up(&mut self, mut hole: usize, moving: (u32, f64)) {
+        let entries = self.entries.as_mut_slice();
+        while hole > 0 {
+            let parent = (hole - 1) / 2;
+            let pulled = entries[parent];
+            if moving.1 < pulled.1 {
+                entries[hole] = pulled;
+                self.positions[pulled.0 as usize] = hole as u32;
+                hole = parent;
             } else {
                 break;
             }
         }
+        entries[hole] = moving;
+        self.positions[moving.0 as usize] = hole as u32;
     }
 
-    fn sift_down(&mut self, mut idx: usize) {
+    /// Places `moving` at `hole` or nearer the leaves: the smaller child
+    /// (the left one on a tie) is pulled up while it is smaller than the
+    /// entry. Whatever `entries[hole]` held is overwritten.
+    fn sift_down(&mut self, mut hole: usize, moving: (u32, f64)) {
+        let entries = self.entries.as_mut_slice();
+        let len = entries.len();
         loop {
-            let left = 2 * idx + 1;
-            let right = 2 * idx + 2;
-            let mut smallest = idx;
-            if left < self.entries.len() && self.entries[left].1 < self.entries[smallest].1 {
-                smallest = left;
-            }
-            if right < self.entries.len() && self.entries[right].1 < self.entries[smallest].1 {
-                smallest = right;
-            }
-            if smallest == idx {
+            let left = 2 * hole + 1;
+            if left >= len {
                 break;
             }
-            self.swap(idx, smallest);
-            idx = smallest;
+            let right = left + 1;
+            let child = if right < len && entries[right].1 < entries[left].1 {
+                right
+            } else {
+                left
+            };
+            let pulled = entries[child];
+            if pulled.1 < moving.1 {
+                entries[hole] = pulled;
+                self.positions[pulled.0 as usize] = hole as u32;
+                hole = child;
+            } else {
+                break;
+            }
         }
-    }
-
-    #[inline]
-    fn swap(&mut self, a: usize, b: usize) {
-        self.entries.swap(a, b);
-        self.positions[self.entries[a].0 as usize] = a as u32;
-        self.positions[self.entries[b].0 as usize] = b as u32;
+        entries[hole] = moving;
+        self.positions[moving.0 as usize] = hole as u32;
     }
 
     /// Checks the internal heap invariant (every parent's utility is at most

@@ -19,7 +19,8 @@
 //!   (IF, IB, PB, PB(e), PB-V, IB-V) plus LRU/LFU baselines, all expressed
 //!   as [`policy::UtilityPolicy`] implementations.
 //! * [`CacheEngine`] — the online replacement engine of Section 2.4:
-//!   frequency estimation, a utility [`UtilityHeap`], admission and
+//!   frequency estimation, a utility [`UtilityHeap`] (or, for LRU, a
+//!   recency list that evicts identically), admission and
 //!   eviction. Per-object state lives in a dense slab addressed by `u32`
 //!   slot handles, so the steady-state access path is hash-free and
 //!   allocation-free (see `ARCHITECTURE.md`, "Hot path & performance").
@@ -70,6 +71,7 @@ pub mod fx;
 mod heap;
 mod object;
 mod optimal;
+mod order;
 pub mod policy;
 mod shard;
 mod stats;

@@ -11,7 +11,9 @@ use crate::policy::traits::UtilityPolicy;
 /// for baseline comparisons and ablations.
 ///
 /// The utility is the logical access clock supplied by the engine, so a
-/// larger utility means "accessed more recently".
+/// larger utility means "accessed more recently" — and nothing else, which
+/// [`utility_is_access_clock`](UtilityPolicy::utility_is_access_clock)
+/// declares: the engine then keeps LRU's objects in a recency list.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Lru;
 
@@ -37,6 +39,10 @@ impl UtilityPolicy for Lru {
 
     fn allows_partial_admission(&self) -> bool {
         false
+    }
+
+    fn utility_is_access_clock(&self) -> bool {
+        true
     }
 }
 

@@ -16,15 +16,18 @@ use std::fmt;
 /// | PB(e)  | `F / b`                             | `(r − e·b)⁺ · T`              |
 /// | PB-V   | `F·V / ((r − e·b)⁺ · T)`            | `(r − e·b)⁺ · T`              |
 /// | IB-V   | `F·V / (T · r · b)`                 | whole object if `r > b`       |
-/// | LRU    | logical access clock                | whole object                  |
+/// | LRU    | logical access clock †              | whole object                  |
 /// | LFU    | `F`                                 | whole object                  |
 ///
 /// where `F` is the observed request count, `b` the estimated bandwidth to
 /// the origin, `r` the bit-rate, `T` the duration and `V` the value.
+/// † LRU declares [`utility_is_access_clock`](Self::utility_is_access_clock),
+/// so the engine orders it with a recency list rather than the heap.
 ///
 /// The [`CacheEngine`](crate::CacheEngine) drives the policy: it tracks
-/// frequencies, keeps cached objects in a utility heap, and evicts the
-/// lowest-utility entries to make room for higher-utility ones.
+/// frequencies, keeps cached objects ordered by utility (a heap, Section
+/// 2.4), and evicts the lowest-utility entries to make room for
+/// higher-utility ones.
 pub trait UtilityPolicy: fmt::Debug {
     /// Short human-readable name ("PB", "IB", …) used in reports.
     fn name(&self) -> String;
@@ -49,6 +52,22 @@ pub trait UtilityPolicy: fmt::Debug {
     /// policies return `true`; integral (whole-object) policies return
     /// `false` so that admission is all-or-nothing.
     fn allows_partial_admission(&self) -> bool;
+
+    /// Declares that **every** value [`utility`](Self::utility) returns is
+    /// its `clock` argument (as `f64`), whatever the other arguments.
+    ///
+    /// The engine reads this once, at construction. The clock grows with
+    /// every access, so for such a policy eviction order is arrival order
+    /// and the engine keeps its cached objects in an O(1) recency list
+    /// instead of the utility heap; hits, evictions and statistics are the
+    /// ones the heap would produce. The list checks every key it is handed
+    /// and panics on one that is not in clock order, so a wrong `true` is
+    /// loud, never a silently different eviction. The default `false` is
+    /// always safe; a wrapper that forwards `utility` but not this method
+    /// (the `Box<P>` implementation forwards both) only loses the list.
+    fn utility_is_access_clock(&self) -> bool {
+        false
+    }
 }
 
 impl<P: UtilityPolicy + ?Sized> UtilityPolicy for Box<P> {
@@ -66,6 +85,10 @@ impl<P: UtilityPolicy + ?Sized> UtilityPolicy for Box<P> {
 
     fn allows_partial_admission(&self) -> bool {
         (**self).allows_partial_admission()
+    }
+
+    fn utility_is_access_clock(&self) -> bool {
+        (**self).utility_is_access_clock()
     }
 }
 

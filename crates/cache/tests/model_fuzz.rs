@@ -10,10 +10,20 @@
 //! (bitwise). Tight capacities keep the streams deep in the
 //! admission/eviction/rollback regime of `rebalance`.
 //!
-//! Utility ties would make the victim choice ambiguous between a heap and
-//! a scan, so the streams draw continuous random bandwidths: utilities
-//! (`F/b` for the bandwidth-aware policies) are then distinct with
-//! probability 1 and the comparison is exact.
+//! Utility ties make the victim choice ambiguous between a heap and a scan.
+//! The bandwidth-aware policies draw continuous random bandwidths, so their
+//! utilities (`F/b`) are distinct with probability 1; LRU's clock values are
+//! distinct by construction. IF's integer frequencies tie all the time, so
+//! the model is handed the engine's [`CacheEngine::last_evictions`] and, at
+//! each pop, follows the engine's pick **only if** that pick is one of the
+//! minimum-utility entries of its own scan — any other pick makes the two
+//! diverge and the comparison fail. The victims the model ends up with must
+//! then equal the engine's `(key, bytes, utility)` triples bitwise.
+//!
+//! Object sizes run from 0.2 to 4 units against capacities of 0.75–3 units,
+//! so some objects exceed the whole cache: under LRU such an access pops
+//! every entry (all are older than the clock) and rolls all of them back.
+//! Every [`CLEAR_EVERY`] steps both sides are cleared.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -34,6 +44,10 @@ struct ReferenceModel<P> {
     hits: u64,
     evictions: u64,
     admissions: u64,
+    /// `(key, bytes, utility)` of the victims the last access committed.
+    last_victims: Vec<(u64, f64, f64)>,
+    /// Rollbacks that had popped every other entry before giving up.
+    full_drain_rollbacks: u64,
 }
 
 impl<P: UtilityPolicy> ReferenceModel<P> {
@@ -48,10 +62,28 @@ impl<P: UtilityPolicy> ReferenceModel<P> {
             hits: 0,
             evictions: 0,
             admissions: 0,
+            last_victims: Vec::new(),
+            full_drain_rollbacks: 0,
         }
     }
 
-    fn on_access(&mut self, meta: &ObjectMeta, bandwidth_bps: f64) -> AccessOutcome {
+    /// Drops every entry, counting each as an eviction; frequencies stay.
+    fn clear(&mut self) -> usize {
+        let n = self.entries.len();
+        self.evictions += n as u64;
+        self.entries.clear();
+        self.used = 0.0;
+        n
+    }
+
+    /// `engine_victims` is the engine's eviction order for the same access,
+    /// consulted only to break utility ties (see the module header).
+    fn on_access(
+        &mut self,
+        meta: &ObjectMeta,
+        bandwidth_bps: f64,
+        engine_victims: &[u64],
+    ) -> AccessOutcome {
         self.clock += 1;
         let key = meta.key.as_u64();
         let freq = {
@@ -77,7 +109,7 @@ impl<P: UtilityPolicy> ReferenceModel<P> {
             .clamp(0.0, size);
 
         let (cached_after, evictions, admitted) =
-            self.rebalance(key, cached_before, target, utility);
+            self.rebalance(key, cached_before, target, utility, engine_victims);
 
         AccessOutcome {
             cached_bytes_before: cached_before,
@@ -95,7 +127,9 @@ impl<P: UtilityPolicy> ReferenceModel<P> {
         cached_before: f64,
         target: f64,
         utility: f64,
+        engine_victims: &[u64],
     ) -> (f64, usize, bool) {
+        self.last_victims.clear();
         if target <= cached_before {
             if let Some(entry) = self.entries.get_mut(&key) {
                 entry.1 = utility;
@@ -109,17 +143,29 @@ impl<P: UtilityPolicy> ReferenceModel<P> {
         if self.entries.contains_key(&key) {
             used -= cached_before;
         }
-        let mut victims: Vec<u64> = Vec::new();
+        let mut victims: Vec<(u64, f64, f64)> = Vec::new();
         while self.capacity - used < target {
-            let candidate = self
+            let eligible = |k: &u64| *k != key && !victims.iter().any(|v| v.0 == *k);
+            let scanned = self
                 .entries
                 .iter()
-                .filter(|(k, _)| **k != key && !victims.contains(k))
-                .min_by(|a, b| (a.1).1.partial_cmp(&(b.1).1).expect("utility is not NaN"));
+                .filter(|(k, _)| eligible(k))
+                .min_by(|a, b| (a.1).1.partial_cmp(&(b.1).1).expect("utility is not NaN"))
+                .map(|(k, e)| (*k, e.0, e.1));
+            // Tie-break: the engine's pick stands if it is as small as the
+            // scan's minimum.
+            let candidate = scanned.map(|min| {
+                engine_victims
+                    .get(victims.len())
+                    .filter(|k| eligible(k))
+                    .and_then(|k| self.entries.get(k).map(|e| (*k, e.0, e.1)))
+                    .filter(|pick| pick.2 == min.2)
+                    .unwrap_or(min)
+            });
             match candidate {
-                Some((k, (bytes, victim_utility))) if *victim_utility < utility => {
-                    used -= *bytes;
-                    victims.push(*k);
+                Some((k, bytes, victim_utility)) if victim_utility < utility => {
+                    used -= bytes;
+                    victims.push((k, bytes, victim_utility));
                 }
                 _ => break,
             }
@@ -136,10 +182,11 @@ impl<P: UtilityPolicy> ReferenceModel<P> {
 
         if grant > 0.0 && grant >= cached_before {
             let evicted = victims.len();
-            for v in victims {
-                self.entries.remove(&v);
+            for v in &victims {
+                self.entries.remove(&v.0);
                 self.evictions += 1;
             }
+            self.last_victims = victims;
             self.entries.insert(key, (grant, utility));
             self.used = used + grant;
             let grew = grant > cached_before;
@@ -150,12 +197,43 @@ impl<P: UtilityPolicy> ReferenceModel<P> {
         } else {
             // Roll back: nothing evicted, the object keeps its old bytes
             // (but its utility is refreshed, as in the engine).
+            let others = self.entries.len() - usize::from(self.entries.contains_key(&key));
+            if !victims.is_empty() && victims.len() == others {
+                self.full_drain_rollbacks += 1;
+            }
             if let Some(entry) = self.entries.get_mut(&key) {
                 entry.1 = utility;
             }
             (cached_before, 0, false)
         }
     }
+}
+
+/// Both sides are cleared after every this many accesses.
+const CLEAR_EVERY: usize = 700;
+
+/// The engine's victims of the last access as `(key, bytes, utility)`.
+fn engine_victims<P: UtilityPolicy>(engine: &CacheEngine<P>, objects: u64) -> Vec<(u64, f64, f64)> {
+    engine
+        .last_evictions()
+        .iter()
+        .map(|&(slot, bytes, utility)| {
+            let key = (0..objects)
+                .find(|k| engine.slot_of(ObjectKey::new(*k)) == Some(slot))
+                .expect("a victim's slot belongs to an interned key");
+            (key, bytes, utility)
+        })
+        .collect()
+}
+
+/// Bitwise equality of two victim lists.
+fn assert_same_victims(engine: &[(u64, f64, f64)], model: &[(u64, f64, f64)], context: &str) {
+    let bits = |v: &[(u64, f64, f64)]| -> Vec<(u64, u64, u64)> {
+        v.iter()
+            .map(|&(k, b, u)| (k, b.to_bits(), u.to_bits()))
+            .collect()
+    };
+    assert_eq!(bits(engine), bits(model), "{context}: eviction report");
 }
 
 /// Drives `steps` random accesses through the engine (slot path) and the
@@ -188,12 +266,19 @@ fn fuzz_policy(kind: PolicyKind, capacity_objects: f64, seed: u64, steps: usize)
         } else {
             engine.on_access(meta, bandwidth)
         };
-        let expected = model.on_access(meta, bandwidth);
+        let victims = engine_victims(&engine, OBJECTS);
+        let hint: Vec<u64> = victims.iter().map(|v| v.0).collect();
+        let expected = model.on_access(meta, bandwidth, &hint);
         assert_eq!(
             out,
             expected,
             "{} diverged from model at step {step} (key {key})",
             kind.label()
+        );
+        assert_same_victims(
+            &victims,
+            &model.last_victims,
+            &format!("{} step {step}", kind.label()),
         );
 
         // Full-state comparison: same objects cached with the same bytes.
@@ -221,11 +306,24 @@ fn fuzz_policy(kind: PolicyKind, capacity_objects: f64, seed: u64, steps: usize)
         assert_eq!(engine.stats().evictions, model.evictions);
         assert_eq!(engine.stats().admissions, model.admissions);
         assert!(engine.used_bytes() <= capacity + 1e-6);
+
+        if step % CLEAR_EVERY == CLEAR_EVERY - 1 {
+            assert_eq!(engine.clear(), model.clear(), "{} clear", kind.label());
+            assert!(engine.is_empty() && engine.contents().is_empty());
+            assert_eq!(engine.used_bytes(), 0.0);
+            assert_eq!(engine.stats().evictions, model.evictions);
+        }
     }
 
     // The run must actually have exercised the interesting paths.
     assert!(model.evictions > 0, "{}: no evictions", kind.label());
     assert!(model.admissions > 0, "{}: no admissions", kind.label());
+    if kind == PolicyKind::Lru {
+        assert!(
+            model.full_drain_rollbacks > 0,
+            "LRU: no oversize access drained and restored the whole cache"
+        );
+    }
 }
 
 /// Drives `steps` random accesses through a [`ShardedEngine`] and one
@@ -266,13 +364,21 @@ fn fuzz_sharded(kind: PolicyKind, capacity_objects: f64, shards: usize, seed: u6
         let meta = &metas[key as usize];
         let shard = engine.shard_of(meta.key);
 
-        let out = engine.on_access(meta, bandwidth);
-        let expected = models[shard].on_access(meta, bandwidth);
+        let (out, victims) = engine.access_with(meta, bandwidth, |shard_engine, _, out| {
+            (out, engine_victims(shard_engine, OBJECTS))
+        });
+        let hint: Vec<u64> = victims.iter().map(|v| v.0).collect();
+        let expected = models[shard].on_access(meta, bandwidth, &hint);
         assert_eq!(
             out,
             expected,
             "{} ({shards} shards) diverged from model at step {step} (key {key}, shard {shard})",
             kind.label()
+        );
+        assert_same_victims(
+            &victims,
+            &models[shard].last_victims,
+            &format!("{} ({shards} shards) step {step}", kind.label()),
         );
         for (s, model) in models.iter().enumerate() {
             for (k, (bytes, _)) in &model.entries {
@@ -289,6 +395,12 @@ fn fuzz_sharded(kind: PolicyKind, capacity_objects: f64, shards: usize, seed: u6
                 "{} shard {s} used bytes diverged at step {step}",
                 kind.label()
             );
+        }
+
+        if step % CLEAR_EVERY == CLEAR_EVERY - 1 {
+            let cleared: usize = models.iter_mut().map(|m| m.clear()).sum();
+            assert_eq!(engine.clear(), cleared, "{} clear", kind.label());
+            assert!(engine.is_empty());
         }
     }
 
@@ -367,4 +479,33 @@ fn sharded_pb_four_shards_match_reference_models() {
 #[test]
 fn sharded_ib_four_shards_match_reference_models() {
     fuzz_sharded(PolicyKind::IntegralBandwidth, 5.0, 4, 0xCAFE, 3_000);
+}
+
+/// LRU: the utility is the access clock, so every cached entry is an
+/// eligible victim and an object larger than the cache pops all of them
+/// before the rollback restores them in reverse.
+#[test]
+fn lru_matches_reference_model() {
+    fuzz_policy(PolicyKind::Lru, 2.5, 0x1A0, 4_000);
+    fuzz_policy(PolicyKind::Lru, 0.75, 0x1A1, 2_000);
+}
+
+/// IF: integer frequencies tie constantly; the model accepts the engine's
+/// pick among equal minima and nothing else.
+#[test]
+fn if_matches_reference_model() {
+    fuzz_policy(PolicyKind::IntegralFrequency, 3.0, 0x1F0, 4_000);
+    fuzz_policy(PolicyKind::IntegralFrequency, 1.25, 0x1F1, 2_000);
+}
+
+#[test]
+fn sharded_lru_matches_reference_models() {
+    fuzz_sharded(PolicyKind::Lru, 2.5, 1, 0x1A2, 3_000);
+    fuzz_sharded(PolicyKind::Lru, 5.0, 4, 0x1A3, 3_000);
+}
+
+#[test]
+fn sharded_if_matches_reference_models() {
+    fuzz_sharded(PolicyKind::IntegralFrequency, 3.0, 1, 0x1F2, 3_000);
+    fuzz_sharded(PolicyKind::IntegralFrequency, 5.0, 4, 0x1F3, 3_000);
 }
