@@ -53,21 +53,13 @@ impl RunInfo {
     }
 }
 
-/// Parses the `--scale <paper|quick|test>` command-line option; defaults to
-/// [`ExperimentScale::Quick`].
+/// Parses the `--scale <paper|full|quick|test>` command-line option;
+/// defaults to [`ExperimentScale::Quick`]. An unknown value, or `--scale`
+/// with nothing after it, prints the accepted values and exits with
+/// status 2 — a mistyped `--scale papr` must not report quick-scale
+/// numbers as if they were the paper's.
 pub fn scale_from_args() -> ExperimentScale {
-    let args: Vec<String> = std::env::args().collect();
-    let mut scale = ExperimentScale::Quick;
-    for window in args.windows(2) {
-        if window[0] == "--scale" {
-            scale = match window[1].as_str() {
-                "paper" | "full" => ExperimentScale::Paper,
-                "test" => ExperimentScale::Test,
-                _ => ExperimentScale::Quick,
-            };
-        }
-    }
-    scale
+    or_exit(parse_scale(&args()))
 }
 
 /// Parses the `--bandwidth <iid|ar1>` command-line option; defaults to
@@ -75,7 +67,8 @@ pub fn scale_from_args() -> ExperimentScale {
 /// selects [`BandwidthModel::ar1_default`], the mean-reverting evolution of
 /// every path sampled on the simulation clock; the affected figure bins
 /// (`fig7`, `fig8`) then emit under a `_ar1`-suffixed id so both variants
-/// can sit side by side under `results/`.
+/// can sit side by side under `results/`. Unknown and missing values exit
+/// like [`scale_from_args`].
 pub fn bandwidth_model_from_args() -> BandwidthModel {
     bandwidth_model_from_args_or(BandwidthModel::Iid)
 }
@@ -85,20 +78,57 @@ pub fn bandwidth_model_from_args() -> BandwidthModel {
 /// drift is its subject, while `fig7`/`fig8` default to the paper's
 /// i.i.d. setting.
 pub fn bandwidth_model_from_args_or(default: BandwidthModel) -> BandwidthModel {
-    let args: Vec<String> = std::env::args().collect();
-    let mut model = default;
-    for window in args.windows(2) {
-        if window[0] == "--bandwidth" {
-            model = match window[1].as_str() {
-                "ar1" | "timevarying" => BandwidthModel::ar1_default(),
-                "iid" => BandwidthModel::Iid,
-                // Like scale_from_args, unknown values keep the bin's
-                // default instead of silently switching experiments.
-                _ => default,
-            };
+    or_exit(parse_bandwidth_model(&args(), default))
+}
+
+fn args() -> Vec<String> {
+    std::env::args().skip(1).collect()
+}
+
+fn or_exit<T>(parsed: Result<T, String>) -> T {
+    parsed.unwrap_or_else(|message| {
+        eprintln!("error: {message}");
+        std::process::exit(2)
+    })
+}
+
+/// The value following the last `name` in `args`, `None` when `name` does
+/// not occur.
+fn option_value<'a>(args: &'a [String], name: &str) -> Result<Option<&'a str>, String> {
+    let mut value = None;
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        if arg == name {
+            let next = args.next().ok_or_else(|| format!("{name} needs a value"))?;
+            value = Some(next.as_str());
         }
     }
-    model
+    Ok(value)
+}
+
+fn parse_scale(args: &[String]) -> Result<ExperimentScale, String> {
+    match option_value(args, "--scale")? {
+        None | Some("quick") => Ok(ExperimentScale::Quick),
+        Some("paper" | "full") => Ok(ExperimentScale::Paper),
+        Some("test") => Ok(ExperimentScale::Test),
+        Some(other) => Err(format!(
+            "unknown --scale value `{other}` (accepted: paper, full, quick, test)"
+        )),
+    }
+}
+
+fn parse_bandwidth_model(
+    args: &[String],
+    default: BandwidthModel,
+) -> Result<BandwidthModel, String> {
+    match option_value(args, "--bandwidth")? {
+        None => Ok(default),
+        Some("ar1" | "timevarying") => Ok(BandwidthModel::ar1_default()),
+        Some("iid") => Ok(BandwidthModel::Iid),
+        Some(other) => Err(format!(
+            "unknown --bandwidth value `{other}` (accepted: iid, ar1, timevarying)"
+        )),
+    }
 }
 
 /// Prints a figure as a plain-text table and writes it as JSON under
@@ -368,6 +398,51 @@ mod tests {
     #[test]
     fn default_bandwidth_model_is_iid() {
         assert_eq!(bandwidth_model_from_args(), BandwidthModel::Iid);
+    }
+
+    fn args_of(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    #[test]
+    fn scale_values_parse_and_mistakes_are_errors() {
+        for (line, scale) in [
+            ("", ExperimentScale::Quick),
+            ("--smoke", ExperimentScale::Quick),
+            ("--scale quick", ExperimentScale::Quick),
+            ("--scale paper", ExperimentScale::Paper),
+            ("--scale full", ExperimentScale::Paper),
+            ("--bandwidth ar1 --scale test", ExperimentScale::Test),
+            // The last occurrence wins, as it always has.
+            ("--scale paper --scale test", ExperimentScale::Test),
+        ] {
+            assert_eq!(parse_scale(&args_of(line)), Ok(scale), "`{line}`");
+        }
+        let unknown = parse_scale(&args_of("--scale papr")).unwrap_err();
+        assert!(unknown.contains("`papr`") && unknown.contains("paper, full, quick, test"));
+        let missing = parse_scale(&args_of("--bandwidth iid --scale")).unwrap_err();
+        assert!(missing.contains("--scale needs a value"), "{missing}");
+    }
+
+    #[test]
+    fn bandwidth_values_parse_and_mistakes_are_errors() {
+        let ar1 = BandwidthModel::ar1_default();
+        for (line, default, model) in [
+            ("", BandwidthModel::Iid, BandwidthModel::Iid),
+            ("--scale test", ar1, ar1),
+            ("--bandwidth ar1", BandwidthModel::Iid, ar1),
+            ("--bandwidth timevarying", BandwidthModel::Iid, ar1),
+            ("--bandwidth iid", ar1, BandwidthModel::Iid),
+        ] {
+            assert_eq!(
+                parse_bandwidth_model(&args_of(line), default),
+                Ok(model),
+                "`{line}`"
+            );
+        }
+        let unknown = parse_bandwidth_model(&args_of("--bandwidth ar2"), ar1).unwrap_err();
+        assert!(unknown.contains("`ar2`") && unknown.contains("iid, ar1"));
+        assert!(parse_bandwidth_model(&args_of("--bandwidth"), ar1).is_err());
     }
 
     #[test]

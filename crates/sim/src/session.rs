@@ -20,11 +20,20 @@
 //!   members' other completions would all have been cancelled before they
 //!   could pop, and the surviving events are pushed in the same relative
 //!   order, so every `(time, sequence)` tie-break falls the same way.
+//! * **Pre-known events are walked, not heaped** — the arrivals (the spec
+//!   list, already sorted) and the outage edges (sorted once) are each read
+//!   by a cursor; the heap holds only what the run schedules as it goes
+//!   (playback ends, completions). Each iteration takes the earliest of
+//!   the three, ties going arrival, edge, heap — the `(time, sequence)`
+//!   order of pushing the pre-known events first.
 //! * **Fluid sessions** — between events every session's download and
 //!   playback-buffer state evolve piecewise-linearly, so
 //!   [`SessionState::advance`] integrates them in closed form. A session
 //!   rebuffers whenever its cumulative playback demand exceeds the bytes
-//!   available (cached prefix + downloaded so far).
+//!   available (cached prefix + downloaded so far). The members of a path
+//!   are integrated over the same interval, so [`EgressAccumulator`] cuts
+//!   an interval into bins once and every member adds its bytes through
+//!   that cut.
 //! * **Time-weighted metrics** ([`SessionMetrics`]) — concurrent-viewer
 //!   curves, rebuffer probability, and origin egress binned over time.
 //!
@@ -33,7 +42,8 @@
 //! A run is a pure function of `(configuration, seed)`, byte-identical at
 //! any `SC_SIM_THREADS` (parallelism only shards independent runs, as in
 //! the per-request mode). Within a run the event order is total:
-//! `(time, sequence)` with sequences assigned at schedule time, and every
+//! `(time, sequence)` with sequences assigned at schedule time (arrivals
+//! first, then outage edges, then whatever the run schedules), and every
 //! path re-division iterates its member sessions in ascending session
 //! index. The naive fluid reference model in
 //! `crates/sim/tests/session_reference.rs` replays the same contract
@@ -41,7 +51,7 @@
 
 use crate::bandwidth::{BandwidthProvider, EstimatorBank};
 use crate::config::{PathFaultModel, SimError, SimulationConfig};
-use crate::event::{EventKind, EventQueue};
+use crate::event::{assert_finite_time, EventKind, EventQueue};
 use crate::exec::{
     bandwidth_seed, fault_seed, run_grid_with, GridRunner, ParallelExecutor, SharedWorkload,
 };
@@ -109,10 +119,35 @@ impl SessionHooks for NoCacheHooks {
 /// Bytes downloaded during `[from, to]` are spread uniformly over the bins
 /// the interval overlaps; time at or beyond the horizon lands in the last
 /// bin, so the bins always sum to the total origin bytes.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Cutting an interval into bins — the first bin it overlaps and the share
+/// of the interval inside each bin — depends on `(from, to)` alone, and the
+/// event core integrates every member of a path over the same interval. So
+/// the accumulator keeps the last cut and reuses it while `(from, to)` are
+/// bit-equal: per call what remains is one `bytes * share` product per
+/// overlapped bin, the same products added in the same call order as
+/// cutting afresh each time, so every bin ends bit-identical.
+#[derive(Debug, Clone)]
 pub struct EgressAccumulator {
     bins: Vec<f64>,
     horizon_secs: f64,
+    /// `horizon_secs / bins.len()`: non-negative, since `horizon_secs` is
+    /// clamped (and `f64::max` drops a NaN).
+    width: f64,
+    /// The bits of the `(from, to)` the cut below was computed for.
+    cut_interval: Option<(u64, u64)>,
+    /// First bin the cut interval overlaps.
+    cut_first: usize,
+    /// Share of the cut interval inside bin `cut_first + i`.
+    cut_shares: Vec<f64>,
+}
+
+/// Two accumulators are equal when they hold the same bins over the same
+/// horizon; which interval was cut last is not part of the value.
+impl PartialEq for EgressAccumulator {
+    fn eq(&self, other: &Self) -> bool {
+        self.bins == other.bins && self.horizon_secs == other.horizon_secs
+    }
 }
 
 impl EgressAccumulator {
@@ -123,9 +158,14 @@ impl EgressAccumulator {
     /// Panics if `bins` is zero.
     pub fn new(bins: usize, horizon_secs: f64) -> Self {
         assert!(bins > 0, "egress accumulation needs at least one bin");
+        let horizon_secs = horizon_secs.max(0.0);
         EgressAccumulator {
             bins: vec![0.0; bins],
-            horizon_secs: horizon_secs.max(0.0),
+            horizon_secs,
+            width: horizon_secs / bins as f64,
+            cut_interval: None,
+            cut_first: 0,
+            cut_shares: Vec::new(),
         }
     }
 
@@ -134,20 +174,32 @@ impl EgressAccumulator {
         if bytes <= 0.0 {
             return;
         }
-        let n = self.bins.len();
-        let width = self.horizon_secs / n as f64;
-        // `horizon_secs` is clamped non-negative (and `f64::max` drops a
-        // NaN), so `width` is a plain non-negative value here.
-        if width <= 0.0 || to <= from {
+        if self.width <= 0.0 || to <= from {
             // Degenerate horizon or instantaneous transfer: lump the bytes
             // into the bin of the starting instant.
-            let idx = self.index_of(from, width);
+            let idx = self.index_of(from);
             self.bins[idx] += bytes;
             return;
         }
+        if self.cut_interval != Some((from.to_bits(), to.to_bits())) {
+            self.cut(from, to);
+        }
+        for (bin, share) in self.bins[self.cut_first..].iter_mut().zip(&self.cut_shares) {
+            *bin += bytes * share;
+        }
+    }
+
+    /// Cuts `[from, to]` (`from < to`, positive bin width) into bins and
+    /// keeps the cut.
+    fn cut(&mut self, from: f64, to: f64) {
+        let n = self.bins.len();
+        let width = self.width;
         let span = to - from;
-        let first = self.index_of(from, width);
-        let last = self.index_of(to, width);
+        let first = self.index_of(from);
+        let last = self.index_of(to);
+        self.cut_interval = Some((from.to_bits(), to.to_bits()));
+        self.cut_first = first;
+        self.cut_shares.clear();
         for idx in first..=last {
             let bin_start = idx as f64 * width;
             let bin_end = if idx + 1 == n {
@@ -158,13 +210,13 @@ impl EgressAccumulator {
             // Adjacent bins cut the interval at the identical float
             // boundary value, so the segments telescope to exactly `span`.
             let seg = (to.min(bin_end) - from.max(bin_start)).max(0.0);
-            self.bins[idx] += bytes * (seg / span);
+            self.cut_shares.push(seg / span);
         }
     }
 
-    fn index_of(&self, t: f64, width: f64) -> usize {
-        if width > 0.0 {
-            ((t / width) as usize).min(self.bins.len() - 1)
+    fn index_of(&self, t: f64) -> usize {
+        if self.width > 0.0 {
+            ((t / self.width) as usize).min(self.bins.len() - 1)
         } else {
             0
         }
@@ -446,12 +498,15 @@ pub struct SessionFinal {
 /// the model's predictions.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SessionTelemetry {
-    /// Events pushed onto the queue (arrivals, playback ends, outage edges
-    /// and completions, cancelled ones included).
+    /// Events the run was given or scheduled itself (arrivals, playback
+    /// ends, outage edges and completions, cancelled ones included).
     pub events_scheduled: u64,
     /// Completion events cancelled by a later re-division.
     pub events_cancelled: u64,
-    /// Largest number of heap entries, tombstones included.
+    /// Largest number of heap entries, tombstones included. The heap holds
+    /// only the events a run schedules as it goes — playback ends and
+    /// completions; arrivals and outage edges are read from sorted arrays
+    /// and take no room in it.
     pub peak_heap_len: u64,
     /// Processor-sharing re-divisions of a path's capacity.
     pub redivisions: u64,
@@ -512,8 +567,8 @@ pub struct SessionSimOutput {
 /// # Panics
 ///
 /// Panics if `specs` is not sorted by arrival time, a spec's path index is
-/// not below `n_paths`, or `capacity` returns a non-positive or non-finite
-/// value for a path with active sessions.
+/// not below `n_paths`, an event time is not finite, or `capacity` returns
+/// a non-positive or non-finite value for a path with active sessions.
 pub fn simulate_sessions<C, H>(
     specs: &[SessionSpec],
     n_paths: usize,
@@ -606,28 +661,47 @@ where
     // final bin.
     let mut egress = EgressAccumulator::new(egress_bins, horizon_secs);
 
-    // Arrivals are pushed first and in spec order, so an arrival's seq
-    // equals its spec index: simultaneous arrivals pop in spec order.
-    let mut queue = EventQueue::new();
+    // Everything known before the loop starts — the arrivals and the
+    // outage edges — is walked by a cursor instead of being heaped. The
+    // order is the one pushing them first would give: arrivals take the
+    // sequence numbers `0..specs.len()` in spec order (already sorted),
+    // edges the next ones path by path, and whatever the run schedules
+    // comes after both, so a pre-known event wins every tie against the
+    // heap and an arrival every tie against an edge.
     for (i, spec) in specs.iter().enumerate() {
-        queue.push(spec.arrival_secs, EventKind::Arrival(i as u32));
+        assert_finite_time(spec.arrival_secs, EventKind::Arrival(i as u32));
     }
+    let mut next_arrival = 0;
 
-    // Outage boundaries are scheduled strictly after the arrivals.
     let residual = faults.map_or(1.0, |f| f.residual_capacity_fraction());
+    let mut edges: Vec<(f64, EventKind)> = Vec::new();
     if let Some(timeline) = faults {
         assert!(
             timeline.paths() >= n_paths,
             "fault timeline covers {} paths but the simulation has {n_paths}",
             timeline.paths()
         );
+        edges.reserve_exact(
+            2 * (0..n_paths)
+                .map(|p| timeline.outages(p).len())
+                .sum::<usize>(),
+        );
         for path in 0..n_paths {
             for &(down_start, down_end) in timeline.outages(path) {
-                queue.push(down_start, EventKind::PathDown(path as u32));
-                queue.push(down_end, EventKind::PathUp(path as u32));
+                edges.push((down_start, EventKind::PathDown(path as u32)));
+                edges.push((down_end, EventKind::PathUp(path as u32)));
             }
         }
+        for &(time_secs, kind) in &edges {
+            assert_finite_time(time_secs, kind);
+        }
+        // Stable: edges at one instant keep their path-major order.
+        edges.sort_by(|a, b| a.0.total_cmp(&b.0));
     }
+    let mut next_edge = 0;
+    // The heap holds only what the run itself schedules: playback ends and
+    // completions.
+    let mut queue = EventQueue::new();
     // Whether each path is currently inside an outage; capacity is scaled
     // by `residual` while true.
     let mut path_down: Vec<bool> = vec![false; n_paths];
@@ -668,14 +742,30 @@ where
         // The heap only grows while an event is handled, so its length
         // just before each pop is its peak.
         telemetry.peak_heap_len = telemetry.peak_heap_len.max(queue.heap_len() as u64);
-        let Some(event) = queue.pop() else { break };
-        viewer_seconds += viewers as f64 * (event.time_secs - last_event_secs);
-        last_event_secs = event.time_secs;
-        let now = event.time_secs;
+        // The earliest of the three sources under the heap's own
+        // comparator; on a tie, arrival before edge before heap. A
+        // completion carries the sequence number it was pushed under.
+        let arrival = specs.get(next_arrival).map(|s| s.arrival_secs);
+        let edge = edges.get(next_edge).map(|e| e.0);
+        let heap = queue.peek_time();
+        let (now, kind, heap_seq) = if due_no_later(arrival, edge) && due_no_later(arrival, heap) {
+            let s = next_arrival;
+            next_arrival += 1;
+            (specs[s].arrival_secs, EventKind::Arrival(s as u32), None)
+        } else if due_no_later(edge, heap) {
+            let (time_secs, kind) = edges[next_edge];
+            next_edge += 1;
+            (time_secs, kind, None)
+        } else if let Some(event) = queue.pop() {
+            (event.time_secs, event.kind, Some(event.seq))
+        } else {
+            break;
+        };
+        viewer_seconds += viewers as f64 * (now - last_event_secs);
+        last_event_secs = now;
 
-        match event.kind {
+        match kind {
             EventKind::Arrival(s) => {
-                debug_assert_eq!(u64::from(s), event.seq);
                 let index = s as usize;
                 let spec = &specs[index];
                 let path = spec.path as usize;
@@ -728,7 +818,7 @@ where
                 let path = states[index].spec.path as usize;
                 // Stale completions are cancelled inside the queue, so the
                 // popped one is the path's pending event.
-                debug_assert_eq!(completion_seq[path], Some(event.seq));
+                debug_assert_eq!(completion_seq[path], heap_seq);
                 completion_seq[path] = None;
                 advance_path(
                     &path_members[path],
@@ -776,7 +866,7 @@ where
             }
             EventKind::PathDown(p) | EventKind::PathUp(p) => {
                 let path = p as usize;
-                let goes_down = matches!(event.kind, EventKind::PathDown(_));
+                let goes_down = matches!(kind, EventKind::PathDown(_));
                 // Integrate *every* arrived session on the path — members
                 // and buffer-only players alike — through the boundary
                 // under the outgoing state, so no advance segment ever
@@ -824,11 +914,21 @@ where
         egress.into_bins(),
     );
     metrics.outage_secs = faults.map_or(0.0, |f| f.outage_secs_within(horizon_secs));
-    telemetry.events_scheduled = queue.scheduled();
+    telemetry.events_scheduled = (specs.len() + edges.len()) as u64 + queue.scheduled();
     SessionSimOutput {
         metrics,
         finals,
         telemetry,
+    }
+}
+
+/// Whether an event due at `a` pops no later than one due at `b` when `a`
+/// was scheduled first: the heap's `(time, sequence)` order. `None` is an
+/// exhausted source.
+fn due_no_later(a: Option<f64>, b: Option<f64>) -> bool {
+    match (a, b) {
+        (Some(a), Some(b)) => a.total_cmp(&b).is_le(),
+        (a, _) => a.is_some(),
     }
 }
 
@@ -1319,6 +1419,227 @@ mod tests {
         acc.add(0.0, 10.0, 0.0);
         let sum: f64 = acc.bins().iter().sum();
         assert!((sum - 147.0).abs() < 1e-12);
+    }
+
+    /// `EgressAccumulator::add` as it was before the cut was kept: bin
+    /// width, both bin indices and every share re-derived on each call.
+    /// The bitwise reference for the reuse.
+    struct RecutEveryCall {
+        bins: Vec<f64>,
+        horizon_secs: f64,
+    }
+
+    impl RecutEveryCall {
+        fn new(bins: usize, horizon_secs: f64) -> Self {
+            RecutEveryCall {
+                bins: vec![0.0; bins],
+                horizon_secs: horizon_secs.max(0.0),
+            }
+        }
+
+        fn add(&mut self, from: f64, to: f64, bytes: f64) {
+            if bytes <= 0.0 {
+                return;
+            }
+            let n = self.bins.len();
+            let width = self.horizon_secs / n as f64;
+            if width <= 0.0 || to <= from {
+                let idx = self.index_of(from, width);
+                self.bins[idx] += bytes;
+                return;
+            }
+            let span = to - from;
+            let first = self.index_of(from, width);
+            let last = self.index_of(to, width);
+            for idx in first..=last {
+                let bin_start = idx as f64 * width;
+                let bin_end = if idx + 1 == n {
+                    f64::INFINITY
+                } else {
+                    (idx + 1) as f64 * width
+                };
+                let seg = (to.min(bin_end) - from.max(bin_start)).max(0.0);
+                self.bins[idx] += bytes * (seg / span);
+            }
+        }
+
+        fn index_of(&self, t: f64, width: f64) -> usize {
+            if width > 0.0 {
+                ((t / width) as usize).min(self.bins.len() - 1)
+            } else {
+                0
+            }
+        }
+    }
+
+    #[test]
+    fn reused_cut_is_bitwise_the_cut_made_afresh() {
+        // Every (bins, horizon) shape the early returns and the clamp see:
+        // ordinary, one bin, a width that is not a dyadic fraction, and
+        // the degenerate horizons (zero, negative, NaN — all width 0).
+        let shapes = [
+            (8, 100.0),
+            (1, 100.0),
+            (7, 33.3),
+            (64, 86_400.0),
+            (5, 0.0),
+            (5, -3.0),
+            (5, f64::NAN),
+        ];
+        for (shape, &(n, horizon)) in shapes.iter().enumerate() {
+            let width = horizon.max(0.0) / n as f64;
+            // Intervals built to sit on the reuse's edges: inside one bin,
+            // across 2 … all bins, ending beyond the horizon, starting
+            // beyond it, a bin boundary as `from` and as `to`, `to == from`
+            // and `to < from`, and the two zeros, which are equal as
+            // numbers and different as bits.
+            let mut intervals = vec![
+                (0.1 * width, 0.9 * width),
+                (0.5 * width, 1.5 * width),
+                (0.25 * width, 3.75 * width),
+                (0.0, horizon),
+                (-0.0, horizon),
+                (0.0, 0.5 * width),
+                (-0.0, 0.5 * width),
+                (0.5 * width, 2.0 * horizon),
+                (1.5 * horizon, 2.5 * horizon),
+                (2.0 * width, 2.5 * width),
+                (1.3 * width, 3.0 * width),
+                (3.0 * width, 3.0 * width),
+                (4.0 * width, 1.0 * width),
+                (-2.0 * width, 0.5 * width),
+            ];
+            let mut rng = StdRng::seed_from_u64(shape as u64);
+            intervals.extend((0..16).map(|_| {
+                let from = rng.gen::<f64>() * 1.3 * horizon;
+                (from, from + rng.gen::<f64>() * 1.1 * horizon)
+            }));
+
+            let mut kept = EgressAccumulator::new(n, horizon);
+            let mut afresh = RecutEveryCall::new(n, horizon);
+            let mut check = |kept: &mut EgressAccumulator, from: f64, to: f64, bytes: f64| {
+                kept.add(from, to, bytes);
+                afresh.add(from, to, bytes);
+                for (i, (a, b)) in kept.bins().iter().zip(&afresh.bins).enumerate() {
+                    assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
+                        "shape {shape}, bin {i} after add({from}, {to}, {bytes}): {a} vs {b}"
+                    );
+                }
+            };
+            for step in 0..4_000 {
+                let a = intervals[rng.gen_range(0..intervals.len())];
+                let b = intervals[rng.gen_range(0..intervals.len())];
+                let mut bytes = || 1.0 + rng.gen::<f64>() * 1e11;
+                match step % 4 {
+                    // A run over one interval, as the members of a path
+                    // give: different bytes each time, and a member that
+                    // moved nothing (or a negative rounding residue)
+                    // between two that did.
+                    0 => {
+                        for (i, scale) in [1.0, 3.0, 0.0, 0.5, -1.0, 2.0].iter().enumerate() {
+                            check(&mut kept, a.0, a.1, bytes() * scale * (i + 1) as f64);
+                        }
+                    }
+                    // A member whose own playback end fell inside the
+                    // interval has a later `from`: A A B A.
+                    1 => {
+                        for (from, to) in [a, a, b, a] {
+                            check(&mut kept, from, to, bytes());
+                        }
+                    }
+                    // Same `from`, different `to`, and the reverse.
+                    2 => {
+                        check(&mut kept, a.0, a.1, bytes());
+                        check(&mut kept, a.0, b.1, bytes());
+                        check(&mut kept, b.0, b.1, bytes());
+                        check(&mut kept, a.0, b.1, bytes());
+                    }
+                    _ => check(&mut kept, a.0, a.1, bytes()),
+                }
+            }
+            let total: f64 = kept.bins().iter().sum();
+            assert!(total > 0.0, "shape {shape} accumulated nothing");
+            // A NaN bound is cut like any other interval, twice running
+            // included, and poisons the same bins the same way.
+            for (from, to) in [(0.5 * width, f64::NAN), (f64::NAN, 0.5 * width)] {
+                check(&mut kept, from, to, 1.0);
+                check(&mut kept, from, to, 2.0);
+            }
+        }
+    }
+
+    #[test]
+    fn equal_accumulators_may_have_cut_different_intervals_last() {
+        let mut a = EgressAccumulator::new(4, 100.0);
+        let mut b = EgressAccumulator::new(4, 100.0);
+        a.add(0.0, 50.0, 10.0);
+        a.add(50.0, 100.0, 10.0);
+        b.add(50.0, 100.0, 10.0);
+        b.add(0.0, 50.0, 10.0);
+        assert_eq!(a, b);
+        b.add(0.0, 50.0, 1.0);
+        assert_ne!(a, b);
+    }
+
+    #[test]
+    #[should_panic(expected = "event time must be finite, got inf for Arrival(1)")]
+    fn an_infinite_arrival_is_rejected_before_the_loop_runs() {
+        struct NeverAsked;
+        impl SessionHooks for NeverAsked {
+            fn on_arrival(&mut self, _i: usize, _s: &SessionSpec, _share: f64) -> f64 {
+                panic!("the loop must not start");
+            }
+        }
+        let specs = [
+            spec(0, 0.0, 10.0, 48_000.0),
+            spec(0, f64::INFINITY, 10.0, 48_000.0),
+        ];
+        simulate_sessions(&specs, 1, |_, _| 96_000.0, &mut NeverAsked, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "event time must be finite, got inf for PathUp(0)")]
+    fn a_non_finite_outage_edge_is_rejected_before_the_loop_runs() {
+        // `from_outages` refuses such an interval, so build the timeline
+        // directly: the loop checks what it is given, not who built it.
+        let timeline = PathFaultTimeline {
+            outages: vec![vec![(5.0, f64::INFINITY)]],
+            residual: 0.5,
+        };
+        simulate_sessions_with_faults(
+            &[spec(0, 0.0, 10.0, 48_000.0)],
+            1,
+            |_, _| 96_000.0,
+            &mut NoCacheHooks,
+            4,
+            Some(&timeline),
+        );
+    }
+
+    #[test]
+    fn pre_known_events_are_counted_but_never_heaped() {
+        // One session, two outages: 1 arrival + 4 edges walked by the
+        // cursor, 1 playback end + re-divisions on the heap.
+        let timeline =
+            PathFaultTimeline::from_outages(vec![vec![(10.0, 20.0), (200.0, 300.0)]], 0.5);
+        let out = simulate_sessions_with_faults(
+            &[spec(0, 0.0, 100.0, 48_000.0)],
+            1,
+            |_, _| 96_000.0,
+            &mut NoCacheHooks,
+            4,
+            Some(&timeline),
+        );
+        // Re-divisions: the arrival and the first outage's two edges (the
+        // transfer is over by t = 60, long before the second outage).
+        assert_eq!(out.telemetry.redivisions, 3);
+        assert_eq!(out.telemetry.events_cancelled, 2);
+        assert_eq!(out.telemetry.events_scheduled, 1 + 4 + 1 + 3);
+        // The playback end, a completion and the tombstone of the one it
+        // replaced; an arrival or an edge waiting its turn takes no room.
+        assert_eq!(out.telemetry.peak_heap_len, 3);
     }
 
     #[test]

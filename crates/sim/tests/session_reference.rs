@@ -673,6 +673,42 @@ fn outage_edges_coinciding_with_arrivals_and_completions_match_bitwise() {
 }
 
 #[test]
+fn arrival_edge_playback_end_and_completion_at_one_instant_on_one_path() {
+    // One stream's worth of capacity: session 0, alone, has its last byte
+    // at exactly t = 30 — where its playback window ends, session 1
+    // arrives and the path goes down. What was known before the run goes
+    // first, in the order it was scheduled (the arrival, then the edge),
+    // then what the run scheduled (the playback end, pushed at t = 0, and
+    // the completion, re-scheduled by the arrival and again by the edge,
+    // each time due zero seconds later).
+    let spec = |t: f64| SessionSpec {
+        path: 0,
+        arrival_secs: t,
+        duration_secs: 30.0,
+        rate_bps: 48_000.0,
+        size_bytes: 30.0 * 48_000.0,
+    };
+    let scenario = Scenario {
+        specs: vec![spec(0.0), spec(30.0)],
+        paths: vec![(30.0, 48_000.0, 48_000.0)],
+    };
+    let outages = vec![vec![(30.0, 40.0)]];
+    for policy in POLICIES {
+        let core = cross_check_with_outages(&scenario, policy, 6, Some((&outages, 0.5)));
+        if policy == PolicyKind::Lru {
+            // The object does not fit LRU's cache, so the timings are the
+            // plain fluid ones: session 1 moves 10 s at the residual
+            // 24 KB/s, then the remaining 1.2 MB at 48 KB/s.
+            assert_eq!(core.finals[0].transfer_end_secs, 30.0);
+            assert_eq!(core.finals[1].transfer_end_secs, 65.0);
+            // 0 arrives, 1 joins, the path goes down, 0 leaves, the path
+            // comes back up; 1 leaves it empty.
+            assert_eq!(core.telemetry.redivisions, 5);
+        }
+    }
+}
+
+#[test]
 fn random_outages_over_random_scenarios_match_bitwise() {
     for policy in POLICIES {
         for seed in 0..6 {
