@@ -1,15 +1,16 @@
-//! # sc-bench — benchmark and experiment harness
+//! # sc-bench — experiment harness
 //!
-//! This crate hosts two kinds of artefacts:
+//! This crate hosts two binaries and the code they share:
 //!
-//! * **Per-figure binaries** (`src/bin/table1.rs`, `fig2.rs` … `fig12.rs`):
-//!   each regenerates one table or figure of the paper's evaluation and
+//! * **`figures`** (`src/bin/figures.rs`): `figures <id>` regenerates one
+//!   table or figure of the paper's evaluation (`table1`, `fig2` … `fig13`,
+//!   `fig_sessions`, `fig_faults`; `figures list` prints the ids) and
 //!   prints the corresponding rows; pass `--scale paper` for the full-scale
 //!   run (the default `quick` scale finishes in seconds). Results are also
 //!   written as JSON under `results/`.
-//! * **Criterion micro-benchmarks** (`benches/`): cache-decision throughput
-//!   per policy, heap operations, workload generation, offline solvers and
-//!   reduced-scale end-to-end simulations.
+//! * **`bench_overload`**: the proxy driven past its admission capacity.
+//!
+//! Performance is measured by the `benchmark/` crate, not here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -46,8 +47,8 @@ impl RunInfo {
     /// Captures the elapsed wall-clock time together with the thread count
     /// the environment-configured executor resolves to (`SC_SIM_THREADS`,
     /// default = available parallelism). Only valid for runs that used the
-    /// default executors (as the figure bins do); pass the real count via
-    /// [`RunInfo::new`] otherwise.
+    /// default executors (as the `figures` driver does); pass the real
+    /// count via [`RunInfo::new`] otherwise.
     pub fn from_elapsed(elapsed: Duration) -> Self {
         Self::new(elapsed, ExecConfig::from_env().threads)
     }
@@ -65,7 +66,7 @@ pub fn scale_from_args() -> ExperimentScale {
 /// Parses the `--bandwidth <iid|ar1>` command-line option; defaults to
 /// [`BandwidthModel::Iid`] (the paper's i.i.d. per-request ratios). `ar1`
 /// selects [`BandwidthModel::ar1_default`], the mean-reverting evolution of
-/// every path sampled on the simulation clock; the affected figure bins
+/// every path sampled on the simulation clock; the affected figures
 /// (`fig7`, `fig8`) then emit under a `_ar1`-suffixed id so both variants
 /// can sit side by side under `results/`. Unknown and missing values exit
 /// like [`scale_from_args`].
@@ -92,14 +93,23 @@ fn or_exit<T>(parsed: Result<T, String>) -> T {
     })
 }
 
+const SCALES: &str = "paper, full, quick, test";
+const BANDWIDTHS: &str = "iid, ar1, timevarying";
+
 /// The value following the last `name` in `args`, `None` when `name` does
 /// not occur.
-fn option_value<'a>(args: &'a [String], name: &str) -> Result<Option<&'a str>, String> {
+fn option_value<'a>(
+    args: &'a [String],
+    name: &str,
+    accepted: &str,
+) -> Result<Option<&'a str>, String> {
     let mut value = None;
     let mut args = args.iter();
     while let Some(arg) = args.next() {
         if arg == name {
-            let next = args.next().ok_or_else(|| format!("{name} needs a value"))?;
+            let next = args
+                .next()
+                .ok_or_else(|| format!("{name} needs a value (accepted: {accepted})"))?;
             value = Some(next.as_str());
         }
     }
@@ -107,12 +117,12 @@ fn option_value<'a>(args: &'a [String], name: &str) -> Result<Option<&'a str>, S
 }
 
 fn parse_scale(args: &[String]) -> Result<ExperimentScale, String> {
-    match option_value(args, "--scale")? {
+    match option_value(args, "--scale", SCALES)? {
         None | Some("quick") => Ok(ExperimentScale::Quick),
         Some("paper" | "full") => Ok(ExperimentScale::Paper),
         Some("test") => Ok(ExperimentScale::Test),
         Some(other) => Err(format!(
-            "unknown --scale value `{other}` (accepted: paper, full, quick, test)"
+            "unknown --scale value `{other}` (accepted: {SCALES})"
         )),
     }
 }
@@ -121,111 +131,29 @@ fn parse_bandwidth_model(
     args: &[String],
     default: BandwidthModel,
 ) -> Result<BandwidthModel, String> {
-    match option_value(args, "--bandwidth")? {
+    match option_value(args, "--bandwidth", BANDWIDTHS)? {
         None => Ok(default),
         Some("ar1" | "timevarying") => Ok(BandwidthModel::ar1_default()),
         Some("iid") => Ok(BandwidthModel::Iid),
         Some(other) => Err(format!(
-            "unknown --bandwidth value `{other}` (accepted: iid, ar1, timevarying)"
+            "unknown --bandwidth value `{other}` (accepted: {BANDWIDTHS})"
         )),
     }
 }
 
 /// Prints a figure as a plain-text table and writes it as JSON under
 /// `results/<id>.json` (best effort — failures to write are reported but not
-/// fatal).
-pub fn emit(figure: &FigureResult) {
-    emit_inner(figure, None);
-}
-
-/// Like [`emit`], but also reports how the experiment ran: the wall-clock
-/// time and the environment-configured executor's thread count are printed
-/// and embedded in the JSON (`wall_clock_secs` / `threads`). For runs that
-/// used an explicit executor, build the [`RunInfo`] yourself and call
-/// [`emit_with_info`].
+/// fatal), reporting how the experiment ran: the wall-clock time and the
+/// environment-configured executor's thread count are printed and embedded
+/// in the JSON (`wall_clock_secs` / `threads`).
 pub fn emit_timed(figure: &FigureResult, elapsed: Duration) {
-    emit_inner(figure, Some(RunInfo::from_elapsed(elapsed)));
-}
-
-/// Like [`emit`], with explicit execution metadata.
-pub fn emit_with_info(figure: &FigureResult, info: RunInfo) {
-    emit_inner(figure, Some(info));
-}
-
-fn emit_inner(figure: &FigureResult, info: Option<RunInfo>) {
-    println!("{}", figure.to_table());
-    if let Some(info) = info {
-        println!(
-            "(wall clock: {:.3} s on {} thread{})",
-            info.wall_clock_secs,
-            info.threads,
-            if info.threads == 1 { "" } else { "s" }
-        );
-    }
-    let dir = PathBuf::from("results");
-    if std::fs::create_dir_all(&dir).is_ok() {
-        let path = dir.join(format!("{}.json", figure.id));
-        if let Err(e) = std::fs::write(&path, figure_to_json_with_info(figure, info)) {
-            eprintln!("warning: could not write {}: {e}", path.display());
-        } else {
-            println!("(wrote {})", path.display());
-        }
-    }
-}
-
-/// Serialises a [`FigureResult`] to pretty-printed JSON.
-///
-/// Hand-rolled because the build environment has no registry access for
-/// `serde`; the schema mirrors the public fields of [`FigureResult`].
-/// Non-finite floats (e.g. an infinite average delay at zero bandwidth)
-/// are emitted as `null`, matching what `serde_json` does for them.
-pub fn figure_to_json(figure: &FigureResult) -> String {
-    figure_to_json_with_info(figure, None)
-}
-
-/// [`figure_to_json`] plus optional execution metadata: when `info` is
-/// given, top-level `wall_clock_secs` and `threads` fields are emitted.
-pub fn figure_to_json_with_info(figure: &FigureResult, info: Option<RunInfo>) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"id\": {},", json_string(&figure.id));
-    let _ = writeln!(out, "  \"title\": {},", json_string(&figure.title));
-    let _ = writeln!(out, "  \"x_label\": {},", json_string(&figure.x_label));
-    if let Some(info) = info {
-        let _ = writeln!(
-            out,
-            "  \"wall_clock_secs\": {},",
-            json_f64(info.wall_clock_secs)
-        );
-        let _ = writeln!(out, "  \"threads\": {},", info.threads);
-    }
-    out.push_str("  \"series\": [\n");
-    for (si, series) in figure.series.iter().enumerate() {
-        out.push_str("    {\n");
-        let _ = writeln!(out, "      \"label\": {},", json_string(&series.label));
-        out.push_str("      \"points\": [\n");
-        for (pi, point) in series.points.iter().enumerate() {
-            let _ = write!(
-                out,
-                "        {{\"x\": {}, \"metrics\": {}}}",
-                json_f64(point.x),
-                metrics_to_json(&point.metrics)
-            );
-            out.push_str(if pi + 1 < series.points.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        out.push_str("      ]\n");
-        out.push_str(if si + 1 < figure.series.len() {
-            "    },\n"
-        } else {
-            "    }\n"
-        });
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let info = RunInfo::from_elapsed(elapsed);
+    print_and_write(
+        &figure.id,
+        &figure.to_table(),
+        &format!("({})", wall_clock_phrase(info)),
+        &figure_to_json_with_info(figure, Some(info)),
+    );
 }
 
 /// Like [`emit_timed`], for session-mode figures: prints the table, the
@@ -234,28 +162,59 @@ pub fn figure_to_json_with_info(figure: &FigureResult, info: Option<RunInfo>) ->
 pub fn emit_session_timed(figure: &SessionFigureResult, elapsed: Duration) {
     let info = RunInfo::from_elapsed(elapsed);
     let t = figure.telemetry;
-    println!("{}", figure.to_table());
-    println!(
-        "(wall clock: {:.3} s on {} thread{}; events scheduled {}, cancelled {}, \
-         peak heap {}, re-divisions {})",
+    print_and_write(
+        &figure.id,
+        &figure.to_table(),
+        &format!(
+            "({}; events scheduled {}, cancelled {}, peak heap {}, re-divisions {})",
+            wall_clock_phrase(info),
+            t.events_scheduled,
+            t.events_cancelled,
+            t.peak_heap_len,
+            t.redivisions
+        ),
+        &session_figure_to_json_with_info(figure, Some(info)),
+    );
+}
+
+fn wall_clock_phrase(info: RunInfo) -> String {
+    format!(
+        "wall clock: {:.3} s on {} thread{}",
         info.wall_clock_secs,
         info.threads,
-        if info.threads == 1 { "" } else { "s" },
-        t.events_scheduled,
-        t.events_cancelled,
-        t.peak_heap_len,
-        t.redivisions
-    );
+        if info.threads == 1 { "" } else { "s" }
+    )
+}
+
+fn print_and_write(id: &str, table: &str, runtime_line: &str, json: &str) {
+    println!("{table}");
+    println!("{runtime_line}");
     let dir = PathBuf::from("results");
     if std::fs::create_dir_all(&dir).is_ok() {
-        let path = dir.join(format!("{}.json", figure.id));
-        if let Err(e) = std::fs::write(&path, session_figure_to_json_with_info(figure, Some(info)))
-        {
+        let path = dir.join(format!("{id}.json"));
+        if let Err(e) = std::fs::write(&path, json) {
             eprintln!("warning: could not write {}: {e}", path.display());
         } else {
             println!("(wrote {})", path.display());
         }
     }
+}
+
+/// Serialises a [`FigureResult`] to pretty-printed JSON; when `info` is
+/// given, top-level `wall_clock_secs` and `threads` fields are emitted.
+///
+/// Hand-rolled because the build environment has no registry access for
+/// `serde`; the schema mirrors the public fields of [`FigureResult`].
+/// Non-finite floats (e.g. an infinite average delay at zero bandwidth)
+/// are emitted as `null`, matching what `serde_json` does for them.
+pub fn figure_to_json_with_info(figure: &FigureResult, info: Option<RunInfo>) -> String {
+    let series = figure.series.iter();
+    figure_json(
+        [&figure.id, &figure.title, &figure.x_label],
+        &info.map(run_info_lines).unwrap_or_default(),
+        series.map(|s| (s.label.as_str(), &s.points[..])),
+        |p| (p.x, metrics_to_json(&p.metrics)),
+    )
 }
 
 /// Serialises a [`SessionFigureResult`] to pretty-printed JSON; same
@@ -267,44 +226,67 @@ pub fn session_figure_to_json_with_info(
     figure: &SessionFigureResult,
     info: Option<RunInfo>,
 ) -> String {
+    let t = figure.telemetry;
+    let info_lines = info.map(|info| {
+        format!(
+            "{}  \"events_scheduled\": {},\n  \"events_cancelled\": {},\n  \
+             \"peak_heap_len\": {},\n  \"redivisions\": {},\n",
+            run_info_lines(info),
+            t.events_scheduled,
+            t.events_cancelled,
+            t.peak_heap_len,
+            t.redivisions
+        )
+    });
+    let series = figure.series.iter();
+    figure_json(
+        [&figure.id, &figure.title, &figure.x_label],
+        &info_lines.unwrap_or_default(),
+        series.map(|s| (s.label.as_str(), &s.points[..])),
+        |p| (p.x, session_metrics_to_json(&p.metrics)),
+    )
+}
+
+fn run_info_lines(info: RunInfo) -> String {
+    format!(
+        "  \"wall_clock_secs\": {},\n  \"threads\": {},\n",
+        json_f64(info.wall_clock_secs),
+        info.threads
+    )
+}
+
+/// The skeleton both figure schemas share: the `[id, title, x_label]`
+/// header, the already-formatted run-info lines (empty when untimed), then
+/// every series as `(label, points)`, with `point` giving each point's `x`
+/// and its metrics as JSON.
+fn figure_json<'a, P: 'a>(
+    [id, title, x_label]: [&str; 3],
+    info_lines: &str,
+    series: impl Iterator<Item = (&'a str, &'a [P])>,
+    point: impl Fn(&P) -> (f64, String),
+) -> String {
     let mut out = String::new();
     out.push_str("{\n");
-    let _ = writeln!(out, "  \"id\": {},", json_string(&figure.id));
-    let _ = writeln!(out, "  \"title\": {},", json_string(&figure.title));
-    let _ = writeln!(out, "  \"x_label\": {},", json_string(&figure.x_label));
-    if let Some(info) = info {
-        let _ = writeln!(
-            out,
-            "  \"wall_clock_secs\": {},",
-            json_f64(info.wall_clock_secs)
-        );
-        let _ = writeln!(out, "  \"threads\": {},", info.threads);
-        let t = figure.telemetry;
-        let _ = writeln!(out, "  \"events_scheduled\": {},", t.events_scheduled);
-        let _ = writeln!(out, "  \"events_cancelled\": {},", t.events_cancelled);
-        let _ = writeln!(out, "  \"peak_heap_len\": {},", t.peak_heap_len);
-        let _ = writeln!(out, "  \"redivisions\": {},", t.redivisions);
-    }
+    let _ = writeln!(out, "  \"id\": {},", json_string(id));
+    let _ = writeln!(out, "  \"title\": {},", json_string(title));
+    let _ = writeln!(out, "  \"x_label\": {},", json_string(x_label));
+    out.push_str(info_lines);
     out.push_str("  \"series\": [\n");
-    for (si, series) in figure.series.iter().enumerate() {
+    let mut series = series.peekable();
+    while let Some((label, points)) = series.next() {
         out.push_str("    {\n");
-        let _ = writeln!(out, "      \"label\": {},", json_string(&series.label));
+        let _ = writeln!(out, "      \"label\": {},", json_string(label));
         out.push_str("      \"points\": [\n");
-        for (pi, point) in series.points.iter().enumerate() {
+        for (pi, (x, metrics)) in points.iter().map(&point).enumerate() {
             let _ = write!(
                 out,
-                "        {{\"x\": {}, \"metrics\": {}}}",
-                json_f64(point.x),
-                session_metrics_to_json(&point.metrics)
+                "        {{\"x\": {}, \"metrics\": {metrics}}}",
+                json_f64(x)
             );
-            out.push_str(if pi + 1 < series.points.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
+            out.push_str(if pi + 1 < points.len() { ",\n" } else { "\n" });
         }
         out.push_str("      ]\n");
-        out.push_str(if si + 1 < figure.series.len() {
+        out.push_str(if series.peek().is_some() {
             "    },\n"
         } else {
             "    }\n"
@@ -449,7 +431,7 @@ mod tests {
     fn emit_writes_results_file() {
         let mut fig = FigureResult::new("selftest", "emit smoke test", "x");
         fig.series.push(FigureSeries::new("s"));
-        emit(&fig);
+        emit_timed(&fig, Duration::ZERO);
         let path = std::path::Path::new("results/selftest.json");
         assert!(path.exists());
         let _ = std::fs::remove_file(path);
@@ -467,7 +449,7 @@ mod tests {
         assert!(json.contains("\"wall_clock_secs\": 1.5"));
         assert!(json.contains("\"threads\": 4"));
         // The untimed serialisation stays byte-compatible with the old schema.
-        assert!(!figure_to_json(&fig).contains("wall_clock_secs"));
+        assert!(!figure_to_json_with_info(&fig, None).contains("wall_clock_secs"));
 
         emit_timed(&fig, Duration::from_millis(10));
         let path = std::path::Path::new("results/selftest_timed.json");
@@ -523,6 +505,121 @@ mod tests {
         let written = std::fs::read_to_string(path).unwrap();
         assert!(written.contains("\"sessions\": 10"));
         let _ = std::fs::remove_file(path);
+    }
+
+    const INFO: RunInfo = RunInfo {
+        wall_clock_secs: 1.5,
+        threads: 4,
+    };
+
+    /// Every byte of the per-request schema: two series, a label and a
+    /// title needing escapes, integral floats, a non-finite metric.
+    #[test]
+    fn figure_json_bytes_are_pinned() {
+        let point = |delay| Metrics {
+            requests: 100,
+            traffic_reduction_ratio: 0.25,
+            avg_service_delay_secs: delay,
+            avg_stream_quality: 1.0,
+            total_added_value: 0.0,
+            hit_ratio: 0.5,
+            immediate_ratio: 0.125,
+        };
+        let mut fig = FigureResult::new("golden", "a \"quoted\" title", "cache size (%)");
+        let mut pb = FigureSeries::new("PB\t\\ \u{1}\n");
+        pb.push(0.05, point(1.5));
+        pb.push(1.0, point(2e-7));
+        let mut lru = FigureSeries::new("LRU");
+        lru.push(2.0, point(f64::INFINITY));
+        fig.series = vec![pb, lru];
+
+        let expected = r#"{
+  "id": "golden",
+  "title": "a \"quoted\" title",
+  "x_label": "cache size (%)",
+  "series": [
+    {
+      "label": "PB\t\\ \u0001\n",
+      "points": [
+        {"x": 0.05, "metrics": {"requests": 100, "traffic_reduction_ratio": 0.25, "avg_service_delay_secs": 1.5, "avg_stream_quality": 1.0, "total_added_value": 0.0, "hit_ratio": 0.5, "immediate_ratio": 0.125}},
+        {"x": 1.0, "metrics": {"requests": 100, "traffic_reduction_ratio": 0.25, "avg_service_delay_secs": 0.0000002, "avg_stream_quality": 1.0, "total_added_value": 0.0, "hit_ratio": 0.5, "immediate_ratio": 0.125}}
+      ]
+    },
+    {
+      "label": "LRU",
+      "points": [
+        {"x": 2.0, "metrics": {"requests": 100, "traffic_reduction_ratio": 0.25, "avg_service_delay_secs": null, "avg_stream_quality": 1.0, "total_added_value": 0.0, "hit_ratio": 0.5, "immediate_ratio": 0.125}}
+      ]
+    }
+  ]
+}
+"#;
+        assert_eq!(figure_to_json_with_info(&fig, None), expected);
+        let timed = expected.replace(
+            "  \"series\"",
+            "  \"wall_clock_secs\": 1.5,\n  \"threads\": 4,\n  \"series\"",
+        );
+        assert_eq!(figure_to_json_with_info(&fig, Some(INFO)), timed);
+    }
+
+    /// Every byte of the session schema: the telemetry lines ride with the
+    /// run info, `egress_bins_bytes` is an array, an empty series closes.
+    #[test]
+    fn session_figure_json_bytes_are_pinned() {
+        use sc_sim::{SessionFigureSeries, SessionTelemetry};
+        let mut fig = SessionFigureResult::new("golden_sessions", "sessions", "cache size (%)");
+        fig.telemetry = SessionTelemetry {
+            events_scheduled: 31,
+            events_cancelled: 5,
+            peak_heap_len: 9,
+            redivisions: 7,
+        };
+        let mut pb = SessionFigureSeries::new("PB");
+        pb.push(
+            0.05,
+            SessionMetrics {
+                sessions: 10,
+                viewer_seconds: 100.0,
+                avg_concurrent_viewers: 2.0,
+                peak_concurrent_viewers: 4,
+                rebuffer_probability: 0.5,
+                avg_rebuffer_secs: f64::NAN,
+                traffic_reduction_ratio: 0.3,
+                origin_bytes_total: 1_000.0,
+                egress_bins_bytes: vec![600.0, 400.5],
+                horizon_secs: 50.0,
+                outage_secs: 12.5,
+                masked_stall_secs: 3.75,
+            },
+        );
+        fig.series = vec![pb, SessionFigureSeries::new("IB \"whole\"")];
+
+        let expected = r#"{
+  "id": "golden_sessions",
+  "title": "sessions",
+  "x_label": "cache size (%)",
+  "series": [
+    {
+      "label": "PB",
+      "points": [
+        {"x": 0.05, "metrics": {"sessions": 10, "viewer_seconds": 100.0, "avg_concurrent_viewers": 2.0, "peak_concurrent_viewers": 4, "rebuffer_probability": 0.5, "avg_rebuffer_secs": null, "traffic_reduction_ratio": 0.3, "origin_bytes_total": 1000.0, "horizon_secs": 50.0, "outage_secs": 12.5, "masked_stall_secs": 3.75, "egress_bins_bytes": [600.0, 400.5]}}
+      ]
+    },
+    {
+      "label": "IB \"whole\"",
+      "points": [
+      ]
+    }
+  ]
+}
+"#;
+        assert_eq!(session_figure_to_json_with_info(&fig, None), expected);
+        let timed = expected.replace(
+            "  \"series\"",
+            "  \"wall_clock_secs\": 1.5,\n  \"threads\": 4,\n  \"events_scheduled\": 31,\n  \
+             \"events_cancelled\": 5,\n  \"peak_heap_len\": 9,\n  \"redivisions\": 7,\n  \"series\"",
+        );
+        assert_eq!(session_figure_to_json_with_info(&fig, Some(INFO)), timed);
     }
 
     #[test]

@@ -56,6 +56,11 @@ const RING_BYTES: usize = 64 * 1024;
 /// cannot strand the store short of the engine's eventual grant.
 const RETAIN_BANDWIDTH_SLACK: f64 = 0.9;
 
+/// Bandwidth assumed towards the origin before any transfer has been
+/// observed (bytes per second). Subsequent transfers feed an EWMA
+/// estimator (passive measurement, Section 2.7 of the paper).
+const ASSUMED_ORIGIN_BPS: f64 = 64_000.0;
+
 /// Configuration of the caching proxy.
 #[derive(Debug, Clone)]
 pub struct ProxyConfig {
@@ -65,15 +70,15 @@ pub struct ProxyConfig {
     pub cache_capacity_bytes: f64,
     /// The cache-management policy (PB by default).
     pub policy: PolicyKind,
-    /// Bandwidth assumed towards the origin before any transfer has been
-    /// observed (bytes per second). Subsequent transfers feed an EWMA
-    /// estimator (passive measurement, Section 2.7 of the paper).
-    pub assumed_origin_bps: f64,
     /// Maximum number of requests handled concurrently (must be ≥ 1). The
     /// pool runs one thread more than this: at any moment one thread is
     /// the leader blocked in `accept()`, and the thread that accepts a
     /// connection serves it itself whenever another is idle to take over
-    /// the accepting.
+    /// the accepting. The cache engine gets one shard per worker, each
+    /// with its own lock, utility heap and byte budget (the capacity is
+    /// split evenly), so workers serving objects that hash to different
+    /// shards never contend on the cache; one worker is the single-engine
+    /// proxy exactly.
     pub worker_threads: usize,
     /// Capacity of the bounded accept queue (must be ≥ 1). A connection is
     /// queued only when every other pool thread is busy; a full queue
@@ -81,12 +86,6 @@ pub struct ProxyConfig {
     pub accept_queue_len: usize,
     /// Maximum concurrent connections to the origin server (0 = unlimited).
     pub max_origin_connections: usize,
-    /// Number of independent cache-engine shards (0 = one per worker
-    /// thread). Each shard has its own lock, utility heap and byte budget
-    /// (the capacity is split evenly), so workers serving objects that hash
-    /// to different shards never contend on the cache. `1` reproduces the
-    /// single-engine proxy exactly.
-    pub engine_shards: usize,
     /// Per-attempt timeout for dialing the origin (must be non-zero).
     pub connect_timeout: Duration,
     /// Per-read timeout on origin sockets (must be non-zero): a stalled
@@ -130,11 +129,9 @@ impl ProxyConfig {
             origin_addr,
             cache_capacity_bytes,
             policy: PolicyKind::PartialBandwidth,
-            assumed_origin_bps: 64_000.0,
             worker_threads: 8,
             accept_queue_len: 1024,
             max_origin_connections: 32,
-            engine_shards: 0,
             connect_timeout: Duration::from_secs(1),
             origin_read_timeout: Duration::from_secs(5),
             retry: RetryPolicy::default(),
@@ -342,9 +339,7 @@ impl ProxyState {
         if let Some(bps) = observed_bps {
             estimator.observe(bps);
         }
-        estimator
-            .estimate_bps()
-            .unwrap_or(self.config.assumed_origin_bps)
+        estimator.estimate_bps().unwrap_or(ASSUMED_ORIGIN_BPS)
     }
 
     /// A consistent-enough snapshot of every counter: the hot counters are
@@ -449,14 +444,9 @@ impl CachingProxy {
                 "the client rate limit must be a number (0 disables it)".into(),
             ));
         }
-        let shards = if config.engine_shards == 0 {
-            config.worker_threads
-        } else {
-            config.engine_shards
-        };
         let engine = ShardedEngine::with_companions(
             config.cache_capacity_bytes,
-            shards,
+            config.worker_threads,
             || config.policy.build(),
             ShardRecords::default,
         )
@@ -1250,10 +1240,9 @@ mod tests {
     fn proxy_config_defaults() {
         let cfg = ProxyConfig::new("127.0.0.1:9".parse().unwrap(), 1e6);
         assert_eq!(cfg.policy, PolicyKind::PartialBandwidth);
-        assert!(cfg.assumed_origin_bps > 0.0);
+        const { assert!(ASSUMED_ORIGIN_BPS > 0.0) };
         assert!(cfg.worker_threads >= 1);
         assert!(cfg.accept_queue_len >= 1);
-        assert_eq!(cfg.engine_shards, 0, "0 = one shard per worker");
         assert!(!cfg.connect_timeout.is_zero());
         assert!(!cfg.origin_read_timeout.is_zero());
         assert!(cfg.retry.max_attempts >= 1);
@@ -1358,16 +1347,12 @@ mod tests {
     #[test]
     fn engine_shards_default_to_worker_count() {
         let addr: SocketAddr = "127.0.0.1:9".parse().unwrap();
-        let mut cfg = ProxyConfig::new(addr, 1e6);
-        cfg.worker_threads = 3;
-        let proxy = CachingProxy::start(cfg).unwrap();
-        assert_eq!(proxy.engine_shards(), 3);
-
-        let mut cfg = ProxyConfig::new(addr, 1e6);
-        cfg.worker_threads = 3;
-        cfg.engine_shards = 1;
-        let proxy = CachingProxy::start(cfg).unwrap();
-        assert_eq!(proxy.engine_shards(), 1);
+        for workers in [3, 1] {
+            let mut cfg = ProxyConfig::new(addr, 1e6);
+            cfg.worker_threads = workers;
+            let proxy = CachingProxy::start(cfg).unwrap();
+            assert_eq!(proxy.engine_shards(), workers);
+        }
     }
 
     #[test]

@@ -224,3 +224,39 @@ fn paced_client_gets_its_header_before_the_bucket_opens() {
         started.elapsed()
     );
 }
+
+/// Relay memory follows the prefix the policy may admit, not the object: a
+/// 16 MiB film on a path PB has learned is abundant streams through the
+/// fixed ring, and the only bytes ever retained are the probe's own on
+/// first contact (PB's target for 64 KiB at 0.9 × the assumed 64 KB/s).
+#[test]
+fn relay_memory_is_bounded_by_the_admissible_prefix_not_the_object() {
+    const PROBE_BYTES: u64 = 64 * 1024;
+    const FILM_BYTES: u64 = 16 * 1024 * 1024;
+    let (_origin, proxy) = setup(
+        vec![
+            ObjectSpec::new("probe", PROBE_BYTES, 1e6),
+            ObjectSpec::new("feature-film", FILM_BYTES, 1e6),
+        ],
+        0.0,
+        1e12,
+        PolicyKind::PartialBandwidth,
+    );
+    let client = StreamingClient::new();
+    // Warm the estimator: after these the proxy knows the path is far
+    // faster than any bit-rate, so PB's target for the film is zero.
+    for _ in 0..3 {
+        client.fetch(proxy.addr(), "probe").unwrap();
+    }
+    for _ in 0..2 {
+        let report = client.fetch(proxy.addr(), "feature-film").unwrap();
+        assert!(report.content_ok);
+        assert_eq!(report.bytes, FILM_BYTES);
+    }
+    assert_eq!(proxy.cached_prefix_len("feature-film"), 0);
+    let peak = proxy.stats().peak_tail_bytes;
+    assert!(
+        peak <= PROBE_BYTES,
+        "relay retained {peak} bytes of a {FILM_BYTES}-byte stream"
+    );
+}
