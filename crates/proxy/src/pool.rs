@@ -1,17 +1,19 @@
-//! Worker-pool plumbing for the proxy's request path: the leader/followers
-//! hand-over and the bounded accept queue behind it, and a counting
+//! Worker-pool plumbing for the proxy's request path: who accepts, who
+//! serves and the bounded accept queue behind them, and a counting
 //! semaphore bounding concurrent origin connections.
 //!
-//! The pool is `worker_threads + 1` identical threads. Exactly one is the
-//! *leader*, blocked in `accept()`; the rest serve requests or wait as idle
-//! *followers*. The leader hands every accepted connection to
-//! [`AcceptQueue::admit`], which decides under the queue's one mutex: with a
-//! follower idle and nothing queued the leader takes an in-flight slot,
-//! passes leadership to that follower and serves the connection itself (no
-//! queue, no wake-up on the request's path); otherwise it stays leader and
-//! queues the connection. A thread that finishes a request asks
-//! [`AcceptQueue::next_turn`], which drains the queue before it offers the
-//! vacant leadership or parks the thread as a follower.
+//! The pool is `worker_threads + 1` identical threads, and the kernel's
+//! accept queue is their parking lot: a thread with nothing to do blocks in
+//! `accept()` on the shared listener, where each arriving connection wakes
+//! exactly one of them. [`AcceptQueue`] only counts the threads that are in
+//! (or on their way into) `accept()`. A thread that comes back with a
+//! connection hands it to [`AcceptQueue::admit`], which decides under the
+//! queue's one mutex: with another thread still accepting and nothing queued
+//! it counts itself out, takes an in-flight slot and serves the connection
+//! itself (no queue, no wake-up, nobody to hand anything to); otherwise it
+//! is the last acceptor, so it queues the connection and accepts again. A
+//! thread that finishes a request asks [`AcceptQueue::next_turn`], which
+//! drains the queue before it sends the thread back to `accept()`.
 //!
 //! Both primitives are hand-rolled on `std::sync::{Mutex, Condvar}` because
 //! the build environment has no crates.io access (see `shims/`); the
@@ -63,19 +65,20 @@ pub(crate) struct QueuedConn {
 pub(crate) enum Admission {
     /// The queue is closed; the connection was dropped.
     Closed,
-    /// A follower was idle and nothing was queued: the connection holds an
-    /// in-flight slot (release it with [`InFlightSlot`]), leadership has
-    /// passed to the follower, and the caller serves the connection itself.
+    /// Another thread is still accepting and nothing was queued: the
+    /// connection holds an in-flight slot (release it with
+    /// [`InFlightSlot`]), the caller no longer counts as accepting, and it
+    /// serves the connection itself.
     Inline(TcpStream),
-    /// The connection was enqueued and the caller is still the leader.
-    /// With the in-flight cap hit, admitting it evicted the oldest queued
+    /// The connection was enqueued and the caller goes on accepting. With
+    /// the in-flight cap hit, admitting it evicted the oldest queued
     /// connection, returned here so the caller can answer it with `BUSY`
     /// (drop-oldest: the newest arrival is the one most likely to still be
     /// listening).
     Queued { shed: Option<QueuedConn> },
     /// The in-flight cap is hit and nothing is queued to evict (every
     /// admitted request is already being handled), so the newcomer itself
-    /// is shed. The caller is still the leader.
+    /// is shed. The caller goes on accepting.
     ShedIncoming(TcpStream),
 }
 
@@ -86,10 +89,10 @@ pub(crate) enum Turn {
     /// [`AcceptQueue::finish`] (use [`InFlightSlot`] for panic-safe
     /// release).
     Serve(QueuedConn),
-    /// The queue is empty and nobody is accepting: the caller is now the
-    /// leader and stays so until [`AcceptQueue::admit`] returns
-    /// [`Admission::Inline`] or the queue closes.
-    Lead,
+    /// Nothing is queued: the caller is counted as accepting and goes into
+    /// `accept()`, handing what it gets to [`AcceptQueue::admit`] until
+    /// that returns [`Admission::Inline`] or the queue closes.
+    Accept,
     /// The queue is closed and drained.
     Exit,
 }
@@ -100,36 +103,36 @@ struct QueueInner {
     /// Connections being handled; together with `connections.len()` this
     /// is the in-flight total the admission cap bounds.
     active: usize,
-    /// Whether some thread holds the leader role.
-    has_leader: bool,
-    /// Followers parked in [`AcceptQueue::next_turn`]. A thread registers
-    /// here under the same lock that saw the queue empty, and `admit`
-    /// queues only when this is zero, so `idle > 0` implies an empty
-    /// queue: no connection is ever stranded behind a sleeping follower.
-    idle: usize,
+    /// Threads in `accept()` or committed to entering it. A thread counts
+    /// itself in only under the lock that saw the queue empty, and `admit`
+    /// queues only as the sole acceptor, so `accepting > 1` implies an
+    /// empty queue: no connection ever waits while a second thread sits in
+    /// `accept()` beside the one that queued it. A thread counts itself out
+    /// only while another is counted, so until the close at least one
+    /// thread is always accepting. Not maintained after the close.
+    accepting: usize,
     closed: bool,
 }
 
-/// The pool's one synchronisation point: leader hand-over plus a bounded
-/// FIFO of accepted client connections.
+/// The pool's one synchronisation point: the count of accepting threads
+/// plus a bounded FIFO of accepted client connections.
 ///
-/// The leader admits, every pool thread takes turns. When the queue is full
-/// the leader blocks, which stops it pulling connections off the listener:
-/// backpressure propagates to the OS listen backlog and from there to
-/// connecting clients, so overload slows clients down instead of growing
-/// proxy memory without bound. With a nonzero `max_in_flight` admission
-/// never blocks at that cap — it sheds deterministically instead (see
-/// [`Admission`]), trading silence for an explicit `BUSY`.
+/// Accepting threads admit, every pool thread takes turns. When the queue
+/// is full the last acceptor blocks, which stops it pulling connections off
+/// the listener: backpressure propagates to the OS listen backlog and from
+/// there to connecting clients, so overload slows clients down instead of
+/// growing proxy memory without bound. With a nonzero `max_in_flight`
+/// admission never blocks at that cap — it sheds deterministically instead
+/// (see [`Admission`]), trading silence for an explicit `BUSY`.
 ///
-/// Closing the queue wakes every waiter; turns keep draining whatever was
-/// already accepted (graceful shutdown finishes queued requests) and end
-/// with [`Turn::Exit`] only once the queue is empty.
+/// Closing the queue wakes an acceptor blocked on a full queue; turns keep
+/// draining whatever was already accepted (graceful shutdown finishes
+/// queued requests) and end with [`Turn::Exit`] only once the queue is
+/// empty.
 #[derive(Debug)]
 pub(crate) struct AcceptQueue {
     inner: Mutex<QueueInner>,
-    /// Followers wait here for a queued connection, a vacant leadership or
-    /// the close.
-    work: Condvar,
+    /// The last acceptor waits here while the queue is at capacity.
     not_full: Condvar,
     capacity: usize,
     /// Hard cap on queued + active connections; 0 disables the cap.
@@ -146,11 +149,9 @@ impl AcceptQueue {
             inner: Mutex::new(QueueInner {
                 connections: VecDeque::with_capacity(capacity.min(1024)),
                 active: 0,
-                has_leader: false,
-                idle: 0,
+                accepting: 0,
                 closed: false,
             }),
-            work: Condvar::new(),
             not_full: Condvar::new(),
             capacity,
             max_in_flight,
@@ -161,10 +162,11 @@ impl AcceptQueue {
         }
     }
 
-    /// The leader's one decision per accepted connection: serve it inline,
-    /// queue it (blocking while the queue is at capacity) or shed. At the
-    /// in-flight cap it never blocks: it sheds (and counts) either the
-    /// oldest queued connection or the newcomer instead.
+    /// An accepting thread's one decision per accepted connection: serve it
+    /// inline, queue it (blocking while the queue is at capacity) or shed.
+    /// At the in-flight cap it never blocks: it sheds (and counts) either
+    /// the oldest queued connection or the newcomer instead. Only
+    /// [`Admission::Inline`] takes the caller out of the accepting count.
     pub(crate) fn admit(&self, stream: TcpStream) -> Admission {
         let mut inner = lock_queue(&self.inner);
         loop {
@@ -181,23 +183,21 @@ impl AcceptQueue {
                             stream,
                             enqueued_at: Instant::now(),
                         });
-                        debug_assert_eq!(inner.idle, 0, "queued behind an idle follower");
+                        debug_assert!(inner.accepting <= 1, "queued beside a second acceptor");
                         Admission::Queued { shed: Some(oldest) }
                     }
                     None => Admission::ShedIncoming(stream),
                 };
             }
-            if inner.idle > 0 && inner.connections.is_empty() {
+            if inner.accepting > 1 && inner.connections.is_empty() {
+                // Somebody else is in `accept()`: nobody to wake, nothing
+                // to hand over.
+                inner.accepting -= 1;
                 inner.active += 1;
-                inner.has_leader = false;
-                // Unlock first, so the woken follower does not run straight
-                // into the mutex.
-                drop(inner);
-                self.work.notify_one();
                 return Admission::Inline(stream);
             }
             if inner.connections.len() < self.capacity {
-                debug_assert_eq!(inner.idle, 0, "queued behind an idle follower");
+                debug_assert!(inner.accepting <= 1, "queued beside a second acceptor");
                 inner.connections.push_back(QueuedConn {
                     stream,
                     enqueued_at: Instant::now(),
@@ -210,30 +210,22 @@ impl AcceptQueue {
         }
     }
 
-    /// Blocks until the calling thread has something to do: the oldest
-    /// queued connection first, then the leader role if it is vacant,
-    /// otherwise it parks as an idle follower. After
-    /// [`close`](Self::close), keeps handing out queued connections until
-    /// the backlog is drained, then [`Turn::Exit`].
+    /// What the calling thread does next, without ever waiting: the oldest
+    /// queued connection first; after [`close`](Self::close), once that
+    /// backlog is drained, [`Turn::Exit`]; otherwise the thread is counted
+    /// in and goes to `accept()`.
     pub(crate) fn next_turn(&self) -> Turn {
         let mut inner = lock_queue(&self.inner);
-        loop {
-            if let Some(conn) = inner.connections.pop_front() {
-                inner.active += 1;
-                self.not_full.notify_one();
-                return Turn::Serve(conn);
-            }
-            if inner.closed {
-                return Turn::Exit;
-            }
-            if !inner.has_leader {
-                inner.has_leader = true;
-                return Turn::Lead;
-            }
-            inner.idle += 1;
-            inner = wait_on(&self.work, inner);
-            inner.idle -= 1;
+        if let Some(conn) = inner.connections.pop_front() {
+            inner.active += 1;
+            self.not_full.notify_one();
+            return Turn::Serve(conn);
         }
+        if inner.closed {
+            return Turn::Exit;
+        }
+        inner.accepting += 1;
+        Turn::Accept
     }
 
     /// Releases the in-flight slot of one served connection.
@@ -242,14 +234,13 @@ impl AcceptQueue {
         inner.active = inner.active.saturating_sub(1);
     }
 
-    /// Closes the queue and wakes every parked follower and a leader
-    /// blocked on a full queue. (A leader blocked in `accept()` is the
-    /// caller's to wake.)
+    /// Closes the queue and wakes an acceptor blocked on a full queue.
+    /// (Threads blocked in `accept()` are the caller's to wake: each comes
+    /// back at most once more, to [`Admission::Closed`].)
     pub(crate) fn close(&self) {
         let mut inner = lock_queue(&self.inner);
         inner.closed = true;
         drop(inner);
-        self.work.notify_all();
         self.not_full.notify_all();
     }
 
@@ -414,28 +405,21 @@ mod tests {
     }
 
     /// The next queued connection; `None` once the queue is closed and
-    /// drained. For tests where no thread is parked, so a turn is never
-    /// `Lead` while something is queued.
+    /// drained. For tests that call it only with something queued or after
+    /// the close, so a turn is never `Accept`.
     fn pop(queue: &AcceptQueue) -> Option<QueuedConn> {
         match queue.next_turn() {
             Turn::Serve(conn) => Some(conn),
             Turn::Exit => None,
-            Turn::Lead => panic!("nothing queued"),
+            Turn::Accept => panic!("nothing queued"),
         }
     }
 
-    /// Spawns a follower that reports the turn it eventually gets, and
-    /// waits until it is parked (the queue starts with a leader: the test).
-    fn parked_follower(queue: &Arc<AcceptQueue>) -> std::thread::JoinHandle<Turn> {
-        let before = lock_queue(&queue.inner).idle;
-        let handle = {
-            let queue = Arc::clone(queue);
-            std::thread::spawn(move || queue.next_turn())
-        };
-        while lock_queue(&queue.inner).idle == before {
-            std::thread::yield_now();
-        }
-        handle
+    /// Threads counted as accepting. A turn never waits, so the tests below
+    /// play several pool threads from the one test thread: every
+    /// `Turn::Accept` it is handed stands for one more thread in `accept()`.
+    fn accepting(queue: &AcceptQueue) -> usize {
+        lock_queue(&queue.inner).accepting
     }
 
     #[test]
@@ -580,31 +564,35 @@ mod tests {
     }
 
     #[test]
-    fn admit_is_inline_only_with_an_idle_follower_and_an_empty_queue() {
+    fn admit_is_inline_only_with_another_thread_accepting_and_an_empty_queue() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let queue = Arc::new(AcceptQueue::new(4, 0));
-        // The test thread is the leader.
-        assert!(matches!(queue.next_turn(), Turn::Lead));
-        // Nobody idle: the connection is queued, and a thread coming for
-        // its turn is handed it instead of parking.
+        let queue = AcceptQueue::new(4, 0);
+        // One thread accepting.
+        assert!(matches!(queue.next_turn(), Turn::Accept));
+        // It is the last acceptor: the connection is queued, and a thread
+        // coming for its turn is handed it instead of going to accept.
         assert_queued(queue.admit(loopback_pair(&listener)));
+        assert_eq!(accepting(&queue), 1, "the last acceptor stays");
         assert!(pop(&queue).is_some());
         queue.finish();
-        // A parked follower and an empty queue: the leader serves inline,
-        // holding an in-flight slot, and the follower takes over the lead.
-        let follower = parked_follower(&queue);
+        // A second thread accepting and an empty queue: the one that comes
+        // back with a connection counts itself out and serves it inline,
+        // holding an in-flight slot; the other is still accepting.
+        assert!(matches!(queue.next_turn(), Turn::Accept));
+        assert_eq!(accepting(&queue), 2);
         let a = loopback_pair(&listener);
         let a_addr = a.local_addr().unwrap();
         match queue.admit(a) {
             Admission::Inline(stream) => assert_eq!(stream.local_addr().unwrap(), a_addr),
             other => panic!("expected to serve inline, got {other:?}"),
         }
-        assert!(matches!(follower.join().unwrap(), Turn::Lead));
+        assert_eq!(accepting(&queue), 1);
         assert_eq!(lock_queue(&queue.inner).active, 1);
         queue.finish();
-        // The follower is gone again, so the next connection is queued —
-        // and nothing that skipped the queue counted as a wait.
+        // Down to the last acceptor again, so the next connection is queued
+        // — and nothing that skipped the queue counted as a wait.
         assert_queued(queue.admit(loopback_pair(&listener)));
+        assert_eq!(accepting(&queue), 1);
         assert_eq!(queue.dequeued_count(), 0);
         queue.close();
     }
@@ -612,17 +600,16 @@ mod tests {
     #[test]
     fn inline_path_at_the_in_flight_cap_sheds_the_newcomer() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let queue = Arc::new(AcceptQueue::new(8, 1));
-        assert!(matches!(queue.next_turn(), Turn::Lead));
-        let first = parked_follower(&queue);
+        let queue = AcceptQueue::new(8, 1);
+        assert!(matches!(queue.next_turn(), Turn::Accept));
+        assert!(matches!(queue.next_turn(), Turn::Accept));
         assert!(matches!(
             queue.admit(loopback_pair(&listener)),
             Admission::Inline(_)
         ));
-        assert!(matches!(first.join().unwrap(), Turn::Lead));
-        // One in flight = the cap, nothing queued to evict: an idle
-        // follower does not buy the newcomer a slot.
-        let second = parked_follower(&queue);
+        // One in flight = the cap, nothing queued to evict: a second
+        // acceptor does not buy the newcomer a slot.
+        assert!(matches!(queue.next_turn(), Turn::Accept));
         let b = loopback_pair(&listener);
         let b_addr = b.local_addr().unwrap();
         match queue.admit(b) {
@@ -630,46 +617,45 @@ mod tests {
             other => panic!("expected the newcomer shed, got {other:?}"),
         }
         assert_eq!(queue.shed_count(), 1);
-        assert_eq!(
-            lock_queue(&queue.inner).idle,
-            1,
-            "the follower stays parked"
-        );
-        // The slot frees: the same follower now lets the leader go inline.
+        assert_eq!(accepting(&queue), 2, "the shedding thread stays counted");
+        // The slot frees: the same two acceptors now let one go inline.
         queue.finish();
         assert!(matches!(
             queue.admit(loopback_pair(&listener)),
             Admission::Inline(_)
         ));
-        assert!(matches!(second.join().unwrap(), Turn::Lead));
+        assert_eq!(accepting(&queue), 1);
         queue.close();
     }
 
-    /// The stranded-entry race: were "is a follower idle?" and "queue it"
-    /// decided under different locks, a follower could park just after the
-    /// leader chose to queue, and the connection would wait for the *next*
-    /// arrival. Three pool threads run the real turn/admit protocol over a
-    /// channel standing in for the listener while the test thread checks,
-    /// under the queue's lock, that an idle follower never coexists with a
-    /// queued connection — and that every connection is served exactly once.
+    /// The stranded-entry race: were "is anybody else accepting?" and
+    /// "queue it" decided under different locks, a thread could go to
+    /// `accept()` just after the last acceptor chose to queue, and the
+    /// connection would wait for the *next* arrival; were counting out not
+    /// under the same lock, two acceptors could each leave to the other and
+    /// nobody would answer overload. Three pool threads run the real
+    /// turn/admit protocol over a channel standing in for the listener
+    /// while the test thread checks, under the queue's lock, that a second
+    /// acceptor never coexists with a queued connection and that somebody
+    /// is always accepting — and that every connection is served exactly
+    /// once.
     #[test]
-    fn an_idle_follower_never_coexists_with_a_queued_connection() {
+    fn a_second_acceptor_never_coexists_with_a_queued_connection() {
         const CONNECTIONS: usize = 400;
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let queue = AcceptQueue::new(2, 0);
         let (feed, accepted) = std::sync::mpsc::channel::<TcpStream>();
         let accepted = Mutex::new(accepted);
         let served = AtomicUsize::new(0);
-        // The leader's loop: `None` once the feed (the "listener") is gone.
-        let lead = || loop {
-            let Ok(stream) = lock_queue(&accepted).recv() else {
-                queue.close();
-                return None;
-            };
+        // An accepting thread's loop: `None` once the feed (the "listener")
+        // is gone, which the test arranges the way shutdown does — close
+        // the queue, then nudge everybody out of "accept()".
+        let accept = || loop {
+            let stream = lock_queue(&accepted).recv().ok()?;
             match queue.admit(stream) {
                 Admission::Inline(stream) => return Some(stream),
                 Admission::Queued { shed: None } => {}
-                other => panic!("no cap and only the leader closes: {other:?}"),
+                other => panic!("no cap, and closed only once all are served: {other:?}"),
             }
         };
         std::thread::scope(|scope| {
@@ -678,7 +664,7 @@ mod tests {
                     let stream = match queue.next_turn() {
                         Turn::Exit => break,
                         Turn::Serve(conn) => conn.stream,
-                        Turn::Lead => match lead() {
+                        Turn::Accept => match accept() {
                             Some(stream) => stream,
                             None => continue,
                         },
@@ -688,56 +674,29 @@ mod tests {
                     queue.finish();
                 });
             }
+            // From the first thread's first turn on, somebody is accepting.
+            while accepting(&queue) == 0 {
+                std::thread::yield_now();
+            }
             for _ in 0..CONNECTIONS {
                 feed.send(loopback_pair(&listener)).unwrap();
                 let inner = lock_queue(&queue.inner);
                 assert!(
-                    inner.idle == 0 || inner.connections.is_empty(),
-                    "{} idle followers beside {} queued connections",
-                    inner.idle,
+                    inner.accepting <= 1 || inner.connections.is_empty(),
+                    "{} threads accepting beside {} queued connections",
+                    inner.accepting,
                     inner.connections.len()
                 );
+                assert!(inner.accepting >= 1, "nobody is accepting");
             }
+            while served.load(Ordering::SeqCst) < CONNECTIONS {
+                std::thread::yield_now();
+            }
+            queue.close();
             drop(feed);
         });
         assert_eq!(served.load(Ordering::SeqCst), CONNECTIONS);
         assert_eq!(lock_queue(&queue.inner).active, 0);
-    }
-
-    #[test]
-    fn close_wakes_parked_followers_and_the_backlog_is_still_drained() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let queue = Arc::new(AcceptQueue::new(4, 0));
-        assert!(matches!(queue.next_turn(), Turn::Lead));
-        // Followers parked behind a leader are woken by the close ...
-        let parked = [parked_follower(&queue), parked_follower(&queue)];
-        queue.close();
-        for follower in parked {
-            assert!(matches!(follower.join().unwrap(), Turn::Exit));
-        }
-        // ... and with a backlog at close time (every thread was busy),
-        // threads coming back for a turn drain it before they exit.
-        let queue = Arc::new(AcceptQueue::new(4, 0));
-        assert!(matches!(queue.next_turn(), Turn::Lead));
-        assert_queued(queue.admit(loopback_pair(&listener)));
-        assert_queued(queue.admit(loopback_pair(&listener)));
-        queue.close();
-        let drained: usize = (0..2)
-            .map(|_| {
-                let queue = Arc::clone(&queue);
-                std::thread::spawn(move || {
-                    let mut served = 0;
-                    while let Turn::Serve(_) = queue.next_turn() {
-                        served += 1;
-                    }
-                    served
-                })
-            })
-            .collect::<Vec<_>>()
-            .into_iter()
-            .map(|handle| handle.join().unwrap())
-            .sum();
-        assert_eq!(drained, 2);
     }
 
     #[test]

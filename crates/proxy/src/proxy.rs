@@ -6,14 +6,18 @@
 //! mutex (see `ARCHITECTURE.md`, "Proxy data path"). A `GET` is a sequence
 //! of stages, [`handle_client`]: *parse* → *lookup* (first shard lock) →
 //! *plan* (pure) → *relay* → *admit* (second shard lock); no other
-//! per-object lock or name-keyed map exists. Around that, a fixed
-//! leader/followers pool (see [`crate::pool`]) accepts and serves: the
-//! thread that accepts a connection serves it whenever another thread is
-//! free to take over accepting, and only otherwise queues it; one fd per
-//! client connection, and a warm hit is one read and one vectored write.
-//! Origin connections are bounded by a counting semaphore, and the origin
-//! tail streams through a fixed-size reusable chunk ring, retaining only
-//! the prefix the policy may admit, never the whole object.
+//! per-object lock or name-keyed map exists. Around that, a fixed pool of
+//! identical threads (see [`crate::pool`]) accepts and serves: idle threads
+//! wait in `accept()` itself, and the thread the kernel wakes for a
+//! connection serves it whenever another thread is still accepting, and
+//! only otherwise queues it; one fd per client connection, and a warm hit
+//! is one read and one vectored write. Origin connections are bounded by a
+//! counting semaphore. The origin's reply is read straight into the
+//! worker's fixed-size reusable chunk ring and its header line parsed in
+//! place, so whatever payload arrived behind the header is already where
+//! the relay reads — a small miss is one origin read and one vectored
+//! client write — and the tail streams through the same ring, retaining
+//! only the prefix the policy may admit, never the whole object.
 //!
 //! On top of that sits the overload layer (see `ARCHITECTURE.md`,
 //! "Overload & admission control"): queued connections carry enqueue
@@ -28,6 +32,7 @@ use crate::error::ProxyError;
 use crate::pool::{AcceptQueue, Admission, InFlightSlot, OriginBudget, OriginPermit, Turn};
 use crate::protocol::{
     read_command, read_response, write_request, write_response, Command, Request, Response,
+    MAX_LINE_BYTES,
 };
 use crate::ratelimit::RateLimiter;
 use crate::retry::{BreakerConfig, BreakerState, CircuitBreaker, RetryPolicy};
@@ -39,6 +44,7 @@ use sc_netmodel::{BandwidthEstimator, EwmaEstimator};
 use std::hash::{DefaultHasher, Hasher as _};
 use std::io::{BufReader, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -71,18 +77,19 @@ pub struct ProxyConfig {
     /// The cache-management policy (PB by default).
     pub policy: PolicyKind,
     /// Maximum number of requests handled concurrently (must be ≥ 1). The
-    /// pool runs one thread more than this: at any moment one thread is
-    /// the leader blocked in `accept()`, and the thread that accepts a
-    /// connection serves it itself whenever another is idle to take over
-    /// the accepting. The cache engine gets one shard per worker, each
-    /// with its own lock, utility heap and byte budget (the capacity is
-    /// split evenly), so workers serving objects that hash to different
-    /// shards never contend on the cache; one worker is the single-engine
-    /// proxy exactly.
+    /// pool runs one thread more than this: idle threads wait in
+    /// `accept()`, the one a connection wakes serves it itself as long as
+    /// another is still accepting, and the last one never leaves — so at
+    /// any moment at least one thread is accepting. The cache engine gets
+    /// one shard per worker, each with its own lock, utility heap and byte
+    /// budget (the capacity is split evenly), so workers serving objects
+    /// that hash to different shards never contend on the cache; one
+    /// worker is the single-engine proxy exactly.
     pub worker_threads: usize,
     /// Capacity of the bounded accept queue (must be ≥ 1). A connection is
     /// queued only when every other pool thread is busy; a full queue
-    /// blocks the leader, pushing backpressure into the OS listen backlog.
+    /// blocks the last accepting thread, pushing backpressure into the OS
+    /// listen backlog.
     pub accept_queue_len: usize,
     /// Maximum concurrent connections to the origin server (0 = unlimited).
     pub max_origin_connections: usize,
@@ -194,8 +201,9 @@ pub struct ProxyStats {
     pub shed_requests: u64,
     /// Connections that went through the accept queue and were dequeued,
     /// shed or served alike. Only the overflow path queues: a connection
-    /// accepted while another thread was idle is served by the accepting
-    /// thread and counts in none of the three queue figures.
+    /// accepted while another thread was still in `accept()` is served by
+    /// the thread that accepted it and counts in none of the three queue
+    /// figures.
     pub queued_requests: u64,
     /// Cumulative accept-queue wait over the `queued_requests` dequeued
     /// connections, in microseconds.
@@ -309,7 +317,7 @@ struct ProxyState {
     /// locks, and one lock covers an object's cache decision and its bytes.
     engine: ShardedEngine<Box<dyn UtilityPolicy + Send + Sync>, ShardRecords>,
     estimator: Mutex<EwmaEstimator>,
-    /// The pool's hand-over point and accept queue: part of the state so
+    /// The pool's accepting count and accept queue: part of the state so
     /// both the stats snapshot and the `STATS` verb can read the
     /// shed/wait/depth counters it maintains.
     queue: AcceptQueue,
@@ -375,7 +383,7 @@ impl ProxyState {
     }
 }
 
-/// A running caching proxy backed by a fixed leader/followers pool.
+/// A running caching proxy backed by a fixed pool of identical threads.
 ///
 /// The proxy serves whatever prefix of the requested object it holds at
 /// LAN speed, streams the remainder from the origin over the (rate-limited)
@@ -393,8 +401,8 @@ pub struct CachingProxy {
 }
 
 impl CachingProxy {
-    /// Binds to an ephemeral localhost port and spawns the pool, whose
-    /// first thread to run starts accepting clients.
+    /// Binds to an ephemeral localhost port and spawns the pool; every
+    /// thread starts out accepting clients.
     ///
     /// # Errors
     ///
@@ -537,12 +545,20 @@ impl CachingProxy {
         if self.pool.is_empty() {
             return;
         }
-        // Refuse new connections (this wakes the idle followers and a
-        // leader stuck on a full queue), then nudge a leader parked in
-        // `accept()` awake; it finds the queue closed. Every thread drains
-        // whatever was queued before the close, then exits.
+        // Refuse new connections (this wakes an acceptor stuck on a full
+        // queue), then nudge the threads parked in `accept()` awake. A
+        // thread comes back from `accept()` at most once after the close —
+        // it finds the queue closed and never accepts again — so one
+        // connection per pool thread is enough, and a refused one means the
+        // last thread has already gone and taken the listener with it.
+        // Every thread drains whatever was queued before the close, then
+        // exits.
         self.state.queue.close();
-        let _ = TcpStream::connect(self.addr);
+        for _ in &self.pool {
+            if TcpStream::connect(self.addr).is_err() {
+                break;
+            }
+        }
         for handle in self.pool.drain(..) {
             let _ = handle.join();
         }
@@ -555,8 +571,8 @@ impl Drop for CachingProxy {
     }
 }
 
-/// One pool thread: take a turn — a queued connection, else the vacant
-/// leadership, else wait — until the queue is closed and drained.
+/// One pool thread: take a turn — a queued connection, else off to
+/// `accept()` — until the queue is closed and drained.
 fn run_pool_thread(state: &ProxyState, listener: &TcpListener) {
     let mut scratch = WorkerScratch::new(state.config.policy);
     loop {
@@ -564,7 +580,7 @@ fn run_pool_thread(state: &ProxyState, listener: &TcpListener) {
         let (stream, queue_wait) = match state.queue.next_turn() {
             Turn::Exit => break,
             Turn::Serve(conn) => (conn.stream, Some(conn.enqueued_at.elapsed())),
-            Turn::Lead => match lead(state, listener) {
+            Turn::Accept => match accept_one(state, listener) {
                 Some(stream) => (stream, None),
                 None => continue,
             },
@@ -586,10 +602,12 @@ fn run_pool_thread(state: &ProxyState, listener: &TcpListener) {
     }
 }
 
-/// The leader's loop: accepts and admits until a connection is this
-/// thread's to serve (leadership has then passed to a follower), or until
-/// the queue closes (`None`; the caller's next turn drains and exits).
-fn lead(state: &ProxyState, listener: &TcpListener) -> Option<TcpStream> {
+/// An accepting thread's loop: waits in `accept()` and admits until a
+/// connection is this thread's to serve (another thread is then still
+/// accepting), or until the queue closes (`None`; the caller's next turn
+/// drains and exits). As the last acceptor it queues or sheds what it gets
+/// and stays.
+fn accept_one(state: &ProxyState, listener: &TcpListener) -> Option<TcpStream> {
     let retry_after = state.config.busy_retry_after_ms();
     loop {
         let Ok((stream, _)) = listener.accept() else {
@@ -615,7 +633,8 @@ fn lead(state: &ProxyState, listener: &TcpListener) -> Option<TcpStream> {
 /// request needs that should not be reallocated per request or fetched
 /// under a shared lock.
 struct WorkerScratch {
-    /// Fixed-size relay ring: every origin chunk passes through here.
+    /// Fixed-size relay ring: the origin's reply is read and parsed here,
+    /// and every origin chunk passes through.
     chunk: Vec<u8>,
     /// Tail-retention buffer, capped at the prefix the policy may admit.
     retained: Vec<u8>,
@@ -703,11 +722,12 @@ fn client_err(state: &ProxyState, err: ProxyError) -> ProxyError {
 /// bytes to the client in ring-sized chunks, paced by the per-client token
 /// bucket and with write failures classified through [`client_err`]. The
 /// header rides in front of the first chunk in one vectored write — one
-/// segment instead of two on a warm hit — and goes out alone only when
-/// there is no payload or the payload has to wait for the bucket.
-fn write_paced(
+/// segment instead of two on a warm hit or a small miss — and goes out
+/// alone only when there is no payload or the payload has to wait for the
+/// bucket.
+fn write_paced<W: Write>(
     state: &ProxyState,
-    mut client: &TcpStream,
+    client: &mut W,
     mut head: &[u8],
     bytes: &[u8],
     pace: &mut RateLimiter,
@@ -723,7 +743,7 @@ fn write_paced(
             .map_err(classify)?;
     }
     pace.acquire(first.len());
-    write_all_pair(&mut client, head, first).map_err(classify)?;
+    write_all_pair(client, head, first).map_err(classify)?;
     for chunk in chunks {
         pace.acquire(chunk.len());
         client.write_all(chunk).map_err(classify)?;
@@ -756,15 +776,15 @@ fn write_all_pair<W: Write>(wire: &mut W, head: &[u8], body: &[u8]) -> std::io::
 
 /// Serves one client connection as a sequence of stages: *parse* the
 /// command, *lookup* the object's record (first shard lock), *plan* the
-/// answer (pure, consulting the origin only when it must), send header and
-/// cached prefix in one write, *relay* the origin tail, and *admit* the
-/// object (second shard lock).
+/// answer (pure, consulting the origin only when it must), *relay* — the
+/// header with whatever is in hand in one write, then the origin tail — and
+/// *admit* the object (second shard lock).
 fn handle_client(
     stream: TcpStream,
     state: &ProxyState,
     scratch: &mut WorkerScratch,
 ) -> Result<(), ProxyError> {
-    let client = &stream;
+    let mut client = &stream;
     let Some(name) = parse(client, state)? else {
         return Ok(());
     };
@@ -779,22 +799,30 @@ fn handle_client(
     // concurrent origin connections for the whole transfer.
     let mut origin = None;
     let decided = plan(found.known, found.cached.len() as u64, |offset| {
-        let (answer, conn) = open_origin(state, &name, offset);
+        let (answer, conn) = open_origin(state, &name, offset, Await::Header, &mut scratch.chunk);
         origin = conn;
         answer
     });
-    // The cached prefix goes out immediately (LAN speed), behind the
-    // header; an `ERR` goes out alone.
-    let prefix = match &decided {
-        Ok(plan) => &found.cached[..found.cached.len().min(plan.header.size as usize)],
-        Err(_) => &[],
-    };
     let head = header_line(&wire_answer(&decided));
-    write_paced(state, client, &head, prefix, &mut pace)?;
-    let plan = decided.map_err(|failure| failure.into_error(&name))?;
+    let plan = match decided {
+        Ok(plan) => plan,
+        Err(failure) => {
+            // An `ERR` goes out alone.
+            write_paced(state, &mut client, &head, &[], &mut pace)?;
+            return Err(failure.into_error(&name));
+        }
+    };
     let Header { size, bitrate_bps } = plan.header;
+    let job = Job {
+        name: &name,
+        meta: ObjectMeta::new(key, size as f64 / bitrate_bps, bitrate_bps, 0.0),
+        size,
+        prefix: &found.cached[..found.cached.len().min(size as usize)],
+        cacheable: found.ours,
+    };
+    let (tail_len, origin_bps) =
+        relay(state, &job, origin, &head, &mut client, &mut pace, scratch)?;
 
-    let mut tail_len = 0;
     if plan.action == Action::Degrade {
         // Degraded hit: the range-correct prefix is all the client gets.
         // The record, the engine and the bandwidth estimator are left
@@ -802,24 +830,15 @@ fn handle_client(
         // from healthy transfers.
         state.degraded_hits.fetch_add(1, Ordering::Relaxed);
     } else {
-        let job = Job {
-            name: &name,
-            meta: ObjectMeta::new(key, size as f64 / bitrate_bps, bitrate_bps, 0.0),
-            size,
-            prefix_bytes: prefix.len(),
-            cacheable: found.ours,
-        };
-        let origin_bps;
-        (tail_len, origin_bps) = relay(state, &job, origin, client, &mut pace, scratch)?;
         // Defensive check: the retained tail must continue the cached prefix.
         debug_assert_eq!(
-            verify_content(&name, prefix.len() as u64, &scratch.retained),
+            verify_content(&name, job.prefix.len() as u64, &scratch.retained),
             None,
             "origin payload does not match expected content"
         );
         let estimated = state.estimate_after(origin_bps);
         if job.cacheable {
-            admit(state, &job, prefix, &scratch.retained, estimated);
+            admit(state, &job, &scratch.retained, estimated);
         }
         state
             .peak_tail_bytes
@@ -835,7 +854,7 @@ fn handle_client(
     state.requests.fetch_add(1, Ordering::Relaxed);
     state
         .bytes_from_cache
-        .fetch_add(prefix.len() as u64, Ordering::Relaxed);
+        .fetch_add(job.prefix.len() as u64, Ordering::Relaxed);
     state
         .bytes_from_origin
         .fetch_add(tail_len, Ordering::Relaxed);
@@ -994,30 +1013,46 @@ struct Job<'a> {
     name: &'a str,
     meta: ObjectMeta,
     size: u64,
-    /// Bytes already served from the record; the relay starts here.
-    prefix_bytes: usize,
+    /// The cached bytes this request serves from the record; the relay
+    /// starts behind them.
+    prefix: &'a [u8],
     /// Whether the object may be retained and admitted (see [`Lookup::ours`]).
     cacheable: bool,
 }
 
-/// Stage 4: relays the origin tail to the client through the fixed-size
+/// Stage 4: answers the client — `head` (the framed response header) with
+/// the cached prefix, then the origin tail relayed through the fixed-size
 /// ring, retaining in `scratch.retained` only the leading bytes the policy
-/// could plausibly admit. Returns the tail bytes relayed and the observed
-/// origin throughput.
-fn relay<'a>(
+/// could plausibly admit. Without an origin connection (a full or degraded
+/// hit) header and prefix are the whole answer. Returns the tail bytes
+/// relayed and the observed origin throughput.
+///
+/// The header leaves at once, in one write with the first bytes there are:
+/// the cached prefix (LAN speed); with nothing cached, the payload that
+/// arrived behind the origin's own header and already sits in the ring;
+/// with neither, alone. It never waits for payload that is still on its
+/// way, nor (see [`write_paced`]) for the token bucket.
+fn relay<'a, W: Write>(
     state: &'a ProxyState,
     job: &Job<'_>,
     mut origin: Option<OriginConn<'a>>,
-    client: &TcpStream,
+    mut head: &[u8],
+    client: &mut W,
     pace: &mut RateLimiter,
     scratch: &mut WorkerScratch,
 ) -> Result<(u64, Option<f64>), ProxyError> {
     scratch.retained.clear();
+    let expected_tail = job.size.saturating_sub(job.prefix.len() as u64);
+    let rides_with_tail = job.prefix.is_empty()
+        && expected_tail > 0
+        && origin.as_ref().is_some_and(|conn| !conn.in_hand.is_empty());
+    if !rides_with_tail {
+        write_paced(state, client, std::mem::take(&mut head), job.prefix, pace)?;
+    }
     if origin.is_none() {
         return Ok((0, None));
     }
     let mut tail_len: u64 = 0;
-    let expected_tail = job.size.saturating_sub(job.prefix_bytes as u64);
     // `b_lo` is a running lower bound on this request's contribution to the
     // post-transfer estimate: the minimum of the prior estimate and the
     // observed throughput so far (see `retain_cap`). Once a byte is dropped
@@ -1027,37 +1062,46 @@ fn relay<'a>(
     let started = Instant::now();
     let mut gapped = !job.cacheable;
     while tail_len < expected_tail {
-        let Some((origin_reader, _)) = origin.as_mut() else {
+        let Some(conn) = origin.as_mut() else {
             break;
         };
-        let n = match origin_reader.read(&mut scratch.chunk) {
-            Ok(n) if n > 0 => n,
-            // Early EOF (mid-stream reset or truncated response) or a
-            // read timeout (stalled origin): drop the connection — and
-            // its budget permit — then resume from the current offset
-            // through the resilient open. If the origin stays down the
-            // client gets a short stream, and the record still keeps the
-            // contiguous bytes in hand.
-            Ok(_) | Err(_) => {
-                origin = None;
-                let offset = job.prefix_bytes as u64 + tail_len;
-                if let (_, Some(conn)) = open_origin(state, job.name, offset) {
-                    origin = Some(conn);
-                    state.origin_resumes.fetch_add(1, Ordering::Relaxed);
+        // What an open left in the ring is the next chunk, without a read.
+        let mut chunk = std::mem::take(&mut conn.in_hand);
+        if chunk.is_empty() {
+            chunk = match read_some(&mut conn.stream, &mut scratch.chunk) {
+                Ok(n) => 0..n,
+                // Early EOF (mid-stream reset or truncated response) or a
+                // read timeout (stalled origin): drop the connection — and
+                // its budget permit — then resume from the current offset
+                // through the resilient open, which comes back only with
+                // payload in hand. If the origin stays down, or keeps
+                // answering without delivering, the client gets a short
+                // stream, and the record still keeps the contiguous bytes
+                // in hand.
+                Err(_) => {
+                    drop(origin.take());
+                    let offset = job.prefix.len() as u64 + tail_len;
+                    let ring = &mut scratch.chunk;
+                    origin = open_origin(state, job.name, offset, Await::Payload, ring).1;
+                    if origin.is_some() {
+                        state.origin_resumes.fetch_add(1, Ordering::Relaxed);
+                    }
+                    continue;
                 }
-                continue;
-            }
-        };
-        write_paced(state, client, &[], &scratch.chunk[..n], pace)?;
+            };
+        }
+        let bytes = &scratch.chunk[chunk];
+        let n = bytes.len();
+        write_paced(state, client, std::mem::take(&mut head), bytes, pace)?;
         tail_len += n as u64;
         let elapsed = started.elapsed().as_secs_f64();
         if elapsed > 0.0 {
             b_lo = b_lo.min(tail_len as f64 / elapsed);
         }
         if !gapped {
-            let cap = retain_cap(scratch.policy.as_ref(), &job.meta, b_lo, job.prefix_bytes);
+            let cap = retain_cap(scratch.policy.as_ref(), &job.meta, b_lo, job.prefix.len());
             let keep = cap.saturating_sub(scratch.retained.len()).min(n);
-            scratch.retained.extend_from_slice(&scratch.chunk[..keep]);
+            scratch.retained.extend_from_slice(&bytes[..keep]);
             gapped = keep < n;
         }
     }
@@ -1070,7 +1114,7 @@ fn relay<'a>(
 /// Stage 5 (second shard lock): lets the policy decide how much of the
 /// object to keep, then brings the shard's records in line with that
 /// decision — victims lose their prefixes, this object's prefix grows to
-/// its grant from the bytes in hand (`cached` followed by `retained`).
+/// its grant from the bytes in hand (`job.prefix` followed by `retained`).
 ///
 /// **Stored ≤ granted.** A record never holds more bytes than the engine
 /// granted its slot; it may hold fewer. [`retain_cap`] is sized from a
@@ -1083,8 +1127,9 @@ fn relay<'a>(
 /// A slot belongs to the first name admitted under its key: should another
 /// name get here (a key collision that `lookup` could not see yet), the
 /// record is left alone.
-fn admit(state: &ProxyState, job: &Job<'_>, cached: &[u8], retained: &[u8], estimated_bps: f64) {
+fn admit(state: &ProxyState, job: &Job<'_>, retained: &[u8], estimated_bps: f64) {
     let key = job.meta.key;
+    let cached = job.prefix;
     state
         .engine
         .access_with(&job.meta, estimated_bps, |engine, records, out| {
@@ -1131,19 +1176,39 @@ fn admit(state: &ProxyState, job: &Job<'_>, cached: &[u8], retained: &[u8], esti
 
 /// An open origin connection positioned at the requested offset, holding
 /// one origin-budget permit for its lifetime.
-type OriginConn<'a> = (BufReader<TcpStream>, OriginPermit<'a>);
+struct OriginConn<'a> {
+    stream: TcpStream,
+    /// Where in the worker's ring the payload bytes lie that arrived behind
+    /// the origin's header: the relay's first chunk.
+    in_hand: Range<usize>,
+    _permit: OriginPermit<'a>,
+}
+
+/// What an origin open has to come back with.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Await {
+    /// The origin's header; payload only if it came along. A first open:
+    /// the client's header must not wait for payload.
+    Header,
+    /// At least one payload byte. A mid-stream resume: an origin that
+    /// answers `OK` and then delivers nothing has not resumed anything, and
+    /// the attempt counts as failed.
+    Payload,
+}
 
 /// Opens an origin connection for `name` starting at `offset` through the
 /// resilience stack: the circuit breaker gates every attempt, each attempt
-/// dials and reads under per-attempt timeouts, and failures back off
-/// exponentially (seeded jitter) until the attempt count or the deadline
-/// budget runs out. Transport failures are absorbed into
+/// dials and reads (into `ring`) under per-attempt timeouts, and failures
+/// back off exponentially (seeded jitter) until the attempt count or the
+/// deadline budget runs out. Transport failures are absorbed into
 /// [`OriginAnswer::Unavailable`] rather than propagated; the connection
 /// comes back only with [`OriginAnswer::Stream`].
 fn open_origin<'a>(
     state: &'a ProxyState,
     name: &str,
     offset: u64,
+    wait: Await,
+    ring: &mut [u8],
 ) -> (OriginAnswer, Option<OriginConn<'a>>) {
     let policy = state.config.retry;
     let started = Instant::now();
@@ -1160,12 +1225,14 @@ fn open_origin<'a>(
             state.breaker.release_probe();
             return (OriginAnswer::Unavailable, None);
         };
-        match try_open_origin(state, name, offset) {
+        match try_open_origin(state, name, offset, wait, ring, permit) {
             // A definite answer from a healthy origin, streaming or not.
-            Ok((answer, reader)) => {
+            Ok(answered) => {
                 state.breaker.record_success();
-                return (answer, reader.map(|reader| (reader, permit)));
+                return answered;
             }
+            // The failed attempt took its permit with it: the backoff below
+            // holds no origin slot.
             Err(_) => {
                 state.breaker.record_failure();
                 attempt += 1;
@@ -1187,18 +1254,25 @@ fn open_origin<'a>(
     }
 }
 
-/// One origin connection attempt under the per-attempt timeouts.
-fn try_open_origin(
+/// One origin connection attempt under the per-attempt timeouts; `permit`
+/// lives as long as the connection does.
+fn try_open_origin<'a>(
     state: &ProxyState,
     name: &str,
     offset: u64,
-) -> Result<(OriginAnswer, Option<BufReader<TcpStream>>), ProxyError> {
-    let stream =
+    wait: Await,
+    ring: &mut [u8],
+    permit: OriginPermit<'a>,
+) -> Result<(OriginAnswer, Option<OriginConn<'a>>), ProxyError> {
+    let mut stream =
         TcpStream::connect_timeout(&state.config.origin_addr, state.config.connect_timeout)?;
     stream.set_read_timeout(Some(state.config.origin_read_timeout))?;
-    stream.set_nodelay(true).ok();
-    // The request line is framed in memory and sent through the shared
-    // reference: one write, and the one fd then belongs to the reader.
+    // No `TCP_NODELAY` here: the request line below is the only write this
+    // connection ever sees, and Nagle holds a segment back only behind
+    // unacknowledged data, which a fresh connection does not have. (Client
+    // sockets keep the option: they take many writes.)
+    //
+    // The request line is framed in memory: one write.
     let mut line = Vec::with_capacity(name.len() + 32);
     write_request(
         &mut line,
@@ -1207,19 +1281,71 @@ fn try_open_origin(
             offset,
         },
     )?;
-    (&stream).write_all(&line)?;
-    let mut reader = BufReader::new(stream);
-    match read_response(&mut reader)? {
+    stream.write_all(&line)?;
+    let (response, mut in_hand) = read_reply(&mut stream, ring)?;
+    match response {
         Response::Ok {
             size, bitrate_bps, ..
-        } => Ok((
-            OriginAnswer::Stream(Header { size, bitrate_bps }),
-            Some(reader),
-        )),
+        } => {
+            if wait == Await::Payload && in_hand.is_empty() {
+                in_hand = 0..read_some(&mut stream, ring)?;
+            }
+            let conn = OriginConn {
+                stream,
+                in_hand,
+                _permit: permit,
+            };
+            Ok((
+                OriginAnswer::Stream(Header { size, bitrate_bps }),
+                Some(conn),
+            ))
+        }
         Response::Err(_) => Ok((OriginAnswer::Unknown, None)),
         // An overloaded origin counts as a transport failure: the caller
         // backs off and retries within the usual budget.
         Response::Busy { retry_after_ms } => Err(ProxyError::Busy(retry_after_ms)),
+    }
+}
+
+/// Reads an origin's reply into `ring`, where the relay will read: bytes
+/// are taken until the header line's `\n` — which has to come within
+/// [`MAX_LINE_BYTES`], as for every protocol line — and the line is parsed
+/// in place by [`read_response`]. Whatever arrived behind it is payload and
+/// stays where it is; the returned range says where. The origin closing
+/// before its header line ended is an error.
+fn read_reply<R: Read>(
+    origin: &mut R,
+    ring: &mut [u8],
+) -> Result<(Response, Range<usize>), ProxyError> {
+    debug_assert!(ring.len() > MAX_LINE_BYTES);
+    let mut filled = 0;
+    let line_end = loop {
+        // A line of at most MAX_LINE_BYTES ends within one byte more.
+        let window = &ring[..filled.min(MAX_LINE_BYTES + 1)];
+        if let Some(newline) = window.iter().position(|&b| b == b'\n') {
+            break newline + 1;
+        }
+        if filled > MAX_LINE_BYTES {
+            return Err(ProxyError::Protocol(format!(
+                "line exceeds {MAX_LINE_BYTES} bytes"
+            )));
+        }
+        filled += read_some(origin, &mut ring[filled..])?;
+    };
+    let response = read_response(&mut &ring[..line_end])?;
+    Ok((response, line_end..filled))
+}
+
+/// One `read` that delivers: `Interrupted` is retried, end-of-stream is an
+/// error.
+fn read_some<R: Read>(reader: &mut R, buf: &mut [u8]) -> std::io::Result<usize> {
+    loop {
+        match reader.read(buf) {
+            Ok(0) => return Err(std::io::ErrorKind::UnexpectedEof.into()),
+            Ok(n) => return Ok(n),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
     }
 }
 
@@ -1291,50 +1417,293 @@ mod tests {
         assert!(!json.contains('\n'));
     }
 
+    /// A client that records every write call it receives as one entry, and
+    /// takes at most `first` bytes on the first of them.
+    struct Wire {
+        first: usize,
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Wire {
+        fn taking(first: usize) -> Self {
+            Wire {
+                first,
+                writes: Vec::new(),
+            }
+        }
+    }
+
+    impl Write for Wire {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            let room = std::mem::replace(&mut self.first, usize::MAX);
+            let mut call = Vec::new();
+            for buf in bufs {
+                let take = buf.len().min(room - call.len());
+                call.extend_from_slice(&buf[..take]);
+            }
+            let len = call.len();
+            self.writes.push(call);
+            Ok(len)
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
     #[test]
     fn write_all_pair_survives_a_short_first_write_at_every_split() {
-        /// Takes at most `first` bytes on its first call, everything after.
-        struct Short {
-            first: usize,
-            calls: usize,
-            out: Vec<u8>,
-        }
-        impl Write for Short {
-            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-                self.write_vectored(&[IoSlice::new(buf)])
-            }
-            fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
-                self.calls += 1;
-                let room = std::mem::replace(&mut self.first, usize::MAX);
-                let before = self.out.len();
-                for buf in bufs {
-                    let take = buf.len().min(room - (self.out.len() - before));
-                    self.out.extend_from_slice(&buf[..take]);
-                }
-                Ok(self.out.len() - before)
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-        let wire = |first| Short {
-            first,
-            calls: 0,
-            out: Vec::new(),
-        };
         let (head, body) = (b"OK 5 1000\n", b"hello");
         for first in 1..=head.len() + body.len() {
-            let mut wire = wire(first);
+            let mut wire = Wire::taking(first);
             write_all_pair(&mut wire, head, body).unwrap();
-            assert_eq!(wire.out, b"OK 5 1000\nhello", "first write took {first}");
+            assert_eq!(
+                wire.writes.concat(),
+                b"OK 5 1000\nhello",
+                "first write took {first}"
+            );
         }
         // Nothing short: header and body leave in one call.
-        let mut whole = wire(usize::MAX);
+        let mut whole = Wire::taking(usize::MAX);
         write_all_pair(&mut whole, head, body).unwrap();
-        assert_eq!(whole.calls, 1);
+        assert_eq!(whole.writes.len(), 1);
         // A wire that takes nothing is an error, not a spin.
-        let stuck = write_all_pair(&mut wire(0), head, body).unwrap_err();
+        let stuck = write_all_pair(&mut Wire::taking(0), head, body).unwrap_err();
         assert_eq!(stuck.kind(), std::io::ErrorKind::WriteZero);
+    }
+
+    /// A reader that hands out exactly what the script says, one step per
+    /// `read`, and counts the calls; end of script is end of stream.
+    struct Scripted {
+        steps: std::collections::VecDeque<std::io::Result<Vec<u8>>>,
+        reads: usize,
+    }
+
+    fn scripted<const N: usize>(steps: [std::io::Result<&[u8]>; N]) -> Scripted {
+        Scripted {
+            steps: steps.into_iter().map(|s| s.map(<[u8]>::to_vec)).collect(),
+            reads: 0,
+        }
+    }
+
+    impl Read for Scripted {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.reads += 1;
+            match self.steps.pop_front() {
+                Some(Ok(bytes)) => {
+                    buf[..bytes.len()].copy_from_slice(&bytes);
+                    Ok(bytes.len())
+                }
+                Some(Err(e)) => Err(e),
+                None => Ok(0),
+            }
+        }
+    }
+
+    const REPLY_HEAD: &[u8] = b"OK 16384 96000\n";
+    const REPLY_OK: Response = Response::Ok {
+        size: 16_384,
+        bitrate_bps: 96_000.0,
+        degraded: false,
+    };
+
+    fn clip_bytes(len: usize) -> Vec<u8> {
+        let mut payload = vec![0u8; len];
+        crate::content::fill_content("clip", 0, &mut payload);
+        payload
+    }
+
+    #[test]
+    fn read_reply_finds_the_header_wherever_the_stream_is_cut() {
+        let payload = clip_bytes(16_384);
+        let wire = [REPLY_HEAD, &payload].concat();
+        let mut ring = vec![0u8; RING_BYTES];
+        // Two reads, cut at every byte position: the reply parses the same,
+        // and what is in hand plus what is still unread is the payload.
+        for cut in 1..wire.len() {
+            let mut origin = scripted([Ok(&wire[..cut]), Ok(&wire[cut..])]);
+            let (response, in_hand) = read_reply(&mut origin, &mut ring).unwrap();
+            assert_eq!(response, REPLY_OK, "cut at {cut}");
+            assert_eq!(in_hand.start, REPLY_HEAD.len(), "cut at {cut}");
+            // A header cut short takes the second read, payload and all; a
+            // complete one is not read past.
+            let expected = if cut < REPLY_HEAD.len() {
+                payload.len()
+            } else {
+                cut - REPLY_HEAD.len()
+            };
+            assert_eq!(ring[in_hand], payload[..expected], "cut at {cut}");
+            let unread: usize = origin.steps.iter().flatten().map(Vec::len).sum();
+            assert_eq!(expected + unread, payload.len(), "cut at {cut}");
+        }
+        // `write_response` on a raw socket, as the benchmark's stub answers:
+        // the line in as many pieces as `writeln!` makes of it, then the
+        // payload.
+        let mut stub = Wire::taking(usize::MAX);
+        write_response(&mut stub, &REPLY_OK).unwrap();
+        let pieces = stub.writes.len();
+        assert!(pieces > 1, "the stub's header left in one write");
+        let mut origin = Scripted {
+            steps: stub
+                .writes
+                .into_iter()
+                .chain([payload.clone()])
+                .map(Ok)
+                .collect(),
+            reads: 0,
+        };
+        let (response, in_hand) = read_reply(&mut origin, &mut ring).unwrap();
+        assert_eq!((response, in_hand), (REPLY_OK, 15..15));
+        assert_eq!(
+            origin.reads, pieces,
+            "the header alone: payload is not waited for"
+        );
+        // Header and whole payload in one read: all of it is in hand.
+        let mut origin = scripted([Ok(&wire)]);
+        let (response, in_hand) = read_reply(&mut origin, &mut ring).unwrap();
+        assert_eq!(response, REPLY_OK);
+        assert_eq!(ring[in_hand], payload[..]);
+        assert_eq!(origin.reads, 1);
+        // `Interrupted` in the middle is retried, not reported.
+        let mut origin = scripted([
+            Ok(b"OK 16"),
+            Err(std::io::ErrorKind::Interrupted.into()),
+            Ok(b"384 96000\npay"),
+        ]);
+        let (response, in_hand) = read_reply(&mut origin, &mut ring).unwrap();
+        assert_eq!(response, REPLY_OK);
+        assert_eq!(&ring[in_hand], b"pay");
+    }
+
+    #[test]
+    fn read_reply_keeps_the_line_parsers_answers_and_bounds() {
+        let mut ring = vec![0u8; RING_BYTES];
+        let mut reply = |mut origin: Scripted| {
+            let outcome = read_reply(&mut origin, &mut ring);
+            (outcome, origin.reads)
+        };
+        let (outcome, _) = reply(scripted([Ok(b"ERR unknown object\n")]));
+        assert_eq!(
+            outcome.unwrap(),
+            (Response::Err("unknown object".into()), 19..19)
+        );
+        let (outcome, _) = reply(scripted([Ok(b"BUSY 125\n")]));
+        assert_eq!(
+            outcome.unwrap().0,
+            Response::Busy {
+                retry_after_ms: 125
+            }
+        );
+        for junk in [&b"YES 5\n"[..], b"OK abc def\n", b"OK 1 2 3 4 5 6\n", b"\n"] {
+            let (outcome, _) = reply(scripted([Ok(junk)]));
+            assert!(matches!(outcome, Err(ProxyError::Protocol(_))), "{junk:?}");
+        }
+        let (outcome, _) = reply(scripted([Ok(b"OK \xff\xfe 1\n")]));
+        assert!(matches!(outcome, Err(ProxyError::Protocol(_))));
+        // The origin hangs up before the line ends — mid-number, where a
+        // parser fed "what arrived" would read a plausible smaller size.
+        for steps in [scripted([]), scripted([Ok(b"OK 16384 96")])] {
+            match reply(steps).0 {
+                Err(ProxyError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof),
+                other => panic!("expected an early EOF, got {other:?}"),
+            }
+        }
+        // A read that fails is the attempt's failure, as it was.
+        let timed_out = std::io::ErrorKind::WouldBlock;
+        let (outcome, _) = reply(scripted([Ok(b"OK 1"), Err(timed_out.into())]));
+        assert!(matches!(outcome, Err(ProxyError::Io(e)) if e.kind() == timed_out));
+        // The line bound is `read_line_bounded`'s: MAX_LINE_BYTES without
+        // the terminator pass, one more does not ...
+        let longest = format!("ERR {}\n", "x".repeat(MAX_LINE_BYTES - 4));
+        let (outcome, _) = reply(scripted([Ok(longest.as_bytes())]));
+        assert!(matches!(outcome, Ok((Response::Err(_), _))));
+        let too_long = format!("ERR {}\n", "x".repeat(MAX_LINE_BYTES - 3));
+        let (outcome, _) = reply(scripted([Ok(too_long.as_bytes())]));
+        assert!(matches!(outcome, Err(ProxyError::Protocol(_))));
+        // ... and an endless line costs a bounded read, not a full ring.
+        let endless = Scripted {
+            steps: (0..RING_BYTES / 100).map(|_| Ok(vec![b'O'; 100])).collect(),
+            reads: 0,
+        };
+        let (outcome, reads) = reply(endless);
+        assert!(matches!(outcome, Err(ProxyError::Protocol(_))));
+        assert_eq!(reads, MAX_LINE_BYTES / 100 + 1);
+    }
+
+    /// Runs `relay` for a 1 000-byte object whose first `cached` bytes are
+    /// the stored prefix, with the next `in_hand` bytes already in the ring
+    /// behind a header and the rest waiting in the origin socket; returns
+    /// the client-side write calls.
+    fn relayed_writes(cached: usize, in_hand: usize, client_bps: f64) -> Vec<Vec<u8>> {
+        const HEAD: &[u8] = b"OK 1000 96000\n";
+        let proxy = CachingProxy::start(ProxyConfig::new("127.0.0.1:9".parse().unwrap(), 1e6))
+            .expect("a proxy to borrow the state of");
+        let state = &*proxy.state;
+        let object = &clip_bytes(1_000)[..];
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut far_end, _) = listener.accept().unwrap();
+        far_end.write_all(&object[cached + in_hand..]).unwrap();
+        drop(far_end);
+
+        let mut scratch = WorkerScratch::new(PolicyKind::PartialBandwidth);
+        let in_hand = HEAD.len()..HEAD.len() + in_hand;
+        scratch.chunk[in_hand.clone()].copy_from_slice(&object[cached..][..in_hand.len()]);
+        let origin = OriginConn {
+            stream,
+            in_hand,
+            _permit: state.origin_budget.acquire(),
+        };
+        let job = Job {
+            name: "clip",
+            meta: ObjectMeta::new(key_for("clip"), 1_000.0 / 96e3, 96e3, 0.0),
+            size: 1_000,
+            prefix: &object[..cached],
+            cacheable: true,
+        };
+        let mut client = Wire::taking(usize::MAX);
+        let mut pace = RateLimiter::new(client_bps);
+        let (tail_len, _) = relay(
+            state,
+            &job,
+            Some(origin),
+            HEAD,
+            &mut client,
+            &mut pace,
+            &mut scratch,
+        )
+        .unwrap();
+        assert_eq!(tail_len as usize, 1_000 - cached);
+        assert_eq!(client.writes.concat(), [HEAD, object].concat());
+        client.writes
+    }
+
+    #[test]
+    fn the_header_leaves_in_one_write_with_the_first_bytes_in_hand() {
+        const HEAD: usize = b"OK 1000 96000\n".len();
+        // A miss whose payload arrived with the origin's header: one write.
+        assert_eq!(relayed_writes(0, 1_000, 0.0).len(), 1);
+        // Only part of it did: the header does not wait for the rest.
+        let writes = relayed_writes(0, 300, 0.0);
+        assert_eq!(writes[0].len(), HEAD + 300);
+        // Nothing but the header has arrived: the header leaves alone.
+        let writes = relayed_writes(0, 0, 0.0);
+        assert_eq!(writes[0].len(), HEAD);
+        // A partial hit: header and cached prefix first, then the tail.
+        let writes = relayed_writes(400, 600, 0.0);
+        assert_eq!(
+            writes.iter().map(Vec::len).collect::<Vec<_>>(),
+            [HEAD + 400, 600]
+        );
+        // A bucket that makes the first chunk wait (1 000 B at 20 kB/s:
+        // 50 ms) does not hold the header back with it.
+        let writes = relayed_writes(0, 1_000, 20_000.0);
+        assert_eq!(
+            writes.iter().map(Vec::len).collect::<Vec<_>>(),
+            [HEAD, 1_000]
+        );
     }
 
     #[test]
@@ -1446,10 +1815,10 @@ mod tests {
             name,
             meta: ObjectMeta::new(key, size as f64 / 1e6, 1e6, 0.0),
             size,
-            prefix_bytes: 0,
+            prefix: &[],
             cacheable: true,
         };
-        admit(state, &job("a", 1_000), &[], &[1u8; 1_000], 1e9);
+        admit(state, &job("a", 1_000), &[1u8; 1_000], 1e9);
         let a = lookup(state, key, "a");
         assert_eq!(a.known.map(|h| h.size), Some(1_000));
         assert_eq!(&a.cached[..], &[1u8; 1_000][..]);
@@ -1461,7 +1830,7 @@ mod tests {
         assert!(!b.ours);
         assert_eq!(b.known, None);
         assert!(b.cached.is_empty());
-        admit(state, &job("b", 3_000), &[], &[2u8; 3_000], 1e9);
+        admit(state, &job("b", 3_000), &[2u8; 3_000], 1e9);
         let a = lookup(state, key, "a");
         assert_eq!(a.known.map(|h| h.size), Some(1_000));
         assert_eq!(&a.cached[..], &[1u8; 1_000][..]);

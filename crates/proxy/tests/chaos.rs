@@ -597,3 +597,176 @@ fn stats_verb_dumps_the_snapshot_without_counting_as_a_request() {
     let again = client.stats(proxy.addr()).unwrap();
     assert!(again.contains("\"requests\": 2"));
 }
+
+/// An origin that does exactly what a test tells it: every connection's
+/// request line is parsed and handed, with the socket, to `serve` on a
+/// thread of its own. Returns the address and the count of requests seen
+/// so far. The listener lives until the test process exits.
+fn scripted_origin(
+    serve: impl Fn(sc_proxy::protocol::Request, TcpStream) + Send + Sync + 'static,
+) -> (SocketAddr, std::sync::Arc<std::sync::atomic::AtomicUsize>) {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let seen = Arc::new(AtomicUsize::new(0));
+    let serve = Arc::new(serve);
+    let count = Arc::clone(&seen);
+    std::thread::spawn(move || {
+        for stream in listener.incoming().flatten() {
+            let (serve, count) = (Arc::clone(&serve), Arc::clone(&count));
+            std::thread::spawn(move || {
+                let Ok(request) = sc_proxy::protocol::read_request(&mut BufReader::new(&stream))
+                else {
+                    return;
+                };
+                count.fetch_add(1, Ordering::SeqCst);
+                serve(request, stream);
+            });
+        }
+    });
+    (addr, seen)
+}
+
+/// `OK <declared> 1e6` and the object's bytes `from..to`, framed in memory.
+fn framed_reply(name: &str, declared: u64, from: u64, to: u64) -> Vec<u8> {
+    let mut reply = format!("OK {declared} 1000000\n").into_bytes();
+    let header = reply.len();
+    reply.resize(header + to.saturating_sub(from) as usize, 0);
+    sc_proxy::fill_content(name, from, &mut reply[header..]);
+    reply
+}
+
+/// An origin whose header promises more than it has (a replaced or
+/// truncated object): every resume is answered `OK` and delivers nothing.
+/// Reopening without a progress check reconnects forever — the client
+/// hangs, the worker is pinned, shutdown never returns. A resume that
+/// delivers nothing is a failed attempt instead, so the retry budget ends
+/// it: the client gets the short stream and the worker is free.
+#[test]
+fn a_resume_that_delivers_nothing_is_a_failed_attempt_not_a_livelock() {
+    const DECLARED: u64 = 65_536;
+    const HAS: u64 = 100;
+    let (origin, seen) = scripted_origin(|request, mut stream| {
+        let reply = match request.name.as_str() {
+            "short" => framed_reply("short", DECLARED, request.offset.min(HAS), HAS),
+            name => framed_reply(name, 4_096, request.offset.min(4_096), 4_096),
+        };
+        let _ = stream.write_all(&reply);
+    });
+    let config = chaos_config(origin, 1e9);
+    let (retry, cooldown) = (config.retry, config.breaker.open_duration);
+    let proxy = CachingProxy::start(config).unwrap();
+    let addr = proxy.addr();
+
+    // Observe first, assert at the end: on a proxy that livelocks, an early
+    // panic would unwind into a `Drop` that joins the pinned worker.
+    let started = std::time::Instant::now();
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    stream.write_all(b"GET short 0\n").unwrap();
+    let mut reader = BufReader::new(stream);
+    let header = read_response(&mut reader);
+    let mut body = Vec::new();
+    let eof = reader.read_to_end(&mut body);
+    let took = started.elapsed();
+    let origin_connections = seen.load(std::sync::atomic::Ordering::SeqCst);
+
+    // The fruitless resumes tripped the breaker; past its cool-down a
+    // healthy object is served — by whichever worker, this one included.
+    let client = StreamingClient::new();
+    let healthy = (0..20).find_map(|_| {
+        std::thread::sleep(cooldown);
+        client.fetch(addr, "whole").ok()
+    });
+    let stats = proxy.stats();
+    let (done, joined) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let mut proxy = proxy;
+        proxy.shutdown();
+        let _ = done.send(());
+    });
+    let shut_down = joined.recv_timeout(Duration::from_secs(10)).is_ok();
+
+    assert!(
+        matches!(header, Ok(Response::Ok { size: DECLARED, .. })),
+        "{header:?}"
+    );
+    assert!(eof.is_ok(), "no EOF after the short stream: {eof:?}");
+    assert_eq!(body.len() as u64, HAS, "the bytes the origin has, no more");
+    assert_eq!(verify_content("short", 0, &body), None);
+    assert!(took < retry.deadline, "giving up took {took:?}");
+    assert!(
+        origin_connections <= retry.max_attempts as usize + 1,
+        "{origin_connections} origin connections for one request"
+    );
+    let healthy = healthy.expect("the proxy never served again");
+    assert!(healthy.content_ok && healthy.bytes == 4_096);
+    assert_eq!(stats.origin_resumes, 0, "nothing was resumed");
+    assert!(shut_down, "shutdown() did not return: a worker is pinned");
+}
+
+/// The client's header never waits for payload: a scripted origin sends
+/// its header and then holds the payload back until the test has read the
+/// `OK` line through the proxy. No sleeps — a proxy that withholds the
+/// header runs into the client's read timeout instead.
+#[test]
+fn the_header_reaches_the_client_before_the_origin_sends_any_payload() {
+    const SIZE: u64 = 16 * 1024;
+    let (release, gate) = std::sync::mpsc::channel::<()>();
+    let gate = Mutex::new(gate);
+    let (origin, _) = scripted_origin(move |request, mut stream| {
+        let reply = framed_reply(&request.name, SIZE, request.offset.min(SIZE), SIZE);
+        let line_end = reply.iter().position(|&b| b == b'\n').unwrap() + 1;
+        let (header, payload) = reply.split_at(line_end);
+        let _ = stream.write_all(header);
+        if gate.lock().unwrap().recv().is_ok() {
+            let _ = stream.write_all(payload);
+        }
+    });
+    let proxy = CachingProxy::start(ProxyConfig::new(origin, 1e9)).unwrap();
+
+    let mut stream = TcpStream::connect(proxy.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(2)))
+        .unwrap();
+    stream.write_all(b"GET clip 0\n").unwrap();
+    let mut reader = BufReader::new(stream);
+    let header = read_response(&mut reader);
+    assert!(
+        matches!(header, Ok(Response::Ok { size: SIZE, .. })),
+        "the header waited for payload: {header:?}"
+    );
+    release.send(()).unwrap();
+    let mut body = Vec::new();
+    reader.read_to_end(&mut body).unwrap();
+    assert_eq!(body.len() as u64, SIZE);
+    assert_eq!(verify_content("clip", 0, &body), None);
+}
+
+/// The other side of the same coin: when the origin's header and payload
+/// arrive together, the client gets them together — header and the whole
+/// 16 KiB object in its first read.
+#[test]
+fn a_small_miss_reaches_the_client_in_one_piece() {
+    const SIZE: u64 = 16 * 1024;
+    let (origin, _) = scripted_origin(|request, mut stream| {
+        let reply = framed_reply(&request.name, SIZE, request.offset.min(SIZE), SIZE);
+        let _ = stream.write_all(&reply);
+    });
+    let proxy = CachingProxy::start(ProxyConfig::new(origin, 1e9)).unwrap();
+
+    let mut stream = TcpStream::connect(proxy.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(2)))
+        .unwrap();
+    stream.write_all(b"GET clip 0\n").unwrap();
+    let mut first = vec![0u8; 20 * 1024];
+    let n = stream.read(&mut first).unwrap();
+    let expected = framed_reply("clip", SIZE, 0, SIZE);
+    assert_eq!(n, expected.len(), "header and object in the first read");
+    assert_eq!(first[..n], expected[..]);
+    assert_eq!(stream.read(&mut first).unwrap(), 0, "then EOF");
+}

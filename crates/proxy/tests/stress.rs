@@ -182,10 +182,11 @@ fn graceful_shutdown_drains_and_joins() {
     assert!(client.fetch(proxy.addr(), "clip").is_err());
 }
 
-/// The leader/followers hand-over under sustained load at its tightest: one
-/// worker means two pool threads swapping the leader role on nearly every
-/// connection while up to three more wait in the queue. A lost wake-up or a
-/// stranded queue entry shows as a hung client; a double hand-over as a
+/// The pool protocol under sustained load at its tightest: one worker means
+/// two pool threads taking turns in `accept()` on nearly every connection —
+/// whichever is left there alone queues what it gets — while up to three
+/// more wait in the queue. A stranded queue entry, or a moment with nobody
+/// accepting, shows as a hung client; a connection served twice as a
 /// miscounted request.
 #[test]
 fn one_worker_pool_answers_every_request_once_and_joins_from_accept() {
@@ -224,8 +225,8 @@ fn one_worker_pool_answers_every_request_once_and_joins_from_accept() {
     // up), and those served by the thread that accepted them never queue.
     assert!(stats.peak_queue_depth <= CLIENTS as u64);
     assert!(stats.queued_requests <= stats.requests);
-    // Nothing in flight: one thread is parked in `accept()`, the other
-    // waits for its turn. Both must come home promptly.
+    // Nothing in flight: both threads are parked in `accept()`, and both
+    // must come home promptly.
     let started = std::time::Instant::now();
     proxy.shutdown();
     assert!(
@@ -233,6 +234,92 @@ fn one_worker_pool_answers_every_request_once_and_joins_from_accept() {
         "joining the idle pool took {:?}",
         started.elapsed()
     );
+}
+
+/// `shutdown()` on a helper thread, so that one that wakes too few threads
+/// out of `accept()` fails the test instead of hanging it.
+fn shutdown_within(proxy: CachingProxy, limit: Duration) -> Option<CachingProxy> {
+    let (done, joined) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let mut proxy = proxy;
+        proxy.shutdown();
+        let _ = done.send(proxy);
+    });
+    joined.recv_timeout(limit).ok()
+}
+
+/// Idle pool threads wait in `accept()`, where no condition variable
+/// reaches them: shutdown has to wake every one of them through the
+/// listener. And with a backlog queued behind a busy worker at that
+/// moment, the backlog is served before the threads go.
+#[test]
+fn shutdown_wakes_every_thread_out_of_accept_and_drains_the_backlog_first() {
+    const OBJECT_BYTES: u64 = 16 * 1024;
+    let origin = OriginServer::start(OriginConfig {
+        objects: vec![ObjectSpec::new("clip", OBJECT_BYTES, 1e6)],
+        rate_limit_bps: 0.0,
+    })
+    .unwrap();
+
+    // All `worker_threads + 1` threads idle in `accept()` (the pause lets
+    // the one that served get back there; shutdown has to work from any
+    // state, this is the one only the nudges reach).
+    let mut config = ProxyConfig::new(origin.addr(), 1e9);
+    config.worker_threads = 5;
+    let proxy = CachingProxy::start(config).unwrap();
+    StreamingClient::new().fetch(proxy.addr(), "clip").unwrap();
+    std::thread::sleep(Duration::from_millis(50));
+    let proxy = shutdown_within(proxy, Duration::from_secs(5))
+        .expect("shutdown left a thread waiting in accept()");
+    assert_eq!(proxy.stats().requests, 1);
+
+    // One worker, paced to ~250 ms a request. The first client is in
+    // service — the origin has seen its connection — before the other three
+    // connect, so the one thread left in `accept()` can only queue them,
+    // and a peak depth of three means all three are in the proxy's hands
+    // (a connection still in the listen backlog at the close would be
+    // refused, as it always was). Shutdown then finds a backlog of three
+    // and one thread accepting.
+    const CLIENTS: usize = 4;
+    let mut config = ProxyConfig::new(origin.addr(), 1e9);
+    config.worker_threads = 1;
+    config.client_rate_limit_bps = 64_000.0;
+    let proxy = CachingProxy::start(config).unwrap();
+    let addr = proxy.addr();
+    let dialled = origin.fault_connections_seen();
+    std::thread::scope(|scope| {
+        let wait_until = |happened: &dyn Fn() -> bool, or_else: &str| {
+            let limit = std::time::Instant::now() + Duration::from_secs(10);
+            while !happened() {
+                assert!(std::time::Instant::now() < limit, "{or_else}");
+                std::thread::yield_now();
+            }
+        };
+        let fetch = move || StreamingClient::new().fetch(addr, "clip");
+        let mut clients = vec![scope.spawn(fetch)];
+        wait_until(
+            &|| origin.fault_connections_seen() > dialled,
+            "the first request never reached the origin",
+        );
+        clients.extend((1..CLIENTS).map(|_| scope.spawn(fetch)));
+        wait_until(
+            &|| proxy.stats().peak_queue_depth >= (CLIENTS - 1) as u64,
+            "no backlog formed",
+        );
+        let proxy = shutdown_within(proxy, Duration::from_secs(10))
+            .expect("shutdown did not return with a backlog queued");
+        for client in clients {
+            let report = client
+                .join()
+                .unwrap()
+                .expect("a queued request must be drained, not dropped");
+            assert_eq!(report.bytes, OBJECT_BYTES);
+            assert!(report.content_ok);
+        }
+        let stats = proxy.stats();
+        assert_eq!(stats.requests, CLIENTS as u64);
+        assert_eq!(stats.shed_requests, 0);
+    });
 }
 
 /// A proxy config with test-friendly resilience bounds: short per-attempt
