@@ -371,9 +371,9 @@ impl<P: UtilityPolicy> CacheEngine<P> {
     /// The engine only ever evicts a victim whole, and only while processing
     /// an access, so `(outcome.cached_bytes_after, last_evictions())` is the
     /// complete list of allocation changes that access made. Whoever keeps
-    /// per-object state beside the engine — the sharded wrapper's atomic
-    /// statistics, the proxy's stored prefixes — reads it under the same
-    /// lock as the access; no change log is kept.
+    /// per-object state beside the engine — the proxy's stored prefixes, in
+    /// the sharded wrapper's companion — reads it under the same lock as
+    /// the access; no change log is kept.
     pub fn last_evictions(&self) -> &[(u32, f64, f64)] {
         &self.scratch
     }
@@ -874,7 +874,7 @@ mod tests {
     // --- eviction report (`last_evictions`) ---
 
     #[test]
-    fn delta_log_is_off_by_default_and_empty_when_off() {
+    fn eviction_report_is_empty_at_first_and_after_a_free_space_admission() {
         // A fresh engine reports no victims, and an admission into free
         // space leaves the report empty.
         let mut cache = CacheEngine::new(1e9, PartialBandwidth::new()).unwrap();
@@ -885,7 +885,7 @@ mod tests {
     }
 
     #[test]
-    fn delta_log_records_admission_and_eviction() {
+    fn eviction_report_names_the_victim_of_an_admission() {
         let size = obj(1, 100.0).size_bytes();
         let mut cache = CacheEngine::new(size, IntegralBandwidth::new()).unwrap();
 
@@ -910,7 +910,7 @@ mod tests {
     }
 
     #[test]
-    fn delta_log_is_silent_on_rollback_and_refresh() {
+    fn eviction_report_is_silent_on_rollback_and_refresh() {
         let small = obj(1, 50.0);
         let big = obj(2, 200.0);
         let mut cache = CacheEngine::new(small.size_bytes(), IntegralBandwidth::new()).unwrap();

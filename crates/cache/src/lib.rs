@@ -27,7 +27,7 @@
 //! * [`ShardedEngine`] — N-way sharding of the engine for concurrent
 //!   callers: independent slabs routed by key hash, fixed per-shard byte
 //!   budgets, an optional per-shard companion under the engine's lock, and
-//!   lock-free aggregate statistics ([`AtomicCacheStats`]).
+//!   aggregate statistics that are the sum of the shards' [`CacheStats`].
 //! * [`fx`] — the hand-rolled Fx-style hasher behind the engine's thin
 //!   key→slot interning map.
 //! * Offline solvers — [`optimal_partial_allocation`] (the fractional
@@ -88,4 +88,4 @@ pub use optimal::{
     optimal_partial_allocation, total_value, OfflineObject,
 };
 pub use shard::ShardedEngine;
-pub use stats::{AtomicCacheStats, CacheStats};
+pub use stats::CacheStats;

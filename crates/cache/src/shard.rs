@@ -5,10 +5,9 @@
 //! [`ShardedEngine`] splits the key space across `N` independent engine
 //! slabs (key hash → shard via the Fx mix, [`fx::hash_u64`]), each with its
 //! own lock, utility heap, key→slot interning and byte budget, so accesses
-//! to different shards never contend. Aggregate statistics live in a
-//! lock-free [`AtomicCacheStats`] block updated from each access outcome,
-//! so observability reads ([`stats`](ShardedEngine::stats)) take no shard
-//! lock at all.
+//! to different shards never contend. Each access is tallied once, in its
+//! shard's own [`CacheStats`] under the shard lock; the aggregate
+//! ([`stats`](ShardedEngine::stats)) is the sum of those.
 //!
 //! **Budgets.** The global byte budget is split evenly across shards
 //! (floored, with the remainder going to shard 0) and never moves: eviction
@@ -32,14 +31,15 @@
 //! engine (or one shard) while the proxy shards freely. With several
 //! shards, single-threaded runs are still deterministic (routing is a pure
 //! hash); under concurrency the interleaving of accesses to the *same*
-//! shard is scheduling-dependent, like any locked cache.
+//! shard is scheduling-dependent, like any locked cache — the aggregate
+//! counters are as exact as each shard's, since they are their sum.
 
 use crate::engine::CacheEngine;
 use crate::error::CacheError;
 use crate::fx;
 use crate::object::{ObjectKey, ObjectMeta};
 use crate::policy::UtilityPolicy;
-use crate::stats::{AtomicCacheStats, CacheStats};
+use crate::stats::CacheStats;
 use crate::AccessOutcome;
 use parking_lot::Mutex;
 
@@ -66,7 +66,6 @@ use parking_lot::Mutex;
 pub struct ShardedEngine<P, S = ()> {
     shards: Vec<Mutex<(CacheEngine<P>, S)>>,
     capacity_bytes: f64,
-    stats: AtomicCacheStats,
 }
 
 impl<P: UtilityPolicy> ShardedEngine<P> {
@@ -86,35 +85,13 @@ impl<P: UtilityPolicy> ShardedEngine<P> {
     }
 
     /// Removes every cached object from every shard and returns the number
-    /// of evictions. Frequencies and statistics are preserved; aggregate
-    /// eviction counters are updated per victim in the engine's own
-    /// (slot-order) accumulation order, keeping the `shards = 1` counters
-    /// bit-identical to [`CacheEngine::clear`].
+    /// of evictions. Frequencies and statistics are preserved; each shard
+    /// counts its own victims, exactly as [`CacheEngine::clear`] does.
     ///
     /// Only offered without companions: a companion learns of evictions
     /// from the access that caused them, and this is not an access.
     pub fn clear(&self) -> usize {
-        let mut evicted = 0;
-        for shard in &self.shards {
-            let engine = &mut shard.lock().0;
-            // Victim bytes in slot order — the order `CacheEngine::clear`
-            // adds them to its own `bytes_evicted` counter.
-            let mut victims: Vec<(u32, f64)> = engine
-                .contents()
-                .into_iter()
-                .map(|(key, bytes)| {
-                    let slot = engine.slot_of(key).expect("cached keys are interned");
-                    (slot, bytes)
-                })
-                .collect();
-            victims.sort_unstable_by_key(|&(slot, _)| slot);
-            evicted += engine.clear();
-            for &(_, bytes) in &victims {
-                self.stats.record_evicted_bytes(bytes);
-            }
-            self.stats.record_evictions(victims.len() as u64);
-        }
-        evicted
+        self.shards.iter().map(|s| s.lock().0.clear()).sum()
     }
 }
 
@@ -154,7 +131,6 @@ impl<P: UtilityPolicy, S> ShardedEngine<P, S> {
         Ok(ShardedEngine {
             shards,
             capacity_bytes,
-            stats: AtomicCacheStats::new(),
         })
     }
 
@@ -199,20 +175,20 @@ impl<P: UtilityPolicy, S> ShardedEngine<P, S> {
         self.shards.iter().all(|s| s.lock().0.is_empty())
     }
 
-    /// Lock-free aggregate statistics (see [`AtomicCacheStats`]): no shard
-    /// lock is taken. Bit-identical to the unsharded engine's counters at
-    /// `shards = 1` single-threaded.
+    /// Aggregate statistics: the field-wise sum of the shards' own counters
+    /// in shard order (locks each shard briefly; not atomic across shards
+    /// under concurrent writers). With one shard this *is* the engine's
+    /// [`CacheStats`].
     pub fn stats(&self) -> CacheStats {
-        self.stats.snapshot()
+        let mut total = CacheStats::default();
+        for shard in &self.shards {
+            total += *shard.lock().0.stats();
+        }
+        total
     }
 
-    /// Resets the aggregate counters; per-shard engine statistics (used by
-    /// nothing externally, but visible via [`with_shard_index`]) are reset
-    /// too so the two views stay consistent.
-    ///
-    /// [`with_shard_index`]: Self::with_shard_index
+    /// Resets every shard's counters (warm-up/measurement boundary).
     pub fn reset_stats(&self) {
-        self.stats.reset();
         for shard in &self.shards {
             shard.lock().0.reset_stats();
         }
@@ -220,8 +196,8 @@ impl<P: UtilityPolicy, S> ShardedEngine<P, S> {
 
     /// Runs `f` with the engine shard that `key` routes to and its
     /// companion, under that shard's lock. The engine is read-only here —
-    /// accesses go through [`access_with`](Self::access_with) so the
-    /// aggregate statistics see them. The closure must not call back into
+    /// accesses go through [`access_with`](Self::access_with), which brings
+    /// the companion in line with them. The closure must not call back into
     /// this `ShardedEngine` (the shard lock is held).
     pub fn with_shard<R>(&self, key: ObjectKey, f: impl FnOnce(&CacheEngine<P>, &mut S) -> R) -> R {
         self.with_shard_index(self.shard_of(key), f)
@@ -238,8 +214,7 @@ impl<P: UtilityPolicy, S> ShardedEngine<P, S> {
     }
 
     /// Processes one access on the shard `meta.key` routes to. Semantics
-    /// per shard are exactly [`CacheEngine::on_access`]; aggregate counters
-    /// are updated from the outcome.
+    /// per shard are exactly [`CacheEngine::on_access`].
     pub fn on_access(&self, meta: &ObjectMeta, bandwidth_bps: f64) -> AccessOutcome {
         self.access_with(meta, bandwidth_bps, |_, _, out| out)
     }
@@ -256,10 +231,6 @@ impl<P: UtilityPolicy, S> ShardedEngine<P, S> {
     ) -> R {
         let (engine, companion) = &mut *self.shards[self.shard_of(meta.key)].lock();
         let out = engine.on_access(meta, bandwidth_bps);
-        self.stats.record_access(meta.size_bytes(), &out);
-        for &(_, bytes, _) in engine.last_evictions() {
-            self.stats.record_evicted_bytes(bytes);
-        }
         f(engine, companion, out)
     }
 

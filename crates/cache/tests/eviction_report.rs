@@ -113,7 +113,7 @@ fn delta_mirror_matches_full_scan_oracle_integral_policies() {
 }
 
 #[test]
-fn drained_log_is_reusable_without_reallocation_pressure() {
+fn last_evictions_reports_one_access_however_many_came_before() {
     // The report describes one access only, however many came before: the
     // engine accumulates no history.
     let capacity = 5.0 * meta(0, 100.0).size_bytes();

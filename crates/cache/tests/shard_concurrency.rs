@@ -5,7 +5,7 @@
 //! Thread count follows `SC_SIM_THREADS` (default 4) so CI can pin it.
 
 use sc_cache::policy::{IntegralBandwidth, PartialBandwidth};
-use sc_cache::{CacheEngine, ObjectKey, ObjectMeta, ShardedEngine};
+use sc_cache::{CacheEngine, CacheStats, ObjectKey, ObjectMeta, ShardedEngine};
 use std::sync::Arc;
 
 const R: f64 = 48_000.0;
@@ -70,8 +70,20 @@ fn disjoint_keys_respect_budgets_under_concurrency() {
     assert!(cache.used_bytes() <= cache.capacity_bytes() + 1e-6);
 }
 
+/// Every `f64` of `stats` as its bit pattern, for bitwise comparison.
+fn byte_totals_bits(stats: &CacheStats) -> [u64; 5] {
+    [
+        stats.bytes_requested,
+        stats.bytes_from_cache,
+        stats.bytes_from_origin,
+        stats.bytes_admitted,
+        stats.bytes_evicted,
+    ]
+    .map(f64::to_bits)
+}
+
 /// The same invariants under full contention: every thread hammers the same
-/// small key set, so shard locks and the atomic counters are racing.
+/// small key set, so the shard locks are racing.
 #[test]
 fn overlapping_keys_respect_budgets_under_concurrency() {
     let threads = threads();
@@ -99,6 +111,22 @@ fn overlapping_keys_respect_budgets_under_concurrency() {
     assert_eq!(stats.requests, threads as u64 * per_thread);
     // Eviction pressure was real.
     assert!(stats.evictions > 0, "tight budget must force evictions");
+    // The aggregate is the shards' own counters, summed in shard order.
+    let mut summed = CacheStats::default();
+    for i in 0..cache.shard_count() {
+        let shard = cache.with_shard_index(i, |engine, _| *engine.stats());
+        summed.requests += shard.requests;
+        summed.hits += shard.hits;
+        summed.admissions += shard.admissions;
+        summed.evictions += shard.evictions;
+        summed.bytes_requested += shard.bytes_requested;
+        summed.bytes_from_cache += shard.bytes_from_cache;
+        summed.bytes_from_origin += shard.bytes_from_origin;
+        summed.bytes_admitted += shard.bytes_admitted;
+        summed.bytes_evicted += shard.bytes_evicted;
+    }
+    assert_eq!(stats, summed);
+    assert_eq!(byte_totals_bits(&stats), byte_totals_bits(&summed));
     for i in 0..cache.shard_count() {
         assert!(
             cache.shard_used_bytes(i) <= cache.shard_capacity(i) + 1e-6,
@@ -209,4 +237,30 @@ fn routing_is_identical_across_thread_counts() {
         );
     }
     assert_eq!(concurrent.stats().requests, sequential.stats().requests);
+}
+
+/// Several shards, one thread: two replays of one access sequence give
+/// bit-equal byte totals, evictions and `clear` included.
+#[test]
+fn single_threaded_replays_at_four_shards_agree_bitwise() {
+    let replay = || {
+        let capacity = 8.0 * obj(0, 100.0).size_bytes();
+        let cache = ShardedEngine::new(capacity, 4, PartialBandwidth::new).unwrap();
+        let mut rng = 0x0123_4567_89ab_cdefu64;
+        for step in 0..3_000 {
+            let key = xorshift(&mut rng) % 48;
+            let duration = 40.0 + (xorshift(&mut rng) % 300) as f64;
+            let bandwidth = 1_000.0 + (xorshift(&mut rng) % 90_000) as f64;
+            cache.on_access(&obj(key, duration), bandwidth);
+            if step == 1_500 {
+                cache.clear();
+            }
+        }
+        cache.stats()
+    };
+    let (a, b) = (replay(), replay());
+    assert!(a.evictions > 0 && a.bytes_evicted > 0.0);
+    assert_eq!(a.requests, 3_000);
+    assert_eq!(byte_totals_bits(&a), byte_totals_bits(&b));
+    assert_eq!(a, b);
 }

@@ -8,11 +8,13 @@
 //!   to the same server (no extra traffic, but stale under variability).
 //!   Implemented by [`EwmaEstimator`] and [`WindowedEstimator`].
 //! * **Active measurement** — probe the path (packet-pair / loss-rate
-//!   probes) and convert to an estimate via the TCP model. Simulated by
-//!   [`ProbeEstimator`].
+//!   probes). A probe reports current conditions and keeps no history, so
+//!   it needs no estimator here: the simulator answers it from the
+//!   bandwidth in effect at request time.
 //!
-//! [`ConservativeEstimator`] implements the over-provisioning heuristic of
-//! Section 2.5: multiply any underlying estimate by a factor `e ∈ [0, 1]`.
+//! The over-provisioning heuristic of Section 2.5 (scale the estimate by a
+//! factor `e ∈ [0, 1]`) lives in the PB(e) caching policies, not in an
+//! estimator.
 
 use std::collections::VecDeque;
 
@@ -141,94 +143,6 @@ impl BandwidthEstimator for WindowedEstimator {
     }
 }
 
-/// Simulated active-probing estimator: every probe observes the true
-/// current bandwidth perturbed by a bounded relative error, modelling
-/// packet-pair / loss-probe inaccuracy. Probes are fed in through
-/// [`BandwidthEstimator::observe`]; the most recent probe wins (active
-/// measurements reflect *current* conditions rather than history).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ProbeEstimator {
-    last: Option<f64>,
-    samples: usize,
-}
-
-impl ProbeEstimator {
-    /// Creates an empty probe estimator.
-    pub fn new() -> Self {
-        ProbeEstimator {
-            last: None,
-            samples: 0,
-        }
-    }
-}
-
-impl Default for ProbeEstimator {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl BandwidthEstimator for ProbeEstimator {
-    fn observe(&mut self, throughput_bps: f64) {
-        self.last = Some(throughput_bps.max(0.0));
-        self.samples += 1;
-    }
-
-    fn estimate_bps(&self) -> Option<f64> {
-        self.last
-    }
-
-    fn samples(&self) -> usize {
-        self.samples
-    }
-}
-
-/// Wraps another estimator and scales its estimate by a conservative factor
-/// `e ∈ [0, 1]` (Section 2.5 of the paper: under-estimating bandwidth makes
-/// the partial-caching decision cache *more* of each object).
-///
-/// `e = 1` reproduces the inner estimate (pure PB behaviour); `e = 0` forces
-/// the estimate to zero, i.e. whole-object (IB) caching decisions.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ConservativeEstimator<E> {
-    inner: E,
-    factor: f64,
-}
-
-impl<E: BandwidthEstimator> ConservativeEstimator<E> {
-    /// Wraps `inner`, scaling its estimates by `factor` (clamped to [0, 1]).
-    pub fn new(inner: E, factor: f64) -> Self {
-        ConservativeEstimator {
-            inner,
-            factor: factor.clamp(0.0, 1.0),
-        }
-    }
-
-    /// The conservative scaling factor `e`.
-    pub fn factor(&self) -> f64 {
-        self.factor
-    }
-
-    /// Returns the wrapped estimator.
-    pub fn into_inner(self) -> E {
-        self.inner
-    }
-}
-
-impl<E: BandwidthEstimator> BandwidthEstimator for ConservativeEstimator<E> {
-    fn observe(&mut self, throughput_bps: f64) {
-        self.inner.observe(throughput_bps);
-    }
-
-    fn estimate_bps(&self) -> Option<f64> {
-        self.inner.estimate_bps().map(|e| e * self.factor)
-    }
-
-    fn samples(&self) -> usize {
-        self.inner.samples()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -277,45 +191,10 @@ mod tests {
     }
 
     #[test]
-    fn probe_uses_latest_value() {
-        let mut est = ProbeEstimator::new();
-        assert!(est.estimate_bps().is_none());
-        est.observe(100.0);
-        est.observe(50.0);
-        assert_eq!(est.estimate_bps(), Some(50.0));
-        assert_eq!(est.samples(), 2);
-    }
-
-    #[test]
-    fn conservative_scales_estimate() {
-        let mut inner = EwmaEstimator::new(1.0);
-        inner.observe(100_000.0);
-        let cons = ConservativeEstimator::new(inner, 0.5);
-        assert_eq!(cons.estimate_bps(), Some(50_000.0));
-        assert_eq!(cons.factor(), 0.5);
-        assert_eq!(cons.samples(), 1);
-    }
-
-    #[test]
-    fn conservative_clamps_factor() {
-        let inner = ProbeEstimator::new();
-        assert_eq!(ConservativeEstimator::new(inner.clone(), 2.0).factor(), 1.0);
-        assert_eq!(ConservativeEstimator::new(inner, -1.0).factor(), 0.0);
-    }
-
-    #[test]
-    fn conservative_zero_factor_is_integral_caching_signal() {
-        let mut est = ConservativeEstimator::new(EwmaEstimator::new(0.5), 0.0);
-        est.observe(500_000.0);
-        assert_eq!(est.estimate_bps(), Some(0.0));
-    }
-
-    #[test]
     fn estimators_propagate_through_trait_objects() {
         let mut estimators: Vec<Box<dyn BandwidthEstimator>> = vec![
             Box::new(EwmaEstimator::new(0.3)),
             Box::new(WindowedEstimator::new(4)),
-            Box::new(ProbeEstimator::new()),
         ];
         for est in &mut estimators {
             est.observe(10_000.0);

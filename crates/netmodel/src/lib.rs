@@ -17,11 +17,8 @@
 //!   for Figure 4 style time-series plots.
 //! * [`PathModel`] / [`PathSet`] — the per-object cache↔origin paths used by
 //!   the simulator.
-//! * [`tcp_throughput_bps`] — the Padhye TCP throughput model, used to turn
-//!   probed loss/RTT into bandwidth estimates (Section 2.7).
-//! * [`BandwidthEstimator`] implementations — passive (EWMA, windowed) and
-//!   active (probe) estimation, plus the conservative under-estimation
-//!   wrapper of Section 2.5.
+//! * [`BandwidthEstimator`] implementations — passive (EWMA, windowed)
+//!   estimation of a path's bandwidth (Section 2.7).
 //!
 //! ```
 //! use sc_netmodel::{NlanrBandwidthModel, PathSet, VariabilityModel};
@@ -51,19 +48,15 @@ mod hist;
 mod nlanr;
 mod paths;
 pub mod stats;
-mod tcp;
 mod timeseries;
 mod variability;
 
 pub use empirical::EmpiricalDistribution;
 pub use error::NetModelError;
-pub use estimator::{
-    BandwidthEstimator, ConservativeEstimator, EwmaEstimator, ProbeEstimator, WindowedEstimator,
-};
+pub use estimator::{BandwidthEstimator, EwmaEstimator, WindowedEstimator};
 pub use hist::Histogram;
 pub use nlanr::{NlanrBandwidthModel, BYTES_PER_KB};
 pub use paths::{PathId, PathModel, PathSet};
 pub use stats::Summary;
-pub use tcp::{tcp_throughput_bps, tcp_throughput_simplified_bps, TcpPathParams};
 pub use timeseries::{BandwidthTimeSeries, MarginalDistribution, TimeSeriesConfig};
 pub use variability::VariabilityModel;

@@ -82,12 +82,6 @@ impl NlanrBandwidthModel {
         }
     }
 
-    /// Builds a model from an arbitrary empirical distribution over
-    /// bandwidth in bytes per second.
-    pub fn from_distribution(distribution: EmpiricalDistribution) -> Self {
-        NlanrBandwidthModel { distribution }
-    }
-
     /// Builds a model from observed bandwidth samples in bytes per second
     /// (the "analyse your own proxy log" path).
     ///

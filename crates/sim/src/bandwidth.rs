@@ -108,16 +108,6 @@ impl BandwidthProvider {
         }
     }
 
-    /// Builds an i.i.d.-mode provider from an explicit path set and
-    /// variability model (used by tests and ablations).
-    pub fn from_parts(paths: PathSet, variability: VariabilityModel) -> Self {
-        BandwidthProvider {
-            paths,
-            variability,
-            series: None,
-        }
-    }
-
     /// Number of paths (== number of objects).
     pub fn len(&self) -> usize {
         self.paths.len()
@@ -231,7 +221,7 @@ enum Slots {
     Windowed(Vec<WindowedEstimator>),
     /// No state either: a probe is a fresh measurement of the current
     /// bandwidth, so only the newest value — which the caller already has
-    /// in hand — would ever be read (cf. [`sc_netmodel::ProbeEstimator`]).
+    /// in hand — would ever be read.
     Probe,
 }
 

@@ -162,8 +162,9 @@ pub enum EstimatorKind {
         window: usize,
     },
     /// Active probing: measure the path's current bandwidth just before
-    /// each placement decision ([`sc_netmodel::ProbeEstimator`]) — fresh
-    /// but (in a real proxy) not free.
+    /// each placement decision — fresh but (in a real proxy) not free. It
+    /// keeps no history, so [`EstimatorBank`](crate::bandwidth::EstimatorBank)
+    /// answers it without state.
     Probe,
 }
 

@@ -10,13 +10,15 @@
 //!   workload generation per seed is shared by every configuration that
 //!   uses the same workload parameters (paired policy comparisons).
 //! * [`ParallelExecutor`] shards work items across `std::thread::scope`
-//!   threads and merges results **in item order**, so the parallel output is
+//!   threads and returns results **in item order**, so the parallel output is
 //!   byte-identical to a sequential run: each item is seeded independently
 //!   and touches no shared mutable state, which makes the schedule
-//!   irrelevant to the result.
+//!   irrelevant to the result. Results come back through the threads' join
+//!   handles, and so does an item's panic.
 //! * [`run_grid`] flattens a `configs × runs` grid into one work list,
 //!   deduplicates workload generation, runs everything through an executor,
-//!   and averages per-configuration metrics in deterministic seed order.
+//!   and averages per-configuration metrics in deterministic seed order. The
+//!   session mode runs the same grid with its own per-run closure.
 //!
 //! The thread count comes from [`ExecConfig`]: explicitly, from the
 //! `SC_SIM_THREADS` environment variable, or (by default) from
@@ -32,9 +34,9 @@ use crate::metrics::{Metrics, MetricsCollector};
 use crate::runner::RunResult;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use sc_cache::policy::UtilityPolicy;
 use sc_cache::{CacheEngine, ObjectKey, ObjectMeta};
 use sc_workload::{Catalog, MediaObject, RequestTrace, WorkloadConfig};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Environment variable controlling the default number of worker threads.
@@ -46,9 +48,9 @@ pub const THREADS_ENV_VAR: &str = "SC_SIM_THREADS";
 /// decoupled from workload generation so that changing workload parameters
 /// never perturbs the bandwidth realisation of a given run seed. Both the
 /// per-request mode ([`SimWorker`]) and the session mode
-/// ([`crate::session::SessionWorker`]) derive their bandwidth RNG from this
-/// function, which keeps the two modes' path capacities comparable for the
-/// same seed.
+/// ([`crate::session::SessionWorker`]) start from the one run set-up that
+/// seeds its bandwidth RNG here, so the two modes see the same path
+/// capacities for the same seed.
 pub fn bandwidth_seed(run_seed: u64) -> u64 {
     run_seed ^ 0x9e37_79b9_7f4a_7c15
 }
@@ -177,6 +179,63 @@ pub(crate) fn meta_table(catalog: &Catalog) -> Vec<ObjectMeta> {
     catalog.iter().map(to_meta).collect()
 }
 
+/// What a run of either mode starts from: the workload, the bandwidth RNG
+/// and the path state drawn from it, the estimators, and a cache whose slab
+/// is addressed by catalog index.
+pub(crate) struct RunSetup {
+    pub(crate) workload: Arc<SharedWorkload>,
+    /// Seeded from [`bandwidth_seed`] and already advanced past the
+    /// provider's draws; the per-request mode goes on drawing from it.
+    pub(crate) bw_rng: StdRng,
+    pub(crate) provider: BandwidthProvider,
+    pub(crate) estimators: EstimatorBank,
+    pub(crate) cache: CacheEngine<Box<dyn UtilityPolicy + Send + Sync>>,
+}
+
+impl RunSetup {
+    /// Validates `config` and builds the set-up for `seed` over `workload`,
+    /// generating it from `config.workload` when none is given.
+    pub(crate) fn new(
+        config: &SimulationConfig,
+        seed: u64,
+        workload: Option<&Arc<SharedWorkload>>,
+    ) -> Result<Self, SimError> {
+        config.validate()?;
+        let workload = match workload {
+            Some(shared) => Arc::clone(shared),
+            None => Arc::new(SharedWorkload::generate(&config.workload, seed)?),
+        };
+        let objects = workload.catalog.len();
+        // Bandwidth state and the per-request variability stream use a seed
+        // derived from the run seed but decoupled from workload generation.
+        // In AR(1) mode the per-path series span the whole trace (the last
+        // arrival time); in i.i.d. mode the horizon is irrelevant and the
+        // rng stream is identical to the seed behaviour.
+        let mut bw_rng = StdRng::seed_from_u64(bandwidth_seed(seed));
+        let last_arrival = workload.trace.requests().last();
+        let horizon_secs = last_arrival.map_or(0.0, |r| r.time_secs);
+        let provider = BandwidthProvider::generate_with_model(
+            objects,
+            config.variability,
+            config.bandwidth_model,
+            horizon_secs,
+            &mut bw_rng,
+        );
+        let mut cache = CacheEngine::new(config.cache_size_bytes, config.policy.build())
+            .map_err(|e| SimError::Workload(e.to_string()))?;
+        // Catalog ids are dense, so the engine's slab can be slot-addressed
+        // by catalog index: the request path performs no hashing.
+        cache.ensure_slots(objects);
+        Ok(RunSetup {
+            workload,
+            bw_rng,
+            provider,
+            estimators: EstimatorBank::new(config.estimator, objects),
+            cache,
+        })
+    }
+}
+
 /// The self-contained body of one simulation run: a configuration, a run
 /// seed, and optionally a pre-generated shared workload.
 ///
@@ -233,42 +292,17 @@ impl SimWorker {
     /// Returns a [`SimError`] if the configuration is invalid.
     pub fn run(&self) -> Result<RunResult, SimError> {
         let config = &self.config;
-        config.validate()?;
-        let generated;
-        let shared = match &self.workload {
-            Some(shared) => shared.as_ref(),
-            None => {
-                generated = SharedWorkload::generate(&config.workload, self.seed)?;
-                &generated
-            }
-        };
-        let (catalog, trace) = (&shared.catalog, &shared.trace);
+        let RunSetup {
+            workload,
+            mut bw_rng,
+            provider,
+            mut estimators,
+            mut cache,
+        } = RunSetup::new(config, self.seed, self.workload.as_ref())?;
         // Metadata is precomputed per catalog: the request loop below
         // indexes this table instead of rebuilding an ObjectMeta per
         // request.
-        let metas = shared.metas();
-
-        // Bandwidth state and the per-request variability stream use a seed
-        // derived from the run seed but decoupled from workload generation.
-        // In AR(1) mode the per-path series span the whole trace (the last
-        // arrival time); in i.i.d. mode the horizon is irrelevant and the
-        // rng stream is identical to the seed behaviour.
-        let mut bw_rng = StdRng::seed_from_u64(bandwidth_seed(self.seed));
-        let horizon_secs = trace.requests().last().map_or(0.0, |r| r.time_secs);
-        let provider = BandwidthProvider::generate_with_model(
-            catalog.len(),
-            config.variability,
-            config.bandwidth_model,
-            horizon_secs,
-            &mut bw_rng,
-        );
-        let mut estimators = EstimatorBank::new(config.estimator, catalog.len());
-
-        let mut cache = CacheEngine::new(config.cache_size_bytes, config.policy.build())
-            .map_err(|e| SimError::Workload(e.to_string()))?;
-        // Catalog ids are dense, so the engine's slab can be slot-addressed
-        // by catalog index: the per-request path below performs no hashing.
-        cache.ensure_slots(catalog.len());
+        let (trace, metas) = (&workload.trace, workload.metas());
 
         let warmup_len = ((trace.len() as f64) * config.warmup_fraction).round() as usize;
         let mut collector = MetricsCollector::new();
@@ -341,48 +375,32 @@ impl ParallelExecutor {
     }
 
     /// Applies `f` to every item, sharding across worker threads, and
-    /// returns the results in item order.
-    ///
-    /// With one thread (or at most one item) the items are processed inline
-    /// on the calling thread, in order, with no synchronisation at all —
-    /// this is the reference sequential path.
+    /// returns the results in item order: [`map_consume`](Self::map_consume)
+    /// over references.
     pub fn map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
     where
         T: Sync,
         R: Send,
         F: Fn(&T) -> R + Sync,
     {
-        let n = items.len();
-        if self.threads <= 1 || n <= 1 {
-            return items.iter().map(f).collect();
-        }
-
-        let next = AtomicUsize::new(0);
-        let slots: Mutex<Vec<Option<R>>> = Mutex::new((0..n).map(|_| None).collect());
-        std::thread::scope(|scope| {
-            for _ in 0..self.threads.min(n) {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let result = f(&items[i]);
-                    slots.lock().expect("executor mutex poisoned")[i] = Some(result);
-                });
-            }
-        });
-        slots
-            .into_inner()
-            .expect("executor mutex poisoned")
-            .into_iter()
-            .map(|slot| slot.expect("every work item produces a result"))
-            .collect()
+        self.map_consume(items.iter().collect(), f)
     }
 
-    /// Like [`map`](Self::map), but consumes the items: each one is dropped
-    /// as soon as its result is produced. [`run_grid`] relies on this to
-    /// release a shared workload's memory once its last run finishes,
-    /// instead of holding every workload of a large grid until the end.
+    /// Applies `f` to every item, sharding across worker threads, and
+    /// returns the results in item order. The items are consumed: each one
+    /// is dropped as soon as its result is produced. [`run_grid`] relies on
+    /// this to release a shared workload's memory once its last run
+    /// finishes, instead of holding every workload of a large grid until
+    /// the end.
+    ///
+    /// With one thread (or at most one item) the items are processed inline
+    /// on the calling thread, in order, with no synchronisation at all —
+    /// this is the reference sequential path.
+    ///
+    /// # Panics
+    ///
+    /// If `f` panics on an item, with that panic's own payload at any
+    /// thread count.
     pub fn map_consume<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
     where
         T: Send,
@@ -394,32 +412,30 @@ impl ParallelExecutor {
             return items.into_iter().map(f).collect();
         }
 
-        let next = AtomicUsize::new(0);
-        let cells: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-        let slots: Mutex<Vec<Option<R>>> = Mutex::new((0..n).map(|_| None).collect());
-        std::thread::scope(|scope| {
-            for _ in 0..self.threads.min(n) {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let item = cells[i]
-                        .lock()
-                        .expect("executor mutex poisoned")
-                        .take()
-                        .expect("each work item is claimed exactly once");
-                    let result = f(item);
-                    slots.lock().expect("executor mutex poisoned")[i] = Some(result);
-                });
-            }
+        // The only lock: held while a thread takes the next `(index, item)`,
+        // never while `f` runs, so an item's panic cannot poison it. Each
+        // thread returns the pairs it produced through its join handle.
+        let work = Mutex::new(items.into_iter().enumerate());
+        let mut done: Vec<(usize, R)> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..self.threads.min(n))
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut done = Vec::new();
+                        loop {
+                            let next = work.lock().expect("`next` does not panic").next();
+                            let Some((i, item)) = next else { break done };
+                            done.push((i, f(item)));
+                        }
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .collect()
         });
-        slots
-            .into_inner()
-            .expect("executor mutex poisoned")
-            .into_iter()
-            .map(|slot| slot.expect("every work item produces a result"))
-            .collect()
+        done.sort_unstable_by_key(|&(i, _)| i);
+        done.into_iter().map(|(_, result)| result).collect()
     }
 }
 
@@ -452,82 +468,42 @@ pub fn run_grid(
     runs: usize,
     executor: &ParallelExecutor,
 ) -> Result<Vec<Metrics>, SimError> {
-    struct PerRequestGrid;
-    impl GridRunner for PerRequestGrid {
-        type Out = Metrics;
-        fn run(
-            &self,
-            config: &SimulationConfig,
-            seed: u64,
-            workload: Arc<SharedWorkload>,
-        ) -> Result<Metrics, SimError> {
-            SimWorker::with_workload(*config, seed, workload)
-                .run()
-                .map(|r| r.metrics)
-        }
-        fn average(&self, runs: &[Metrics]) -> Metrics {
-            Metrics::average(runs)
-        }
-    }
-    run_grid_with(configs, runs, executor, &PerRequestGrid)
+    let per_run = run_grid_with(configs, runs, executor, |config, seed, workload| {
+        SimWorker::with_workload(*config, seed, workload)
+            .run()
+            .map(|r| r.metrics)
+    })?;
+    Ok(per_run.chunks(runs).map(Metrics::average).collect())
 }
 
-/// The per-run body and per-configuration reduction of a simulation grid.
-///
-/// [`run_grid_with`] is generic over this trait so the per-request mode
-/// ([`run_grid`]) and the session mode
-/// ([`crate::session::run_session_grid`]) share one grid engine — the
-/// flattening, workload deduplication, sharding, and deterministic
-/// in-order merge are written (and tested for thread-count invariance)
-/// exactly once.
-pub trait GridRunner: Sync {
-    /// The per-run (and per-configuration, after averaging) result type.
-    type Out: Send;
-
-    /// Executes one `(configuration, seed)` run over a shared workload.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SimError`] if the run cannot be executed.
-    fn run(
-        &self,
-        config: &SimulationConfig,
-        seed: u64,
-        workload: Arc<SharedWorkload>,
-    ) -> Result<Self::Out, SimError>;
-
-    /// Reduces one configuration's per-seed results (in seed order) to the
-    /// configuration's aggregate.
-    fn average(&self, runs: &[Self::Out]) -> Self::Out;
-}
-
-/// Runs the full `configs × runs` grid through `executor` with a custom
-/// per-run body — the engine behind [`run_grid`], exposed for alternate
-/// simulation modes. See [`run_grid`] for the seeding, deduplication, and
-/// determinism contract.
+/// The grid engine behind [`run_grid`] and the session mode's
+/// [`run_session_grid`](crate::session::run_session_grid): the flattening,
+/// workload deduplication and sharding are written (and tested for
+/// thread-count invariance) once, and `run` is the mode's per-run body.
+/// Returns every run's result, configuration by configuration, each
+/// configuration's `runs` results in seed order. See [`run_grid`] for the
+/// seeding, deduplication, and determinism contract.
 ///
 /// # Errors
 ///
 /// Returns [`SimError::NoRuns`] when `runs` is zero, or the first
 /// validation error across the grid in configuration order.
-pub fn run_grid_with<G: GridRunner>(
+pub(crate) fn run_grid_with<O: Send>(
     configs: &[SimulationConfig],
     runs: usize,
     executor: &ParallelExecutor,
-    runner: &G,
-) -> Result<Vec<G::Out>, SimError> {
+    run: impl Fn(&SimulationConfig, u64, Arc<SharedWorkload>) -> Result<O, SimError> + Sync,
+) -> Result<Vec<O>, SimError> {
     if runs == 0 {
         return Err(SimError::NoRuns);
     }
     for config in configs {
         config.validate()?;
     }
-    if configs.is_empty() {
-        return Ok(Vec::new());
-    }
 
-    // Flatten the grid and deduplicate workload generation: one generation
-    // per distinct (workload parameters, seed) pair, in first-use order.
+    // Flatten the grid, configuration by configuration, and deduplicate
+    // workload generation: one generation per distinct (workload
+    // parameters, seed) pair, in first-use order.
     let mut keys: Vec<WorkloadConfig> = Vec::new();
     let mut items: Vec<(usize, u64, usize)> = Vec::with_capacity(configs.len() * runs);
     for (ci, config) in configs.iter().enumerate() {
@@ -547,12 +523,12 @@ pub fn run_grid_with<G: GridRunner>(
     }
 
     // Stage 1: generate each distinct workload once, sharded across threads.
-    let mut workloads = Vec::with_capacity(keys.len());
-    for generated in executor.map(&keys, |wl| {
-        SharedWorkload::generate(wl, wl.seed).map(Arc::new)
-    }) {
-        workloads.push(generated?);
-    }
+    let workloads = executor
+        .map(&keys, |wl| {
+            SharedWorkload::generate(wl, wl.seed).map(Arc::new)
+        })
+        .into_iter()
+        .collect::<Result<Vec<_>, SimError>>()?;
 
     // Stage 2: run the flattened (configuration, seed) grid. The work
     // items hold the only remaining Arcs to the workloads (the lookup
@@ -560,28 +536,23 @@ pub fn run_grid_with<G: GridRunner>(
     // item as it completes, so a workload's memory is freed as soon as its
     // last run finishes instead of living for the whole grid.
     let work: Vec<(usize, u64, Arc<SharedWorkload>)> = items
-        .iter()
-        .map(|&(ci, seed, key)| (ci, seed, workloads[key].clone()))
+        .into_iter()
+        .map(|(ci, seed, key)| (ci, seed, workloads[key].clone()))
         .collect();
     drop(workloads);
-    let results = executor.map_consume(work, |(ci, seed, workload)| {
-        runner.run(&configs[ci], seed, workload)
-    });
-
-    // Merge in deterministic (configuration, seed) order.
-    let mut per_config: Vec<Vec<G::Out>> = std::iter::repeat_with(|| Vec::with_capacity(runs))
-        .take(configs.len())
-        .collect();
-    for (&(ci, _, _), result) in items.iter().zip(results) {
-        per_config[ci].push(result?);
-    }
-    Ok(per_config.iter().map(|m| runner.average(m)).collect())
+    executor
+        .map_consume(work, |(ci, seed, workload)| {
+            run(&configs[ci], seed, workload)
+        })
+        .into_iter()
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use sc_cache::policy::PolicyKind;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn small(policy: PolicyKind, cache_fraction: f64) -> SimulationConfig {
         SimulationConfig {
@@ -625,6 +596,59 @@ mod tests {
                 0,
                 "threads={threads} leaked items"
             );
+        }
+    }
+
+    #[test]
+    fn an_items_panic_reaches_the_caller_with_its_own_message() {
+        for threads in [1, 4] {
+            let executor = ParallelExecutor::new(ExecConfig::with_threads(threads));
+            let payload = std::panic::catch_unwind(|| {
+                executor.map(&[1u32, 2, 3, 4, 5, 6, 7, 8], |&i| {
+                    assert!(i != 5, "item {i} is bad");
+                    i
+                })
+            })
+            .expect_err("item 5 panics");
+            let message = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| payload.downcast_ref::<&str>().copied())
+                .expect("a panic message");
+            assert!(
+                message.contains("item 5 is bad"),
+                "threads={threads}: {message}"
+            );
+        }
+    }
+
+    #[test]
+    fn both_modes_start_from_the_same_paths_for_a_seed() {
+        // The per-request worker is handed a workload by the grid, a lone
+        // session worker generates its own: for one (config, seed) the
+        // set-up gives both the same path state and leaves the bandwidth
+        // rng at the same draw, under either bandwidth model.
+        use crate::config::BandwidthModel;
+        use rand::Rng;
+        for bandwidth_model in [BandwidthModel::Iid, BandwidthModel::ar1_default()] {
+            let config = SimulationConfig {
+                bandwidth_model,
+                ..small(PolicyKind::PartialBandwidth, 0.05)
+            };
+            let seed = config.seed + 3;
+            let shared = Arc::new(SharedWorkload::generate(&config.workload, seed).unwrap());
+            let mut given = RunSetup::new(&config, seed, Some(&shared)).unwrap();
+            let mut generated = RunSetup::new(&config, seed, None).unwrap();
+            assert_eq!(*given.workload, *generated.workload);
+            assert_eq!(given.provider.len(), shared.catalog.len());
+            for path in 0..given.provider.len() {
+                assert_eq!(
+                    given.provider.estimated_bps(path).to_bits(),
+                    generated.provider.estimated_bps(path).to_bits(),
+                    "path {path} under {bandwidth_model:?}"
+                );
+            }
+            assert_eq!(given.bw_rng.gen::<u64>(), generated.bw_rng.gen::<u64>());
         }
     }
 

@@ -125,4 +125,17 @@ mod tests {
         let b = fig_sessions(ExperimentScale::Test).unwrap();
         assert_eq!(a, b);
     }
+
+    #[test]
+    fn fig_sessions_is_the_same_at_one_and_four_threads_telemetry_included() {
+        use crate::exec::ExecConfig;
+        let run = |threads| {
+            let executor = ParallelExecutor::new(ExecConfig::with_threads(threads));
+            fig_sessions_with(ExperimentScale::Test, &executor).unwrap()
+        };
+        let (one, four) = (run(1), run(4));
+        assert!(one.telemetry.events_scheduled > 0 && one.telemetry.redivisions > 0);
+        assert_eq!(one.telemetry, four.telemetry);
+        assert_eq!(one, four);
+    }
 }

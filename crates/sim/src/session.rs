@@ -52,15 +52,13 @@
 use crate::bandwidth::{BandwidthProvider, EstimatorBank};
 use crate::config::{PathFaultModel, SimError, SimulationConfig};
 use crate::event::{assert_finite_time, EventKind, EventQueue};
-use crate::exec::{
-    bandwidth_seed, fault_seed, run_grid_with, GridRunner, ParallelExecutor, SharedWorkload,
-};
+use crate::exec::{fault_seed, run_grid_with, ParallelExecutor, RunSetup, SharedWorkload};
 use crate::metrics::SessionMetrics;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sc_cache::policy::UtilityPolicy;
 use sc_cache::CacheEngine;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// One streaming session to simulate: a path (bottleneck link) index plus
 /// the arrival instant and playback characteristics.
@@ -1083,17 +1081,16 @@ impl SessionWorker {
     /// [`SessionWorker::run`] plus the run's scheduling telemetry.
     fn run_traced(&self) -> Result<(SessionRunResult, SessionTelemetry), SimError> {
         let config = &self.config;
-        config.validate()?;
-        let generated;
-        let shared = match &self.workload {
-            Some(shared) => shared.as_ref(),
-            None => {
-                generated = SharedWorkload::generate(&config.workload, self.seed)?;
-                &generated
-            }
-        };
-        let (catalog, trace) = (&shared.catalog, &shared.trace);
-        let metas = shared.metas();
+        // The same set-up as the per-request mode, hence the same path
+        // capacities for a seed.
+        let RunSetup {
+            workload,
+            provider,
+            mut estimators,
+            mut cache,
+            ..
+        } = RunSetup::new(config, self.seed, self.workload.as_ref())?;
+        let (catalog, trace) = (&workload.catalog, &workload.trace);
 
         let specs: Vec<SessionSpec> = trace
             .session_arrivals(catalog)
@@ -1107,29 +1104,11 @@ impl SessionWorker {
             })
             .collect();
 
-        // Same bandwidth-state derivation as the per-request mode: the
-        // provider spans the trace, seeded independently of workload
-        // generation.
-        let mut bw_rng = StdRng::seed_from_u64(bandwidth_seed(self.seed));
-        let provider_horizon = trace.requests().last().map_or(0.0, |r| r.time_secs);
-        let provider = BandwidthProvider::generate_with_model(
-            catalog.len(),
-            config.variability,
-            config.bandwidth_model,
-            provider_horizon,
-            &mut bw_rng,
-        );
-        let mut estimators = EstimatorBank::new(config.estimator, catalog.len());
-
-        let mut cache = CacheEngine::new(config.cache_size_bytes, config.policy.build())
-            .map_err(|e| SimError::Workload(e.to_string()))?;
-        cache.ensure_slots(catalog.len());
-
         let mut hooks = CacheHooks {
             cache: &mut cache,
             estimators: &mut estimators,
             provider: &provider,
-            metas,
+            metas: workload.metas(),
         };
         // The outage timeline (if any) is drawn up front from its own
         // derived seed, spanning the playback horizon of the trace.
@@ -1174,41 +1153,25 @@ pub fn run_session_grid(
 }
 
 /// [`run_session_grid`] plus the scheduling telemetry of all its runs
-/// together (merging is commutative, so the total does not depend on which
-/// thread finishes first).
+/// together: each run returns its own with its metrics, and they are folded
+/// in grid order once the executor is done.
 pub(crate) fn run_session_grid_traced(
     configs: &[SimulationConfig],
     runs: usize,
     executor: &ParallelExecutor,
 ) -> Result<(Vec<SessionMetrics>, SessionTelemetry), SimError> {
-    struct SessionGrid {
-        telemetry: Mutex<SessionTelemetry>,
+    let per_run = run_grid_with(configs, runs, executor, |config, seed, workload| {
+        let (result, telemetry) =
+            SessionWorker::with_workload(*config, seed, workload).run_traced()?;
+        Ok((result.metrics, telemetry))
+    })?;
+    let (metrics, traces): (Vec<SessionMetrics>, Vec<SessionTelemetry>) =
+        per_run.into_iter().unzip();
+    let mut telemetry = SessionTelemetry::default();
+    for trace in traces {
+        telemetry.merge(trace);
     }
-    impl GridRunner for SessionGrid {
-        type Out = SessionMetrics;
-        fn run(
-            &self,
-            config: &SimulationConfig,
-            seed: u64,
-            workload: Arc<SharedWorkload>,
-        ) -> Result<SessionMetrics, SimError> {
-            let (result, telemetry) =
-                SessionWorker::with_workload(*config, seed, workload).run_traced()?;
-            self.telemetry
-                .lock()
-                .expect("no run panics while merging")
-                .merge(telemetry);
-            Ok(result.metrics)
-        }
-        fn average(&self, runs: &[SessionMetrics]) -> SessionMetrics {
-            SessionMetrics::average(runs)
-        }
-    }
-    let grid = SessionGrid {
-        telemetry: Mutex::default(),
-    };
-    let metrics = run_grid_with(configs, runs, executor, &grid)?;
-    let telemetry = grid.telemetry.into_inner().expect("no run panicked");
+    let metrics = metrics.chunks(runs).map(SessionMetrics::average).collect();
     Ok((metrics, telemetry))
 }
 

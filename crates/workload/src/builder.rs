@@ -122,11 +122,6 @@ impl WorkloadBuilder {
         }
     }
 
-    /// Starts from an explicit configuration.
-    pub fn from_config(config: WorkloadConfig) -> Self {
-        WorkloadBuilder { config }
-    }
-
     /// Sets the number of unique objects.
     pub fn objects(mut self, n: usize) -> Self {
         self.config.catalog.objects = n;

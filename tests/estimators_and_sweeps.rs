@@ -6,8 +6,7 @@ use rand::SeedableRng;
 use streamcache::cache::policy::{PartialBandwidth, PolicyKind};
 use streamcache::cache::{CacheEngine, ObjectKey, ObjectMeta};
 use streamcache::netmodel::{
-    BandwidthEstimator, ConservativeEstimator, EwmaEstimator, NlanrBandwidthModel,
-    VariabilityModel, WindowedEstimator,
+    BandwidthEstimator, EwmaEstimator, NlanrBandwidthModel, VariabilityModel,
 };
 use streamcache::sim::sweep::{sweep_cache_size, sweep_policies};
 use streamcache::sim::SimulationConfig;
@@ -41,24 +40,6 @@ fn ewma_estimator_drives_pb_towards_the_true_deficit() {
     // at least the ideal deficit and never more than the whole object.
     assert!(cached >= ideal * 0.9, "cached {cached} vs ideal {ideal}");
     assert!(cached <= object.size_bytes());
-}
-
-/// A conservative wrapper around a windowed estimator grows the allocation
-/// relative to the raw estimate (the over-provisioning heuristic of
-/// Section 2.5).
-#[test]
-fn conservative_estimator_grows_allocations() {
-    let mut raw = WindowedEstimator::new(8);
-    let mut conservative = ConservativeEstimator::new(WindowedEstimator::new(8), 0.5);
-    for sample in [30_000.0, 28_000.0, 32_000.0, 31_000.0] {
-        raw.observe(sample);
-        conservative.observe(sample);
-    }
-    let object = ObjectMeta::new(ObjectKey::new(1), 600.0, 48_000.0, 0.0);
-    let raw_prefix = object.prefix_needed(raw.estimate_bps().unwrap());
-    let conservative_prefix = object.prefix_needed(conservative.estimate_bps().unwrap());
-    assert!(conservative_prefix > raw_prefix);
-    assert!(conservative_prefix <= object.size_bytes());
 }
 
 /// Per-path mean bandwidths drawn from the NLANR model produce a mix of
