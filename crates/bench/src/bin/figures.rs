@@ -14,7 +14,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sc_bench::{bandwidth_model_from_args, bandwidth_model_from_args_or, scale_from_args};
 use sc_bench::{emit_session_timed, emit_timed};
-use sc_netmodel::{Histogram, NlanrBandwidthModel, PathModel, VariabilityModel, BYTES_PER_KB};
+use sc_netmodel::{
+    BandwidthTimeSeries, Histogram, NlanrBandwidthModel, TimeSeriesConfig, VariabilityModel,
+    BYTES_PER_KB,
+};
 use sc_sim::experiments::{self, ExperimentScale};
 use sc_sim::{BandwidthModel, FigureResult, SimError};
 use std::time::{Duration, Instant};
@@ -233,9 +236,16 @@ fn fig4() -> Result<(), SimError> {
     println!("# fig4 — Bandwidth variation of synthetic measured paths");
     let mut rng = StdRng::seed_from_u64(4);
     for (name, variability, autocorrelation) in paths {
-        let path = PathModel::new(120_000.0, variability);
         // 600 samples × 4 minutes = 40 hours.
-        let ts = path.time_series(600, 240.0, autocorrelation, &mut rng);
+        let cfg = TimeSeriesConfig {
+            mean_bps: 120_000.0,
+            cov: variability.coefficient_of_variation(),
+            autocorrelation,
+            interval_secs: 240.0,
+            ..TimeSeriesConfig::default()
+        };
+        let ts = BandwidthTimeSeries::generate(&cfg, 600, &mut rng)
+            .expect("the three fig4 path configurations are valid");
         let ratios = ts.sample_to_mean_ratios();
         let hist = Histogram::from_samples(0.1, 30, &ratios);
         let summary = sc_netmodel::Summary::of(ts.samples_bps()).unwrap();

@@ -56,6 +56,17 @@ fn every_id_runs_at_test_scale_and_writes_its_json() {
     }
 }
 
+/// `fig4` assembles its time-series configuration itself; the INRIA-like
+/// path's row (seed 4) pins the parameters and the order of RNG draws.
+#[test]
+fn fig4_time_series_is_pinned() {
+    let run = figures(&scratch("fig4"), &["fig4"]);
+    assert!(run.status.success(), "{run:?}");
+    let out = stdout(&run);
+    let row = "  117 125 122 152 95 109 132 136 128 117 129 142 138 152 123 126 108 120 102 137";
+    assert!(out.lines().any(|line| line == row), "{out}");
+}
+
 #[test]
 fn bandwidth_variants_emit_under_a_suffixed_id() {
     let dir = scratch("bandwidth");

@@ -85,36 +85,6 @@ impl EmpiricalDistribution {
         Ok(EmpiricalDistribution { knots })
     }
 
-    /// Builds the empirical distribution of observed `samples` (each sample
-    /// receives equal probability mass; the CDF interpolates between sorted
-    /// samples).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetModelError::InvalidCdf`] if `samples` is empty or any
-    /// sample is not finite.
-    pub fn from_samples(samples: &[f64]) -> Result<Self, NetModelError> {
-        if samples.is_empty() {
-            return Err(NetModelError::InvalidCdf("no samples".into()));
-        }
-        if samples.iter().any(|s| !s.is_finite()) {
-            return Err(NetModelError::InvalidCdf("non-finite sample".into()));
-        }
-        let mut sorted: Vec<f64> = samples.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        let n = sorted.len();
-        if n == 1 {
-            // Degenerate: a point mass represented by a tiny ramp.
-            let v = sorted[0];
-            return EmpiricalDistribution::from_cdf(vec![(v, 0.0), (v, 1.0)]);
-        }
-        let mut knots = Vec::with_capacity(n);
-        for (i, v) in sorted.iter().enumerate() {
-            knots.push((*v, i as f64 / (n - 1) as f64));
-        }
-        EmpiricalDistribution::from_cdf(knots)
-    }
-
     /// The CDF knots.
     pub fn knots(&self) -> &[(f64, f64)] {
         &self.knots
@@ -281,29 +251,6 @@ mod tests {
         assert!(samples.iter().all(|&x| (0.0..=20.0).contains(&x)));
         let mean = samples.iter().sum::<f64>() / samples.len() as f64;
         assert!((mean - 10.0).abs() < 0.2, "mean {mean}");
-    }
-
-    #[test]
-    fn from_samples_interpolates() {
-        let d = EmpiricalDistribution::from_samples(&[1.0, 2.0, 3.0, 4.0, 5.0]).unwrap();
-        assert_eq!(d.min(), 1.0);
-        assert_eq!(d.max(), 5.0);
-        assert!((d.quantile(0.5) - 3.0).abs() < 1e-12);
-        assert!((d.mean() - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn from_samples_rejects_bad_input() {
-        assert!(EmpiricalDistribution::from_samples(&[]).is_err());
-        assert!(EmpiricalDistribution::from_samples(&[1.0, f64::NAN]).is_err());
-    }
-
-    #[test]
-    fn single_sample_is_point_mass() {
-        let d = EmpiricalDistribution::from_samples(&[7.0]).unwrap();
-        let mut rng = StdRng::seed_from_u64(3);
-        assert_eq!(d.sample(&mut rng), 7.0);
-        assert_eq!(d.mean(), 7.0);
     }
 
     #[test]

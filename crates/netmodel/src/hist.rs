@@ -112,11 +112,6 @@ impl Histogram {
         i as f64 * self.bin_width
     }
 
-    /// Midpoint of bin `i`.
-    pub fn bin_mid(&self, i: usize) -> f64 {
-        (i as f64 + 0.5) * self.bin_width
-    }
-
     /// Fraction of all samples that fell in bin `i`.
     pub fn fraction(&self, i: usize) -> f64 {
         if self.total == 0 {
@@ -204,7 +199,6 @@ mod tests {
         assert!((h.fraction_below(30.0) - 0.75).abs() < 1e-12);
         assert!((h.fraction_below(1_000.0) - 1.0).abs() < 1e-12);
         assert_eq!(h.bin_start(3), 30.0);
-        assert_eq!(h.bin_mid(0), 5.0);
         assert!((h.fraction(0) - 0.25).abs() < 1e-12);
     }
 

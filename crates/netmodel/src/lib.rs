@@ -15,8 +15,9 @@
 //!   measured-path models of Figure 4.
 //! * [`BandwidthTimeSeries`] — mean-reverting bandwidth evolution processes
 //!   for Figure 4 style time-series plots.
-//! * [`PathModel`] / [`PathSet`] — the per-object cache↔origin paths used by
-//!   the simulator.
+//! * [`PathSet`] — the per-object cache↔origin paths used by the simulator:
+//!   one mean bandwidth per path beside the one variability model they all
+//!   share (Section 4.3 gives every path the same ratio model).
 //! * [`BandwidthEstimator`] implementations — passive (EWMA, windowed)
 //!   estimation of a path's bandwidth (Section 2.7).
 //!
@@ -56,7 +57,7 @@ pub use error::NetModelError;
 pub use estimator::{BandwidthEstimator, EwmaEstimator, WindowedEstimator};
 pub use hist::Histogram;
 pub use nlanr::{NlanrBandwidthModel, BYTES_PER_KB};
-pub use paths::{PathId, PathModel, PathSet};
+pub use paths::PathSet;
 pub use stats::Summary;
 pub use timeseries::{BandwidthTimeSeries, MarginalDistribution, TimeSeriesConfig};
 pub use variability::VariabilityModel;

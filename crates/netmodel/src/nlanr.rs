@@ -13,7 +13,6 @@
 //! * histogram plotted with 4 KB/s bins.
 
 use crate::empirical::EmpiricalDistribution;
-use crate::error::NetModelError;
 use rand::Rng;
 
 /// Number of bytes per kilobyte used throughout the crate (the paper uses
@@ -82,19 +81,6 @@ impl NlanrBandwidthModel {
         }
     }
 
-    /// Builds a model from observed bandwidth samples in bytes per second
-    /// (the "analyse your own proxy log" path).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetModelError::InvalidCdf`] if `samples` is empty or
-    /// contains non-finite values.
-    pub fn from_samples(samples: &[f64]) -> Result<Self, NetModelError> {
-        Ok(NlanrBandwidthModel {
-            distribution: EmpiricalDistribution::from_samples(samples)?,
-        })
-    }
-
     /// The underlying empirical distribution (bytes per second).
     pub fn distribution(&self) -> &EmpiricalDistribution {
         &self.distribution
@@ -103,11 +89,6 @@ impl NlanrBandwidthModel {
     /// Draws one base-bandwidth sample in bytes per second.
     pub fn sample_bps<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         self.distribution.sample(rng)
-    }
-
-    /// Draws one base-bandwidth sample in KB/s.
-    pub fn sample_kbps<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        self.sample_bps(rng) / BYTES_PER_KB
     }
 
     /// Draws `n` samples in bytes per second.
@@ -197,15 +178,5 @@ mod tests {
             (80.0..200.0).contains(&mean_kbps),
             "mean bandwidth {mean_kbps} KB/s"
         );
-        let mut rng = StdRng::seed_from_u64(1);
-        let kbps = m.sample_kbps(&mut rng);
-        assert!(kbps > 0.0 && kbps <= 800.0);
-    }
-
-    #[test]
-    fn from_samples_roundtrip() {
-        let m = NlanrBandwidthModel::from_samples(&[10_000.0, 20_000.0, 30_000.0]).unwrap();
-        assert!((m.mean_bps() - 20_000.0).abs() < 1e-9);
-        assert!(NlanrBandwidthModel::from_samples(&[]).is_err());
     }
 }

@@ -1,96 +1,16 @@
-//! Per-path bandwidth models combining a base bandwidth with variability.
+//! The cache↔origin paths of one run: an array of mean bandwidths beside
+//! one shared variability model.
 //!
 //! In the paper, every origin server (equivalently, every object, since the
 //! paper assumes one path per object) is reached over a path with an average
 //! bandwidth drawn from the NLANR-like distribution; instantaneous bandwidth
 //! for a given request is the average multiplied by a ratio drawn from a
-//! [`VariabilityModel`].
+//! [`VariabilityModel`]. Section 4.3 gives all paths the *same* ratio model,
+//! so a path is just its mean and the set holds the model once.
 
 use crate::nlanr::NlanrBandwidthModel;
-use crate::timeseries::{BandwidthTimeSeries, TimeSeriesConfig};
 use crate::variability::VariabilityModel;
 use rand::Rng;
-
-/// Identifier of a network path (one per origin server / object).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct PathId(pub u32);
-
-impl PathId {
-    /// Dense index of this path.
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-}
-
-/// The bandwidth model of a single cache↔origin path.
-///
-/// ```
-/// use sc_netmodel::{PathModel, VariabilityModel};
-/// use rand::SeedableRng;
-///
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-/// let path = PathModel::new(80_000.0, VariabilityModel::measured_path_low());
-/// let bw = path.bandwidth_sample(&mut rng);
-/// assert!(bw > 0.0);
-/// assert_eq!(path.mean_bps(), 80_000.0);
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct PathModel {
-    mean_bps: f64,
-    variability: VariabilityModel,
-}
-
-impl PathModel {
-    /// Creates a path with long-run average `mean_bps` and the given
-    /// variability model.
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug assertions only) if `mean_bps` is not positive.
-    pub fn new(mean_bps: f64, variability: VariabilityModel) -> Self {
-        debug_assert!(mean_bps > 0.0, "mean bandwidth must be positive");
-        PathModel {
-            mean_bps,
-            variability,
-        }
-    }
-
-    /// Long-run average bandwidth of the path in bytes per second.
-    pub fn mean_bps(&self) -> f64 {
-        self.mean_bps
-    }
-
-    /// The variability model of the path.
-    pub fn variability(&self) -> &VariabilityModel {
-        &self.variability
-    }
-
-    /// Draws the instantaneous bandwidth observed by one request.
-    pub fn bandwidth_sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        self.variability.apply(rng, self.mean_bps)
-    }
-
-    /// Generates a bandwidth evolution time series for this path (Figure 4
-    /// style), with the marginal coefficient of variation taken from the
-    /// path's variability model.
-    pub fn time_series<R: Rng + ?Sized>(
-        &self,
-        samples: usize,
-        interval_secs: f64,
-        autocorrelation: f64,
-        rng: &mut R,
-    ) -> BandwidthTimeSeries {
-        let cfg = TimeSeriesConfig {
-            mean_bps: self.mean_bps,
-            cov: self.variability.coefficient_of_variation(),
-            autocorrelation,
-            interval_secs,
-            ..TimeSeriesConfig::default()
-        };
-        BandwidthTimeSeries::generate(&cfg, samples, rng)
-            .expect("path-derived time series config is always valid")
-    }
-}
 
 /// The set of paths between one cache and all origin servers, one path per
 /// object in the catalog.
@@ -111,49 +31,46 @@ impl PathModel {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct PathSet {
-    paths: Vec<PathModel>,
+    mean_bps: Vec<f64>,
+    variability: VariabilityModel,
 }
 
 impl PathSet {
-    /// Generates `n` paths whose average bandwidth is drawn from `base` and
-    /// which all share the variability model `variability`.
+    /// Generates `n` paths whose average bandwidth is drawn from `base` (one
+    /// draw per path, floored at 1 byte/s) and which all share the
+    /// variability model `variability`.
     pub fn generate<R: Rng + ?Sized>(
         n: usize,
         base: &NlanrBandwidthModel,
         variability: VariabilityModel,
         rng: &mut R,
     ) -> Self {
-        let paths = (0..n)
-            .map(|_| {
-                let mean = base.sample_bps(rng).max(1.0);
-                PathModel::new(mean, variability.clone())
-            })
-            .collect();
-        PathSet { paths }
-    }
-
-    /// Builds a path set from explicit path models.
-    pub fn from_paths(paths: Vec<PathModel>) -> Self {
-        PathSet { paths }
+        let mean_bps = (0..n).map(|_| base.sample_bps(rng).max(1.0)).collect();
+        PathSet {
+            mean_bps,
+            variability,
+        }
     }
 
     /// Number of paths.
     pub fn len(&self) -> usize {
-        self.paths.len()
+        self.mean_bps.len()
     }
 
     /// Returns `true` if the set contains no paths.
     pub fn is_empty(&self) -> bool {
-        self.paths.is_empty()
+        self.mean_bps.is_empty()
     }
 
-    /// The path for object/server index `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn path(&self, i: usize) -> &PathModel {
-        &self.paths[i]
+    /// Long-run average bandwidth of every path, in bytes per second,
+    /// indexed by object/server.
+    pub fn means(&self) -> &[f64] {
+        &self.mean_bps
+    }
+
+    /// The variability model all paths share.
+    pub fn variability(&self) -> &VariabilityModel {
+        &self.variability
     }
 
     /// Long-run average bandwidth of path `i` in bytes per second.
@@ -162,7 +79,7 @@ impl PathSet {
     ///
     /// Panics if `i` is out of range.
     pub fn mean_bps(&self, i: usize) -> f64 {
-        self.paths[i].mean_bps()
+        self.mean_bps[i]
     }
 
     /// Draws the instantaneous bandwidth seen by a request to object `i`.
@@ -171,21 +88,7 @@ impl PathSet {
     ///
     /// Panics if `i` is out of range.
     pub fn bandwidth_sample<R: Rng + ?Sized>(&self, i: usize, rng: &mut R) -> f64 {
-        self.paths[i].bandwidth_sample(rng)
-    }
-
-    /// Iterates over all paths.
-    pub fn iter(&self) -> std::slice::Iter<'_, PathModel> {
-        self.paths.iter()
-    }
-}
-
-impl<'a> IntoIterator for &'a PathSet {
-    type Item = &'a PathModel;
-    type IntoIter = std::slice::Iter<'a, PathModel>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.paths.iter()
+        self.variability.apply(rng, self.mean_bps[i])
     }
 }
 
@@ -195,61 +98,63 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    fn generate(n: usize, variability: VariabilityModel, rng: &mut StdRng) -> PathSet {
+        PathSet::generate(n, &NlanrBandwidthModel::paper_default(), variability, rng)
+    }
+
+    #[test]
+    fn generate_draws_one_floored_base_sample_per_path_in_order() {
+        let base = NlanrBandwidthModel::paper_default();
+        let mut a = StdRng::seed_from_u64(6);
+        let mut b = StdRng::seed_from_u64(6);
+        let set = PathSet::generate(300, &base, VariabilityModel::nlanr_like(), &mut a);
+        let by_hand: Vec<f64> = (0..300).map(|_| base.sample_bps(&mut b).max(1.0)).collect();
+        assert_eq!(set.means(), by_hand.as_slice());
+        // Nothing else was drawn: the two streams continue in step.
+        assert_eq!(a.gen::<u64>(), b.gen::<u64>());
+    }
+
     #[test]
     fn path_sample_respects_constant_model() {
         let mut rng = StdRng::seed_from_u64(1);
-        let p = PathModel::new(50_000.0, VariabilityModel::constant());
-        for _ in 0..10 {
-            assert!((p.bandwidth_sample(&mut rng) - 50_000.0).abs() < 1e-9);
+        let set = generate(10, VariabilityModel::constant(), &mut rng);
+        for i in 0..10 {
+            assert_eq!(set.bandwidth_sample(i, &mut rng), set.mean_bps(i));
         }
+    }
+
+    #[test]
+    fn path_set_accessors() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let set = generate(2, VariabilityModel::measured_path_low(), &mut rng);
+        assert_eq!(set.len(), 2);
+        assert!(!set.is_empty());
+        assert_eq!(set.means(), [set.mean_bps(0), set.mean_bps(1)]);
+        assert_eq!(set.variability(), &VariabilityModel::measured_path_low());
+        assert!(generate(0, VariabilityModel::constant(), &mut rng).is_empty());
     }
 
     #[test]
     fn path_set_generation_spans_heterogeneous_bandwidth() {
         let mut rng = StdRng::seed_from_u64(2);
-        let set = PathSet::generate(
-            2_000,
-            &NlanrBandwidthModel::paper_default(),
-            VariabilityModel::constant(),
-            &mut rng,
-        );
+        let set = generate(2_000, VariabilityModel::constant(), &mut rng);
         assert_eq!(set.len(), 2_000);
-        let slow = set.iter().filter(|p| p.mean_bps() < 50_000.0).count() as f64 / 2_000.0;
+        let slow = set.means().iter().filter(|&&m| m < 50_000.0).count() as f64 / 2_000.0;
         assert!((slow - 0.37).abs() < 0.05, "slow fraction {slow}");
-        let fast = set.iter().filter(|p| p.mean_bps() > 200_000.0).count();
+        let fast = set.means().iter().filter(|&&m| m > 200_000.0).count();
         assert!(fast > 0);
     }
 
     #[test]
     fn variable_paths_average_to_mean() {
         let mut rng = StdRng::seed_from_u64(3);
-        let p = PathModel::new(100_000.0, VariabilityModel::nlanr_like());
+        let set = generate(1, VariabilityModel::nlanr_like(), &mut rng);
+        let mean_bps = set.mean_bps(0);
         let n = 20_000;
-        let mean = (0..n).map(|_| p.bandwidth_sample(&mut rng)).sum::<f64>() / n as f64;
-        assert!((mean - 100_000.0).abs() / 100_000.0 < 0.03, "mean {mean}");
-    }
-
-    #[test]
-    fn time_series_from_path() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let p = PathModel::new(120_000.0, VariabilityModel::measured_path_moderate());
-        let ts = p.time_series(600, 240.0, 0.8, &mut rng);
-        assert_eq!(ts.len(), 600);
-        assert!((ts.duration_hours() - 40.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn path_set_accessors() {
-        let set = PathSet::from_paths(vec![
-            PathModel::new(10.0, VariabilityModel::constant()),
-            PathModel::new(20.0, VariabilityModel::constant()),
-        ]);
-        assert_eq!(set.len(), 2);
-        assert!(!set.is_empty());
-        assert_eq!(set.mean_bps(1), 20.0);
-        assert_eq!(set.path(0).mean_bps(), 10.0);
-        let mut rng = StdRng::seed_from_u64(5);
-        assert_eq!(set.bandwidth_sample(0, &mut rng), 10.0);
-        assert_eq!(PathId(3).index(), 3);
+        let mean = (0..n)
+            .map(|_| set.bandwidth_sample(0, &mut rng))
+            .sum::<f64>()
+            / n as f64;
+        assert!((mean - mean_bps).abs() / mean_bps < 0.03, "mean {mean}");
     }
 }

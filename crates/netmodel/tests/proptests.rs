@@ -127,6 +127,6 @@ fn path_sets_well_formed() {
             &mut rng,
         );
         assert_eq!(set.len(), n);
-        assert!(set.iter().all(|p| p.mean_bps() > 0.0));
+        assert!(set.means().iter().all(|&m| m > 0.0));
     }
 }

@@ -1,9 +1,10 @@
 //! Per-request bandwidth provisioning for the simulator.
 //!
-//! [`BandwidthProvider`] owns the network state of one simulation run: the
-//! per-object path averages (drawn from the NLANR-like base distribution of
-//! Figure 2) plus, per [`BandwidthModel`], either an i.i.d. ratio stream or
-//! one pre-generated AR(1) [`BandwidthTimeSeries`] per path, sampled at
+//! [`BandwidthProvider`] owns the network state of one simulation run: one
+//! [`PathSet`] — the per-object path averages (drawn from the NLANR-like
+//! base distribution of Figure 2) beside the run's single variability model
+//! — plus, per [`BandwidthModel`], either that model's i.i.d. ratio stream
+//! or one pre-generated AR(1) [`BandwidthTimeSeries`] per path, sampled at
 //! request time from the simulation clock. [`EstimatorBank`] maintains the
 //! per-path [`sc_netmodel::BandwidthEstimator`] state that stands between
 //! the true bandwidth and what the caching algorithm gets to see.
@@ -12,7 +13,7 @@ use crate::config::{BandwidthModel, EstimatorKind, VariabilityKind};
 use rand::Rng;
 use sc_netmodel::{
     BandwidthEstimator, BandwidthTimeSeries, EwmaEstimator, NlanrBandwidthModel, PathSet,
-    TimeSeriesConfig, VariabilityModel, WindowedEstimator,
+    TimeSeriesConfig, WindowedEstimator,
 };
 
 /// Supplies the simulator with per-object average bandwidths and per-request
@@ -32,7 +33,6 @@ use sc_netmodel::{
 #[derive(Debug, Clone)]
 pub struct BandwidthProvider {
     paths: PathSet,
-    variability: VariabilityModel,
     /// One series per path in AR(1) mode; `None` in i.i.d. mode.
     series: Option<Vec<BandwidthTimeSeries>>,
 }
@@ -68,11 +68,10 @@ impl BandwidthProvider {
         horizon_secs: f64,
         rng: &mut R,
     ) -> Self {
-        let variability = kind.model();
         let paths = PathSet::generate(
             objects,
             &NlanrBandwidthModel::paper_default(),
-            variability.clone(),
+            kind.model(),
             rng,
         );
         let series = match model {
@@ -82,13 +81,14 @@ impl BandwidthProvider {
                 interval_secs,
             } => {
                 let samples = (horizon_secs.max(0.0) / interval_secs) as usize + 1;
-                let cov = variability.coefficient_of_variation();
+                let cov = paths.variability().coefficient_of_variation();
                 Some(
                     paths
+                        .means()
                         .iter()
-                        .map(|path| {
+                        .map(|&mean_bps| {
                             let cfg = TimeSeriesConfig {
-                                mean_bps: path.mean_bps(),
+                                mean_bps,
                                 cov,
                                 autocorrelation,
                                 interval_secs,
@@ -101,11 +101,7 @@ impl BandwidthProvider {
                 )
             }
         };
-        BandwidthProvider {
-            paths,
-            variability,
-            series,
-        }
+        BandwidthProvider { paths, series }
     }
 
     /// Number of paths (== number of objects).
@@ -128,23 +124,12 @@ impl BandwidthProvider {
         self.paths.mean_bps(index)
     }
 
-    /// The instantaneous bandwidth observed by one request for object
-    /// `index`, ignoring any time-varying state (an i.i.d. draw).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
-    pub fn instantaneous_bps<R: Rng + ?Sized>(&self, index: usize, rng: &mut R) -> f64 {
-        self.paths.bandwidth_sample(index, rng)
-    }
-
     /// The instantaneous bandwidth observed by a request for object `index`
     /// arriving at `time_secs` on the simulation clock.
     ///
-    /// In i.i.d. mode this draws an independent sample through `rng`
-    /// (identically to [`instantaneous_bps`](Self::instantaneous_bps)); in
-    /// AR(1) mode it reads the path's time series at `time_secs` and
-    /// consumes no randomness.
+    /// In i.i.d. mode this draws an independent ratio through `rng` and
+    /// ignores `time_secs`; in AR(1) mode it reads the path's time series at
+    /// `time_secs` and consumes no randomness.
     ///
     /// # Panics
     ///
@@ -186,16 +171,6 @@ impl BandwidthProvider {
     /// The AR(1) series of path `index`, or `None` in i.i.d. mode.
     pub fn series(&self, index: usize) -> Option<&BandwidthTimeSeries> {
         self.series.as_ref().map(|s| &s[index])
-    }
-
-    /// The variability model in use.
-    pub fn variability(&self) -> &VariabilityModel {
-        &self.variability
-    }
-
-    /// The underlying path set.
-    pub fn paths(&self) -> &PathSet {
-        &self.paths
     }
 }
 
@@ -284,7 +259,7 @@ mod tests {
         assert!(!p.is_empty());
         for i in 0..50 {
             let est = p.estimated_bps(i);
-            let inst = p.instantaneous_bps(i, &mut rng);
+            let inst = p.request_bps(i, 0.0, &mut rng);
             assert!((est - inst).abs() < 1e-9);
         }
     }
@@ -296,14 +271,13 @@ mod tests {
         let mut any_deviation = false;
         for i in 0..20 {
             let est = p.estimated_bps(i);
-            let inst = p.instantaneous_bps(i, &mut rng);
+            let inst = p.request_bps(i, 0.0, &mut rng);
             assert!(inst >= 0.0);
             if (est - inst).abs() > 1.0 {
                 any_deviation = true;
             }
         }
         assert!(any_deviation);
-        assert!(p.variability().coefficient_of_variation() > 0.3);
     }
 
     #[test]
@@ -315,7 +289,7 @@ mod tests {
         for i in 0..30 {
             assert_eq!(pa.estimated_bps(i), pb.estimated_bps(i));
         }
-        assert_eq!(pa.paths().len(), 30);
+        assert_eq!(pa.len(), 30);
     }
 
     #[test]
@@ -339,8 +313,8 @@ mod tests {
         // The i.i.d. constructor consumes no extra randomness: the streams
         // stay aligned after generation.
         assert_eq!(
-            plain.instantaneous_bps(0, &mut a),
-            explicit.instantaneous_bps(0, &mut b)
+            plain.request_bps(0, 0.0, &mut a),
+            explicit.request_bps(0, 0.0, &mut b)
         );
     }
 

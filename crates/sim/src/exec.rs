@@ -449,7 +449,8 @@ impl Default for ParallelExecutor {
 /// seed-averaged [`Metrics`] per configuration, in configuration order.
 ///
 /// Replicated runs use seeds `config.seed`, `config.seed + 1`, …,
-/// `config.seed + runs - 1`. The workload for each distinct
+/// `config.seed + runs - 1` (wrapping: a seed names an RNG stream, it is
+/// not a count). The workload for each distinct
 /// `(workload parameters, seed)` pair is generated exactly once (in
 /// parallel) and shared by every configuration that needs it, so a paired
 /// policy comparison is both faster than regenerating per configuration and
@@ -508,7 +509,7 @@ pub(crate) fn run_grid_with<O: Send>(
     let mut items: Vec<(usize, u64, usize)> = Vec::with_capacity(configs.len() * runs);
     for (ci, config) in configs.iter().enumerate() {
         for r in 0..runs {
-            let seed = config.seed + r as u64;
+            let seed = config.seed.wrapping_add(r as u64);
             let mut wl = config.workload;
             wl.seed = seed;
             let key = match keys.iter().position(|k| *k == wl) {
@@ -708,6 +709,22 @@ mod tests {
             .unwrap();
             assert_eq!(sequential, parallel, "threads={threads} diverged");
         }
+    }
+
+    #[test]
+    fn seeds_at_the_top_of_the_range_replicate() {
+        let config = SimulationConfig {
+            seed: u64::MAX,
+            ..SimulationConfig::small()
+        };
+        let sequential = crate::run_replicated_with(&config, 2, &ParallelExecutor::sequential());
+        let parallel = crate::run_replicated_with(
+            &config,
+            2,
+            &ParallelExecutor::new(ExecConfig::with_threads(4)),
+        );
+        assert!(sequential.is_ok());
+        assert_eq!(sequential, parallel);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 use crate::config::{BandwidthModel, EstimatorKind, SimError, SimulationConfig, VariabilityKind};
 use crate::exec::{run_grid, ParallelExecutor};
 use crate::experiments::ExperimentScale;
-use crate::report::{FigureResult, FigureSeries};
+use crate::report::{assemble_series, FigureResult};
 use sc_cache::policy::PolicyKind;
 
 /// The estimator kinds compared by [`fig13`], in series order.
@@ -73,14 +73,8 @@ pub fn fig13_with(scale: ExperimentScale, model: BandwidthModel) -> Result<Figur
         ),
     };
     let mut fig = FigureResult::new(id, title, "cache fraction");
-    let mut points = metrics.into_iter();
-    for &estimator in &FIG13_ESTIMATORS {
-        let mut series = FigureSeries::new(estimator.label());
-        for &fraction in &fractions {
-            series.push(fraction, points.next().expect("grid covers the figure"));
-        }
-        fig.series.push(series);
-    }
+    let labels = FIG13_ESTIMATORS.iter().map(EstimatorKind::label);
+    fig.series = assemble_series(labels, &fractions, metrics);
     Ok(fig)
 }
 

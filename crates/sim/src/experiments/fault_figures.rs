@@ -14,7 +14,7 @@
 use crate::config::{PathFaultModel, SimError, SimulationConfig, VariabilityKind};
 use crate::exec::ParallelExecutor;
 use crate::experiments::ExperimentScale;
-use crate::report::{SessionFigureResult, SessionFigureSeries};
+use crate::report::{assemble_series, SessionFigureResult};
 use crate::session::run_session_grid_traced;
 use sc_cache::policy::PolicyKind;
 
@@ -79,9 +79,12 @@ pub fn fig_faults_with(
 
     // One flattened (policy, mttr, rate) grid so the whole figure shards
     // across threads at once and merges in deterministic grid order.
-    let mut configs = Vec::with_capacity(FIG_FAULTS_POLICIES.len() * FIG_FAULTS_MTTRS.len());
+    let series = FIG_FAULTS_POLICIES.len() * FIG_FAULTS_MTTRS.len();
+    let mut configs = Vec::with_capacity(series * rates.len());
+    let mut labels = Vec::with_capacity(series);
     for &policy in &FIG_FAULTS_POLICIES {
         for &mttr_secs in &FIG_FAULTS_MTTRS {
+            labels.push(format!("{} mttr={}s", policy.label(), mttr_secs));
             for &rate in &rates {
                 let path_faults = (rate > 0.0).then(|| PathFaultModel {
                     mtbf_secs: 3_600.0 / rate,
@@ -104,17 +107,7 @@ pub fn fig_faults_with(
         "outages per hour",
     );
     fig.telemetry = telemetry;
-    let mut points = metrics.into_iter();
-    for &policy in &FIG_FAULTS_POLICIES {
-        for &mttr_secs in &FIG_FAULTS_MTTRS {
-            let mut series =
-                SessionFigureSeries::new(format!("{} mttr={}s", policy.label(), mttr_secs));
-            for &rate in &rates {
-                series.push(rate, points.next().expect("grid covers the figure"));
-            }
-            fig.series.push(series);
-        }
-    }
+    fig.series = assemble_series(labels, &rates, metrics);
     Ok(fig)
 }
 

@@ -1,9 +1,10 @@
 //! Figures 5–9: delay/quality-oriented policy comparisons.
 
 use crate::config::{BandwidthModel, SimError, SimulationConfig, VariabilityKind};
+use crate::exec::{run_grid, ParallelExecutor};
 use crate::experiments::ExperimentScale;
-use crate::report::{FigureResult, FigureSeries};
-use crate::sweep::{sweep_estimator, sweep_policies, sweep_zipf_alpha};
+use crate::report::{assemble_series, FigureResult};
+use crate::sweep::{estimator_grid, sweep_policies, zipf_alpha_config};
 use sc_cache::policy::PolicyKind;
 
 /// The IF / PB / IB comparison over a range of cache sizes, under the given
@@ -144,21 +145,27 @@ pub fn fig6(scale: ExperimentScale) -> Result<FigureResult, SimError> {
         ExperimentScale::Test => vec![0.6, 1.2],
     };
     let fractions = scale.cache_fractions();
+
+    // One flattened (policy, cache size, α) grid: each α's workload is
+    // generated once per seed and shared by every series that needs it.
+    let mut configs = Vec::with_capacity(2 * fractions.len() * alphas.len());
+    let mut labels = Vec::with_capacity(2 * fractions.len());
+    for policy in [PolicyKind::PartialBandwidth, PolicyKind::IntegralBandwidth] {
+        for &fraction in &fractions {
+            labels.push(format!("{} C={:.3}", policy.label(), fraction));
+            for &alpha in &alphas {
+                configs.push(zipf_alpha_config(&base, policy, fraction, alpha));
+            }
+        }
+    }
+    let metrics = run_grid(&configs, scale.runs(), &ParallelExecutor::from_env())?;
+
     let mut fig = FigureResult::new(
         "fig6",
         "Effect of Zipf popularity skew (alpha) on PB and IB",
         "zipf alpha",
     );
-    for policy in [PolicyKind::PartialBandwidth, PolicyKind::IntegralBandwidth] {
-        for &fraction in &fractions {
-            let points = sweep_zipf_alpha(&base, policy, fraction, &alphas, scale.runs())?;
-            let mut series = FigureSeries::new(format!("{} C={:.3}", policy.label(), fraction));
-            for (alpha, metrics) in points {
-                series.push(alpha, metrics);
-            }
-            fig.series.push(series);
-        }
-    }
+    fig.series = assemble_series(labels, &alphas, metrics);
     Ok(fig)
 }
 
@@ -180,19 +187,19 @@ pub fn fig9(scale: ExperimentScale) -> Result<FigureResult, SimError> {
         ExperimentScale::Quick => vec![0.0, 0.5, 1.0],
         ExperimentScale::Test => vec![0.0, 1.0],
     };
+    let fractions = scale.cache_fractions();
+
+    // One flattened (cache size, e) grid over one shared set of workloads.
+    let configs = estimator_grid(&base, &fractions, &estimators, false);
+    let metrics = run_grid(&configs, scale.runs(), &ParallelExecutor::from_env())?;
+
     let mut fig = FigureResult::new(
         "fig9",
         "Partial caching with conservative bandwidth estimation (PB(e))",
         "estimator e",
     );
-    for &fraction in &scale.cache_fractions() {
-        let points = sweep_estimator(&base, fraction, &estimators, false, scale.runs())?;
-        let mut series = FigureSeries::new(format!("PB(e) C={fraction:.3}"));
-        for (e, metrics) in points {
-            series.push(e, metrics);
-        }
-        fig.series.push(series);
-    }
+    let labels = fractions.iter().map(|f| format!("PB(e) C={f:.3}"));
+    fig.series = assemble_series(labels, &estimators, metrics);
     Ok(fig)
 }
 

@@ -99,6 +99,68 @@ impl ExperimentScale {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::VariabilityKind;
+    use crate::report::FigureSeries;
+    use crate::sweep::{sweep_estimator, sweep_zipf_alpha};
+    use crate::Metrics;
+    use sc_cache::policy::PolicyKind;
+
+    fn series_of(label: String, points: Vec<(f64, Metrics)>) -> FigureSeries {
+        let mut series = FigureSeries::new(label);
+        for (x, metrics) in points {
+            series.push(x, metrics);
+        }
+        series
+    }
+
+    /// fig6, fig9 and fig12 used to be built one sweep — one grid, one
+    /// workload generation — per series. That construction is kept here as
+    /// the reference the single-grid figures must reproduce exactly.
+    #[test]
+    fn one_grid_figures_equal_their_per_series_sweeps() {
+        let scale = ExperimentScale::Test;
+        let (fractions, runs) = (scale.cache_fractions(), scale.runs());
+
+        let base = scale.base_config();
+        let mut expected = Vec::new();
+        for policy in [PolicyKind::PartialBandwidth, PolicyKind::IntegralBandwidth] {
+            for &fraction in &fractions {
+                let points = sweep_zipf_alpha(&base, policy, fraction, &[0.6, 1.2], runs).unwrap();
+                expected.push(series_of(
+                    format!("{} C={:.3}", policy.label(), fraction),
+                    points,
+                ));
+            }
+        }
+        assert_eq!(fig6(scale).unwrap().series, expected);
+
+        let estimator_figure = |variability, es: &[f64], value_based, name: &str| {
+            let base = SimulationConfig {
+                variability,
+                ..scale.base_config()
+            };
+            fractions
+                .iter()
+                .map(|&fraction| {
+                    let points = sweep_estimator(&base, fraction, es, value_based, runs).unwrap();
+                    series_of(format!("{name} C={fraction:.3}"), points)
+                })
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(
+            fig9(scale).unwrap().series,
+            estimator_figure(VariabilityKind::NlanrLike, &[0.0, 1.0], false, "PB(e)")
+        );
+        assert_eq!(
+            fig12(scale).unwrap().series,
+            estimator_figure(
+                VariabilityKind::MeasuredModerate,
+                &[0.5, 1.0],
+                true,
+                "PB-V(e)"
+            )
+        );
+    }
 
     #[test]
     fn scales_shrink_monotonically() {

@@ -14,7 +14,7 @@
 use crate::config::{SimError, SimulationConfig, VariabilityKind};
 use crate::exec::ParallelExecutor;
 use crate::experiments::ExperimentScale;
-use crate::report::{SessionFigureResult, SessionFigureSeries};
+use crate::report::{assemble_series, SessionFigureResult};
 use crate::session::run_session_grid_traced;
 use sc_cache::policy::PolicyKind;
 
@@ -68,14 +68,8 @@ pub fn fig_sessions_with(
         "cache fraction",
     );
     fig.telemetry = telemetry;
-    let mut points = metrics.into_iter();
-    for &policy in &FIG_SESSIONS_POLICIES {
-        let mut series = SessionFigureSeries::new(policy.label());
-        for &fraction in &fractions {
-            series.push(fraction, points.next().expect("grid covers the figure"));
-        }
-        fig.series.push(series);
-    }
+    let labels = FIG_SESSIONS_POLICIES.iter().map(PolicyKind::label);
+    fig.series = assemble_series(labels, &fractions, metrics);
     Ok(fig)
 }
 

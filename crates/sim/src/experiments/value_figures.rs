@@ -1,9 +1,10 @@
 //! Figures 10–12: value-maximising caching (Section 2.6 / Section 4.4).
 
 use crate::config::{SimError, SimulationConfig, VariabilityKind};
+use crate::exec::{run_grid, ParallelExecutor};
 use crate::experiments::ExperimentScale;
-use crate::report::{FigureResult, FigureSeries};
-use crate::sweep::{sweep_estimator, sweep_policies};
+use crate::report::{assemble_series, FigureResult};
+use crate::sweep::{estimator_grid, sweep_policies};
 use sc_cache::policy::PolicyKind;
 
 /// The IF / PB-V / IB-V comparison over a range of cache sizes under the
@@ -81,19 +82,19 @@ pub fn fig12(scale: ExperimentScale) -> Result<FigureResult, SimError> {
         ExperimentScale::Quick => vec![0.2, 0.5, 1.0],
         ExperimentScale::Test => vec![0.5, 1.0],
     };
+    let fractions = scale.cache_fractions();
+
+    // One flattened (cache size, e) grid over one shared set of workloads.
+    let configs = estimator_grid(&base, &fractions, &estimators, true);
+    let metrics = run_grid(&configs, scale.runs(), &ParallelExecutor::from_env())?;
+
     let mut fig = FigureResult::new(
         "fig12",
         "Value-based partial caching with conservative bandwidth estimation (PB-V(e))",
         "estimator e",
     );
-    for &fraction in &scale.cache_fractions() {
-        let points = sweep_estimator(&base, fraction, &estimators, true, scale.runs())?;
-        let mut series = FigureSeries::new(format!("PB-V(e) C={fraction:.3}"));
-        for (e, metrics) in points {
-            series.push(e, metrics);
-        }
-        fig.series.push(series);
-    }
+    let labels = fractions.iter().map(|f| format!("PB-V(e) C={f:.3}"));
+    fig.series = assemble_series(labels, &estimators, metrics);
     Ok(fig)
 }
 

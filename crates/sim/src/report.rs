@@ -5,25 +5,27 @@ use crate::session::SessionTelemetry;
 use std::fmt::Write as _;
 
 /// One measured point of a figure: an x-coordinate (cache fraction,
-/// estimator `e`, Zipf α, …) plus the averaged metrics at that point.
+/// estimator `e`, Zipf α, …) plus the averaged metrics at that point —
+/// [`Metrics`] for the per-request figures, [`SessionMetrics`] for the
+/// session-mode ones.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FigurePoint {
+pub struct FigurePoint<M = Metrics> {
     /// The x-axis value.
     pub x: f64,
     /// Averaged metrics at this point.
-    pub metrics: Metrics,
+    pub metrics: M,
 }
 
 /// One curve of a figure (e.g. one caching policy).
 #[derive(Debug, Clone, PartialEq)]
-pub struct FigureSeries {
+pub struct FigureSeries<M = Metrics> {
     /// Curve label (usually the policy name).
     pub label: String,
     /// Points in increasing x order.
-    pub points: Vec<FigurePoint>,
+    pub points: Vec<FigurePoint<M>>,
 }
 
-impl FigureSeries {
+impl<M> FigureSeries<M> {
     /// Creates an empty series.
     pub fn new(label: impl Into<String>) -> Self {
         FigureSeries {
@@ -33,9 +35,45 @@ impl FigureSeries {
     }
 
     /// Appends a point.
-    pub fn push(&mut self, x: f64, metrics: Metrics) {
+    pub fn push(&mut self, x: f64, metrics: M) {
         self.points.push(FigurePoint { x, metrics });
     }
+}
+
+/// One measured point of a session-mode figure.
+pub type SessionFigurePoint = FigurePoint<SessionMetrics>;
+
+/// One curve of a session-mode figure.
+pub type SessionFigureSeries = FigureSeries<SessionMetrics>;
+
+/// Cuts the flat result of one grid — `labels.len() × xs.len()` averages,
+/// series-major, the order the figure listed its configurations in — back
+/// into one labelled series per label over the same `xs`.
+///
+/// # Panics
+///
+/// Panics if `metrics` does not hold exactly one entry per `(label, x)`.
+pub(crate) fn assemble_series<M>(
+    labels: impl IntoIterator<Item = impl Into<String>>,
+    xs: &[f64],
+    metrics: Vec<M>,
+) -> Vec<FigureSeries<M>> {
+    let mut metrics = metrics.into_iter();
+    let series: Vec<FigureSeries<M>> = labels
+        .into_iter()
+        .map(|label| FigureSeries {
+            label: label.into(),
+            points: xs
+                .iter()
+                .map(|&x| FigurePoint {
+                    x,
+                    metrics: metrics.next().expect("grid covers the figure"),
+                })
+                .collect(),
+        })
+        .collect();
+    assert!(metrics.next().is_none(), "figure covers the grid");
+    series
 }
 
 /// A complete reproduced figure or table: metadata plus one or more series.
@@ -99,40 +137,6 @@ impl FigureResult {
             }
         }
         out
-    }
-}
-
-/// One measured point of a session-mode figure: an x-coordinate plus the
-/// averaged time-weighted session metrics at that point.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SessionFigurePoint {
-    /// The x-axis value.
-    pub x: f64,
-    /// Averaged session metrics at this point.
-    pub metrics: SessionMetrics,
-}
-
-/// One curve of a session-mode figure (e.g. one caching policy).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SessionFigureSeries {
-    /// Curve label (usually the policy name).
-    pub label: String,
-    /// Points in increasing x order.
-    pub points: Vec<SessionFigurePoint>,
-}
-
-impl SessionFigureSeries {
-    /// Creates an empty series.
-    pub fn new(label: impl Into<String>) -> Self {
-        SessionFigureSeries {
-            label: label.into(),
-            points: Vec::new(),
-        }
-    }
-
-    /// Appends a point.
-    pub fn push(&mut self, x: f64, metrics: SessionMetrics) {
-        self.points.push(SessionFigurePoint { x, metrics });
     }
 }
 

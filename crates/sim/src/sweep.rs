@@ -15,7 +15,7 @@
 use crate::config::{SimError, SimulationConfig};
 use crate::exec::{run_grid, ParallelExecutor};
 use crate::metrics::Metrics;
-use crate::report::FigureSeries;
+use crate::report::{assemble_series, FigureSeries};
 use sc_cache::policy::PolicyKind;
 
 /// The cache sizes used across the paper's figures, expressed as fractions
@@ -55,16 +55,8 @@ pub fn sweep_cache_size_with(
     runs: usize,
     executor: &ParallelExecutor,
 ) -> Result<FigureSeries, SimError> {
-    let configs: Vec<SimulationConfig> = fractions
-        .iter()
-        .map(|&fraction| SimulationConfig { policy, ..*base }.with_cache_fraction(fraction))
-        .collect();
-    let metrics = run_grid(&configs, runs, executor)?;
-    let mut series = FigureSeries::new(policy.label());
-    for (&fraction, m) in fractions.iter().zip(metrics) {
-        series.push(fraction, m);
-    }
-    Ok(series)
+    let mut series = sweep_policies_with(base, &[policy], fractions, runs, executor)?;
+    Ok(series.pop().expect("one policy, one series"))
 }
 
 /// Sweeps the cache size for several policies. The whole
@@ -108,16 +100,43 @@ pub fn sweep_policies_with(
         }
     }
     let metrics = run_grid(&configs, runs, executor)?;
-    let mut points = metrics.into_iter();
-    let mut out = Vec::with_capacity(policies.len());
-    for &policy in policies {
-        let mut series = FigureSeries::new(policy.label());
-        for &fraction in fractions {
-            series.push(fraction, points.next().expect("grid covers the sweep"));
+    let labels = policies.iter().map(PolicyKind::label);
+    Ok(assemble_series(labels, fractions, metrics))
+}
+
+/// The `(cache fraction, e)` grid of an estimator sweep, fraction-major:
+/// `base` running PB(e) — or PB-V(e) when `value_based` — at every point.
+pub(crate) fn estimator_grid(
+    base: &SimulationConfig,
+    cache_fractions: &[f64],
+    estimators: &[f64],
+    value_based: bool,
+) -> Vec<SimulationConfig> {
+    let mut configs = Vec::with_capacity(cache_fractions.len() * estimators.len());
+    for &fraction in cache_fractions {
+        for &e in estimators {
+            let policy = if value_based {
+                PolicyKind::PartialBandwidthValue { e }
+            } else {
+                PolicyKind::HybridPartialBandwidth { e }
+            };
+            configs.push(SimulationConfig { policy, ..*base }.with_cache_fraction(fraction));
         }
-        out.push(series);
     }
-    Ok(out)
+    configs
+}
+
+/// One point of a Zipf sweep: `base` running `policy` at `cache_fraction`
+/// over a workload of popularity skew `alpha`.
+pub(crate) fn zipf_alpha_config(
+    base: &SimulationConfig,
+    policy: PolicyKind,
+    cache_fraction: f64,
+    alpha: f64,
+) -> SimulationConfig {
+    let mut config = SimulationConfig { policy, ..*base }.with_cache_fraction(cache_fraction);
+    config.workload.trace.zipf_alpha = alpha;
+    config
 }
 
 /// Sweeps the conservative estimator `e` of the hybrid PB(e) policy at a
@@ -156,17 +175,7 @@ pub fn sweep_estimator_with(
     runs: usize,
     executor: &ParallelExecutor,
 ) -> Result<Vec<(f64, Metrics)>, SimError> {
-    let configs: Vec<SimulationConfig> = estimators
-        .iter()
-        .map(|&e| {
-            let policy = if value_based {
-                PolicyKind::PartialBandwidthValue { e }
-            } else {
-                PolicyKind::HybridPartialBandwidth { e }
-            };
-            SimulationConfig { policy, ..*base }.with_cache_fraction(cache_fraction)
-        })
-        .collect();
+    let configs = estimator_grid(base, &[cache_fraction], estimators, value_based);
     let metrics = run_grid(&configs, runs, executor)?;
     Ok(estimators.iter().copied().zip(metrics).collect())
 }
@@ -209,12 +218,7 @@ pub fn sweep_zipf_alpha_with(
 ) -> Result<Vec<(f64, Metrics)>, SimError> {
     let configs: Vec<SimulationConfig> = alphas
         .iter()
-        .map(|&alpha| {
-            let mut config =
-                SimulationConfig { policy, ..*base }.with_cache_fraction(cache_fraction);
-            config.workload.trace.zipf_alpha = alpha;
-            config
-        })
+        .map(|&alpha| zipf_alpha_config(base, policy, cache_fraction, alpha))
         .collect();
     let metrics = run_grid(&configs, runs, executor)?;
     Ok(alphas.iter().copied().zip(metrics).collect())
