@@ -13,18 +13,11 @@ pub enum ProxyError {
     Protocol(String),
     /// The requested object is not known to the server.
     UnknownObject(String),
-    /// The origin could not be reached within the retry budget (or the
-    /// circuit breaker is open) and no cached prefix could mask it.
-    OriginUnavailable(String),
     /// A configuration value was invalid (name, description).
     InvalidConfig(&'static str, String),
     /// The server shed the request under overload before doing any work;
     /// the payload is the suggested retry pause in milliseconds.
     Busy(u64),
-    /// A write to the client socket timed out: the peer is reading too
-    /// slowly (or not at all) and the connection was dropped to protect
-    /// the worker pool.
-    ClientTimeout,
 }
 
 impl fmt::Display for ProxyError {
@@ -33,17 +26,11 @@ impl fmt::Display for ProxyError {
             ProxyError::Io(e) => write!(f, "i/o error: {e}"),
             ProxyError::Protocol(why) => write!(f, "protocol violation: {why}"),
             ProxyError::UnknownObject(name) => write!(f, "unknown object `{name}`"),
-            ProxyError::OriginUnavailable(name) => {
-                write!(f, "origin unavailable while fetching `{name}`")
-            }
             ProxyError::InvalidConfig(name, why) => {
                 write!(f, "invalid configuration for `{name}`: {why}")
             }
             ProxyError::Busy(retry_after_ms) => {
                 write!(f, "server busy, retry after {retry_after_ms} ms")
-            }
-            ProxyError::ClientTimeout => {
-                write!(f, "client socket write timed out (slow reader)")
             }
         }
     }
@@ -80,14 +67,10 @@ mod tests {
         assert!(ProxyError::Protocol("bad line".into())
             .to_string()
             .contains("bad line"));
-        assert!(ProxyError::OriginUnavailable("clip".into())
-            .to_string()
-            .contains("origin unavailable"));
         assert!(ProxyError::InvalidConfig("rate", "negative".into())
             .to_string()
             .contains("rate"));
         assert!(ProxyError::Busy(125).to_string().contains("125"));
-        assert!(ProxyError::ClientTimeout.to_string().contains("timed out"));
     }
 
     #[test]

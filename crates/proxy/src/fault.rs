@@ -99,15 +99,6 @@ pub struct FaultPlan {
     connections: AtomicU64,
 }
 
-impl Clone for FaultPlan {
-    fn clone(&self) -> Self {
-        FaultPlan {
-            actions: self.actions.clone(),
-            connections: AtomicU64::new(self.connections.load(Ordering::Relaxed)),
-        }
-    }
-}
-
 impl FaultPlan {
     /// An empty plan: every connection is served normally.
     pub fn none() -> Self {

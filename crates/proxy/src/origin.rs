@@ -6,7 +6,6 @@ use crate::error::ProxyError;
 use crate::fault::{FaultAction, FaultPlan};
 use crate::protocol::{read_request, write_response, Response};
 use crate::ratelimit::RateLimiter;
-use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -65,7 +64,7 @@ pub struct OriginServer {
 
 #[derive(Debug)]
 struct OriginState {
-    objects: RwLock<HashMap<String, ObjectSpec>>,
+    objects: HashMap<String, ObjectSpec>,
     rate_limit_bps: f64,
     faults: FaultPlan,
 }
@@ -78,7 +77,7 @@ impl OriginServer {
     ///
     /// Returns [`ProxyError::Io`] if binding fails or
     /// [`ProxyError::InvalidConfig`] if an object has a non-positive size
-    /// or bit-rate.
+    /// or bit-rate, or the rate limit is NaN.
     pub fn start(config: OriginConfig) -> Result<Self, ProxyError> {
         OriginServer::start_with_faults(config, FaultPlan::none())
     }
@@ -87,6 +86,12 @@ impl OriginServer {
     /// `faults` (in accept order) and misbehaves as instructed — the
     /// deterministic failure model the proxy's resilience tests drive.
     pub fn start_with_faults(config: OriginConfig, faults: FaultPlan) -> Result<Self, ProxyError> {
+        if config.rate_limit_bps.is_nan() {
+            return Err(ProxyError::InvalidConfig(
+                "rate_limit_bps",
+                "the origin rate limit must be a number (0 disables it)".into(),
+            ));
+        }
         for o in &config.objects {
             if o.size_bytes == 0 {
                 return Err(ProxyError::InvalidConfig(
@@ -108,13 +113,11 @@ impl OriginServer {
         let addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let state = Arc::new(OriginState {
-            objects: RwLock::new(
-                config
-                    .objects
-                    .into_iter()
-                    .map(|o| (o.name.clone(), o))
-                    .collect(),
-            ),
+            objects: config
+                .objects
+                .into_iter()
+                .map(|o| (o.name.clone(), o))
+                .collect(),
             rate_limit_bps: config.rate_limit_bps,
             faults,
         });
@@ -190,7 +193,7 @@ fn handle_connection(stream: TcpStream, state: &OriginState) -> Result<(), Proxy
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = BufWriter::new(stream);
     let request = read_request(&mut reader)?;
-    let spec = match state.objects.read().get(&request.name).cloned() {
+    let spec = match state.objects.get(&request.name) {
         Some(spec) => spec,
         None => {
             write_response(&mut writer, &Response::Err("unknown object".into()))?;
@@ -357,6 +360,11 @@ mod tests {
         assert!(OriginServer::start(OriginConfig {
             objects: vec![ObjectSpec::new("z", 10, 0.0)],
             rate_limit_bps: 0.0,
+        })
+        .is_err());
+        assert!(OriginServer::start(OriginConfig {
+            objects: vec![ObjectSpec::new("z", 10, 1.0)],
+            rate_limit_bps: f64::NAN,
         })
         .is_err());
     }

@@ -1,36 +1,39 @@
-//! Worker-pool plumbing for the proxy's request path: who accepts, who
-//! serves and the bounded accept queue behind them, and a counting
+//! Worker-pool plumbing for the proxy's request path: the loop every pool
+//! thread runs, the bounded accept queue behind it, and a counting
 //! semaphore bounding concurrent origin connections.
 //!
-//! The pool is `worker_threads + 1` identical threads, and the kernel's
-//! accept queue is their parking lot: a thread with nothing to do blocks in
-//! `accept()` on the shared listener, where each arriving connection wakes
-//! exactly one of them. [`AcceptQueue`] only counts the threads that are in
-//! (or on their way into) `accept()`. A thread that comes back with a
-//! connection hands it to [`AcceptQueue::admit`], which decides under the
-//! queue's one mutex: with another thread still accepting and nothing queued
-//! it counts itself out, takes an in-flight slot and serves the connection
-//! itself (no queue, no wake-up, nobody to hand anything to); otherwise it
-//! is the last acceptor, so it queues the connection and accepts again. A
-//! thread that finishes a request asks [`AcceptQueue::next_turn`], which
-//! drains the queue before it sends the thread back to `accept()`.
+//! The pool is `worker_threads + 1` identical threads, each in
+//! [`run_thread`], and the kernel's accept queue is their parking lot: a
+//! thread with nothing to do blocks in `accept()` on the shared listener,
+//! where each arriving connection wakes exactly one of them. [`AcceptQueue`]
+//! only counts the threads that are in (or on their way into) `accept()`. A
+//! thread that comes back with a connection hands it to `admit`, which
+//! decides under the queue's one mutex: with another thread still accepting
+//! and nothing queued it counts itself out, takes an in-flight slot and
+//! serves the connection itself (no queue, no wake-up, nobody to hand
+//! anything to); otherwise it is the last acceptor, so it queues the
+//! connection and accepts again. A thread that finishes a request takes its
+//! next turn, which drains the queue before it sends the thread back to
+//! `accept()`.
 //!
 //! Both primitives are hand-rolled on `std::sync::{Mutex, Condvar}` because
 //! the build environment has no crates.io access (see `shims/`); the
 //! `parking_lot` shim deliberately exposes no condition variables, so the
 //! blocking coordination lives here on the standard library directly.
 //!
-//! The accept queue is also where the proxy's admission control lives:
-//! entries carry their enqueue timestamp (the thread that dequeues one sheds
-//! it if its queue wait blew the configured deadline), an optional hard cap
-//! bounds requests in flight (queued + being handled) with deterministic
-//! drop-oldest shedding, and relaxed atomics count sheds, dequeued
-//! connections, their cumulative queue wait and the peak backlog for
-//! `ProxyStats`.
+//! The accept queue is also where the proxy's admission control lives, and
+//! every shed is decided and counted under its one mutex: an optional hard
+//! cap bounds requests in flight (queued + being handled) with
+//! deterministic drop-oldest shedding at admission, and the turn that finds
+//! an entry older than the queue deadline sheds it instead of serving it.
+//! Sheds, dequeued connections, their cumulative queue wait and the peak
+//! backlog are plain counters beside the queue, read for `ProxyStats` in
+//! one [`AcceptQueue::counts`].
 
+use crate::protocol::{header_line, Response};
 use std::collections::VecDeque;
+use std::io::{self, Write};
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -51,18 +54,70 @@ fn wait_on<'a, T>(condvar: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a,
     }
 }
 
+/// One pool thread: take a turn — a queued connection, else off to
+/// `accept()` — until the queue is closed and drained. `accept` stands for
+/// the listener; `serve` handles one connection while the turn holds its
+/// in-flight slot. A shed connection is answered with `BUSY
+/// <retry-after-ms>` and closed instead.
+pub(crate) fn run_thread(
+    queue: &AcceptQueue,
+    mut accept: impl FnMut() -> io::Result<TcpStream>,
+    mut serve: impl FnMut(TcpStream),
+) {
+    loop {
+        match queue.next_turn() {
+            Turn::Exit => return,
+            Turn::Serve(stream) => {
+                let _slot = InFlightSlot::new(queue);
+                serve(stream);
+            }
+            // Shed at its deadline, the entry keeps its slot while it is
+            // told so.
+            Turn::Shed(stream) => {
+                let _slot = InFlightSlot::new(queue);
+                queue.answer_busy(stream);
+            }
+            // Accept and admit until a connection is this thread's to serve
+            // (another thread is then still accepting) or the queue closes;
+            // as the last acceptor, queue or shed what comes and stay.
+            Turn::Accept => loop {
+                let Ok(stream) = accept() else {
+                    // Without a listener nothing will ever be admitted
+                    // again: let the pool drain and exit rather than wait
+                    // forever.
+                    queue.close();
+                    break;
+                };
+                match queue.admit(stream) {
+                    Admission::Closed => break,
+                    Admission::Inline(stream) => {
+                        let _slot = InFlightSlot::new(queue);
+                        serve(stream);
+                        break;
+                    }
+                    Admission::Queued { shed: None } => {}
+                    Admission::Queued {
+                        shed: Some(QueuedConn { stream, .. }),
+                    }
+                    | Admission::ShedIncoming(stream) => queue.answer_busy(stream),
+                }
+            },
+        }
+    }
+}
+
 /// An accepted connection waiting in the queue, stamped with its enqueue
-/// time so the thread that picks it up can judge the queue wait against
-/// the admission deadline.
+/// time so the turn that picks it up can judge the queue wait against the
+/// admission deadline.
 #[derive(Debug)]
-pub(crate) struct QueuedConn {
-    pub(crate) stream: TcpStream,
-    pub(crate) enqueued_at: Instant,
+struct QueuedConn {
+    stream: TcpStream,
+    enqueued_at: Instant,
 }
 
 /// What [`AcceptQueue::admit`] decided for an accepted connection.
 #[derive(Debug)]
-pub(crate) enum Admission {
+enum Admission {
     /// The queue is closed; the connection was dropped.
     Closed,
     /// Another thread is still accepting and nothing was queued: the
@@ -84,17 +139,38 @@ pub(crate) enum Admission {
 
 /// What a pool thread does next, from [`AcceptQueue::next_turn`].
 #[derive(Debug)]
-pub(crate) enum Turn {
-    /// Handle this queued connection; it occupies an in-flight slot until
-    /// [`AcceptQueue::finish`] (use [`InFlightSlot`] for panic-safe
+enum Turn {
+    /// Handle the oldest queued connection; it occupies an in-flight slot
+    /// until [`AcceptQueue::finish`] (use [`InFlightSlot`] for panic-safe
     /// release).
-    Serve(QueuedConn),
+    Serve(TcpStream),
+    /// Like `Serve`, but the connection waited past the queue deadline:
+    /// the client is already past its latency budget, so answering `BUSY`
+    /// is cheaper for both sides than serving a stale request.
+    Shed(TcpStream),
     /// Nothing is queued: the caller is counted as accepting and goes into
     /// `accept()`, handing what it gets to [`AcceptQueue::admit`] until
     /// that returns [`Admission::Inline`] or the queue closes.
     Accept,
     /// The queue is closed and drained.
     Exit,
+}
+
+/// What the queue has counted since it was created.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct QueueCounts {
+    /// Requests shed: in-flight-cap evictions at admission plus
+    /// queue-deadline misses at dequeue.
+    pub(crate) shed: u64,
+    /// Connections that waited in the queue and were dequeued, shed or
+    /// served alike (inline-served ones never do): the denominator of
+    /// `wait_micros`.
+    pub(crate) dequeued: u64,
+    /// Cumulative queue wait over all dequeued connections, in
+    /// microseconds.
+    pub(crate) wait_micros: u64,
+    /// Highest queue depth (excluding active handlers) ever observed.
+    pub(crate) peak_depth: u64,
 }
 
 #[derive(Debug)]
@@ -112,6 +188,7 @@ struct QueueInner {
     /// thread is always accepting. Not maintained after the close.
     accepting: usize,
     closed: bool,
+    counts: QueueCounts,
 }
 
 /// The pool's one synchronisation point: the count of accepting threads
@@ -137,28 +214,24 @@ pub(crate) struct AcceptQueue {
     capacity: usize,
     /// Hard cap on queued + active connections; 0 disables the cap.
     max_in_flight: usize,
-    shed: AtomicU64,
-    dequeued: AtomicU64,
-    queue_wait_micros: AtomicU64,
-    peak_depth: AtomicU64,
+    /// Queue wait past which a turn sheds the entry; zero disables it.
+    deadline: Duration,
 }
 
 impl AcceptQueue {
-    pub(crate) fn new(capacity: usize, max_in_flight: usize) -> Self {
+    pub(crate) fn new(capacity: usize, max_in_flight: usize, deadline: Duration) -> Self {
         AcceptQueue {
             inner: Mutex::new(QueueInner {
                 connections: VecDeque::with_capacity(capacity.min(1024)),
                 active: 0,
                 accepting: 0,
                 closed: false,
+                counts: QueueCounts::default(),
             }),
             not_full: Condvar::new(),
             capacity,
             max_in_flight,
-            shed: AtomicU64::new(0),
-            dequeued: AtomicU64::new(0),
-            queue_wait_micros: AtomicU64::new(0),
-            peak_depth: AtomicU64::new(0),
+            deadline,
         }
     }
 
@@ -167,7 +240,7 @@ impl AcceptQueue {
     /// At the in-flight cap it never blocks: it sheds (and counts) either
     /// the oldest queued connection or the newcomer instead. Only
     /// [`Admission::Inline`] takes the caller out of the accepting count.
-    pub(crate) fn admit(&self, stream: TcpStream) -> Admission {
+    fn admit(&self, stream: TcpStream) -> Admission {
         let mut inner = lock_queue(&self.inner);
         loop {
             if inner.closed {
@@ -176,7 +249,7 @@ impl AcceptQueue {
             if self.max_in_flight > 0
                 && inner.connections.len() + inner.active >= self.max_in_flight
             {
-                self.shed.fetch_add(1, Ordering::Relaxed);
+                inner.counts.shed += 1;
                 return match inner.connections.pop_front() {
                     Some(oldest) => {
                         inner.connections.push_back(QueuedConn {
@@ -202,8 +275,8 @@ impl AcceptQueue {
                     stream,
                     enqueued_at: Instant::now(),
                 });
-                self.peak_depth
-                    .fetch_max(inner.connections.len() as u64, Ordering::Relaxed);
+                let depth = inner.connections.len() as u64;
+                inner.counts.peak_depth = inner.counts.peak_depth.max(depth);
                 return Admission::Queued { shed: None };
             }
             inner = wait_on(&self.not_full, inner);
@@ -211,15 +284,26 @@ impl AcceptQueue {
     }
 
     /// What the calling thread does next, without ever waiting: the oldest
-    /// queued connection first; after [`close`](Self::close), once that
-    /// backlog is drained, [`Turn::Exit`]; otherwise the thread is counted
-    /// in and goes to `accept()`.
-    pub(crate) fn next_turn(&self) -> Turn {
+    /// queued connection first — counted as dequeued with its wait, and
+    /// shed if that wait exceeds the deadline; after
+    /// [`close`](Self::close), once that backlog is drained, [`Turn::Exit`];
+    /// otherwise the thread is counted in and goes to `accept()`.
+    fn next_turn(&self) -> Turn {
         let mut inner = lock_queue(&self.inner);
         if let Some(conn) = inner.connections.pop_front() {
             inner.active += 1;
             self.not_full.notify_one();
-            return Turn::Serve(conn);
+            let wait = conn.enqueued_at.elapsed();
+            let counts = &mut inner.counts;
+            counts.dequeued += 1;
+            counts.wait_micros = counts
+                .wait_micros
+                .saturating_add(u64::try_from(wait.as_micros()).unwrap_or(u64::MAX));
+            if !self.deadline.is_zero() && wait > self.deadline {
+                counts.shed += 1;
+                return Turn::Shed(conn.stream);
+            }
+            return Turn::Serve(conn.stream);
         }
         if inner.closed {
             return Turn::Exit;
@@ -229,7 +313,7 @@ impl AcceptQueue {
     }
 
     /// Releases the in-flight slot of one served connection.
-    pub(crate) fn finish(&self) {
+    fn finish(&self) {
         let mut inner = lock_queue(&self.inner);
         inner.active = inner.active.saturating_sub(1);
     }
@@ -244,53 +328,43 @@ impl AcceptQueue {
         self.not_full.notify_all();
     }
 
-    /// Counts one shed decided outside the queue (a queue-wait deadline
-    /// miss at dequeue); cap-driven sheds inside [`admit`](Self::admit)
-    /// count themselves.
-    pub(crate) fn record_shed(&self) {
-        self.shed.fetch_add(1, Ordering::Relaxed);
+    /// The counters, read under the queue's lock.
+    pub(crate) fn counts(&self) -> QueueCounts {
+        lock_queue(&self.inner).counts
     }
 
-    /// Counts one dequeued connection and adds its queue wait to the
-    /// cumulative total.
-    pub(crate) fn record_wait(&self, wait: Duration) {
-        let micros = u64::try_from(wait.as_micros()).unwrap_or(u64::MAX);
-        self.dequeued.fetch_add(1, Ordering::Relaxed);
-        self.queue_wait_micros.fetch_add(micros, Ordering::Relaxed);
+    /// The retry pause suggested with a `BUSY` answer: half the queue
+    /// deadline (clamped to at least 1 ms), so a retrying client lands
+    /// when roughly half of today's backlog has drained. With the
+    /// deadline disabled (cap-driven sheds only) a flat 100 ms is used.
+    fn retry_after_ms(&self) -> u64 {
+        if self.deadline.is_zero() {
+            return 100;
+        }
+        (self.deadline.as_millis() as u64 / 2).max(1)
     }
 
-    /// Total requests shed (cap evictions plus deadline misses).
-    pub(crate) fn shed_count(&self) -> u64 {
-        self.shed.load(Ordering::Relaxed)
-    }
-
-    /// Connections that waited in the queue and were dequeued (inline-served
-    /// ones never do): the denominator of
-    /// [`total_wait_micros`](Self::total_wait_micros).
-    pub(crate) fn dequeued_count(&self) -> u64 {
-        self.dequeued.load(Ordering::Relaxed)
-    }
-
-    /// Cumulative queue wait over all dequeued connections, in microseconds.
-    pub(crate) fn total_wait_micros(&self) -> u64 {
-        self.queue_wait_micros.load(Ordering::Relaxed)
-    }
-
-    /// Highest queue depth (excluding active handlers) ever observed.
-    pub(crate) fn peak_depth(&self) -> u64 {
-        self.peak_depth.load(Ordering::Relaxed)
+    /// Answers a shed connection with `BUSY <retry-after-ms>` and closes it.
+    /// The write is bounded by a short timeout (and errors are ignored): a
+    /// peer that is already gone or wedged must not pin the shedding thread.
+    fn answer_busy(&self, stream: TcpStream) {
+        let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
+        let busy = Response::Busy {
+            retry_after_ms: self.retry_after_ms(),
+        };
+        let _ = (&stream).write_all(&header_line(&busy));
     }
 }
 
 /// RAII in-flight slot of a connection being handled: releases the slot on
 /// drop, so a panicking handler cannot leak admission capacity.
 #[derive(Debug)]
-pub(crate) struct InFlightSlot<'a> {
+struct InFlightSlot<'a> {
     queue: &'a AcceptQueue,
 }
 
 impl<'a> InFlightSlot<'a> {
-    pub(crate) fn new(queue: &'a AcceptQueue) -> Self {
+    fn new(queue: &'a AcceptQueue) -> Self {
         InFlightSlot { queue }
     }
 }
@@ -324,45 +398,32 @@ impl OriginBudget {
         }
     }
 
-    /// Acquires one permit, blocking until an origin connection slot frees.
-    pub(crate) fn acquire(&self) -> OriginPermit<'_> {
+    /// Acquires one permit, waiting at most `timeout` for an origin
+    /// connection slot to free; a timeout too large to represent waits
+    /// without bound, and a zero timeout degenerates to a try-acquire. The
+    /// resilient origin path passes its remaining retry budget, so an
+    /// outage-congested budget cannot pin a worker past its deadline.
+    pub(crate) fn acquire_within(&self, timeout: Duration) -> Option<OriginPermit<'_>> {
         if self.bounded {
+            let deadline = Instant::now().checked_add(timeout);
             let mut permits = lock_queue(&self.permits);
             while *permits == 0 {
-                permits = wait_on(&self.available, permits);
+                let Some(deadline) = deadline else {
+                    permits = wait_on(&self.available, permits);
+                    continue;
+                };
+                let now = Instant::now();
+                if now >= deadline {
+                    return None;
+                }
+                permits = match self.available.wait_timeout(permits, deadline - now) {
+                    Ok((guard, _)) => guard,
+                    Err(poisoned) => poisoned.into_inner().0,
+                };
             }
             *permits -= 1;
         }
-        OriginPermit { budget: self }
-    }
-
-    /// Acquires one permit like [`acquire`](Self::acquire), but gives up
-    /// after `timeout`. A zero timeout degenerates to a try-acquire. The
-    /// resilient origin path uses this so an outage-congested budget cannot
-    /// pin a worker past its retry deadline.
-    pub(crate) fn acquire_within(&self, timeout: Duration) -> Option<OriginPermit<'_>> {
-        if !self.bounded {
-            return Some(OriginPermit { budget: self });
-        }
-        let Some(deadline) = Instant::now().checked_add(timeout) else {
-            // A timeout too large to represent is an unbounded wait.
-            return Some(self.acquire());
-        };
-        let mut permits = lock_queue(&self.permits);
-        loop {
-            if *permits > 0 {
-                *permits -= 1;
-                return Some(OriginPermit { budget: self });
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            permits = match self.available.wait_timeout(permits, deadline - now) {
-                Ok((guard, _)) => guard,
-                Err(poisoned) => poisoned.into_inner().0,
-            };
-        }
+        Some(OriginPermit { budget: self })
     }
 }
 
@@ -406,12 +467,13 @@ mod tests {
 
     /// The next queued connection; `None` once the queue is closed and
     /// drained. For tests that call it only with something queued or after
-    /// the close, so a turn is never `Accept`.
-    fn pop(queue: &AcceptQueue) -> Option<QueuedConn> {
+    /// the close, on a queue without a deadline, so a turn is never
+    /// `Accept` or `Shed`.
+    fn pop(queue: &AcceptQueue) -> Option<TcpStream> {
         match queue.next_turn() {
-            Turn::Serve(conn) => Some(conn),
+            Turn::Serve(stream) => Some(stream),
             Turn::Exit => None,
-            Turn::Accept => panic!("nothing queued"),
+            other => panic!("expected a queued connection or the end, got {other:?}"),
         }
     }
 
@@ -422,10 +484,19 @@ mod tests {
         lock_queue(&queue.inner).accepting
     }
 
+    /// Admits one more connection and makes it `age` old, as if it had
+    /// been queued that long ago — a stale entry without a sleep.
+    fn admit_aged(queue: &AcceptQueue, listener: &TcpListener, age: Duration) {
+        assert_queued(queue.admit(loopback_pair(listener)));
+        let mut inner = lock_queue(&queue.inner);
+        let newest = inner.connections.back_mut().expect("just queued");
+        newest.enqueued_at = Instant::now() - age;
+    }
+
     #[test]
     fn queue_delivers_in_fifo_order_and_drains_after_close() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let queue = AcceptQueue::new(4, 0);
+        let queue = AcceptQueue::new(4, 0, Duration::ZERO);
         let a = loopback_pair(&listener);
         let a_addr = a.local_addr().unwrap();
         let b = loopback_pair(&listener);
@@ -434,8 +505,8 @@ mod tests {
         assert_queued(queue.admit(b));
         queue.close();
         // Queued connections survive the close (graceful drain) ...
-        assert_eq!(pop(&queue).unwrap().stream.local_addr().unwrap(), a_addr);
-        assert_eq!(pop(&queue).unwrap().stream.local_addr().unwrap(), b_addr);
+        assert_eq!(pop(&queue).unwrap().local_addr().unwrap(), a_addr);
+        assert_eq!(pop(&queue).unwrap().local_addr().unwrap(), b_addr);
         // ... and only then does the queue report exhaustion.
         assert!(pop(&queue).is_none());
         // New connections are refused after close.
@@ -446,7 +517,7 @@ mod tests {
     #[test]
     fn full_queue_blocks_pushers_until_a_pop() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let queue = Arc::new(AcceptQueue::new(1, 0));
+        let queue = Arc::new(AcceptQueue::new(1, 0, Duration::ZERO));
         assert_queued(queue.admit(loopback_pair(&listener)));
         let pushed = Arc::new(AtomicUsize::new(0));
         let handle = {
@@ -473,7 +544,7 @@ mod tests {
     #[test]
     fn in_flight_cap_sheds_oldest_queued_connection() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let queue = AcceptQueue::new(8, 2);
+        let queue = AcceptQueue::new(8, 2, Duration::ZERO);
         let a = loopback_pair(&listener);
         let a_addr = a.local_addr().unwrap();
         let b = loopback_pair(&listener);
@@ -490,17 +561,17 @@ mod tests {
             }
             other => panic!("expected drop-oldest shed, got {other:?}"),
         }
-        assert_eq!(queue.shed_count(), 1);
+        assert_eq!(queue.counts().shed, 1);
         // FIFO order among the survivors holds: b then c.
-        assert_eq!(pop(&queue).unwrap().stream.local_addr().unwrap(), b_addr);
-        assert_eq!(pop(&queue).unwrap().stream.local_addr().unwrap(), c_addr);
+        assert_eq!(pop(&queue).unwrap().local_addr().unwrap(), b_addr);
+        assert_eq!(pop(&queue).unwrap().local_addr().unwrap(), c_addr);
         queue.close();
     }
 
     #[test]
     fn in_flight_cap_sheds_incoming_when_nothing_is_queued() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let queue = AcceptQueue::new(8, 2);
+        let queue = AcceptQueue::new(8, 2, Duration::ZERO);
         assert_queued(queue.admit(loopback_pair(&listener)));
         assert_queued(queue.admit(loopback_pair(&listener)));
         // Workers take both: in-flight stays 2 (all active, none queued).
@@ -514,7 +585,7 @@ mod tests {
             }
             other => panic!("expected the newcomer shed, got {other:?}"),
         }
-        assert_eq!(queue.shed_count(), 1);
+        assert_eq!(queue.counts().shed, 1);
         // A finished handler frees the slot and admission resumes.
         queue.finish();
         assert_queued(queue.admit(loopback_pair(&listener)));
@@ -524,7 +595,7 @@ mod tests {
     #[test]
     fn in_flight_slot_releases_on_drop_even_on_panic() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let queue = Arc::new(AcceptQueue::new(8, 1));
+        let queue = Arc::new(AcceptQueue::new(8, 1, Duration::ZERO));
         assert_queued(queue.admit(loopback_pair(&listener)));
         let popped = pop(&queue).unwrap();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -541,32 +612,60 @@ mod tests {
     #[test]
     fn overload_counters_track_waits_and_peak_depth() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let queue = AcceptQueue::new(8, 0);
+        let queue = AcceptQueue::new(8, 0, Duration::ZERO);
+        admit_aged(&queue, &listener, Duration::from_millis(10));
         assert_queued(queue.admit(loopback_pair(&listener)));
-        assert_queued(queue.admit(loopback_pair(&listener)));
-        assert_eq!(queue.peak_depth(), 2);
-        std::thread::sleep(Duration::from_millis(10));
-        let conn = pop(&queue).unwrap();
-        queue.record_wait(conn.enqueued_at.elapsed());
+        assert_eq!(queue.counts().peak_depth, 2);
+        assert!(pop(&queue).is_some());
+        let counts = queue.counts();
         assert!(
-            queue.total_wait_micros() >= 5_000,
+            counts.wait_micros >= 10_000,
             "wait {} µs",
-            queue.total_wait_micros()
+            counts.wait_micros
         );
-        assert_eq!(queue.dequeued_count(), 1);
-        assert_eq!(queue.shed_count(), 0);
-        queue.record_shed();
-        assert_eq!(queue.shed_count(), 1);
+        assert_eq!((counts.dequeued, counts.shed), (1, 0));
         // Peak depth is a high-water mark: draining does not lower it.
-        let _ = pop(&queue);
-        assert_eq!(queue.peak_depth(), 2);
+        assert!(pop(&queue).is_some());
+        assert_eq!(queue.counts().dequeued, 2);
+        assert_eq!(queue.counts().peak_depth, 2);
         queue.close();
+    }
+
+    #[test]
+    fn a_stale_entry_is_shed_by_the_turn_that_finds_it() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let queue = AcceptQueue::new(8, 0, Duration::from_millis(500));
+        admit_aged(&queue, &listener, Duration::from_secs(1));
+        admit_aged(&queue, &listener, Duration::from_millis(100));
+        assert!(matches!(queue.next_turn(), Turn::Shed(_)));
+        assert!(matches!(queue.next_turn(), Turn::Serve(_)));
+        // Shed or served, both were dequeued and both waits count.
+        let counts = queue.counts();
+        assert_eq!((counts.shed, counts.dequeued), (1, 2));
+        assert!(
+            counts.wait_micros >= 1_100_000,
+            "wait {} µs",
+            counts.wait_micros
+        );
+        // A zero deadline is off: however stale, the entry is served.
+        let queue = AcceptQueue::new(8, 0, Duration::ZERO);
+        admit_aged(&queue, &listener, Duration::from_secs(1));
+        assert!(matches!(queue.next_turn(), Turn::Serve(_)));
+        assert_eq!(queue.counts().shed, 0);
+    }
+
+    #[test]
+    fn busy_retry_after_tracks_the_queue_deadline() {
+        let hint = |millis| AcceptQueue::new(1, 0, Duration::from_millis(millis)).retry_after_ms();
+        assert_eq!(hint(300), 150);
+        assert_eq!(hint(1), 1, "clamped to at least 1 ms");
+        assert_eq!(hint(0), 100, "flat default when off");
     }
 
     #[test]
     fn admit_is_inline_only_with_another_thread_accepting_and_an_empty_queue() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let queue = AcceptQueue::new(4, 0);
+        let queue = AcceptQueue::new(4, 0, Duration::ZERO);
         // One thread accepting.
         assert!(matches!(queue.next_turn(), Turn::Accept));
         // It is the last acceptor: the connection is queued, and a thread
@@ -590,17 +689,18 @@ mod tests {
         assert_eq!(lock_queue(&queue.inner).active, 1);
         queue.finish();
         // Down to the last acceptor again, so the next connection is queued
-        // — and nothing that skipped the queue counted as a wait.
+        // — and only the one connection dequeued so far counted as a wait,
+        // not the one that skipped the queue.
         assert_queued(queue.admit(loopback_pair(&listener)));
         assert_eq!(accepting(&queue), 1);
-        assert_eq!(queue.dequeued_count(), 0);
+        assert_eq!(queue.counts().dequeued, 1);
         queue.close();
     }
 
     #[test]
     fn inline_path_at_the_in_flight_cap_sheds_the_newcomer() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let queue = AcceptQueue::new(8, 1);
+        let queue = AcceptQueue::new(8, 1, Duration::ZERO);
         assert!(matches!(queue.next_turn(), Turn::Accept));
         assert!(matches!(queue.next_turn(), Turn::Accept));
         assert!(matches!(
@@ -616,7 +716,7 @@ mod tests {
             Admission::ShedIncoming(stream) => assert_eq!(stream.local_addr().unwrap(), b_addr),
             other => panic!("expected the newcomer shed, got {other:?}"),
         }
-        assert_eq!(queue.shed_count(), 1);
+        assert_eq!(queue.counts().shed, 1);
         assert_eq!(accepting(&queue), 2, "the shedding thread stays counted");
         // The slot frees: the same two acceptors now let one go inline.
         queue.finish();
@@ -633,46 +733,34 @@ mod tests {
     /// `accept()` just after the last acceptor chose to queue, and the
     /// connection would wait for the *next* arrival; were counting out not
     /// under the same lock, two acceptors could each leave to the other and
-    /// nobody would answer overload. Three pool threads run the real
-    /// turn/admit protocol over a channel standing in for the listener
-    /// while the test thread checks, under the queue's lock, that a second
-    /// acceptor never coexists with a queued connection and that somebody
-    /// is always accepting — and that every connection is served exactly
-    /// once.
+    /// nobody would answer overload. Three threads run [`run_thread`] over
+    /// a channel standing in for the listener while the test thread checks,
+    /// under the queue's lock, that a second acceptor never coexists with a
+    /// queued connection and that somebody is always accepting — and that
+    /// every connection is served exactly once.
     #[test]
     fn a_second_acceptor_never_coexists_with_a_queued_connection() {
         const CONNECTIONS: usize = 400;
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let queue = AcceptQueue::new(2, 0);
+        let queue = AcceptQueue::new(2, 0, Duration::ZERO);
         let (feed, accepted) = std::sync::mpsc::channel::<TcpStream>();
         let accepted = Mutex::new(accepted);
         let served = AtomicUsize::new(0);
-        // An accepting thread's loop: `None` once the feed (the "listener")
-        // is gone, which the test arranges the way shutdown does — close
-        // the queue, then nudge everybody out of "accept()".
-        let accept = || loop {
-            let stream = lock_queue(&accepted).recv().ok()?;
-            match queue.admit(stream) {
-                Admission::Inline(stream) => return Some(stream),
-                Admission::Queued { shed: None } => {}
-                other => panic!("no cap, and closed only once all are served: {other:?}"),
-            }
+        // The "listener" fails once the feed is gone, which the test
+        // arranges the way shutdown does — close the queue, then nudge
+        // everybody out of "accept()".
+        let accept = || {
+            lock_queue(&accepted)
+                .recv()
+                .map_err(|_| io::Error::from(io::ErrorKind::NotConnected))
+        };
+        let serve = |stream: TcpStream| {
+            drop(stream);
+            served.fetch_add(1, Ordering::SeqCst);
         };
         std::thread::scope(|scope| {
             for _ in 0..3 {
-                scope.spawn(|| loop {
-                    let stream = match queue.next_turn() {
-                        Turn::Exit => break,
-                        Turn::Serve(conn) => conn.stream,
-                        Turn::Accept => match accept() {
-                            Some(stream) => stream,
-                            None => continue,
-                        },
-                    };
-                    drop(stream);
-                    served.fetch_add(1, Ordering::SeqCst);
-                    queue.finish();
-                });
+                scope.spawn(|| run_thread(&queue, accept, serve));
             }
             // From the first thread's first turn on, somebody is accepting.
             while accepting(&queue) == 0 {
@@ -696,6 +784,7 @@ mod tests {
             drop(feed);
         });
         assert_eq!(served.load(Ordering::SeqCst), CONNECTIONS);
+        assert_eq!(queue.counts().shed, 0, "no cap, no deadline: nothing shed");
         assert_eq!(lock_queue(&queue.inner).active, 0);
     }
 
@@ -710,7 +799,7 @@ mod tests {
                 let in_flight = Arc::clone(&in_flight);
                 let peak = Arc::clone(&peak);
                 std::thread::spawn(move || {
-                    let _permit = budget.acquire();
+                    let _permit = budget.acquire_within(Duration::MAX).unwrap();
                     let now = in_flight.fetch_add(1, Ordering::SeqCst) + 1;
                     peak.fetch_max(now, Ordering::SeqCst);
                     std::thread::sleep(std::time::Duration::from_millis(20));
@@ -727,15 +816,15 @@ mod tests {
     #[test]
     fn zero_budget_is_unlimited() {
         let budget = OriginBudget::new(0);
-        let _a = budget.acquire();
-        let _b = budget.acquire();
-        let _c = budget.acquire();
+        let _a = budget.acquire_within(Duration::MAX).unwrap();
+        let _b = budget.acquire_within(Duration::MAX).unwrap();
+        let _c = budget.acquire_within(Duration::MAX).unwrap();
     }
 
     #[test]
     fn acquire_within_times_out_and_recovers() {
         let budget = OriginBudget::new(1);
-        let held = budget.acquire();
+        let held = budget.acquire_within(Duration::MAX).unwrap();
         // Exhausted: both the try-acquire and a short bounded wait fail.
         assert!(budget.acquire_within(Duration::ZERO).is_none());
         let start = std::time::Instant::now();

@@ -245,6 +245,14 @@ pub fn write_response<W: Write>(writer: &mut W, response: &Response) -> Result<(
     Ok(())
 }
 
+/// A response header framed in memory, so that it reaches an unbuffered
+/// socket in one write — alone, or in front of the first payload chunk.
+pub(crate) fn header_line(response: &Response) -> Vec<u8> {
+    let mut line = Vec::with_capacity(64);
+    write_response(&mut line, response).expect("writing to a Vec cannot fail");
+    line
+}
+
 /// Reads and parses a response header.
 ///
 /// # Errors

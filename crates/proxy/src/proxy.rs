@@ -7,8 +7,9 @@
 //! of stages, [`handle_client`]: *parse* → *lookup* (first shard lock) →
 //! *plan* (pure) → *relay* → *admit* (second shard lock); no other
 //! per-object lock or name-keyed map exists. Around that, a fixed pool of
-//! identical threads (see [`crate::pool`]) accepts and serves: idle threads
-//! wait in `accept()` itself, and the thread the kernel wakes for a
+//! identical threads accepts and serves, each running
+//! [`crate::pool`]'s one loop with [`handle_client`] as its body: idle
+//! threads wait in `accept()` itself, and the thread the kernel wakes for a
 //! connection serves it whenever another thread is still accepting, and
 //! only otherwise queues it; one fd per client connection, and a warm hit
 //! is one read and one vectored write. Origin connections are bounded by a
@@ -20,18 +21,19 @@
 //! only the prefix the policy may admit, never the whole object.
 //!
 //! On top of that sits the overload layer (see `ARCHITECTURE.md`,
-//! "Overload & admission control"): queued connections carry enqueue
-//! timestamps and are shed with `BUSY` once their wait blows
-//! [`ProxyConfig::queue_deadline`], an optional in-flight cap sheds
-//! drop-oldest at admission, client sockets get per-write timeouts and an
-//! optional per-client token bucket so a slow reader cannot pin a worker,
-//! and the `STATS` verb dumps every counter as one JSON line.
+//! "Overload & admission control"): the pool's queue sheds with `BUSY` a
+//! connection whose wait blew [`ProxyConfig::queue_deadline`] and, with an
+//! in-flight cap, drop-oldest at admission; client sockets get per-write
+//! timeouts and an optional per-client token bucket so a slow reader cannot
+//! pin a worker, and the `STATS` verb dumps every counter as one JSON line.
+//! A request's failures end at the socket: the client gets its `ERR` or a
+//! short stream, a timed-out write is counted, and nothing is returned.
 
 use crate::content::verify_content;
 use crate::error::ProxyError;
-use crate::pool::{AcceptQueue, Admission, InFlightSlot, OriginBudget, OriginPermit, Turn};
+use crate::pool::{self, AcceptQueue, OriginBudget, OriginPermit};
 use crate::protocol::{
-    read_command, read_response, write_request, write_response, Command, Request, Response,
+    header_line, read_command, read_response, write_request, Command, Request, Response,
     MAX_LINE_BYTES,
 };
 use crate::ratelimit::RateLimiter;
@@ -148,17 +150,6 @@ impl ProxyConfig {
             client_write_timeout: Duration::from_secs(10),
             client_rate_limit_bps: 0.0,
         }
-    }
-
-    /// The retry pause suggested with a `BUSY` answer: half the queue
-    /// deadline (clamped to at least 1 ms), so a retrying client lands
-    /// when roughly half of today's backlog has drained. With the
-    /// deadline disabled (cap-driven sheds only) a flat 100 ms is used.
-    fn busy_retry_after_ms(&self) -> u64 {
-        if self.queue_deadline.is_zero() {
-            return 100;
-        }
-        (self.queue_deadline.as_millis() as u64 / 2).max(1)
     }
 }
 
@@ -351,9 +342,10 @@ impl ProxyState {
     }
 
     /// A consistent-enough snapshot of every counter: the hot counters are
-    /// read lock-free; only the per-shard stored totals and the estimator
-    /// take locks. Used both by [`CachingProxy::stats`] and the `STATS`
-    /// verb.
+    /// read lock-free; the per-shard stored totals, the estimator, the
+    /// queue's counts and the breaker's transitions are each read under
+    /// the lock that maintains them. Used both by [`CachingProxy::stats`]
+    /// and the `STATS` verb.
     fn snapshot(&self) -> ProxyStats {
         let (cached_objects, cached_bytes) = (0..self.engine.shard_count())
             .map(|shard| {
@@ -361,6 +353,7 @@ impl ProxyState {
                     .with_shard_index(shard, |_, r| (r.stored_objects, r.stored_bytes))
             })
             .fold((0, 0), |sum, shard| (sum.0 + shard.0, sum.1 + shard.1));
+        let queue = self.queue.counts();
         ProxyStats {
             requests: self.requests.load(Ordering::Relaxed),
             bytes_from_cache: self.bytes_from_cache.load(Ordering::Relaxed),
@@ -374,10 +367,10 @@ impl ProxyState {
             origin_backoff_micros: self.origin_backoff_micros.load(Ordering::Relaxed),
             breaker_transitions: self.breaker.transitions(),
             degraded_hits: self.degraded_hits.load(Ordering::Relaxed),
-            shed_requests: self.queue.shed_count(),
-            queued_requests: self.queue.dequeued_count(),
-            queue_wait_micros: self.queue.total_wait_micros(),
-            peak_queue_depth: self.queue.peak_depth(),
+            shed_requests: queue.shed,
+            queued_requests: queue.dequeued,
+            queue_wait_micros: queue.wait_micros,
+            peak_queue_depth: queue.peak_depth,
             client_timeouts: self.client_timeouts.load(Ordering::Relaxed),
         }
     }
@@ -464,7 +457,11 @@ impl CachingProxy {
         let state = Arc::new(ProxyState {
             engine,
             estimator: Mutex::new(EwmaEstimator::new(0.3)),
-            queue: AcceptQueue::new(config.accept_queue_len, config.max_in_flight),
+            queue: AcceptQueue::new(
+                config.accept_queue_len,
+                config.max_in_flight,
+                config.queue_deadline,
+            ),
             origin_budget: OriginBudget::new(config.max_origin_connections),
             breaker: CircuitBreaker::new(config.breaker),
             open_nonce: AtomicU64::new(0),
@@ -480,12 +477,20 @@ impl CachingProxy {
             config,
         });
 
-        // Identical threads; the listener closes when the last one exits.
+        // Identical threads, each with its own scratch; the listener closes
+        // when the last one exits.
         let pool = (0..=state.config.worker_threads)
             .map(|_| {
                 let state = Arc::clone(&state);
                 let listener = Arc::clone(&listener);
-                std::thread::spawn(move || run_pool_thread(&state, &listener))
+                std::thread::spawn(move || {
+                    let mut scratch = WorkerScratch::new(state.config.policy);
+                    pool::run_thread(
+                        &state.queue,
+                        || listener.accept().map(|(stream, _)| stream),
+                        |stream| handle_client(stream, &state, &mut scratch),
+                    );
+                })
             })
             .collect();
         Ok(CachingProxy { addr, pool, state })
@@ -497,8 +502,8 @@ impl CachingProxy {
     }
 
     /// A snapshot of the proxy's statistics. The hot counters are read
-    /// lock-free; only the per-shard stored totals and the estimator take
-    /// locks.
+    /// lock-free; the per-shard totals and the other counters take the
+    /// locks that maintain them, once each.
     pub fn stats(&self) -> ProxyStats {
         self.state.snapshot()
     }
@@ -571,64 +576,6 @@ impl Drop for CachingProxy {
     }
 }
 
-/// One pool thread: take a turn — a queued connection, else off to
-/// `accept()` — until the queue is closed and drained.
-fn run_pool_thread(state: &ProxyState, listener: &TcpListener) {
-    let mut scratch = WorkerScratch::new(state.config.policy);
-    loop {
-        // A connection served by the thread that accepted it never waited.
-        let (stream, queue_wait) = match state.queue.next_turn() {
-            Turn::Exit => break,
-            Turn::Serve(conn) => (conn.stream, Some(conn.enqueued_at.elapsed())),
-            Turn::Accept => match accept_one(state, listener) {
-                Some(stream) => (stream, None),
-                None => continue,
-            },
-        };
-        let _slot = InFlightSlot::new(&state.queue);
-        if let Some(wait) = queue_wait {
-            state.queue.record_wait(wait);
-            let deadline = state.config.queue_deadline;
-            if !deadline.is_zero() && wait > deadline {
-                // The client has waited past its latency budget: shedding
-                // now is cheaper for both sides than serving a stale
-                // request.
-                state.queue.record_shed();
-                shed_with_busy(stream, state.config.busy_retry_after_ms());
-                continue;
-            }
-        }
-        let _ = handle_client(stream, state, &mut scratch);
-    }
-}
-
-/// An accepting thread's loop: waits in `accept()` and admits until a
-/// connection is this thread's to serve (another thread is then still
-/// accepting), or until the queue closes (`None`; the caller's next turn
-/// drains and exits). As the last acceptor it queues or sheds what it gets
-/// and stays.
-fn accept_one(state: &ProxyState, listener: &TcpListener) -> Option<TcpStream> {
-    let retry_after = state.config.busy_retry_after_ms();
-    loop {
-        let Ok((stream, _)) = listener.accept() else {
-            // Without a listener nothing will ever be admitted again: let
-            // the pool drain and exit rather than wait forever.
-            state.queue.close();
-            return None;
-        };
-        match state.queue.admit(stream) {
-            Admission::Closed => return None,
-            Admission::Inline(stream) => return Some(stream),
-            Admission::Queued { shed } => {
-                if let Some(old) = shed {
-                    shed_with_busy(old.stream, retry_after);
-                }
-            }
-            Admission::ShedIncoming(stream) => shed_with_busy(stream, retry_after),
-        }
-    }
-}
-
 /// Per-worker reusable buffers and a private policy instance: everything a
 /// request needs that should not be reallocated per request or fetched
 /// under a shared lock.
@@ -686,34 +633,15 @@ fn retain_cap(
     (target.ceil() as usize).saturating_sub(prefix_bytes)
 }
 
-/// Answers a shed connection with `BUSY <retry-after-ms>` and closes it.
-/// The write is bounded by a short timeout (and errors are ignored): a
-/// peer that is already gone or wedged must not pin the shedding thread.
-fn shed_with_busy(stream: TcpStream, retry_after_ms: u64) {
-    let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
-    let _ = (&stream).write_all(&header_line(&Response::Busy { retry_after_ms }));
-}
-
-/// A response header framed in memory, so that it reaches the unbuffered
-/// socket in one write — alone, or in front of the first payload chunk.
-fn header_line(response: &Response) -> Vec<u8> {
-    let mut line = Vec::with_capacity(64);
-    write_response(&mut line, response).expect("writing to a Vec cannot fail");
-    line
-}
-
 /// Classifies a failed client-socket write: a timed-out write means the
-/// reader is too slow (or gone), which is counted and surfaced as
-/// [`ProxyError::ClientTimeout`]; everything else passes through.
-fn client_err(state: &ProxyState, err: ProxyError) -> ProxyError {
-    if let ProxyError::Io(e) = &err {
-        if matches!(
-            e.kind(),
-            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-        ) {
-            state.client_timeouts.fetch_add(1, Ordering::Relaxed);
-            return ProxyError::ClientTimeout;
-        }
+/// reader is too slow (or gone), which is counted in `client_timeouts`.
+/// The error passes through either way.
+fn client_err(state: &ProxyState, err: std::io::Error) -> std::io::Error {
+    if matches!(
+        err.kind(),
+        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+    ) {
+        state.client_timeouts.fetch_add(1, Ordering::Relaxed);
     }
     err
 }
@@ -731,8 +659,8 @@ fn write_paced<W: Write>(
     mut head: &[u8],
     bytes: &[u8],
     pace: &mut RateLimiter,
-) -> Result<(), ProxyError> {
-    let classify = |e| client_err(state, ProxyError::Io(e));
+) -> std::io::Result<()> {
+    let classify = |e| client_err(state, e);
     let mut chunks = bytes.chunks(RING_BYTES);
     let first = chunks.next().unwrap_or_default();
     // The header never waits on the token bucket: if the first chunk must,
@@ -778,15 +706,12 @@ fn write_all_pair<W: Write>(wire: &mut W, head: &[u8], body: &[u8]) -> std::io::
 /// command, *lookup* the object's record (first shard lock), *plan* the
 /// answer (pure, consulting the origin only when it must), *relay* — the
 /// header with whatever is in hand in one write, then the origin tail — and
-/// *admit* the object (second shard lock).
-fn handle_client(
-    stream: TcpStream,
-    state: &ProxyState,
-    scratch: &mut WorkerScratch,
-) -> Result<(), ProxyError> {
+/// *admit* the object (second shard lock). Whatever goes wrong has been
+/// answered or counted by the time it returns.
+fn handle_client(stream: TcpStream, state: &ProxyState, scratch: &mut WorkerScratch) {
     let mut client = &stream;
-    let Some(name) = parse(client, state)? else {
-        return Ok(());
+    let Some(name) = parse(client, state) else {
+        return;
     };
     // Per-client pacing: one token bucket per connection, so a greedy
     // client is bounded without penalizing its neighbours.
@@ -806,10 +731,10 @@ fn handle_client(
     let head = header_line(&wire_answer(&decided));
     let plan = match decided {
         Ok(plan) => plan,
-        Err(failure) => {
+        Err(_) => {
             // An `ERR` goes out alone.
-            write_paced(state, &mut client, &head, &[], &mut pace)?;
-            return Err(failure.into_error(&name));
+            let _ = write_paced(state, &mut client, &head, &[], &mut pace);
+            return;
         }
     };
     let Header { size, bitrate_bps } = plan.header;
@@ -820,8 +745,11 @@ fn handle_client(
         prefix: &found.cached[..found.cached.len().min(size as usize)],
         cacheable: found.ours,
     };
-    let (tail_len, origin_bps) =
-        relay(state, &job, origin, &head, &mut client, &mut pace, scratch)?;
+    let Ok((tail_len, origin_bps)) =
+        relay(state, &job, origin, &head, &mut client, &mut pace, scratch)
+    else {
+        return;
+    };
 
     if plan.action == Action::Degrade {
         // Degraded hit: the range-correct prefix is all the client gets.
@@ -858,13 +786,12 @@ fn handle_client(
     state
         .bytes_from_origin
         .fetch_add(tail_len, Ordering::Relaxed);
-    Ok(())
 }
 
-/// Stage 1: socket options and one command off the wire. `STATS` and
-/// malformed input are answered here (`Ok(None)` / `Err`); a `GET` comes
-/// back as the requested name.
-fn parse(mut client: &TcpStream, state: &ProxyState) -> Result<Option<String>, ProxyError> {
+/// Stage 1: socket options and one command off the wire. `STATS`,
+/// malformed input and a failed read are answered here or not at all
+/// (`None`); a `GET` comes back as the requested name.
+fn parse(mut client: &TcpStream, state: &ProxyState) -> Option<String> {
     client.set_nodelay(true).ok();
     if !state.config.client_write_timeout.is_zero() {
         client
@@ -875,23 +802,23 @@ fn parse(mut client: &TcpStream, state: &ProxyState) -> Result<Option<String>, P
     // std's 8 KiB — closing with more junk unread than a smaller one takes
     // in makes the kernel answer RST and the peer never sees the `ERR`.
     match read_command(&mut BufReader::new(client)) {
-        Ok(Command::Get(request)) => Ok(Some(request.name)),
+        Ok(Command::Get(request)) => Some(request.name),
         Ok(Command::Stats) => {
             let mut json = state.snapshot().to_json();
             json.push('\n');
-            client
-                .write_all(json.as_bytes())
-                .map_err(|e| client_err(state, ProxyError::Io(e)))?;
-            Ok(None)
+            if let Err(e) = client.write_all(json.as_bytes()) {
+                client_err(state, e);
+            }
+            None
         }
-        Err(err @ ProxyError::Protocol(_)) => {
+        Err(ProxyError::Protocol(_)) => {
             // Malformed or adversarial input: the bounded parser already
             // stopped reading; answer with a clean ERR and drop the
             // connection (best-effort — the peer may be gone).
             let _ = client.write_all(&header_line(&Response::Err("malformed request".into())));
-            Err(err)
+            None
         }
-        Err(err) => Err(err),
+        Err(_) => None,
     }
 }
 
@@ -959,15 +886,6 @@ enum Failure {
     UnknownObject,
     /// Nothing cached, so the outage cannot be masked.
     OriginUnavailable,
-}
-
-impl Failure {
-    fn into_error(self, name: &str) -> ProxyError {
-        match self {
-            Failure::UnknownObject => ProxyError::UnknownObject(name.into()),
-            Failure::OriginUnavailable => ProxyError::OriginUnavailable(name.into()),
-        }
-    }
 }
 
 /// Stage 3, pure: decides the answer from what `lookup` found, asking
@@ -1040,7 +958,7 @@ fn relay<'a, W: Write>(
     client: &mut W,
     pace: &mut RateLimiter,
     scratch: &mut WorkerScratch,
-) -> Result<(u64, Option<f64>), ProxyError> {
+) -> std::io::Result<(u64, Option<f64>)> {
     scratch.retained.clear();
     let expected_tail = job.size.saturating_sub(job.prefix.len() as u64);
     let rides_with_tail = job.prefix.is_empty()
@@ -1352,6 +1270,7 @@ fn read_some<R: Read>(reader: &mut R, buf: &mut [u8]) -> std::io::Result<usize> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::write_response;
 
     #[test]
     fn keys_are_stable_and_distinct() {
@@ -1380,17 +1299,6 @@ mod tests {
         assert_eq!(cfg.max_in_flight, 0);
         assert!(!cfg.client_write_timeout.is_zero());
         assert_eq!(cfg.client_rate_limit_bps, 0.0);
-    }
-
-    #[test]
-    fn busy_retry_after_tracks_the_queue_deadline() {
-        let mut cfg = ProxyConfig::new("127.0.0.1:9".parse().unwrap(), 1e6);
-        cfg.queue_deadline = Duration::from_millis(300);
-        assert_eq!(cfg.busy_retry_after_ms(), 150);
-        cfg.queue_deadline = Duration::from_millis(1);
-        assert_eq!(cfg.busy_retry_after_ms(), 1, "clamped to at least 1 ms");
-        cfg.queue_deadline = Duration::ZERO;
-        assert_eq!(cfg.busy_retry_after_ms(), 100, "flat default when off");
     }
 
     #[test]
@@ -1654,7 +1562,7 @@ mod tests {
         let origin = OriginConn {
             stream,
             in_hand,
-            _permit: state.origin_budget.acquire(),
+            _permit: state.origin_budget.acquire_within(Duration::MAX).unwrap(),
         };
         let job = Job {
             name: "clip",

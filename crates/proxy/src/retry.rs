@@ -15,7 +15,6 @@
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// Bounds on the proxy's origin retry loop.
@@ -108,6 +107,8 @@ struct BreakerInner {
     /// A half-open probe is in flight; concurrent requests keep failing
     /// fast until its outcome is recorded.
     probing: bool,
+    /// State transitions since creation.
+    transitions: u64,
 }
 
 /// A per-origin circuit breaker: closed → open on consecutive failures,
@@ -117,7 +118,6 @@ struct BreakerInner {
 pub struct CircuitBreaker {
     config: BreakerConfig,
     inner: Mutex<BreakerInner>,
-    transitions: AtomicU64,
 }
 
 impl CircuitBreaker {
@@ -130,8 +130,8 @@ impl CircuitBreaker {
                 consecutive_failures: 0,
                 opened_at: None,
                 probing: false,
+                transitions: 0,
             }),
-            transitions: AtomicU64::new(0),
         }
     }
 
@@ -160,7 +160,7 @@ impl CircuitBreaker {
                 if cooled {
                     inner.state = BreakerState::HalfOpen;
                     inner.probing = true;
-                    self.transitions.fetch_add(1, Ordering::Relaxed);
+                    inner.transitions += 1;
                     true
                 } else {
                     false
@@ -189,7 +189,7 @@ impl CircuitBreaker {
         if inner.state != BreakerState::Closed {
             inner.state = BreakerState::Closed;
             inner.opened_at = None;
-            self.transitions.fetch_add(1, Ordering::Relaxed);
+            inner.transitions += 1;
         }
     }
 
@@ -207,13 +207,13 @@ impl CircuitBreaker {
                 if inner.consecutive_failures >= self.config.failure_threshold {
                     inner.state = BreakerState::Open;
                     inner.opened_at = Some(Instant::now());
-                    self.transitions.fetch_add(1, Ordering::Relaxed);
+                    inner.transitions += 1;
                 }
             }
             BreakerState::HalfOpen => {
                 inner.state = BreakerState::Open;
                 inner.opened_at = Some(Instant::now());
-                self.transitions.fetch_add(1, Ordering::Relaxed);
+                inner.transitions += 1;
             }
             BreakerState::Open => {}
         }
@@ -238,7 +238,7 @@ impl CircuitBreaker {
     /// Number of state transitions since creation (closed→open, open→
     /// half-open and half-open→closed/open each count once).
     pub fn transitions(&self) -> u64 {
-        self.transitions.load(Ordering::Relaxed)
+        self.inner.lock().transitions
     }
 }
 
