@@ -38,7 +38,7 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
@@ -52,6 +52,8 @@ pub mod protocol;
 mod proxy;
 mod ratelimit;
 mod retry;
+#[allow(unsafe_code)]
+mod splice;
 mod store;
 
 pub use client::{StreamingClient, TransferReport};

@@ -17,8 +17,11 @@
 //! worker's fixed-size reusable chunk ring and its header line parsed in
 //! place, so whatever payload arrived behind the header is already where
 //! the relay reads — a small miss is one origin read and one vectored
-//! client write — and the tail streams through the same ring, retaining
-//! only the prefix the policy may admit, never the whole object.
+//! client write. The tail streams through the same ring while the policy
+//! may still keep its bytes, retaining only the prefix it may admit, never
+//! the whole object; once retention is settled and the header is out, the
+//! rest moves kernel to kernel, origin socket → the worker's pipe → client
+//! socket ([`crate::splice`]), and never enters user space.
 //!
 //! On top of that sits the overload layer (see `ARCHITECTURE.md`,
 //! "Overload & admission control"): the pool's queue sheds with `BUSY` a
@@ -38,6 +41,7 @@ use crate::protocol::{
 };
 use crate::ratelimit::RateLimiter;
 use crate::retry::{BreakerConfig, BreakerState, CircuitBreaker, RetryPolicy};
+use crate::splice::Pipe;
 use bytes::Bytes;
 use parking_lot::Mutex;
 use sc_cache::policy::{PolicyKind, UtilityPolicy};
@@ -206,6 +210,10 @@ pub struct ProxyStats {
     /// Client connections dropped because a write to them timed out: the
     /// reader was too slow (or gone) and holding on would pin a worker.
     pub client_timeouts: u64,
+    /// Tail bytes relayed without entering user space: once the policy
+    /// keeps nothing more of an object, its tail moves origin socket →
+    /// pipe → client socket.
+    pub spliced_bytes: u64,
 }
 
 impl ProxyStats {
@@ -219,7 +227,8 @@ impl ProxyStats {
              \"peak_tail_bytes\": {}, \"origin_retries\": {}, \"origin_resumes\": {}, \
              \"origin_backoff_micros\": {}, \"breaker_transitions\": {}, \
              \"degraded_hits\": {}, \"shed_requests\": {}, \"queued_requests\": {}, \
-             \"queue_wait_micros\": {}, \"peak_queue_depth\": {}, \"client_timeouts\": {}}}",
+             \"queue_wait_micros\": {}, \"peak_queue_depth\": {}, \"client_timeouts\": {}, \
+             \"spliced_bytes\": {}}}",
             self.requests,
             self.bytes_from_cache,
             self.bytes_from_origin,
@@ -237,6 +246,7 @@ impl ProxyStats {
             self.queue_wait_micros,
             self.peak_queue_depth,
             self.client_timeouts,
+            self.spliced_bytes,
         )
     }
 }
@@ -328,6 +338,7 @@ struct ProxyState {
     origin_backoff_micros: AtomicU64,
     degraded_hits: AtomicU64,
     client_timeouts: AtomicU64,
+    spliced_bytes: AtomicU64,
 }
 
 impl ProxyState {
@@ -372,6 +383,7 @@ impl ProxyState {
             queue_wait_micros: queue.wait_micros,
             peak_queue_depth: queue.peak_depth,
             client_timeouts: self.client_timeouts.load(Ordering::Relaxed),
+            spliced_bytes: self.spliced_bytes.load(Ordering::Relaxed),
         }
     }
 }
@@ -474,6 +486,7 @@ impl CachingProxy {
             origin_backoff_micros: AtomicU64::new(0),
             degraded_hits: AtomicU64::new(0),
             client_timeouts: AtomicU64::new(0),
+            spliced_bytes: AtomicU64::new(0),
             config,
         });
 
@@ -588,6 +601,9 @@ struct WorkerScratch {
     /// Stateless policy clone used to size the retention cap without
     /// touching the engine lock from the relay loop.
     policy: Box<dyn UtilityPolicy + Send + Sync>,
+    /// The spliced tail's pipe, empty between steps; made on first use,
+    /// and dropped when a failed drain may have left bytes in it.
+    pipe: Option<Pipe>,
 }
 
 impl WorkerScratch {
@@ -596,7 +612,22 @@ impl WorkerScratch {
             chunk: vec![0u8; RING_BYTES],
             retained: Vec::new(),
             policy: policy.build(),
+            pipe: None,
         }
+    }
+}
+
+/// Where a relay writes to: a writer, and the socket beneath it if there
+/// is one — the spliced tail moves bytes into that socket directly.
+trait ClientWire: Write {
+    fn socket(&self) -> Option<&TcpStream> {
+        None
+    }
+}
+
+impl ClientWire for &TcpStream {
+    fn socket(&self) -> Option<&TcpStream> {
+        Some(self)
     }
 }
 
@@ -748,6 +779,7 @@ fn handle_client(stream: TcpStream, state: &ProxyState, scratch: &mut WorkerScra
     let Ok((tail_len, origin_bps)) =
         relay(state, &job, origin, &head, &mut client, &mut pace, scratch)
     else {
+        release(&mut scratch.retained);
         return;
     };
 
@@ -771,11 +803,7 @@ fn handle_client(stream: TcpStream, state: &ProxyState, scratch: &mut WorkerScra
         state
             .peak_tail_bytes
             .fetch_max(scratch.retained.len() as u64, Ordering::Relaxed);
-        // A request that retained a large prefix must not pin that capacity
-        // in the worker for the proxy's lifetime: release it back down to
-        // the ring size once the bytes have been handed to the record.
-        scratch.retained.clear();
-        scratch.retained.shrink_to(RING_BYTES);
+        release(&mut scratch.retained);
     }
 
     // Request counters are lock-free: no stats critical section.
@@ -786,6 +814,15 @@ fn handle_client(stream: TcpStream, state: &ProxyState, scratch: &mut WorkerScra
     state
         .bytes_from_origin
         .fetch_add(tail_len, Ordering::Relaxed);
+}
+
+/// Empties the tail-retention buffer and gives its capacity back down to
+/// the ring size: a request that retained a large prefix must not pin it
+/// in the worker for the proxy's lifetime, whether the bytes went to the
+/// record or the client left mid-tail.
+fn release(retained: &mut Vec<u8>) {
+    retained.clear();
+    retained.shrink_to(RING_BYTES);
 }
 
 /// Stage 1: socket options and one command off the wire. `STATS`,
@@ -939,18 +976,24 @@ struct Job<'a> {
 }
 
 /// Stage 4: answers the client — `head` (the framed response header) with
-/// the cached prefix, then the origin tail relayed through the fixed-size
-/// ring, retaining in `scratch.retained` only the leading bytes the policy
-/// could plausibly admit. Without an origin connection (a full or degraded
-/// hit) header and prefix are the whole answer. Returns the tail bytes
-/// relayed and the observed origin throughput.
+/// the cached prefix, then the origin tail, retaining in `scratch.retained`
+/// only the leading bytes the policy could plausibly admit. Without an
+/// origin connection (a full or degraded hit) header and prefix are the
+/// whole answer. Returns the tail bytes relayed — never more than the size
+/// the header declared, whatever the origin sends — and the observed
+/// origin throughput.
 ///
 /// The header leaves at once, in one write with the first bytes there are:
 /// the cached prefix (LAN speed); with nothing cached, the payload that
 /// arrived behind the origin's own header and already sits in the ring;
 /// with neither, alone. It never waits for payload that is still on its
 /// way, nor (see [`write_paced`]) for the token bucket.
-fn relay<'a, W: Write>(
+///
+/// Tail bytes pass through the fixed-size ring while the policy may still
+/// keep them. Once retention is settled (`gapped`), nothing is in hand and
+/// the header is out, each step moves them kernel to kernel instead (see
+/// [`splice_step`]), when the client is a socket and the worker has a pipe.
+fn relay<'a, W: ClientWire>(
     state: &'a ProxyState,
     job: &Job<'_>,
     mut origin: Option<OriginConn<'a>>,
@@ -983,43 +1026,69 @@ fn relay<'a, W: Write>(
         let Some(conn) = origin.as_mut() else {
             break;
         };
+        // Never past the size the header declared, whatever the origin sends.
+        let left = usize::try_from(expected_tail - tail_len).unwrap_or(usize::MAX);
         // What an open left in the ring is the next chunk, without a read.
         let mut chunk = std::mem::take(&mut conn.in_hand);
-        if chunk.is_empty() {
-            chunk = match read_some(&mut conn.stream, &mut scratch.chunk) {
-                Ok(n) => 0..n,
-                // Early EOF (mid-stream reset or truncated response) or a
-                // read timeout (stalled origin): drop the connection — and
-                // its budget permit — then resume from the current offset
-                // through the resilient open, which comes back only with
-                // payload in hand. If the origin stays down, or keeps
-                // answering without delivering, the client gets a short
-                // stream, and the record still keeps the contiguous bytes
-                // in hand.
-                Err(_) => {
-                    drop(origin.take());
-                    let offset = job.prefix.len() as u64 + tail_len;
-                    let ring = &mut scratch.chunk;
-                    origin = open_origin(state, job.name, offset, Await::Payload, ring).1;
-                    if origin.is_some() {
-                        state.origin_resumes.fetch_add(1, Ordering::Relaxed);
-                    }
-                    continue;
-                }
-            };
+        let socket = client
+            .socket()
+            .filter(|_| gapped && chunk.is_empty() && head.is_empty());
+        if socket.is_some() && scratch.pipe.is_none() {
+            scratch.pipe = Pipe::new().ok();
         }
-        let bytes = &scratch.chunk[chunk];
-        let n = bytes.len();
-        write_paced(state, client, std::mem::take(&mut head), bytes, pace)?;
+        // The step's bytes go through the pipe, or lie in `chunk` of the
+        // ring; none moved when the origin failed.
+        let n = match (socket, scratch.pipe.as_mut()) {
+            (Some(socket), Some(pipe)) => {
+                match splice_step(state, &conn.stream, socket, pipe, left, pace) {
+                    Ok(n) => n,
+                    Err(e) => {
+                        // Bytes may be left in the pipe: they must never
+                        // reach the next request.
+                        scratch.pipe = None;
+                        return Err(client_err(state, e));
+                    }
+                }
+            }
+            _ => {
+                if chunk.is_empty() {
+                    chunk = read_some(&mut conn.stream, &mut scratch.chunk).map_or(0..0, |n| 0..n);
+                }
+                chunk.end = chunk.end.min(chunk.start + left);
+                let bytes = &scratch.chunk[chunk.clone()];
+                write_paced(state, client, std::mem::take(&mut head), bytes, pace)?;
+                bytes.len()
+            }
+        };
+        if n == 0 {
+            // Early EOF (mid-stream reset or truncated response) or a read
+            // timeout (stalled origin): drop the connection — and its
+            // budget permit — then resume from the current offset through
+            // the resilient open, which comes back only with payload in
+            // hand. If the origin stays down, or keeps answering without
+            // delivering, the client gets a short stream, and the record
+            // still keeps the contiguous bytes in hand.
+            drop(origin.take());
+            let offset = job.prefix.len() as u64 + tail_len;
+            let ring = &mut scratch.chunk;
+            origin = open_origin(state, job.name, offset, Await::Payload, ring).1;
+            if origin.is_some() {
+                state.origin_resumes.fetch_add(1, Ordering::Relaxed);
+            }
+            continue;
+        }
         tail_len += n as u64;
         let elapsed = started.elapsed().as_secs_f64();
         if elapsed > 0.0 {
             b_lo = b_lo.min(tail_len as f64 / elapsed);
         }
+        // Not yet gapped: this step went through the ring.
         if !gapped {
             let cap = retain_cap(scratch.policy.as_ref(), &job.meta, b_lo, job.prefix.len());
             let keep = cap.saturating_sub(scratch.retained.len()).min(n);
-            scratch.retained.extend_from_slice(&bytes[..keep]);
+            scratch
+                .retained
+                .extend_from_slice(&scratch.chunk[chunk][..keep]);
             gapped = keep < n;
         }
     }
@@ -1027,6 +1096,34 @@ fn relay<'a, W: Write>(
     let secs = started.elapsed().as_secs_f64();
     let origin_bps = (secs > 0.0 && tail_len > 0).then(|| tail_len as f64 / secs);
     Ok((tail_len, origin_bps))
+}
+
+/// One relay step that never enters user space: one `splice` of at most
+/// `left` bytes from the origin socket into the worker's empty pipe — at
+/// most its size, and with an active token bucket at most a ring's worth,
+/// whose tokens are taken before it leaves, as [`write_paced`]'s chunks
+/// do — then all of it out into the client socket. `Ok(0)`: the origin
+/// failed or ended, and nothing moved. An error is the client's, and may
+/// leave bytes in the pipe.
+fn splice_step(
+    state: &ProxyState,
+    origin: &TcpStream,
+    client: &TcpStream,
+    pipe: &mut Pipe,
+    left: usize,
+    pace: &mut RateLimiter,
+) -> std::io::Result<usize> {
+    let mut max = left.min(pipe.capacity());
+    if !pace.is_unlimited() {
+        max = max.min(RING_BYTES);
+    }
+    let n = pipe.fill(origin, max).unwrap_or(0);
+    if n > 0 {
+        pace.acquire(n);
+        pipe.drain(client, n)?;
+        state.spliced_bytes.fetch_add(n as u64, Ordering::Relaxed);
+    }
+    Ok(n)
 }
 
 /// Stage 5 (second shard lock): lets the policy decide how much of the
@@ -1309,6 +1406,7 @@ mod tests {
             queued_requests: 5,
             peak_queue_depth: 11,
             client_timeouts: 2,
+            spliced_bytes: 13,
             estimated_origin_bps: 64_000.0,
             ..ProxyStats::default()
         };
@@ -1319,6 +1417,7 @@ mod tests {
         assert!(json.contains("\"queued_requests\": 5"));
         assert!(json.contains("\"peak_queue_depth\": 11"));
         assert!(json.contains("\"client_timeouts\": 2"));
+        assert!(json.contains("\"spliced_bytes\": 13"));
         assert!(json.contains("\"queue_wait_micros\": 0"));
         assert!(json.contains("\"estimated_origin_bps\": 64000"));
         // One line, no trailing newline: the verb handler appends it.
@@ -1360,6 +1459,9 @@ mod tests {
             Ok(())
         }
     }
+
+    /// A recording, not a socket: every step goes through the ring.
+    impl ClientWire for Wire {}
 
     #[test]
     fn write_all_pair_survives_a_short_first_write_at_every_split() {
@@ -1611,6 +1713,53 @@ mod tests {
         assert_eq!(
             writes.iter().map(Vec::len).collect::<Vec<_>>(),
             [HEAD, 1_000]
+        );
+    }
+
+    /// A client that leaves mid-tail must not leave the worker holding what
+    /// the relay retained of the object: under IF every relayed byte is
+    /// kept, and the origin holds its last 3 MiB back until the client has
+    /// read 256 KiB and gone, so the relay fails with far more than a ring's
+    /// worth retained.
+    #[test]
+    fn a_failed_relay_releases_the_retention_buffer() {
+        const SIZE: usize = 4 << 20;
+        const FIRST: usize = 1 << 20;
+        let origin = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut config = ProxyConfig::new(origin.local_addr().unwrap(), 1e12);
+        config.policy = PolicyKind::IntegralFrequency;
+        let proxy = CachingProxy::start(config).unwrap();
+        let (gone, client_left) = std::sync::mpsc::channel();
+        let origin = std::thread::spawn(move || {
+            let (mut conn, _) = origin.accept().unwrap();
+            crate::protocol::read_request(&mut BufReader::new(&conn)).unwrap();
+            let object = clip_bytes(SIZE);
+            conn.write_all(format!("OK {SIZE} 96000\n").as_bytes())
+                .unwrap();
+            conn.write_all(&object[..FIRST]).unwrap();
+            client_left.recv().unwrap();
+            let _ = conn.write_all(&object[FIRST..]);
+        });
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (served, _) = listener.accept().unwrap();
+        client.write_all(b"GET clip 0\n").unwrap();
+        let reader = std::thread::spawn(move || {
+            let mut some = vec![0u8; 256 << 10];
+            client.read_exact(&mut some).unwrap();
+            drop(client);
+            gone.send(()).unwrap();
+        });
+
+        let mut scratch = WorkerScratch::new(PolicyKind::IntegralFrequency);
+        handle_client(served, &proxy.state, &mut scratch);
+        reader.join().unwrap();
+        origin.join().unwrap();
+        assert_eq!(proxy.stats().requests, 0, "the relay did not fail");
+        assert!(
+            scratch.retained.capacity() <= RING_BYTES,
+            "the worker still holds {} B",
+            scratch.retained.capacity()
         );
     }
 

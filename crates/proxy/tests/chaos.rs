@@ -576,6 +576,89 @@ fn stalled_reader_is_disconnected_counted_and_does_not_wedge_the_pool() {
     drop(writer);
 }
 
+/// The same stall where nothing is cached: an object PB declines from the
+/// first request on (8 kB/s, below the bandwidth the proxy assumes before
+/// any transfer) is relayed kernel to kernel, and the stalled reader is cut
+/// off there — the `splice` into its socket honours the write timeout.
+#[test]
+fn stalled_reader_of_a_spliced_tail_is_cut_off_and_counted() {
+    let big = larger_than_socket_buffers();
+    let origin = OriginServer::start(OriginConfig {
+        objects: vec![ObjectSpec::new("big", big, 8_000.0)],
+        rate_limit_bps: 0.0,
+    })
+    .unwrap();
+    let mut config = ProxyConfig::new(origin.addr(), 1e9);
+    config.worker_threads = 2;
+    config.client_write_timeout = Duration::from_millis(200);
+    let proxy = CachingProxy::start(config).unwrap();
+    let addr = proxy.addr();
+
+    let stream = TcpStream::connect(addr).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = BufWriter::new(stream);
+    writer.write_all(b"GET big 0\n").unwrap();
+    writer.flush().unwrap();
+    let mut token = [0u8; 1024];
+    let _ = reader.read(&mut token).unwrap();
+    std::thread::sleep(Duration::from_millis(900));
+
+    let healthy = StreamingClient::new().fetch(addr, "big").unwrap();
+    assert_eq!(healthy.bytes, big);
+    assert!(healthy.content_ok);
+    let stats = proxy.stats();
+    assert!(
+        stats.client_timeouts >= 1,
+        "the stalled reader must surface as a counted client timeout"
+    );
+    assert!(stats.spliced_bytes > 0, "the tail went through the ring");
+    assert_eq!(proxy.cached_prefix_len("big"), 0);
+    drop(reader);
+    drop(writer);
+}
+
+/// A client that leaves mid-splice leaves bytes in its worker's pipe; the
+/// pipe goes with them, so none reach the next request. One worker, so the
+/// pool's two threads serve everything: each round's abort is followed by
+/// two full fetches, one of which lands on the thread that served it
+/// whichever way `accept()` hands connections out.
+#[test]
+fn a_client_leaving_mid_splice_leaves_no_bytes_for_the_next_request() {
+    const MIB: u64 = 1024 * 1024;
+    const ROUNDS: usize = 3;
+    let big = larger_than_socket_buffers();
+    let origin = OriginServer::start(OriginConfig {
+        objects: (0..ROUNDS)
+            .map(|i| ObjectSpec::new(format!("big-{i}"), big, 8_000.0))
+            .chain((0..2 * ROUNDS).map(|i| ObjectSpec::new(format!("film-{i}"), 2 * MIB, 8_000.0)))
+            .collect(),
+        rate_limit_bps: 0.0,
+    })
+    .unwrap();
+    let mut config = ProxyConfig::new(origin.addr(), 1e9);
+    config.worker_threads = 1;
+    let proxy = CachingProxy::start(config).unwrap();
+    let addr = proxy.addr();
+
+    for round in 0..ROUNDS {
+        let leaving = ClientAction::DisconnectAfter { bytes: MIB };
+        assert_eq!(
+            run_action(addr, &format!("big-{round}"), leaving),
+            Outcome::ServedPartial
+        );
+        for film in [2 * round, 2 * round + 1] {
+            assert_eq!(
+                run_action(addr, &format!("film-{film}"), ClientAction::Normal),
+                Outcome::ServedFull,
+                "film-{film} after the client of big-{round} left"
+            );
+        }
+    }
+    let stats = proxy.stats();
+    assert!(stats.spliced_bytes > 0, "the tails went through the ring");
+    assert_eq!(stats.requests, 2 * ROUNDS as u64, "the aborts failed");
+}
+
 /// The STATS verb on a quiet proxy: counters match the API snapshot and
 /// requests are not inflated by the scrape itself.
 #[test]
@@ -769,4 +852,34 @@ fn a_small_miss_reaches_the_client_in_one_piece() {
     assert_eq!(n, expected.len(), "header and object in the first read");
     assert_eq!(first[..n], expected[..]);
     assert_eq!(stream.read(&mut first).unwrap(), 0, "then EOF");
+}
+
+/// An origin that sends 100 bytes more than its header declares: a reply
+/// is framed by the size in its header, so the client gets that many bytes
+/// and then EOF, and nothing past them is kept.
+#[test]
+fn the_relay_stops_at_the_size_the_origin_declared() {
+    const SIZE: u64 = 16_384;
+    let (origin, _) = scripted_origin(|request, mut stream| {
+        let reply = framed_reply("clip", SIZE, request.offset, SIZE + 100);
+        let _ = stream.write_all(&reply);
+    });
+    let proxy = CachingProxy::start(ProxyConfig::new(origin, 1e9)).unwrap();
+
+    let mut stream = TcpStream::connect(proxy.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(2)))
+        .unwrap();
+    stream.write_all(b"GET clip 0\n").unwrap();
+    let mut reader = BufReader::new(stream);
+    let header = read_response(&mut reader);
+    assert!(
+        matches!(header, Ok(Response::Ok { size: SIZE, .. })),
+        "{header:?}"
+    );
+    let mut body = Vec::new();
+    reader.read_to_end(&mut body).unwrap();
+    assert_eq!(body.len() as u64, SIZE, "the declared size, then EOF");
+    assert_eq!(verify_content("clip", 0, &body), None);
+    assert!(proxy.cached_prefix_len("clip") as u64 <= SIZE);
 }

@@ -260,3 +260,28 @@ fn relay_memory_is_bounded_by_the_admissible_prefix_not_the_object() {
         "relay retained {peak} bytes of a {FILM_BYTES}-byte stream"
     );
 }
+
+/// An object PB declines from its first request on — 8 kB/s, below the
+/// bandwidth the proxy assumes before any transfer — keeps nothing, so
+/// once its first chunk has settled that, its tail moves kernel to kernel
+/// (origin socket → pipe → client socket) and arrives byte-exact, twice.
+#[test]
+fn a_declined_object_is_spliced_through_byte_exact() {
+    const FILM_BYTES: u64 = 8 * 1024 * 1024;
+    let (_origin, proxy) = setup(
+        vec![ObjectSpec::new("film", FILM_BYTES, 8_000.0)],
+        0.0,
+        1e12,
+        PolicyKind::PartialBandwidth,
+    );
+    let client = StreamingClient::new();
+    for _ in 0..2 {
+        let report = client.fetch(proxy.addr(), "film").unwrap();
+        assert_eq!(report.bytes, FILM_BYTES);
+        assert!(report.content_ok);
+    }
+    let stats = proxy.stats();
+    assert!(stats.spliced_bytes > 0, "the tail went through the ring");
+    assert_eq!(stats.peak_tail_bytes, 0);
+    assert_eq!(proxy.cached_prefix_len("film"), 0);
+}

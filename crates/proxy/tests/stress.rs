@@ -508,6 +508,57 @@ fn mid_stream_faults_are_resumed_transparently() {
     assert_byte_accounting(&proxy, 1e9);
 }
 
+/// The same three faults where the tail moves kernel to kernel: objects PB
+/// declines from the first request on (8 kB/s, below the bandwidth the
+/// proxy assumes before any transfer), each fault a mebibyte or more into
+/// the stream. A truncation or reset ends the `splice` from the origin, a
+/// stall runs into the origin read timeout there, and each resumes at the
+/// exact offset, the resumed chunk through the ring and the rest spliced.
+#[test]
+fn spliced_tail_faults_are_resumed_transparently() {
+    const OBJECT_BYTES: u64 = 4 * 1024 * 1024;
+    const MIB: u64 = 1024 * 1024;
+    let origin = OriginServer::start_with_faults(
+        OriginConfig {
+            objects: (0..3)
+                .map(|i| ObjectSpec::new(format!("film-{i}"), OBJECT_BYTES, 8_000.0))
+                .collect(),
+            rate_limit_bps: 0.0,
+        },
+        FaultPlan::from_actions(vec![
+            FaultAction::TruncateAfter(MIB),
+            FaultAction::None,
+            FaultAction::ResetAfter(2 * MIB),
+            FaultAction::None,
+            FaultAction::StallAt {
+                offset: 3 * MIB,
+                millis: 400,
+            },
+            FaultAction::None,
+        ]),
+    )
+    .unwrap();
+    let proxy = CachingProxy::start(resilient_config(origin.addr(), 1e9)).unwrap();
+    let client = StreamingClient::new();
+    for i in 0..3 {
+        let report = client.fetch(proxy.addr(), &format!("film-{i}")).unwrap();
+        assert_eq!(report.bytes, OBJECT_BYTES, "film-{i} must arrive in full");
+        assert!(
+            report.content_ok,
+            "film-{i} content must survive the resume"
+        );
+        assert!(!report.degraded);
+    }
+    let stats = proxy.stats();
+    assert_eq!(
+        stats.origin_resumes, 3,
+        "each fault costs exactly one resume"
+    );
+    assert!(stats.spliced_bytes > 0, "the tails were not spliced");
+    assert_eq!(stats.peak_tail_bytes, 0);
+    assert_byte_accounting(&proxy, 1e9);
+}
+
 #[test]
 fn graceful_shutdown_mid_outage_drains_and_joins() {
     let origin = OriginServer::start_with_faults(
