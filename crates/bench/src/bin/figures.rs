@@ -37,10 +37,10 @@ const FIGURES: &[(&str, &[&str], Run)] = &[
     ("fig5", SCALE, || at_scale(experiments::fig5, emit_timed)),
     ("fig6", SCALE, || at_scale(experiments::fig6, emit_timed)),
     ("fig7", BOTH, || {
-        with_bandwidth(experiments::fig7_with, bandwidth_model_from_args())
+        with_bandwidth(experiments::fig7, bandwidth_model_from_args())
     }),
     ("fig8", BOTH, || {
-        with_bandwidth(experiments::fig8_with, bandwidth_model_from_args())
+        with_bandwidth(experiments::fig8, bandwidth_model_from_args())
     }),
     ("fig9", SCALE, || at_scale(experiments::fig9, emit_timed)),
     ("fig10", SCALE, || at_scale(experiments::fig10, emit_timed)),
@@ -50,7 +50,7 @@ const FIGURES: &[(&str, &[&str], Run)] = &[
     // and `--bandwidth iid` selects the no-drift control.
     ("fig13", BOTH, || {
         let model = bandwidth_model_from_args_or(BandwidthModel::ar1_default());
-        with_bandwidth(experiments::fig13_with, model)
+        with_bandwidth(experiments::fig13, model)
     }),
     // The session-mode figures, replayed through the discrete-event core.
     ("fig_sessions", SCALE, || {

@@ -22,6 +22,8 @@ pub use partial::PartialBandwidth;
 pub use traits::UtilityPolicy;
 pub use value::{IntegralBandwidthValue, PartialBandwidthValue};
 
+use crate::error::CacheError;
+
 /// Enumeration of all built-in policies, convenient for configuration files
 /// and experiment sweeps.
 ///
@@ -76,6 +78,25 @@ impl PolicyKind {
         }
     }
 
+    /// Checks the policy's parameters: a NaN conservative factor `e` is
+    /// rejected (it would survive the constructors' clamp and silently run
+    /// as `e = 0`); any other `e` outside `[0, 1]` is clamped, as documented
+    /// on the policies.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CacheError::InvalidInput`] naming `e` when it is NaN.
+    pub fn validate(&self) -> Result<(), CacheError> {
+        match *self {
+            PolicyKind::HybridPartialBandwidth { e } | PolicyKind::PartialBandwidthValue { e }
+                if e.is_nan() =>
+            {
+                Err(CacheError::InvalidInput("e", e))
+            }
+            _ => Ok(()),
+        }
+    }
+
     /// Short label used in experiment reports ("IF", "PB", "PB(e=0.50)", …).
     pub fn label(&self) -> String {
         self.build().name()
@@ -112,6 +133,26 @@ mod tests {
         assert_eq!(PolicyKind::IntegralBandwidthValue.label(), "IB-V");
         assert_eq!(PolicyKind::Lru.label(), "LRU");
         assert_eq!(PolicyKind::Lfu.label(), "LFU");
+    }
+
+    #[test]
+    fn only_a_nan_estimator_is_rejected() {
+        for kind in [
+            PolicyKind::HybridPartialBandwidth { e: f64::NAN },
+            PolicyKind::PartialBandwidthValue { e: f64::NAN },
+        ] {
+            assert!(matches!(
+                kind.validate(),
+                Err(CacheError::InvalidInput("e", e)) if e.is_nan()
+            ));
+        }
+        for e in [-1.0, 0.0, 0.5, 1.0, 3.0, f64::INFINITY] {
+            assert_eq!(PolicyKind::HybridPartialBandwidth { e }.validate(), Ok(()));
+            assert_eq!(PolicyKind::PartialBandwidthValue { e }.validate(), Ok(()));
+        }
+        for kind in PolicyKind::all_paper_policies() {
+            assert_eq!(kind.validate(), Ok(()));
+        }
     }
 
     #[test]

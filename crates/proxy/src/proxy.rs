@@ -412,8 +412,8 @@ impl CachingProxy {
     /// # Errors
     ///
     /// Returns [`ProxyError::InvalidConfig`] for a negative capacity, a
-    /// zero-sized worker pool or accept queue, and [`ProxyError::Io`] if
-    /// binding fails.
+    /// zero-sized worker pool or accept queue, a policy with a NaN `e`, and
+    /// [`ProxyError::Io`] if binding fails.
     pub fn start(config: ProxyConfig) -> Result<Self, ProxyError> {
         if config.worker_threads == 0 {
             return Err(ProxyError::InvalidConfig(
@@ -457,6 +457,10 @@ impl CachingProxy {
                 "the client rate limit must be a number (0 disables it)".into(),
             ));
         }
+        config
+            .policy
+            .validate()
+            .map_err(|e| ProxyError::InvalidConfig("policy", e.to_string()))?;
         let engine = ShardedEngine::with_companions(
             config.cache_capacity_bytes,
             config.worker_threads,
@@ -1768,6 +1772,21 @@ mod tests {
         let mut cfg = ProxyConfig::new("127.0.0.1:9".parse().unwrap(), 1e6);
         cfg.client_rate_limit_bps = f64::NAN;
         assert!(CachingProxy::start(cfg).is_err());
+    }
+
+    #[test]
+    fn nan_policy_estimator_is_rejected() {
+        for policy in [
+            PolicyKind::HybridPartialBandwidth { e: f64::NAN },
+            PolicyKind::PartialBandwidthValue { e: f64::NAN },
+        ] {
+            let mut cfg = ProxyConfig::new("127.0.0.1:9".parse().unwrap(), 1e6);
+            cfg.policy = policy;
+            assert!(matches!(
+                CachingProxy::start(cfg),
+                Err(ProxyError::InvalidConfig("policy", why)) if why.contains("`e`")
+            ));
+        }
     }
 
     #[test]

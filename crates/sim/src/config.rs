@@ -293,6 +293,8 @@ pub enum SimError {
     InvalidEgressBins,
     /// The path fault model parameters were invalid.
     FaultModel(String),
+    /// The replacement policy's parameters were invalid.
+    Policy(String),
 }
 
 impl fmt::Display for SimError {
@@ -312,6 +314,7 @@ impl fmt::Display for SimError {
                 write!(f, "session egress accumulation needs at least one bin")
             }
             SimError::FaultModel(why) => write!(f, "invalid path fault model: {why}"),
+            SimError::Policy(why) => write!(f, "invalid policy: {why}"),
         }
     }
 }
@@ -418,6 +421,9 @@ impl SimulationConfig {
         if self.session_egress_bins == 0 {
             return Err(SimError::InvalidEgressBins);
         }
+        self.policy
+            .validate()
+            .map_err(|e| SimError::Policy(e.to_string()))?;
         self.bandwidth_model.validate()?;
         self.estimator.validate()?;
         if let Some(faults) = &self.path_faults {
@@ -471,6 +477,34 @@ mod tests {
         c.session_egress_bins = 0;
         assert!(matches!(c.validate(), Err(SimError::InvalidEgressBins)));
         assert!(SimError::InvalidEgressBins.to_string().contains("bin"));
+    }
+
+    #[test]
+    fn a_nan_estimator_is_rejected_for_both_kinds() {
+        use crate::runner::{run_sessions, run_simulation};
+        for policy in [
+            PolicyKind::HybridPartialBandwidth { e: f64::NAN },
+            PolicyKind::PartialBandwidthValue { e: f64::NAN },
+        ] {
+            let c = SimulationConfig {
+                policy,
+                ..SimulationConfig::small()
+            }
+            .with_cache_fraction(0.05);
+            let err = c.validate().unwrap_err();
+            assert!(
+                matches!(&err, SimError::Policy(why) if why.contains("`e`")),
+                "{err}"
+            );
+            assert_eq!(run_simulation(&c).unwrap_err(), err);
+            assert_eq!(run_sessions(&c).unwrap_err(), err);
+        }
+        // A finite e outside [0, 1] is clamped, not rejected.
+        let c = SimulationConfig {
+            policy: PolicyKind::HybridPartialBandwidth { e: 1.5 },
+            ..SimulationConfig::small()
+        };
+        assert_eq!(c.validate(), Ok(()));
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! The parallel execution layer.
 //!
-//! Every multi-run entry point of the simulator — [`run_replicated`],
-//! [`run_comparison`], and the sweeps in [`crate::sweep`] — is a grid of
-//! fully independent `(configuration, seed)` simulations. This module turns
-//! that grid into shardable work:
+//! Everything in the simulator that runs more than once — replicated runs,
+//! paired comparisons, [`crate::sweep::sweep_policies`] and every figure —
+//! is a grid of fully independent `(configuration, seed)` simulations. This
+//! module turns that grid into shardable work:
 //!
 //! * [`SimWorker`] is the reusable, `Send`-safe body of one simulation run.
 //!   It optionally borrows an [`Arc`]-shared [`SharedWorkload`], so one
@@ -23,9 +23,6 @@
 //! The thread count comes from [`ExecConfig`]: explicitly, from the
 //! `SC_SIM_THREADS` environment variable, or (by default) from
 //! [`std::thread::available_parallelism`].
-//!
-//! [`run_replicated`]: crate::run_replicated
-//! [`run_comparison`]: crate::run_comparison
 
 use crate::bandwidth::{BandwidthProvider, EstimatorBank};
 use crate::config::{SimError, SimulationConfig};
@@ -717,9 +714,9 @@ mod tests {
             seed: u64::MAX,
             ..SimulationConfig::small()
         };
-        let sequential = crate::run_replicated_with(&config, 2, &ParallelExecutor::sequential());
-        let parallel = crate::run_replicated_with(
-            &config,
+        let sequential = run_grid(&[config], 2, &ParallelExecutor::sequential());
+        let parallel = run_grid(
+            &[config],
             2,
             &ParallelExecutor::new(ExecConfig::with_threads(4)),
         );

@@ -24,23 +24,16 @@ pub const FIG13_ESTIMATORS: [EstimatorKind; 4] = [
     EstimatorKind::Probe,
 ];
 
-/// Figure 13: PB under AR(1) bandwidth drift, driven by each of the
-/// paper's estimator families. Runs with [`BandwidthModel::ar1_default`].
+/// Figure 13: PB under bandwidth drift, driven by each of the paper's
+/// estimator families. The `figures` driver runs it with
+/// [`BandwidthModel::ar1_default`]; a [`BandwidthModel::Iid`] run is the
+/// no-drift control (estimators then only add sampling noise) and is
+/// emitted under the id `fig13_iid`.
 ///
 /// # Errors
 ///
 /// Propagates configuration validation errors from the simulator.
-pub fn fig13(scale: ExperimentScale) -> Result<FigureResult, SimError> {
-    fig13_with(scale, BandwidthModel::ar1_default())
-}
-
-/// [`fig13`] under an explicit [`BandwidthModel`] (an [`BandwidthModel::Iid`]
-/// run is the no-drift control: estimators then only add sampling noise).
-///
-/// # Errors
-///
-/// Propagates configuration validation errors from the simulator.
-pub fn fig13_with(scale: ExperimentScale, model: BandwidthModel) -> Result<FigureResult, SimError> {
+pub fn fig13(scale: ExperimentScale, model: BandwidthModel) -> Result<FigureResult, SimError> {
     let base = SimulationConfig {
         policy: PolicyKind::PartialBandwidth,
         variability: VariabilityKind::MeasuredModerate,
@@ -84,7 +77,7 @@ mod tests {
 
     #[test]
     fn fig13_produces_one_series_per_estimator() {
-        let fig = fig13(ExperimentScale::Test).unwrap();
+        let fig = fig13(ExperimentScale::Test, BandwidthModel::ar1_default()).unwrap();
         assert_eq!(fig.id, "fig13");
         assert_eq!(fig.series.len(), FIG13_ESTIMATORS.len());
         for (series, kind) in fig.series.iter().zip(FIG13_ESTIMATORS) {
@@ -109,14 +102,14 @@ mod tests {
 
     #[test]
     fn fig13_is_reproducible() {
-        let a = fig13(ExperimentScale::Test).unwrap();
-        let b = fig13(ExperimentScale::Test).unwrap();
+        let a = fig13(ExperimentScale::Test, BandwidthModel::ar1_default()).unwrap();
+        let b = fig13(ExperimentScale::Test, BandwidthModel::ar1_default()).unwrap();
         assert_eq!(a, b);
     }
 
     #[test]
     fn fig13_no_drift_control_gets_its_own_id() {
-        let fig = fig13_with(ExperimentScale::Test, BandwidthModel::Iid).unwrap();
+        let fig = fig13(ExperimentScale::Test, BandwidthModel::Iid).unwrap();
         assert_eq!(fig.id, "fig13_iid");
         assert!(fig.title.contains("no-drift"));
     }

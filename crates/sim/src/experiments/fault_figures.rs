@@ -58,18 +58,6 @@ fn outage_rates(scale: ExperimentScale) -> Vec<f64> {
 ///
 /// Propagates configuration validation errors from the simulator.
 pub fn fig_faults(scale: ExperimentScale) -> Result<SessionFigureResult, SimError> {
-    fig_faults_with(scale, &ParallelExecutor::from_env())
-}
-
-/// [`fig_faults`] with an explicit executor (thread count).
-///
-/// # Errors
-///
-/// Propagates configuration validation errors from the simulator.
-pub fn fig_faults_with(
-    scale: ExperimentScale,
-    executor: &ParallelExecutor,
-) -> Result<SessionFigureResult, SimError> {
     let base = SimulationConfig {
         variability: VariabilityKind::Constant,
         ..scale.base_config()
@@ -99,7 +87,8 @@ pub fn fig_faults_with(
             }
         }
     }
-    let (metrics, telemetry) = run_session_grid_traced(&configs, scale.runs(), executor)?;
+    let (metrics, telemetry) =
+        run_session_grid_traced(&configs, scale.runs(), &ParallelExecutor::from_env())?;
 
     let mut fig = SessionFigureResult::new(
         "fig_faults",

@@ -7,33 +7,23 @@ use crate::report::{assemble_series, FigureResult};
 use crate::sweep::{estimator_grid, sweep_policies, zipf_alpha_config};
 use sc_cache::policy::PolicyKind;
 
-/// The IF / PB / IB comparison over a range of cache sizes, under the given
-/// bandwidth-variability model. This is the common engine behind Figures 5,
-/// 7 and 8 of the paper.
-///
-/// # Errors
-///
-/// Propagates configuration validation errors from the simulator.
-pub fn policy_comparison_figure(
-    id: &str,
-    title: &str,
-    variability: VariabilityKind,
-    scale: ExperimentScale,
-) -> Result<FigureResult, SimError> {
-    policy_comparison_figure_with_model(id, title, variability, BandwidthModel::Iid, scale)
-}
+/// The policies of the delay/quality comparisons, Figures 5, 7 and 8.
+const DELAY_POLICIES: [PolicyKind; 3] = [
+    PolicyKind::IntegralFrequency,
+    PolicyKind::PartialBandwidth,
+    PolicyKind::IntegralBandwidth,
+];
 
-/// [`policy_comparison_figure`] under an explicit [`BandwidthModel`] —
-/// running a figure in [`BandwidthModel::Ar1`] mode replaces the i.i.d.
-/// per-request ratios by a mean-reverting evolution of every path, which is
-/// the more faithful reading of the paper's Figure 4 measurements.
-///
-/// # Errors
-///
-/// Propagates configuration validation errors from the simulator.
-pub fn policy_comparison_figure_with_model(
+/// The common engine behind Figures 5, 7, 8 (IF / PB / IB) and 10, 11
+/// (IF / PB-V / IB-V): `policies` swept over the scale's cache sizes under
+/// the given bandwidth variability and [`BandwidthModel`] — in
+/// [`BandwidthModel::Ar1`] mode the i.i.d. per-request ratios become a
+/// mean-reverting evolution of every path, the more faithful reading of
+/// the paper's Figure 4 measurements.
+pub(super) fn policy_comparison_figure(
     id: &str,
     title: &str,
+    policies: &[PolicyKind],
     variability: VariabilityKind,
     bandwidth_model: BandwidthModel,
     scale: ExperimentScale,
@@ -43,14 +33,8 @@ pub fn policy_comparison_figure_with_model(
         bandwidth_model,
         ..scale.base_config()
     };
-    let policies = [
-        PolicyKind::IntegralFrequency,
-        PolicyKind::PartialBandwidth,
-        PolicyKind::IntegralBandwidth,
-    ];
-    let series = sweep_policies(&base, &policies, &scale.cache_fractions(), scale.runs())?;
     let mut fig = FigureResult::new(id, title, "cache fraction");
-    fig.series = series;
+    fig.series = sweep_policies(&base, policies, &scale.cache_fractions(), scale.runs())?;
     Ok(fig)
 }
 
@@ -65,28 +49,22 @@ pub fn fig5(scale: ExperimentScale) -> Result<FigureResult, SimError> {
     policy_comparison_figure(
         "fig5",
         "IF vs PB vs IB under constant bandwidth",
+        &DELAY_POLICIES,
         VariabilityKind::Constant,
+        BandwidthModel::Iid,
         scale,
     )
 }
 
 /// Figure 7: the same comparison under **high** (NLANR-log-like) bandwidth
-/// variability.
+/// variability, under the given [`BandwidthModel`]. In AR(1) mode the
+/// figure id becomes `fig7_ar1`, so both variants can be emitted side by
+/// side.
 ///
 /// # Errors
 ///
 /// Propagates configuration validation errors from the simulator.
-pub fn fig7(scale: ExperimentScale) -> Result<FigureResult, SimError> {
-    fig7_with(scale, BandwidthModel::Iid)
-}
-
-/// [`fig7`] under an explicit [`BandwidthModel`]. In AR(1) mode the figure
-/// id becomes `fig7_ar1`, so both variants can be emitted side by side.
-///
-/// # Errors
-///
-/// Propagates configuration validation errors from the simulator.
-pub fn fig7_with(scale: ExperimentScale, model: BandwidthModel) -> Result<FigureResult, SimError> {
+pub fn fig7(scale: ExperimentScale, model: BandwidthModel) -> Result<FigureResult, SimError> {
     let (id, title) = match model {
         BandwidthModel::Iid => (
             "fig7",
@@ -97,26 +75,19 @@ pub fn fig7_with(scale: ExperimentScale, model: BandwidthModel) -> Result<Figure
             "IF vs PB vs IB under high (NLANR-like) AR(1) bandwidth evolution",
         ),
     };
-    policy_comparison_figure_with_model(id, title, VariabilityKind::NlanrLike, model, scale)
+    let variability = VariabilityKind::NlanrLike;
+    policy_comparison_figure(id, title, &DELAY_POLICIES, variability, model, scale)
 }
 
 /// Figure 8: the same comparison under **low** (measured-path) bandwidth
-/// variability.
+/// variability, under the given [`BandwidthModel`]. In AR(1) mode the
+/// figure id becomes `fig8_ar1`, so both variants can be emitted side by
+/// side.
 ///
 /// # Errors
 ///
 /// Propagates configuration validation errors from the simulator.
-pub fn fig8(scale: ExperimentScale) -> Result<FigureResult, SimError> {
-    fig8_with(scale, BandwidthModel::Iid)
-}
-
-/// [`fig8`] under an explicit [`BandwidthModel`]. In AR(1) mode the figure
-/// id becomes `fig8_ar1`, so both variants can be emitted side by side.
-///
-/// # Errors
-///
-/// Propagates configuration validation errors from the simulator.
-pub fn fig8_with(scale: ExperimentScale, model: BandwidthModel) -> Result<FigureResult, SimError> {
+pub fn fig8(scale: ExperimentScale, model: BandwidthModel) -> Result<FigureResult, SimError> {
     let (id, title) = match model {
         BandwidthModel::Iid => (
             "fig8",
@@ -127,7 +98,8 @@ pub fn fig8_with(scale: ExperimentScale, model: BandwidthModel) -> Result<Figure
             "IF vs PB vs IB under measured-path AR(1) bandwidth evolution",
         ),
     };
-    policy_comparison_figure_with_model(id, title, VariabilityKind::MeasuredModerate, model, scale)
+    let variability = VariabilityKind::MeasuredModerate;
+    policy_comparison_figure(id, title, &DELAY_POLICIES, variability, model, scale)
 }
 
 /// Figure 6: effect of the Zipf-like popularity skew α on PB and IB, over a
@@ -245,14 +217,14 @@ mod tests {
     #[test]
     fn fig7_and_fig8_run_in_ar1_mode_with_distinct_ids() {
         let ar1 = BandwidthModel::ar1_default();
-        let f7 = fig7_with(ExperimentScale::Test, ar1).unwrap();
+        let f7 = fig7(ExperimentScale::Test, ar1).unwrap();
         assert_eq!(f7.id, "fig7_ar1");
         assert_eq!(f7.series.len(), 3);
-        let f8 = fig8_with(ExperimentScale::Test, ar1).unwrap();
+        let f8 = fig8(ExperimentScale::Test, ar1).unwrap();
         assert_eq!(f8.id, "fig8_ar1");
         // AR(1) evolution must actually change the numbers relative to the
         // i.i.d. run of the same figure (same seeds, same workload).
-        let f8_iid = fig8(ExperimentScale::Test).unwrap();
+        let f8_iid = fig8(ExperimentScale::Test, BandwidthModel::Iid).unwrap();
         assert_eq!(f8_iid.id, "fig8");
         assert_ne!(
             f8.series("PB").unwrap().points[0].metrics,

@@ -4,14 +4,20 @@
 //! Each function returns a [`FigureResult`](crate::FigureResult) containing
 //! the same series the paper plots; the `sc-bench` binaries print these as
 //! tables and JSON. Absolute values differ from the paper (the bandwidth
-//! models are synthetic equivalents — see `DESIGN.md`), but the qualitative
-//! shape (which policy wins, where crossovers occur) is preserved.
+//! models are synthetic equivalents — see `ARCHITECTURE.md`), but the
+//! qualitative shape (which policy wins, where crossovers occur) is
+//! preserved.
 //!
-//! Beyond the paper: [`fig7_with`]/[`fig8_with`] rerun the
-//! variable-bandwidth figures under AR(1) bandwidth evolution
-//! ([`crate::BandwidthModel::Ar1`]) instead of i.i.d. ratios, and [`fig13`]
-//! studies how bandwidth-estimator staleness (oracle vs EWMA vs windowed vs
-//! probe) affects partial caching under that drift.
+//! Every figure is one grid: [`crate::exec::run_grid`] for the per-request
+//! figures, [`crate::session::run_session_grid`]'s traced form for the
+//! session figures, each on the environment-configured executor
+//! (`SC_SIM_THREADS`; the output is the same at any thread count).
+//!
+//! Beyond the paper: [`fig7`]/[`fig8`] take the
+//! [`BandwidthModel`](crate::BandwidthModel) and also run under AR(1)
+//! bandwidth evolution ([`crate::BandwidthModel::Ar1`]) instead of i.i.d.
+//! ratios, and [`fig13`] studies how bandwidth-estimator staleness (oracle
+//! vs EWMA vs windowed vs probe) affects partial caching under that drift.
 
 mod estimator_figures;
 mod fault_figures;
@@ -20,15 +26,12 @@ mod session_figures;
 mod table1;
 mod value_figures;
 
-pub use estimator_figures::{fig13, fig13_with, FIG13_ESTIMATORS};
-pub use fault_figures::{fig_faults, fig_faults_with, FIG_FAULTS_MTTRS, FIG_FAULTS_POLICIES};
-pub use figures::{
-    fig5, fig6, fig7, fig7_with, fig8, fig8_with, fig9, policy_comparison_figure,
-    policy_comparison_figure_with_model,
-};
-pub use session_figures::{fig_sessions, fig_sessions_with, FIG_SESSIONS_POLICIES};
+pub use estimator_figures::{fig13, FIG13_ESTIMATORS};
+pub use fault_figures::{fig_faults, FIG_FAULTS_MTTRS, FIG_FAULTS_POLICIES};
+pub use figures::{fig5, fig6, fig7, fig8, fig9};
+pub use session_figures::{fig_sessions, FIG_SESSIONS_POLICIES};
 pub use table1::{table1, Table1};
-pub use value_figures::{fig10, fig11, fig12, value_comparison_figure};
+pub use value_figures::{fig10, fig11, fig12};
 
 use crate::config::SimulationConfig;
 use crate::sweep::{PAPER_CACHE_FRACTIONS, QUICK_CACHE_FRACTIONS};
@@ -100,14 +103,19 @@ impl ExperimentScale {
 mod tests {
     use super::*;
     use crate::config::VariabilityKind;
+    use crate::exec::{run_grid, ParallelExecutor};
     use crate::report::FigureSeries;
-    use crate::sweep::{sweep_estimator, sweep_zipf_alpha};
-    use crate::Metrics;
     use sc_cache::policy::PolicyKind;
 
-    fn series_of(label: String, points: Vec<(f64, Metrics)>) -> FigureSeries {
+    /// One series built from its own `run_grid` over `configs`.
+    fn series_of(label: String, xs: &[f64], configs: &[SimulationConfig]) -> FigureSeries {
+        let metrics = run_grid(
+            configs,
+            ExperimentScale::Test.runs(),
+            &ParallelExecutor::from_env(),
+        );
         let mut series = FigureSeries::new(label);
-        for (x, metrics) in points {
+        for (&x, metrics) in xs.iter().zip(metrics.unwrap()) {
             series.push(x, metrics);
         }
         series
@@ -115,35 +123,53 @@ mod tests {
 
     /// fig6, fig9 and fig12 used to be built one sweep — one grid, one
     /// workload generation — per series. That construction is kept here as
-    /// the reference the single-grid figures must reproduce exactly.
+    /// the reference the single-grid figures must reproduce exactly: one
+    /// `run_grid` per series, over the series' configurations built by hand.
     #[test]
     fn one_grid_figures_equal_their_per_series_sweeps() {
         let scale = ExperimentScale::Test;
-        let (fractions, runs) = (scale.cache_fractions(), scale.runs());
+        let fractions = scale.cache_fractions();
 
-        let base = scale.base_config();
+        let alphas = [0.6, 1.2];
         let mut expected = Vec::new();
         for policy in [PolicyKind::PartialBandwidth, PolicyKind::IntegralBandwidth] {
             for &fraction in &fractions {
-                let points = sweep_zipf_alpha(&base, policy, fraction, &[0.6, 1.2], runs).unwrap();
-                expected.push(series_of(
-                    format!("{} C={:.3}", policy.label(), fraction),
-                    points,
-                ));
+                let configs = alphas.map(|zipf_alpha| {
+                    let mut config = SimulationConfig {
+                        policy,
+                        ..scale.base_config()
+                    }
+                    .with_cache_fraction(fraction);
+                    config.workload.trace.zipf_alpha = zipf_alpha;
+                    config
+                });
+                let label = format!("{} C={:.3}", policy.label(), fraction);
+                expected.push(series_of(label, &alphas, &configs));
             }
         }
         assert_eq!(fig6(scale).unwrap().series, expected);
 
         let estimator_figure = |variability, es: &[f64], value_based, name: &str| {
-            let base = SimulationConfig {
-                variability,
-                ..scale.base_config()
-            };
             fractions
                 .iter()
                 .map(|&fraction| {
-                    let points = sweep_estimator(&base, fraction, es, value_based, runs).unwrap();
-                    series_of(format!("{name} C={fraction:.3}"), points)
+                    let configs: Vec<_> = es
+                        .iter()
+                        .map(|&e| {
+                            let policy = if value_based {
+                                PolicyKind::PartialBandwidthValue { e }
+                            } else {
+                                PolicyKind::HybridPartialBandwidth { e }
+                            };
+                            SimulationConfig {
+                                policy,
+                                variability,
+                                ..scale.base_config()
+                            }
+                            .with_cache_fraction(fraction)
+                        })
+                        .collect();
+                    series_of(format!("{name} C={fraction:.3}"), es, &configs)
                 })
                 .collect::<Vec<_>>()
         };

@@ -33,18 +33,6 @@ pub const FIG_SESSIONS_POLICIES: [PolicyKind; 3] = [
 ///
 /// Propagates configuration validation errors from the simulator.
 pub fn fig_sessions(scale: ExperimentScale) -> Result<SessionFigureResult, SimError> {
-    fig_sessions_with(scale, &ParallelExecutor::from_env())
-}
-
-/// [`fig_sessions`] with an explicit executor (thread count).
-///
-/// # Errors
-///
-/// Propagates configuration validation errors from the simulator.
-pub fn fig_sessions_with(
-    scale: ExperimentScale,
-    executor: &ParallelExecutor,
-) -> Result<SessionFigureResult, SimError> {
     let base = SimulationConfig {
         variability: VariabilityKind::Constant,
         ..scale.base_config()
@@ -60,7 +48,8 @@ pub fn fig_sessions_with(
             configs.push(SimulationConfig { policy, ..base }.with_cache_fraction(fraction));
         }
     }
-    let (metrics, telemetry) = run_session_grid_traced(&configs, scale.runs(), executor)?;
+    let (metrics, telemetry) =
+        run_session_grid_traced(&configs, scale.runs(), &ParallelExecutor::from_env())?;
 
     let mut fig = SessionFigureResult::new(
         "fig_sessions",
@@ -123,13 +112,33 @@ mod tests {
     #[test]
     fn fig_sessions_is_the_same_at_one_and_four_threads_telemetry_included() {
         use crate::exec::ExecConfig;
+        let scale = ExperimentScale::Test;
+        let fractions = scale.cache_fractions();
+        let configs: Vec<_> = FIG_SESSIONS_POLICIES
+            .iter()
+            .flat_map(|&policy| {
+                fractions.iter().map(move |&fraction| {
+                    SimulationConfig {
+                        policy,
+                        variability: VariabilityKind::Constant,
+                        ..scale.base_config()
+                    }
+                    .with_cache_fraction(fraction)
+                })
+            })
+            .collect();
         let run = |threads| {
             let executor = ParallelExecutor::new(ExecConfig::with_threads(threads));
-            fig_sessions_with(ExperimentScale::Test, &executor).unwrap()
+            run_session_grid_traced(&configs, scale.runs(), &executor).unwrap()
         };
         let (one, four) = (run(1), run(4));
-        assert!(one.telemetry.events_scheduled > 0 && one.telemetry.redivisions > 0);
-        assert_eq!(one.telemetry, four.telemetry);
-        assert_eq!(one, four);
+        assert!(one.1.events_scheduled > 0 && one.1.redivisions > 0);
+        assert_eq!(one.1, four.1);
+        assert_eq!(one.0, four.0);
+        // The grid above is the figure's: same points, same telemetry.
+        let fig = fig_sessions(scale).unwrap();
+        assert_eq!(fig.telemetry, one.1);
+        let labels = FIG_SESSIONS_POLICIES.iter().map(PolicyKind::label);
+        assert_eq!(fig.series, assemble_series(labels, &fractions, one.0));
     }
 }

@@ -1,40 +1,20 @@
 //! Figures 10–12: value-maximising caching (Section 2.6 / Section 4.4).
 
-use crate::config::{SimError, SimulationConfig, VariabilityKind};
+use crate::config::{BandwidthModel, SimError, SimulationConfig, VariabilityKind};
 use crate::exec::{run_grid, ParallelExecutor};
+use crate::experiments::figures::policy_comparison_figure;
 use crate::experiments::ExperimentScale;
 use crate::report::{assemble_series, FigureResult};
-use crate::sweep::{estimator_grid, sweep_policies};
+use crate::sweep::estimator_grid;
 use sc_cache::policy::PolicyKind;
 
-/// The IF / PB-V / IB-V comparison over a range of cache sizes under the
-/// given variability model — the common engine behind Figures 10 and 11.
-/// The metrics of interest are the traffic-reduction ratio and the total
-/// added value.
-///
-/// # Errors
-///
-/// Propagates configuration validation errors from the simulator.
-pub fn value_comparison_figure(
-    id: &str,
-    title: &str,
-    variability: VariabilityKind,
-    scale: ExperimentScale,
-) -> Result<FigureResult, SimError> {
-    let base = SimulationConfig {
-        variability,
-        ..scale.base_config()
-    };
-    let policies = [
-        PolicyKind::IntegralFrequency,
-        PolicyKind::PartialBandwidthValue { e: 1.0 },
-        PolicyKind::IntegralBandwidthValue,
-    ];
-    let series = sweep_policies(&base, &policies, &scale.cache_fractions(), scale.runs())?;
-    let mut fig = FigureResult::new(id, title, "cache fraction");
-    fig.series = series;
-    Ok(fig)
-}
+/// The policies of the value comparisons, Figures 10 and 11; the metrics
+/// of interest are the traffic-reduction ratio and the total added value.
+const VALUE_POLICIES: [PolicyKind; 3] = [
+    PolicyKind::IntegralFrequency,
+    PolicyKind::PartialBandwidthValue { e: 1.0 },
+    PolicyKind::IntegralBandwidthValue,
+];
 
 /// Figure 10: IF vs PB-V vs IB-V under constant bandwidth.
 ///
@@ -42,10 +22,12 @@ pub fn value_comparison_figure(
 ///
 /// Propagates configuration validation errors from the simulator.
 pub fn fig10(scale: ExperimentScale) -> Result<FigureResult, SimError> {
-    value_comparison_figure(
+    policy_comparison_figure(
         "fig10",
         "Value-based caching (IF vs PB-V vs IB-V) under constant bandwidth",
+        &VALUE_POLICIES,
         VariabilityKind::Constant,
+        BandwidthModel::Iid,
         scale,
     )
 }
@@ -56,10 +38,12 @@ pub fn fig10(scale: ExperimentScale) -> Result<FigureResult, SimError> {
 ///
 /// Propagates configuration validation errors from the simulator.
 pub fn fig11(scale: ExperimentScale) -> Result<FigureResult, SimError> {
-    value_comparison_figure(
+    policy_comparison_figure(
         "fig11",
         "Value-based caching (IF vs PB-V vs IB-V) under measured-path variability",
+        &VALUE_POLICIES,
         VariabilityKind::MeasuredModerate,
+        BandwidthModel::Iid,
         scale,
     )
 }

@@ -10,13 +10,16 @@
 //!
 //! The crate provides:
 //!
-//! * [`SimulationConfig`] / [`run_simulation`] / [`run_replicated`] — single
-//!   runs and replicated (seed-averaged) runs;
-//! * [`exec`] — the parallel execution layer: replicated runs, comparisons
-//!   and sweeps shard their independent `(configuration, seed)` grid across
-//!   threads (`SC_SIM_THREADS`, default = available parallelism) and merge
-//!   in deterministic seed order, so results are byte-identical to a
-//!   sequential run;
+//! * [`SimulationConfig`] / [`run_simulation`] / [`run_sessions`] — one run
+//!   in the per-request or the session mode;
+//! * [`exec::run_grid`] / [`run_session_grid`] — one grid per mode, the
+//!   only entry points that take a [`ParallelExecutor`]: a
+//!   `configs × runs` grid of independent `(configuration, seed)` runs,
+//!   sharded across threads (`SC_SIM_THREADS`, default = available
+//!   parallelism) and averaged per configuration in deterministic seed
+//!   order, so results are byte-identical to a sequential run. A
+//!   replicated run is a one-configuration grid, a paired comparison a
+//!   grid over several;
 //! * [`BandwidthModel`] — the temporal structure of path bandwidth:
 //!   i.i.d. per-request ratios or a mean-reverting AR(1) evolution
 //!   ([`sc_netmodel::BandwidthTimeSeries`]) sampled on the simulation
@@ -26,7 +29,8 @@
 //!   probing;
 //! * [`Metrics`] — the paper's four metrics (traffic-reduction ratio,
 //!   average service delay, average stream quality, total added value);
-//! * [`sweep`] — cache-size, estimator and Zipf-α parameter sweeps;
+//! * [`sweep::sweep_policies`] — policies × cache sizes, one series per
+//!   policy, on the environment-configured executor;
 //! * [`experiments`] — one driver per table/figure of the paper
 //!   (`table1`, `fig5` … `fig12`, plus the `fig13` estimator-staleness
 //!   study), each returning a [`FigureResult`].
@@ -75,11 +79,7 @@ pub use report::{
     FigurePoint, FigureResult, FigureSeries, SessionFigurePoint, SessionFigureResult,
     SessionFigureSeries,
 };
-pub use runner::{
-    run_comparison, run_comparison_with, run_replicated, run_replicated_with,
-    run_session_comparison, run_session_comparison_with, run_sessions, run_sessions_replicated,
-    run_sessions_replicated_with, run_simulation, RunResult,
-};
+pub use runner::{run_sessions, run_simulation, RunResult};
 pub use session::{
     run_session_grid, simulate_sessions, simulate_sessions_with_faults, NoCacheHooks,
     PathFaultTimeline, SessionFinal, SessionHooks, SessionRunResult, SessionSimOutput, SessionSpec,

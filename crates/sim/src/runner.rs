@@ -1,12 +1,14 @@
-//! The simulation loop and replicated runs.
+//! One simulation run, in either mode.
 //!
-//! The per-run body lives in [`crate::exec::SimWorker`]; everything here
-//! that executes more than one run is routed through the execution layer
-//! ([`crate::exec`]), which shards the independent `(configuration, seed)`
-//! grid across threads and merges results in deterministic seed order —
-//! parallel output is byte-identical to sequential output.
+//! The per-run bodies live in [`crate::exec::SimWorker`] and
+//! [`crate::session::SessionWorker`]; more than one run is a grid —
+//! [`crate::exec::run_grid`] or [`crate::session::run_session_grid`] —
+//! which shards the independent `(configuration, seed)` items across
+//! threads and merges results in deterministic seed order, so parallel
+//! output is byte-identical to sequential output. A replicated run is
+//! `run_grid(std::slice::from_ref(&config), runs, &executor)`.
 //!
-//! All entry points take their bandwidth behaviour from the configuration:
+//! Both modes take their bandwidth behaviour from the configuration:
 //! [`SimulationConfig::bandwidth_model`] selects i.i.d. per-request ratios
 //! or AR(1) evolution on the simulation clock, and
 //! [`SimulationConfig::estimator`] selects what the caching algorithm
@@ -14,9 +16,9 @@
 //! or active probing).
 
 use crate::config::{SimError, SimulationConfig};
-use crate::exec::{run_grid, ParallelExecutor, SimWorker};
-use crate::metrics::{Metrics, SessionMetrics};
-use crate::session::{run_session_grid, SessionRunResult, SessionWorker};
+use crate::exec::SimWorker;
+use crate::metrics::Metrics;
+use crate::session::{SessionRunResult, SessionWorker};
 
 /// Result of one simulation run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -40,67 +42,6 @@ pub fn run_simulation(config: &SimulationConfig) -> Result<RunResult, SimError> 
     SimWorker::new(*config, config.seed).run()
 }
 
-/// Runs `runs` replicated simulations (seeds `seed`, `seed + 1`, …) and
-/// averages their metrics, mirroring the paper's practice of averaging ten
-/// runs per data point. Runs are sharded across the environment-configured
-/// executor ([`ParallelExecutor::from_env`], `SC_SIM_THREADS`).
-///
-/// # Errors
-///
-/// Returns [`SimError::NoRuns`] when `runs` is zero, or any validation
-/// error of the underlying configuration.
-pub fn run_replicated(config: &SimulationConfig, runs: usize) -> Result<Metrics, SimError> {
-    run_replicated_with(config, runs, &ParallelExecutor::from_env())
-}
-
-/// [`run_replicated`] with an explicit executor (thread count).
-///
-/// # Errors
-///
-/// Returns [`SimError::NoRuns`] when `runs` is zero, or any validation
-/// error of the underlying configuration.
-pub fn run_replicated_with(
-    config: &SimulationConfig,
-    runs: usize,
-    executor: &ParallelExecutor,
-) -> Result<Metrics, SimError> {
-    let mut metrics = run_grid(std::slice::from_ref(config), runs, executor)?;
-    Ok(metrics.pop().expect("one configuration yields one average"))
-}
-
-/// Runs the same pre-generated workload through several policies, so the
-/// comparison is paired (identical request streams and path bandwidths per
-/// seed). Returns one averaged [`Metrics`] per configuration, in order.
-///
-/// The workload for each seed is generated **once** and shared by every
-/// configuration with identical workload parameters, so the pairing is
-/// structural, not merely a property of equal seeds; configurations whose
-/// workload parameters differ simply get their own generation. The
-/// `(configuration, seed)` grid is sharded across the environment-configured
-/// executor ([`ParallelExecutor::from_env`], `SC_SIM_THREADS`).
-///
-/// # Errors
-///
-/// Propagates validation errors; returns [`SimError::NoRuns`] when `runs`
-/// is zero.
-pub fn run_comparison(configs: &[SimulationConfig], runs: usize) -> Result<Vec<Metrics>, SimError> {
-    run_comparison_with(configs, runs, &ParallelExecutor::from_env())
-}
-
-/// [`run_comparison`] with an explicit executor (thread count).
-///
-/// # Errors
-///
-/// Propagates validation errors; returns [`SimError::NoRuns`] when `runs`
-/// is zero.
-pub fn run_comparison_with(
-    configs: &[SimulationConfig],
-    runs: usize,
-    executor: &ParallelExecutor,
-) -> Result<Vec<Metrics>, SimError> {
-    run_grid(configs, runs, executor)
-}
-
 /// Runs a single **session-mode** simulation described by `config`: the
 /// discrete-event core of [`crate::session`], where sessions span their
 /// playback duration and share per-path bottleneck bandwidth.
@@ -112,68 +53,12 @@ pub fn run_sessions(config: &SimulationConfig) -> Result<SessionRunResult, SimEr
     SessionWorker::new(*config, config.seed).run()
 }
 
-/// Session-mode analogue of [`run_replicated`]: `runs` replicated
-/// session simulations (seeds `seed`, `seed + 1`, …), averaged.
-///
-/// # Errors
-///
-/// Returns [`SimError::NoRuns`] when `runs` is zero, or any validation
-/// error of the underlying configuration.
-pub fn run_sessions_replicated(
-    config: &SimulationConfig,
-    runs: usize,
-) -> Result<SessionMetrics, SimError> {
-    run_sessions_replicated_with(config, runs, &ParallelExecutor::from_env())
-}
-
-/// [`run_sessions_replicated`] with an explicit executor (thread count).
-///
-/// # Errors
-///
-/// Returns [`SimError::NoRuns`] when `runs` is zero, or any validation
-/// error of the underlying configuration.
-pub fn run_sessions_replicated_with(
-    config: &SimulationConfig,
-    runs: usize,
-    executor: &ParallelExecutor,
-) -> Result<SessionMetrics, SimError> {
-    let mut metrics = run_session_grid(std::slice::from_ref(config), runs, executor)?;
-    Ok(metrics.pop().expect("one configuration yields one average"))
-}
-
-/// Session-mode analogue of [`run_comparison`]: paired comparison of
-/// several configurations over shared workloads, returning one averaged
-/// [`SessionMetrics`] per configuration, in order.
-///
-/// # Errors
-///
-/// Propagates validation errors; returns [`SimError::NoRuns`] when `runs`
-/// is zero.
-pub fn run_session_comparison(
-    configs: &[SimulationConfig],
-    runs: usize,
-) -> Result<Vec<SessionMetrics>, SimError> {
-    run_session_comparison_with(configs, runs, &ParallelExecutor::from_env())
-}
-
-/// [`run_session_comparison`] with an explicit executor (thread count).
-///
-/// # Errors
-///
-/// Propagates validation errors; returns [`SimError::NoRuns`] when `runs`
-/// is zero.
-pub fn run_session_comparison_with(
-    configs: &[SimulationConfig],
-    runs: usize,
-    executor: &ParallelExecutor,
-) -> Result<Vec<SessionMetrics>, SimError> {
-    run_session_grid(configs, runs, executor)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::VariabilityKind;
+    use crate::exec::{run_grid, ParallelExecutor};
+    use crate::session::run_session_grid;
     use sc_cache::policy::PolicyKind;
 
     fn small(policy: PolicyKind, cache_fraction: f64) -> SimulationConfig {
@@ -209,8 +94,14 @@ mod tests {
 
     #[test]
     fn bigger_caches_do_not_hurt() {
-        let small_cache = run_replicated(&small(PolicyKind::PartialBandwidth, 0.01), 2).unwrap();
-        let big_cache = run_replicated(&small(PolicyKind::PartialBandwidth, 0.15), 2).unwrap();
+        let configs = [
+            small(PolicyKind::PartialBandwidth, 0.01),
+            small(PolicyKind::PartialBandwidth, 0.15),
+        ];
+        let [small_cache, big_cache] = run_grid(&configs, 2, &ParallelExecutor::from_env())
+            .unwrap()
+            .try_into()
+            .unwrap();
         assert!(big_cache.traffic_reduction_ratio >= small_cache.traffic_reduction_ratio);
         assert!(big_cache.avg_service_delay_secs <= small_cache.avg_service_delay_secs + 1e-6);
         assert!(big_cache.avg_stream_quality + 1e-9 >= small_cache.avg_stream_quality);
@@ -239,8 +130,15 @@ mod tests {
     #[test]
     fn replication_requires_at_least_one_run() {
         let cfg = small(PolicyKind::PartialBandwidth, 0.05);
-        assert!(matches!(run_replicated(&cfg, 0), Err(SimError::NoRuns)));
-        assert!(matches!(run_comparison(&[cfg], 0), Err(SimError::NoRuns)));
+        let executor = ParallelExecutor::from_env();
+        assert!(matches!(
+            run_grid(&[cfg], 0, &executor),
+            Err(SimError::NoRuns)
+        ));
+        assert!(matches!(
+            run_session_grid(&[cfg], 0, &executor),
+            Err(SimError::NoRuns)
+        ));
     }
 
     #[test]
@@ -250,7 +148,7 @@ mod tests {
             small(PolicyKind::PartialBandwidth, 0.05),
             small(PolicyKind::IntegralBandwidth, 0.05),
         ];
-        let metrics = run_comparison(&configs, 1).unwrap();
+        let metrics = run_grid(&configs, 1, &ParallelExecutor::from_env()).unwrap();
         assert_eq!(metrics.len(), 3);
         // Under constant bandwidth, PB should not have higher average delay
         // than IF (the paper's headline qualitative result).
@@ -274,15 +172,12 @@ mod tests {
         let cfg = small(PolicyKind::PartialBandwidth, 0.05);
         let single = run_sessions(&cfg).unwrap();
         assert_eq!(single.metrics.sessions, 5_000);
-        let avg = run_sessions_replicated(&cfg, 2).unwrap();
-        assert_eq!(avg.sessions, 5_000);
-        assert!(avg.viewer_seconds > 0.0);
-        assert!(matches!(
-            run_sessions_replicated(&cfg, 0),
-            Err(SimError::NoRuns)
-        ));
-        let compared =
-            run_session_comparison(&[cfg, small(PolicyKind::IntegralBandwidth, 0.05)], 1).unwrap();
+        let executor = ParallelExecutor::from_env();
+        let avg = run_session_grid(&[cfg], 2, &executor).unwrap();
+        assert_eq!(avg[0].sessions, 5_000);
+        assert!(avg[0].viewer_seconds > 0.0);
+        let configs = [cfg, small(PolicyKind::IntegralBandwidth, 0.05)];
+        let compared = run_session_grid(&configs, 1, &executor).unwrap();
         assert_eq!(compared.len(), 2);
         // Paired comparison: identical workloads, so the viewer curves
         // agree up to float accumulation order (the policies split the
@@ -294,12 +189,19 @@ mod tests {
 
     #[test]
     fn variable_bandwidth_increases_delay() {
-        let constant = run_replicated(&small(PolicyKind::PartialBandwidth, 0.05), 2).unwrap();
+        let constant_cfg = small(PolicyKind::PartialBandwidth, 0.05);
         let variable_cfg = SimulationConfig {
             variability: VariabilityKind::NlanrLike,
-            ..small(PolicyKind::PartialBandwidth, 0.05)
+            ..constant_cfg
         };
-        let variable = run_replicated(&variable_cfg, 2).unwrap();
+        let [constant, variable] = run_grid(
+            &[constant_cfg, variable_cfg],
+            2,
+            &ParallelExecutor::from_env(),
+        )
+        .unwrap()
+        .try_into()
+        .unwrap();
         assert!(
             variable.avg_service_delay_secs > constant.avg_service_delay_secs,
             "variable {} vs constant {}",

@@ -9,7 +9,7 @@
 //! ```
 
 use streamcache::cache::policy::PolicyKind;
-use streamcache::sim::sweep::{sweep_cache_size, sweep_estimator};
+use streamcache::sim::sweep::sweep_policies;
 use streamcache::sim::{SimulationConfig, VariabilityKind};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -23,13 +23,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "{:>10} {:>10} {:>12} {:>10}",
         "cache", "traffic", "delay(s)", "quality"
     );
-    let series = sweep_cache_size(
-        &base,
-        PolicyKind::PartialBandwidth,
-        &[0.005, 0.01, 0.02, 0.05, 0.1, 0.169],
-        2,
-    )?;
-    for point in &series.points {
+    let fractions = [0.005, 0.01, 0.02, 0.05, 0.1, 0.169];
+    let series = sweep_policies(&base, &[PolicyKind::PartialBandwidth], &fractions, 2)?;
+    for point in &series[0].points {
         println!(
             "{:>10.3} {:>10.4} {:>12.1} {:>10.4}",
             point.x,
@@ -49,7 +45,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         variability: VariabilityKind::NlanrLike,
         ..SimulationConfig::small()
     };
-    for (e, metrics) in sweep_estimator(&nlanr, 0.05, &[0.0, 0.25, 0.5, 0.75, 1.0], false, 2)? {
+    // One PB(e) policy per estimator value, all at the same cache size.
+    let estimators = [0.0, 0.25, 0.5, 0.75, 1.0];
+    let policies = estimators.map(|e| PolicyKind::HybridPartialBandwidth { e });
+    for (e, series) in estimators
+        .iter()
+        .zip(sweep_policies(&nlanr, &policies, &[0.05], 2)?)
+    {
+        let metrics = series.points[0].metrics;
         println!(
             "{:>10.2} {:>10.4} {:>12.1} {:>10.4}",
             e,

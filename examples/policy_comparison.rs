@@ -8,7 +8,8 @@
 //! ```
 
 use streamcache::cache::policy::PolicyKind;
-use streamcache::sim::{run_replicated, SimulationConfig, VariabilityKind};
+use streamcache::sim::sweep::sweep_policies;
+use streamcache::sim::{SimulationConfig, VariabilityKind};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let policies = [
@@ -22,17 +23,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "{:<6} {:>10} {:>12} {:>10} {:>10}",
             "policy", "traffic", "delay(s)", "quality", "hit-ratio"
         );
-        for policy in policies {
-            let config = SimulationConfig {
-                policy,
-                variability,
-                ..SimulationConfig::small()
-            }
-            .with_cache_fraction(0.05);
-            let metrics = run_replicated(&config, 2)?;
+        let base = SimulationConfig {
+            variability,
+            ..SimulationConfig::small()
+        };
+        // One paired grid: every policy replays the same workloads.
+        for series in sweep_policies(&base, &policies, &[0.05], 2)? {
+            let metrics = series.points[0].metrics;
             println!(
                 "{:<6} {:>10.4} {:>12.1} {:>10.4} {:>10.4}",
-                policy.label(),
+                series.label,
                 metrics.traffic_reduction_ratio,
                 metrics.avg_service_delay_secs,
                 metrics.avg_stream_quality,

@@ -12,7 +12,8 @@ use streamcache::cache::{
     exact_value_selection, greedy_value_selection, total_value, ObjectKey, ObjectMeta,
     OfflineObject,
 };
-use streamcache::sim::{run_replicated, SimulationConfig, VariabilityKind};
+use streamcache::sim::sweep::sweep_policies;
+use streamcache::sim::{SimulationConfig, VariabilityKind};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Offline: greedy vs exact knapsack on a small hand-built catalog.
@@ -43,24 +44,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "{:<6} {:>10} {:>16}",
         "policy", "traffic", "total value ($)"
     );
-    for policy in [
+    let policies = [
         PolicyKind::IntegralFrequency,
         PolicyKind::PartialBandwidthValue { e: 1.0 },
         PolicyKind::PartialBandwidthValue { e: 0.5 },
         PolicyKind::IntegralBandwidthValue,
-    ] {
-        let config = SimulationConfig {
-            policy,
-            variability: VariabilityKind::MeasuredModerate,
-            ..SimulationConfig::small()
-        }
-        .with_cache_fraction(0.05);
-        let metrics = run_replicated(&config, 2)?;
+    ];
+    let base = SimulationConfig {
+        variability: VariabilityKind::MeasuredModerate,
+        ..SimulationConfig::small()
+    };
+    for series in sweep_policies(&base, &policies, &[0.05], 2)? {
+        let metrics = series.points[0].metrics;
         println!(
             "{:<6} {:>10.4} {:>16.1}",
-            policy.label(),
-            metrics.traffic_reduction_ratio,
-            metrics.total_added_value
+            series.label, metrics.traffic_reduction_ratio, metrics.total_added_value
         );
     }
     println!();

@@ -1,5 +1,5 @@
 //! Integration: bandwidth estimators feeding caching decisions, and the
-//! sweep helpers used by the experiment harness.
+//! policy sweep used by the experiment harness.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -8,7 +8,7 @@ use streamcache::cache::{CacheEngine, ObjectKey, ObjectMeta};
 use streamcache::netmodel::{
     BandwidthEstimator, EwmaEstimator, NlanrBandwidthModel, VariabilityModel,
 };
-use streamcache::sim::sweep::{sweep_cache_size, sweep_policies};
+use streamcache::sim::sweep::sweep_policies;
 use streamcache::sim::SimulationConfig;
 
 /// A passive EWMA estimator converges near the true mean bandwidth of a
@@ -57,9 +57,9 @@ fn nlanr_model_yields_a_mixed_population_at_48kbps() {
     );
 }
 
-/// The sweep helpers return one point per requested parameter and keep the
-/// series labels stable — the experiment drivers and EXPERIMENTS.md rely on
-/// both properties.
+/// The policy sweep returns one point per requested cache size and keeps
+/// the series labels stable — the experiment drivers rely on both
+/// properties.
 #[test]
 fn sweeps_produce_complete_labelled_series() {
     let base = SimulationConfig::small();
@@ -86,7 +86,8 @@ fn sweeps_produce_complete_labelled_series() {
         }
     }
 
-    let single = sweep_cache_size(&base, PolicyKind::Lfu, &[0.05], 1).unwrap();
-    assert_eq!(single.label, "LFU");
-    assert_eq!(single.points.len(), 1);
+    let single = sweep_policies(&base, &[PolicyKind::Lfu], &[0.05], 1).unwrap();
+    assert_eq!(single.len(), 1);
+    assert_eq!(single[0].label, "LFU");
+    assert_eq!(single[0].points.len(), 1);
 }

@@ -1,19 +1,17 @@
 //! The execution layer's hard constraint: sharding the `(configuration,
 //! seed)` grid across threads must be **byte-identical** to running it
-//! sequentially. Every multi-run entry point — replicated runs, paired
-//! comparisons, and the sweeps behind the figures — is checked with the
-//! sequential executor (threads = 1) against a parallel one (threads = 4),
-//! comparing every float field bit-for-bit.
+//! sequentially. Both grids — `run_grid` and `run_session_grid`, which every
+//! replicated run, paired comparison, sweep and figure goes through — are
+//! checked with the sequential executor (threads = 1) against parallel ones
+//! (threads = 4 and 32), comparing every float field bit-for-bit.
 
+use std::slice::from_ref;
 use streamcache::cache::policy::PolicyKind;
-use streamcache::sim::exec::{ExecConfig, ParallelExecutor};
-use streamcache::sim::sweep::{
-    sweep_cache_size_with, sweep_estimator_with, sweep_policies_with, sweep_zipf_alpha_with,
-};
+use streamcache::sim::exec::{run_grid, ExecConfig, ParallelExecutor};
+use streamcache::sim::sweep::sweep_policies;
 use streamcache::sim::{
-    run_comparison_with, run_replicated_with, run_session_comparison_with,
-    run_sessions_replicated_with, BandwidthModel, EstimatorKind, Metrics, SessionMetrics,
-    SimulationConfig, VariabilityKind,
+    run_session_grid, BandwidthModel, EstimatorKind, Metrics, SessionMetrics, SimulationConfig,
+    VariabilityKind,
 };
 
 fn small(policy: PolicyKind, cache_fraction: f64) -> SimulationConfig {
@@ -30,6 +28,26 @@ fn sequential() -> ParallelExecutor {
 
 fn parallel() -> ParallelExecutor {
     ParallelExecutor::new(ExecConfig::with_threads(4))
+}
+
+fn threads(n: usize) -> ParallelExecutor {
+    ParallelExecutor::new(ExecConfig::with_threads(n))
+}
+
+/// The `policies × fractions` grid `sweep_policies` runs, policy-major.
+fn policy_grid(
+    base: &SimulationConfig,
+    policies: &[PolicyKind],
+    fractions: &[f64],
+) -> Vec<SimulationConfig> {
+    policies
+        .iter()
+        .flat_map(|&policy| {
+            fractions
+                .iter()
+                .map(move |&f| SimulationConfig { policy, ..*base }.with_cache_fraction(f))
+        })
+        .collect()
 }
 
 /// Bit-for-bit equality on every metric field (PartialEq would treat
@@ -68,6 +86,15 @@ fn assert_bit_identical(a: &Metrics, b: &Metrics, what: &str) {
     }
 }
 
+/// [`assert_bit_identical`] over two grids' results, configuration by
+/// configuration.
+fn assert_grids_bit_identical(a: &[Metrics], b: &[Metrics], what: &str) {
+    assert_eq!(a.len(), b.len(), "{what}: configuration count");
+    for (i, (x, y)) in a.iter().zip(b).enumerate() {
+        assert_bit_identical(x, y, &format!("{what} [{i}]"));
+    }
+}
+
 #[test]
 fn replicated_runs_are_thread_count_invariant() {
     for policy in [
@@ -76,9 +103,9 @@ fn replicated_runs_are_thread_count_invariant() {
         PolicyKind::HybridPartialBandwidth { e: 0.5 },
     ] {
         let config = small(policy, 0.05);
-        let seq = run_replicated_with(&config, 4, &sequential()).unwrap();
-        let par = run_replicated_with(&config, 4, &parallel()).unwrap();
-        assert_bit_identical(&seq, &par, &policy.label());
+        let seq = run_grid(from_ref(&config), 4, &sequential()).unwrap();
+        let par = run_grid(from_ref(&config), 4, &parallel()).unwrap();
+        assert_grids_bit_identical(&seq, &par, &policy.label());
     }
 }
 
@@ -89,17 +116,14 @@ fn comparisons_are_thread_count_invariant_and_paired() {
         small(PolicyKind::PartialBandwidth, 0.05),
         small(PolicyKind::IntegralBandwidth, 0.05),
     ];
-    let seq = run_comparison_with(&configs, 2, &sequential()).unwrap();
-    let par = run_comparison_with(&configs, 2, &parallel()).unwrap();
-    assert_eq!(seq.len(), par.len());
-    for (i, (a, b)) in seq.iter().zip(&par).enumerate() {
-        assert_bit_identical(a, b, &configs[i].policy.label());
-    }
+    let seq = run_grid(&configs, 2, &sequential()).unwrap();
+    let par = run_grid(&configs, 2, &parallel()).unwrap();
+    assert_grids_bit_identical(&seq, &par, "comparison");
     // The shared-workload path must agree with generating each replicated
-    // run on its own (the pre-refactor behaviour of run_comparison).
+    // run on its own, one configuration per grid.
     for (config, compared) in configs.iter().zip(&seq) {
-        let alone = run_replicated_with(config, 2, &sequential()).unwrap();
-        assert_bit_identical(compared, &alone, "comparison vs standalone");
+        let alone = run_grid(from_ref(config), 2, &sequential()).unwrap();
+        assert_grids_bit_identical(from_ref(compared), &alone, "comparison vs standalone");
     }
 }
 
@@ -111,22 +135,25 @@ fn policy_sweep_is_thread_count_invariant() {
     };
     let policies = [PolicyKind::PartialBandwidth, PolicyKind::IntegralBandwidth];
     let fractions = [0.02, 0.05, 0.1];
-    let seq = sweep_policies_with(&base, &policies, &fractions, 2, &sequential()).unwrap();
-    let par = sweep_policies_with(&base, &policies, &fractions, 2, &parallel()).unwrap();
-    assert_eq!(seq.len(), par.len());
-    for (s, p) in seq.iter().zip(&par) {
-        assert_eq!(s.label, p.label);
-        assert_eq!(s.points.len(), p.points.len());
-        for (sp, pp) in s.points.iter().zip(&p.points) {
-            assert_eq!(sp.x.to_bits(), pp.x.to_bits());
-            assert_bit_identical(&sp.metrics, &pp.metrics, &s.label);
-        }
-    }
-    // The flattened multi-policy grid must agree with per-policy sweeps.
+    let grid = policy_grid(&base, &policies, &fractions);
+    let seq = run_grid(&grid, 2, &sequential()).unwrap();
+    let par = run_grid(&grid, 2, &parallel()).unwrap();
+    assert_grids_bit_identical(&seq, &par, "policy sweep");
+    // The flattened multi-policy grid must agree with per-policy grids.
     for (i, &policy) in policies.iter().enumerate() {
-        let single = sweep_cache_size_with(&base, policy, &fractions, 2, &sequential()).unwrap();
-        for (sp, pp) in seq[i].points.iter().zip(&single.points) {
-            assert_bit_identical(&sp.metrics, &pp.metrics, "flattened vs single sweep");
+        let single = run_grid(&policy_grid(&base, &[policy], &fractions), 2, &sequential());
+        let flattened = &seq[i * fractions.len()..(i + 1) * fractions.len()];
+        assert_grids_bit_identical(flattened, &single.unwrap(), "flattened vs single sweep");
+    }
+    // The sweep is that sequential grid cut into one series per policy.
+    let series = sweep_policies(&base, &policies, &fractions, 2).unwrap();
+    assert_eq!(series.len(), policies.len());
+    for ((s, policy), metrics) in series.iter().zip(policies).zip(seq.chunks(fractions.len())) {
+        assert_eq!(s.label, policy.label());
+        assert_eq!(s.points.len(), fractions.len());
+        for ((point, x), m) in s.points.iter().zip(fractions).zip(metrics) {
+            assert_eq!(point.x.to_bits(), x.to_bits());
+            assert_bit_identical(&point.metrics, m, "sweep vs sequential grid");
         }
     }
 }
@@ -134,52 +161,35 @@ fn policy_sweep_is_thread_count_invariant() {
 #[test]
 fn estimator_and_zipf_sweeps_are_thread_count_invariant() {
     let base = SimulationConfig::small();
-    let seq_e = sweep_estimator_with(&base, 0.05, &[0.0, 0.5, 1.0], false, 2, &sequential());
-    let par_e = sweep_estimator_with(&base, 0.05, &[0.0, 0.5, 1.0], false, 2, &parallel());
-    for ((xs, ms), (xp, mp)) in seq_e.unwrap().iter().zip(&par_e.unwrap()) {
-        assert_eq!(xs, xp);
-        assert_bit_identical(ms, mp, "estimator sweep");
-    }
+    let estimators = [0.0, 0.5, 1.0].map(|e| PolicyKind::HybridPartialBandwidth { e });
+    let grid = policy_grid(&base, &estimators, &[0.05]);
+    let seq_e = run_grid(&grid, 2, &sequential()).unwrap();
+    let par_e = run_grid(&grid, 2, &parallel()).unwrap();
+    assert_grids_bit_identical(&seq_e, &par_e, "estimator sweep");
 
-    let seq_z = sweep_zipf_alpha_with(
-        &base,
-        PolicyKind::PartialBandwidth,
-        0.05,
-        &[0.6, 1.2],
-        2,
-        &sequential(),
-    );
-    let par_z = sweep_zipf_alpha_with(
-        &base,
-        PolicyKind::PartialBandwidth,
-        0.05,
-        &[0.6, 1.2],
-        2,
-        &parallel(),
-    );
-    for ((xs, ms), (xp, mp)) in seq_z.unwrap().iter().zip(&par_z.unwrap()) {
-        assert_eq!(xs, xp);
-        assert_bit_identical(ms, mp, "zipf sweep");
-    }
+    // Each α is its own workload, so this grid generates one per (α, seed).
+    let grid = [0.6, 1.2].map(|alpha| {
+        let mut config = small(PolicyKind::PartialBandwidth, 0.05);
+        config.workload.trace.zipf_alpha = alpha;
+        config
+    });
+    let seq_z = run_grid(&grid, 2, &sequential()).unwrap();
+    let par_z = run_grid(&grid, 2, &parallel()).unwrap();
+    assert_grids_bit_identical(&seq_z, &par_z, "zipf sweep");
 }
 
 #[test]
 fn ar1_mode_is_thread_count_invariant() {
     // Time-varying bandwidth pre-generates one AR(1) series per path from
     // the run seed; sharding across threads must not change a single bit,
-    // for the replicated entry point and for a flattened policy sweep.
+    // for a replicated run and for a flattened policy sweep.
     let mut config = small(PolicyKind::PartialBandwidth, 0.05);
     config.variability = VariabilityKind::MeasuredModerate;
     config.bandwidth_model = BandwidthModel::ar1_default();
-    let seq = run_replicated_with(&config, 4, &sequential()).unwrap();
-    for threads in [4, 32] {
-        let par = run_replicated_with(
-            &config,
-            4,
-            &ParallelExecutor::new(ExecConfig::with_threads(threads)),
-        )
-        .unwrap();
-        assert_bit_identical(&seq, &par, &format!("ar1 replicated, {threads} threads"));
+    let seq = run_grid(from_ref(&config), 4, &sequential()).unwrap();
+    for n in [4, 32] {
+        let par = run_grid(from_ref(&config), 4, &threads(n)).unwrap();
+        assert_grids_bit_identical(&seq, &par, &format!("ar1 replicated, {n} threads"));
     }
 
     let base = SimulationConfig {
@@ -188,14 +198,10 @@ fn ar1_mode_is_thread_count_invariant() {
         ..SimulationConfig::small()
     };
     let policies = [PolicyKind::PartialBandwidth, PolicyKind::IntegralFrequency];
-    let fractions = [0.02, 0.05];
-    let seq = sweep_policies_with(&base, &policies, &fractions, 2, &sequential()).unwrap();
-    let par = sweep_policies_with(&base, &policies, &fractions, 2, &parallel()).unwrap();
-    for (s, p) in seq.iter().zip(&par) {
-        for (sp, pp) in s.points.iter().zip(&p.points) {
-            assert_bit_identical(&sp.metrics, &pp.metrics, &format!("ar1 sweep {}", s.label));
-        }
-    }
+    let grid = policy_grid(&base, &policies, &[0.02, 0.05]);
+    let seq = run_grid(&grid, 2, &sequential()).unwrap();
+    let par = run_grid(&grid, 2, &parallel()).unwrap();
+    assert_grids_bit_identical(&seq, &par, "ar1 sweep");
 }
 
 #[test]
@@ -211,9 +217,9 @@ fn stateful_estimators_are_thread_count_invariant() {
         config.variability = VariabilityKind::MeasuredModerate;
         config.bandwidth_model = BandwidthModel::ar1_default();
         config.estimator = estimator;
-        let seq = run_replicated_with(&config, 3, &sequential()).unwrap();
-        let par = run_replicated_with(&config, 3, &parallel()).unwrap();
-        assert_bit_identical(&seq, &par, estimator.label());
+        let seq = run_grid(from_ref(&config), 3, &sequential()).unwrap();
+        let par = run_grid(from_ref(&config), 3, &parallel()).unwrap();
+        assert_grids_bit_identical(&seq, &par, estimator.label());
     }
 }
 
@@ -279,6 +285,15 @@ fn assert_session_bit_identical(a: &SessionMetrics, b: &SessionMetrics, what: &s
     }
 }
 
+/// [`assert_session_bit_identical`] over two session grids' results,
+/// configuration by configuration.
+fn assert_session_grids_bit_identical(a: &[SessionMetrics], b: &[SessionMetrics], what: &str) {
+    assert_eq!(a.len(), b.len(), "{what}: configuration count");
+    for (i, (x, y)) in a.iter().zip(b).enumerate() {
+        assert_session_bit_identical(x, y, &format!("{what} [{i}]"));
+    }
+}
+
 #[test]
 fn session_mode_is_thread_count_invariant() {
     // The session event core rides the same grid engine as the per-request
@@ -286,27 +301,19 @@ fn session_mode_is_thread_count_invariant() {
     // count, for IID and AR(1) bandwidth alike.
     let mut config = small(PolicyKind::PartialBandwidth, 0.05);
     config.variability = VariabilityKind::MeasuredModerate;
-    let seq = run_sessions_replicated_with(&config, 3, &sequential()).unwrap();
-    for threads in [4, 32] {
-        let par = run_sessions_replicated_with(
-            &config,
-            3,
-            &ParallelExecutor::new(ExecConfig::with_threads(threads)),
-        )
-        .unwrap();
-        assert_session_bit_identical(
-            &seq,
-            &par,
-            &format!("session replicated, {threads} threads"),
-        );
+    let seq = run_session_grid(from_ref(&config), 3, &sequential()).unwrap();
+    for n in [4, 32] {
+        let par = run_session_grid(from_ref(&config), 3, &threads(n)).unwrap();
+        let what = format!("session replicated, {n} threads");
+        assert_session_grids_bit_identical(&seq, &par, &what);
     }
 
     let mut ar1 = small(PolicyKind::IntegralBandwidth, 0.05);
     ar1.variability = VariabilityKind::NlanrLike;
     ar1.bandwidth_model = BandwidthModel::ar1_default();
-    let seq = run_sessions_replicated_with(&ar1, 2, &sequential()).unwrap();
-    let par = run_sessions_replicated_with(&ar1, 2, &parallel()).unwrap();
-    assert_session_bit_identical(&seq, &par, "session ar1 replicated");
+    let seq = run_session_grid(from_ref(&ar1), 2, &sequential()).unwrap();
+    let par = run_session_grid(from_ref(&ar1), 2, &parallel()).unwrap();
+    assert_session_grids_bit_identical(&seq, &par, "session ar1 replicated");
 }
 
 #[test]
@@ -316,17 +323,15 @@ fn session_comparisons_are_thread_count_invariant_and_paired() {
         small(PolicyKind::IntegralBandwidth, 0.05),
         small(PolicyKind::Lru, 0.05),
     ];
-    let seq = run_session_comparison_with(&configs, 2, &sequential()).unwrap();
-    let par = run_session_comparison_with(&configs, 2, &parallel()).unwrap();
-    assert_eq!(seq.len(), par.len());
-    for (i, (a, b)) in seq.iter().zip(&par).enumerate() {
-        assert_session_bit_identical(a, b, &configs[i].policy.label());
-    }
+    let seq = run_session_grid(&configs, 2, &sequential()).unwrap();
+    let par = run_session_grid(&configs, 2, &parallel()).unwrap();
+    assert_session_grids_bit_identical(&seq, &par, "session comparison");
     // Paired workloads: the comparison must agree bit-for-bit with running
     // each configuration's replications on their own.
     for (config, compared) in configs.iter().zip(&seq) {
-        let alone = run_sessions_replicated_with(config, 2, &sequential()).unwrap();
-        assert_session_bit_identical(compared, &alone, "session comparison vs standalone");
+        let alone = run_session_grid(from_ref(config), 2, &sequential()).unwrap();
+        let what = "session comparison vs standalone";
+        assert_session_grids_bit_identical(from_ref(compared), &alone, what);
     }
 }
 
@@ -335,12 +340,7 @@ fn oversubscribed_executor_is_still_deterministic() {
     // More threads than work items, and a thread count far above the
     // machine's parallelism, must not change a single bit.
     let config = small(PolicyKind::PartialBandwidth, 0.05);
-    let seq = run_replicated_with(&config, 2, &sequential()).unwrap();
-    let over = run_replicated_with(
-        &config,
-        2,
-        &ParallelExecutor::new(ExecConfig::with_threads(32)),
-    )
-    .unwrap();
-    assert_bit_identical(&seq, &over, "oversubscribed");
+    let seq = run_grid(from_ref(&config), 2, &sequential()).unwrap();
+    let over = run_grid(from_ref(&config), 2, &threads(32)).unwrap();
+    assert_grids_bit_identical(&seq, &over, "oversubscribed");
 }

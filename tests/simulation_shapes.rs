@@ -2,8 +2,9 @@
 //! test scale (the full-scale numbers are produced by `sc-bench`).
 
 use streamcache::cache::policy::PolicyKind;
+use streamcache::sim::exec::{run_grid, ParallelExecutor};
 use streamcache::sim::experiments::{fig10, fig5, fig7, table1, ExperimentScale};
-use streamcache::sim::{run_replicated, SimulationConfig, VariabilityKind};
+use streamcache::sim::{BandwidthModel, SimulationConfig, VariabilityKind};
 
 #[test]
 fn table1_reports_paper_like_workload_statistics() {
@@ -36,7 +37,7 @@ fn fig5_constant_bandwidth_shape() {
 #[test]
 fn fig7_high_variability_erases_pb_advantage() {
     let constant = fig5(ExperimentScale::Test).unwrap();
-    let variable = fig7(ExperimentScale::Test).unwrap();
+    let variable = fig7(ExperimentScale::Test, BandwidthModel::Iid).unwrap();
     // Delays increase for every policy when bandwidth varies wildly.
     for label in ["IF", "PB", "IB"] {
         let c = constant
@@ -96,14 +97,15 @@ fn fig10_value_based_ordering() {
 
 #[test]
 fn lru_and_lfu_baselines_run_end_to_end() {
-    for policy in [PolicyKind::Lru, PolicyKind::Lfu] {
-        let config = SimulationConfig {
+    let configs = [PolicyKind::Lru, PolicyKind::Lfu].map(|policy| {
+        SimulationConfig {
             policy,
             variability: VariabilityKind::MeasuredLow,
             ..SimulationConfig::small()
         }
-        .with_cache_fraction(0.05);
-        let metrics = run_replicated(&config, 1).unwrap();
+        .with_cache_fraction(0.05)
+    });
+    for metrics in run_grid(&configs, 1, &ParallelExecutor::from_env()).unwrap() {
         assert!(metrics.traffic_reduction_ratio > 0.0);
         assert!(metrics.avg_stream_quality > 0.5);
     }
