@@ -258,7 +258,9 @@ pub(crate) fn header_line(response: &Response) -> Vec<u8> {
 /// # Errors
 ///
 /// Returns [`ProxyError::Protocol`] for malformed, oversized or non-UTF-8
-/// lines and propagates I/O errors.
+/// lines and for an `OK` header that describes no object — a zero size, a
+/// bit-rate that is not a finite positive number, or the two giving no
+/// finite duration — and propagates I/O errors.
 pub fn read_response<R: BufRead>(reader: &mut R) -> Result<Response, ProxyError> {
     let line = read_line_bounded(reader)?;
     let trimmed = line.trim_end();
@@ -277,6 +279,16 @@ pub fn read_response<R: BufRead>(reader: &mut R) -> Result<Response, ProxyError>
         let bitrate_bps = bitrate_bps
             .parse::<f64>()
             .map_err(|_| ProxyError::Protocol(format!("bad OK header {trimmed:?}")))?;
+        // `f64` parsing takes `NaN`, `inf`, overflow and signs: an object
+        // has bytes, a finite positive bit-rate and so a finite duration.
+        if size == 0
+            || !(bitrate_bps.is_finite() && bitrate_bps > 0.0)
+            || !(size as f64 / bitrate_bps).is_finite()
+        {
+            return Err(ProxyError::Protocol(format!(
+                "impossible OK header {trimmed:?}"
+            )));
+        }
         let degraded = match extra {
             None => false,
             Some("degraded") => true,

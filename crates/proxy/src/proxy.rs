@@ -5,7 +5,9 @@
 //! hashes to, indexed by the shard's slot handle and guarded by the shard's
 //! mutex (see `ARCHITECTURE.md`, "Proxy data path"). A `GET` is a sequence
 //! of stages, [`handle_client`]: *parse* → *lookup* (first shard lock) →
-//! *plan* (pure) → *relay* → *admit* (second shard lock); no other
+//! *plan* (pure) → *decide* (second shard lock: the request's one engine
+//! access, on the estimate it starts with) → *relay* → *store* (third
+//! shard lock, only when tail bytes were kept) → *observe*; no other
 //! per-object lock or name-keyed map exists. Around that, a fixed pool of
 //! identical threads accepts and serves, each running
 //! [`crate::pool`]'s one loop with [`handle_client`] as its body: idle
@@ -17,11 +19,11 @@
 //! worker's fixed-size reusable chunk ring and its header line parsed in
 //! place, so whatever payload arrived behind the header is already where
 //! the relay reads — a small miss is one origin read and one vectored
-//! client write. The tail streams through the same ring while the policy
-//! may still keep its bytes, retaining only the prefix it may admit, never
-//! the whole object; once retention is settled and the header is out, the
-//! rest moves kernel to kernel, origin socket → the worker's pipe → client
-//! socket ([`crate::splice`]), and never enters user space.
+//! client write. The tail streams through the same ring until the relay
+//! has kept exactly the bytes the engine granted, never the whole object;
+//! from then on, once the header is out, the rest moves kernel to kernel,
+//! origin socket → the worker's pipe → client socket ([`crate::splice`]),
+//! and never enters user space.
 //!
 //! On top of that sits the overload layer (see `ARCHITECTURE.md`,
 //! "Overload & admission control"): the pool's queue sheds with `BUSY` a
@@ -58,19 +60,14 @@ use std::time::{Duration, Instant};
 
 /// Size of each worker's reusable relay chunk buffer (the "ring"): origin
 /// tails stream through this fixed window, so relay memory per request is
-/// `RING_BYTES` plus whatever prefix the policy may admit — never the whole
+/// `RING_BYTES` plus the prefix the engine granted — never the whole
 /// object.
 const RING_BYTES: usize = 64 * 1024;
 
-/// Safety margin on the conservative bandwidth lower bound used to size the
-/// tail-retention buffer: the retention cap is computed as the policy
-/// target at 90% of the bound, so estimator movement during the transfer
-/// cannot strand the store short of the engine's eventual grant.
-const RETAIN_BANDWIDTH_SLACK: f64 = 0.9;
-
 /// Bandwidth assumed towards the origin before any transfer has been
-/// observed (bytes per second). Subsequent transfers feed an EWMA
-/// estimator (passive measurement, Section 2.7 of the paper).
+/// observed (bytes per second), and so the estimate a fresh proxy's first
+/// decision uses. Subsequent transfers feed an EWMA estimator (passive
+/// measurement, Section 2.7 of the paper).
 const ASSUMED_ORIGIN_BPS: f64 = 64_000.0;
 
 /// Configuration of the caching proxy.
@@ -170,12 +167,14 @@ pub struct ProxyStats {
     pub cached_objects: usize,
     /// Current bytes held in the prefix store.
     pub cached_bytes: u64,
-    /// Latest estimate of the origin-path bandwidth in bytes per second.
+    /// The origin-path bandwidth estimate in bytes per second: the one the
+    /// next cache decision will use (an EWMA of the transfers observed so
+    /// far).
     pub estimated_origin_bps: f64,
     /// Largest tail-retention buffer any single request has resided in
     /// memory. Together with the fixed per-worker relay ring
     /// (`RING_BYTES`), this bounds per-request memory: it tracks the prefix
-    /// the policy could admit, not the object size.
+    /// the engine granted, not the object size.
     pub peak_tail_bytes: u64,
     /// Origin connection attempts made after a failed one (retries within
     /// one open, across all requests).
@@ -501,7 +500,7 @@ impl CachingProxy {
                 let state = Arc::clone(&state);
                 let listener = Arc::clone(&listener);
                 std::thread::spawn(move || {
-                    let mut scratch = WorkerScratch::new(state.config.policy);
+                    let mut scratch = WorkerScratch::new();
                     pool::run_thread(
                         &state.queue,
                         || listener.accept().map(|(stream, _)| stream),
@@ -593,29 +592,25 @@ impl Drop for CachingProxy {
     }
 }
 
-/// Per-worker reusable buffers and a private policy instance: everything a
-/// request needs that should not be reallocated per request or fetched
-/// under a shared lock.
+/// Per-worker reusable buffers: everything a request needs that should not
+/// be reallocated per request.
 struct WorkerScratch {
     /// Fixed-size relay ring: the origin's reply is read and parsed here,
     /// and every origin chunk passes through.
     chunk: Vec<u8>,
-    /// Tail-retention buffer, capped at the prefix the policy may admit.
+    /// Tail-retention buffer: the leading tail bytes the engine granted,
+    /// grown only as they arrive.
     retained: Vec<u8>,
-    /// Stateless policy clone used to size the retention cap without
-    /// touching the engine lock from the relay loop.
-    policy: Box<dyn UtilityPolicy + Send + Sync>,
     /// The spliced tail's pipe, empty between steps; made on first use,
     /// and dropped when a failed drain may have left bytes in it.
     pipe: Option<Pipe>,
 }
 
 impl WorkerScratch {
-    fn new(policy: PolicyKind) -> Self {
+    fn new() -> Self {
         WorkerScratch {
             chunk: vec![0u8; RING_BYTES],
             retained: Vec::new(),
-            policy: policy.build(),
             pipe: None,
         }
     }
@@ -645,27 +640,6 @@ fn key_for(name: &str) -> ObjectKey {
     let mut hasher = DefaultHasher::new();
     hasher.write(name.as_bytes());
     ObjectKey::new(hasher.finish())
-}
-
-/// Tail bytes worth retaining for the record, given the conservative
-/// bandwidth lower bound `b_lo`: the policy's target allocation at
-/// slightly-below `b_lo`, minus the prefix already stored. Policy targets
-/// are non-increasing in bandwidth and this request's own observation
-/// lands the EWMA between the prior estimate and the observed throughput,
-/// so a cap computed from a running minimum of those two quantities covers
-/// the engine's eventual grant in the common case. It is best-effort: what
-/// happens when the grant turns out larger is [`admit`]'s rule.
-fn retain_cap(
-    policy: &(dyn UtilityPolicy + Send + Sync),
-    meta: &ObjectMeta,
-    b_lo: f64,
-    prefix_bytes: usize,
-) -> usize {
-    let size = meta.size_bytes();
-    let target = policy
-        .target_bytes(meta, (b_lo * RETAIN_BANDWIDTH_SLACK).max(0.0))
-        .clamp(0.0, size);
-    (target.ceil() as usize).saturating_sub(prefix_bytes)
 }
 
 /// Classifies a failed client-socket write: a timed-out write means the
@@ -739,10 +713,11 @@ fn write_all_pair<W: Write>(wire: &mut W, head: &[u8], body: &[u8]) -> std::io::
 
 /// Serves one client connection as a sequence of stages: *parse* the
 /// command, *lookup* the object's record (first shard lock), *plan* the
-/// answer (pure, consulting the origin only when it must), *relay* — the
-/// header with whatever is in hand in one write, then the origin tail — and
-/// *admit* the object (second shard lock). Whatever goes wrong has been
-/// answered or counted by the time it returns.
+/// answer (pure, consulting the origin only when it must), *decide* what
+/// the cache keeps (second shard lock), *relay* — the header with whatever
+/// is in hand in one write, then the origin tail, keeping the granted
+/// bytes — *store* them (third shard lock) and *observe* the transfer.
+/// Whatever goes wrong has been answered or counted by the time it returns.
 fn handle_client(stream: TcpStream, state: &ProxyState, scratch: &mut WorkerScratch) {
     let mut client = &stream;
     let Some(name) = parse(client, state) else {
@@ -758,28 +733,35 @@ fn handle_client(stream: TcpStream, state: &ProxyState, scratch: &mut WorkerScra
     // that the tail can be relayed as it arrives; its permit bounds
     // concurrent origin connections for the whole transfer.
     let mut origin = None;
-    let decided = plan(found.known, found.cached.len() as u64, |offset| {
+    let answer = plan(found.known, found.cached.len() as u64, |offset| {
         let (answer, conn) = open_origin(state, &name, offset, Await::Header, &mut scratch.chunk);
         origin = conn;
         answer
     });
-    let head = header_line(&wire_answer(&decided));
-    let plan = match decided {
-        Ok(plan) => plan,
-        Err(_) => {
-            // An `ERR` goes out alone.
-            let _ = write_paced(state, &mut client, &head, &[], &mut pace);
-            return;
-        }
+    let head = header_line(&answer);
+    let Response::Ok {
+        size,
+        bitrate_bps,
+        degraded,
+    } = answer
+    else {
+        // An `ERR` goes out alone.
+        let _ = write_paced(state, &mut client, &head, &[], &mut pace);
+        return;
     };
-    let Header { size, bitrate_bps } = plan.header;
-    let job = Job {
+    let mut job = Job {
         name: &name,
         meta: ObjectMeta::new(key, size as f64 / bitrate_bps, bitrate_bps, 0.0),
         size,
         prefix: &found.cached[..found.cached.len().min(size as usize)],
-        cacheable: found.ours,
+        keep: 0,
     };
+    // A degraded hit leaves the engine, the record and the estimator
+    // untouched — an outage should not perturb what the policy learned from
+    // healthy transfers — and so does a name whose key belongs to another.
+    if !degraded && found.ours {
+        job.keep = decide(state, &job);
+    }
     let Ok((tail_len, origin_bps)) =
         relay(state, &job, origin, &head, &mut client, &mut pace, scratch)
     else {
@@ -787,11 +769,8 @@ fn handle_client(stream: TcpStream, state: &ProxyState, scratch: &mut WorkerScra
         return;
     };
 
-    if plan.action == Action::Degrade {
-        // Degraded hit: the range-correct prefix is all the client gets.
-        // The record, the engine and the bandwidth estimator are left
-        // untouched — an outage should not perturb what the policy learned
-        // from healthy transfers.
+    if degraded {
+        // The range-correct prefix is all the client got.
         state.degraded_hits.fetch_add(1, Ordering::Relaxed);
     } else {
         // Defensive check: the retained tail must continue the cached prefix.
@@ -800,10 +779,11 @@ fn handle_client(stream: TcpStream, state: &ProxyState, scratch: &mut WorkerScra
             None,
             "origin payload does not match expected content"
         );
-        let estimated = state.estimate_after(origin_bps);
-        if job.cacheable {
-            admit(state, &job, &scratch.retained, estimated);
+        if !scratch.retained.is_empty() {
+            store(state, &job, &scratch.retained);
         }
+        // Observe: the transfer teaches the estimator for later decisions.
+        state.estimate_after(origin_bps);
         state
             .peak_tail_bytes
             .fetch_max(scratch.retained.len() as u64, Ordering::Relaxed);
@@ -900,74 +880,36 @@ enum OriginAnswer {
     Unavailable,
 }
 
-/// How a plan serves the request.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Action {
-    /// The whole object is cached: the origin is never consulted.
-    ServeCached,
-    /// Metadata known, prefix short: the origin streams the tail.
-    FetchTail,
-    /// First contact: size and bit-rate come from the origin's header.
-    LearnFromOrigin,
-    /// The origin is down but a prefix is cached: serve that, flagged on
-    /// the wire — the paper's partial caching masking the outage.
-    Degrade,
-}
-
-/// The decision for one `GET`: the header to answer with and what follows.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Plan {
-    header: Header,
-    action: Action,
-}
-
-/// Why a `GET` cannot be served at all.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Failure {
-    UnknownObject,
-    /// Nothing cached, so the outage cannot be masked.
-    OriginUnavailable,
-}
-
-/// Stage 3, pure: decides the answer from what `lookup` found, asking
+/// Stage 3, pure: the response header for what `lookup` found, asking
 /// `open_origin(offset)` only when the object is not fully cached or its
-/// metadata is still unknown.
+/// metadata is still unknown. A known object is served under the metadata
+/// its record holds; with the origin down, a cached prefix is served
+/// flagged `degraded` — the paper's partial caching masking the outage —
+/// and with nothing cached the request fails.
 fn plan(
     known: Option<Header>,
     cached_len: u64,
     open_origin: impl FnOnce(u64) -> OriginAnswer,
-) -> Result<Plan, Failure> {
-    use Action::*;
-    if let Some(header) = known.filter(|header| cached_len >= header.size) {
-        return Ok(Plan {
-            header,
-            action: ServeCached,
-        });
-    }
-    let (header, action) = match (open_origin(cached_len), known) {
-        (OriginAnswer::Stream(_), Some(header)) => (header, FetchTail),
-        (OriginAnswer::Stream(header), None) => (header, LearnFromOrigin),
-        (OriginAnswer::Unknown, _) => return Err(Failure::UnknownObject),
-        (OriginAnswer::Unavailable, Some(header)) if cached_len > 0 => (header, Degrade),
-        (OriginAnswer::Unavailable, _) => return Err(Failure::OriginUnavailable),
+) -> Response {
+    let ok = |header: Header, degraded| Response::Ok {
+        size: header.size,
+        bitrate_bps: header.bitrate_bps,
+        degraded,
     };
-    Ok(Plan { header, action })
-}
-
-/// The response header a decision puts on the wire.
-fn wire_answer(decided: &Result<Plan, Failure>) -> Response {
-    match *decided {
-        Ok(Plan { header, action }) => Response::Ok {
-            size: header.size,
-            bitrate_bps: header.bitrate_bps,
-            degraded: action == Action::Degrade,
-        },
-        Err(Failure::UnknownObject) => Response::Err("unknown object".into()),
-        Err(Failure::OriginUnavailable) => Response::Err("origin unavailable".into()),
+    if let Some(header) = known.filter(|header| cached_len >= header.size) {
+        return ok(header, false);
+    }
+    match (open_origin(cached_len), known) {
+        (OriginAnswer::Stream(_), Some(header)) | (OriginAnswer::Stream(header), None) => {
+            ok(header, false)
+        }
+        (OriginAnswer::Unknown, _) => Response::Err("unknown object".into()),
+        (OriginAnswer::Unavailable, Some(header)) if cached_len > 0 => ok(header, true),
+        (OriginAnswer::Unavailable, _) => Response::Err("origin unavailable".into()),
     }
 }
 
-/// One planned `GET` on its way through relay and admit.
+/// One answered `GET` on its way through decide, relay and store.
 struct Job<'a> {
     name: &'a str,
     meta: ObjectMeta,
@@ -975,17 +917,61 @@ struct Job<'a> {
     /// The cached bytes this request serves from the record; the relay
     /// starts behind them.
     prefix: &'a [u8],
-    /// Whether the object may be retained and admitted (see [`Lookup::ours`]).
-    cacheable: bool,
+    /// Leading tail bytes the relay keeps for the record: what [`decide`]
+    /// granted beyond `prefix` (0 when the engine was not consulted).
+    keep: usize,
 }
 
-/// Stage 4: answers the client — `head` (the framed response header) with
-/// the cached prefix, then the origin tail, retaining in `scratch.retained`
-/// only the leading bytes the policy could plausibly admit. Without an
-/// origin connection (a full or degraded hit) header and prefix are the
-/// whole answer. Returns the tail bytes relayed — never more than the size
-/// the header declared, whatever the origin sends — and the observed
-/// origin throughput.
+/// Stage 4 (second shard lock): the request's one engine access, on the
+/// estimate the request starts with — the simulator's order (decide on the
+/// current estimate, then learn from the transfer). Inside the lock the
+/// shard's records follow the access: victims lose their prefixes, and a
+/// first contact gets its record. Returns the grant, in whole bytes and at
+/// most `size`, minus the prefix this request serves: the tail bytes the
+/// relay keeps.
+///
+/// A slot belongs to the first name admitted under its key: should another
+/// name get here (a key collision that `lookup` could not see yet), the
+/// record is left alone and nothing is kept.
+fn decide(state: &ProxyState, job: &Job<'_>) -> usize {
+    let estimate = state.estimate_after(None);
+    let key = job.meta.key;
+    state
+        .engine
+        .access_with(&job.meta, estimate, |engine, records, out| {
+            // The engine evicts victims whole, and only here.
+            for &(victim, _, _) in engine.last_evictions() {
+                records.store(victim, Bytes::new());
+            }
+            let slot = engine
+                .slot_of(key)
+                .expect("accessed keys are interned by on_access");
+            if !records.admits(Some(slot), job.name) {
+                return 0;
+            }
+            let index = slot as usize;
+            if records.by_slot.len() <= index {
+                records.by_slot.resize_with(index + 1, || None);
+            }
+            records.by_slot[index].get_or_insert_with(|| Record {
+                name: job.name.to_string(),
+                header: Header {
+                    size: job.size,
+                    bitrate_bps: job.meta.bitrate_bps,
+                },
+                prefix: Bytes::new(),
+            });
+            let granted = (out.cached_bytes_after as usize).min(job.size as usize);
+            granted.saturating_sub(job.prefix.len())
+        })
+}
+
+/// Stage 5: answers the client — `head` (the framed response header) with
+/// the cached prefix, then the origin tail, keeping in `scratch.retained`
+/// exactly its first `job.keep` bytes. Without an origin connection (a full
+/// or degraded hit) header and prefix are the whole answer. Returns the
+/// tail bytes relayed — never more than the size the header declared,
+/// whatever the origin sends — and the observed origin throughput.
 ///
 /// The header leaves at once, in one write with the first bytes there are:
 /// the cached prefix (LAN speed); with nothing cached, the payload that
@@ -993,10 +979,11 @@ struct Job<'a> {
 /// with neither, alone. It never waits for payload that is still on its
 /// way, nor (see [`write_paced`]) for the token bucket.
 ///
-/// Tail bytes pass through the fixed-size ring while the policy may still
-/// keep them. Once retention is settled (`gapped`), nothing is in hand and
-/// the header is out, each step moves them kernel to kernel instead (see
-/// [`splice_step`]), when the client is a socket and the worker has a pipe.
+/// Tail bytes pass through the fixed-size ring until `keep` is reached.
+/// From then on, once nothing is in hand and the header is out, each step
+/// moves them kernel to kernel instead (see [`splice_step`]), when the
+/// client is a socket and the worker has a pipe; with `keep` 0 that is
+/// from the first step.
 fn relay<'a, W: ClientWire>(
     state: &'a ProxyState,
     job: &Job<'_>,
@@ -1018,14 +1005,7 @@ fn relay<'a, W: ClientWire>(
         return Ok((0, None));
     }
     let mut tail_len: u64 = 0;
-    // `b_lo` is a running lower bound on this request's contribution to the
-    // post-transfer estimate: the minimum of the prior estimate and the
-    // observed throughput so far (see `retain_cap`). Once a byte is dropped
-    // the retained prefix can never be extended again (it must stay
-    // contiguous), hence the `gapped` latch.
-    let mut b_lo = state.estimate_after(None);
     let started = Instant::now();
-    let mut gapped = !job.cacheable;
     while tail_len < expected_tail {
         let Some(conn) = origin.as_mut() else {
             break;
@@ -1034,9 +1014,12 @@ fn relay<'a, W: ClientWire>(
         let left = usize::try_from(expected_tail - tail_len).unwrap_or(usize::MAX);
         // What an open left in the ring is the next chunk, without a read.
         let mut chunk = std::mem::take(&mut conn.in_hand);
+        // Every step before `keep` is reached is kept whole, so the kept
+        // bytes continue the prefix without a gap.
+        let to_keep = job.keep - scratch.retained.len();
         let socket = client
             .socket()
-            .filter(|_| gapped && chunk.is_empty() && head.is_empty());
+            .filter(|_| to_keep == 0 && chunk.is_empty() && head.is_empty());
         if socket.is_some() && scratch.pipe.is_none() {
             scratch.pipe = Pipe::new().ok();
         }
@@ -1071,7 +1054,7 @@ fn relay<'a, W: ClientWire>(
             // the resilient open, which comes back only with payload in
             // hand. If the origin stays down, or keeps answering without
             // delivering, the client gets a short stream, and the record
-            // still keeps the contiguous bytes in hand.
+            // still gets the kept bytes in hand.
             drop(origin.take());
             let offset = job.prefix.len() as u64 + tail_len;
             let ring = &mut scratch.chunk;
@@ -1082,18 +1065,11 @@ fn relay<'a, W: ClientWire>(
             continue;
         }
         tail_len += n as u64;
-        let elapsed = started.elapsed().as_secs_f64();
-        if elapsed > 0.0 {
-            b_lo = b_lo.min(tail_len as f64 / elapsed);
-        }
-        // Not yet gapped: this step went through the ring.
-        if !gapped {
-            let cap = retain_cap(scratch.policy.as_ref(), &job.meta, b_lo, job.prefix.len());
-            let keep = cap.saturating_sub(scratch.retained.len()).min(n);
+        // `keep` not yet reached: this step went through the ring.
+        if to_keep > 0 {
             scratch
                 .retained
-                .extend_from_slice(&scratch.chunk[chunk][..keep]);
-            gapped = keep < n;
+                .extend_from_slice(&scratch.chunk[chunk][..to_keep.min(n)]);
         }
     }
     drop(origin);
@@ -1130,67 +1106,39 @@ fn splice_step(
     Ok(n)
 }
 
-/// Stage 5 (second shard lock): lets the policy decide how much of the
-/// object to keep, then brings the shard's records in line with that
-/// decision — victims lose their prefixes, this object's prefix grows to
-/// its grant from the bytes in hand (`job.prefix` followed by `retained`).
+/// Stage 6 (third shard lock, only when tail bytes were kept): grows the
+/// record's prefix from the bytes in hand (`job.prefix` followed by
+/// `retained`) to `min(the slot's allocation, prefix + retained)`. The
+/// allocation is read here, under this lock, because a concurrent access
+/// may have evicted or grown the slot since [`decide`].
 ///
-/// **Stored ≤ granted.** A record never holds more bytes than the engine
-/// granted its slot; it may hold fewer. [`retain_cap`] is sized from a
-/// lower bound on the bandwidth estimate, but an origin stall after
-/// retention stopped, or concurrent transfers dragging the shared estimator
-/// lower, can make the grant larger than what was retained. Only the bytes
-/// in hand are stored, and the record catches up on the object's next
-/// request, which fetches from the shorter stored offset.
-///
-/// A slot belongs to the first name admitted under its key: should another
-/// name get here (a key collision that `lookup` could not see yet), the
-/// record is left alone.
-fn admit(state: &ProxyState, job: &Job<'_>, retained: &[u8], estimated_bps: f64) {
+/// **Stored equals the grant once a transfer completes with no other
+/// access to the object's shard in between.** Otherwise — a short stream,
+/// or an access that evicted or grew the slot meanwhile — stored is less
+/// than the slot's allocation, never more, and the object's next request
+/// fetches the gap.
+fn store(state: &ProxyState, job: &Job<'_>, retained: &[u8]) {
     let key = job.meta.key;
-    let cached = job.prefix;
-    state
-        .engine
-        .access_with(&job.meta, estimated_bps, |engine, records, out| {
-            // The engine evicts victims whole, and only here.
-            for &(victim, _, _) in engine.last_evictions() {
-                records.store(victim, Bytes::new());
-            }
-            let slot = engine
-                .slot_of(key)
-                .expect("accessed keys are interned by on_access");
-            if !records.admits(Some(slot), job.name) {
-                return;
-            }
-            let index = slot as usize;
-            if records.by_slot.len() <= index {
-                records.by_slot.resize_with(index + 1, || None);
-            }
-            let stored = records.by_slot[index]
-                .get_or_insert_with(|| Record {
-                    name: job.name.to_string(),
-                    header: Header {
-                        size: job.size,
-                        bitrate_bps: job.meta.bitrate_bps,
-                    },
-                    prefix: Bytes::new(),
-                })
-                .prefix
-                .len();
-            let granted = (out.cached_bytes_after as usize).min(job.size as usize);
-            let usable = granted.min(cached.len() + retained.len());
-            if usable > stored {
-                let mut prefix = Vec::with_capacity(usable);
-                prefix.extend_from_slice(&cached[..cached.len().min(usable)]);
-                prefix.extend_from_slice(&retained[..usable - prefix.len()]);
-                records.store(slot, Bytes::from(prefix));
-            }
-            debug_assert!(
-                stored <= granted,
-                "`{}` stored {stored} B but the engine granted {granted}",
-                job.name
-            );
-        });
+    state.engine.with_shard(key, |engine, records| {
+        let slot = engine.slot_of(key).expect("decide interned the key");
+        let stored = records
+            .at(Some(slot))
+            .expect("decide made the record of the name it kept bytes for")
+            .prefix
+            .len();
+        let granted = (engine.cached_bytes(key) as usize).min(job.size as usize);
+        debug_assert!(
+            stored <= granted,
+            "`{}` stored {stored} B but the engine granted {granted}",
+            job.name
+        );
+        let usable = granted.min(job.prefix.len() + retained.len());
+        if usable > stored {
+            let cached = &job.prefix[..job.prefix.len().min(usable)];
+            let kept = &retained[..usable - cached.len()];
+            records.store(slot, Bytes::from([cached, kept].concat()));
+        }
+    });
 }
 
 /// An open origin connection positioned at the requested offset, holding
@@ -1648,8 +1596,8 @@ mod tests {
 
     /// Runs `relay` for a 1 000-byte object whose first `cached` bytes are
     /// the stored prefix, with the next `in_hand` bytes already in the ring
-    /// behind a header and the rest waiting in the origin socket; returns
-    /// the client-side write calls.
+    /// behind a header and the rest waiting in the origin socket, keeping
+    /// half the tail; returns the client-side write calls.
     fn relayed_writes(cached: usize, in_hand: usize, client_bps: f64) -> Vec<Vec<u8>> {
         const HEAD: &[u8] = b"OK 1000 96000\n";
         let proxy = CachingProxy::start(ProxyConfig::new("127.0.0.1:9".parse().unwrap(), 1e6))
@@ -1662,7 +1610,7 @@ mod tests {
         far_end.write_all(&object[cached + in_hand..]).unwrap();
         drop(far_end);
 
-        let mut scratch = WorkerScratch::new(PolicyKind::PartialBandwidth);
+        let mut scratch = WorkerScratch::new();
         let in_hand = HEAD.len()..HEAD.len() + in_hand;
         scratch.chunk[in_hand.clone()].copy_from_slice(&object[cached..][..in_hand.len()]);
         let origin = OriginConn {
@@ -1675,7 +1623,7 @@ mod tests {
             meta: ObjectMeta::new(key_for("clip"), 1_000.0 / 96e3, 96e3, 0.0),
             size: 1_000,
             prefix: &object[..cached],
-            cacheable: true,
+            keep: (1_000 - cached) / 2,
         };
         let mut client = Wire::taking(usize::MAX);
         let mut pace = RateLimiter::new(client_bps);
@@ -1691,6 +1639,9 @@ mod tests {
         .unwrap();
         assert_eq!(tail_len as usize, 1_000 - cached);
         assert_eq!(client.writes.concat(), [HEAD, object].concat());
+        // Exactly the granted leading tail bytes are kept, whichever step
+        // they arrived in.
+        assert_eq!(scratch.retained, object[cached..][..job.keep]);
         client.writes
     }
 
@@ -1755,7 +1706,7 @@ mod tests {
             gone.send(()).unwrap();
         });
 
-        let mut scratch = WorkerScratch::new(PolicyKind::IntegralFrequency);
+        let mut scratch = WorkerScratch::new();
         handle_client(served, &proxy.state, &mut scratch);
         reader.join().unwrap();
         origin.join().unwrap();
@@ -1826,7 +1777,6 @@ mod tests {
 
     #[test]
     fn plan_covers_every_lookup_and_origin_outcome() {
-        use Action::*;
         use OriginAnswer::{Stream, Unavailable, Unknown};
         // What the shard's record says, and an origin header that
         // deliberately disagrees: a known object is served under the
@@ -1840,93 +1790,105 @@ mod tests {
             bitrate_bps: 16e3,
         };
         let known = Some(record);
-        let unknown = Err((Failure::UnknownObject, "unknown object"));
-        let down = Err((Failure::OriginUnavailable, "origin unavailable"));
+        let ok = |header: Header, degraded| Response::Ok {
+            size: header.size,
+            bitrate_bps: header.bitrate_bps,
+            degraded,
+        };
+        let unknown = Response::Err("unknown object".into());
+        let down = Response::Err("origin unavailable".into());
         // (metadata known?, cached bytes, origin outcome — `None` when the
-        // origin must not be consulted) → header and action, or failure
-        // and its `ERR` text.
+        // origin must not be consulted) → the header on the wire.
         let rows = [
-            (known, 1_000, None, Ok((record, ServeCached))),
-            (known, 1_001, None, Ok((record, ServeCached))),
-            (known, 400, Some(Stream(origin)), Ok((record, FetchTail))),
-            (known, 0, Some(Stream(origin)), Ok((record, FetchTail))),
-            (known, 400, Some(Unknown), unknown),
-            (known, 400, Some(Unavailable), Ok((record, Degrade))),
-            (known, 0, Some(Unavailable), down),
-            (None, 0, Some(Stream(origin)), Ok((origin, LearnFromOrigin))),
+            (known, 1_000, None, ok(record, false)),
+            (known, 1_001, None, ok(record, false)),
+            (known, 400, Some(Stream(origin)), ok(record, false)),
+            (known, 0, Some(Stream(origin)), ok(record, false)),
+            (known, 400, Some(Unknown), unknown.clone()),
+            (known, 400, Some(Unavailable), ok(record, true)),
+            (known, 0, Some(Unavailable), down.clone()),
+            (None, 0, Some(Stream(origin)), ok(origin, false)),
             (None, 0, Some(Unknown), unknown),
             (None, 0, Some(Unavailable), down),
         ];
         for (known, cached_len, answer, expected) in rows {
             let row = format!("known {known:?}, cached {cached_len}, origin {answer:?}");
-            let decided = plan(known, cached_len, |offset| {
+            let answered = plan(known, cached_len, |offset| {
                 assert_eq!(offset, cached_len, "{row}: tail starts after the prefix");
                 answer.unwrap_or_else(|| panic!("{row}: origin consulted"))
             });
-            let (decision, on_the_wire) = match expected {
-                Ok((header, action)) => (
-                    Ok(Plan { header, action }),
-                    Response::Ok {
-                        size: header.size,
-                        bitrate_bps: header.bitrate_bps,
-                        degraded: action == Degrade,
-                    },
-                ),
-                Err((failure, text)) => (Err(failure), Response::Err(text.into())),
-            };
-            assert_eq!(decided, decision, "{row}");
-            assert_eq!(wire_answer(&decided), on_the_wire, "{row}");
+            assert_eq!(answered, expected, "{row}");
+        }
+    }
+
+    /// A one-shard proxy whose estimator reads `estimate_bps`.
+    fn proxy_at(policy: PolicyKind, capacity: f64, estimate_bps: f64) -> CachingProxy {
+        let mut cfg = ProxyConfig::new("127.0.0.1:9".parse().unwrap(), capacity);
+        cfg.policy = policy;
+        cfg.worker_threads = 1;
+        let proxy = CachingProxy::start(cfg).unwrap();
+        assert_eq!(proxy.state.estimate_after(Some(estimate_bps)), estimate_bps);
+        proxy
+    }
+
+    fn job<'a>(name: &'a str, key: u64, meta: (f64, f64), prefix: &'a [u8]) -> Job<'a> {
+        let (duration_secs, bitrate_bps) = meta;
+        Job {
+            name,
+            meta: ObjectMeta::new(ObjectKey::new(key), duration_secs, bitrate_bps, 0.0),
+            size: (duration_secs * bitrate_bps) as u64,
+            prefix,
+            keep: 0,
         }
     }
 
     #[test]
+    fn decide_keeps_the_grant_minus_the_prefix_served() {
+        const FILM: (f64, f64) = (10.0, 100_000.0);
+        // PB at 40 kB/s wants (100 - 40) kB/s × 10 s = 600 000 B of a
+        // 1 000 000 B object: all of it is tail when nothing is stored ...
+        let proxy = proxy_at(PolicyKind::PartialBandwidth, 1e7, 40_000.0);
+        assert_eq!(decide(&proxy.state, &job("film", 1, FILM, &[])), 600_000);
+        // ... and only the rest of it behind a 500 000 B prefix.
+        let stored = vec![0u8; 500_000];
+        assert_eq!(
+            decide(&proxy.state, &job("film", 1, FILM, &stored)),
+            100_000
+        );
+        // Abundant bandwidth: nothing worth keeping.
+        let proxy = proxy_at(PolicyKind::PartialBandwidth, 1e7, 1e9);
+        assert_eq!(decide(&proxy.state, &job("film", 1, FILM, &[])), 0);
+        // IF wants the whole object, but the capacity grants none of it.
+        let proxy = proxy_at(PolicyKind::IntegralFrequency, 1_000.0, 40_000.0);
+        assert_eq!(decide(&proxy.state, &job("film", 1, FILM, &[])), 0);
+    }
+
+    #[test]
     fn a_slot_belongs_to_the_first_name_admitted_under_its_key() {
-        let mut cfg = ProxyConfig::new("127.0.0.1:9".parse().unwrap(), 1e6);
-        cfg.policy = PolicyKind::IntegralFrequency;
-        let proxy = CachingProxy::start(cfg).unwrap();
+        let proxy = proxy_at(PolicyKind::IntegralFrequency, 1e6, 1e9);
         let state = &*proxy.state;
         // Two names forged onto one key, as a 64-bit collision would.
         let key = ObjectKey::new(7);
-        let job = |name, size: u64| Job {
-            name,
-            meta: ObjectMeta::new(key, size as f64 / 1e6, 1e6, 0.0),
-            size,
-            prefix: &[],
-            cacheable: true,
-        };
-        admit(state, &job("a", 1_000), &[1u8; 1_000], 1e9);
-        let a = lookup(state, key, "a");
-        assert_eq!(a.known.map(|h| h.size), Some(1_000));
-        assert_eq!(&a.cached[..], &[1u8; 1_000][..]);
-        assert!(a.ours);
+        let a = job("a", 7, (1e-3, 1e6), &[]);
+        assert_eq!(decide(state, &a), 1_000);
+        store(state, &a, &[1u8; 1_000]);
+        let found = lookup(state, key, "a");
+        assert_eq!(found.known.map(|h| h.size), Some(1_000));
+        assert_eq!(&found.cached[..], &[1u8; 1_000][..]);
+        assert!(found.ours);
 
         // The other name sees nothing of the record, so its request skips
-        // admit; one that raced past lookup leaves the record alone.
+        // decide; one that raced past lookup keeps nothing, so it never
+        // reaches store, and leaves the record alone.
         let b = lookup(state, key, "b");
         assert!(!b.ours);
         assert_eq!(b.known, None);
         assert!(b.cached.is_empty());
-        admit(state, &job("b", 3_000), &[2u8; 3_000], 1e9);
-        let a = lookup(state, key, "a");
-        assert_eq!(a.known.map(|h| h.size), Some(1_000));
-        assert_eq!(&a.cached[..], &[1u8; 1_000][..]);
+        assert_eq!(decide(state, &job("b", 7, (3e-3, 1e6), &[])), 0);
+        let found = lookup(state, key, "a");
+        assert_eq!(found.known.map(|h| h.size), Some(1_000));
+        assert_eq!(&found.cached[..], &[1u8; 1_000][..]);
         let stats = proxy.stats();
         assert_eq!((stats.cached_objects, stats.cached_bytes), (1, 1_000));
-    }
-
-    #[test]
-    fn retention_cap_covers_the_policy_target() {
-        let policy = PolicyKind::PartialBandwidth.build();
-        let meta = ObjectMeta::new(ObjectKey::new(1), 10.0, 100_000.0, 0.0);
-        // PB at 40 KB/s wants (100 - 40) * 10 = 600 KB; the slack makes the
-        // cap at least that.
-        let cap = retain_cap(policy.as_ref(), &meta, 40_000.0, 0);
-        assert!(cap >= 600_000, "cap {cap}");
-        assert!(cap <= meta.size_bytes() as usize);
-        // A stored prefix reduces what is worth retaining.
-        let cap_warm = retain_cap(policy.as_ref(), &meta, 40_000.0, 500_000);
-        assert!(cap_warm >= 100_000 && cap_warm < cap, "cap_warm {cap_warm}");
-        // Abundant bandwidth: nothing worth retaining.
-        assert_eq!(retain_cap(policy.as_ref(), &meta, 1e9, 0), 0);
     }
 }

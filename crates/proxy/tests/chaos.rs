@@ -229,7 +229,11 @@ fn assert_byte_accounting(proxy: &CachingProxy, capacity_bytes: f64) {
         stats.cached_bytes as usize, store_total,
         "store holds bytes for objects the engine does not track"
     );
-    assert_eq!(stats.cached_objects, contents.len());
+    // A relay that failed after its decision leaves a grant with nothing
+    // stored yet (the object's next request fills it): the counter is of
+    // entries holding bytes.
+    let holding = contents.iter().filter(|c| c.2 > 0).count();
+    assert_eq!(stats.cached_objects, holding);
 }
 
 /// Short-fused resilient proxy config (the stress suite's, plus the

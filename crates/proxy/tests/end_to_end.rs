@@ -225,10 +225,10 @@ fn paced_client_gets_its_header_before_the_bucket_opens() {
     );
 }
 
-/// Relay memory follows the prefix the policy may admit, not the object: a
+/// Relay memory follows the prefix the engine grants, not the object: a
 /// 16 MiB film on a path PB has learned is abundant streams through the
 /// fixed ring, and the only bytes ever retained are the probe's own on
-/// first contact (PB's target for 64 KiB at 0.9 × the assumed 64 KB/s).
+/// first contact (PB's target for 64 KiB at the assumed 64 kB/s).
 #[test]
 fn relay_memory_is_bounded_by_the_admissible_prefix_not_the_object() {
     const PROBE_BYTES: u64 = 64 * 1024;
@@ -263,8 +263,9 @@ fn relay_memory_is_bounded_by_the_admissible_prefix_not_the_object() {
 
 /// An object PB declines from its first request on — 8 kB/s, below the
 /// bandwidth the proxy assumes before any transfer — keeps nothing, so
-/// once its first chunk has settled that, its tail moves kernel to kernel
-/// (origin socket → pipe → client socket) and arrives byte-exact, twice.
+/// once the header and whatever arrived with it are out, its tail moves
+/// kernel to kernel (origin socket → pipe → client socket) and arrives
+/// byte-exact, twice.
 #[test]
 fn a_declined_object_is_spliced_through_byte_exact() {
     const FILM_BYTES: u64 = 8 * 1024 * 1024;

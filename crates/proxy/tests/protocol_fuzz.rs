@@ -13,10 +13,10 @@ use sc_proxy::protocol::{
     read_command, read_response, write_request, Command, Request, Response, MAX_LINE_BYTES,
 };
 use sc_proxy::{
-    CachingProxy, ObjectSpec, OriginConfig, OriginServer, ProxyConfig, StreamingClient,
+    CachingProxy, ObjectSpec, OriginConfig, OriginServer, ProxyConfig, ProxyError, StreamingClient,
 };
-use std::io::{BufReader, Cursor, Read, Write};
-use std::net::{Shutdown, TcpStream};
+use std::io::{BufRead, BufReader, Cursor, Read, Write};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::time::Duration;
 
 /// Draws a junk byte string: arbitrary bytes (newlines included) with a
@@ -101,14 +101,101 @@ fn junk_ok_headers_never_yield_inconsistent_responses() {
             let junk = junk_bytes(&mut rng);
             line.extend_from_slice(&junk[..junk.len().min(64)]);
             line.push(b'\n');
-            if let Ok(Response::Ok { bitrate_bps, .. }) = read_response(&mut Cursor::new(line)) {
-                // If the parser accepted it, the numeric fields must have
-                // actually parsed — NaN would poison every downstream rate
-                // computation.
-                assert!(!bitrate_bps.is_nan(), "seed {seed}: NaN bitrate accepted");
+            if let Ok(Response::Ok {
+                size, bitrate_bps, ..
+            }) = read_response(&mut Cursor::new(line))
+            {
+                // If the parser accepted it, the numeric fields must describe
+                // an object — NaN, infinity or zero would poison every
+                // downstream rate computation.
+                assert!(
+                    size > 0 && bitrate_bps.is_finite() && bitrate_bps > 0.0,
+                    "seed {seed}: OK {size} {bitrate_bps} accepted"
+                );
             }
         }
     }
+}
+
+/// `f64` parsing accepts spellings no object can have; each is an error,
+/// not a header whose bit-rate poisons the duration, the utility and the
+/// prefix the policy computes from it.
+#[test]
+fn ok_headers_that_describe_no_object_are_errors() {
+    for line in [
+        "OK 1 NaN",
+        "OK 1 nan",
+        "OK 1 inf",
+        "OK 1 -inf",
+        "OK 1 1e400",
+        "OK 1 0",
+        "OK 1 -5",
+        "OK 0 1000",
+        "OK 0 1000 degraded",
+        // A bit-rate so small the duration overflows.
+        "OK 1 1e-320",
+        "OK 18446744073709551615 1e-300",
+    ] {
+        let parsed = read_response(&mut Cursor::new(format!("{line}\n")));
+        assert!(
+            matches!(parsed, Err(ProxyError::Protocol(_))),
+            "{line:?} parsed as {parsed:?}"
+        );
+    }
+    // Small but possible.
+    assert_eq!(
+        read_response(&mut Cursor::new(b"OK 1 1e-300\n".to_vec())).unwrap(),
+        Response::Ok {
+            size: 1,
+            bitrate_bps: 1e-300,
+            degraded: false
+        }
+    );
+}
+
+/// An origin whose `OK` header carries a bit-rate of 0 (followed by a
+/// payload) is a failed attempt, as a `BUSY` is: every `GET` gets `ERR`,
+/// and the one-worker pool is still there to answer `STATS`.
+#[test]
+fn an_origin_header_with_an_impossible_bit_rate_is_an_err_not_a_dead_thread() {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let origin = std::thread::spawn(move || {
+        for conn in listener.incoming() {
+            let Ok(mut conn) = conn else { return };
+            let mut line = String::new();
+            let _ = BufReader::new(&conn).read_line(&mut line);
+            if !line.starts_with("GET ") {
+                return;
+            }
+            let _ = conn.write_all(b"OK 16384 0\n");
+            let _ = conn.write_all(&[7u8; 16 * 1024]);
+        }
+    });
+    let mut config = ProxyConfig::new(addr, 1e9);
+    config.worker_threads = 1;
+    let proxy = CachingProxy::start(config).expect("proxy start");
+    let ask = |line: &[u8]| {
+        let mut stream = TcpStream::connect(proxy.addr()).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(2)))
+            .expect("read timeout");
+        stream.write_all(line).expect("request");
+        let mut reply = String::new();
+        BufReader::new(stream)
+            .read_line(&mut reply)
+            .expect("an answer within 2 s");
+        reply
+    };
+    for round in 0..3 {
+        let reply = ask(b"GET clip 0\n");
+        assert!(reply.starts_with("ERR "), "GET {round}: {reply:?}");
+    }
+    assert!(ask(b"STATS\n").starts_with('{'));
+    drop(proxy);
+    let mut stop = TcpStream::connect(addr).expect("connect to the origin");
+    stop.write_all(b"STOP\n").expect("stop the origin");
+    origin.join().expect("the origin thread");
 }
 
 #[test]

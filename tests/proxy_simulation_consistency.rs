@@ -1,7 +1,7 @@
 //! Integration: the running proxy prototype and the analytic delivery model
-//! agree qualitatively — the prefix the PB policy stores is the one the
-//! formulas say is needed, and the measured startup delay behaves like the
-//! model's service delay.
+//! agree — the prefix the PB policy stores is exactly the one the formula
+//! says is needed at the estimate the request started with, and the
+//! measured startup delay behaves like the model's service delay.
 
 use streamcache::cache::{prefix_bytes_needed, service_delay_secs};
 use streamcache::proxy::{
@@ -20,24 +20,19 @@ fn proxy_prefix_matches_the_analytic_deficit() {
     let proxy = CachingProxy::start(ProxyConfig::new(origin.addr(), 10_000_000.0)).unwrap();
     let client = StreamingClient::new();
 
+    // The cold request decides on the estimate it starts with: on a fresh
+    // proxy, the assumed 64 kB/s.
+    let estimated = proxy.stats().estimated_origin_bps;
+    assert_eq!(estimated, 64_000.0);
     let cold = client.fetch(proxy.addr(), "clip").unwrap();
     assert!(cold.content_ok);
 
     let duration = 300_000.0 / 600_000.0;
-    // The proxy estimated the origin bandwidth from the observed transfer;
-    // accept a generous tolerance around the configured 200 KB/s.
-    let estimated = proxy.stats().estimated_origin_bps;
-    assert!(
-        (120_000.0..260_000.0).contains(&estimated),
-        "estimated origin bandwidth {estimated}"
-    );
-    let expected_prefix = prefix_bytes_needed(duration, 600_000.0, estimated);
-    let actual_prefix = proxy.cached_prefix_len("clip") as f64;
-    let relative_error = (actual_prefix - expected_prefix).abs() / expected_prefix;
-    assert!(
-        relative_error < 0.25,
-        "cached prefix {actual_prefix} vs analytic deficit {expected_prefix}"
-    );
+    // (600 - 64) kB/s × 0.5 s = 268 000 B, to the byte.
+    let expected_prefix = prefix_bytes_needed(duration, 600_000.0, estimated) as usize;
+    assert_eq!(expected_prefix, 268_000);
+    assert_eq!(proxy.cached_prefix_len("clip"), expected_prefix);
+    let actual_prefix = expected_prefix as f64;
 
     // The analytic model predicts (r/b - 1)*T ≈ 1.0 s of startup delay for a
     // cold client and ~0 for a warm one; the measured values should follow
