@@ -63,11 +63,11 @@ struct Slot {
 /// reusable buffer and the heap writes positions back into a flat table.
 ///
 /// ```
-/// use sc_cache::policy::PartialBandwidth;
+/// use sc_cache::policy::PolicyKind;
 /// use sc_cache::{CacheEngine, ObjectKey, ObjectMeta};
 ///
 /// # fn main() -> Result<(), sc_cache::CacheError> {
-/// let mut cache = CacheEngine::new(10_000_000.0, PartialBandwidth::new())?;
+/// let mut cache = CacheEngine::new(10_000_000.0, PolicyKind::PartialBandwidth)?;
 /// let obj = ObjectMeta::new(ObjectKey::new(1), 100.0, 48_000.0, 0.0);
 ///
 /// // First access: a miss, but the object's bandwidth deficit is admitted.
@@ -148,11 +148,6 @@ impl<P: UtilityPolicy> CacheEngine<P> {
     /// Returns `true` if nothing is cached.
     pub fn is_empty(&self) -> bool {
         self.order.len() == 0
-    }
-
-    /// The policy driving this cache.
-    pub fn policy(&self) -> &P {
-        &self.policy
     }
 
     /// Running statistics.
@@ -471,7 +466,7 @@ impl<P: UtilityPolicy> CacheEngine<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{IntegralBandwidth, IntegralFrequency, Lru, PartialBandwidth, PolicyKind};
+    use crate::policy::PolicyKind;
 
     const R: f64 = 48_000.0;
 
@@ -481,14 +476,14 @@ mod tests {
 
     #[test]
     fn rejects_invalid_capacity() {
-        assert!(CacheEngine::new(-1.0, PartialBandwidth::new()).is_err());
-        assert!(CacheEngine::new(f64::NAN, PartialBandwidth::new()).is_err());
-        assert!(CacheEngine::new(f64::INFINITY, PartialBandwidth::new()).is_err());
+        assert!(CacheEngine::new(-1.0, PolicyKind::PartialBandwidth).is_err());
+        assert!(CacheEngine::new(f64::NAN, PolicyKind::PartialBandwidth).is_err());
+        assert!(CacheEngine::new(f64::INFINITY, PolicyKind::PartialBandwidth).is_err());
     }
 
     #[test]
     fn pb_caches_only_the_deficit() {
-        let mut cache = CacheEngine::new(1e9, PartialBandwidth::new()).unwrap();
+        let mut cache = CacheEngine::new(1e9, PolicyKind::PartialBandwidth).unwrap();
         let o = obj(1, 100.0);
         let out = cache.on_access(&o, R / 2.0);
         assert!(out.admitted);
@@ -504,7 +499,7 @@ mod tests {
 
     #[test]
     fn if_caches_whole_objects_regardless_of_bandwidth() {
-        let mut cache = CacheEngine::new(1e9, IntegralFrequency::new()).unwrap();
+        let mut cache = CacheEngine::new(1e9, PolicyKind::IntegralFrequency).unwrap();
         let o = obj(1, 100.0);
         let out = cache.on_access(&o, 10.0 * R);
         assert!(out.admitted);
@@ -513,7 +508,7 @@ mod tests {
 
     #[test]
     fn second_access_is_served_from_cache() {
-        let mut cache = CacheEngine::new(1e9, PartialBandwidth::new()).unwrap();
+        let mut cache = CacheEngine::new(1e9, PolicyKind::PartialBandwidth).unwrap();
         let o = obj(1, 100.0);
         let first = cache.on_access(&o, R / 2.0);
         assert_eq!(first.bytes_from_cache, 0.0);
@@ -529,7 +524,7 @@ mod tests {
     fn low_utility_objects_are_evicted_for_high_utility_ones() {
         // Capacity fits exactly one whole object.
         let size = obj(1, 100.0).size_bytes();
-        let mut cache = CacheEngine::new(size, IntegralBandwidth::new()).unwrap();
+        let mut cache = CacheEngine::new(size, PolicyKind::IntegralBandwidth).unwrap();
         let slow = obj(1, 100.0);
         let slower = obj(2, 100.0);
         // Access the first object once over a moderately slow path.
@@ -549,7 +544,7 @@ mod tests {
     #[test]
     fn high_utility_objects_are_not_evicted_by_low_utility_ones() {
         let size = obj(1, 100.0).size_bytes();
-        let mut cache = CacheEngine::new(size, IntegralBandwidth::new()).unwrap();
+        let mut cache = CacheEngine::new(size, PolicyKind::IntegralBandwidth).unwrap();
         let hot = obj(1, 100.0);
         for _ in 0..5 {
             cache.on_access(&hot, R / 4.0);
@@ -566,7 +561,8 @@ mod tests {
     fn integral_admission_is_all_or_nothing() {
         // Capacity covers only half an object.
         let o = obj(1, 100.0);
-        let mut cache = CacheEngine::new(o.size_bytes() / 2.0, IntegralBandwidth::new()).unwrap();
+        let mut cache =
+            CacheEngine::new(o.size_bytes() / 2.0, PolicyKind::IntegralBandwidth).unwrap();
         let out = cache.on_access(&o, R / 2.0);
         assert!(!out.admitted);
         assert_eq!(cache.cached_bytes(o.key), 0.0);
@@ -577,7 +573,8 @@ mod tests {
     fn partial_admission_fills_whatever_fits() {
         let o = obj(1, 100.0);
         // Capacity is a quarter of the object; PB wants half.
-        let mut cache = CacheEngine::new(o.size_bytes() / 4.0, PartialBandwidth::new()).unwrap();
+        let mut cache =
+            CacheEngine::new(o.size_bytes() / 4.0, PolicyKind::PartialBandwidth).unwrap();
         let out = cache.on_access(&o, R / 2.0);
         assert!(out.admitted);
         assert!((cache.cached_bytes(o.key) - o.size_bytes() / 4.0).abs() < 1e-6);
@@ -587,7 +584,7 @@ mod tests {
     #[test]
     fn partial_allocation_grows_when_bandwidth_drops() {
         let o = obj(1, 100.0);
-        let mut cache = CacheEngine::new(1e9, PartialBandwidth::new()).unwrap();
+        let mut cache = CacheEngine::new(1e9, PolicyKind::PartialBandwidth).unwrap();
         cache.on_access(&o, R / 2.0);
         assert_eq!(cache.cached_bytes(o.key), o.size_bytes() / 2.0);
         // Bandwidth estimate worsens: the prefix grows.
@@ -603,7 +600,8 @@ mod tests {
         let small = obj(1, 50.0);
         let big = obj(2, 200.0);
         // Capacity fits the small object only.
-        let mut cache = CacheEngine::new(small.size_bytes(), IntegralBandwidth::new()).unwrap();
+        let mut cache =
+            CacheEngine::new(small.size_bytes(), PolicyKind::IntegralBandwidth).unwrap();
         cache.on_access(&small, R / 2.0);
         assert!(cache.contains(small.key));
         // The big object has higher utility (slower path, after two
@@ -620,7 +618,7 @@ mod tests {
     #[test]
     fn lru_evicts_least_recently_used() {
         let size = obj(1, 100.0).size_bytes();
-        let mut cache = CacheEngine::new(2.0 * size, Lru::new()).unwrap();
+        let mut cache = CacheEngine::new(2.0 * size, PolicyKind::Lru).unwrap();
         let a = obj(1, 100.0);
         let b = obj(2, 100.0);
         let c = obj(3, 100.0);
@@ -635,7 +633,7 @@ mod tests {
 
     #[test]
     fn zero_capacity_cache_never_admits() {
-        let mut cache = CacheEngine::new(0.0, PartialBandwidth::new()).unwrap();
+        let mut cache = CacheEngine::new(0.0, PolicyKind::PartialBandwidth).unwrap();
         let o = obj(1, 100.0);
         let out = cache.on_access(&o, R / 2.0);
         assert!(!out.admitted);
@@ -645,7 +643,7 @@ mod tests {
 
     #[test]
     fn clear_frees_everything_but_keeps_frequencies() {
-        let mut cache = CacheEngine::new(1e9, IntegralFrequency::new()).unwrap();
+        let mut cache = CacheEngine::new(1e9, PolicyKind::IntegralFrequency).unwrap();
         let o = obj(1, 100.0);
         cache.on_access(&o, R);
         cache.on_access(&o, R);
@@ -663,19 +661,18 @@ mod tests {
 
     #[test]
     fn contents_and_accessors() {
-        let mut cache = CacheEngine::new(1e9, PartialBandwidth::new()).unwrap();
+        let mut cache = CacheEngine::new(1e9, PolicyKind::PartialBandwidth).unwrap();
         let o = obj(7, 100.0);
         cache.on_access(&o, R / 2.0);
         let contents = cache.contents();
         assert_eq!(contents.len(), 1);
         assert_eq!(contents[0].0, o.key);
         assert!(cache.free_bytes() < cache.capacity_bytes());
-        assert_eq!(cache.policy().name(), "PB");
     }
 
     #[test]
     fn reset_stats_keeps_contents() {
-        let mut cache = CacheEngine::new(1e9, PartialBandwidth::new()).unwrap();
+        let mut cache = CacheEngine::new(1e9, PolicyKind::PartialBandwidth).unwrap();
         let o = obj(1, 100.0);
         cache.on_access(&o, R / 2.0);
         cache.reset_stats();
@@ -696,8 +693,11 @@ mod tests {
 
     #[test]
     fn used_bytes_never_exceed_capacity_under_churn() {
-        let mut cache =
-            CacheEngine::new(5.0 * obj(0, 100.0).size_bytes(), PartialBandwidth::new()).unwrap();
+        let mut cache = CacheEngine::new(
+            5.0 * obj(0, 100.0).size_bytes(),
+            PolicyKind::PartialBandwidth,
+        )
+        .unwrap();
         // Deterministic pseudo-random access pattern over 50 objects.
         let mut state = 0xdeadbeefu64;
         for _ in 0..2_000 {
@@ -727,10 +727,16 @@ mod tests {
     fn slot_path_matches_keyed_path() {
         // The same deterministic access stream produces identical outcomes,
         // stats and contents through on_access and on_access_slot.
-        let mut keyed =
-            CacheEngine::new(8.0 * obj(0, 100.0).size_bytes(), PartialBandwidth::new()).unwrap();
-        let mut slotted =
-            CacheEngine::new(8.0 * obj(0, 100.0).size_bytes(), PartialBandwidth::new()).unwrap();
+        let mut keyed = CacheEngine::new(
+            8.0 * obj(0, 100.0).size_bytes(),
+            PolicyKind::PartialBandwidth,
+        )
+        .unwrap();
+        let mut slotted = CacheEngine::new(
+            8.0 * obj(0, 100.0).size_bytes(),
+            PolicyKind::PartialBandwidth,
+        )
+        .unwrap();
         slotted.ensure_slots(40);
         let mut state = 0x5eed_cafeu64;
         for _ in 0..3_000 {
@@ -761,7 +767,7 @@ mod tests {
 
     #[test]
     fn ensure_slots_is_idempotent_and_growable() {
-        let mut cache = CacheEngine::new(1e9, PartialBandwidth::new()).unwrap();
+        let mut cache = CacheEngine::new(1e9, PolicyKind::PartialBandwidth).unwrap();
         cache.ensure_slots(10);
         cache.ensure_slots(5); // shrinking request: no-op
         cache.ensure_slots(20); // growth keeps earlier slots intact
@@ -777,7 +783,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "not allocated")]
     fn unallocated_slot_access_panics() {
-        let mut cache = CacheEngine::new(1e9, PartialBandwidth::new()).unwrap();
+        let mut cache = CacheEngine::new(1e9, PolicyKind::PartialBandwidth).unwrap();
         cache.ensure_slots(2);
         let o = obj(5, 100.0);
         cache.on_access_slot(5, &o, R);
@@ -788,7 +794,7 @@ mod tests {
     fn ensure_slots_after_sparse_interning_panics() {
         // A sparse key interned first lands at slot 0; a later ensure_slots
         // must refuse rather than alias dense key 0 onto that slot.
-        let mut cache = CacheEngine::new(1e9, PartialBandwidth::new()).unwrap();
+        let mut cache = CacheEngine::new(1e9, PolicyKind::PartialBandwidth).unwrap();
         cache.on_access(&obj(7, 100.0), R / 2.0);
         cache.ensure_slots(3);
     }
@@ -797,7 +803,7 @@ mod tests {
     fn ensure_slots_after_dense_prefix_interning_is_fine() {
         // Keys that happen to be interned densely (0 first, then 1, ...)
         // already satisfy the layout; growing the slab afterwards is legal.
-        let mut cache = CacheEngine::new(1e9, PartialBandwidth::new()).unwrap();
+        let mut cache = CacheEngine::new(1e9, PolicyKind::PartialBandwidth).unwrap();
         cache.on_access(&obj(0, 100.0), R / 2.0);
         cache.on_access(&obj(1, 100.0), R / 2.0);
         cache.ensure_slots(4);
@@ -807,7 +813,7 @@ mod tests {
 
     #[test]
     fn sparse_keys_intern_fresh_slots() {
-        let mut cache = CacheEngine::new(1e9, PartialBandwidth::new()).unwrap();
+        let mut cache = CacheEngine::new(1e9, PolicyKind::PartialBandwidth).unwrap();
         let a = obj(u64::MAX, 100.0);
         let b = obj(u64::MAX - 7, 100.0);
         cache.on_access(&a, R / 2.0);
@@ -831,7 +837,7 @@ mod tests {
         let o = obj(1, 100.0);
         let size = o.size_bytes();
         // Capacity = half the object: PB at R/2 wants and gets size/2.
-        let mut cache = CacheEngine::new(size / 2.0, PartialBandwidth::new()).unwrap();
+        let mut cache = CacheEngine::new(size / 2.0, PolicyKind::PartialBandwidth).unwrap();
         let first = cache.on_access(&o, R / 2.0);
         assert!(first.admitted);
         assert_eq!(cache.cached_bytes(o.key), size / 2.0);
@@ -853,7 +859,8 @@ mod tests {
         // nothing may be admitted and any popped victims must return.
         let small = obj(1, 40.0);
         let big = obj(2, 400.0);
-        let mut cache = CacheEngine::new(small.size_bytes(), IntegralBandwidth::new()).unwrap();
+        let mut cache =
+            CacheEngine::new(small.size_bytes(), PolicyKind::IntegralBandwidth).unwrap();
         cache.on_access(&small, R / 2.0);
         let used_before = cache.used_bytes();
         // big's utility after three accesses exceeds small's, so small is
@@ -877,7 +884,7 @@ mod tests {
     fn eviction_report_is_empty_at_first_and_after_a_free_space_admission() {
         // A fresh engine reports no victims, and an admission into free
         // space leaves the report empty.
-        let mut cache = CacheEngine::new(1e9, PartialBandwidth::new()).unwrap();
+        let mut cache = CacheEngine::new(1e9, PolicyKind::PartialBandwidth).unwrap();
         assert!(cache.last_evictions().is_empty());
         let out = cache.on_access(&obj(1, 100.0), R / 2.0);
         assert!(out.admitted);
@@ -887,7 +894,7 @@ mod tests {
     #[test]
     fn eviction_report_names_the_victim_of_an_admission() {
         let size = obj(1, 100.0).size_bytes();
-        let mut cache = CacheEngine::new(size, IntegralBandwidth::new()).unwrap();
+        let mut cache = CacheEngine::new(size, PolicyKind::IntegralBandwidth).unwrap();
 
         let a = obj(1, 100.0);
         let out = cache.on_access(&a, R / 2.0);
@@ -913,7 +920,8 @@ mod tests {
     fn eviction_report_is_silent_on_rollback_and_refresh() {
         let small = obj(1, 50.0);
         let big = obj(2, 200.0);
-        let mut cache = CacheEngine::new(small.size_bytes(), IntegralBandwidth::new()).unwrap();
+        let mut cache =
+            CacheEngine::new(small.size_bytes(), PolicyKind::IntegralBandwidth).unwrap();
         cache.on_access(&small, R / 2.0);
         // Rollback: big pops small as a victim but cannot fit; state is
         // restored exactly, so no victim may be reported.
@@ -924,7 +932,7 @@ mod tests {
         assert!(cache.contains(small.key));
         // Refresh (target <= cached): no allocation change, no victim — and
         // the victim of an earlier access does not linger in the report.
-        let mut cache = CacheEngine::new(small.size_bytes(), Lru::new()).unwrap();
+        let mut cache = CacheEngine::new(small.size_bytes(), PolicyKind::Lru).unwrap();
         cache.on_access(&small, R);
         cache.on_access(&obj(3, 50.0), R);
         assert_eq!(cache.last_evictions().len(), 1);
@@ -937,7 +945,7 @@ mod tests {
         // PB with abundant bandwidth wants target 0 for an uncached object:
         // target (0) <= cached_before (0) takes the refresh path, and no
         // entry may appear.
-        let mut cache = CacheEngine::new(1e9, PartialBandwidth::new()).unwrap();
+        let mut cache = CacheEngine::new(1e9, PolicyKind::PartialBandwidth).unwrap();
         let o = obj(1, 100.0);
         let out = cache.on_access(&o, 2.0 * R);
         assert!(!out.admitted);

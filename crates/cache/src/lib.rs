@@ -16,8 +16,9 @@
 //! * Allocation math — [`prefix_bytes_needed`], [`service_delay_secs`],
 //!   [`stream_quality`]: the formulas of Section 2.2.
 //! * [`policy`] — every replacement algorithm evaluated in the paper
-//!   (IF, IB, PB, PB(e), PB-V, IB-V) plus LRU/LFU baselines, all expressed
-//!   as [`policy::UtilityPolicy`] implementations.
+//!   (IF, IB, PB, PB(e), PB-V, IB-V) plus LRU/LFU baselines, each one
+//!   variant of [`policy::PolicyKind`], which implements the engine's
+//!   [`policy::UtilityPolicy`] seam.
 //! * [`CacheEngine`] — the online replacement engine of Section 2.4:
 //!   frequency estimation, a utility [`UtilityHeap`] (or, for LRU, a
 //!   recency list that evicts identically), admission and
@@ -37,7 +38,7 @@
 //! ## Example: accelerating a bandwidth-starved object
 //!
 //! ```
-//! use sc_cache::policy::PartialBandwidth;
+//! use sc_cache::policy::PolicyKind;
 //! use sc_cache::{CacheEngine, ObjectKey, ObjectMeta};
 //!
 //! # fn main() -> Result<(), sc_cache::CacheError> {
@@ -49,7 +50,7 @@
 //! assert_eq!(clip.service_delay(bandwidth, 0.0), 600.0);
 //!
 //! // A PB cache stores exactly the deficit prefix ...
-//! let mut cache = CacheEngine::new(1e9, PartialBandwidth::new())?;
+//! let mut cache = CacheEngine::new(1e9, PolicyKind::PartialBandwidth)?;
 //! cache.on_access(&clip, bandwidth);
 //! let cached = cache.cached_bytes(clip.key);
 //! assert_eq!(cached, clip.size_bytes() / 2.0);

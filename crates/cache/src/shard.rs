@@ -50,11 +50,11 @@ use parking_lot::Mutex;
 /// sit directly in an `Arc` shared across worker threads.
 ///
 /// ```
-/// use sc_cache::policy::PartialBandwidth;
+/// use sc_cache::policy::PolicyKind;
 /// use sc_cache::{ObjectKey, ObjectMeta, ShardedEngine};
 ///
 /// # fn main() -> Result<(), sc_cache::CacheError> {
-/// let cache = ShardedEngine::new(10_000_000.0, 4, PartialBandwidth::new)?;
+/// let cache = ShardedEngine::new(10_000_000.0, 4, || PolicyKind::PartialBandwidth)?;
 /// let obj = ObjectMeta::new(ObjectKey::new(1), 100.0, 48_000.0, 0.0);
 /// cache.on_access(&obj, 24_000.0);
 /// assert_eq!(cache.cached_bytes(obj.key), obj.size_bytes() / 2.0);
@@ -264,7 +264,7 @@ impl<P: UtilityPolicy, S> ShardedEngine<P, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{IntegralBandwidth, PartialBandwidth, PolicyKind};
+    use crate::policy::PolicyKind;
 
     const R: f64 = 48_000.0;
 
@@ -275,17 +275,17 @@ mod tests {
     #[test]
     fn rejects_bad_construction() {
         assert!(matches!(
-            ShardedEngine::new(1e6, 0, PartialBandwidth::new),
+            ShardedEngine::new(1e6, 0, || PolicyKind::PartialBandwidth),
             Err(CacheError::InvalidShardCount(0))
         ));
-        assert!(ShardedEngine::new(-1.0, 2, PartialBandwidth::new).is_err());
-        assert!(ShardedEngine::new(f64::NAN, 2, PartialBandwidth::new).is_err());
+        assert!(ShardedEngine::new(-1.0, 2, || PolicyKind::PartialBandwidth).is_err());
+        assert!(ShardedEngine::new(f64::NAN, 2, || PolicyKind::PartialBandwidth).is_err());
     }
 
     #[test]
     fn budget_split_sums_to_capacity_with_remainder_on_shard_zero() {
         let capacity = 10_000_000.0 + 7.0;
-        let cache = ShardedEngine::new(capacity, 3, PartialBandwidth::new).unwrap();
+        let cache = ShardedEngine::new(capacity, 3, || PolicyKind::PartialBandwidth).unwrap();
         let per = (capacity / 3.0).floor();
         assert_eq!(cache.shard_capacity(1), per);
         assert_eq!(cache.shard_capacity(2), per);
@@ -293,13 +293,13 @@ mod tests {
         let total: f64 = (0..3).map(|i| cache.shard_capacity(i)).sum();
         assert_eq!(total, capacity);
         // One shard gets everything.
-        let one = ShardedEngine::new(capacity, 1, PartialBandwidth::new).unwrap();
+        let one = ShardedEngine::new(capacity, 1, || PolicyKind::PartialBandwidth).unwrap();
         assert_eq!(one.shard_capacity(0), capacity);
     }
 
     #[test]
     fn routing_is_stable_and_covers_all_shards() {
-        let cache = ShardedEngine::new(1e9, 4, PartialBandwidth::new).unwrap();
+        let cache = ShardedEngine::new(1e9, 4, || PolicyKind::PartialBandwidth).unwrap();
         let mut seen = [false; 4];
         for k in 0..64 {
             let key = ObjectKey::new(k);
@@ -317,7 +317,7 @@ mod tests {
 
     #[test]
     fn accesses_land_on_their_shard_and_aggregate() {
-        let cache = ShardedEngine::new(1e9, 4, PartialBandwidth::new).unwrap();
+        let cache = ShardedEngine::new(1e9, 4, || PolicyKind::PartialBandwidth).unwrap();
         for k in 0..16 {
             cache.on_access(&obj(k, 100.0), R / 2.0);
         }
@@ -336,7 +336,7 @@ mod tests {
 
     #[test]
     fn clear_empties_every_shard_and_counts_evictions() {
-        let cache = ShardedEngine::new(1e9, 4, PartialBandwidth::new).unwrap();
+        let cache = ShardedEngine::new(1e9, 4, || PolicyKind::PartialBandwidth).unwrap();
         for k in 0..16 {
             cache.on_access(&obj(k, 100.0), R / 2.0);
         }
@@ -364,9 +364,13 @@ mod tests {
         // Each shard's companion records the slots its own accesses touched
         // and evicted, under the lock of the access that caused them.
         let unit = obj(0, 100.0).size_bytes();
-        let cache: ShardedEngine<_, Vec<(u32, usize)>> =
-            ShardedEngine::with_companions(2.0 * unit, 2, IntegralBandwidth::new, Vec::new)
-                .unwrap();
+        let cache: ShardedEngine<_, Vec<(u32, usize)>> = ShardedEngine::with_companions(
+            2.0 * unit,
+            2,
+            || PolicyKind::IntegralBandwidth,
+            Vec::new,
+        )
+        .unwrap();
         let record = |o: &ObjectMeta, bandwidth: f64| {
             cache.access_with(o, bandwidth, |engine, seen, out| {
                 assert_eq!(engine.last_evictions().len(), out.evictions);

@@ -10,7 +10,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sc_cache::policy::{Lru, PolicyKind, UtilityPolicy};
+use sc_cache::policy::{PolicyKind, UtilityPolicy};
 use sc_cache::{CacheEngine, ObjectKey, ObjectMeta, UtilityHeap};
 
 /// The heap as it was before the sifts moved a hole: every level swaps two
@@ -158,8 +158,8 @@ fn hole_sifts_reproduce_the_swap_layout_with_spread_utilities() {
 
 #[test]
 fn only_lru_declares_a_clock_utility_and_the_box_forwards_it() {
-    assert!(Lru::new().utility_is_access_clock());
-    // Simulator and proxy build policies through `PolicyKind::build`: an
+    assert!(PolicyKind::Lru.utility_is_access_clock());
+    // `PolicyKind::build` boxes the policy for the dynamic seam: an
     // unforwarded default would silently put LRU back on the heap.
     assert!(PolicyKind::Lru.build().utility_is_access_clock());
     let others = [
@@ -178,12 +178,9 @@ fn only_lru_declares_a_clock_utility_and_the_box_forwards_it() {
 
 /// LRU without the declaration: the engine keeps it on the heap.
 #[derive(Debug)]
-struct UndeclaredLru(Lru);
+struct UndeclaredLru(PolicyKind);
 
 impl UtilityPolicy for UndeclaredLru {
-    fn name(&self) -> String {
-        self.0.name()
-    }
     fn utility(&self, meta: &ObjectMeta, frequency: u64, bandwidth_bps: f64, clock: u64) -> f64 {
         self.0.utility(meta, frequency, bandwidth_bps, clock)
     }
@@ -209,7 +206,7 @@ fn lru_on_the_list_equals_lru_on_the_heap() {
         })
         .collect();
     let mut list = CacheEngine::new(4.0 * unit, PolicyKind::Lru.build()).unwrap();
-    let mut heap = CacheEngine::new(4.0 * unit, UndeclaredLru(Lru::new())).unwrap();
+    let mut heap = CacheEngine::new(4.0 * unit, UndeclaredLru(PolicyKind::Lru)).unwrap();
     list.ensure_slots(OBJECTS as usize);
     heap.ensure_slots(OBJECTS as usize);
 

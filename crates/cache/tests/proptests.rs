@@ -8,10 +8,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sc_cache::policy::{
-    HybridPartialBandwidth, IntegralBandwidth, IntegralFrequency, PartialBandwidth, PolicyKind,
-    UtilityPolicy,
-};
+use sc_cache::policy::{PolicyKind, UtilityPolicy};
 use sc_cache::{
     average_service_delay, greedy_value_selection, optimal_partial_allocation, prefix_bytes_needed,
     service_delay_secs, stream_quality, total_value, CacheEngine, ObjectKey, ObjectMeta,
@@ -176,9 +173,9 @@ fn engine_capacity_invariant() {
     let mut rng = StdRng::seed_from_u64(0xCAFE);
     for _ in 0..25 {
         let capacity = rng.gen_range(1.0..200.0) * 1e6;
-        let mut pb = CacheEngine::new(capacity, PartialBandwidth::new()).unwrap();
-        let mut ib = CacheEngine::new(capacity, IntegralBandwidth::new()).unwrap();
-        let mut ifc = CacheEngine::new(capacity, IntegralFrequency::new()).unwrap();
+        let mut pb = CacheEngine::new(capacity, PolicyKind::PartialBandwidth).unwrap();
+        let mut ib = CacheEngine::new(capacity, PolicyKind::IntegralBandwidth).unwrap();
+        let mut ifc = CacheEngine::new(capacity, PolicyKind::IntegralFrequency).unwrap();
         let accesses = rng.gen_range(1..300usize);
         for _ in 0..accesses {
             let key = rng.gen_range(0..30u64);
@@ -211,7 +208,7 @@ fn engine_capacity_invariant() {
 fn pb_allocation_bounds() {
     let mut rng = StdRng::seed_from_u64(0x9B0B);
     for _ in 0..25 {
-        let mut cache = CacheEngine::new(1e12, PartialBandwidth::new()).unwrap();
+        let mut cache = CacheEngine::new(1e12, PolicyKind::PartialBandwidth).unwrap();
         let accesses = rng.gen_range(1..200usize);
         for _ in 0..accesses {
             let key = rng.gen_range(0..20u64);
@@ -236,8 +233,8 @@ fn hybrid_targets_bracketed() {
         let bandwidth = rng.gen_range(1_000.0..47_000.0);
         let e = rng.gen_range(0.0..=1.0);
         let o = meta(1, duration, 48_000.0, 1.0);
-        let pb = PartialBandwidth::new().target_bytes(&o, bandwidth);
-        let hybrid = HybridPartialBandwidth::new(e).target_bytes(&o, bandwidth);
+        let pb = PolicyKind::PartialBandwidth.target_bytes(&o, bandwidth);
+        let hybrid = PolicyKind::HybridPartialBandwidth { e }.target_bytes(&o, bandwidth);
         assert!(hybrid + 1e-9 >= pb);
         assert!(hybrid <= o.size_bytes() + 1e-6);
     }

@@ -4,7 +4,7 @@
 //!
 //! Thread count follows `SC_SIM_THREADS` (default 4) so CI can pin it.
 
-use sc_cache::policy::{IntegralBandwidth, PartialBandwidth};
+use sc_cache::policy::PolicyKind;
 use sc_cache::{CacheEngine, CacheStats, ObjectKey, ObjectMeta, ShardedEngine};
 use std::sync::Arc;
 
@@ -37,7 +37,8 @@ fn xorshift(x: &mut u64) -> u64 {
 fn disjoint_keys_respect_budgets_under_concurrency() {
     let threads = threads();
     let capacity = 64.0 * obj(0, 100.0).size_bytes();
-    let cache = Arc::new(ShardedEngine::new(capacity, 4, IntegralBandwidth::new).unwrap());
+    let cache =
+        Arc::new(ShardedEngine::new(capacity, 4, || PolicyKind::IntegralBandwidth).unwrap());
     let per_thread = 400u64;
 
     std::thread::scope(|scope| {
@@ -89,7 +90,8 @@ fn overlapping_keys_respect_budgets_under_concurrency() {
     let threads = threads();
     // Tight budget (8 object-units for ~16 objects) to keep evictions hot.
     let capacity = 8.0 * obj(0, 100.0).size_bytes();
-    let cache = Arc::new(ShardedEngine::new(capacity, 4, IntegralBandwidth::new).unwrap());
+    let cache =
+        Arc::new(ShardedEngine::new(capacity, 4, || PolicyKind::IntegralBandwidth).unwrap());
     let per_thread = 600u64;
 
     std::thread::scope(|scope| {
@@ -145,8 +147,8 @@ fn overlapping_keys_respect_budgets_under_concurrency() {
 #[test]
 fn one_shard_is_bit_identical_to_plain_engine() {
     let capacity = 10.0 * obj(0, 100.0).size_bytes();
-    let sharded = ShardedEngine::new(capacity, 1, PartialBandwidth::new).unwrap();
-    let mut plain = CacheEngine::new(capacity, PartialBandwidth::new()).unwrap();
+    let sharded = ShardedEngine::new(capacity, 1, || PolicyKind::PartialBandwidth).unwrap();
+    let mut plain = CacheEngine::new(capacity, PolicyKind::PartialBandwidth).unwrap();
 
     let mut rng = 0x5eed_5eed_5eed_5eedu64;
     for step in 0..2_000 {
@@ -208,8 +210,9 @@ fn one_shard_is_bit_identical_to_plain_engine() {
 #[test]
 fn routing_is_identical_across_thread_counts() {
     let capacity = 1e9;
-    let concurrent = Arc::new(ShardedEngine::new(capacity, 4, PartialBandwidth::new).unwrap());
-    let sequential = ShardedEngine::new(capacity, 4, PartialBandwidth::new).unwrap();
+    let concurrent =
+        Arc::new(ShardedEngine::new(capacity, 4, || PolicyKind::PartialBandwidth).unwrap());
+    let sequential = ShardedEngine::new(capacity, 4, || PolicyKind::PartialBandwidth).unwrap();
     let keys: Vec<u64> = (0..64).collect();
 
     std::thread::scope(|scope| {
@@ -245,7 +248,7 @@ fn routing_is_identical_across_thread_counts() {
 fn single_threaded_replays_at_four_shards_agree_bitwise() {
     let replay = || {
         let capacity = 8.0 * obj(0, 100.0).size_bytes();
-        let cache = ShardedEngine::new(capacity, 4, PartialBandwidth::new).unwrap();
+        let cache = ShardedEngine::new(capacity, 4, || PolicyKind::PartialBandwidth).unwrap();
         let mut rng = 0x0123_4567_89ab_cdefu64;
         for step in 0..3_000 {
             let key = xorshift(&mut rng) % 48;

@@ -46,7 +46,7 @@ use crate::retry::{BreakerConfig, BreakerState, CircuitBreaker, RetryPolicy};
 use crate::splice::Pipe;
 use bytes::Bytes;
 use parking_lot::Mutex;
-use sc_cache::policy::{PolicyKind, UtilityPolicy};
+use sc_cache::policy::PolicyKind;
 use sc_cache::{ObjectKey, ObjectMeta, ShardedEngine};
 use sc_netmodel::{BandwidthEstimator, EwmaEstimator};
 use std::hash::{DefaultHasher, Hasher as _};
@@ -315,7 +315,7 @@ struct ProxyState {
     /// N-way sharded cache engine, each shard carrying the records of its
     /// objects: requests for objects in different shards take different
     /// locks, and one lock covers an object's cache decision and its bytes.
-    engine: ShardedEngine<Box<dyn UtilityPolicy + Send + Sync>, ShardRecords>,
+    engine: ShardedEngine<PolicyKind, ShardRecords>,
     estimator: Mutex<EwmaEstimator>,
     /// The pool's accepting count and accept queue: part of the state so
     /// both the stats snapshot and the `STATS` verb can read the
@@ -463,7 +463,7 @@ impl CachingProxy {
         let engine = ShardedEngine::with_companions(
             config.cache_capacity_bytes,
             config.worker_threads,
-            || config.policy.build(),
+            || config.policy,
             ShardRecords::default,
         )
         .map_err(|e| ProxyError::InvalidConfig("cache_capacity_bytes", e.to_string()))?;

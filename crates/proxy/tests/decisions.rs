@@ -6,6 +6,9 @@
 //! objects with bit-equal allocations, and the proxy must hold exactly the
 //! granted bytes of each. No scripted estimator is needed: whatever the
 //! loopback transfers teach the proxy's estimator, the reference is told.
+//! The proxy's shards hold the `PolicyKind` itself and the reference its
+//! boxed [`PolicyKind::build`], so the replay also pins the two dispatches
+//! against each other.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -111,6 +114,11 @@ fn replay(policy: PolicyKind, seed: u64) {
 #[test]
 fn pb_decides_what_the_engine_decides() {
     replay(PolicyKind::PartialBandwidth, 1);
+}
+
+#[test]
+fn pb_e_decides_what_the_engine_decides() {
+    replay(PolicyKind::HybridPartialBandwidth { e: 0.5 }, 5);
 }
 
 #[test]

@@ -31,7 +31,7 @@ use crate::metrics::{Metrics, MetricsCollector};
 use crate::runner::RunResult;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sc_cache::policy::UtilityPolicy;
+use sc_cache::policy::PolicyKind;
 use sc_cache::{CacheEngine, ObjectKey, ObjectMeta};
 use sc_workload::{Catalog, MediaObject, RequestTrace, WorkloadConfig};
 use std::sync::{Arc, Mutex};
@@ -186,7 +186,7 @@ pub(crate) struct RunSetup {
     pub(crate) bw_rng: StdRng,
     pub(crate) provider: BandwidthProvider,
     pub(crate) estimators: EstimatorBank,
-    pub(crate) cache: CacheEngine<Box<dyn UtilityPolicy + Send + Sync>>,
+    pub(crate) cache: CacheEngine<PolicyKind>,
 }
 
 impl RunSetup {
@@ -218,7 +218,7 @@ impl RunSetup {
             horizon_secs,
             &mut bw_rng,
         );
-        let mut cache = CacheEngine::new(config.cache_size_bytes, config.policy.build())
+        let mut cache = CacheEngine::new(config.cache_size_bytes, config.policy)
             .map_err(|e| SimError::Workload(e.to_string()))?;
         // Catalog ids are dense, so the engine's slab can be slot-addressed
         // by catalog index: the request path performs no hashing.

@@ -56,7 +56,7 @@ use crate::exec::{fault_seed, run_grid_with, ParallelExecutor, RunSetup, SharedW
 use crate::metrics::SessionMetrics;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sc_cache::policy::UtilityPolicy;
+use sc_cache::policy::PolicyKind;
 use sc_cache::CacheEngine;
 use std::sync::Arc;
 
@@ -1004,7 +1004,7 @@ pub struct SessionWorker {
 
 /// The cache + estimator hooks of the workload-driven session mode.
 struct CacheHooks<'a> {
-    cache: &'a mut CacheEngine<Box<dyn UtilityPolicy + Send + Sync>>,
+    cache: &'a mut CacheEngine<PolicyKind>,
     estimators: &'a mut EstimatorBank,
     provider: &'a BandwidthProvider,
     metas: &'a [sc_cache::ObjectMeta],

@@ -6,7 +6,7 @@
 //! cargo run --example quickstart --release
 //! ```
 
-use streamcache::cache::policy::{IntegralFrequency, PartialBandwidth};
+use streamcache::cache::policy::PolicyKind;
 use streamcache::cache::{CacheEngine, ObjectKey, ObjectMeta};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -29,7 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!();
 
     // A partial-caching (PB) proxy stores exactly the bandwidth deficit.
-    let mut pb = CacheEngine::new(200e6, PartialBandwidth::new())?;
+    let mut pb = CacheEngine::new(200e6, PolicyKind::PartialBandwidth)?;
     pb.on_access(&clip, bandwidth);
     let cached = pb.cached_bytes(clip.key);
     println!("PB cached prefix   : {:>10.1} MB", cached / 1e6);
@@ -45,13 +45,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // A frequency-only (IF) cache of the same size would have stored the
     // whole object — or, with less space than the object, nothing at all.
-    let mut integral = CacheEngine::new(50e6, IntegralFrequency::new())?;
+    let mut integral = CacheEngine::new(50e6, PolicyKind::IntegralFrequency)?;
     integral.on_access(&clip, bandwidth);
     println!(
         "IF (50 MB cache)   : {:>10.1} MB cached — integral caching cannot help here",
         integral.cached_bytes(clip.key) / 1e6
     );
-    let mut partial_small = CacheEngine::new(50e6, PartialBandwidth::new())?;
+    let mut partial_small = CacheEngine::new(50e6, PolicyKind::PartialBandwidth)?;
     partial_small.on_access(&clip, bandwidth);
     let small_prefix = partial_small.cached_bytes(clip.key);
     println!(

@@ -8,7 +8,7 @@
 //!
 //! | Module | Crate | What it provides |
 //! |--------|-------|------------------|
-//! | [`cache`] | `sc-cache` | The paper's contribution: partial-caching allocation math, the IF/IB/PB/PB(e)/PB-V/IB-V replacement policies, the cache engine, and the offline optimal solvers. |
+//! | [`cache`] | `sc-cache` | The paper's contribution: partial-caching allocation math, the IF/IB/PB/PB(e)/PB-V/IB-V replacement policies (one `PolicyKind` enum), the cache engine, and the offline optimal solvers. |
 //! | [`workload`] | `sc-workload` | GISMO-like synthetic workload generation (Zipf popularity, Poisson arrivals, lognormal durations). |
 //! | [`netmodel`] | `sc-netmodel` | Bandwidth models: NLANR-like base distribution, variability models, time series, TCP throughput, bandwidth estimators. |
 //! | [`sim`] | `sc-sim` | The simulator and the per-figure experiment drivers (`fig5` … `fig13`, `table1`). |
@@ -17,7 +17,7 @@
 //! ## Quick start
 //!
 //! ```
-//! use streamcache::cache::policy::PartialBandwidth;
+//! use streamcache::cache::policy::PolicyKind;
 //! use streamcache::cache::{CacheEngine, ObjectKey, ObjectMeta};
 //!
 //! # fn main() -> Result<(), streamcache::cache::CacheError> {
@@ -25,7 +25,7 @@
 //! let movie = ObjectMeta::new(ObjectKey::new(1), 3_600.0, 48_000.0, 0.0);
 //! let bandwidth = 20_000.0;
 //!
-//! let mut cache = CacheEngine::new(1e9, PartialBandwidth::new())?;
+//! let mut cache = CacheEngine::new(1e9, PolicyKind::PartialBandwidth)?;
 //! cache.on_access(&movie, bandwidth);
 //!
 //! // The cache stores exactly the bandwidth-deficit prefix, which removes

@@ -3,7 +3,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use streamcache::cache::policy::{PartialBandwidth, PolicyKind};
+use streamcache::cache::policy::PolicyKind;
 use streamcache::cache::{CacheEngine, ObjectKey, ObjectMeta};
 use streamcache::netmodel::{
     BandwidthEstimator, EwmaEstimator, NlanrBandwidthModel, VariabilityModel,
@@ -21,7 +21,7 @@ fn ewma_estimator_drives_pb_towards_the_true_deficit() {
     let true_mean = 24_000.0;
     let mut estimator = EwmaEstimator::new(0.2);
     let object = ObjectMeta::new(ObjectKey::new(1), 600.0, 48_000.0, 0.0);
-    let mut cache = CacheEngine::new(1e9, PartialBandwidth::new()).unwrap();
+    let mut cache = CacheEngine::new(1e9, PolicyKind::PartialBandwidth).unwrap();
 
     for _ in 0..200 {
         let observed = variability.apply(&mut rng, true_mean);

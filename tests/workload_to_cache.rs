@@ -4,7 +4,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use streamcache::cache::policy::{PartialBandwidth, PolicyKind};
+use streamcache::cache::policy::PolicyKind;
 use streamcache::cache::{
     average_service_delay, optimal_partial_allocation, CacheEngine, ObjectKey, ObjectMeta,
     OfflineObject,
@@ -42,7 +42,7 @@ fn to_meta(obj: &streamcache::workload::MediaObject) -> ObjectMeta {
 fn online_pb_tracks_request_frequencies_and_respects_capacity() {
     let (workload, paths) = setup(200, 3_000);
     let capacity = 0.05 * workload.catalog.total_bytes();
-    let mut cache = CacheEngine::new(capacity, PartialBandwidth::new()).unwrap();
+    let mut cache = CacheEngine::new(capacity, PolicyKind::PartialBandwidth).unwrap();
     for request in workload.trace.iter() {
         let obj = workload.catalog.object(request.object);
         cache.on_access(&to_meta(obj), paths.mean_bps(obj.id.index()));
