@@ -7,6 +7,10 @@ use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Instant;
 
+/// Longest `STATS` answer [`StreamingClient::stats`] reads; one is under
+/// 1 KiB.
+const MAX_STATS_BYTES: u64 = 64 * 1024;
+
 /// What a [`StreamingClient`] measured while downloading one object.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TransferReport {
@@ -132,20 +136,26 @@ impl StreamingClient {
     /// # Errors
     ///
     /// Returns [`ProxyError::Io`] for transport failures and
-    /// [`ProxyError::Protocol`] if the server closed without answering.
+    /// [`ProxyError::Protocol`] if the server closed without answering or
+    /// sent 64 KiB without ending the line.
     pub fn stats(&self, addr: SocketAddr) -> Result<String, ProxyError> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true).ok();
-        let mut reader = BufReader::new(stream.try_clone()?);
+        let reader = BufReader::new(stream.try_clone()?);
         let mut writer = BufWriter::new(stream);
         writer.write_all(b"STATS\n")?;
         writer.flush()?;
         let mut line = String::new();
-        reader.read_line(&mut line)?;
+        reader.take(MAX_STATS_BYTES).read_line(&mut line)?;
         if line.is_empty() {
             return Err(ProxyError::Protocol(
                 "server closed without a STATS answer".into(),
             ));
+        }
+        if line.len() as u64 == MAX_STATS_BYTES && !line.ends_with('\n') {
+            return Err(ProxyError::Protocol(format!(
+                "STATS answer exceeds {MAX_STATS_BYTES} bytes"
+            )));
         }
         Ok(line.trim_end().to_string())
     }
@@ -168,5 +178,27 @@ mod tests {
         };
         assert!(report.immediate(0.1));
         assert!(!report.immediate(0.01));
+    }
+
+    /// A peer that streams bytes without ever ending the line costs the
+    /// client a bounded read, not unbounded memory.
+    #[test]
+    fn an_endless_stats_answer_is_a_protocol_error() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peer = std::thread::spawn(move || {
+            let (mut conn, _) = listener.accept().unwrap();
+            let mut verb = String::new();
+            BufReader::new(&conn).read_line(&mut verb).unwrap();
+            // The client hangs up part-way: the write may fail.
+            let _ = conn.write_all(&vec![b'x'; 1 << 20]);
+        });
+        let answer = StreamingClient::new().stats(addr);
+        assert!(
+            matches!(answer, Err(ProxyError::Protocol(_))),
+            "expected a protocol error, got {:?}",
+            answer.map(|line| line.len())
+        );
+        peer.join().unwrap();
     }
 }

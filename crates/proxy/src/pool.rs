@@ -1,6 +1,5 @@
 //! Worker-pool plumbing for the proxy's request path: the loop every pool
-//! thread runs, the bounded accept queue behind it, and a counting
-//! semaphore bounding concurrent origin connections.
+//! thread runs and the bounded accept queue behind it.
 //!
 //! The pool is `worker_threads + 1` identical threads, each in
 //! [`run_thread`], and the kernel's accept queue is their parking lot: a
@@ -14,9 +13,12 @@
 //! anything to); otherwise it is the last acceptor, so it queues the
 //! connection and accepts again. A thread that finishes a request takes its
 //! next turn, which drains the queue before it sends the thread back to
-//! `accept()`.
+//! `accept()`. While the queue is open one thread is always accepting, so
+//! at most `worker_threads` connections are served at once; a request holds
+//! at most one origin connection at a time, so that is the origin's bound
+//! too.
 //!
-//! Both primitives are hand-rolled on `std::sync::{Mutex, Condvar}` because
+//! The queue is hand-rolled on `std::sync::{Mutex, Condvar}` because
 //! the build environment has no crates.io access (see `shims/`); the
 //! `parking_lot` shim deliberately exposes no condition variables, so the
 //! blocking coordination lives here on the standard library directly.
@@ -375,75 +377,6 @@ impl Drop for InFlightSlot<'_> {
     }
 }
 
-/// A counting semaphore bounding the proxy's concurrent origin connections.
-///
-/// A permit is held for the lifetime of one origin connection (RAII via
-/// [`OriginPermit`]); a zero budget disables the bound entirely. Acquirers
-/// hold no other locks while waiting, and every transfer terminates, so the
-/// wait is bounded by the in-flight transfers ahead of it.
-#[derive(Debug)]
-pub(crate) struct OriginBudget {
-    permits: Mutex<usize>,
-    available: Condvar,
-    bounded: bool,
-}
-
-impl OriginBudget {
-    /// Creates a budget of `max_connections` permits (0 = unlimited).
-    pub(crate) fn new(max_connections: usize) -> Self {
-        OriginBudget {
-            permits: Mutex::new(max_connections),
-            available: Condvar::new(),
-            bounded: max_connections > 0,
-        }
-    }
-
-    /// Acquires one permit, waiting at most `timeout` for an origin
-    /// connection slot to free; a timeout too large to represent waits
-    /// without bound, and a zero timeout degenerates to a try-acquire. The
-    /// resilient origin path passes its remaining retry budget, so an
-    /// outage-congested budget cannot pin a worker past its deadline.
-    pub(crate) fn acquire_within(&self, timeout: Duration) -> Option<OriginPermit<'_>> {
-        if self.bounded {
-            let deadline = Instant::now().checked_add(timeout);
-            let mut permits = lock_queue(&self.permits);
-            while *permits == 0 {
-                let Some(deadline) = deadline else {
-                    permits = wait_on(&self.available, permits);
-                    continue;
-                };
-                let now = Instant::now();
-                if now >= deadline {
-                    return None;
-                }
-                permits = match self.available.wait_timeout(permits, deadline - now) {
-                    Ok((guard, _)) => guard,
-                    Err(poisoned) => poisoned.into_inner().0,
-                };
-            }
-            *permits -= 1;
-        }
-        Some(OriginPermit { budget: self })
-    }
-}
-
-/// RAII permit for one origin connection; dropped when the connection ends.
-#[derive(Debug)]
-pub(crate) struct OriginPermit<'a> {
-    budget: &'a OriginBudget,
-}
-
-impl Drop for OriginPermit<'_> {
-    fn drop(&mut self) {
-        if self.budget.bounded {
-            let mut permits = lock_queue(&self.budget.permits);
-            *permits += 1;
-            drop(permits);
-            self.budget.available.notify_one();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -737,7 +670,10 @@ mod tests {
     /// a channel standing in for the listener while the test thread checks,
     /// under the queue's lock, that a second acceptor never coexists with a
     /// queued connection and that somebody is always accepting — and that
-    /// every connection is served exactly once.
+    /// every connection is served exactly once, by at most two threads at a
+    /// time: with one thread always accepting, the pool serves at most
+    /// `threads − 1` connections at once, and that is the only bound the
+    /// proxy puts on its origin connections.
     #[test]
     fn a_second_acceptor_never_coexists_with_a_queued_connection() {
         const CONNECTIONS: usize = 400;
@@ -746,6 +682,7 @@ mod tests {
         let (feed, accepted) = std::sync::mpsc::channel::<TcpStream>();
         let accepted = Mutex::new(accepted);
         let served = AtomicUsize::new(0);
+        let (serving, peak_serving) = (AtomicUsize::new(0), AtomicUsize::new(0));
         // The "listener" fails once the feed is gone, which the test
         // arranges the way shutdown does — close the queue, then nudge
         // everybody out of "accept()".
@@ -754,8 +691,13 @@ mod tests {
                 .recv()
                 .map_err(|_| io::Error::from(io::ErrorKind::NotConnected))
         };
+        // Each connection is held a moment, so that serving threads overlap.
         let serve = |stream: TcpStream| {
+            let now = serving.fetch_add(1, Ordering::SeqCst) + 1;
+            peak_serving.fetch_max(now, Ordering::SeqCst);
+            std::thread::sleep(Duration::from_micros(200));
             drop(stream);
+            serving.fetch_sub(1, Ordering::SeqCst);
             served.fetch_add(1, Ordering::SeqCst);
         };
         std::thread::scope(|scope| {
@@ -780,61 +722,13 @@ mod tests {
             while served.load(Ordering::SeqCst) < CONNECTIONS {
                 std::thread::yield_now();
             }
+            let peak = peak_serving.load(Ordering::SeqCst);
+            assert!(peak <= 2, "{peak} of 3 threads served at once");
             queue.close();
             drop(feed);
         });
         assert_eq!(served.load(Ordering::SeqCst), CONNECTIONS);
         assert_eq!(queue.counts().shed, 0, "no cap, no deadline: nothing shed");
         assert_eq!(lock_queue(&queue.inner).active, 0);
-    }
-
-    #[test]
-    fn origin_budget_bounds_concurrency() {
-        let budget = Arc::new(OriginBudget::new(2));
-        let in_flight = Arc::new(AtomicUsize::new(0));
-        let peak = Arc::new(AtomicUsize::new(0));
-        let handles: Vec<_> = (0..8)
-            .map(|_| {
-                let budget = Arc::clone(&budget);
-                let in_flight = Arc::clone(&in_flight);
-                let peak = Arc::clone(&peak);
-                std::thread::spawn(move || {
-                    let _permit = budget.acquire_within(Duration::MAX).unwrap();
-                    let now = in_flight.fetch_add(1, Ordering::SeqCst) + 1;
-                    peak.fetch_max(now, Ordering::SeqCst);
-                    std::thread::sleep(std::time::Duration::from_millis(20));
-                    in_flight.fetch_sub(1, Ordering::SeqCst);
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert!(peak.load(Ordering::SeqCst) <= 2, "budget exceeded");
-    }
-
-    #[test]
-    fn zero_budget_is_unlimited() {
-        let budget = OriginBudget::new(0);
-        let _a = budget.acquire_within(Duration::MAX).unwrap();
-        let _b = budget.acquire_within(Duration::MAX).unwrap();
-        let _c = budget.acquire_within(Duration::MAX).unwrap();
-    }
-
-    #[test]
-    fn acquire_within_times_out_and_recovers() {
-        let budget = OriginBudget::new(1);
-        let held = budget.acquire_within(Duration::MAX).unwrap();
-        // Exhausted: both the try-acquire and a short bounded wait fail.
-        assert!(budget.acquire_within(Duration::ZERO).is_none());
-        let start = std::time::Instant::now();
-        assert!(budget.acquire_within(Duration::from_millis(40)).is_none());
-        assert!(start.elapsed() >= Duration::from_millis(35));
-        // Freed: the bounded wait succeeds without sleeping the timeout out.
-        drop(held);
-        assert!(budget.acquire_within(Duration::from_secs(5)).is_some());
-        // Unlimited budgets never block.
-        let unlimited = OriginBudget::new(0);
-        assert!(unlimited.acquire_within(Duration::ZERO).is_some());
     }
 }

@@ -14,16 +14,16 @@
 //! threads wait in `accept()` itself, and the thread the kernel wakes for a
 //! connection serves it whenever another thread is still accepting, and
 //! only otherwise queues it; one fd per client connection, and a warm hit
-//! is one read and one vectored write. Origin connections are bounded by a
-//! counting semaphore. The origin's reply is read straight into the
-//! worker's fixed-size reusable chunk ring and its header line parsed in
-//! place, so whatever payload arrived behind the header is already where
-//! the relay reads — a small miss is one origin read and one vectored
-//! client write. The tail streams through the same ring until the relay
-//! has kept exactly the bytes the engine granted, never the whole object;
-//! from then on, once the header is out, the rest moves kernel to kernel,
-//! origin socket → the worker's pipe → client socket ([`crate::splice`]),
-//! and never enters user space.
+//! is one read and one vectored write. A request holds at most one origin
+//! connection at a time, so the pool bounds those too. The origin's reply
+//! is read straight into the worker's fixed-size reusable chunk ring and
+//! its header line parsed in place, so whatever payload arrived behind the
+//! header is already where the relay reads — a small miss is one origin
+//! read and one vectored client write. The tail streams through the same
+//! ring until the relay has kept exactly the bytes the engine granted,
+//! never the whole object; from then on, once the header is out, the rest
+//! moves kernel to kernel, origin socket → the worker's pipe → client
+//! socket ([`crate::splice`]), and never enters user space.
 //!
 //! On top of that sits the overload layer (see `ARCHITECTURE.md`,
 //! "Overload & admission control"): the pool's queue sheds with `BUSY` a
@@ -36,7 +36,7 @@
 
 use crate::content::verify_content;
 use crate::error::ProxyError;
-use crate::pool::{self, AcceptQueue, OriginBudget, OriginPermit};
+use crate::pool::{self, AcceptQueue};
 use crate::protocol::{
     header_line, read_command, read_response, write_request, Command, Request, Response,
     MAX_LINE_BYTES,
@@ -70,6 +70,11 @@ const RING_BYTES: usize = 64 * 1024;
 /// measurement, Section 2.7 of the paper).
 const ASSUMED_ORIGIN_BPS: f64 = 64_000.0;
 
+/// Capacity of the bounded accept queue. A connection is queued only when
+/// every other pool thread is busy; a full queue blocks the last accepting
+/// thread, pushing backpressure into the OS listen backlog.
+const ACCEPT_QUEUE_LEN: usize = 1024;
+
 /// Configuration of the caching proxy.
 #[derive(Debug, Clone)]
 pub struct ProxyConfig {
@@ -87,15 +92,10 @@ pub struct ProxyConfig {
     /// one shard per worker, each with its own lock, utility heap and byte
     /// budget (the capacity is split evenly), so workers serving objects
     /// that hash to different shards never contend on the cache; one
-    /// worker is the single-engine proxy exactly.
+    /// worker is the single-engine proxy exactly. A request holds at most
+    /// one origin connection at a time, so this bounds those too (one more
+    /// while a shutdown drains the accept queue).
     pub worker_threads: usize,
-    /// Capacity of the bounded accept queue (must be ≥ 1). A connection is
-    /// queued only when every other pool thread is busy; a full queue
-    /// blocks the last accepting thread, pushing backpressure into the OS
-    /// listen backlog.
-    pub accept_queue_len: usize,
-    /// Maximum concurrent connections to the origin server (0 = unlimited).
-    pub max_origin_connections: usize,
     /// Per-attempt timeout for dialing the origin (must be non-zero).
     pub connect_timeout: Duration,
     /// Per-read timeout on origin sockets (must be non-zero): a stalled
@@ -106,7 +106,7 @@ pub struct ProxyConfig {
     /// total deadline budget; see [`RetryPolicy`]).
     pub retry: RetryPolicy,
     /// Circuit-breaker thresholds for the origin path (see
-    /// [`BreakerConfig`]; a zero failure threshold disables the breaker).
+    /// [`BreakerConfig`]; the failure threshold must be ≥ 1).
     pub breaker: BreakerConfig,
     /// Maximum time a connection may sit in the accept queue before a
     /// thread picks it up. A request whose queue wait exceeded this is
@@ -140,8 +140,6 @@ impl ProxyConfig {
             cache_capacity_bytes,
             policy: PolicyKind::PartialBandwidth,
             worker_threads: 8,
-            accept_queue_len: 1024,
-            max_origin_connections: 32,
             connect_timeout: Duration::from_secs(1),
             origin_read_timeout: Duration::from_secs(5),
             retry: RetryPolicy::default(),
@@ -321,7 +319,6 @@ struct ProxyState {
     /// both the stats snapshot and the `STATS` verb can read the
     /// shed/wait/depth counters it maintains.
     queue: AcceptQueue,
-    origin_budget: OriginBudget,
     /// Per-origin circuit breaker guarding every dial-out.
     breaker: CircuitBreaker,
     /// Monotonic nonce decorrelating concurrent requests' backoff jitter.
@@ -411,19 +408,14 @@ impl CachingProxy {
     /// # Errors
     ///
     /// Returns [`ProxyError::InvalidConfig`] for a negative capacity, a
-    /// zero-sized worker pool or accept queue, a policy with a NaN `e`, and
+    /// zero-sized worker pool, a zero timeout, retry budget or breaker
+    /// threshold, a NaN client rate limit or policy `e`, and
     /// [`ProxyError::Io`] if binding fails.
     pub fn start(config: ProxyConfig) -> Result<Self, ProxyError> {
         if config.worker_threads == 0 {
             return Err(ProxyError::InvalidConfig(
                 "worker_threads",
                 "the worker pool needs at least one thread".into(),
-            ));
-        }
-        if config.accept_queue_len == 0 {
-            return Err(ProxyError::InvalidConfig(
-                "accept_queue_len",
-                "the accept queue needs a non-zero capacity".into(),
             ));
         }
         if config.connect_timeout.is_zero() {
@@ -450,6 +442,12 @@ impl CachingProxy {
                 "the retry deadline budget must be non-zero".into(),
             ));
         }
+        if config.breaker.failure_threshold == 0 {
+            return Err(ProxyError::InvalidConfig(
+                "breaker.failure_threshold",
+                "at least one failure must trip the breaker".into(),
+            ));
+        }
         if config.client_rate_limit_bps.is_nan() {
             return Err(ProxyError::InvalidConfig(
                 "client_rate_limit_bps",
@@ -473,11 +471,10 @@ impl CachingProxy {
             engine,
             estimator: Mutex::new(EwmaEstimator::new(0.3)),
             queue: AcceptQueue::new(
-                config.accept_queue_len,
+                ACCEPT_QUEUE_LEN,
                 config.max_in_flight,
                 config.queue_deadline,
             ),
-            origin_budget: OriginBudget::new(config.max_origin_connections),
             breaker: CircuitBreaker::new(config.breaker),
             open_nonce: AtomicU64::new(0),
             requests: AtomicU64::new(0),
@@ -730,8 +727,7 @@ fn handle_client(stream: TcpStream, state: &ProxyState, scratch: &mut WorkerScra
     let found = lookup(state, key, &name);
 
     // The origin connection is opened *before* replying to the client so
-    // that the tail can be relayed as it arrives; its permit bounds
-    // concurrent origin connections for the whole transfer.
+    // that the tail can be relayed as it arrives.
     let mut origin = None;
     let answer = plan(found.known, found.cached.len() as u64, |offset| {
         let (answer, conn) = open_origin(state, &name, offset, Await::Header, &mut scratch.chunk);
@@ -984,10 +980,10 @@ fn decide(state: &ProxyState, job: &Job<'_>) -> usize {
 /// moves them kernel to kernel instead (see [`splice_step`]), when the
 /// client is a socket and the worker has a pipe; with `keep` 0 that is
 /// from the first step.
-fn relay<'a, W: ClientWire>(
-    state: &'a ProxyState,
+fn relay<W: ClientWire>(
+    state: &ProxyState,
     job: &Job<'_>,
-    mut origin: Option<OriginConn<'a>>,
+    mut origin: Option<OriginConn>,
     mut head: &[u8],
     client: &mut W,
     pace: &mut RateLimiter,
@@ -1049,12 +1045,12 @@ fn relay<'a, W: ClientWire>(
         };
         if n == 0 {
             // Early EOF (mid-stream reset or truncated response) or a read
-            // timeout (stalled origin): drop the connection — and its
-            // budget permit — then resume from the current offset through
-            // the resilient open, which comes back only with payload in
-            // hand. If the origin stays down, or keeps answering without
-            // delivering, the client gets a short stream, and the record
-            // still gets the kept bytes in hand.
+            // timeout (stalled origin): drop the connection first, so a
+            // request never holds two, then resume from the current offset
+            // through the resilient open, which comes back only with
+            // payload in hand. If the origin stays down, or keeps answering
+            // without delivering, the client gets a short stream, and the
+            // record still gets the kept bytes in hand.
             drop(origin.take());
             let offset = job.prefix.len() as u64 + tail_len;
             let ring = &mut scratch.chunk;
@@ -1141,14 +1137,12 @@ fn store(state: &ProxyState, job: &Job<'_>, retained: &[u8]) {
     });
 }
 
-/// An open origin connection positioned at the requested offset, holding
-/// one origin-budget permit for its lifetime.
-struct OriginConn<'a> {
+/// An open origin connection positioned at the requested offset.
+struct OriginConn {
     stream: TcpStream,
     /// Where in the worker's ring the payload bytes lie that arrived behind
     /// the origin's header: the relay's first chunk.
     in_hand: Range<usize>,
-    _permit: OriginPermit<'a>,
 }
 
 /// What an origin open has to come back with.
@@ -1170,13 +1164,13 @@ enum Await {
 /// deadline budget runs out. Transport failures are absorbed into
 /// [`OriginAnswer::Unavailable`] rather than propagated; the connection
 /// comes back only with [`OriginAnswer::Stream`].
-fn open_origin<'a>(
-    state: &'a ProxyState,
+fn open_origin(
+    state: &ProxyState,
     name: &str,
     offset: u64,
     wait: Await,
     ring: &mut [u8],
-) -> (OriginAnswer, Option<OriginConn<'a>>) {
+) -> (OriginAnswer, Option<OriginConn>) {
     let policy = state.config.retry;
     let started = Instant::now();
     let nonce = state.open_nonce.fetch_add(1, Ordering::Relaxed);
@@ -1185,21 +1179,14 @@ fn open_origin<'a>(
         if !state.breaker.allow() {
             return (OriginAnswer::Unavailable, None);
         }
-        let remaining = policy.deadline.saturating_sub(started.elapsed());
-        let Some(permit) = state.origin_budget.acquire_within(remaining) else {
-            // The budget, not the origin, ran out of room: release the
-            // half-open probe slot (if we held it) without an outcome.
-            state.breaker.release_probe();
-            return (OriginAnswer::Unavailable, None);
-        };
-        match try_open_origin(state, name, offset, wait, ring, permit) {
+        match try_open_origin(state, name, offset, wait, ring) {
             // A definite answer from a healthy origin, streaming or not.
             Ok(answered) => {
                 state.breaker.record_success();
                 return answered;
             }
-            // The failed attempt took its permit with it: the backoff below
-            // holds no origin slot.
+            // The failed attempt took its connection with it: the backoff
+            // below holds none.
             Err(_) => {
                 state.breaker.record_failure();
                 attempt += 1;
@@ -1221,16 +1208,14 @@ fn open_origin<'a>(
     }
 }
 
-/// One origin connection attempt under the per-attempt timeouts; `permit`
-/// lives as long as the connection does.
-fn try_open_origin<'a>(
+/// One origin connection attempt under the per-attempt timeouts.
+fn try_open_origin(
     state: &ProxyState,
     name: &str,
     offset: u64,
     wait: Await,
     ring: &mut [u8],
-    permit: OriginPermit<'a>,
-) -> Result<(OriginAnswer, Option<OriginConn<'a>>), ProxyError> {
+) -> Result<(OriginAnswer, Option<OriginConn>), ProxyError> {
     let mut stream =
         TcpStream::connect_timeout(&state.config.origin_addr, state.config.connect_timeout)?;
     stream.set_read_timeout(Some(state.config.origin_read_timeout))?;
@@ -1257,11 +1242,7 @@ fn try_open_origin<'a>(
             if wait == Await::Payload && in_hand.is_empty() {
                 in_hand = 0..read_some(&mut stream, ring)?;
             }
-            let conn = OriginConn {
-                stream,
-                in_hand,
-                _permit: permit,
-            };
+            let conn = OriginConn { stream, in_hand };
             Ok((
                 OriginAnswer::Stream(Header { size, bitrate_bps }),
                 Some(conn),
@@ -1336,7 +1317,6 @@ mod tests {
         assert_eq!(cfg.policy, PolicyKind::PartialBandwidth);
         const { assert!(ASSUMED_ORIGIN_BPS > 0.0) };
         assert!(cfg.worker_threads >= 1);
-        assert!(cfg.accept_queue_len >= 1);
         assert!(!cfg.connect_timeout.is_zero());
         assert!(!cfg.origin_read_timeout.is_zero());
         assert!(cfg.retry.max_attempts >= 1);
@@ -1613,11 +1593,7 @@ mod tests {
         let mut scratch = WorkerScratch::new();
         let in_hand = HEAD.len()..HEAD.len() + in_hand;
         scratch.chunk[in_hand.clone()].copy_from_slice(&object[cached..][..in_hand.len()]);
-        let origin = OriginConn {
-            stream,
-            in_hand,
-            _permit: state.origin_budget.acquire_within(Duration::MAX).unwrap(),
-        };
+        let origin = OriginConn { stream, in_hand };
         let job = Job {
             name: "clip",
             meta: ObjectMeta::new(key_for("clip"), 1_000.0 / 96e3, 96e3, 0.0),
@@ -1759,9 +1735,6 @@ mod tests {
         cfg.worker_threads = 0;
         assert!(CachingProxy::start(cfg).is_err());
         let mut cfg = ProxyConfig::new(addr, 1e6);
-        cfg.accept_queue_len = 0;
-        assert!(CachingProxy::start(cfg).is_err());
-        let mut cfg = ProxyConfig::new(addr, 1e6);
         cfg.connect_timeout = Duration::ZERO;
         assert!(CachingProxy::start(cfg).is_err());
         let mut cfg = ProxyConfig::new(addr, 1e6);
@@ -1773,6 +1746,13 @@ mod tests {
         let mut cfg = ProxyConfig::new(addr, 1e6);
         cfg.retry.deadline = Duration::ZERO;
         assert!(CachingProxy::start(cfg).is_err());
+        // The breaker has no off state.
+        let mut cfg = ProxyConfig::new(addr, 1e6);
+        cfg.breaker.failure_threshold = 0;
+        assert!(matches!(
+            CachingProxy::start(cfg),
+            Err(ProxyError::InvalidConfig("breaker.failure_threshold", _))
+        ));
     }
 
     #[test]

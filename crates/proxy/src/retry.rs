@@ -8,14 +8,17 @@
 //! in-memory check instead of a connect timeout per request.
 //!
 //! Backoff jitter is *seeded*: the pause for a given `(attempt, nonce)`
-//! pair is a pure function of the policy's `jitter_seed`, so tests can pin
-//! exact schedules while concurrent requests (distinct nonces) still
+//! pair is a pure function of the policy and `JITTER_SEED`, so tests can
+//! pin exact schedules while concurrent requests (distinct nonces) still
 //! decorrelate their retry storms.
 
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::{Duration, Instant};
+
+/// Seed of the deterministic backoff jitter.
+const JITTER_SEED: u64 = 0x5eed_cafe;
 
 /// Bounds on the proxy's origin retry loop.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -31,8 +34,6 @@ pub struct RetryPolicy {
     /// Total wall-clock budget for one origin open, attempts and pauses
     /// included. Once exceeded, the open fails rather than retry again.
     pub deadline: Duration,
-    /// Seed for the deterministic backoff jitter.
-    pub jitter_seed: u64,
 }
 
 impl Default for RetryPolicy {
@@ -42,7 +43,6 @@ impl Default for RetryPolicy {
             base_backoff: Duration::from_millis(25),
             max_backoff: Duration::from_millis(400),
             deadline: Duration::from_secs(3),
-            jitter_seed: 0x5eed_cafe,
         }
     }
 }
@@ -51,7 +51,7 @@ impl RetryPolicy {
     /// The pause before retry number `attempt` (0-based) for a request
     /// identified by `nonce`: exponential in the attempt, capped at
     /// [`max_backoff`](Self::max_backoff), with a deterministic jitter
-    /// factor in `[0.5, 1.0)` drawn from `jitter_seed ⊕ attempt ⊕ nonce`.
+    /// factor in `[0.5, 1.0)` drawn from `JITTER_SEED ⊕ attempt ⊕ nonce`.
     pub fn backoff(&self, attempt: u32, nonce: u64) -> Duration {
         let base = self.base_backoff.as_secs_f64();
         if base <= 0.0 {
@@ -59,7 +59,7 @@ impl RetryPolicy {
         }
         let exp = base * 2f64.powi(attempt.min(30) as i32);
         let capped = exp.min(self.max_backoff.as_secs_f64()).max(0.0);
-        let seed = self.jitter_seed
+        let seed = JITTER_SEED
             ^ u64::from(attempt).wrapping_mul(0x9e37_79b9_7f4a_7c15)
             ^ nonce.wrapping_mul(0xd134_2543_de82_ef95);
         let jitter = 0.5 + 0.5 * StdRng::seed_from_u64(seed).gen::<f64>();
@@ -70,8 +70,7 @@ impl RetryPolicy {
 /// Circuit-breaker thresholds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BreakerConfig {
-    /// Consecutive origin failures that trip the breaker open
-    /// (0 disables the breaker entirely).
+    /// Consecutive origin failures that trip the breaker open (≥ 1).
     pub failure_threshold: u32,
     /// How long an open breaker rejects requests before letting one
     /// half-open probe through.
@@ -104,9 +103,6 @@ struct BreakerInner {
     state: BreakerState,
     consecutive_failures: u32,
     opened_at: Option<Instant>,
-    /// A half-open probe is in flight; concurrent requests keep failing
-    /// fast until its outcome is recorded.
-    probing: bool,
     /// State transitions since creation.
     transitions: u64,
 }
@@ -129,26 +125,18 @@ impl CircuitBreaker {
                 state: BreakerState::Closed,
                 consecutive_failures: 0,
                 opened_at: None,
-                probing: false,
                 transitions: 0,
             }),
         }
     }
 
-    fn disabled(&self) -> bool {
-        self.config.failure_threshold == 0
-    }
-
     /// Whether a request may contact the origin right now. An open breaker
     /// that has cooled down transitions to half-open and admits exactly one
-    /// probe; callers that get `true` must eventually report the outcome
-    /// via [`record_success`](Self::record_success),
-    /// [`record_failure`](Self::record_failure) or
-    /// [`release_probe`](Self::release_probe).
+    /// probe; callers that get `true` must report the outcome via
+    /// [`record_success`](Self::record_success) or
+    /// [`record_failure`](Self::record_failure). Half-open means that probe
+    /// is in flight, so everyone else fails fast until its outcome is in.
     pub fn allow(&self) -> bool {
-        if self.disabled() {
-            return true;
-        }
         let mut inner = self.inner.lock();
         match inner.state {
             BreakerState::Closed => true,
@@ -159,33 +147,19 @@ impl CircuitBreaker {
                     .unwrap_or(true);
                 if cooled {
                     inner.state = BreakerState::HalfOpen;
-                    inner.probing = true;
                     inner.transitions += 1;
-                    true
-                } else {
-                    false
                 }
+                cooled
             }
-            BreakerState::HalfOpen => {
-                if inner.probing {
-                    false
-                } else {
-                    inner.probing = true;
-                    true
-                }
-            }
+            BreakerState::HalfOpen => false,
         }
     }
 
     /// Records a successful origin exchange: resets the failure count and
     /// closes the breaker from any state.
     pub fn record_success(&self) {
-        if self.disabled() {
-            return;
-        }
         let mut inner = self.inner.lock();
         inner.consecutive_failures = 0;
-        inner.probing = false;
         if inner.state != BreakerState::Closed {
             inner.state = BreakerState::Closed;
             inner.opened_at = None;
@@ -196,11 +170,7 @@ impl CircuitBreaker {
     /// Records a failed origin exchange; trips the breaker open once the
     /// failure threshold is reached (immediately, from half-open).
     pub fn record_failure(&self) {
-        if self.disabled() {
-            return;
-        }
         let mut inner = self.inner.lock();
-        inner.probing = false;
         match inner.state {
             BreakerState::Closed => {
                 inner.consecutive_failures += 1;
@@ -217,17 +187,6 @@ impl CircuitBreaker {
             }
             BreakerState::Open => {}
         }
-    }
-
-    /// Releases a half-open probe slot without recording an outcome, for
-    /// callers that were admitted but aborted before contacting the origin
-    /// (e.g. an origin-budget timeout). Without this a dying probe would
-    /// wedge the breaker in half-open forever.
-    pub fn release_probe(&self) {
-        if self.disabled() {
-            return;
-        }
-        self.inner.lock().probing = false;
     }
 
     /// The breaker's current state.
@@ -252,7 +211,6 @@ mod tests {
             base_backoff: Duration::from_millis(10),
             max_backoff: Duration::from_millis(60),
             deadline: Duration::from_secs(1),
-            jitter_seed: 42,
         }
     }
 
@@ -272,6 +230,11 @@ mod tests {
                 );
             }
         }
+        // The schedule is pinned: the seed is a constant.
+        assert_eq!(
+            [(0, 0), (1, 0), (1, 1), (5, 99)].map(|(attempt, nonce)| p.backoff(attempt, nonce)),
+            [8_338_896, 13_702_827, 19_141_006, 59_838_698].map(Duration::from_nanos)
+        );
         // Distinct nonces decorrelate the jitter (not a hard guarantee for
         // every pair, but these particular draws differ).
         assert_ne!(p.backoff(1, 0), p.backoff(1, 1));
@@ -342,33 +305,5 @@ mod tests {
         // closed→open, open→half-open, half-open→open, open→half-open,
         // half-open→closed.
         assert_eq!(breaker.transitions(), 5);
-    }
-
-    #[test]
-    fn released_probe_frees_the_half_open_slot() {
-        let breaker = CircuitBreaker::new(BreakerConfig {
-            failure_threshold: 1,
-            open_duration: Duration::from_millis(10),
-        });
-        breaker.record_failure();
-        std::thread::sleep(Duration::from_millis(20));
-        assert!(breaker.allow());
-        assert!(!breaker.allow());
-        breaker.release_probe();
-        assert!(breaker.allow(), "released probe slot must be reusable");
-    }
-
-    #[test]
-    fn zero_threshold_disables_the_breaker() {
-        let breaker = CircuitBreaker::new(BreakerConfig {
-            failure_threshold: 0,
-            open_duration: Duration::from_millis(1),
-        });
-        for _ in 0..100 {
-            breaker.record_failure();
-            assert!(breaker.allow());
-        }
-        assert_eq!(breaker.state(), BreakerState::Closed);
-        assert_eq!(breaker.transitions(), 0);
     }
 }

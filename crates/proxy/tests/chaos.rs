@@ -247,7 +247,6 @@ fn chaos_config(origin: SocketAddr, capacity: f64) -> ProxyConfig {
         base_backoff: Duration::from_millis(5),
         max_backoff: Duration::from_millis(20),
         deadline: Duration::from_secs(2),
-        jitter_seed: 7,
     };
     config.breaker = BreakerConfig {
         failure_threshold: 2,
@@ -319,7 +318,6 @@ fn composed_chaos_preserves_invariants_across_seeds() {
         let capacity = 6.0 * OBJECT_BYTES as f64;
         let mut config = chaos_config(origin.addr(), capacity);
         config.worker_threads = 3;
-        config.max_origin_connections = 8;
         let mut proxy = CachingProxy::start(config).unwrap();
         let addr = proxy.addr();
 

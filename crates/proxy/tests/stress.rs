@@ -6,10 +6,13 @@
 //! invariants are exactly what that O(changes) update must preserve.
 
 use sc_cache::policy::PolicyKind;
+use sc_proxy::protocol::{read_request, write_response, Response};
 use sc_proxy::{
-    BreakerConfig, BreakerState, CachingProxy, FaultAction, FaultPlan, ObjectSpec, OriginConfig,
-    OriginServer, ProxyConfig, RetryPolicy, StreamingClient,
+    fill_content, BreakerConfig, BreakerState, CachingProxy, FaultAction, FaultPlan, ObjectSpec,
+    OriginConfig, OriginServer, ProxyConfig, RetryPolicy, StreamingClient,
 };
+use std::io::{BufReader, Write};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 /// Asserts the engine/store byte-accounting invariants on a drained proxy:
@@ -65,7 +68,6 @@ fn concurrent_clients_shared_catalog_accounting_stays_consistent() {
     let capacity = 6.0 * OBJECT_BYTES as f64;
     let mut config = ProxyConfig::new(origin.addr(), capacity);
     config.worker_threads = 4;
-    config.max_origin_connections = 8;
     let proxy = CachingProxy::start(config).unwrap();
     let addr = proxy.addr();
 
@@ -130,9 +132,9 @@ fn names_colliding_under_fx_are_served_correctly_and_accounted() {
 }
 
 #[test]
-fn tiny_worker_pool_and_origin_budget_still_serve_everyone() {
-    // 1 worker and 1 origin permit: everything serializes but nothing
-    // deadlocks, drops or corrupts.
+fn tiny_worker_pool_still_serves_everyone() {
+    // 1 worker: everything serializes but nothing deadlocks, drops or
+    // corrupts.
     let origin = OriginServer::start(OriginConfig {
         objects: (0..6)
             .map(|i| ObjectSpec::new(format!("clip-{i}"), 16 * 1024, 1e6))
@@ -142,8 +144,6 @@ fn tiny_worker_pool_and_origin_budget_still_serve_everyone() {
     .unwrap();
     let mut config = ProxyConfig::new(origin.addr(), 1e9);
     config.worker_threads = 1;
-    config.accept_queue_len = 4;
-    config.max_origin_connections = 1;
     let proxy = CachingProxy::start(config).unwrap();
     let addr = proxy.addr();
 
@@ -162,6 +162,69 @@ fn tiny_worker_pool_and_origin_budget_still_serve_everyone() {
     });
     assert_eq!(proxy.stats().requests, 24);
     assert_byte_accounting(&proxy, 1e9);
+}
+
+/// The proxy puts no bound of its own on origin connections: a request
+/// holds at most one, and with one pool thread always accepting, at most
+/// `worker_threads` requests are served at once. A raw origin counts a
+/// connection from its request line until just before its last payload
+/// byte, so every counted connection is still held by a proxy worker. With
+/// nothing cached, eight clients keep both workers of a two-worker proxy on
+/// the origin all the time, and the count peaks at exactly two.
+#[test]
+fn origin_connections_never_exceed_worker_threads() {
+    const WORKERS: usize = 2;
+    const CLIENTS: usize = 8;
+    const FETCHES: usize = 3;
+    const OBJECT_BYTES: usize = 32 * 1024;
+    // Eight steps 5 ms apart: ~40 ms an object.
+    const STEPS: usize = 8;
+    let origin = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let mut config = ProxyConfig::new(origin.local_addr().unwrap(), 0.0);
+    config.worker_threads = WORKERS;
+    let proxy = CachingProxy::start(config).unwrap();
+    let addr = proxy.addr();
+    let (held, peak) = (&AtomicUsize::new(0), &AtomicUsize::new(0));
+
+    std::thread::scope(|scope| {
+        scope.spawn(move || {
+            for conn in origin.incoming().take(CLIENTS * FETCHES) {
+                let mut conn = conn.unwrap();
+                scope.spawn(move || {
+                    let request = read_request(&mut BufReader::new(&conn)).unwrap();
+                    let now = held.fetch_add(1, Ordering::SeqCst) + 1;
+                    peak.fetch_max(now, Ordering::SeqCst);
+                    let mut payload = vec![0u8; OBJECT_BYTES - request.offset as usize];
+                    fill_content(&request.name, request.offset, &mut payload);
+                    let header = Response::Ok {
+                        size: OBJECT_BYTES as u64,
+                        bitrate_bps: 1e6,
+                        degraded: false,
+                    };
+                    write_response(&mut conn, &header).unwrap();
+                    let (body, last) = payload.split_at(payload.len() - 1);
+                    for chunk in body.chunks(body.len().div_ceil(STEPS)) {
+                        std::thread::sleep(Duration::from_millis(5));
+                        conn.write_all(chunk).unwrap();
+                    }
+                    held.fetch_sub(1, Ordering::SeqCst);
+                    conn.write_all(last).unwrap();
+                });
+            }
+        });
+        for c in 0..CLIENTS {
+            scope.spawn(move || {
+                let client = StreamingClient::new();
+                for r in 0..FETCHES {
+                    let report = client.fetch(addr, &format!("clip-{c}-{r}")).unwrap();
+                    assert_eq!(report.bytes, OBJECT_BYTES as u64);
+                    assert!(report.content_ok, "clip-{c}-{r} corrupt");
+                }
+            });
+        }
+    });
+    assert_eq!(peak.load(Ordering::SeqCst), WORKERS);
+    assert_eq!(proxy.stats().requests, (CLIENTS * FETCHES) as u64);
 }
 
 #[test]
@@ -338,7 +401,6 @@ fn resilient_config(origin: std::net::SocketAddr, capacity: f64) -> ProxyConfig 
         base_backoff: Duration::from_millis(5),
         max_backoff: Duration::from_millis(20),
         deadline: Duration::from_secs(2),
-        jitter_seed: 7,
     };
     config.breaker = BreakerConfig {
         failure_threshold: 2,
