@@ -4,7 +4,8 @@
 //! [`PathSet`] — the per-object path averages (drawn from the NLANR-like
 //! base distribution of Figure 2) beside the run's single variability model
 //! — plus, per [`BandwidthModel`], either that model's i.i.d. ratio stream
-//! or one pre-generated AR(1) [`BandwidthTimeSeries`] per path, sampled at
+//! (no stream at all for the constant model, whose ratio is always 1) or
+//! one pre-generated AR(1) [`BandwidthTimeSeries`] per path, sampled at
 //! request time from the simulation clock. [`EstimatorBank`] maintains the
 //! per-path [`sc_netmodel::BandwidthEstimator`] state that stands between
 //! the true bandwidth and what the caching algorithm gets to see.
@@ -25,16 +26,33 @@ use sc_netmodel::{
 /// *instantaneous* bandwidth relates to that average depends on the
 /// [`BandwidthModel`]:
 ///
-/// * [`BandwidthModel::Iid`] — each request multiplies the average by an
-///   independent ratio drawn from the configured variability model;
+/// * [`BandwidthModel::Iid`] with [`VariabilityKind::Constant`] — the
+///   ratio is always exactly 1, so each request sees the path average
+///   itself and draws nothing;
+/// * [`BandwidthModel::Iid`] with any other kind — each request multiplies
+///   the average by an independent ratio drawn from the configured
+///   variability model;
 /// * [`BandwidthModel::Ar1`] — each path carries a mean-reverting
 ///   [`BandwidthTimeSeries`] spanning the whole trace, and a request
 ///   observes the series value at its arrival time.
+///
+/// Which of the three applies is decided once, when the provider is
+/// generated.
 #[derive(Debug, Clone)]
 pub struct BandwidthProvider {
     paths: PathSet,
-    /// One series per path in AR(1) mode; `None` in i.i.d. mode.
-    series: Option<Vec<BandwidthTimeSeries>>,
+    source: Source,
+}
+
+/// Where a request's instantaneous bandwidth comes from.
+#[derive(Debug, Clone)]
+enum Source {
+    /// The path mean: i.i.d. under the constant model, whose ratio is 1.
+    Mean,
+    /// One ratio draw per request: i.i.d. under any other model.
+    Ratio,
+    /// One AR(1) series per path, read at the request's arrival time.
+    Series(Vec<BandwidthTimeSeries>),
 }
 
 impl BandwidthProvider {
@@ -74,15 +92,16 @@ impl BandwidthProvider {
             kind.model(),
             rng,
         );
-        let series = match model {
-            BandwidthModel::Iid => None,
+        let source = match model {
+            BandwidthModel::Iid if kind == VariabilityKind::Constant => Source::Mean,
+            BandwidthModel::Iid => Source::Ratio,
             BandwidthModel::Ar1 {
                 autocorrelation,
                 interval_secs,
             } => {
                 let samples = (horizon_secs.max(0.0) / interval_secs) as usize + 1;
                 let cov = paths.variability().coefficient_of_variation();
-                Some(
+                Source::Series(
                     paths
                         .means()
                         .iter()
@@ -101,7 +120,7 @@ impl BandwidthProvider {
                 )
             }
         };
-        BandwidthProvider { paths, series }
+        BandwidthProvider { paths, source }
     }
 
     /// Number of paths (== number of objects).
@@ -127,17 +146,20 @@ impl BandwidthProvider {
     /// The instantaneous bandwidth observed by a request for object `index`
     /// arriving at `time_secs` on the simulation clock.
     ///
-    /// In i.i.d. mode this draws an independent ratio through `rng` and
-    /// ignores `time_secs`; in AR(1) mode it reads the path's time series at
-    /// `time_secs` and consumes no randomness.
+    /// In i.i.d. mode this ignores `time_secs` and draws one independent
+    /// ratio through `rng` — except under the constant model, where it
+    /// returns the path mean (what a ratio of exactly 1 gives) and consumes
+    /// no randomness. In AR(1) mode it reads the path's time series at
+    /// `time_secs` and consumes no randomness either.
     ///
     /// # Panics
     ///
     /// Panics if `index` is out of range.
     pub fn request_bps<R: Rng + ?Sized>(&self, index: usize, time_secs: f64, rng: &mut R) -> f64 {
-        match &self.series {
-            None => self.paths.bandwidth_sample(index, rng),
-            Some(series) => series[index].bandwidth_at(time_secs),
+        match &self.source {
+            Source::Mean => self.paths.mean_bps(index),
+            Source::Ratio => self.paths.bandwidth_sample(index, rng),
+            Source::Series(series) => series[index].bandwidth_at(time_secs),
         }
     }
 
@@ -156,21 +178,24 @@ impl BandwidthProvider {
     ///
     /// Panics if `index` is out of range.
     pub fn capacity_bps(&self, index: usize, time_secs: f64) -> f64 {
-        match &self.series {
-            None => self.paths.mean_bps(index),
-            Some(series) => series[index].bandwidth_at(time_secs),
+        match &self.source {
+            Source::Mean | Source::Ratio => self.paths.mean_bps(index),
+            Source::Series(series) => series[index].bandwidth_at(time_secs),
         }
     }
 
     /// Returns `true` when bandwidth evolves over simulated time (AR(1)
     /// mode) rather than being redrawn independently per request.
     pub fn is_time_varying(&self) -> bool {
-        self.series.is_some()
+        matches!(self.source, Source::Series(_))
     }
 
     /// The AR(1) series of path `index`, or `None` in i.i.d. mode.
     pub fn series(&self, index: usize) -> Option<&BandwidthTimeSeries> {
-        self.series.as_ref().map(|s| &s[index])
+        match &self.source {
+            Source::Series(series) => Some(&series[index]),
+            Source::Mean | Source::Ratio => None,
+        }
     }
 }
 
@@ -249,7 +274,15 @@ impl EstimatorBank {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
+
+    /// Asserts that `rng` has advanced exactly `draws` words past `before`.
+    fn assert_advanced(rng: &mut StdRng, mut before: StdRng, draws: usize) {
+        for _ in 0..draws {
+            before.next_u64();
+        }
+        assert_eq!(rng.clone().next_u64(), before.next_u64());
+    }
 
     #[test]
     fn constant_variability_matches_estimate() {
@@ -258,9 +291,47 @@ mod tests {
         assert_eq!(p.len(), 50);
         assert!(!p.is_empty());
         for i in 0..50 {
-            let est = p.estimated_bps(i);
+            let before = rng.clone();
             let inst = p.request_bps(i, 0.0, &mut rng);
-            assert!((est - inst).abs() < 1e-9);
+            assert_eq!(inst.to_bits(), p.estimated_bps(i).to_bits());
+            assert_advanced(&mut rng, before, 0);
+        }
+    }
+
+    #[test]
+    fn every_variable_iid_kind_draws_one_word_per_request() {
+        for kind in [
+            VariabilityKind::NlanrLike,
+            VariabilityKind::MeasuredLow,
+            VariabilityKind::MeasuredModerate,
+            VariabilityKind::MeasuredHigh,
+        ] {
+            let mut rng = StdRng::seed_from_u64(4);
+            let p = BandwidthProvider::generate(8, kind, &mut rng);
+            for i in 0..8 {
+                let before = rng.clone();
+                p.request_bps(i, 0.0, &mut rng);
+                assert_advanced(&mut rng, before, 1);
+            }
+        }
+    }
+
+    #[test]
+    fn ar1_requests_draw_nothing() {
+        for kind in [VariabilityKind::Constant, VariabilityKind::NlanrLike] {
+            let mut rng = StdRng::seed_from_u64(9);
+            let p = BandwidthProvider::generate_with_model(
+                4,
+                kind,
+                BandwidthModel::ar1_default(),
+                1_000.0,
+                &mut rng,
+            );
+            for i in 0..4 {
+                let before = rng.clone();
+                p.request_bps(i, 500.0, &mut rng);
+                assert_advanced(&mut rng, before, 0);
+            }
         }
     }
 

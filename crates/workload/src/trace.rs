@@ -256,6 +256,7 @@ impl<'a> IntoIterator for &'a RequestTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::WorkloadConfig;
     use crate::catalog::CatalogConfig;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -364,6 +365,43 @@ mod tests {
         assert!(sessions
             .windows(2)
             .all(|w| w[0].time_secs <= w[1].time_secs));
+    }
+
+    /// FNV-1a over every request's object id and arrival-time bits.
+    fn trace_hash(trace: &RequestTrace) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+        for req in trace {
+            let object = (req.object.index() as u32).to_le_bytes();
+            let time = req.time_secs.to_bits().to_le_bytes();
+            for byte in object.into_iter().chain(time) {
+                hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        hash
+    }
+
+    #[test]
+    fn paper_scale_traces_are_pinned() {
+        // Table 1 traces for seeds 1-3, hashed over (object, time bits):
+        // any change to the Zipf or arrival draws, or to their order,
+        // moves these constants.
+        let hashes: Vec<u64> = (1..=3)
+            .map(|seed| {
+                let config = WorkloadConfig {
+                    seed,
+                    ..WorkloadConfig::paper_default()
+                };
+                trace_hash(&config.generate().unwrap().trace)
+            })
+            .collect();
+        assert_eq!(
+            hashes,
+            [
+                3_721_643_184_734_172_617,
+                12_963_538_809_103_648_072,
+                7_352_349_242_349_094_564
+            ]
+        );
     }
 
     #[test]

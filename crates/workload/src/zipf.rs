@@ -10,7 +10,9 @@ use rand::Rng;
 /// `alpha = 0.73` by default and sweeps `alpha ∈ [0.5, 1.2]` in Section 4.2.
 ///
 /// Sampling uses inverse-transform over the precomputed cumulative
-/// distribution (binary search), so drawing a sample costs `O(log n)`.
+/// distribution. A guide table of `n` entries — for every level `k / n`, the
+/// first rank whose cumulative probability reaches it — starts the search
+/// next to the answer, so drawing a sample costs `O(1)` expected steps.
 ///
 /// ```
 /// use sc_workload::ZipfLike;
@@ -30,6 +32,8 @@ pub struct ZipfLike {
     alpha: f64,
     /// `cdf[r-1]` = P(rank <= r); last entry is exactly 1.0.
     cdf: Vec<f64>,
+    /// `guide[k]` = the first index `i` with `cdf[i] >= k / n`, for `k < n`.
+    guide: Vec<u32>,
 }
 
 impl ZipfLike {
@@ -64,7 +68,23 @@ impl ZipfLike {
         if let Some(last) = cdf.last_mut() {
             *last = 1.0;
         }
-        Ok(ZipfLike { n, alpha, cdf })
+        // Levels rise with k and the last entry is 1.0 > every level, so one
+        // forward sweep finds each first crossing.
+        let mut guide = Vec::with_capacity(n);
+        let mut i = 0;
+        for k in 0..n {
+            let level = k as f64 / n as f64;
+            while cdf[i] < level {
+                i += 1;
+            }
+            guide.push(i as u32);
+        }
+        Ok(ZipfLike {
+            n,
+            alpha,
+            cdf,
+            guide,
+        })
     }
 
     /// Number of ranks in the distribution.
@@ -103,15 +123,25 @@ impl ZipfLike {
     /// Returns the smallest rank `r` such that `P(rank <= r) >= q`.
     ///
     /// `q` is clamped to `[0, 1]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `q` is NaN.
     pub fn rank_for_quantile(&self, q: f64) -> usize {
+        assert!(!q.is_nan(), "quantile must not be NaN");
         let q = q.clamp(0.0, 1.0);
-        match self
-            .cdf
-            .binary_search_by(|p| p.partial_cmp(&q).expect("cdf is never NaN"))
-        {
-            Ok(i) => i + 1,
-            Err(i) => (i + 1).min(self.n),
+        let level = ((q * self.n as f64) as usize).min(self.n - 1);
+        let mut i = self.guide[level] as usize;
+        // `q * n` can round up past a level whose first crossing lies
+        // beyond the answer: step back to it.
+        while i > 0 && self.cdf[i - 1] >= q {
+            i -= 1;
         }
+        // Terminates: the last entry is 1.0 >= q.
+        while self.cdf[i] < q {
+            i += 1;
+        }
+        i + 1
     }
 
     /// Expected request share of the `k` most popular ranks.
@@ -128,7 +158,7 @@ impl ZipfLike {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn rejects_empty_and_bad_alpha() {
@@ -202,5 +232,54 @@ mod tests {
         assert_eq!(z.rank_for_quantile(1.0), 10);
         assert_eq!(z.rank_for_quantile(2.0), 10);
         assert_eq!(z.rank_for_quantile(-1.0), 1);
+        assert_eq!(z.rank_for_quantile(f64::INFINITY), 10);
+        assert_eq!(z.rank_for_quantile(f64::NEG_INFINITY), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "quantile must not be NaN")]
+    fn nan_quantile_is_rejected() {
+        ZipfLike::new(10, 0.73).unwrap().rank_for_quantile(f64::NAN);
+    }
+
+    /// The binary search the guide table replaced, kept as the reference.
+    fn reference_rank(z: &ZipfLike, q: f64) -> usize {
+        let q = q.clamp(0.0, 1.0);
+        match z
+            .cdf
+            .binary_search_by(|p| p.partial_cmp(&q).expect("cdf is never NaN"))
+        {
+            Ok(i) => i + 1,
+            Err(i) => (i + 1).min(z.n),
+        }
+    }
+
+    #[test]
+    fn guide_table_returns_the_binary_search_rank() {
+        let mut rng = StdRng::seed_from_u64(0x6_01DE);
+        // At n = 6 and 10 with alpha = 0 the summed CDF entries for 5/6
+        // and 9/10 lie one ulp below the levels `k / n`, yet `q * n`
+        // rounds up to k: only the step back finds their ranks.
+        for n in [1, 2, 6, 7, 10, 300, 1_000, 5_000] {
+            for alpha in [0.0, 0.5, 0.73, 1.2] {
+                let z = ZipfLike::new(n, alpha).unwrap();
+                let mut quantiles = vec![0.0, -0.0, 1.0, -1.0, 2.0];
+                for &p in &z.cdf {
+                    quantiles.extend([p.next_down(), p, p.next_up()]);
+                }
+                for k in 0..=n {
+                    let level = k as f64 / n as f64;
+                    quantiles.extend([level.next_down(), level, level.next_up()]);
+                }
+                quantiles.extend((0..100_000).map(|_| rng.gen::<f64>()));
+                for q in quantiles {
+                    assert_eq!(
+                        z.rank_for_quantile(q),
+                        reference_rank(&z, q),
+                        "n {n}, alpha {alpha}, q {q:e}"
+                    );
+                }
+            }
+        }
     }
 }
