@@ -12,15 +12,14 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sc_bench::{bandwidth_model_from_args, bandwidth_model_from_args_or, scale_from_args};
-use sc_bench::{emit_session_timed, emit_timed};
+use sc_bench::{bandwidth_model_from_args, emit_timed, scale_from_args, FigureMetrics};
 use sc_netmodel::{
     BandwidthTimeSeries, Histogram, NlanrBandwidthModel, TimeSeriesConfig, VariabilityModel,
     BYTES_PER_KB,
 };
 use sc_sim::experiments::{self, ExperimentScale};
 use sc_sim::{BandwidthModel, FigureResult, SimError};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 type Run = fn() -> Result<(), SimError>;
 
@@ -34,31 +33,31 @@ const FIGURES: &[(&str, &[&str], Run)] = &[
     ("fig2", NONE, fig2),
     ("fig3", NONE, fig3),
     ("fig4", NONE, fig4),
-    ("fig5", SCALE, || at_scale(experiments::fig5, emit_timed)),
-    ("fig6", SCALE, || at_scale(experiments::fig6, emit_timed)),
+    ("fig5", SCALE, || at_scale(experiments::fig5)),
+    ("fig6", SCALE, || at_scale(experiments::fig6)),
     ("fig7", BOTH, || {
-        with_bandwidth(experiments::fig7, bandwidth_model_from_args())
+        let model = bandwidth_model_from_args(BandwidthModel::Iid);
+        with_bandwidth(experiments::fig7, model)
     }),
     ("fig8", BOTH, || {
-        with_bandwidth(experiments::fig8, bandwidth_model_from_args())
+        let model = bandwidth_model_from_args(BandwidthModel::Iid);
+        with_bandwidth(experiments::fig8, model)
     }),
-    ("fig9", SCALE, || at_scale(experiments::fig9, emit_timed)),
-    ("fig10", SCALE, || at_scale(experiments::fig10, emit_timed)),
-    ("fig11", SCALE, || at_scale(experiments::fig11, emit_timed)),
-    ("fig12", SCALE, || at_scale(experiments::fig12, emit_timed)),
+    ("fig9", SCALE, || at_scale(experiments::fig9)),
+    ("fig10", SCALE, || at_scale(experiments::fig10)),
+    ("fig11", SCALE, || at_scale(experiments::fig11)),
+    ("fig12", SCALE, || at_scale(experiments::fig12)),
     // Unlike fig7/fig8, drift is this figure's point: AR(1) is the default
     // and `--bandwidth iid` selects the no-drift control.
     ("fig13", BOTH, || {
-        let model = bandwidth_model_from_args_or(BandwidthModel::ar1_default());
+        let model = bandwidth_model_from_args(BandwidthModel::ar1_default());
         with_bandwidth(experiments::fig13, model)
     }),
     // The session-mode figures, replayed through the discrete-event core.
     ("fig_sessions", SCALE, || {
-        at_scale(experiments::fig_sessions, emit_session_timed)
+        at_scale(experiments::fig_sessions)
     }),
-    ("fig_faults", SCALE, || {
-        at_scale(experiments::fig_faults, emit_session_timed)
-    }),
+    ("fig_faults", SCALE, || at_scale(experiments::fig_faults)),
 ];
 
 fn main() -> Result<(), SimError> {
@@ -97,17 +96,15 @@ fn usage_error(message: &str) -> ! {
     std::process::exit(2)
 }
 
-/// One experiment at the requested scale, emitted the way its result type
-/// is: `emit_timed` for the per-request figures (5, 6, 9–12),
-/// `emit_session_timed` for the session-mode ones.
-fn at_scale<F>(
-    figure: fn(ExperimentScale) -> Result<F, SimError>,
-    emit: fn(&F, Duration),
+/// One experiment at the requested scale: a per-request figure (5, 6,
+/// 9–12) or a session-mode one.
+fn at_scale<M: FigureMetrics>(
+    figure: fn(ExperimentScale) -> Result<FigureResult<M>, SimError>,
 ) -> Result<(), SimError> {
     let scale = scale_from_args();
     let start = Instant::now();
     let figure = figure(scale)?;
-    emit(&figure, start.elapsed());
+    emit_timed(&figure, start.elapsed());
     println!("(scale: {scale:?})");
     Ok(())
 }

@@ -8,6 +8,11 @@
 //!   prints the corresponding rows; pass `--scale paper` for the full-scale
 //!   run (the default `quick` scale finishes in seconds). Results are also
 //!   written as JSON under `results/`.
+//! * **Rendering**: every figure is one `sc_sim::FigureResult<M>`, and this
+//!   module renders each one the same way: [`to_table`],
+//!   [`figure_to_json_with_info`] and [`emit_timed`]. The per-metric part,
+//!   which is the table columns and the JSON `metrics` object, is one
+//!   [`FigureMetrics`] impl for `Metrics` and one for `SessionMetrics`.
 //! * **`bench_overload`**: the proxy driven past its admission capacity.
 //!
 //! Performance is measured by the `benchmark/` crate, not here.
@@ -17,9 +22,9 @@
 
 use sc_sim::exec::ExecConfig;
 use sc_sim::experiments::ExperimentScale;
-use sc_sim::{BandwidthModel, FigureResult, Metrics, SessionFigureResult, SessionMetrics};
+use sc_sim::{BandwidthModel, FigureResult, Metrics, SessionMetrics};
 use std::fmt::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 /// How an experiment run was executed: wall-clock time and the number of
@@ -63,22 +68,15 @@ pub fn scale_from_args() -> ExperimentScale {
     or_exit(parse_scale(&args()))
 }
 
-/// Parses the `--bandwidth <iid|ar1>` command-line option; defaults to
-/// [`BandwidthModel::Iid`] (the paper's i.i.d. per-request ratios). `ar1`
-/// selects [`BandwidthModel::ar1_default`], the mean-reverting evolution of
-/// every path sampled on the simulation clock; the affected figures
-/// (`fig7`, `fig8`) then emit under a `_ar1`-suffixed id so both variants
-/// can sit side by side under `results/`. Unknown and missing values exit
-/// like [`scale_from_args`].
-pub fn bandwidth_model_from_args() -> BandwidthModel {
-    bandwidth_model_from_args_or(BandwidthModel::Iid)
-}
-
-/// [`bandwidth_model_from_args`] with an explicit default for when the
-/// `--bandwidth` option is absent — `fig13` defaults to AR(1) because
-/// drift is its subject, while `fig7`/`fig8` default to the paper's
-/// i.i.d. setting.
-pub fn bandwidth_model_from_args_or(default: BandwidthModel) -> BandwidthModel {
+/// Parses the `--bandwidth <iid|ar1>` command-line option; `default` when
+/// it is absent — `fig7`/`fig8` default to [`BandwidthModel::Iid`] (the
+/// paper's i.i.d. per-request ratios), `fig13` to AR(1) because drift is
+/// its subject. `ar1` selects [`BandwidthModel::ar1_default`], the
+/// mean-reverting evolution of every path sampled on the simulation clock;
+/// the affected figures then emit under a suffixed id (`fig7_ar1`,
+/// `fig13_iid`) so both variants can sit side by side under `results/`.
+/// Unknown and missing values exit like [`scale_from_args`].
+pub fn bandwidth_model_from_args(default: BandwidthModel) -> BandwidthModel {
     or_exit(parse_bandwidth_model(&args(), default))
 }
 
@@ -141,198 +139,231 @@ fn parse_bandwidth_model(
     }
 }
 
+/// What a metric type adds to a figure's two renderings: its table columns
+/// and the `metrics` object of each JSON point. [`to_table`] and
+/// [`figure_to_json_with_info`] write everything else, the same for every
+/// figure.
+pub trait FigureMetrics {
+    /// The metric column headings, after `series` and the x label.
+    fn table_header() -> String;
+    /// This point's cells under [`table_header`](Self::table_header).
+    fn table_cells(&self) -> String;
+    /// This point's `metrics` JSON object, on one line.
+    fn to_json(&self) -> String;
+}
+
+impl FigureMetrics for Metrics {
+    fn table_header() -> String {
+        format!(
+            "{:>10} {:>12} {:>10} {:>14} {:>10}",
+            "traffic", "delay(s)", "quality", "value($)", "hit"
+        )
+    }
+
+    fn table_cells(&self) -> String {
+        format!(
+            "{:>10.4} {:>12.2} {:>10.4} {:>14.1} {:>10.4}",
+            self.traffic_reduction_ratio,
+            self.avg_service_delay_secs,
+            self.avg_stream_quality,
+            self.total_added_value,
+            self.hit_ratio
+        )
+    }
+
+    fn to_json(&self) -> String {
+        format!(
+            "{{\"requests\": {}, \"traffic_reduction_ratio\": {}, \
+             \"avg_service_delay_secs\": {}, \"avg_stream_quality\": {}, \
+             \"total_added_value\": {}, \"hit_ratio\": {}, \"immediate_ratio\": {}}}",
+            self.requests,
+            json_f64(self.traffic_reduction_ratio),
+            json_f64(self.avg_service_delay_secs),
+            json_f64(self.avg_stream_quality),
+            json_f64(self.total_added_value),
+            json_f64(self.hit_ratio),
+            json_f64(self.immediate_ratio),
+        )
+    }
+}
+
+impl FigureMetrics for SessionMetrics {
+    fn table_header() -> String {
+        format!(
+            "{:>10} {:>10} {:>6} {:>10} {:>12} {:>14}",
+            "traffic", "viewers", "peak", "rebuf", "rebuf(s)", "origin(GB)"
+        )
+    }
+
+    fn table_cells(&self) -> String {
+        format!(
+            "{:>10.4} {:>10.2} {:>6} {:>10.4} {:>12.2} {:>14.3}",
+            self.traffic_reduction_ratio,
+            self.avg_concurrent_viewers,
+            self.peak_concurrent_viewers,
+            self.rebuffer_probability,
+            self.avg_rebuffer_secs,
+            self.origin_bytes_total / 1e9
+        )
+    }
+
+    fn to_json(&self) -> String {
+        let bins: Vec<String> = self
+            .egress_bins_bytes
+            .iter()
+            .map(|&b| json_f64(b))
+            .collect();
+        format!(
+            "{{\"sessions\": {}, \"viewer_seconds\": {}, \
+             \"avg_concurrent_viewers\": {}, \"peak_concurrent_viewers\": {}, \
+             \"rebuffer_probability\": {}, \"avg_rebuffer_secs\": {}, \
+             \"traffic_reduction_ratio\": {}, \"origin_bytes_total\": {}, \
+             \"horizon_secs\": {}, \"outage_secs\": {}, \"masked_stall_secs\": {}, \
+             \"egress_bins_bytes\": [{}]}}",
+            self.sessions,
+            json_f64(self.viewer_seconds),
+            json_f64(self.avg_concurrent_viewers),
+            self.peak_concurrent_viewers,
+            json_f64(self.rebuffer_probability),
+            json_f64(self.avg_rebuffer_secs),
+            json_f64(self.traffic_reduction_ratio),
+            json_f64(self.origin_bytes_total),
+            json_f64(self.horizon_secs),
+            json_f64(self.outage_secs),
+            json_f64(self.masked_stall_secs),
+            bins.join(", "),
+        )
+    }
+}
+
+/// Renders a figure as an aligned plain-text table, one row per
+/// (series, x) pair, with one column per metric — the same rows the paper
+/// plots.
+pub fn to_table<M: FigureMetrics>(figure: &FigureResult<M>) -> String {
+    let mut out = String::new();
+    let _ = writeln!(out, "# {} — {}", figure.id, figure.title);
+    let _ = writeln!(
+        out,
+        "{:<14} {:>10} {}",
+        "series",
+        figure.x_label,
+        M::table_header()
+    );
+    for series in &figure.series {
+        for p in &series.points {
+            let _ = writeln!(
+                out,
+                "{:<14} {:>10.4} {}",
+                series.label,
+                p.x,
+                p.metrics.table_cells()
+            );
+        }
+    }
+    out
+}
+
 /// Prints a figure as a plain-text table and writes it as JSON under
 /// `results/<id>.json` (best effort — failures to write are reported but not
 /// fatal), reporting how the experiment ran: the wall-clock time and the
 /// environment-configured executor's thread count are printed and embedded
-/// in the JSON (`wall_clock_secs` / `threads`).
-pub fn emit_timed(figure: &FigureResult, elapsed: Duration) {
+/// in the JSON (`wall_clock_secs` / `threads`), and so is a session
+/// figure's scheduling telemetry.
+pub fn emit_timed<M: FigureMetrics>(figure: &FigureResult<M>, elapsed: Duration) {
     let info = RunInfo::from_elapsed(elapsed);
-    print_and_write(
-        &figure.id,
-        &figure.to_table(),
-        &format!("({})", wall_clock_phrase(info)),
-        &figure_to_json_with_info(figure, Some(info)),
-    );
-}
-
-/// Like [`emit_timed`], for session-mode figures: prints the table, the
-/// runtime line, and writes `results/<id>.json` with the session-metric
-/// schema (including the `egress_bins_bytes` array).
-pub fn emit_session_timed(figure: &SessionFigureResult, elapsed: Duration) {
-    let info = RunInfo::from_elapsed(elapsed);
-    let t = figure.telemetry;
-    print_and_write(
-        &figure.id,
-        &figure.to_table(),
-        &format!(
-            "({}; events scheduled {}, cancelled {}, peak heap {}, re-divisions {})",
-            wall_clock_phrase(info),
-            t.events_scheduled,
-            t.events_cancelled,
-            t.peak_heap_len,
-            t.redivisions
-        ),
-        &session_figure_to_json_with_info(figure, Some(info)),
-    );
-}
-
-fn wall_clock_phrase(info: RunInfo) -> String {
-    format!(
+    println!("{}", to_table(figure));
+    let mut runtime = format!(
         "wall clock: {:.3} s on {} thread{}",
         info.wall_clock_secs,
         info.threads,
         if info.threads == 1 { "" } else { "s" }
-    )
-}
-
-fn print_and_write(id: &str, table: &str, runtime_line: &str, json: &str) {
-    println!("{table}");
-    println!("{runtime_line}");
-    let dir = PathBuf::from("results");
-    if std::fs::create_dir_all(&dir).is_ok() {
-        let path = dir.join(format!("{id}.json"));
-        if let Err(e) = std::fs::write(&path, json) {
-            eprintln!("warning: could not write {}: {e}", path.display());
-        } else {
-            println!("(wrote {})", path.display());
-        }
+    );
+    if let Some(t) = figure.telemetry {
+        let _ = write!(
+            runtime,
+            "; events scheduled {}, cancelled {}, peak heap {}, re-divisions {}",
+            t.events_scheduled, t.events_cancelled, t.peak_heap_len, t.redivisions
+        );
+    }
+    println!("({runtime})");
+    let json = figure_to_json_with_info(figure, Some(info));
+    match write_json(Path::new("results"), &figure.id, &json) {
+        Ok(path) => println!("(wrote {})", path.display()),
+        Err(warning) => eprintln!("warning: {warning}"),
     }
 }
 
+/// Writes `json` to `<dir>/<id>.json`, creating `dir` first; the error
+/// names the file and says why either step failed.
+fn write_json(dir: &Path, id: &str, json: &str) -> Result<PathBuf, String> {
+    let path = dir.join(format!("{id}.json"));
+    std::fs::create_dir_all(dir)
+        .and_then(|()| std::fs::write(&path, json))
+        .map_err(|e| format!("could not write {}: {e}", path.display()))?;
+    Ok(path)
+}
+
 /// Serialises a [`FigureResult`] to pretty-printed JSON; when `info` is
-/// given, top-level `wall_clock_secs` and `threads` fields are emitted.
+/// given, top-level `wall_clock_secs` and `threads` fields are emitted,
+/// followed for a session figure by its scheduling telemetry
+/// (`events_scheduled`, `events_cancelled`, `peak_heap_len`,
+/// `redivisions`).
 ///
 /// Hand-rolled because the build environment has no registry access for
 /// `serde`; the schema mirrors the public fields of [`FigureResult`].
 /// Non-finite floats (e.g. an infinite average delay at zero bandwidth)
 /// are emitted as `null`, matching what `serde_json` does for them.
-pub fn figure_to_json_with_info(figure: &FigureResult, info: Option<RunInfo>) -> String {
-    let series = figure.series.iter();
-    figure_json(
-        [&figure.id, &figure.title, &figure.x_label],
-        &info.map(run_info_lines).unwrap_or_default(),
-        series.map(|s| (s.label.as_str(), &s.points[..])),
-        |p| (p.x, metrics_to_json(&p.metrics)),
-    )
-}
-
-/// Serialises a [`SessionFigureResult`] to pretty-printed JSON; same
-/// hand-rolled schema conventions as [`figure_to_json_with_info`]. The
-/// run-info block also carries the figure's scheduling telemetry
-/// (`events_scheduled`, `events_cancelled`, `peak_heap_len`,
-/// `redivisions`).
-pub fn session_figure_to_json_with_info(
-    figure: &SessionFigureResult,
+pub fn figure_to_json_with_info<M: FigureMetrics>(
+    figure: &FigureResult<M>,
     info: Option<RunInfo>,
-) -> String {
-    let t = figure.telemetry;
-    let info_lines = info.map(|info| {
-        format!(
-            "{}  \"events_scheduled\": {},\n  \"events_cancelled\": {},\n  \
-             \"peak_heap_len\": {},\n  \"redivisions\": {},\n",
-            run_info_lines(info),
-            t.events_scheduled,
-            t.events_cancelled,
-            t.peak_heap_len,
-            t.redivisions
-        )
-    });
-    let series = figure.series.iter();
-    figure_json(
-        [&figure.id, &figure.title, &figure.x_label],
-        &info_lines.unwrap_or_default(),
-        series.map(|s| (s.label.as_str(), &s.points[..])),
-        |p| (p.x, session_metrics_to_json(&p.metrics)),
-    )
-}
-
-fn run_info_lines(info: RunInfo) -> String {
-    format!(
-        "  \"wall_clock_secs\": {},\n  \"threads\": {},\n",
-        json_f64(info.wall_clock_secs),
-        info.threads
-    )
-}
-
-/// The skeleton both figure schemas share: the `[id, title, x_label]`
-/// header, the already-formatted run-info lines (empty when untimed), then
-/// every series as `(label, points)`, with `point` giving each point's `x`
-/// and its metrics as JSON.
-fn figure_json<'a, P: 'a>(
-    [id, title, x_label]: [&str; 3],
-    info_lines: &str,
-    series: impl Iterator<Item = (&'a str, &'a [P])>,
-    point: impl Fn(&P) -> (f64, String),
 ) -> String {
     let mut out = String::new();
     out.push_str("{\n");
-    let _ = writeln!(out, "  \"id\": {},", json_string(id));
-    let _ = writeln!(out, "  \"title\": {},", json_string(title));
-    let _ = writeln!(out, "  \"x_label\": {},", json_string(x_label));
-    out.push_str(info_lines);
+    let _ = writeln!(out, "  \"id\": {},", json_string(&figure.id));
+    let _ = writeln!(out, "  \"title\": {},", json_string(&figure.title));
+    let _ = writeln!(out, "  \"x_label\": {},", json_string(&figure.x_label));
+    if let Some(info) = info {
+        let _ = writeln!(
+            out,
+            "  \"wall_clock_secs\": {},",
+            json_f64(info.wall_clock_secs)
+        );
+        let _ = writeln!(out, "  \"threads\": {},", info.threads);
+        if let Some(t) = figure.telemetry {
+            let _ = writeln!(out, "  \"events_scheduled\": {},", t.events_scheduled);
+            let _ = writeln!(out, "  \"events_cancelled\": {},", t.events_cancelled);
+            let _ = writeln!(out, "  \"peak_heap_len\": {},", t.peak_heap_len);
+            let _ = writeln!(out, "  \"redivisions\": {},", t.redivisions);
+        }
+    }
     out.push_str("  \"series\": [\n");
-    let mut series = series.peekable();
-    while let Some((label, points)) = series.next() {
+    for (si, series) in figure.series.iter().enumerate() {
         out.push_str("    {\n");
-        let _ = writeln!(out, "      \"label\": {},", json_string(label));
+        let _ = writeln!(out, "      \"label\": {},", json_string(&series.label));
         out.push_str("      \"points\": [\n");
-        for (pi, (x, metrics)) in points.iter().map(&point).enumerate() {
+        for (pi, p) in series.points.iter().enumerate() {
             let _ = write!(
                 out,
-                "        {{\"x\": {}, \"metrics\": {metrics}}}",
-                json_f64(x)
+                "        {{\"x\": {}, \"metrics\": {}}}",
+                json_f64(p.x),
+                p.metrics.to_json()
             );
-            out.push_str(if pi + 1 < points.len() { ",\n" } else { "\n" });
+            out.push_str(line_end(pi + 1 < series.points.len()));
         }
-        out.push_str("      ]\n");
-        out.push_str(if series.peek().is_some() {
-            "    },\n"
-        } else {
-            "    }\n"
-        });
+        out.push_str("      ]\n    }");
+        out.push_str(line_end(si + 1 < figure.series.len()));
     }
     out.push_str("  ]\n}\n");
     out
 }
 
-fn session_metrics_to_json(m: &SessionMetrics) -> String {
-    let bins: Vec<String> = m.egress_bins_bytes.iter().map(|&b| json_f64(b)).collect();
-    format!(
-        "{{\"sessions\": {}, \"viewer_seconds\": {}, \
-         \"avg_concurrent_viewers\": {}, \"peak_concurrent_viewers\": {}, \
-         \"rebuffer_probability\": {}, \"avg_rebuffer_secs\": {}, \
-         \"traffic_reduction_ratio\": {}, \"origin_bytes_total\": {}, \
-         \"horizon_secs\": {}, \"outage_secs\": {}, \"masked_stall_secs\": {}, \
-         \"egress_bins_bytes\": [{}]}}",
-        m.sessions,
-        json_f64(m.viewer_seconds),
-        json_f64(m.avg_concurrent_viewers),
-        m.peak_concurrent_viewers,
-        json_f64(m.rebuffer_probability),
-        json_f64(m.avg_rebuffer_secs),
-        json_f64(m.traffic_reduction_ratio),
-        json_f64(m.origin_bytes_total),
-        json_f64(m.horizon_secs),
-        json_f64(m.outage_secs),
-        json_f64(m.masked_stall_secs),
-        bins.join(", "),
-    )
-}
-
-fn metrics_to_json(m: &Metrics) -> String {
-    format!(
-        "{{\"requests\": {}, \"traffic_reduction_ratio\": {}, \
-         \"avg_service_delay_secs\": {}, \"avg_stream_quality\": {}, \
-         \"total_added_value\": {}, \"hit_ratio\": {}, \"immediate_ratio\": {}}}",
-        m.requests,
-        json_f64(m.traffic_reduction_ratio),
-        json_f64(m.avg_service_delay_secs),
-        json_f64(m.avg_stream_quality),
-        json_f64(m.total_added_value),
-        json_f64(m.hit_ratio),
-        json_f64(m.immediate_ratio),
-    )
+/// The end of a JSON array element's last line: a comma when `more` follow.
+fn line_end(more: bool) -> &'static str {
+    if more {
+        ",\n"
+    } else {
+        "\n"
+    }
 }
 
 fn json_f64(v: f64) -> String {
@@ -370,7 +401,7 @@ fn json_string(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sc_sim::FigureSeries;
+    use sc_sim::{FigureSeries, SessionTelemetry};
 
     #[test]
     fn default_scale_is_quick() {
@@ -379,7 +410,10 @@ mod tests {
 
     #[test]
     fn default_bandwidth_model_is_iid() {
-        assert_eq!(bandwidth_model_from_args(), BandwidthModel::Iid);
+        assert_eq!(
+            bandwidth_model_from_args(BandwidthModel::Iid),
+            BandwidthModel::Iid
+        );
     }
 
     fn args_of(line: &str) -> Vec<String> {
@@ -429,7 +463,7 @@ mod tests {
 
     #[test]
     fn emit_writes_results_file() {
-        let mut fig = FigureResult::new("selftest", "emit smoke test", "x");
+        let mut fig: FigureResult = FigureResult::new("selftest", "emit smoke test", "x");
         fig.series.push(FigureSeries::new("s"));
         emit_timed(&fig, Duration::ZERO);
         let path = std::path::Path::new("results/selftest.json");
@@ -437,9 +471,23 @@ mod tests {
         let _ = std::fs::remove_file(path);
     }
 
+    /// A results directory that cannot be created — here a path under a
+    /// regular file — is reported like a failed file write, not skipped.
+    #[test]
+    fn an_uncreatable_results_dir_is_reported() {
+        let file = std::env::temp_dir().join(format!("sc_bench_not_a_dir_{}", std::process::id()));
+        std::fs::write(&file, "").unwrap();
+        let warning = write_json(&file.join("results"), "selftest", "{}").unwrap_err();
+        let _ = std::fs::remove_file(&file);
+        assert!(
+            warning.starts_with("could not write ") && warning.contains("selftest.json"),
+            "{warning}"
+        );
+    }
+
     #[test]
     fn json_includes_runtime_info_when_timed() {
-        let mut fig = FigureResult::new("selftest_timed", "timed emit", "x");
+        let mut fig: FigureResult = FigureResult::new("selftest_timed", "timed emit", "x");
         fig.series.push(FigureSeries::new("s"));
         let info = RunInfo {
             wall_clock_secs: 1.5,
@@ -461,11 +509,13 @@ mod tests {
 
     #[test]
     fn session_json_includes_bins_and_info() {
-        use sc_sim::SessionFigureSeries;
-        let mut fig = SessionFigureResult::new("selftest_sessions", "session emit", "x");
-        fig.telemetry.events_scheduled = 31;
-        fig.telemetry.redivisions = 7;
-        let mut s = SessionFigureSeries::new("PB");
+        let mut fig = FigureResult::new("selftest_sessions", "session emit", "x");
+        fig.telemetry = Some(SessionTelemetry {
+            events_scheduled: 31,
+            redivisions: 7,
+            ..SessionTelemetry::default()
+        });
+        let mut s = FigureSeries::new("PB");
         s.push(
             0.05,
             SessionMetrics {
@@ -484,7 +534,7 @@ mod tests {
             },
         );
         fig.series.push(s);
-        let json = session_figure_to_json_with_info(
+        let json = figure_to_json_with_info(
             &fig,
             Some(RunInfo {
                 wall_clock_secs: 2.0,
@@ -499,7 +549,7 @@ mod tests {
         assert!(json.contains("\"events_scheduled\": 31"));
         assert!(json.contains("\"redivisions\": 7"));
 
-        emit_session_timed(&fig, Duration::from_millis(5));
+        emit_timed(&fig, Duration::from_millis(5));
         let path = std::path::Path::new("results/selftest_sessions.json");
         assert!(path.exists());
         let written = std::fs::read_to_string(path).unwrap();
@@ -566,15 +616,14 @@ mod tests {
     /// run info, `egress_bins_bytes` is an array, an empty series closes.
     #[test]
     fn session_figure_json_bytes_are_pinned() {
-        use sc_sim::{SessionFigureSeries, SessionTelemetry};
-        let mut fig = SessionFigureResult::new("golden_sessions", "sessions", "cache size (%)");
-        fig.telemetry = SessionTelemetry {
+        let mut fig = FigureResult::new("golden_sessions", "sessions", "cache size (%)");
+        fig.telemetry = Some(SessionTelemetry {
             events_scheduled: 31,
             events_cancelled: 5,
             peak_heap_len: 9,
             redivisions: 7,
-        };
-        let mut pb = SessionFigureSeries::new("PB");
+        });
+        let mut pb = FigureSeries::new("PB");
         pb.push(
             0.05,
             SessionMetrics {
@@ -592,7 +641,7 @@ mod tests {
                 masked_stall_secs: 3.75,
             },
         );
-        fig.series = vec![pb, SessionFigureSeries::new("IB \"whole\"")];
+        fig.series = vec![pb, FigureSeries::new("IB \"whole\"")];
 
         let expected = r#"{
   "id": "golden_sessions",
@@ -613,13 +662,76 @@ mod tests {
   ]
 }
 "#;
-        assert_eq!(session_figure_to_json_with_info(&fig, None), expected);
+        assert_eq!(figure_to_json_with_info(&fig, None), expected);
         let timed = expected.replace(
             "  \"series\"",
             "  \"wall_clock_secs\": 1.5,\n  \"threads\": 4,\n  \"events_scheduled\": 31,\n  \
              \"events_cancelled\": 5,\n  \"peak_heap_len\": 9,\n  \"redivisions\": 7,\n  \"series\"",
         );
-        assert_eq!(session_figure_to_json_with_info(&fig, Some(INFO)), timed);
+        assert_eq!(figure_to_json_with_info(&fig, Some(INFO)), timed);
+    }
+
+    /// Every byte of the per-request table: a label wider than its
+    /// 14-character column, an x label as wide, a non-finite delay.
+    #[test]
+    fn figure_table_bytes_are_pinned() {
+        let point = |delay| Metrics {
+            requests: 100,
+            traffic_reduction_ratio: 0.25,
+            avg_service_delay_secs: delay,
+            avg_stream_quality: 0.875,
+            total_added_value: 1234.56,
+            hit_ratio: 0.5,
+            immediate_ratio: 0.125,
+        };
+        let mut fig = FigureResult::new("golden", "a title", "cache fraction");
+        let mut pb = FigureSeries::new("PB");
+        pb.push(0.05, point(1.5));
+        pb.push(1.0, point(f64::INFINITY));
+        let mut wide = FigureSeries::new("PB(e=0.5) ewma/60s");
+        wide.push(0.125, point(f64::NAN));
+        fig.series = vec![pb, wide];
+        let expected = r#"# golden — a title
+series         cache fraction    traffic     delay(s)    quality       value($)        hit
+PB                 0.0500     0.2500         1.50     0.8750         1234.6     0.5000
+PB                 1.0000     0.2500          inf     0.8750         1234.6     0.5000
+PB(e=0.5) ewma/60s     0.1250     0.2500          NaN     0.8750         1234.6     0.5000
+"#;
+        assert_eq!(to_table(&fig), expected);
+    }
+
+    /// Every byte of the session table: a label wider than its column, a
+    /// non-finite rebuffer time, an empty series.
+    #[test]
+    fn session_figure_table_bytes_are_pinned() {
+        let mut fig = FigureResult::new("golden_sessions", "sessions", "outages per hour");
+        let mut pb = FigureSeries::new("PB mttr=300s");
+        let mut wide = FigureSeries::new("LRU mttr=60s wide");
+        let point = |rebuffer_secs| SessionMetrics {
+            sessions: 10,
+            viewer_seconds: 100.0,
+            avg_concurrent_viewers: 2.5,
+            peak_concurrent_viewers: 40,
+            rebuffer_probability: 0.125,
+            avg_rebuffer_secs: rebuffer_secs,
+            traffic_reduction_ratio: 0.3,
+            origin_bytes_total: 2.5e9,
+            egress_bins_bytes: vec![1.5e9, 1e9],
+            horizon_secs: 50.0,
+            outage_secs: 12.5,
+            masked_stall_secs: 3.75,
+        };
+        pb.push(0.0, point(3.25));
+        pb.push(6.0, point(f64::NAN));
+        wide.push(2.0, point(f64::INFINITY));
+        fig.series = vec![pb, wide, FigureSeries::new("IB")];
+        let expected = r#"# golden_sessions — sessions
+series         outages per hour    traffic    viewers   peak      rebuf     rebuf(s)     origin(GB)
+PB mttr=300s       0.0000     0.3000       2.50     40     0.1250         3.25          2.500
+PB mttr=300s       6.0000     0.3000       2.50     40     0.1250          NaN          2.500
+LRU mttr=60s wide     2.0000     0.3000       2.50     40     0.1250          inf          2.500
+"#;
+        assert_eq!(to_table(&fig), expected);
     }
 
     #[test]

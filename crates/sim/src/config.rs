@@ -279,8 +279,6 @@ impl PathFaultModel {
 pub enum SimError {
     /// The cache size was negative or not finite.
     InvalidCacheSize(f64),
-    /// The warm-up fraction was outside `[0, 1)`.
-    InvalidWarmup(f64),
     /// The workload configuration was invalid.
     Workload(String),
     /// The number of replicated runs was zero.
@@ -302,9 +300,6 @@ impl fmt::Display for SimError {
         match self {
             SimError::InvalidCacheSize(v) => {
                 write!(f, "cache size must be finite and non-negative, got {v}")
-            }
-            SimError::InvalidWarmup(v) => {
-                write!(f, "warm-up fraction must lie in [0, 1), got {v}")
             }
             SimError::Workload(why) => write!(f, "invalid workload configuration: {why}"),
             SimError::NoRuns => write!(f, "at least one simulation run is required"),
@@ -337,11 +332,6 @@ pub struct SimulationConfig {
     pub bandwidth_model: BandwidthModel,
     /// How the caching algorithm estimates per-path bandwidth.
     pub estimator: EstimatorKind,
-    /// Fraction of the trace used to warm the cache before metrics are
-    /// collected (the paper uses the first half, i.e. `0.5`). Per-request
-    /// mode only; session-mode metrics are time-weighted over the whole
-    /// trace.
-    pub warmup_fraction: f64,
     /// Number of fixed-width time bins of the session-mode
     /// origin-egress-over-time curve (session mode only).
     pub session_egress_bins: usize,
@@ -362,7 +352,6 @@ impl Default for SimulationConfig {
             variability: VariabilityKind::Constant,
             bandwidth_model: BandwidthModel::Iid,
             estimator: EstimatorKind::Oracle,
-            warmup_fraction: 0.5,
             session_egress_bins: 24,
             path_faults: None,
             seed: 1,
@@ -415,9 +404,6 @@ impl SimulationConfig {
         if !self.cache_size_bytes.is_finite() || self.cache_size_bytes < 0.0 {
             return Err(SimError::InvalidCacheSize(self.cache_size_bytes));
         }
-        if !self.warmup_fraction.is_finite() || !(0.0..1.0).contains(&self.warmup_fraction) {
-            return Err(SimError::InvalidWarmup(self.warmup_fraction));
-        }
         if self.session_egress_bins == 0 {
             return Err(SimError::InvalidEgressBins);
         }
@@ -444,7 +430,6 @@ mod tests {
     fn default_matches_paper() {
         let c = SimulationConfig::paper_default();
         assert_eq!(c.workload.catalog.objects, 5_000);
-        assert_eq!(c.warmup_fraction, 0.5);
         assert_eq!(c.variability, VariabilityKind::Constant);
         assert!(c.validate().is_ok());
     }
@@ -467,9 +452,6 @@ mod tests {
         let mut c = SimulationConfig::small();
         c.cache_size_bytes = -1.0;
         assert!(matches!(c.validate(), Err(SimError::InvalidCacheSize(_))));
-        let mut c = SimulationConfig::small();
-        c.warmup_fraction = 1.0;
-        assert!(matches!(c.validate(), Err(SimError::InvalidWarmup(_))));
         let mut c = SimulationConfig::small();
         c.workload.catalog.objects = 0;
         assert!(matches!(c.validate(), Err(SimError::Workload(_))));

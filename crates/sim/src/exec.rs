@@ -233,6 +233,11 @@ impl RunSetup {
     }
 }
 
+/// Fraction of a per-request trace that warms the cache before metrics are
+/// collected: the paper's first half. Session-mode metrics are time-weighted
+/// over the whole trace and have no warm-up.
+const WARMUP_FRACTION: f64 = 0.5;
+
 /// The self-contained body of one simulation run: a configuration, a run
 /// seed, and optionally a pre-generated shared workload.
 ///
@@ -272,16 +277,6 @@ impl SimWorker {
         }
     }
 
-    /// The run seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// The configuration under test.
-    pub fn config(&self) -> &SimulationConfig {
-        &self.config
-    }
-
     /// Executes the simulation run.
     ///
     /// # Errors
@@ -301,7 +296,7 @@ impl SimWorker {
         // request.
         let (trace, metas) = (&workload.trace, workload.metas());
 
-        let warmup_len = ((trace.len() as f64) * config.warmup_fraction).round() as usize;
+        let warmup_len = ((trace.len() as f64) * WARMUP_FRACTION).round() as usize;
         let mut collector = MetricsCollector::new();
 
         for (i, request) in trace.iter().enumerate() {

@@ -14,7 +14,8 @@
 use crate::config::{PathFaultModel, SimError, SimulationConfig, VariabilityKind};
 use crate::exec::ParallelExecutor;
 use crate::experiments::ExperimentScale;
-use crate::report::{assemble_series, SessionFigureResult};
+use crate::metrics::SessionMetrics;
+use crate::report::{assemble_series, FigureResult};
 use crate::session::run_session_grid_traced;
 use sc_cache::policy::PolicyKind;
 
@@ -57,7 +58,7 @@ fn outage_rates(scale: ExperimentScale) -> Vec<f64> {
 /// # Errors
 ///
 /// Propagates configuration validation errors from the simulator.
-pub fn fig_faults(scale: ExperimentScale) -> Result<SessionFigureResult, SimError> {
+pub fn fig_faults(scale: ExperimentScale) -> Result<FigureResult<SessionMetrics>, SimError> {
     let base = SimulationConfig {
         variability: VariabilityKind::Constant,
         ..scale.base_config()
@@ -90,12 +91,12 @@ pub fn fig_faults(scale: ExperimentScale) -> Result<SessionFigureResult, SimErro
     let (metrics, telemetry) =
         run_session_grid_traced(&configs, scale.runs(), &ParallelExecutor::from_env())?;
 
-    let mut fig = SessionFigureResult::new(
+    let mut fig = FigureResult::new(
         "fig_faults",
         "Resilience under origin outages: rebuffer probability vs outage rate and MTTR",
         "outages per hour",
     );
-    fig.telemetry = telemetry;
+    fig.telemetry = Some(telemetry);
     fig.series = assemble_series(labels, &rates, metrics);
     Ok(fig)
 }

@@ -2,11 +2,13 @@
 //! (Section 4).
 //!
 //! Each function returns a [`FigureResult`](crate::FigureResult) containing
-//! the same series the paper plots; the `sc-bench` binaries print these as
-//! tables and JSON. Absolute values differ from the paper (the bandwidth
-//! models are synthetic equivalents — see `ARCHITECTURE.md`), but the
-//! qualitative shape (which policy wins, where crossovers occur) is
-//! preserved.
+//! the same series the paper plots: of [`Metrics`](crate::Metrics) for the
+//! per-request figures, of [`SessionMetrics`](crate::SessionMetrics) with
+//! the run's scheduling telemetry for the session figures. The data is all
+//! a driver returns; `sc_bench` renders every figure as a table and JSON.
+//! Absolute values differ from the paper (the bandwidth models are
+//! synthetic equivalents — see `ARCHITECTURE.md`), but the qualitative
+//! shape (which policy wins, where crossovers occur) is preserved.
 //!
 //! Every figure is one grid: [`crate::exec::run_grid`] for the per-request
 //! figures, [`crate::session::run_session_grid`]'s traced form for the

@@ -14,7 +14,8 @@
 use crate::config::{SimError, SimulationConfig, VariabilityKind};
 use crate::exec::ParallelExecutor;
 use crate::experiments::ExperimentScale;
-use crate::report::{assemble_series, SessionFigureResult};
+use crate::metrics::SessionMetrics;
+use crate::report::{assemble_series, FigureResult};
 use crate::session::run_session_grid_traced;
 use sc_cache::policy::PolicyKind;
 
@@ -32,7 +33,7 @@ pub const FIG_SESSIONS_POLICIES: [PolicyKind; 3] = [
 /// # Errors
 ///
 /// Propagates configuration validation errors from the simulator.
-pub fn fig_sessions(scale: ExperimentScale) -> Result<SessionFigureResult, SimError> {
+pub fn fig_sessions(scale: ExperimentScale) -> Result<FigureResult<SessionMetrics>, SimError> {
     let base = SimulationConfig {
         variability: VariabilityKind::Constant,
         ..scale.base_config()
@@ -51,12 +52,12 @@ pub fn fig_sessions(scale: ExperimentScale) -> Result<SessionFigureResult, SimEr
     let (metrics, telemetry) =
         run_session_grid_traced(&configs, scale.runs(), &ParallelExecutor::from_env())?;
 
-    let mut fig = SessionFigureResult::new(
+    let mut fig = FigureResult::new(
         "fig_sessions",
         "Session-level contention: PB vs IB vs LRU under shared-bottleneck processor sharing",
         "cache fraction",
     );
-    fig.telemetry = telemetry;
+    fig.telemetry = Some(telemetry);
     let labels = FIG_SESSIONS_POLICIES.iter().map(PolicyKind::label);
     fig.series = assemble_series(labels, &fractions, metrics);
     Ok(fig)
@@ -137,7 +138,7 @@ mod tests {
         assert_eq!(one.0, four.0);
         // The grid above is the figure's: same points, same telemetry.
         let fig = fig_sessions(scale).unwrap();
-        assert_eq!(fig.telemetry, one.1);
+        assert_eq!(fig.telemetry, Some(one.1));
         let labels = FIG_SESSIONS_POLICIES.iter().map(PolicyKind::label);
         assert_eq!(fig.series, assemble_series(labels, &fractions, one.0));
     }

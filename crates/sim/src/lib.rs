@@ -75,10 +75,7 @@ pub use delivery::{deliver, DeliveryOutcome};
 pub use event::{Event, EventKind, EventQueue};
 pub use exec::{ExecConfig, ParallelExecutor, SharedWorkload, SimWorker};
 pub use metrics::{Metrics, MetricsCollector, SessionMetrics};
-pub use report::{
-    FigurePoint, FigureResult, FigureSeries, SessionFigurePoint, SessionFigureResult,
-    SessionFigureSeries,
-};
+pub use report::{FigurePoint, FigureResult, FigureSeries};
 pub use runner::{run_sessions, run_simulation, RunResult};
 pub use session::{
     run_session_grid, simulate_sessions, simulate_sessions_with_faults, NoCacheHooks,

@@ -1,13 +1,13 @@
-//! Structured experiment results and plain-text report formatting.
+//! Structured experiment results: what a figure measured, as data. The
+//! `sc_bench` crate renders it as a table and as JSON.
 
-use crate::metrics::{Metrics, SessionMetrics};
+use crate::metrics::Metrics;
 use crate::session::SessionTelemetry;
-use std::fmt::Write as _;
 
 /// One measured point of a figure: an x-coordinate (cache fraction,
 /// estimator `e`, Zipf α, …) plus the averaged metrics at that point —
-/// [`Metrics`] for the per-request figures, [`SessionMetrics`] for the
-/// session-mode ones.
+/// [`Metrics`] for the per-request figures,
+/// [`SessionMetrics`](crate::SessionMetrics) for the session-mode ones.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FigurePoint<M = Metrics> {
     /// The x-axis value.
@@ -40,12 +40,6 @@ impl<M> FigureSeries<M> {
     }
 }
 
-/// One measured point of a session-mode figure.
-pub type SessionFigurePoint = FigurePoint<SessionMetrics>;
-
-/// One curve of a session-mode figure.
-pub type SessionFigureSeries = FigureSeries<SessionMetrics>;
-
 /// Cuts the flat result of one grid — `labels.len() × xs.len()` averages,
 /// series-major, the order the figure listed its configurations in — back
 /// into one labelled series per label over the same `xs`.
@@ -76,20 +70,24 @@ pub(crate) fn assemble_series<M>(
     series
 }
 
-/// A complete reproduced figure or table: metadata plus one or more series.
+/// A complete reproduced figure: metadata plus one or more series of
+/// [`FigurePoint`]s.
 #[derive(Debug, Clone, PartialEq)]
-pub struct FigureResult {
-    /// Identifier, e.g. `"fig5"` or `"table1"`.
+pub struct FigureResult<M = Metrics> {
+    /// Identifier, e.g. `"fig5"` or `"fig_sessions"`.
     pub id: String,
     /// Human-readable title.
     pub title: String,
     /// Meaning of the x-axis.
     pub x_label: String,
     /// The measured series.
-    pub series: Vec<FigureSeries>,
+    pub series: Vec<FigureSeries<M>>,
+    /// Scheduling work of all the runs behind a session-mode figure
+    /// together; `None` for a per-request figure.
+    pub telemetry: Option<SessionTelemetry>,
 }
 
-impl FigureResult {
+impl<M> FigureResult<M> {
     /// Creates an empty figure result.
     pub fn new(
         id: impl Into<String>,
@@ -101,116 +99,20 @@ impl FigureResult {
             title: title.into(),
             x_label: x_label.into(),
             series: Vec::new(),
+            telemetry: None,
         }
     }
 
     /// Looks up a series by label.
-    pub fn series(&self, label: &str) -> Option<&FigureSeries> {
+    pub fn series(&self, label: &str) -> Option<&FigureSeries<M>> {
         self.series.iter().find(|s| s.label == label)
-    }
-
-    /// Renders the result as an aligned plain-text table, one row per
-    /// (series, x) pair, with one column per metric — the same rows the
-    /// paper plots.
-    pub fn to_table(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "# {} — {}", self.id, self.title);
-        let _ = writeln!(
-            out,
-            "{:<14} {:>10} {:>10} {:>12} {:>10} {:>14} {:>10}",
-            "series", self.x_label, "traffic", "delay(s)", "quality", "value($)", "hit"
-        );
-        for series in &self.series {
-            for p in &series.points {
-                let m = p.metrics;
-                let _ = writeln!(
-                    out,
-                    "{:<14} {:>10.4} {:>10.4} {:>12.2} {:>10.4} {:>14.1} {:>10.4}",
-                    series.label,
-                    p.x,
-                    m.traffic_reduction_ratio,
-                    m.avg_service_delay_secs,
-                    m.avg_stream_quality,
-                    m.total_added_value,
-                    m.hit_ratio
-                );
-            }
-        }
-        out
-    }
-}
-
-/// A complete session-mode figure: metadata plus one or more series of
-/// [`SessionMetrics`] points.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SessionFigureResult {
-    /// Identifier, e.g. `"fig_sessions"`.
-    pub id: String,
-    /// Human-readable title.
-    pub title: String,
-    /// Meaning of the x-axis.
-    pub x_label: String,
-    /// The measured series.
-    pub series: Vec<SessionFigureSeries>,
-    /// Scheduling work of all the runs behind the figure together.
-    pub telemetry: SessionTelemetry,
-}
-
-impl SessionFigureResult {
-    /// Creates an empty session figure result.
-    pub fn new(
-        id: impl Into<String>,
-        title: impl Into<String>,
-        x_label: impl Into<String>,
-    ) -> Self {
-        SessionFigureResult {
-            id: id.into(),
-            title: title.into(),
-            x_label: x_label.into(),
-            series: Vec::new(),
-            telemetry: SessionTelemetry::default(),
-        }
-    }
-
-    /// Looks up a series by label.
-    pub fn series(&self, label: &str) -> Option<&SessionFigureSeries> {
-        self.series.iter().find(|s| s.label == label)
-    }
-
-    /// Renders the result as an aligned plain-text table, one row per
-    /// (series, x) pair, with one column per session metric.
-    pub fn to_table(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "# {} — {}", self.id, self.title);
-        let _ = writeln!(
-            out,
-            "{:<14} {:>10} {:>10} {:>10} {:>6} {:>10} {:>12} {:>14}",
-            "series", self.x_label, "traffic", "viewers", "peak", "rebuf", "rebuf(s)", "origin(GB)"
-        );
-        for series in &self.series {
-            for p in &series.points {
-                let m = &p.metrics;
-                let _ = writeln!(
-                    out,
-                    "{:<14} {:>10.4} {:>10.4} {:>10.2} {:>6} {:>10.4} {:>12.2} {:>14.3}",
-                    series.label,
-                    p.x,
-                    m.traffic_reduction_ratio,
-                    m.avg_concurrent_viewers,
-                    m.peak_concurrent_viewers,
-                    m.rebuffer_probability,
-                    m.avg_rebuffer_secs,
-                    m.origin_bytes_total / 1e9
-                );
-            }
-        }
-        out
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::SessionMetrics;
 
     fn metrics(traffic: f64, delay: f64) -> Metrics {
         Metrics {
@@ -237,23 +139,9 @@ mod tests {
     }
 
     #[test]
-    fn table_rendering_contains_all_rows() {
-        let mut fig = FigureResult::new("fig9", "Estimator sweep", "e");
-        let mut s = FigureSeries::new("PB(e)");
-        s.push(0.2, metrics(0.15, 42.0));
-        fig.series.push(s);
-        let table = fig.to_table();
-        assert!(table.contains("fig9"));
-        assert!(table.contains("PB(e)"));
-        assert!(table.contains("42.00"));
-        assert!(table.lines().count() >= 3);
-    }
-
-    #[test]
-    fn session_figure_series_lookup_and_table() {
-        let mut fig =
-            SessionFigureResult::new("fig_sessions", "Session contention", "cache fraction");
-        let mut pb = SessionFigureSeries::new("PB");
+    fn session_figure_series_lookup() {
+        let mut fig = FigureResult::new("fig_sessions", "Session contention", "cache fraction");
+        let mut pb = FigureSeries::new("PB");
         pb.push(
             0.05,
             SessionMetrics {
@@ -274,10 +162,7 @@ mod tests {
         fig.series.push(pb);
         assert!(fig.series("PB").is_some());
         assert!(fig.series("LRU").is_none());
-        let table = fig.to_table();
-        assert!(table.contains("fig_sessions"));
-        assert!(table.contains("0.1250"));
-        assert!(table.contains("2.500"));
-        assert!(table.lines().count() >= 3);
+        assert_eq!(fig.series("PB").unwrap().points[0].metrics.sessions, 1_000);
+        assert_eq!(fig.telemetry, None);
     }
 }

@@ -1054,21 +1054,11 @@ impl SessionWorker {
         }
     }
 
-    /// The run seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// The configuration under test.
-    pub fn config(&self) -> &SimulationConfig {
-        &self.config
-    }
-
     /// Executes the session-mode simulation run.
     ///
     /// Unlike the per-request mode, session metrics are time-weighted over
-    /// the whole trace; `warmup_fraction` is a per-request-mode concept and
-    /// is ignored here (the contention transient *is* part of the measured
+    /// the whole trace; the per-request mode's warm-up half has no
+    /// counterpart here (the contention transient *is* part of the measured
     /// signal).
     ///
     /// # Errors
