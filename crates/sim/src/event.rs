@@ -10,29 +10,36 @@
 //!
 //! The session core keeps one pending completion event per path — the
 //! earliest among the path's members — and replaces it at every
-//! processor-sharing re-division. Rather than rebuilding the heap,
-//! [`EventQueue::cancel`] clears the event's entry in a table indexed by
-//! sequence number (sequences are dense and monotonic, so the table is a
-//! plain vector: no hashing) and [`EventQueue::pop`] silently discards
-//! heap entries whose sequence is no longer pending, so a cancelled event
-//! is never observed by the simulation loop.
+//! processor-sharing re-division. That event is *keyed* by its path:
+//! [`EventQueue::push_keyed`] re-schedules a key's pending event in place,
+//! moving its heap entry up or down to the new `(time, sequence)` with the
+//! sequence number drawn from the same counter as every other push, so the
+//! pop order is exactly the one cancelling the old event and pushing a new
+//! one would give — and no dead entry is left behind.
 //!
-//! The table grows by one byte per event ever pushed and is never trimmed.
-//! It is not a ring over the live sequence window, and this is why: since
-//! the session core reads its pre-known events (arrivals, outage edges)
-//! from sorted arrays, the queue sees only playback ends and completions.
-//! Measured at `--scale paper`, one thread, the largest single run of
-//! `fig_faults` pushes 1 648 214 events (1.6 MB of flags, beside a heap
-//! that peaks at 524 766 entries × 24 B = 12.6 MB and a 68 MB edge array;
-//! at the parent of that change the same run pushed 5.97 M, 4.23 M of them
-//! edges) and the largest of `fig_sessions` 259 790. A playback end stays
-//! pending for its session's whole duration, so the live window is most of
-//! the table anyway — at most 368 249 sequences (22 %) in that `fig_faults`
-//! run, 181 054 (70 %) in the `fig_sessions` one: a ring would save about
-//! a megabyte in the first and 80 KB in the second, and pay for it with a
-//! base offset on every index and a trim loop in `pop` and `cancel`.
-
-use std::collections::BinaryHeap;
+//! Plain pushes are cancelled the other way. [`EventQueue::cancel`] clears
+//! the event's entry in a table indexed by sequence number (sequences are
+//! dense and monotonic, so the table is a plain vector: no hashing) and
+//! [`EventQueue::pop`] silently discards heap entries whose sequence is no
+//! longer pending, so a cancelled event is never observed by the caller —
+//! but its entry stays in the heap, a tombstone, until it surfaces. The
+//! session core never cancels, so its heap holds no tombstone: only the
+//! playback ends of the sessions in their window and one completion per
+//! path with members.
+//!
+//! The table grows by one byte per event ever pushed, keyed ones included,
+//! and is never trimmed. It is not a ring over the live sequence window,
+//! and this is why: since the session core reads its pre-known events
+//! (arrivals, outage edges) from sorted arrays, the queue sees only
+//! playback ends and completions. Measured at `--scale paper`, one thread,
+//! the largest single run of `fig_faults` pushes 1 648 214 events (1.6 MB
+//! of flags, beside a 68 MB edge array) and the largest of `fig_sessions`
+//! 259 790. A playback end stays pending for its session's whole duration,
+//! so the live window is most of the table anyway — at most 368 249
+//! sequences (22 %) in that `fig_faults` run, 181 054 (70 %) in the
+//! `fig_sessions` one: a ring would save about a megabyte in the first and
+//! 80 KB in the second, and pay for it with a base offset on every index
+//! and a trim loop in `pop` and `cancel`.
 
 /// What happened, attached to every scheduled event.
 ///
@@ -67,35 +74,64 @@ pub struct Event {
     pub kind: EventKind,
 }
 
-/// Internal heap entry ordered so that `BinaryHeap` (a max-heap) pops the
-/// smallest `(time, seq)` first.
-#[derive(Debug)]
-struct HeapEntry(Event);
+/// The key of a plain (unkeyed) heap entry.
+const PLAIN: u32 = u32::MAX;
 
-impl PartialEq for HeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.0.time_secs.to_bits() == other.0.time_secs.to_bits() && self.0.seq == other.0.seq
-    }
+/// A key's slot while it has no entry in the heap.
+const ABSENT: u32 = u32::MAX;
+
+/// One heap entry: an event, with its `(time, seq)` held as one integer,
+/// and the key it is the pending event of ([`PLAIN`] for a plain push).
+#[derive(Debug, Clone, Copy)]
+struct HeapEntry {
+    /// The time's bits mapped so that their unsigned order is
+    /// `f64::total_cmp`'s, above the sequence number: the entries pop in
+    /// increasing `order`, which is the `(time, seq)` order, and one
+    /// integer comparison decides it without a branch.
+    order: u128,
+    kind: EventKind,
+    key: u32,
 }
 
-impl Eq for HeapEntry {}
+/// The sign bit of an `f64`, and the top bit of a mapped time.
+const SIGN: u64 = 1 << 63;
 
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+impl HeapEntry {
+    fn new(event: Event, key: u32) -> Self {
+        let bits = event.time_secs.to_bits();
+        // Non-negative times above negative ones; a negative time's
+        // magnitude reversed.
+        let time = if bits & SIGN == 0 { bits | SIGN } else { !bits };
+        HeapEntry {
+            order: u128::from(time) << 64 | u128::from(event.seq),
+            kind: event.kind,
+            key,
+        }
     }
-}
 
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reversed: the smallest (time, seq) must be the heap maximum.
-        // total_cmp gives a total order; event times are finite by
-        // construction (EventQueue::push rejects non-finite times).
-        other
-            .0
-            .time_secs
-            .total_cmp(&self.0.time_secs)
-            .then(other.0.seq.cmp(&self.0.seq))
+    fn event(&self) -> Event {
+        let time = (self.order >> 64) as u64;
+        let bits = if time & SIGN != 0 {
+            time & !SIGN
+        } else {
+            !time
+        };
+        Event {
+            time_secs: f64::from_bits(bits),
+            seq: self.order as u64,
+            kind: self.kind,
+        }
+    }
+
+    /// The sequence number, as an index into the pending flags.
+    fn seq(&self) -> usize {
+        self.order as u64 as usize
+    }
+
+    /// Whether `self` pops before `other`.
+    #[inline]
+    fn precedes(&self, other: &HeapEntry) -> bool {
+        self.order < other.order
     }
 }
 
@@ -108,8 +144,8 @@ pub(crate) fn assert_finite_time(time_secs: f64, kind: EventKind) {
     );
 }
 
-/// A binary-heap event queue with deterministic `(time, sequence)` ordering
-/// and seq-indexed cancellation.
+/// A binary-heap event queue with deterministic `(time, sequence)` ordering,
+/// seq-indexed cancellation and keyed events re-scheduled in place.
 ///
 /// ```
 /// use sc_sim::event::{EventKind, EventQueue};
@@ -119,23 +155,33 @@ pub(crate) fn assert_finite_time(time_secs: f64, kind: EventKind) {
 /// let early = queue.push(1.0, EventKind::Arrival(1));
 /// let tied = queue.push(5.0, EventKind::PlaybackEnd(1));
 /// queue.cancel(early);
+/// // Key 3 holds one pending event; the second push replaces the first.
+/// queue.push_keyed(3, 2.0, EventKind::TransferComplete(4));
+/// let (moved, replaced) = queue.push_keyed(3, 6.0, EventKind::TransferComplete(5));
+/// assert!(replaced);
 /// // The cancelled event is never observed; equal times pop in push order.
 /// assert_eq!(queue.pop().unwrap().kind, EventKind::Arrival(0));
 /// assert_eq!(queue.pop().unwrap().seq, tied);
+/// assert_eq!(queue.pop().unwrap().seq, moved);
 /// assert!(queue.pop().is_none());
 /// ```
 #[derive(Debug, Default)]
 pub struct EventQueue {
-    heap: BinaryHeap<HeapEntry>,
-    /// `pending[seq]` is true from the push of `seq` until it is popped or
-    /// cancelled; its length is the number of sequences handed out. A heap
-    /// entry whose flag is clear is a tombstone. One byte per event ever
-    /// scheduled buys a [`cancel`](Self::cancel) that is an indexed store
-    /// instead of an O(heap) scan or two hash-set updates (the module
-    /// header has the measured size, and why it is not a ring).
+    /// The binary min-heap over `(time, seq)`, root at index 0.
+    heap: Vec<HeapEntry>,
+    /// `pending[seq]` is true from the push of `seq` until it is popped,
+    /// cancelled or (keyed) replaced; its length is the number of
+    /// sequences handed out. A heap entry whose flag is clear is a
+    /// tombstone. One byte per event ever scheduled buys a
+    /// [`cancel`](Self::cancel) that is an indexed store instead of an
+    /// O(heap) scan or two hash-set updates (the module header has the
+    /// measured size, and why it is not a ring).
     pending: Vec<bool>,
     /// Number of set flags in `pending`.
     live: usize,
+    /// `slots[key]` is the heap index of `key`'s entry, or [`ABSENT`];
+    /// grown on demand to the largest key pushed.
+    slots: Vec<u32>,
 }
 
 impl EventQueue {
@@ -154,23 +200,66 @@ impl EventQueue {
     /// and an infinite completion time means a zero bandwidth share, which
     /// the session core rules out before scheduling).
     pub fn push(&mut self, time_secs: f64, kind: EventKind) -> u64 {
-        assert_finite_time(time_secs, kind);
-        let seq = self.pending.len() as u64;
-        self.pending.push(true);
+        let event = self.next_event(time_secs, kind);
+        let entry = HeapEntry::new(event, PLAIN);
         self.live += 1;
-        self.heap.push(HeapEntry(Event {
-            time_secs,
-            seq,
-            kind,
-        }));
-        seq
+        self.heap.push(entry);
+        self.sift_up(self.heap.len() - 1, entry);
+        event.seq
+    }
+
+    /// Schedules an event at `time_secs` as the one pending event of
+    /// `key`, replacing the key's pending event if it has one.
+    ///
+    /// The event takes the next sequence number, as [`push`](Self::push)
+    /// would give it, and the pop order is exactly that of cancelling the
+    /// replaced event and pushing this one; but the replaced event's heap
+    /// entry is re-keyed in place, so it leaves no tombstone. Returns the
+    /// new sequence number and whether a pending event was replaced. A
+    /// key's event that has popped (or was cancelled) is not pending: the
+    /// next `push_keyed` of that key schedules afresh.
+    ///
+    /// # Panics
+    ///
+    /// As [`push`](Self::push); also panics if `key` is `u32::MAX`.
+    pub fn push_keyed(&mut self, key: u32, time_secs: f64, kind: EventKind) -> (u64, bool) {
+        assert_ne!(key, PLAIN, "u32::MAX is not a valid event key");
+        let event = self.next_event(time_secs, kind);
+        let entry = HeapEntry::new(event, key);
+        let slot = key as usize;
+        if slot >= self.slots.len() {
+            self.slots.resize(slot + 1, ABSENT);
+        }
+        match self.slots[slot] {
+            ABSENT => {
+                self.live += 1;
+                self.heap.push(entry);
+                self.sift_up(self.heap.len() - 1, entry);
+                (event.seq, false)
+            }
+            pos => {
+                let pos = pos as usize;
+                let old = self.heap[pos].seq();
+                let replaced = std::mem::take(&mut self.pending[old]);
+                if !replaced {
+                    // The entry was a cancelled one's tombstone.
+                    self.live += 1;
+                }
+                if pos > 0 && entry.precedes(&self.heap[(pos - 1) / 2]) {
+                    self.sift_up(pos, entry);
+                } else {
+                    self.sift_down(pos, entry);
+                }
+                (event.seq, replaced)
+            }
+        }
     }
 
     /// Cancels a previously scheduled event by its sequence number.
     ///
     /// Returns `true` if the event was still pending (it will now never be
-    /// popped) and `false` if it had already been popped, cancelled, or was
-    /// never scheduled.
+    /// popped) and `false` if it had already been popped, cancelled,
+    /// replaced, or was never scheduled.
     pub fn cancel(&mut self, seq: u64) -> bool {
         // An already-popped, already-cancelled or never-scheduled seq has
         // no set flag: reporting that cancellation as successful would be
@@ -188,10 +277,10 @@ impl EventQueue {
     /// Pops the next pending event in `(time, seq)` order, discarding
     /// cancelled entries.
     pub fn pop(&mut self) -> Option<Event> {
-        while let Some(HeapEntry(event)) = self.heap.pop() {
-            if std::mem::take(&mut self.pending[event.seq as usize]) {
+        while let Some(entry) = self.pop_entry() {
+            if std::mem::take(&mut self.pending[entry.seq()]) {
                 self.live -= 1;
-                return Some(event);
+                return Some(entry.event());
             }
         }
         None
@@ -200,11 +289,11 @@ impl EventQueue {
     /// The timestamp of the next pending (non-cancelled) event.
     pub fn peek_time(&mut self) -> Option<f64> {
         // Drain cancelled entries off the top so the peek is accurate.
-        while let Some(HeapEntry(event)) = self.heap.peek() {
-            if self.pending[event.seq as usize] {
-                return Some(event.time_secs);
+        while let Some(top) = self.heap.first() {
+            if self.pending[top.seq()] {
+                return Some(top.event().time_secs);
             }
-            self.heap.pop();
+            self.pop_entry();
         }
         None
     }
@@ -225,9 +314,108 @@ impl EventQueue {
     }
 
     /// Entries physically in the heap: pending events plus the tombstones
-    /// of cancelled ones that have not surfaced yet.
+    /// of cancelled plain pushes that have not surfaced yet.
     pub(crate) fn heap_len(&self) -> usize {
         self.heap.len()
+    }
+
+    /// The event a push schedules: its time checked, the next sequence
+    /// number taken and flagged pending.
+    fn next_event(&mut self, time_secs: f64, kind: EventKind) -> Event {
+        assert_finite_time(time_secs, kind);
+        let seq = self.pending.len() as u64;
+        self.pending.push(true);
+        Event {
+            time_secs,
+            seq,
+            kind,
+        }
+    }
+
+    /// Removes the root entry, pending or not, and frees its key's slot.
+    fn pop_entry(&mut self) -> Option<HeapEntry> {
+        let last = self.heap.pop()?;
+        let top = match self.heap.first() {
+            Some(&top) => {
+                // The hole left at the root sinks along the smaller
+                // children to the bottom, and the old last entry rises
+                // from there: it came from the bottom, so it rarely
+                // climbs far, and the sinking needs one comparison per
+                // level instead of two.
+                let bottom = self.sink_hole(0);
+                self.sift_up(bottom, last);
+                top
+            }
+            None => last,
+        };
+        if top.key != PLAIN {
+            self.slots[top.key as usize] = ABSENT;
+        }
+        Some(top)
+    }
+
+    /// Writes `entry` at `pos` and records the position of a keyed one.
+    #[inline]
+    fn place(&mut self, pos: usize, entry: HeapEntry) {
+        if entry.key != PLAIN {
+            self.slots[entry.key as usize] = pos as u32;
+        }
+        self.heap[pos] = entry;
+    }
+
+    /// Moves `entry`, to be placed at `pos`, up past every parent it
+    /// precedes.
+    fn sift_up(&mut self, mut pos: usize, entry: HeapEntry) {
+        while pos > 0 {
+            let parent = (pos - 1) / 2;
+            let above = self.heap[parent];
+            if !entry.precedes(&above) {
+                break;
+            }
+            self.place(pos, above);
+            pos = parent;
+        }
+        self.place(pos, entry);
+    }
+
+    /// Moves `entry`, to be placed at `pos`, down past every child that
+    /// precedes it.
+    fn sift_down(&mut self, mut pos: usize, entry: HeapEntry) {
+        let len = self.heap.len();
+        loop {
+            let mut child = 2 * pos + 1;
+            if child >= len {
+                break;
+            }
+            if child + 1 < len {
+                child += usize::from(self.heap[child + 1].precedes(&self.heap[child]));
+            }
+            let below = self.heap[child];
+            if !below.precedes(&entry) {
+                break;
+            }
+            self.place(pos, below);
+            pos = child;
+        }
+        self.place(pos, entry);
+    }
+
+    /// Moves the hole at `pos` down to a leaf, filling it from the
+    /// smaller child at each level, and returns the leaf.
+    fn sink_hole(&mut self, mut pos: usize) -> usize {
+        let len = self.heap.len();
+        let mut child = 2 * pos + 1;
+        while child + 1 < len {
+            child += usize::from(self.heap[child + 1].precedes(&self.heap[child]));
+            self.place(pos, self.heap[child]);
+            pos = child;
+            child = 2 * pos + 1;
+        }
+        if child + 1 == len {
+            self.place(pos, self.heap[child]);
+            pos = child;
+        }
+        pos
     }
 }
 
@@ -373,5 +561,155 @@ mod tests {
         let minus = q.push(-0.0, EventKind::Arrival(1));
         assert_eq!(q.pop().unwrap().seq, minus);
         assert_eq!(q.pop().unwrap().seq, plus);
+    }
+
+    #[test]
+    fn rekeying_earlier_and_later_pops_only_the_replacement() {
+        let mut q = EventQueue::new();
+        q.push(5.0, EventKind::Arrival(1));
+        let (first, replaced) = q.push_keyed(7, 10.0, EventKind::TransferComplete(7));
+        assert!(!replaced);
+        let (earlier, replaced) = q.push_keyed(7, 4.0, EventKind::TransferComplete(8));
+        assert!(replaced);
+        let (later, replaced) = q.push_keyed(7, 6.0, EventKind::TransferComplete(9));
+        assert!(replaced);
+        assert!(first < earlier && earlier < later);
+        assert_eq!((q.len(), q.scheduled()), (2, 4));
+        assert!(
+            !q.cancel(first) && !q.cancel(earlier),
+            "replaced is not pending"
+        );
+
+        let popped: Vec<Event> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(popped.len(), 2);
+        assert_eq!(popped[0].kind, EventKind::Arrival(1));
+        assert_eq!(
+            popped[1],
+            Event {
+                time_secs: 6.0,
+                seq: later,
+                kind: EventKind::TransferComplete(9),
+            }
+        );
+    }
+
+    #[test]
+    fn keyed_and_plain_events_at_equal_times_pop_in_sequence_order() {
+        let mut q = EventQueue::new();
+        let mut seqs = Vec::new();
+        for i in 0..6u32 {
+            seqs.push(q.push(3.0, EventKind::PlaybackEnd(i)));
+            // Re-keyed from a later and from an earlier time onto the tie.
+            q.push_keyed(i, 9.0 - f64::from(i), EventKind::TransferComplete(i));
+            let (seq, _) = q.push_keyed(i, 3.0, EventKind::TransferComplete(i));
+            seqs.push(seq);
+            q.push(0.5 + f64::from(i), EventKind::Arrival(i));
+        }
+        let tied: Vec<u64> = std::iter::from_fn(|| q.pop())
+            .filter(|e| e.time_secs == 3.0)
+            .map(|e| e.seq)
+            .collect();
+        assert_eq!(tied, seqs);
+    }
+
+    #[test]
+    fn rekeying_after_the_keyed_event_popped_inserts_a_fresh_one() {
+        let mut q = EventQueue::new();
+        let (first, _) = q.push_keyed(2, 1.0, EventKind::TransferComplete(0));
+        assert_eq!(q.pop().unwrap().seq, first);
+        assert!(q.is_empty());
+        let (second, replaced) = q.push_keyed(2, 0.5, EventKind::TransferComplete(1));
+        assert!(!replaced, "a popped event is not replaced");
+        assert_eq!((q.len(), q.heap_len()), (1, 1));
+        assert_eq!(q.pop().unwrap().seq, second);
+        assert!(q.pop().is_none());
+
+        // A cancelled keyed event is not replaced either; its entry is
+        // reused for the fresh one.
+        let (third, _) = q.push_keyed(2, 4.0, EventKind::TransferComplete(2));
+        assert!(q.cancel(third));
+        let (fourth, replaced) = q.push_keyed(2, 5.0, EventKind::TransferComplete(3));
+        assert!(!replaced);
+        assert_eq!((q.len(), q.heap_len()), (1, 1));
+        assert_eq!(q.pop().unwrap().seq, fourth);
+    }
+
+    #[test]
+    fn cancelling_a_plain_event_is_unaffected_by_keyed_ones() {
+        let mut q = EventQueue::new();
+        let plain = q.push(2.0, EventKind::PlaybackEnd(0));
+        q.push_keyed(0, 1.0, EventKind::TransferComplete(0));
+        let (keyed, _) = q.push_keyed(0, 3.0, EventKind::TransferComplete(1));
+        assert!(q.cancel(plain));
+        assert!(!q.cancel(plain));
+        assert_eq!(q.peek_time(), Some(3.0));
+        assert_eq!(q.pop().unwrap().seq, keyed);
+        assert!(q.pop().is_none());
+    }
+
+    #[test]
+    fn the_heap_holds_no_keyed_tombstone() {
+        let mut q = EventQueue::new();
+        for round in 0..50u32 {
+            for key in 0..4u32 {
+                let time = f64::from((round * 7 + key * 13) % 31);
+                q.push_keyed(key, time, EventKind::TransferComplete(key));
+            }
+        }
+        q.push(0.5, EventKind::PlaybackEnd(0));
+        assert_eq!((q.len(), q.heap_len()), (5, 5));
+        assert_eq!(q.scheduled(), 201);
+    }
+
+    #[test]
+    fn keyed_rescheduling_pops_exactly_as_cancel_and_push() {
+        // A model check: the same script run with `push_keyed` and with
+        // the cancel-then-push it replaces pops the same events.
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut next = move |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        let mut keyed = EventQueue::new();
+        let mut plain = EventQueue::new();
+        let mut pending: Vec<Option<u64>> = vec![None; 8];
+        let mut clock = 0.0;
+        for step in 0..20_000u32 {
+            match next(4) {
+                0 | 1 => {
+                    let key = next(8) as u32;
+                    // Coarse times, so ties are common.
+                    let time = clock + next(16) as f64;
+                    let kind = EventKind::TransferComplete(step);
+                    let (seq, replaced) = keyed.push_keyed(key, time, kind);
+                    let was = pending[key as usize].take();
+                    assert_eq!(replaced, was.is_some_and(|old| plain.cancel(old)));
+                    assert_eq!(plain.push(time, kind), seq);
+                    pending[key as usize] = Some(seq);
+                }
+                2 => {
+                    let time = clock + next(16) as f64;
+                    assert_eq!(
+                        keyed.push(time, EventKind::PlaybackEnd(step)),
+                        plain.push(time, EventKind::PlaybackEnd(step))
+                    );
+                }
+                _ => {
+                    let event = keyed.pop();
+                    assert_eq!(event, plain.pop());
+                    if let Some(event) = event {
+                        clock = event.time_secs;
+                    }
+                }
+            }
+            assert_eq!(keyed.len(), plain.len());
+            assert_eq!(keyed.heap_len(), keyed.len());
+        }
+        while let Some(event) = keyed.pop() {
+            assert_eq!(Some(event), plain.pop());
+        }
+        assert!(plain.pop().is_none());
     }
 }

@@ -15,11 +15,19 @@
 //!   before the next re-division, and every event on the path re-divides
 //!   it anyway — so the path keeps **one** pending completion event on the
 //!   [`EventQueue`] (its earliest member's; ties go to the lowest session
-//!   index) and each re-division replaces that one event. This pops the
-//!   same events in the same order as scheduling every member would: the
-//!   members' other completions would all have been cancelled before they
-//!   could pop, and the surviving events are pushed in the same relative
-//!   order, so every `(time, sequence)` tie-break falls the same way.
+//!   index), keyed by the path, and each re-division re-keys that one
+//!   event in place ([`EventQueue::push_keyed`]), leaving no tombstone.
+//!   This pops the same events in the same order as scheduling every
+//!   member would: the members' other completions would all have been
+//!   cancelled before they could pop, and the surviving events take their
+//!   sequence numbers in the same relative order, so every
+//!   `(time, sequence)` tie-break falls the same way.
+//! * **One pass per re-division** — an arrival or a completion walks the
+//!   path's members once, in ascending index order: each member is
+//!   integrated up to now at its old share, given the new one, and checked
+//!   for the earliest completion. An outage edge first integrates every
+//!   session that arrived on the path through the boundary, then walks the
+//!   members.
 //! * **Pre-known events are walked, not heaped** — the arrivals (the spec
 //!   list, already sorted) and the outage edges (sorted once) are each read
 //!   by a cursor; the heap holds only what the run schedules as it goes
@@ -33,7 +41,9 @@
 //!   available (cached prefix + downloaded so far). The members of a path
 //!   are integrated over the same interval, so [`EgressAccumulator`] cuts
 //!   an interval into bins once and every member adds its bytes through
-//!   that cut.
+//!   that cut, and within a pass the one or two bins of the cut keep their
+//!   running sums in locals (`EgressPass`) until the cut changes or the
+//!   pass ends.
 //! * **Time-weighted metrics** ([`SessionMetrics`]) — concurrent-viewer
 //!   curves, rebuffer probability, and origin egress binned over time.
 //!
@@ -169,22 +179,9 @@ impl EgressAccumulator {
 
     /// Adds `bytes` transferred uniformly over `[from, to]`.
     pub fn add(&mut self, from: f64, to: f64, bytes: f64) {
-        if bytes <= 0.0 {
-            return;
-        }
-        if self.width <= 0.0 || to <= from {
-            // Degenerate horizon or instantaneous transfer: lump the bytes
-            // into the bin of the starting instant.
-            let idx = self.index_of(from);
-            self.bins[idx] += bytes;
-            return;
-        }
-        if self.cut_interval != Some((from.to_bits(), to.to_bits())) {
-            self.cut(from, to);
-        }
-        for (bin, share) in self.bins[self.cut_first..].iter_mut().zip(&self.cut_shares) {
-            *bin += bytes * share;
-        }
+        let mut pass = EgressPass::new(self);
+        pass.add(from, to, bytes);
+        pass.finish();
     }
 
     /// Cuts `[from, to]` (`from < to`, positive bin width) into bins and
@@ -228,6 +225,140 @@ impl EgressAccumulator {
     /// Consumes the accumulator, returning the bins.
     pub fn into_bins(self) -> Vec<f64> {
         self.bins
+    }
+}
+
+/// An [`EgressAccumulator`] borrowed for a run of adds — the event core's
+/// pass over a path's members — that keeps the bins of the current cut in
+/// locals.
+///
+/// Every member of a pass is integrated over the same `(from, to)` (bar a
+/// member whose own playback end moved its `from`), and the interval
+/// between two events on a path rarely spans more than two bins. So while
+/// the cut overlaps one or two bins their running sums live here and are
+/// written back when the cut changes or the pass ends
+/// ([`EgressPass::finish`]): each
+/// `bytes * share` product is still added to its bin's running sum in the
+/// order of the adds, so every bin ends bit-identical to adding through
+/// memory, without the load-add-store chain from one member to the next.
+/// A wider cut adds straight to the bins.
+pub(crate) struct EgressPass<'a> {
+    egress: &'a mut EgressAccumulator,
+    /// How many bins, from the cut's first, are held: 1 or 2, else 0.
+    held: usize,
+    /// The first held bin.
+    first: usize,
+    /// The cut's shares of the held bins.
+    share0: f64,
+    share1: f64,
+    /// The running sums of the held bins.
+    sum0: f64,
+    sum1: f64,
+}
+
+impl<'a> EgressPass<'a> {
+    /// Starts a pass, holding the accumulator's last cut if it is narrow.
+    #[inline(always)]
+    pub(crate) fn new(egress: &'a mut EgressAccumulator) -> Self {
+        let mut pass = EgressPass {
+            egress,
+            held: 0,
+            first: 0,
+            share0: 0.0,
+            share1: 0.0,
+            sum0: 0.0,
+            sum1: 0.0,
+        };
+        pass.hold();
+        pass
+    }
+
+    /// [`EgressAccumulator::add`], through the held bins.
+    #[inline(always)]
+    pub(crate) fn add(&mut self, from: f64, to: f64, bytes: f64) {
+        if bytes <= 0.0 {
+            return;
+        }
+        if self.egress.width <= 0.0 || to <= from {
+            // Degenerate horizon or instantaneous transfer: lump the bytes
+            // into the bin of the starting instant.
+            let idx = self.egress.index_of(from);
+            match idx.wrapping_sub(self.first) {
+                0 if self.held > 0 => self.sum0 += bytes,
+                1 if self.held > 1 => self.sum1 += bytes,
+                _ => self.egress.bins[idx] += bytes,
+            }
+            return;
+        }
+        if self.egress.cut_interval != Some((from.to_bits(), to.to_bits())) {
+            self.release();
+            self.egress.cut(from, to);
+            self.hold();
+        }
+        match self.held {
+            1 => self.sum0 += bytes * self.share0,
+            2 => {
+                self.sum0 += bytes * self.share0;
+                self.sum1 += bytes * self.share1;
+            }
+            _ => {
+                let egress = &mut *self.egress;
+                for (bin, share) in egress.bins[egress.cut_first..]
+                    .iter_mut()
+                    .zip(&egress.cut_shares)
+                {
+                    *bin += bytes * share;
+                }
+            }
+        }
+    }
+
+    /// Loads the bins of the accumulator's cut into the locals when it
+    /// overlaps one or two.
+    #[inline(always)]
+    fn hold(&mut self) {
+        let egress = &*self.egress;
+        self.held = match egress.cut_shares[..] {
+            [share0] => {
+                self.share0 = share0;
+                1
+            }
+            [share0, share1] => {
+                self.share0 = share0;
+                self.share1 = share1;
+                2
+            }
+            _ => 0,
+        };
+        self.first = egress.cut_first;
+        if self.held > 0 {
+            self.sum0 = egress.bins[self.first];
+        }
+        if self.held > 1 {
+            self.sum1 = egress.bins[self.first + 1];
+        }
+    }
+
+    /// Ends the pass, writing the held sums back to their bins.
+    ///
+    /// Explicit rather than on drop: a pass with drop glue would be
+    /// handed by address to the unwinding path of every panic in the loop
+    /// around it, which keeps its sums in memory instead of registers.
+    #[inline(always)]
+    pub(crate) fn finish(mut self) {
+        self.release();
+    }
+
+    /// Writes the held sums back to their bins.
+    #[inline(always)]
+    fn release(&mut self) {
+        if self.held > 0 {
+            self.egress.bins[self.first] = self.sum0;
+        }
+        if self.held > 1 {
+            self.egress.bins[self.first + 1] = self.sum1;
+        }
+        self.held = 0;
     }
 }
 
@@ -412,8 +543,19 @@ impl SessionState {
     /// boundary, so the flag is well-defined per segment.
     pub fn advance_masked(&mut self, to: f64, egress: &mut EgressAccumulator, path_down: bool) {
         let from = self.last_update_secs;
+        let downloaded = self.integrate(to, path_down);
+        egress.add(from, to, downloaded);
+    }
+
+    /// The integration behind [`SessionState::advance_masked`], returning
+    /// the origin bytes downloaded over `[last_update_secs, to]` (zero
+    /// when `to` is not later) instead of attributing them, so the event
+    /// core can add them through an [`EgressPass`].
+    #[inline(always)]
+    fn integrate(&mut self, to: f64, path_down: bool) -> f64 {
+        let from = self.last_update_secs;
         if to <= from {
-            return;
+            return 0.0;
         }
         let rate = if self.transferring {
             self.share_bps
@@ -437,12 +579,14 @@ impl SessionState {
             }
         }
 
+        self.last_update_secs = to;
         if self.transferring && rate > 0.0 {
             let before = self.downloaded_bytes;
             self.downloaded_bytes = (before + rate * (to - from)).min(self.origin_bytes);
-            egress.add(from, to, self.downloaded_bytes - before);
+            self.downloaded_bytes - before
+        } else {
+            0.0
         }
-        self.last_update_secs = to;
     }
 
     /// Origin bytes still to download.
@@ -499,12 +643,14 @@ pub struct SessionTelemetry {
     /// Events the run was given or scheduled itself (arrivals, playback
     /// ends, outage edges and completions, cancelled ones included).
     pub events_scheduled: u64,
-    /// Completion events cancelled by a later re-division.
+    /// Completion events replaced by a later re-division before they
+    /// popped.
     pub events_cancelled: u64,
-    /// Largest number of heap entries, tombstones included. The heap holds
-    /// only the events a run schedules as it goes — playback ends and
-    /// completions; arrivals and outage edges are read from sorted arrays
-    /// and take no room in it.
+    /// Largest number of heap entries. The heap holds only the events a
+    /// run schedules as it goes — the playback ends of the sessions in
+    /// their window and one completion per path with members, which each
+    /// re-division re-keys in place; arrivals and outage edges are read
+    /// from sorted arrays and take no room in it.
     pub peak_heap_len: u64,
     /// Processor-sharing re-divisions of a path's capacity.
     pub redivisions: u64,
@@ -565,8 +711,9 @@ pub struct SessionSimOutput {
 /// # Panics
 ///
 /// Panics if `specs` is not sorted by arrival time, a spec's path index is
-/// not below `n_paths`, an event time is not finite, or `capacity` returns
-/// a non-positive or non-finite value for a path with active sessions.
+/// not below `n_paths`, an event time is not finite, a spec's duration is
+/// negative or not finite, or `capacity` returns a non-positive or
+/// non-finite value for a path with active sessions.
 pub fn simulate_sessions<C, H>(
     specs: &[SessionSpec],
     n_paths: usize,
@@ -595,8 +742,10 @@ where
 ///
 /// # Panics
 ///
-/// As [`simulate_sessions`]; additionally panics if the timeline covers
-/// fewer paths than `n_paths`.
+/// As [`simulate_sessions`] — unsorted specs, a path index out of range, a
+/// non-finite event time (an outage edge included), a negative or
+/// non-finite duration, a bad capacity — and additionally if the timeline
+/// covers fewer paths than `n_paths`.
 pub fn simulate_sessions_with_faults<C, H>(
     specs: &[SessionSpec],
     n_paths: usize,
@@ -668,6 +817,13 @@ where
     // heap and an arrival every tie against an edge.
     for (i, spec) in specs.iter().enumerate() {
         assert_finite_time(spec.arrival_secs, EventKind::Arrival(i as u32));
+        // A negative duration would schedule the playback end before the
+        // arrival that pushes it, running the clock backwards.
+        assert!(
+            spec.duration_secs.is_finite() && spec.duration_secs >= 0.0,
+            "session duration must be finite and non-negative, got {} for session {i}",
+            spec.duration_secs
+        );
     }
     let mut next_arrival = 0;
 
@@ -719,15 +875,15 @@ where
     };
 
     let mut states: Vec<SessionState> = Vec::with_capacity(specs.len());
-    // seq of the one pending TransferComplete event per path (its earliest
-    // member's); `None` while the path has no member.
-    let mut completion_seq: Vec<Option<u64>> = vec![None; n_paths];
     // Active (transferring) session indices per path, ascending — the
     // iteration order of every re-division, part of the determinism
-    // contract shared with the reference model.
+    // contract shared with the reference model. A path with members has
+    // one pending completion event, keyed by the path.
     let mut path_members: Vec<Vec<u32>> = vec![Vec::new(); n_paths];
     // Every arrived session per path, ascending: what an outage edge has
-    // to integrate through the boundary.
+    // to integrate through the boundary. Only outage edges read it, so it
+    // is kept only when there is a fault timeline.
+    let tracks_arrivals = faults.is_some();
     let mut path_arrived: Vec<Vec<u32>> = vec![Vec::new(); n_paths];
     let mut telemetry = SessionTelemetry::default();
 
@@ -741,21 +897,20 @@ where
         // just before each pop is its peak.
         telemetry.peak_heap_len = telemetry.peak_heap_len.max(queue.heap_len() as u64);
         // The earliest of the three sources under the heap's own
-        // comparator; on a tie, arrival before edge before heap. A
-        // completion carries the sequence number it was pushed under.
+        // comparator; on a tie, arrival before edge before heap.
         let arrival = specs.get(next_arrival).map(|s| s.arrival_secs);
         let edge = edges.get(next_edge).map(|e| e.0);
         let heap = queue.peek_time();
-        let (now, kind, heap_seq) = if due_no_later(arrival, edge) && due_no_later(arrival, heap) {
+        let (now, kind) = if due_no_later(arrival, edge) && due_no_later(arrival, heap) {
             let s = next_arrival;
             next_arrival += 1;
-            (specs[s].arrival_secs, EventKind::Arrival(s as u32), None)
+            (specs[s].arrival_secs, EventKind::Arrival(s as u32))
         } else if due_no_later(edge, heap) {
             let (time_secs, kind) = edges[next_edge];
             next_edge += 1;
-            (time_secs, kind, None)
+            (time_secs, kind)
         } else if let Some(event) = queue.pop() {
-            (event.time_secs, event.kind, Some(event.seq))
+            (event.time_secs, event.kind)
         } else {
             break;
         };
@@ -767,7 +922,9 @@ where
                 let index = s as usize;
                 let spec = &specs[index];
                 let path = spec.path as usize;
-                path_arrived[path].push(s);
+                if tracks_arrivals {
+                    path_arrived[path].push(s);
+                }
 
                 let cap = path_capacity(path, now, path_down[path]);
                 let share_if_joined = cap / (path_members[path].len() + 1) as f64;
@@ -785,26 +942,23 @@ where
                 if state.origin_bytes > 0.0 {
                     state.transferring = true;
                     states.push(state);
-                    // Bring the existing members up to now at their old
-                    // shares, admit the newcomer (highest index, so the
-                    // member list stays ascending), then re-divide.
-                    advance_path(
-                        &path_members[path],
-                        &mut states,
+                    // Admit the newcomer (highest index, so the member list
+                    // stays ascending; integrated from `now`, so the pass
+                    // moves nothing of it) and re-divide: the existing
+                    // members are brought up to now at their old shares.
+                    let members = &mut path_members[path];
+                    members.push(s);
+                    let share = cap / members.len() as f64;
+                    let earliest = redivide(
+                        members,
+                        None,
+                        share,
                         now,
-                        &mut egress,
                         path_down[path],
-                    );
-                    path_members[path].push(s);
-                    reshare_path(
-                        &path_members[path],
                         &mut states,
-                        &mut completion_seq[path],
-                        &mut queue,
-                        cap,
-                        now,
-                        &mut telemetry,
+                        &mut egress,
                     );
+                    schedule_completion(&mut queue, &mut telemetry, path, earliest);
                 } else {
                     // Full cache hit: no origin transfer at all.
                     state.transfer_end_secs = now;
@@ -814,16 +968,23 @@ where
             EventKind::TransferComplete(s) => {
                 let index = s as usize;
                 let path = states[index].spec.path as usize;
-                // Stale completions are cancelled inside the queue, so the
-                // popped one is the path's pending event.
-                debug_assert_eq!(completion_seq[path], heap_seq);
-                completion_seq[path] = None;
-                advance_path(
-                    &path_members[path],
-                    &mut states,
+                // The popped event was the path's pending one, so the
+                // path has none until the re-division schedules the next.
+                let members = &path_members[path];
+                let sharing = members.len() - 1;
+                let share = if sharing > 0 {
+                    path_capacity(path, now, path_down[path]) / sharing as f64
+                } else {
+                    0.0
+                };
+                let earliest = redivide(
+                    members,
+                    Some(s),
+                    share,
                     now,
-                    &mut egress,
                     path_down[path],
+                    &mut states,
+                    &mut egress,
                 );
 
                 let state = &mut states[index];
@@ -843,17 +1004,7 @@ where
                     .binary_search(&s)
                     .expect("completing session is a path member");
                 members.remove(pos);
-                if !members.is_empty() {
-                    reshare_path(
-                        &path_members[path],
-                        &mut states,
-                        &mut completion_seq[path],
-                        &mut queue,
-                        path_capacity(path, now, path_down[path]),
-                        now,
-                        &mut telemetry,
-                    );
-                }
+                schedule_completion(&mut queue, &mut telemetry, path, earliest);
             }
             EventKind::PlaybackEnd(s) => {
                 // Integrate the tail of the playback window (rebuffer time
@@ -870,7 +1021,7 @@ where
                 // under the outgoing state, so no advance segment ever
                 // straddles an outage edge (the invariant masked-stall
                 // attribution rests on). Sessions past their window are
-                // no-ops inside advance.
+                // no-ops inside the integration.
                 advance_path(
                     &path_arrived[path],
                     &mut states,
@@ -879,16 +1030,21 @@ where
                     path_down[path],
                 );
                 path_down[path] = goes_down;
-                if !path_members[path].is_empty() {
-                    reshare_path(
-                        &path_members[path],
-                        &mut states,
-                        &mut completion_seq[path],
-                        &mut queue,
-                        path_capacity(path, now, goes_down),
+                // The members are at `now` already: the re-division's pass
+                // only re-shares them.
+                let members = &path_members[path];
+                if !members.is_empty() {
+                    let share = path_capacity(path, now, goes_down) / members.len() as f64;
+                    let earliest = redivide(
+                        members,
+                        None,
+                        share,
                         now,
-                        &mut telemetry,
+                        goes_down,
+                        &mut states,
+                        &mut egress,
                     );
+                    schedule_completion(&mut queue, &mut telemetry, path, earliest);
                 }
             }
         }
@@ -933,51 +1089,80 @@ fn due_no_later(a: Option<f64>, b: Option<f64>) -> bool {
 /// Integrates the listed sessions of a path up to `now` at their current
 /// shares.
 fn advance_path(
-    members: &[u32],
+    sessions: &[u32],
     states: &mut [SessionState],
     now: f64,
     egress: &mut EgressAccumulator,
     path_down: bool,
 ) {
-    for &m in members {
-        states[m as usize].advance_masked(now, egress, path_down);
+    let mut pass = EgressPass::new(egress);
+    for &m in sessions {
+        let state = &mut states[m as usize];
+        let from = state.last_update_secs;
+        let downloaded = state.integrate(now, path_down);
+        pass.add(from, now, downloaded);
     }
+    pass.finish();
 }
 
-/// Re-divides a path's capacity among its members (non-empty, already
-/// advanced to `now`) and replaces the path's pending completion event
-/// with that of the member now due to finish first.
-fn reshare_path(
+/// Re-divides a path among its members in one pass, in ascending index
+/// order: each member is integrated up to `now` at its old share, then
+/// given `share_bps`. Returns the member due to finish first and when —
+/// ties going to the lowest index, whose event would have had the lowest
+/// sequence number — or `None` when no member takes a share.
+///
+/// `completing`, the member whose transfer completes at `now`, is
+/// integrated in its place but takes no share; the caller removes it.
+fn redivide(
     members: &[u32],
-    states: &mut [SessionState],
-    completion_seq: &mut Option<u64>,
-    queue: &mut EventQueue,
-    capacity_bps: f64,
+    completing: Option<u32>,
+    share_bps: f64,
     now: f64,
-    telemetry: &mut SessionTelemetry,
-) {
-    let share = capacity_bps / members.len() as f64;
-    let mut earliest = (f64::INFINITY, u32::MAX);
+    path_down: bool,
+    states: &mut [SessionState],
+    egress: &mut EgressAccumulator,
+) -> Option<(f64, u32)> {
+    let mut pass = EgressPass::new(egress);
+    let mut earliest = None;
     for &m in members {
         let state = &mut states[m as usize];
-        state.share_bps = share;
-        let completes = now + state.remaining_bytes() / share;
+        let from = state.last_update_secs;
+        let downloaded = state.integrate(now, path_down);
+        pass.add(from, now, downloaded);
+        if Some(m) == completing {
+            continue;
+        }
+        state.share_bps = share_bps;
+        let completes = now + state.remaining_bytes() / share_bps;
         // Checked for every member, not just the one that gets scheduled.
         assert!(
             completes.is_finite(),
             "completion time must be finite, got {completes} for session {m}"
         );
-        // Strictly earlier only: among equal times the lowest index wins,
-        // as its event would have had the lowest sequence number.
-        if completes.total_cmp(&earliest.0).is_lt() {
-            earliest = (completes, m);
+        // Strictly earlier only: among equal times the lowest index wins.
+        if earliest.is_none_or(|(first, _): (f64, u32)| completes.total_cmp(&first).is_lt()) {
+            earliest = Some((completes, m));
         }
     }
-    if let Some(seq) = completion_seq.take() {
-        telemetry.events_cancelled += u64::from(queue.cancel(seq));
-    }
-    let (completes, m) = earliest;
-    *completion_seq = Some(queue.push(completes, EventKind::TransferComplete(m)));
+    pass.finish();
+    earliest
+}
+
+/// Makes `earliest`, a [`redivide`] result, the path's pending completion
+/// event, re-keying the one it had in place: one re-division. `None` — the
+/// last member completed — leaves the path without an event.
+fn schedule_completion(
+    queue: &mut EventQueue,
+    telemetry: &mut SessionTelemetry,
+    path: usize,
+    earliest: Option<(f64, u32)>,
+) {
+    let Some((completes, member)) = earliest else {
+        return;
+    };
+    let (_, replaced) =
+        queue.push_keyed(path as u32, completes, EventKind::TransferComplete(member));
+    telemetry.events_cancelled += u64::from(replaced);
     telemetry.redivisions += 1;
 }
 
@@ -1267,8 +1452,9 @@ mod tests {
     #[test]
     fn a_path_holds_one_completion_event_however_many_members_it_has() {
         // A alone, B joins at t=25, A done at t=75, B done at t=100: three
-        // re-divisions (B's completion leaves the path empty), each pushing
-        // one completion; only the one pending at B's arrival is cancelled.
+        // re-divisions (B's completion leaves the path empty), each
+        // scheduling one completion; only the one pending at B's arrival is
+        // replaced, and it is replaced in place.
         let specs = [
             spec(0, 0.0, 100.0, 48_000.0),
             spec(0, 25.0, 100.0, 48_000.0),
@@ -1280,9 +1466,9 @@ mod tests {
                 // 2 arrivals + 2 playback ends + 3 completions.
                 events_scheduled: 7,
                 events_cancelled: 1,
-                // At B's arrival: A's playback end, A's cancelled and new
-                // completions, B's playback end.
-                peak_heap_len: 4,
+                // At B's arrival: A's playback end, the path's completion
+                // (re-keyed in place), B's playback end.
+                peak_heap_len: 3,
                 redivisions: 3,
             }
         );
@@ -1468,57 +1654,90 @@ mod tests {
                 (from, from + rng.gen::<f64>() * 1.1 * horizon)
             }));
 
+            // `kept` takes one add at a time, `batched` each step's adds as
+            // one pass — the event core's pass over a path's members.
             let mut kept = EgressAccumulator::new(n, horizon);
+            let mut batched = EgressAccumulator::new(n, horizon);
             let mut afresh = RecutEveryCall::new(n, horizon);
-            let mut check = |kept: &mut EgressAccumulator, from: f64, to: f64, bytes: f64| {
-                kept.add(from, to, bytes);
-                afresh.add(from, to, bytes);
-                for (i, (a, b)) in kept.bins().iter().zip(&afresh.bins).enumerate() {
-                    assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "shape {shape}, bin {i} after add({from}, {to}, {bytes}): {a} vs {b}"
-                    );
+            let mut check = |kept: &mut EgressAccumulator,
+                             batched: &mut EgressAccumulator,
+                             adds: &[(f64, f64, f64)]| {
+                let same = |acc: &EgressAccumulator, afresh: &RecutEveryCall, what: &str| {
+                    for (i, (a, b)) in acc.bins().iter().zip(&afresh.bins).enumerate() {
+                        assert_eq!(
+                            a.to_bits(),
+                            b.to_bits(),
+                            "shape {shape}, bin {i} after {what}: {a} vs {b}"
+                        );
+                    }
+                };
+                for &(from, to, bytes) in adds {
+                    kept.add(from, to, bytes);
+                    afresh.add(from, to, bytes);
+                    same(kept, &afresh, &format!("add({from}, {to}, {bytes})"));
                 }
+                let mut pass = EgressPass::new(batched);
+                for &(from, to, bytes) in adds {
+                    pass.add(from, to, bytes);
+                }
+                pass.finish();
+                same(batched, &afresh, &format!("the pass {adds:?}"));
             };
             for step in 0..4_000 {
                 let a = intervals[rng.gen_range(0..intervals.len())];
                 let b = intervals[rng.gen_range(0..intervals.len())];
                 let mut bytes = || 1.0 + rng.gen::<f64>() * 1e11;
-                match step % 4 {
+                let adds: Vec<(f64, f64, f64)> = match step % 4 {
                     // A run over one interval, as the members of a path
                     // give: different bytes each time, and a member that
                     // moved nothing (or a negative rounding residue)
                     // between two that did.
-                    0 => {
-                        for (i, scale) in [1.0, 3.0, 0.0, 0.5, -1.0, 2.0].iter().enumerate() {
-                            check(&mut kept, a.0, a.1, bytes() * scale * (i + 1) as f64);
-                        }
-                    }
+                    0 => [1.0, 3.0, 0.0, 0.5, -1.0, 2.0]
+                        .iter()
+                        .enumerate()
+                        .map(|(i, scale)| (a.0, a.1, bytes() * scale * (i + 1) as f64))
+                        .collect(),
                     // A member whose own playback end fell inside the
                     // interval has a later `from`: A A B A.
-                    1 => {
-                        for (from, to) in [a, a, b, a] {
-                            check(&mut kept, from, to, bytes());
-                        }
-                    }
+                    1 => [a, a, b, a]
+                        .into_iter()
+                        .map(|(from, to)| (from, to, bytes()))
+                        .collect(),
                     // Same `from`, different `to`, and the reverse.
-                    2 => {
-                        check(&mut kept, a.0, a.1, bytes());
-                        check(&mut kept, a.0, b.1, bytes());
-                        check(&mut kept, b.0, b.1, bytes());
-                        check(&mut kept, a.0, b.1, bytes());
-                    }
-                    _ => check(&mut kept, a.0, a.1, bytes()),
-                }
+                    2 => [(a.0, a.1), (a.0, b.1), (b.0, b.1), (a.0, b.1)]
+                        .into_iter()
+                        .map(|(from, to)| (from, to, bytes()))
+                        .collect(),
+                    _ => vec![(a.0, a.1, bytes())],
+                };
+                check(&mut kept, &mut batched, &adds);
+            }
+            // An instantaneous transfer whose bin the pass holds lands in
+            // the held sum; one outside it goes straight to its bin.
+            for adds in [
+                [
+                    (0.5 * width, 1.5 * width, 1.0),
+                    (0.75 * width, 0.75 * width, 2.0),
+                    (1.25 * width, 1.0 * width, 3.0),
+                    (3.5 * width, 3.5 * width, 4.0),
+                    (0.5 * width, 1.5 * width, 5.0),
+                ],
+                [
+                    (2.0 * width, 2.5 * width, 1.0),
+                    (2.25 * width, 2.25 * width, 2.0),
+                    (2.75 * width, 2.5 * width, 3.0),
+                    (0.5 * width, 0.5 * width, 4.0),
+                    (2.0 * width, 2.5 * width, 5.0),
+                ],
+            ] {
+                check(&mut kept, &mut batched, &adds);
             }
             let total: f64 = kept.bins().iter().sum();
             assert!(total > 0.0, "shape {shape} accumulated nothing");
             // A NaN bound is cut like any other interval, twice running
             // included, and poisons the same bins the same way.
             for (from, to) in [(0.5 * width, f64::NAN), (f64::NAN, 0.5 * width)] {
-                check(&mut kept, from, to, 1.0);
-                check(&mut kept, from, to, 2.0);
+                check(&mut kept, &mut batched, &[(from, to, 1.0), (from, to, 2.0)]);
             }
         }
     }
@@ -1550,6 +1769,47 @@ mod tests {
             spec(0, f64::INFINITY, 10.0, 48_000.0),
         ];
         simulate_sessions(&specs, 1, |_, _| 96_000.0, &mut NeverAsked, 4);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "session duration must be finite and non-negative, got -5 for session 0"
+    )]
+    fn a_negative_duration_is_rejected_before_the_loop_runs() {
+        // Without the check the playback end pops before the arrival that
+        // pushed it and the viewer curve integrates to -1 s.
+        let specs = [
+            SessionSpec {
+                path: 0,
+                arrival_secs: 10.0,
+                duration_secs: -5.0,
+                rate_bps: 1_000.0,
+                size_bytes: 1_000.0,
+            },
+            SessionSpec {
+                path: 0,
+                arrival_secs: 12.0,
+                duration_secs: 4.0,
+                rate_bps: 1_000.0,
+                size_bytes: 4_000.0,
+            },
+        ];
+        simulate_sessions(&specs, 1, |_, _| 2_000.0, &mut NoCacheHooks, 4);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "session duration must be finite and non-negative, got inf for session 1"
+    )]
+    fn an_infinite_duration_is_rejected_before_the_loop_runs() {
+        let specs = [
+            spec(0, 0.0, 10.0, 48_000.0),
+            SessionSpec {
+                duration_secs: f64::INFINITY,
+                ..spec(0, 1.0, 10.0, 48_000.0)
+            },
+        ];
+        simulate_sessions(&specs, 1, |_, _| 96_000.0, &mut NoCacheHooks, 4);
     }
 
     #[test]
@@ -1590,9 +1850,10 @@ mod tests {
         assert_eq!(out.telemetry.redivisions, 3);
         assert_eq!(out.telemetry.events_cancelled, 2);
         assert_eq!(out.telemetry.events_scheduled, 1 + 4 + 1 + 3);
-        // The playback end, a completion and the tombstone of the one it
-        // replaced; an arrival or an edge waiting its turn takes no room.
-        assert_eq!(out.telemetry.peak_heap_len, 3);
+        // The playback end and the path's one completion, which each
+        // re-division re-keys in place; an arrival or an edge waiting its
+        // turn takes no room.
+        assert_eq!(out.telemetry.peak_heap_len, 2);
     }
 
     #[test]
