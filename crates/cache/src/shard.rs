@@ -41,7 +41,14 @@ use crate::object::{ObjectKey, ObjectMeta};
 use crate::policy::UtilityPolicy;
 use crate::stats::CacheStats;
 use crate::AccessOutcome;
-use parking_lot::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Takes a shard's lock, recovering the guard if a panic poisoned it: a
+/// caller's closure that panics under the lock must not take the shard out
+/// of service for every later request routed to it.
+fn lock<T>(shard: &Mutex<T>) -> MutexGuard<'_, T> {
+    shard.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// An array of independent [`CacheEngine`] shards routed by key hash, each
 /// optionally paired with a companion `S` under the same lock.
@@ -91,7 +98,7 @@ impl<P: UtilityPolicy> ShardedEngine<P> {
     /// Only offered without companions: a companion learns of evictions
     /// from the access that caused them, and this is not an access.
     pub fn clear(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().0.clear()).sum()
+        self.shards.iter().map(|s| lock(s).0.clear()).sum()
     }
 }
 
@@ -151,28 +158,28 @@ impl<P: UtilityPolicy, S> ShardedEngine<P, S> {
 
     /// Byte budget of shard `index` (fixed at construction).
     pub fn shard_capacity(&self, index: usize) -> f64 {
-        self.shards[index].lock().0.capacity_bytes()
+        lock(&self.shards[index]).0.capacity_bytes()
     }
 
     /// Bytes currently allocated in shard `index`.
     pub fn shard_used_bytes(&self, index: usize) -> f64 {
-        self.shards[index].lock().0.used_bytes()
+        lock(&self.shards[index]).0.used_bytes()
     }
 
     /// Total bytes allocated across all shards (locks each shard briefly;
     /// a moving target under concurrent writers).
     pub fn used_bytes(&self) -> f64 {
-        self.shards.iter().map(|s| s.lock().0.used_bytes()).sum()
+        self.shards.iter().map(|s| lock(s).0.used_bytes()).sum()
     }
 
     /// Number of objects with a cached prefix across all shards.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().0.len()).sum()
+        self.shards.iter().map(|s| lock(s).0.len()).sum()
     }
 
     /// Returns `true` if nothing is cached anywhere.
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.lock().0.is_empty())
+        self.shards.iter().all(|s| lock(s).0.is_empty())
     }
 
     /// Aggregate statistics: the field-wise sum of the shards' own counters
@@ -182,7 +189,7 @@ impl<P: UtilityPolicy, S> ShardedEngine<P, S> {
     pub fn stats(&self) -> CacheStats {
         let mut total = CacheStats::default();
         for shard in &self.shards {
-            total += *shard.lock().0.stats();
+            total += *lock(shard).0.stats();
         }
         total
     }
@@ -190,7 +197,7 @@ impl<P: UtilityPolicy, S> ShardedEngine<P, S> {
     /// Resets every shard's counters (warm-up/measurement boundary).
     pub fn reset_stats(&self) {
         for shard in &self.shards {
-            shard.lock().0.reset_stats();
+            lock(shard).0.reset_stats();
         }
     }
 
@@ -209,7 +216,7 @@ impl<P: UtilityPolicy, S> ShardedEngine<P, S> {
         index: usize,
         f: impl FnOnce(&CacheEngine<P>, &mut S) -> R,
     ) -> R {
-        let (engine, companion) = &mut *self.shards[index].lock();
+        let (engine, companion) = &mut *lock(&self.shards[index]);
         f(engine, companion)
     }
 
@@ -229,7 +236,7 @@ impl<P: UtilityPolicy, S> ShardedEngine<P, S> {
         bandwidth_bps: f64,
         f: impl FnOnce(&CacheEngine<P>, &mut S, AccessOutcome) -> R,
     ) -> R {
-        let (engine, companion) = &mut *self.shards[self.shard_of(meta.key)].lock();
+        let (engine, companion) = &mut *lock(&self.shards[self.shard_of(meta.key)]);
         let out = engine.on_access(meta, bandwidth_bps);
         f(engine, companion, out)
     }
@@ -255,7 +262,7 @@ impl<P: UtilityPolicy, S> ShardedEngine<P, S> {
     pub fn contents(&self) -> Vec<(ObjectKey, f64)> {
         let mut all = Vec::new();
         for shard in &self.shards {
-            all.extend(shard.lock().0.contents());
+            all.extend(lock(shard).0.contents());
         }
         all
     }
@@ -394,5 +401,34 @@ mod tests {
         );
         // The other shard saw nothing.
         assert!(cache.with_shard_index(1 - shard, |_, seen| seen.is_empty()));
+    }
+
+    #[test]
+    fn a_closure_that_panics_under_the_lock_leaves_its_shard_in_service() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let cache: ShardedEngine<_, Vec<u32>> =
+            ShardedEngine::with_companions(1e9, 2, || PolicyKind::PartialBandwidth, Vec::new)
+                .unwrap();
+        let o = obj(1, 100.0);
+        cache.access_with(&o, R / 2.0, |_, seen, _| seen.push(1));
+        let read = catch_unwind(AssertUnwindSafe(|| {
+            cache.with_shard(o.key, |_, _| panic!("a reader panics under the shard lock"))
+        }));
+        assert!(read.is_err());
+        assert!(cache.shards[cache.shard_of(o.key)].is_poisoned());
+        let write = catch_unwind(AssertUnwindSafe(|| {
+            cache.access_with(&o, R / 2.0, |_, seen, _| {
+                seen.push(2);
+                panic!("an access's closure panics under the shard lock")
+            })
+        }));
+        assert!(write.is_err());
+        // The same shard still serves: both earlier accesses counted, and
+        // the companion keeps what the panicking closure pushed.
+        let out = cache.on_access(&o, R / 2.0);
+        assert_eq!(out.cached_bytes_after, o.size_bytes() / 2.0);
+        assert_eq!(cache.stats().requests, 3);
+        assert_eq!(cache.contents(), vec![(o.key, o.size_bytes() / 2.0)]);
+        assert_eq!(cache.with_shard(o.key, |_, seen| seen.clone()), vec![1, 2]);
     }
 }

@@ -61,7 +61,9 @@ impl StreamingClient {
     /// Returns [`ProxyError::UnknownObject`] if the server reports an
     /// error, [`ProxyError::Busy`] if it shed the request under overload
     /// (the payload is the suggested retry pause in milliseconds), and
-    /// [`ProxyError::Io`]/[`ProxyError::Protocol`] for transport failures.
+    /// [`ProxyError::Io`]/[`ProxyError::Protocol`] for transport failures,
+    /// and [`ProxyError::Protocol`] if the server sends more bytes than its
+    /// header declared.
     pub fn fetch(&self, addr: SocketAddr, name: &str) -> Result<TransferReport, ProxyError> {
         // The clock starts at the request, so time spent by the server
         // before the first payload byte counts towards the startup delay.
@@ -109,12 +111,16 @@ impl StreamingClient {
             received += n as u64;
         }
         let duration = started.elapsed().as_secs_f64();
-        // Drain until the server closes the connection. This does not change
+        // Wait for the server to close the connection. This does not change
         // the measurements but synchronises with the server's post-transfer
         // bookkeeping (cache admission at a proxy), which keeps callers that
-        // immediately inspect proxy state free of races.
-        let mut sink = [0u8; 1024];
-        while reader.read(&mut sink).map(|n| n > 0).unwrap_or(false) {}
+        // immediately inspect proxy state free of races. One read suffices:
+        // a well-behaved server sends nothing past the declared size.
+        if reader.read(&mut [0u8; 1]).is_ok_and(|n| n > 0) {
+            return Err(ProxyError::Protocol(format!(
+                "`{name}`: the server sent past the declared size of {size} bytes"
+            )));
+        }
         Ok(TransferReport {
             bytes: received,
             duration_secs: duration,
@@ -178,6 +184,33 @@ mod tests {
         };
         assert!(report.immediate(0.1));
         assert!(!report.immediate(0.01));
+    }
+
+    /// A server that keeps sending past the size its header declared ends
+    /// the fetch with a protocol error instead of keeping it reading.
+    #[test]
+    fn bytes_past_the_declared_size_are_a_protocol_error() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        std::thread::spawn(move || {
+            let (mut conn, _) = listener.accept().unwrap();
+            let mut request = String::new();
+            BufReader::new(&conn).read_line(&mut request).unwrap();
+            let mut answer = b"OK 10 1000\n".to_vec();
+            answer.extend((0..10).map(|i| crate::content_byte("clip", i)));
+            conn.write_all(&answer).unwrap();
+            // Junk until the client hangs up.
+            while conn.write_all(&[b'x'; 1024]).is_ok() {}
+        });
+        let (done, fetched) = std::sync::mpsc::channel();
+        std::thread::spawn(move || done.send(StreamingClient::new().fetch(addr, "clip")));
+        let answer = fetched
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("fetch must stop reading at the declared size");
+        assert!(
+            matches!(answer, Err(ProxyError::Protocol(_))),
+            "expected a protocol error, got {answer:?}"
+        );
     }
 
     /// A peer that streams bytes without ever ending the line costs the

@@ -65,3 +65,33 @@ pub use proxy::{CachingProxy, ProxyConfig, ProxyStats};
 pub use ratelimit::RateLimiter;
 pub use retry::{BreakerConfig, BreakerState, CircuitBreaker, RetryPolicy};
 pub use store::PrefixStore;
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Takes `mutex`, recovering the guard if a panic poisoned it: a request
+/// that panics while holding one of the proxy's locks must not wedge every
+/// later request that needs the same lock.
+pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::Arc;
+
+    #[test]
+    fn lock_recovers_a_mutex_poisoned_by_a_panicking_thread() {
+        let mutex = Arc::new(Mutex::new(5));
+        let holder = Arc::clone(&mutex);
+        let panicked = std::thread::spawn(move || {
+            let _guard = lock(&holder);
+            panic!("a panic while the lock is held poisons it");
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert!(mutex.is_poisoned());
+        *lock(&mutex) += 1;
+        assert_eq!(*lock(&mutex), 6);
+    }
+}

@@ -18,10 +18,9 @@
 //! at most one origin connection at a time, so that is the origin's bound
 //! too.
 //!
-//! The queue is hand-rolled on `std::sync::{Mutex, Condvar}` because
-//! the build environment has no crates.io access (see `shims/`); the
-//! `parking_lot` shim deliberately exposes no condition variables, so the
-//! blocking coordination lives here on the standard library directly.
+//! The queue is a `std::sync::{Mutex, Condvar}` pair. Its mutex is taken
+//! through the crate's one poison-recovering [`lock`], and [`wait_on`]
+//! recovers the same way, so a panicking handler cannot wedge the pool.
 //!
 //! The accept queue is also where the proxy's admission control lives, and
 //! every shed is decided and counted under its one mutex: an optional hard
@@ -32,28 +31,17 @@
 //! backlog are plain counters beside the queue, read for `ProxyStats` in
 //! one [`AcceptQueue::counts`].
 
+use crate::lock;
 use crate::protocol::{header_line, Response};
 use std::collections::VecDeque;
 use std::io::{self, Write};
 use std::net::TcpStream;
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-/// Recovers the guard from a poisoned lock: a panicking handler must not
-/// wedge the whole pool (matches the `parking_lot` shim's behaviour).
-fn lock_queue<'a, T>(mutex: &'a Mutex<T>) -> MutexGuard<'a, T> {
-    match mutex.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
-/// [`Condvar::wait`] with the same poison recovery as [`lock_queue`].
+/// [`Condvar::wait`] with the same poison recovery as [`lock`].
 fn wait_on<'a, T>(condvar: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
-    match condvar.wait(guard) {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    }
+    condvar.wait(guard).unwrap_or_else(PoisonError::into_inner)
 }
 
 /// One pool thread: take a turn — a queued connection, else off to
@@ -243,7 +231,7 @@ impl AcceptQueue {
     /// the oldest queued connection or the newcomer instead. Only
     /// [`Admission::Inline`] takes the caller out of the accepting count.
     fn admit(&self, stream: TcpStream) -> Admission {
-        let mut inner = lock_queue(&self.inner);
+        let mut inner = lock(&self.inner);
         loop {
             if inner.closed {
                 return Admission::Closed;
@@ -291,7 +279,7 @@ impl AcceptQueue {
     /// [`close`](Self::close), once that backlog is drained, [`Turn::Exit`];
     /// otherwise the thread is counted in and goes to `accept()`.
     fn next_turn(&self) -> Turn {
-        let mut inner = lock_queue(&self.inner);
+        let mut inner = lock(&self.inner);
         if let Some(conn) = inner.connections.pop_front() {
             inner.active += 1;
             self.not_full.notify_one();
@@ -316,7 +304,7 @@ impl AcceptQueue {
 
     /// Releases the in-flight slot of one served connection.
     fn finish(&self) {
-        let mut inner = lock_queue(&self.inner);
+        let mut inner = lock(&self.inner);
         inner.active = inner.active.saturating_sub(1);
     }
 
@@ -324,7 +312,7 @@ impl AcceptQueue {
     /// (Threads blocked in `accept()` are the caller's to wake: each comes
     /// back at most once more, to [`Admission::Closed`].)
     pub(crate) fn close(&self) {
-        let mut inner = lock_queue(&self.inner);
+        let mut inner = lock(&self.inner);
         inner.closed = true;
         drop(inner);
         self.not_full.notify_all();
@@ -332,7 +320,7 @@ impl AcceptQueue {
 
     /// The counters, read under the queue's lock.
     pub(crate) fn counts(&self) -> QueueCounts {
-        lock_queue(&self.inner).counts
+        lock(&self.inner).counts
     }
 
     /// The retry pause suggested with a `BUSY` answer: half the queue
@@ -414,14 +402,14 @@ mod tests {
     /// play several pool threads from the one test thread: every
     /// `Turn::Accept` it is handed stands for one more thread in `accept()`.
     fn accepting(queue: &AcceptQueue) -> usize {
-        lock_queue(&queue.inner).accepting
+        lock(&queue.inner).accepting
     }
 
     /// Admits one more connection and makes it `age` old, as if it had
     /// been queued that long ago — a stale entry without a sleep.
     fn admit_aged(queue: &AcceptQueue, listener: &TcpListener, age: Duration) {
         assert_queued(queue.admit(loopback_pair(listener)));
-        let mut inner = lock_queue(&queue.inner);
+        let mut inner = lock(&queue.inner);
         let newest = inner.connections.back_mut().expect("just queued");
         newest.enqueued_at = Instant::now() - age;
     }
@@ -619,7 +607,7 @@ mod tests {
             other => panic!("expected to serve inline, got {other:?}"),
         }
         assert_eq!(accepting(&queue), 1);
-        assert_eq!(lock_queue(&queue.inner).active, 1);
+        assert_eq!(lock(&queue.inner).active, 1);
         queue.finish();
         // Down to the last acceptor again, so the next connection is queued
         // — and only the one connection dequeued so far counted as a wait,
@@ -687,7 +675,7 @@ mod tests {
         // arranges the way shutdown does — close the queue, then nudge
         // everybody out of "accept()".
         let accept = || {
-            lock_queue(&accepted)
+            lock(&accepted)
                 .recv()
                 .map_err(|_| io::Error::from(io::ErrorKind::NotConnected))
         };
@@ -710,7 +698,7 @@ mod tests {
             }
             for _ in 0..CONNECTIONS {
                 feed.send(loopback_pair(&listener)).unwrap();
-                let inner = lock_queue(&queue.inner);
+                let inner = lock(&queue.inner);
                 assert!(
                     inner.accepting <= 1 || inner.connections.is_empty(),
                     "{} threads accepting beside {} queued connections",
@@ -729,6 +717,6 @@ mod tests {
         });
         assert_eq!(served.load(Ordering::SeqCst), CONNECTIONS);
         assert_eq!(queue.counts().shed, 0, "no cap, no deadline: nothing shed");
-        assert_eq!(lock_queue(&queue.inner).active, 0);
+        assert_eq!(lock(&queue.inner).active, 0);
     }
 }

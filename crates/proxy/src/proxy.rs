@@ -36,6 +36,7 @@
 
 use crate::content::verify_content;
 use crate::error::ProxyError;
+use crate::lock;
 use crate::pool::{self, AcceptQueue};
 use crate::protocol::{
     header_line, read_command, read_response, write_request, Command, Request, Response,
@@ -44,8 +45,6 @@ use crate::protocol::{
 use crate::ratelimit::RateLimiter;
 use crate::retry::{BreakerConfig, BreakerState, CircuitBreaker, RetryPolicy};
 use crate::splice::Pipe;
-use bytes::Bytes;
-use parking_lot::Mutex;
 use sc_cache::policy::PolicyKind;
 use sc_cache::{ObjectKey, ObjectMeta, ShardedEngine};
 use sc_netmodel::{BandwidthEstimator, EwmaEstimator};
@@ -54,7 +53,7 @@ use std::io::{BufReader, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -270,7 +269,7 @@ struct Record {
     header: Header,
     /// The stored prefix (empty when nothing is cached); never longer than
     /// the engine's allocation for the slot.
-    prefix: Bytes,
+    prefix: Arc<[u8]>,
 }
 
 /// One shard's records, indexed by the shard engine's slot handle: the
@@ -296,7 +295,7 @@ impl ShardRecords {
     }
 
     /// Replaces the prefix stored at `slot` (empty = drop it).
-    fn store(&mut self, slot: u32, prefix: Bytes) {
+    fn store(&mut self, slot: u32, prefix: Arc<[u8]>) {
         let record = self.by_slot[slot as usize]
             .as_mut()
             .expect("the access that interns a slot creates its record");
@@ -341,7 +340,7 @@ impl ProxyState {
     /// The origin-path bandwidth estimate, after folding in `observed_bps`
     /// (if any) under the same estimator acquisition.
     fn estimate_after(&self, observed_bps: Option<f64>) -> f64 {
-        let mut estimator = self.estimator.lock();
+        let mut estimator = lock(&self.estimator);
         if let Some(bps) = observed_bps {
             estimator.observe(bps);
         }
@@ -844,7 +843,7 @@ struct Lookup {
     /// From the name's record; `None` on first contact.
     known: Option<Header>,
     /// The stored prefix (empty when nothing is cached).
-    cached: Bytes,
+    cached: Arc<[u8]>,
     /// `false` when the key's slot already belongs to a *different* name
     /// (a 64-bit key collision): this request is relayed uncached.
     ours: bool,
@@ -858,7 +857,7 @@ fn lookup(state: &ProxyState, key: ObjectKey, name: &str) -> Lookup {
         let record = records.at(slot).filter(|_| ours);
         Lookup {
             known: record.map(|r| r.header),
-            cached: record.map_or_else(Bytes::new, |r| r.prefix.clone()),
+            cached: record.map_or_else(Arc::default, |r| Arc::clone(&r.prefix)),
             ours,
         }
     })
@@ -937,7 +936,7 @@ fn decide(state: &ProxyState, job: &Job<'_>) -> usize {
         .access_with(&job.meta, estimate, |engine, records, out| {
             // The engine evicts victims whole, and only here.
             for &(victim, _, _) in engine.last_evictions() {
-                records.store(victim, Bytes::new());
+                records.store(victim, Arc::default());
             }
             let slot = engine
                 .slot_of(key)
@@ -955,7 +954,7 @@ fn decide(state: &ProxyState, job: &Job<'_>) -> usize {
                     size: job.size,
                     bitrate_bps: job.meta.bitrate_bps,
                 },
-                prefix: Bytes::new(),
+                prefix: Arc::default(),
             });
             let granted = (out.cached_bytes_after as usize).min(job.size as usize);
             granted.saturating_sub(job.prefix.len())
@@ -1132,7 +1131,7 @@ fn store(state: &ProxyState, job: &Job<'_>, retained: &[u8]) {
         if usable > stored {
             let cached = &job.prefix[..job.prefix.len().min(usable)];
             let kept = &retained[..usable - cached.len()];
-            records.store(slot, Bytes::from([cached, kept].concat()));
+            records.store(slot, Arc::from([cached, kept].concat()));
         }
     });
 }

@@ -12,9 +12,10 @@
 //! pin exact schedules while concurrent requests (distinct nonces) still
 //! decorrelate their retry storms.
 
-use parking_lot::Mutex;
+use crate::lock;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Seed of the deterministic backoff jitter.
@@ -137,7 +138,7 @@ impl CircuitBreaker {
     /// [`record_failure`](Self::record_failure). Half-open means that probe
     /// is in flight, so everyone else fails fast until its outcome is in.
     pub fn allow(&self) -> bool {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         match inner.state {
             BreakerState::Closed => true,
             BreakerState::Open => {
@@ -158,7 +159,7 @@ impl CircuitBreaker {
     /// Records a successful origin exchange: resets the failure count and
     /// closes the breaker from any state.
     pub fn record_success(&self) {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         inner.consecutive_failures = 0;
         if inner.state != BreakerState::Closed {
             inner.state = BreakerState::Closed;
@@ -170,7 +171,7 @@ impl CircuitBreaker {
     /// Records a failed origin exchange; trips the breaker open once the
     /// failure threshold is reached (immediately, from half-open).
     pub fn record_failure(&self) {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         match inner.state {
             BreakerState::Closed => {
                 inner.consecutive_failures += 1;
@@ -191,13 +192,13 @@ impl CircuitBreaker {
 
     /// The breaker's current state.
     pub fn state(&self) -> BreakerState {
-        self.inner.lock().state
+        lock(&self.inner).state
     }
 
     /// Number of state transitions since creation (closed→open, open→
     /// half-open and half-open→closed/open each count once).
     pub fn transitions(&self) -> u64 {
-        self.inner.lock().transitions
+        lock(&self.inner).transitions
     }
 }
 

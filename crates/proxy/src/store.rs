@@ -2,8 +2,8 @@
 //! cached bytes live in per-shard object records (`proxy.rs`).
 
 use bytes::Bytes;
-use parking_lot::RwLock;
 use std::collections::HashMap;
+use std::sync::{PoisonError, RwLock};
 
 /// A thread-safe, name-keyed store of object prefixes.
 ///
@@ -43,22 +43,37 @@ impl PrefixStore {
 
     /// Stores (replaces) the prefix of `name`.
     pub fn put(&self, name: &str, prefix: Bytes) {
-        self.prefixes.write().insert(name.to_string(), prefix);
+        self.prefixes
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(name.to_string(), prefix);
     }
 
     /// Returns the cached prefix of `name`, if any.
     pub fn get(&self, name: &str) -> Option<Bytes> {
-        self.prefixes.read().get(name).cloned()
+        self.prefixes
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(name)
+            .cloned()
     }
 
     /// Length in bytes of the cached prefix of `name` (0 when absent).
     pub fn prefix_len(&self, name: &str) -> usize {
-        self.prefixes.read().get(name).map(Bytes::len).unwrap_or(0)
+        self.prefixes
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(name)
+            .map(Bytes::len)
+            .unwrap_or(0)
     }
 
     /// Truncates the prefix of `name` to at most `len` bytes.
     pub fn truncate(&self, name: &str, len: usize) {
-        let mut guard = self.prefixes.write();
+        let mut guard = self
+            .prefixes
+            .write()
+            .unwrap_or_else(PoisonError::into_inner);
         if let Some(prefix) = guard.get_mut(name) {
             if prefix.len() > len {
                 *prefix = prefix.slice(0..len);
@@ -68,22 +83,37 @@ impl PrefixStore {
 
     /// Removes the prefix of `name`. Returns `true` if it was present.
     pub fn remove(&self, name: &str) -> bool {
-        self.prefixes.write().remove(name).is_some()
+        self.prefixes
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .remove(name)
+            .is_some()
     }
 
     /// Total bytes held across all prefixes.
     pub fn total_bytes(&self) -> usize {
-        self.prefixes.read().values().map(Bytes::len).sum()
+        self.prefixes
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .values()
+            .map(Bytes::len)
+            .sum()
     }
 
     /// Number of objects with a stored prefix.
     pub fn len(&self) -> usize {
-        self.prefixes.read().len()
+        self.prefixes
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len()
     }
 
     /// Returns `true` when the store is empty.
     pub fn is_empty(&self) -> bool {
-        self.prefixes.read().is_empty()
+        self.prefixes
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .is_empty()
     }
 }
 
