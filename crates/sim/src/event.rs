@@ -23,23 +23,27 @@
 //! [`EventQueue::pop`] silently discards heap entries whose sequence is no
 //! longer pending, so a cancelled event is never observed by the caller —
 //! but its entry stays in the heap, a tombstone, until it surfaces. The
-//! session core never cancels, so its heap holds no tombstone: only the
-//! playback ends of the sessions in their window and one completion per
-//! path with members.
+//! session core never cancels, so its heap holds no tombstone: only one
+//! completion per path with a transfer in flight. Its playback ends are
+//! walked from a sorted array; each only takes its sequence number from
+//! the queue's counter when its session arrives, so it keeps its place in
+//! the `(time, sequence)` order without entering the heap.
 //!
-//! The table grows by one byte per event ever pushed, keyed ones included,
-//! and is never trimmed. It is not a ring over the live sequence window,
-//! and this is why: since the session core reads its pre-known events
-//! (arrivals, outage edges) from sorted arrays, the queue sees only
-//! playback ends and completions. Measured at `--scale paper`, one thread,
-//! the largest single run of `fig_faults` pushes 1 648 214 events (1.6 MB
-//! of flags, beside a 68 MB edge array) and the largest of `fig_sessions`
-//! 259 790. A playback end stays pending for its session's whole duration,
-//! so the live window is most of the table anyway — at most 368 249
-//! sequences (22 %) in that `fig_faults` run, 181 054 (70 %) in the
-//! `fig_sessions` one: a ring would save about a megabyte in the first and
-//! 80 KB in the second, and pay for it with a base offset on every index
-//! and a trim loop in `pop` and `cancel`.
+//! The table grows by one byte per sequence number handed out — keyed
+//! pushes included, and the numbers the session core's playback ends
+//! reserve, which are never pending — and is never trimmed. It is not a
+//! ring over the live sequence window, and this is why: with the ends out
+//! of the heap, the window runs from the oldest pending completion, and a
+//! path's completion stays pending for as long as nothing re-divides the
+//! path — for a lone long transfer, most of the run. Measured at
+//! `--scale paper`, one thread (the window sampled every 32 events), the
+//! largest single run of `fig_faults` hands out 1 648 214 sequences
+//! (1.6 MB of flags, beside a 68 MB edge array) with a live window of
+//! about 58 000, and the largest of `fig_sessions` 259 790 with about
+//! 180 000 (69 %); across the runs of both figures the window reaches
+//! 93 % of a run's sequences. A ring would save at most 1.6 MB in the
+//! first run and 80 KB in the second, and pay for it with a base offset
+//! on every index and a trim loop in `pop` and `cancel`.
 
 /// What happened, attached to every scheduled event.
 ///
@@ -172,7 +176,7 @@ pub struct EventQueue {
     /// `pending[seq]` is true from the push of `seq` until it is popped,
     /// cancelled or (keyed) replaced; its length is the number of
     /// sequences handed out. A heap entry whose flag is clear is a
-    /// tombstone. One byte per event ever scheduled buys a
+    /// tombstone. One byte per sequence number handed out buys a
     /// [`cancel`](Self::cancel) that is an indexed store instead of an
     /// O(heap) scan or two hash-set updates (the module header has the
     /// measured size, and why it is not a ring).
@@ -288,14 +292,29 @@ impl EventQueue {
 
     /// The timestamp of the next pending (non-cancelled) event.
     pub fn peek_time(&mut self) -> Option<f64> {
+        self.peek().map(|event| event.time_secs)
+    }
+
+    /// The next pending (non-cancelled) event, left in the queue.
+    pub(crate) fn peek(&mut self) -> Option<Event> {
         // Drain cancelled entries off the top so the peek is accurate.
         while let Some(top) = self.heap.first() {
             if self.pending[top.seq()] {
-                return Some(top.event().time_secs);
+                return Some(top.event());
             }
             self.pop_entry();
         }
         None
+    }
+
+    /// Takes the next sequence number, as [`push`](Self::push) would,
+    /// without scheduling anything: for an event its caller keeps outside
+    /// the heap and orders against it by `(time, sequence)`. The number
+    /// counts in [`scheduled`](Self::scheduled) and is never pending.
+    pub(crate) fn reserve_seq(&mut self) -> u64 {
+        let seq = self.pending.len() as u64;
+        self.pending.push(false);
+        seq
     }
 
     /// Number of pending (non-cancelled) events.
@@ -659,6 +678,21 @@ mod tests {
         q.push(0.5, EventKind::PlaybackEnd(0));
         assert_eq!((q.len(), q.heap_len()), (5, 5));
         assert_eq!(q.scheduled(), 201);
+    }
+
+    #[test]
+    fn a_reserved_sequence_number_is_counted_but_never_pending() {
+        let mut q = EventQueue::new();
+        let first = q.push(2.0, EventKind::Arrival(0));
+        let reserved = q.reserve_seq();
+        let (keyed, _) = q.push_keyed(0, 2.0, EventKind::TransferComplete(0));
+        assert_eq!((first, reserved, keyed), (0, 1, 2));
+        assert_eq!((q.scheduled(), q.len(), q.heap_len()), (3, 2, 2));
+        assert!(!q.cancel(reserved));
+        assert_eq!(q.peek().map(|e| e.seq), Some(first));
+        assert_eq!(q.pop().unwrap().seq, first);
+        assert_eq!(q.pop().unwrap().seq, keyed);
+        assert!(q.pop().is_none());
     }
 
     #[test]

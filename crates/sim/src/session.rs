@@ -29,11 +29,14 @@
 //!   session that arrived on the path through the boundary, then walks the
 //!   members.
 //! * **Pre-known events are walked, not heaped** — the arrivals (the spec
-//!   list, already sorted) and the outage edges (sorted once) are each read
-//!   by a cursor; the heap holds only what the run schedules as it goes
-//!   (playback ends, completions). Each iteration takes the earliest of
-//!   the three, ties going arrival, edge, heap — the `(time, sequence)`
-//!   order of pushing the pre-known events first.
+//!   list, already sorted), the outage edges and the playback ends (each
+//!   sorted once) are each read by a cursor; the heap holds only the
+//!   completions, at most one per path. A playback end takes its sequence
+//!   number at its session's arrival, where it would have been pushed.
+//!   Each iteration takes the earliest of the four sources, ties going
+//!   arrival, edge, then playback end or completion by sequence number —
+//!   the `(time, sequence)` order of pushing the arrivals and edges first
+//!   and each playback end at its arrival.
 //! * **Fluid sessions** — between events every session's download and
 //!   playback-buffer state evolve piecewise-linearly, so
 //!   [`SessionState::advance`] integrates them in closed form. A session
@@ -646,11 +649,11 @@ pub struct SessionTelemetry {
     /// Completion events replaced by a later re-division before they
     /// popped.
     pub events_cancelled: u64,
-    /// Largest number of heap entries. The heap holds only the events a
-    /// run schedules as it goes — the playback ends of the sessions in
-    /// their window and one completion per path with members, which each
-    /// re-division re-keys in place; arrivals and outage edges are read
-    /// from sorted arrays and take no room in it.
+    /// Largest number of heap entries. The heap holds only the
+    /// completions, one per path with a transfer in flight, which each
+    /// re-division re-keys in place, so this is at most the number of
+    /// paths; arrivals, outage edges and playback ends are read from
+    /// sorted arrays and take no room in it.
     pub peak_heap_len: u64,
     /// Processor-sharing re-divisions of a path's capacity.
     pub redivisions: u64,
@@ -711,9 +714,12 @@ pub struct SessionSimOutput {
 /// # Panics
 ///
 /// Panics if `specs` is not sorted by arrival time, a spec's path index is
-/// not below `n_paths`, an event time is not finite, a spec's duration is
-/// negative or not finite, or `capacity` returns a non-positive or
-/// non-finite value for a path with active sessions.
+/// not below `n_paths`, an event time is not finite (a playback end whose
+/// finite arrival and duration sum to infinity included), a spec's
+/// duration is negative or not finite, or `capacity` returns a
+/// non-positive or non-finite value for a path with active sessions.
+/// Everything but `capacity` is checked before the loop runs, so no hook
+/// is called on a run rejected for it.
 pub fn simulate_sessions<C, H>(
     specs: &[SessionSpec],
     n_paths: usize,
@@ -743,9 +749,10 @@ where
 /// # Panics
 ///
 /// As [`simulate_sessions`] — unsorted specs, a path index out of range, a
-/// non-finite event time (an outage edge included), a negative or
-/// non-finite duration, a bad capacity — and additionally if the timeline
-/// covers fewer paths than `n_paths`.
+/// non-finite event time (an outage edge or an overflowing playback end
+/// included), a negative or non-finite duration, a bad capacity — and
+/// additionally if the timeline covers fewer paths than `n_paths`. As
+/// there, everything but `capacity` is checked before the loop runs.
 pub fn simulate_sessions_with_faults<C, H>(
     specs: &[SessionSpec],
     n_paths: usize,
@@ -808,17 +815,17 @@ where
     // final bin.
     let mut egress = EgressAccumulator::new(egress_bins, horizon_secs);
 
-    // Everything known before the loop starts — the arrivals and the
-    // outage edges — is walked by a cursor instead of being heaped. The
-    // order is the one pushing them first would give: arrivals take the
-    // sequence numbers `0..specs.len()` in spec order (already sorted),
-    // edges the next ones path by path, and whatever the run schedules
-    // comes after both, so a pre-known event wins every tie against the
-    // heap and an arrival every tie against an edge.
+    // The arrivals and the outage edges are walked by a cursor instead of
+    // being heaped. The order is the one pushing them first would give:
+    // arrivals take the sequence numbers `0..specs.len()` in spec order
+    // (already sorted), edges the next ones path by path, and whatever
+    // the run schedules comes after both, so an arrival or an edge wins
+    // every tie against a playback end or a completion, and an arrival
+    // every tie against an edge.
     for (i, spec) in specs.iter().enumerate() {
         assert_finite_time(spec.arrival_secs, EventKind::Arrival(i as u32));
-        // A negative duration would schedule the playback end before the
-        // arrival that pushes it, running the clock backwards.
+        // A negative duration would put the playback end before its
+        // arrival, running the clock backwards.
         assert!(
             spec.duration_secs.is_finite() && spec.duration_secs >= 0.0,
             "session duration must be finite and non-negative, got {} for session {i}",
@@ -853,8 +860,28 @@ where
         edges.sort_by(|a, b| a.0.total_cmp(&b.0));
     }
     let mut next_edge = 0;
-    // The heap holds only what the run itself schedules: playback ends and
-    // completions.
+
+    // The playback ends are known before the loop too, but not their
+    // sequence numbers: an end takes the next one when its session
+    // arrives, as pushing it there would, and is walked by a cursor over
+    // the ends sorted by `(time, index)`. Arrivals are handled in index
+    // order, so among equal end times index order is sequence order.
+    let mut ends: Vec<(f64, u32)> = specs
+        .iter()
+        .enumerate()
+        .map(|(i, s)| {
+            let end = s.arrival_secs + s.duration_secs;
+            // Finite arrival and duration can still sum to infinity.
+            assert_finite_time(end, EventKind::PlaybackEnd(i as u32));
+            (end, i as u32)
+        })
+        .collect();
+    ends.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    let mut next_end = 0;
+    // `end_seqs[i]`: the sequence number session `i`'s end took at its
+    // arrival.
+    let mut end_seqs: Vec<u64> = Vec::with_capacity(specs.len());
+    // The heap holds only the completions, at most one per path.
     let mut queue = EventQueue::new();
     // Whether each path is currently inside an outage; capacity is scaled
     // by `residual` while true.
@@ -896,19 +923,37 @@ where
         // The heap only grows while an event is handled, so its length
         // just before each pop is its peak.
         telemetry.peak_heap_len = telemetry.peak_heap_len.max(queue.heap_len() as u64);
-        // The earliest of the three sources under the heap's own
-        // comparator; on a tie, arrival before edge before heap.
+        // The earliest of the four sources under the heap's own
+        // comparator; on a tie, arrival before edge before the two the
+        // run schedules, which go by sequence number.
         let arrival = specs.get(next_arrival).map(|s| s.arrival_secs);
         let edge = edges.get(next_edge).map(|e| e.0);
-        let heap = queue.peek_time();
-        let (now, kind) = if due_no_later(arrival, edge) && due_no_later(arrival, heap) {
+        let end = ends.get(next_end).map(|e| e.0);
+        let top = queue.peek();
+        let heap = top.map(|e| e.time_secs);
+        let (now, kind) = if due_no_later(arrival, edge)
+            && due_no_later(arrival, end)
+            && due_no_later(arrival, heap)
+        {
             let s = next_arrival;
             next_arrival += 1;
             (specs[s].arrival_secs, EventKind::Arrival(s as u32))
-        } else if due_no_later(edge, heap) {
+        } else if due_no_later(edge, end) && due_no_later(edge, heap) {
             let (time_secs, kind) = edges[next_edge];
             next_edge += 1;
             (time_secs, kind)
+        } else if let Some(&(time_secs, s)) = ends.get(next_end).filter(|&&(time_secs, s)| {
+            // On a time tie the end's arrival, no later and winning ties,
+            // has been handled, so its sequence number exists.
+            top.is_none_or(|top| {
+                time_secs
+                    .total_cmp(&top.time_secs)
+                    .then_with(|| end_seqs[s as usize].cmp(&top.seq))
+                    .is_lt()
+            })
+        }) {
+            next_end += 1;
+            (time_secs, EventKind::PlaybackEnd(s))
         } else if let Some(event) = queue.pop() {
             (event.time_secs, event.kind)
         } else {
@@ -934,10 +979,9 @@ where
                 let mut state = SessionState::begin(*spec, prefix);
                 viewers += 1;
                 peak_viewers = peak_viewers.max(viewers);
-                queue.push(
-                    spec.arrival_secs + spec.duration_secs,
-                    EventKind::PlaybackEnd(index as u32),
-                );
+                // The playback end is walked from `ends`: only its place
+                // in the sequence is taken here.
+                end_seqs.push(queue.reserve_seq());
 
                 if state.origin_bytes > 0.0 {
                     state.transferring = true;
@@ -1466,9 +1510,9 @@ mod tests {
                 // 2 arrivals + 2 playback ends + 3 completions.
                 events_scheduled: 7,
                 events_cancelled: 1,
-                // At B's arrival: A's playback end, the path's completion
-                // (re-keyed in place), B's playback end.
-                peak_heap_len: 3,
+                // Only the path's completion, re-keyed in place: the
+                // playback ends are walked, not heaped.
+                peak_heap_len: 1,
                 redivisions: 3,
             }
         );
@@ -1772,6 +1816,39 @@ mod tests {
     }
 
     #[test]
+    fn an_overflowing_playback_end_is_rejected_before_the_loop_runs() {
+        struct Counting(usize);
+        impl SessionHooks for Counting {
+            fn on_arrival(&mut self, _i: usize, _s: &SessionSpec, _share: f64) -> f64 {
+                self.0 += 1;
+                0.0
+            }
+        }
+        // A finite arrival and a finite duration whose sum is infinite.
+        let specs = [
+            spec(0, 0.0, 10.0, 48_000.0),
+            SessionSpec {
+                arrival_secs: f64::MAX,
+                duration_secs: f64::MAX,
+                ..spec(0, 0.0, 10.0, 48_000.0)
+            },
+        ];
+        let mut hooks = Counting(0);
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            simulate_sessions(&specs, 1, |_, _| 96_000.0, &mut hooks, 4)
+        }))
+        .expect_err("an infinite playback end must panic");
+        let message = panic
+            .downcast_ref::<String>()
+            .expect("a formatted panic message");
+        assert_eq!(
+            message,
+            "event time must be finite, got inf for PlaybackEnd(1)"
+        );
+        assert_eq!(hooks.0, 0, "the loop must not start");
+    }
+
+    #[test]
     #[should_panic(
         expected = "session duration must be finite and non-negative, got -5 for session 0"
     )]
@@ -1833,8 +1910,8 @@ mod tests {
 
     #[test]
     fn pre_known_events_are_counted_but_never_heaped() {
-        // One session, two outages: 1 arrival + 4 edges walked by the
-        // cursor, 1 playback end + re-divisions on the heap.
+        // One session, two outages: 1 arrival, 4 edges and 1 playback end
+        // walked by cursors, re-divisions on the heap.
         let timeline =
             PathFaultTimeline::from_outages(vec![vec![(10.0, 20.0), (200.0, 300.0)]], 0.5);
         let out = simulate_sessions_with_faults(
@@ -1850,10 +1927,89 @@ mod tests {
         assert_eq!(out.telemetry.redivisions, 3);
         assert_eq!(out.telemetry.events_cancelled, 2);
         assert_eq!(out.telemetry.events_scheduled, 1 + 4 + 1 + 3);
-        // The playback end and the path's one completion, which each
-        // re-division re-keys in place; an arrival or an edge waiting its
-        // turn takes no room.
-        assert_eq!(out.telemetry.peak_heap_len, 2);
+        // The path's one completion, which each re-division re-keys in
+        // place; an arrival, an edge or a playback end waiting its turn
+        // takes no room.
+        assert_eq!(out.telemetry.peak_heap_len, 1);
+    }
+
+    #[test]
+    fn a_playback_end_and_a_completion_at_one_instant_go_by_sequence_number() {
+        // Which of the two goes first shows only in the order their bytes
+        // reach the egress bins. So each run's bins are checked against
+        // the origin segments added one by one in `(time, sequence)`
+        // order, and that order against the tied pair swapped, which must
+        // differ in some bin or the case would pin nothing.
+        fn bins(horizon_secs: f64, adds: &[(f64, f64, f64)]) -> Vec<u64> {
+            let mut egress = EgressAccumulator::new(9, horizon_secs);
+            for &(from, to, bytes) in adds {
+                egress.add(from, to, bytes);
+            }
+            egress.bins().iter().map(|b| b.to_bits()).collect()
+        }
+        let cases = [
+            // At t = 40.5 session 0's completion on path 1, scheduled at
+            // t = 0, goes before session 2's end, numbered at its arrival
+            // (t = 25.5).
+            (
+                vec![
+                    spec(1, 0.0, 67.5, 24_000.0),
+                    spec(0, 8.0, 72.5, 24_000.0),
+                    spec(0, 25.5, 15.0, 16_000.0),
+                ],
+                80.5,
+                vec![
+                    (8.0, 25.5, 350_000.0),
+                    (0.0, 40.5, 1_620_000.0), // completion 0
+                    (25.5, 40.5, 150_000.0),  // end 2
+                    (25.5, 49.5, 240_000.0),
+                    (40.5, 49.5, 90_000.0),
+                    (49.5, 80.5, 620_000.0),
+                    (80.5, 107.0, 530_000.0),
+                ],
+                1,
+            ),
+            // At t = 114.5 session 2's end, numbered at its arrival just
+            // before the path's completion was re-keyed there, goes
+            // before session 1's completion.
+            (
+                vec![
+                    spec(0, 1.0, 7.5, 32_000.0),
+                    spec(0, 14.0, 72.5, 16_000.0),
+                    spec(0, 29.5, 85.0, 24_000.0),
+                ],
+                114.5,
+                vec![
+                    (1.0, 8.5, 150_000.0),
+                    (8.5, 13.0, 90_000.0),
+                    (14.0, 29.5, 310_000.0),
+                    (29.5, 86.5, 570_000.0),
+                    (29.5, 114.5, 850_000.0), // end 2
+                    (86.5, 114.5, 280_000.0), // completion 1
+                    (114.5, 174.0, 1_190_000.0),
+                ],
+                4,
+            ),
+        ];
+        for (specs, horizon_secs, adds, tied) in cases {
+            let out = simulate_sessions(
+                &specs,
+                2,
+                |p, _| 20_000.0 * (p + 1) as f64,
+                &mut NoCacheHooks,
+                9,
+            );
+            let mut swapped = adds.clone();
+            swapped.swap(tied, tied + 1);
+            assert_ne!(bins(horizon_secs, &swapped), bins(horizon_secs, &adds));
+            let got: Vec<u64> = out
+                .metrics
+                .egress_bins_bytes
+                .iter()
+                .map(|b| b.to_bits())
+                .collect();
+            assert_eq!(got, bins(horizon_secs, &adds));
+        }
     }
 
     #[test]

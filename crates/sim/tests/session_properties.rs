@@ -10,10 +10,13 @@
 //! * the rebuffer probability is a probability, and is exactly zero when
 //!   every path's capacity covers its aggregate encoding rate;
 //! * the origin egress curve sums to the total origin bytes (no traffic
-//!   is lost or double-counted by the binning).
+//!   is lost or double-counted by the binning);
+//! * the event heap never holds more than one entry per path: a path's one
+//!   pending completion (arrivals, outage edges and playback ends are
+//!   walked from sorted arrays).
 
 use sc_sim::experiments::ExperimentScale;
-use sc_sim::session::{simulate_sessions, NoCacheHooks, SessionSpec};
+use sc_sim::session::{simulate_sessions, NoCacheHooks, SessionSimOutput, SessionSpec};
 use sc_sim::{run_sessions, SimulationConfig};
 
 struct Lcg(u64);
@@ -52,6 +55,14 @@ fn random_specs(seed: u64, n_paths: usize) -> Vec<SessionSpec> {
     specs
 }
 
+fn assert_one_heap_entry_per_path_at_most(out: &SessionSimOutput, n_paths: usize, seed: u64) {
+    assert!(
+        out.telemetry.peak_heap_len <= n_paths as u64,
+        "seed {seed}: peak heap {} over {n_paths} paths",
+        out.telemetry.peak_heap_len
+    );
+}
+
 fn assert_close(actual: f64, expected: f64, what: &str) {
     let scale = expected.abs().max(1.0);
     assert!(
@@ -71,6 +82,7 @@ fn viewer_curve_integrates_to_sum_of_session_durations() {
             &mut NoCacheHooks,
             10,
         );
+        assert_one_heap_entry_per_path_at_most(&out, 3, seed);
         let total_duration: f64 = specs.iter().map(|s| s.duration_secs).sum();
         assert_close(
             out.metrics.viewer_seconds,
@@ -92,6 +104,7 @@ fn rebuffer_probability_is_a_probability_and_zero_under_ample_capacity() {
         let specs = random_specs(seed, 2);
         // Scarce capacity: the probability must still be a probability.
         let scarce = simulate_sessions(&specs, 2, |_, _| 9_000.0, &mut NoCacheHooks, 10);
+        assert_one_heap_entry_per_path_at_most(&scarce, 2, seed);
         assert!(
             (0.0..=1.0).contains(&scarce.metrics.rebuffer_probability),
             "seed {seed}: {}",
@@ -110,6 +123,7 @@ fn rebuffer_probability_is_a_probability_and_zero_under_ample_capacity() {
             (on_path.len() as f64 * max_rate).max(1.0)
         });
         let ample = simulate_sessions(&specs, 2, |p, _| ample_cap[p], &mut NoCacheHooks, 10);
+        assert_one_heap_entry_per_path_at_most(&ample, 2, seed);
         let max_rebuf = ample
             .finals
             .iter()
@@ -132,6 +146,7 @@ fn egress_curve_sums_to_total_origin_bytes() {
     for seed in 0..12u64 {
         let specs = random_specs(seed + 100, 3);
         let out = simulate_sessions(&specs, 3, |_, _| 30_000.0, &mut NoCacheHooks, 7);
+        assert_one_heap_entry_per_path_at_most(&out, 3, seed);
         let binned: f64 = out.metrics.egress_bins_bytes.iter().sum();
         assert_close(
             binned,
