@@ -3,7 +3,7 @@
 //! beyond the paper (`fig13`, `fig_sessions`, `fig_faults`); `figures` alone
 //! or `figures list` prints the ids.
 //!
-//! Figures that run the simulator take `--scale <paper|full|quick|test>`
+//! Figures that run the simulator take `--scale <paper|quick|test>`
 //! (default quick); `fig7`, `fig8` and `fig13` also take
 //! `--bandwidth <iid|ar1>` and then emit under a suffixed id (`fig7_ar1`,
 //! `fig13_iid`) so both variants can sit side by side under `results/`. An
@@ -50,7 +50,7 @@ const FIGURES: &[(&str, &[&str], Run)] = &[
     // Unlike fig7/fig8, drift is this figure's point: AR(1) is the default
     // and `--bandwidth iid` selects the no-drift control.
     ("fig13", BOTH, || {
-        let model = bandwidth_model_from_args(BandwidthModel::ar1_default());
+        let model = bandwidth_model_from_args(BandwidthModel::Ar1);
         with_bandwidth(experiments::fig13, model)
     }),
     // The session-mode figures, replayed through the discrete-event core.
@@ -238,8 +238,6 @@ fn fig4() -> Result<(), SimError> {
             mean_bps: 120_000.0,
             cov: variability.coefficient_of_variation(),
             autocorrelation,
-            interval_secs: 240.0,
-            ..TimeSeriesConfig::default()
         };
         let ts = BandwidthTimeSeries::generate(&cfg, 600, &mut rng)
             .expect("the three fig4 path configurations are valid");

@@ -59,7 +59,7 @@ impl RunInfo {
     }
 }
 
-/// Parses the `--scale <paper|full|quick|test>` command-line option;
+/// Parses the `--scale <paper|quick|test>` command-line option;
 /// defaults to [`ExperimentScale::Quick`]. An unknown value, or `--scale`
 /// with nothing after it, prints the accepted values and exits with
 /// status 2 — a mistyped `--scale papr` must not report quick-scale
@@ -71,7 +71,7 @@ pub fn scale_from_args() -> ExperimentScale {
 /// Parses the `--bandwidth <iid|ar1>` command-line option; `default` when
 /// it is absent — `fig7`/`fig8` default to [`BandwidthModel::Iid`] (the
 /// paper's i.i.d. per-request ratios), `fig13` to AR(1) because drift is
-/// its subject. `ar1` selects [`BandwidthModel::ar1_default`], the
+/// its subject. `ar1` selects [`BandwidthModel::Ar1`], the
 /// mean-reverting evolution of every path sampled on the simulation clock;
 /// the affected figures then emit under a suffixed id (`fig7_ar1`,
 /// `fig13_iid`) so both variants can sit side by side under `results/`.
@@ -91,8 +91,8 @@ fn or_exit<T>(parsed: Result<T, String>) -> T {
     })
 }
 
-const SCALES: &str = "paper, full, quick, test";
-const BANDWIDTHS: &str = "iid, ar1, timevarying";
+const SCALES: &str = "paper, quick, test";
+const BANDWIDTHS: &str = "iid, ar1";
 
 /// The value following the last `name` in `args`, `None` when `name` does
 /// not occur.
@@ -117,7 +117,7 @@ fn option_value<'a>(
 fn parse_scale(args: &[String]) -> Result<ExperimentScale, String> {
     match option_value(args, "--scale", SCALES)? {
         None | Some("quick") => Ok(ExperimentScale::Quick),
-        Some("paper" | "full") => Ok(ExperimentScale::Paper),
+        Some("paper") => Ok(ExperimentScale::Paper),
         Some("test") => Ok(ExperimentScale::Test),
         Some(other) => Err(format!(
             "unknown --scale value `{other}` (accepted: {SCALES})"
@@ -131,7 +131,7 @@ fn parse_bandwidth_model(
 ) -> Result<BandwidthModel, String> {
     match option_value(args, "--bandwidth", BANDWIDTHS)? {
         None => Ok(default),
-        Some("ar1" | "timevarying") => Ok(BandwidthModel::ar1_default()),
+        Some("ar1") => Ok(BandwidthModel::Ar1),
         Some("iid") => Ok(BandwidthModel::Iid),
         Some(other) => Err(format!(
             "unknown --bandwidth value `{other}` (accepted: {BANDWIDTHS})"
@@ -427,7 +427,6 @@ mod tests {
             ("--smoke", ExperimentScale::Quick),
             ("--scale quick", ExperimentScale::Quick),
             ("--scale paper", ExperimentScale::Paper),
-            ("--scale full", ExperimentScale::Paper),
             ("--bandwidth ar1 --scale test", ExperimentScale::Test),
             // The last occurrence wins, as it always has.
             ("--scale paper --scale test", ExperimentScale::Test),
@@ -435,19 +434,20 @@ mod tests {
             assert_eq!(parse_scale(&args_of(line)), Ok(scale), "`{line}`");
         }
         let unknown = parse_scale(&args_of("--scale papr")).unwrap_err();
-        assert!(unknown.contains("`papr`") && unknown.contains("paper, full, quick, test"));
+        assert!(unknown.contains("`papr`") && unknown.contains("paper, quick, test"));
+        // One name per scale: `full` is not a second name for `paper`.
+        assert!(parse_scale(&args_of("--scale full")).is_err());
         let missing = parse_scale(&args_of("--bandwidth iid --scale")).unwrap_err();
         assert!(missing.contains("--scale needs a value"), "{missing}");
     }
 
     #[test]
     fn bandwidth_values_parse_and_mistakes_are_errors() {
-        let ar1 = BandwidthModel::ar1_default();
+        let ar1 = BandwidthModel::Ar1;
         for (line, default, model) in [
             ("", BandwidthModel::Iid, BandwidthModel::Iid),
             ("--scale test", ar1, ar1),
             ("--bandwidth ar1", BandwidthModel::Iid, ar1),
-            ("--bandwidth timevarying", BandwidthModel::Iid, ar1),
             ("--bandwidth iid", ar1, BandwidthModel::Iid),
         ] {
             assert_eq!(
@@ -458,6 +458,8 @@ mod tests {
         }
         let unknown = parse_bandwidth_model(&args_of("--bandwidth ar2"), ar1).unwrap_err();
         assert!(unknown.contains("`ar2`") && unknown.contains("iid, ar1"));
+        // One name per model: `timevarying` is not a second name for `ar1`.
+        assert!(parse_bandwidth_model(&args_of("--bandwidth timevarying"), ar1).is_err());
         assert!(parse_bandwidth_model(&args_of("--bandwidth"), ar1).is_err());
     }
 

@@ -96,8 +96,8 @@ fn mistakes_exit_2_and_list_what_is_accepted() {
             &["fig5", "--frobnicate", "1"],
             &["`--frobnicate`", "--scale"],
         ),
-        (&["fig5", "--scale"], &["needs a value", "paper, full"]),
-        (&["fig5", "--scale", "papr"], &["`papr`", "paper, full"]),
+        (&["fig5", "--scale"], &["needs a value", "paper, quick"]),
+        (&["fig5", "--scale", "papr"], &["`papr`", "paper, quick"]),
         (&["fig7", "--bandwidth", "ar2"], &["`ar2`", "iid, ar1"]),
         // Options another figure takes, but not this one.
         (

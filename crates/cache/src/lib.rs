@@ -16,7 +16,7 @@
 //! * Allocation math — [`prefix_bytes_needed`], [`service_delay_secs`],
 //!   [`stream_quality`]: the formulas of Section 2.2.
 //! * [`policy`] — every replacement algorithm evaluated in the paper
-//!   (IF, IB, PB, PB(e), PB-V, IB-V) plus LRU/LFU baselines, each one
+//!   (IF, IB, PB, PB(e), PB-V, IB-V) plus the LRU baseline, each one
 //!   variant of [`policy::PolicyKind`], which implements the engine's
 //!   [`policy::UtilityPolicy`] seam.
 //! * [`CacheEngine`] — the online replacement engine of Section 2.4:

@@ -90,7 +90,6 @@ impl<P: UtilityPolicy + ?Sized> UtilityPolicy for Box<P> {
 /// | PB-V   | `F·V / ((r − e·b)⁺ · T)`            | `(r − e·b)⁺ · T` if `r > b`   |
 /// | IB-V   | `F·V / (T · r · b)`                 | whole object if `r > b`       |
 /// | LRU    | logical access clock †              | whole object                  |
-/// | LFU    | `F`                                 | whole object                  |
 ///
 /// where `F` is the observed request count, `b` the estimated bandwidth to
 /// the origin, `r` the bit-rate, `T` the duration and `V` the value; `e` is
@@ -233,9 +232,6 @@ pub enum PolicyKind {
     /// of Section 3.3: the utility is the engine's logical access clock, so
     /// a larger utility means "accessed more recently" — and nothing else.
     Lru,
-    /// Least-Frequently-Used caching over whole objects: IF's ranking under
-    /// its conventional name, for the baseline comparisons of Section 3.3.
-    Lfu,
 }
 
 impl PolicyKind {
@@ -276,7 +272,6 @@ impl PolicyKind {
             },
             PolicyKind::IntegralBandwidthValue => "IB-V".into(),
             PolicyKind::Lru => "LRU".into(),
-            PolicyKind::Lfu => "LFU".into(),
         }
     }
 
@@ -298,7 +293,7 @@ impl UtilityPolicy for PolicyKind {
     fn utility(&self, meta: &ObjectMeta, frequency: u64, bandwidth_bps: f64, clock: u64) -> f64 {
         let f = frequency as f64;
         match *self {
-            PolicyKind::IntegralFrequency | PolicyKind::Lfu => f,
+            PolicyKind::IntegralFrequency => f,
             PolicyKind::IntegralBandwidth
             | PolicyKind::PartialBandwidth
             | PolicyKind::HybridPartialBandwidth { .. } => safe_ratio(f, bandwidth_bps),
@@ -321,7 +316,7 @@ impl UtilityPolicy for PolicyKind {
         let prefix =
             |e| conservative_prefix_bytes(meta.duration_secs, meta.bitrate_bps, bandwidth_bps, e);
         match *self {
-            PolicyKind::IntegralFrequency | PolicyKind::Lru | PolicyKind::Lfu => meta.size_bytes(),
+            PolicyKind::IntegralFrequency | PolicyKind::Lru => meta.size_bytes(),
             // The origin alone sustains playout (`r ≤ b`): caching adds
             // nothing.
             PolicyKind::IntegralBandwidth
@@ -404,18 +399,6 @@ mod frequency {
         fn utility_increases_with_frequency() {
             let p = PolicyKind::IntegralFrequency;
             assert!(p.utility(&obj(), 10, 1.0, 0) > p.utility(&obj(), 2, 1.0, 0));
-        }
-
-        #[test]
-        fn lfu_matches_if_ranking() {
-            let p = PolicyKind::Lfu;
-            let q = PolicyKind::IntegralFrequency;
-            assert_eq!(
-                p.utility(&obj(), 4, 100.0, 9),
-                q.utility(&obj(), 4, 100.0, 9)
-            );
-            assert_eq!(p.label(), "LFU");
-            assert!(!p.allows_partial_admission());
         }
     }
 }
@@ -679,7 +662,6 @@ mod tests {
         assert_eq!(PolicyKind::PartialBandwidthValue { e: 1.0 }.label(), "PB-V");
         assert_eq!(PolicyKind::IntegralBandwidthValue.label(), "IB-V");
         assert_eq!(PolicyKind::Lru.label(), "LRU");
-        assert_eq!(PolicyKind::Lfu.label(), "LFU");
     }
 
     #[test]
@@ -727,7 +709,6 @@ mod tests {
             PolicyKind::PartialBandwidth,
             PolicyKind::IntegralBandwidthValue,
             PolicyKind::Lru,
-            PolicyKind::Lfu,
         ];
         for e in [-1.0, 0.0, 0.25, 0.5, 1.0, 3.0, f64::INFINITY] {
             kinds.push(PolicyKind::HybridPartialBandwidth { e });
@@ -745,7 +726,7 @@ mod tests {
                     let meta = ObjectMeta::new(ObjectKey::new(1), t, r, v);
                     let n = f as f64;
                     let (utility, target, partial) = match kind {
-                        PolicyKind::IntegralFrequency | PolicyKind::Lfu => (n, size, false),
+                        PolicyKind::IntegralFrequency => (n, size, false),
                         PolicyKind::IntegralBandwidth => {
                             (ratio(n, b), whole_unless_sufficient, false)
                         }

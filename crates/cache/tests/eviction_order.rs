@@ -163,7 +163,6 @@ fn only_lru_declares_a_clock_utility_and_the_box_forwards_it() {
     // unforwarded default would silently put LRU back on the heap.
     assert!(PolicyKind::Lru.build().utility_is_access_clock());
     let others = [
-        PolicyKind::Lfu,
         PolicyKind::IntegralFrequency,
         PolicyKind::IntegralBandwidth,
         PolicyKind::PartialBandwidth,

@@ -18,6 +18,10 @@
 
 use std::collections::VecDeque;
 
+/// Weight of the newest observation in the EWMA estimate that both the
+/// runnable proxy and the simulator's passive EWMA estimator use.
+pub const EWMA_ALPHA: f64 = 0.3;
+
 /// An online estimator of the available bandwidth of one path.
 ///
 /// Implementations consume throughput observations (bytes per second) and

@@ -54,10 +54,10 @@ mod variability;
 
 pub use empirical::EmpiricalDistribution;
 pub use error::NetModelError;
-pub use estimator::{BandwidthEstimator, EwmaEstimator, WindowedEstimator};
+pub use estimator::{BandwidthEstimator, EwmaEstimator, WindowedEstimator, EWMA_ALPHA};
 pub use hist::Histogram;
 pub use nlanr::{NlanrBandwidthModel, BYTES_PER_KB};
 pub use paths::PathSet;
 pub use stats::Summary;
-pub use timeseries::{BandwidthTimeSeries, MarginalDistribution, TimeSeriesConfig};
+pub use timeseries::{BandwidthTimeSeries, TimeSeriesConfig, SAMPLE_INTERVAL_SECS};
 pub use variability::VariabilityModel;

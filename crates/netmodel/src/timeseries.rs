@@ -10,28 +10,16 @@
 use crate::error::NetModelError;
 use rand::Rng;
 
-/// Marginal distribution of the AR(1) bandwidth process.
-///
-/// The normal marginal matches the historical behaviour, but for
-/// high-variability paths (CoV near 1, like the NLANR-derived models) a
-/// normal with `σ ≈ μ` puts substantial mass below zero; clamping that mass
-/// at the floor both biases the mean upward and produces long stretches
-/// pinned at the floor, inflating simulated delay tails. The lognormal
-/// marginal is strictly positive by construction, so high-CoV paths keep
-/// their target mean and CoV without clamp artefacts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MarginalDistribution {
-    /// AR(1) in the bandwidth domain with normal innovations (the default,
-    /// matching the paper-era behaviour).
-    #[default]
-    Normal,
-    /// AR(1) in the log-bandwidth domain: the marginal is lognormal with
-    /// the configured mean and CoV, and samples are strictly positive
-    /// before any clamping.
-    LogNormal,
-}
+/// Spacing of the series samples in seconds: the paper measures its paths
+/// by downloading a file every four minutes (Figure 4).
+pub const SAMPLE_INTERVAL_SECS: f64 = 240.0;
 
-/// Configuration of an AR(1) mean-reverting bandwidth process.
+/// Lower bound on every sample, as a fraction of the mean: a path never
+/// loses *all* bandwidth, so samples stay above `mean_bps / 1000`.
+const FLOOR_RATIO: f64 = 1e-3;
+
+/// Configuration of an AR(1) mean-reverting bandwidth process, sampled
+/// every [`SAMPLE_INTERVAL_SECS`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimeSeriesConfig {
     /// Long-run mean bandwidth in bytes per second.
@@ -41,19 +29,6 @@ pub struct TimeSeriesConfig {
     /// Autocorrelation of consecutive samples, in `[0, 1)`. Higher values
     /// produce smoother series (the INRIA path is smoother than Hong Kong).
     pub autocorrelation: f64,
-    /// Sampling interval in seconds (the paper samples every 4 minutes).
-    pub interval_secs: f64,
-    /// Lower bound on every sample, as a fraction of `mean_bps`. A path
-    /// never loses *all* bandwidth; the default keeps samples above
-    /// `mean_bps / 1000`.
-    pub floor_ratio: f64,
-    /// Upper bound on every sample, as a fraction of `mean_bps` — the
-    /// path's physical capacity. Defaults to [`f64::INFINITY`] (no ceiling).
-    pub ceiling_ratio: f64,
-    /// Marginal distribution of the process
-    /// ([`MarginalDistribution::Normal`] by default; use
-    /// [`MarginalDistribution::LogNormal`] for high-CoV paths).
-    pub marginal: MarginalDistribution,
 }
 
 impl Default for TimeSeriesConfig {
@@ -62,10 +37,6 @@ impl Default for TimeSeriesConfig {
             mean_bps: 100_000.0,
             cov: 0.2,
             autocorrelation: 0.8,
-            interval_secs: 240.0,
-            floor_ratio: 1e-3,
-            ceiling_ratio: f64::INFINITY,
-            marginal: MarginalDistribution::default(),
         }
     }
 }
@@ -75,8 +46,8 @@ impl TimeSeriesConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`NetModelError::InvalidParameter`] for non-positive mean or
-    /// interval, negative CoV, or autocorrelation outside `[0, 1)`.
+    /// Returns [`NetModelError::InvalidParameter`] for a non-positive mean,
+    /// negative CoV, or autocorrelation outside `[0, 1)`.
     pub fn validate(&self) -> Result<(), NetModelError> {
         if !self.mean_bps.is_finite() || self.mean_bps <= 0.0 {
             return Err(NetModelError::InvalidParameter("mean_bps", self.mean_bps));
@@ -90,24 +61,6 @@ impl TimeSeriesConfig {
                 self.autocorrelation,
             ));
         }
-        if !self.interval_secs.is_finite() || self.interval_secs <= 0.0 {
-            return Err(NetModelError::InvalidParameter(
-                "interval_secs",
-                self.interval_secs,
-            ));
-        }
-        if self.floor_ratio.is_nan() || self.floor_ratio < 0.0 {
-            return Err(NetModelError::InvalidParameter(
-                "floor_ratio",
-                self.floor_ratio,
-            ));
-        }
-        if self.ceiling_ratio.is_nan() || self.ceiling_ratio <= self.floor_ratio {
-            return Err(NetModelError::InvalidParameter(
-                "ceiling_ratio",
-                self.ceiling_ratio,
-            ));
-        }
         Ok(())
     }
 }
@@ -115,28 +68,15 @@ impl TimeSeriesConfig {
 /// A generated bandwidth time series.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BandwidthTimeSeries {
-    interval_secs: f64,
     samples_bps: Vec<f64>,
 }
 
 impl BandwidthTimeSeries {
-    /// Generates `n` samples of a mean-reverting bandwidth process.
-    ///
-    /// With the default [`MarginalDistribution::Normal`] the process is an
+    /// Generates `n` samples of a mean-reverting bandwidth process: an
     /// AR(1) in the bandwidth domain,
-    /// `x_{t+1} = mean + rho (x_t - mean) + eps`, with innovations scaled so
-    /// the marginal standard deviation equals `cov * mean`; every sample
-    /// (and the process state itself) is clamped into
-    /// `[mean * floor_ratio, mean * ceiling_ratio]`.
-    ///
-    /// With [`MarginalDistribution::LogNormal`] the AR(1) runs in the
-    /// log-bandwidth domain, `y_{t+1} = mu + rho (y_t - mu) + eps`, with
-    /// `mu` and the marginal log-variance chosen so `exp(y)` has exactly
-    /// the configured mean and CoV. Samples are strictly positive before
-    /// clamping, so high-CoV paths do not pile up on the floor (the clamp
-    /// artefact the normal marginal suffers when `cov` approaches 1). The
-    /// sample autocorrelation is `(e^{rho s²} − 1)/(e^{s²} − 1) ≈ rho` for
-    /// moderate log-variance `s²`.
+    /// `x_{t+1} = mean + rho (x_t - mean) + eps`, with normal innovations
+    /// scaled so the marginal standard deviation equals `cov * mean`. Every
+    /// sample (and the process state itself) is floored at `mean / 1000`.
     ///
     /// ```
     /// use sc_netmodel::{BandwidthTimeSeries, TimeSeriesConfig};
@@ -147,7 +87,7 @@ impl BandwidthTimeSeries {
     /// let config = TimeSeriesConfig {
     ///     mean_bps: 100_000.0,
     ///     cov: 0.2,
-    ///     ..TimeSeriesConfig::default()
+    ///     autocorrelation: 0.8,
     /// };
     /// let mut rng = rand::rngs::StdRng::seed_from_u64(42);
     /// let series = BandwidthTimeSeries::generate(&config, 450, &mut rng)?;
@@ -167,45 +107,18 @@ impl BandwidthTimeSeries {
     ) -> Result<Self, NetModelError> {
         config.validate()?;
         let rho = config.autocorrelation;
-        let floor = config.mean_bps * config.floor_ratio;
-        let ceiling = config.mean_bps * config.ceiling_ratio;
+        let floor = config.mean_bps * FLOOR_RATIO;
+        let sigma_innov = config.cov * config.mean_bps * (1.0 - rho * rho).sqrt();
+        let mut x = config.mean_bps;
         let mut samples = Vec::with_capacity(n);
-        match config.marginal {
-            MarginalDistribution::Normal => {
-                let sigma_marginal = config.cov * config.mean_bps;
-                let sigma_innov = sigma_marginal * (1.0 - rho * rho).sqrt();
-                let mut x = config.mean_bps.clamp(floor, ceiling);
-                for _ in 0..n {
-                    let eps = sigma_innov * standard_normal(rng);
-                    x = (config.mean_bps + rho * (x - config.mean_bps) + eps).clamp(floor, ceiling);
-                    samples.push(x);
-                }
-            }
-            MarginalDistribution::LogNormal => {
-                // exp(N(mu, s²)) has mean `exp(mu + s²/2)` and
-                // CoV `sqrt(e^{s²} − 1)`; invert both to hit the targets.
-                let log_var = (1.0 + config.cov * config.cov).ln();
-                let mu = config.mean_bps.ln() - log_var / 2.0;
-                let sigma_innov = (log_var * (1.0 - rho * rho)).sqrt();
-                // The AR(1) state stays unclamped in the log domain (the
-                // clamp is an output bound, not part of the dynamics).
-                let mut y = mu;
-                for _ in 0..n {
-                    let eps = sigma_innov * standard_normal(rng);
-                    y = mu + rho * (y - mu) + eps;
-                    samples.push(y.exp().clamp(floor, ceiling));
-                }
-            }
+        for _ in 0..n {
+            let eps = sigma_innov * standard_normal(rng);
+            x = (config.mean_bps + rho * (x - config.mean_bps) + eps).max(floor);
+            samples.push(x);
         }
         Ok(BandwidthTimeSeries {
-            interval_secs: config.interval_secs,
             samples_bps: samples,
         })
-    }
-
-    /// Sampling interval in seconds.
-    pub fn interval_secs(&self) -> f64 {
-        self.interval_secs
     }
 
     /// The bandwidth samples in bytes per second.
@@ -225,7 +138,7 @@ impl BandwidthTimeSeries {
 
     /// Total covered duration in hours.
     pub fn duration_hours(&self) -> f64 {
-        self.samples_bps.len() as f64 * self.interval_secs / 3600.0
+        self.samples_bps.len() as f64 * SAMPLE_INTERVAL_SECS / 3600.0
     }
 
     /// Bandwidth at an arbitrary time (piecewise-constant interpolation,
@@ -238,7 +151,7 @@ impl BandwidthTimeSeries {
         let idx = if time_secs <= 0.0 {
             0
         } else {
-            ((time_secs / self.interval_secs) as usize).min(self.samples_bps.len() - 1)
+            ((time_secs / SAMPLE_INTERVAL_SECS) as usize).min(self.samples_bps.len() - 1)
         };
         self.samples_bps[idx]
     }
@@ -294,20 +207,7 @@ mod tests {
                 ..Default::default()
             },
             TimeSeriesConfig {
-                interval_secs: 0.0,
-                ..Default::default()
-            },
-            TimeSeriesConfig {
-                floor_ratio: -0.1,
-                ..Default::default()
-            },
-            TimeSeriesConfig {
-                floor_ratio: 0.8,
-                ceiling_ratio: 0.5,
-                ..Default::default()
-            },
-            TimeSeriesConfig {
-                ceiling_ratio: f64::NAN,
+                autocorrelation: f64::NAN,
                 ..Default::default()
             },
         ];
@@ -323,8 +223,6 @@ mod tests {
             mean_bps: 100_000.0,
             cov: 0.3,
             autocorrelation: 0.7,
-            interval_secs: 240.0,
-            ..Default::default()
         };
         let mut rng = StdRng::seed_from_u64(2);
         let ts = BandwidthTimeSeries::generate(&cfg, 20_000, &mut rng).unwrap();
@@ -377,128 +275,28 @@ mod tests {
     }
 
     #[test]
-    fn samples_respect_floor_and_ceiling_across_long_runs() {
+    fn samples_respect_the_floor_across_long_runs() {
         // Seeded-loop property test: for a spread of seeds and shapes, every
-        // sample of a long run stays inside the configured bounds.
+        // sample of a long run stays at or above a thousandth of the mean,
+        // and at CoV 1 and above (a normal marginal with much of its mass
+        // below zero) some samples sit exactly on that floor.
         for seed in 0..24u64 {
             let cfg = TimeSeriesConfig {
                 mean_bps: 50_000.0 + 10_000.0 * (seed % 5) as f64,
-                cov: 0.1 + 0.15 * (seed % 4) as f64,
+                cov: 0.1 + 0.5 * (seed % 4) as f64,
                 autocorrelation: 0.05 + 0.9 * ((seed % 3) as f64 / 2.0).min(0.99),
-                floor_ratio: 0.5,
-                ceiling_ratio: 1.5,
-                ..Default::default()
             };
             let mut rng = StdRng::seed_from_u64(seed);
             let ts = BandwidthTimeSeries::generate(&cfg, 20_000, &mut rng).unwrap();
-            let lo = cfg.mean_bps * cfg.floor_ratio;
-            let hi = cfg.mean_bps * cfg.ceiling_ratio;
+            let floor = cfg.mean_bps * FLOOR_RATIO;
             assert!(
-                ts.samples_bps().iter().all(|&x| (lo..=hi).contains(&x)),
-                "seed {seed}: sample escaped [{lo}, {hi}]"
+                ts.samples_bps().iter().all(|&x| x >= floor),
+                "seed {seed}: sample below {floor}"
             );
+            if cfg.cov >= 1.0 {
+                assert!(ts.samples_bps().contains(&floor), "seed {seed}");
+            }
         }
-    }
-
-    // --- lognormal marginal ---
-
-    #[test]
-    fn lognormal_marginal_matches_target_moments() {
-        // Seeded-loop property test: across seeds and shapes (including
-        // high CoV), the lognormal marginal hits the target mean and CoV.
-        for seed in 0..12u64 {
-            let cfg = TimeSeriesConfig {
-                mean_bps: 40_000.0 + 20_000.0 * (seed % 4) as f64,
-                cov: 0.2 + 0.4 * (seed % 3) as f64, // up to 1.0
-                autocorrelation: 0.1 + 0.28 * (seed % 3) as f64,
-                marginal: MarginalDistribution::LogNormal,
-                ..Default::default()
-            };
-            let mut rng = StdRng::seed_from_u64(1_000 + seed);
-            let ts = BandwidthTimeSeries::generate(&cfg, 60_000, &mut rng).unwrap();
-            let s = Summary::of(ts.samples_bps()).unwrap();
-            assert!(
-                (s.mean - cfg.mean_bps).abs() / cfg.mean_bps < 0.06,
-                "seed {seed}: mean {} target {}",
-                s.mean,
-                cfg.mean_bps
-            );
-            assert!(
-                (s.cov - cfg.cov).abs() < 0.08,
-                "seed {seed}: cov {} target {}",
-                s.cov,
-                cfg.cov
-            );
-            assert!(ts.samples_bps().iter().all(|&x| x > 0.0));
-        }
-    }
-
-    #[test]
-    fn lognormal_marginal_respects_floor_and_ceiling() {
-        for seed in 0..12u64 {
-            let cfg = TimeSeriesConfig {
-                cov: 0.3 + 0.35 * (seed % 3) as f64,
-                autocorrelation: 0.05 + 0.45 * (seed % 2) as f64,
-                floor_ratio: 0.4,
-                ceiling_ratio: 2.0,
-                marginal: MarginalDistribution::LogNormal,
-                ..Default::default()
-            };
-            let mut rng = StdRng::seed_from_u64(2_000 + seed);
-            let ts = BandwidthTimeSeries::generate(&cfg, 20_000, &mut rng).unwrap();
-            let lo = cfg.mean_bps * cfg.floor_ratio;
-            let hi = cfg.mean_bps * cfg.ceiling_ratio;
-            assert!(
-                ts.samples_bps().iter().all(|&x| (lo..=hi).contains(&x)),
-                "seed {seed}: sample escaped [{lo}, {hi}]"
-            );
-        }
-    }
-
-    #[test]
-    fn lognormal_zero_cov_is_constant_at_the_mean() {
-        let cfg = TimeSeriesConfig {
-            cov: 0.0,
-            marginal: MarginalDistribution::LogNormal,
-            ..Default::default()
-        };
-        let mut rng = StdRng::seed_from_u64(7);
-        let ts = BandwidthTimeSeries::generate(&cfg, 50, &mut rng).unwrap();
-        assert!(ts
-            .samples_bps()
-            .iter()
-            .all(|&x| (x - cfg.mean_bps).abs() < 1e-6));
-    }
-
-    #[test]
-    fn lognormal_avoids_the_normal_high_cov_clamp_bias() {
-        // At CoV 1 a normal marginal puts ~16% of its mass below zero;
-        // clamping at the floor inflates the realised mean. The lognormal
-        // marginal is positive by construction, so its mean error must be
-        // well inside the normal's clamp bias on the same configuration.
-        let base = TimeSeriesConfig {
-            cov: 1.0,
-            autocorrelation: 0.6,
-            ..Default::default()
-        };
-        let mut rng = StdRng::seed_from_u64(8);
-        let normal = BandwidthTimeSeries::generate(&base, 60_000, &mut rng).unwrap();
-        let lognormal = BandwidthTimeSeries::generate(
-            &TimeSeriesConfig {
-                marginal: MarginalDistribution::LogNormal,
-                ..base
-            },
-            60_000,
-            &mut rng,
-        )
-        .unwrap();
-        let mean_err = |ts: &BandwidthTimeSeries| (ts.mean_bps() - base.mean_bps).abs();
-        assert!(
-            mean_err(&normal) > 3.0 * mean_err(&lognormal),
-            "normal clamp bias {} vs lognormal error {}",
-            mean_err(&normal),
-            mean_err(&lognormal)
-        );
     }
 
     #[test]

@@ -87,8 +87,6 @@ fn timeseries_positive() {
             mean_bps: rng.gen_range(10_000.0..500_000.0),
             cov: rng.gen_range(0.0..0.6),
             autocorrelation: 0.5,
-            interval_secs: 60.0,
-            ..TimeSeriesConfig::default()
         };
         let ts = BandwidthTimeSeries::generate(&cfg, 256, &mut rng).unwrap();
         assert!(ts.samples_bps().iter().all(|&x| x > 0.0));

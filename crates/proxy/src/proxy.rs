@@ -47,7 +47,7 @@ use crate::retry::{BreakerConfig, BreakerState, CircuitBreaker, RetryPolicy};
 use crate::splice::Pipe;
 use sc_cache::policy::PolicyKind;
 use sc_cache::{ObjectKey, ObjectMeta, ShardedEngine};
-use sc_netmodel::{BandwidthEstimator, EwmaEstimator};
+use sc_netmodel::{BandwidthEstimator, EwmaEstimator, EWMA_ALPHA};
 use std::hash::{DefaultHasher, Hasher as _};
 use std::io::{BufReader, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -468,7 +468,7 @@ impl CachingProxy {
         let addr = listener.local_addr()?;
         let state = Arc::new(ProxyState {
             engine,
-            estimator: Mutex::new(EwmaEstimator::new(0.3)),
+            estimator: Mutex::new(EwmaEstimator::new(EWMA_ALPHA)),
             queue: AcceptQueue::new(
                 ACCEPT_QUEUE_LEN,
                 config.max_in_flight,

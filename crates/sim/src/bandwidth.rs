@@ -14,8 +14,16 @@ use crate::config::{BandwidthModel, EstimatorKind, VariabilityKind};
 use rand::Rng;
 use sc_netmodel::{
     BandwidthEstimator, BandwidthTimeSeries, EwmaEstimator, NlanrBandwidthModel, PathSet,
-    TimeSeriesConfig, WindowedEstimator,
+    TimeSeriesConfig, WindowedEstimator, EWMA_ALPHA, SAMPLE_INTERVAL_SECS,
 };
+
+/// Autocorrelation of consecutive AR(1) series samples under
+/// [`BandwidthModel::Ar1`].
+const AR1_AUTOCORRELATION: f64 = 0.9;
+
+/// Number of recent transfers the [`EstimatorKind::Windowed`] estimator
+/// averages.
+const WINDOW_TRANSFERS: usize = 8;
 
 /// Supplies the simulator with per-object average bandwidths and per-request
 /// instantaneous bandwidth samples.
@@ -70,15 +78,9 @@ impl BandwidthProvider {
     /// In AR(1) mode every path gets a time series covering `horizon_secs`
     /// of simulated time (the arrival time of the last request): the path's
     /// NLANR-drawn average becomes the series mean, the marginal coefficient
-    /// of variation comes from `kind`, and the temporal parameters from the
-    /// model. In i.i.d. mode this is exactly [`BandwidthProvider::generate`]
+    /// of variation comes from `kind`. In i.i.d. mode this is exactly [`BandwidthProvider::generate`]
     /// — `horizon_secs` is ignored and no extra random draws are consumed,
     /// which keeps the golden metrics bit-stable.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the AR(1) parameters are invalid; validate the simulation
-    /// configuration first (as [`crate::SimWorker`] does).
     pub fn generate_with_model<R: Rng + ?Sized>(
         objects: usize,
         kind: VariabilityKind,
@@ -95,11 +97,8 @@ impl BandwidthProvider {
         let source = match model {
             BandwidthModel::Iid if kind == VariabilityKind::Constant => Source::Mean,
             BandwidthModel::Iid => Source::Ratio,
-            BandwidthModel::Ar1 {
-                autocorrelation,
-                interval_secs,
-            } => {
-                let samples = (horizon_secs.max(0.0) / interval_secs) as usize + 1;
+            BandwidthModel::Ar1 => {
+                let samples = (horizon_secs.max(0.0) / SAMPLE_INTERVAL_SECS) as usize + 1;
                 let cov = paths.variability().coefficient_of_variation();
                 Source::Series(
                     paths
@@ -109,12 +108,10 @@ impl BandwidthProvider {
                             let cfg = TimeSeriesConfig {
                                 mean_bps,
                                 cov,
-                                autocorrelation,
-                                interval_secs,
-                                ..TimeSeriesConfig::default()
+                                autocorrelation: AR1_AUTOCORRELATION,
                             };
                             BandwidthTimeSeries::generate(&cfg, samples, rng)
-                                .expect("validated AR(1) parameters")
+                                .expect("a path mean is positive and a variability CoV finite")
                         })
                         .collect(),
                 )
@@ -227,17 +224,12 @@ enum Slots {
 
 impl EstimatorBank {
     /// Creates estimator state for `objects` paths.
-    ///
-    /// # Panics
-    ///
-    /// Panics on invalid parameters (zero window); validate the
-    /// configuration first.
     pub fn new(kind: EstimatorKind, objects: usize) -> Self {
         let slots = match kind {
             EstimatorKind::Oracle => Slots::Oracle,
-            EstimatorKind::Ewma { alpha } => Slots::Ewma(vec![EwmaEstimator::new(alpha); objects]),
-            EstimatorKind::Windowed { window } => {
-                Slots::Windowed(vec![WindowedEstimator::new(window); objects])
+            EstimatorKind::Ewma => Slots::Ewma(vec![EwmaEstimator::new(EWMA_ALPHA); objects]),
+            EstimatorKind::Windowed => {
+                Slots::Windowed(vec![WindowedEstimator::new(WINDOW_TRANSFERS); objects])
             }
             EstimatorKind::Probe => Slots::Probe,
         };
@@ -302,9 +294,7 @@ mod tests {
     fn every_variable_iid_kind_draws_one_word_per_request() {
         for kind in [
             VariabilityKind::NlanrLike,
-            VariabilityKind::MeasuredLow,
             VariabilityKind::MeasuredModerate,
-            VariabilityKind::MeasuredHigh,
         ] {
             let mut rng = StdRng::seed_from_u64(4);
             let p = BandwidthProvider::generate(8, kind, &mut rng);
@@ -323,7 +313,7 @@ mod tests {
             let p = BandwidthProvider::generate_with_model(
                 4,
                 kind,
-                BandwidthModel::ar1_default(),
+                BandwidthModel::Ar1,
                 1_000.0,
                 &mut rng,
             );
@@ -355,8 +345,8 @@ mod tests {
     fn deterministic_for_equal_seeds() {
         let mut a = StdRng::seed_from_u64(7);
         let mut b = StdRng::seed_from_u64(7);
-        let pa = BandwidthProvider::generate(30, VariabilityKind::MeasuredLow, &mut a);
-        let pb = BandwidthProvider::generate(30, VariabilityKind::MeasuredLow, &mut b);
+        let pa = BandwidthProvider::generate(30, VariabilityKind::MeasuredModerate, &mut a);
+        let pb = BandwidthProvider::generate(30, VariabilityKind::MeasuredModerate, &mut b);
         for i in 0..30 {
             assert_eq!(pa.estimated_bps(i), pb.estimated_bps(i));
         }
@@ -392,15 +382,11 @@ mod tests {
     #[test]
     fn ar1_mode_is_piecewise_constant_between_series_samples() {
         let mut rng = StdRng::seed_from_u64(11);
-        let model = BandwidthModel::Ar1 {
-            autocorrelation: 0.8,
-            interval_secs: 100.0,
-        };
         let p = BandwidthProvider::generate_with_model(
             5,
             VariabilityKind::MeasuredModerate,
-            model,
-            1_000.0,
+            BandwidthModel::Ar1,
+            10.0 * SAMPLE_INTERVAL_SECS,
             &mut rng,
         );
         assert!(p.is_time_varying());
@@ -410,7 +396,7 @@ mod tests {
         // underlying series.
         let before = rng.clone();
         let at_0 = p.request_bps(2, 0.0, &mut rng);
-        let at_mid = p.request_bps(2, 150.0, &mut rng);
+        let at_mid = p.request_bps(2, 1.5 * SAMPLE_INTERVAL_SECS, &mut rng);
         assert_eq!(at_0, series.samples_bps()[0]);
         assert_eq!(at_mid, series.samples_bps()[1]);
         assert_eq!(rng.gen::<u64>(), before.clone().gen::<u64>());
@@ -419,8 +405,8 @@ mod tests {
         let q = BandwidthProvider::generate_with_model(
             5,
             VariabilityKind::MeasuredModerate,
-            model,
-            1_000.0,
+            BandwidthModel::Ar1,
+            10.0 * SAMPLE_INTERVAL_SECS,
             &mut rng2,
         );
         for i in 0..5 {
@@ -436,8 +422,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(13);
         let p = BandwidthProvider::generate_with_model(
             3,
-            VariabilityKind::MeasuredLow,
-            BandwidthModel::ar1_default(),
+            VariabilityKind::MeasuredModerate,
+            BandwidthModel::Ar1,
             2_000_000.0,
             &mut rng,
         );
@@ -463,16 +449,16 @@ mod tests {
         let ar1 = BandwidthProvider::generate_with_model(
             3,
             VariabilityKind::MeasuredModerate,
-            BandwidthModel::Ar1 {
-                autocorrelation: 0.8,
-                interval_secs: 100.0,
-            },
-            1_000.0,
+            BandwidthModel::Ar1,
+            4.0 * SAMPLE_INTERVAL_SECS,
             &mut rng,
         );
         let series = ar1.series(1).unwrap();
         assert_eq!(ar1.capacity_bps(1, 0.0), series.samples_bps()[0]);
-        assert_eq!(ar1.capacity_bps(1, 150.0), series.samples_bps()[1]);
+        assert_eq!(
+            ar1.capacity_bps(1, 1.5 * SAMPLE_INTERVAL_SECS),
+            series.samples_bps()[1]
+        );
     }
 
     #[test]
@@ -490,21 +476,23 @@ mod tests {
 
     #[test]
     fn estimator_bank_passive_kinds_lag_and_fall_back() {
-        let mut ewma = EstimatorBank::new(EstimatorKind::Ewma { alpha: 0.5 }, 2);
+        let mut ewma = EstimatorBank::new(EstimatorKind::Ewma, 2);
         // No observation yet: oracle fallback.
         assert_eq!(ewma.decision_bps(0, 80.0, 20.0), 80.0);
         ewma.observe_transfer(0, 20.0);
         assert_eq!(ewma.decision_bps(0, 80.0, 60.0), 20.0);
         ewma.observe_transfer(0, 60.0);
-        assert_eq!(ewma.decision_bps(0, 80.0, 60.0), 40.0);
+        // 0.3 · 60 + 0.7 · 20: the proxy's EWMA weight.
+        assert!((ewma.decision_bps(0, 80.0, 60.0) - 32.0).abs() < 1e-9);
         // Per-path state is independent.
         assert_eq!(ewma.decision_bps(1, 80.0, 60.0), 80.0);
 
-        let mut win = EstimatorBank::new(EstimatorKind::Windowed { window: 2 }, 1);
+        let mut win = EstimatorBank::new(EstimatorKind::Windowed, 1);
         assert_eq!(win.decision_bps(0, 80.0, 10.0), 80.0);
-        win.observe_transfer(0, 10.0);
-        win.observe_transfer(0, 20.0);
-        win.observe_transfer(0, 30.0);
-        assert_eq!(win.decision_bps(0, 80.0, 10.0), 25.0);
+        for i in 1..=10 {
+            win.observe_transfer(0, 10.0 * i as f64);
+        }
+        // The mean of the last eight transfers, 30 … 100.
+        assert_eq!(win.decision_bps(0, 80.0, 10.0), 65.0);
     }
 }

@@ -15,13 +15,9 @@ pub enum VariabilityKind {
     /// High variability matching the NLANR proxy-log ratios (Figure 3;
     /// used in Figure 7).
     NlanrLike,
-    /// Low variability (INRIA-like measured path, Figure 4).
-    MeasuredLow,
     /// Moderate variability (Taiwan-like measured path, Figure 4; used in
     /// Figures 8, 11 and 12).
     MeasuredModerate,
-    /// Higher measured-path variability (Hong-Kong-like, Figure 4).
-    MeasuredHigh,
 }
 
 impl VariabilityKind {
@@ -31,9 +27,7 @@ impl VariabilityKind {
         match self {
             VariabilityKind::Constant => V::constant(),
             VariabilityKind::NlanrLike => V::nlanr_like(),
-            VariabilityKind::MeasuredLow => V::measured_path_low(),
             VariabilityKind::MeasuredModerate => V::measured_path_moderate(),
-            VariabilityKind::MeasuredHigh => V::measured_path_high(),
         }
     }
 
@@ -42,9 +36,7 @@ impl VariabilityKind {
         match self {
             VariabilityKind::Constant => "constant",
             VariabilityKind::NlanrLike => "nlanr-variability",
-            VariabilityKind::MeasuredLow => "measured-low",
             VariabilityKind::MeasuredModerate => "measured-moderate",
-            VariabilityKind::MeasuredHigh => "measured-high",
         }
     }
 }
@@ -67,10 +59,10 @@ impl VariabilityKind {
 /// let mut config = SimulationConfig::small();
 /// assert_eq!(config.bandwidth_model, BandwidthModel::Iid);
 /// // Switch Figure 7/8-style runs to time-varying bandwidth.
-/// config.bandwidth_model = BandwidthModel::ar1_default();
+/// config.bandwidth_model = BandwidthModel::Ar1;
 /// assert!(config.validate().is_ok());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BandwidthModel {
     /// Each request draws an independent sample-to-mean ratio from the
     /// configured [`VariabilityKind`] — the seed behaviour, and the model
@@ -78,60 +70,20 @@ pub enum BandwidthModel {
     Iid,
     /// Each path's bandwidth evolves as a mean-reverting AR(1) process
     /// ([`sc_netmodel::TimeSeriesConfig`]): the path mean comes from the
-    /// NLANR-like base distribution and the marginal coefficient of
-    /// variation from the configured [`VariabilityKind`], so only the
-    /// *temporal* parameters live here.
-    Ar1 {
-        /// Autocorrelation of consecutive series samples, in `[0, 1)`.
-        autocorrelation: f64,
-        /// Spacing of the series samples in (simulated) seconds.
-        interval_secs: f64,
-    },
+    /// NLANR-like base distribution, the marginal coefficient of variation
+    /// from the configured [`VariabilityKind`], and consecutive samples —
+    /// four minutes apart, the measurement cadence of the paper's Figure 4
+    /// paths — are strongly correlated (`rho = 0.9`).
+    Ar1,
 }
 
 impl BandwidthModel {
-    /// The default AR(1) parameterisation: strongly correlated samples
-    /// (`rho = 0.9`) every four minutes, matching the measurement cadence
-    /// of the paper's Figure 4 paths.
-    pub fn ar1_default() -> Self {
-        BandwidthModel::Ar1 {
-            autocorrelation: 0.9,
-            interval_secs: 240.0,
-        }
-    }
-
     /// Human-readable label used in reports.
     pub fn label(&self) -> &'static str {
         match self {
             BandwidthModel::Iid => "iid",
-            BandwidthModel::Ar1 { .. } => "ar1",
+            BandwidthModel::Ar1 => "ar1",
         }
-    }
-
-    /// Validates the model parameters.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::BandwidthModel`] when the AR(1) autocorrelation
-    /// is outside `[0, 1)` or the sampling interval is not positive.
-    pub fn validate(&self) -> Result<(), SimError> {
-        if let BandwidthModel::Ar1 {
-            autocorrelation,
-            interval_secs,
-        } = *self
-        {
-            if !autocorrelation.is_finite() || !(0.0..1.0).contains(&autocorrelation) {
-                return Err(SimError::BandwidthModel(format!(
-                    "AR(1) autocorrelation must lie in [0, 1), got {autocorrelation}"
-                )));
-            }
-            if !interval_secs.is_finite() || interval_secs <= 0.0 {
-                return Err(SimError::BandwidthModel(format!(
-                    "AR(1) interval must be positive and finite, got {interval_secs}"
-                )));
-            }
-        }
-        Ok(())
     }
 }
 
@@ -143,24 +95,19 @@ impl BandwidthModel {
 /// bandwidth. Under time-varying bandwidth ([`BandwidthModel::Ar1`]) the
 /// estimator's staleness becomes a first-order effect — the subject of the
 /// fig13 experiment.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EstimatorKind {
     /// An oracle that always reports the path's long-run mean — the seed
     /// behaviour, exact under [`BandwidthModel::Iid`], increasingly stale
     /// under drift.
     Oracle,
     /// Passive exponentially-weighted moving average over the throughput of
-    /// past transfers ([`sc_netmodel::EwmaEstimator`]).
-    Ewma {
-        /// Weight of the newest observation, in `[0, 1]`.
-        alpha: f64,
-    },
-    /// Passive sliding-window mean over the last `window` transfers
+    /// past transfers ([`sc_netmodel::EwmaEstimator`]), weighting the newest
+    /// one by [`sc_netmodel::EWMA_ALPHA`] as the runnable proxy does.
+    Ewma,
+    /// Passive sliding-window mean over the last 8 transfers
     /// ([`sc_netmodel::WindowedEstimator`]).
-    Windowed {
-        /// Number of recent transfers averaged.
-        window: usize,
-    },
+    Windowed,
     /// Active probing: measure the path's current bandwidth just before
     /// each placement decision — fresh but (in a real proxy) not free. It
     /// keeps no history, so [`EstimatorBank`](crate::bandwidth::EstimatorBank)
@@ -173,31 +120,9 @@ impl EstimatorKind {
     pub fn label(&self) -> &'static str {
         match self {
             EstimatorKind::Oracle => "oracle-mean",
-            EstimatorKind::Ewma { .. } => "ewma",
-            EstimatorKind::Windowed { .. } => "windowed",
+            EstimatorKind::Ewma => "ewma",
+            EstimatorKind::Windowed => "windowed",
             EstimatorKind::Probe => "probe",
-        }
-    }
-
-    /// Validates the estimator parameters.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Estimator`] for an EWMA weight outside `[0, 1]`
-    /// or a zero-length window.
-    pub fn validate(&self) -> Result<(), SimError> {
-        match *self {
-            EstimatorKind::Ewma { alpha }
-                if !alpha.is_finite() || !(0.0..=1.0).contains(&alpha) =>
-            {
-                Err(SimError::Estimator(format!(
-                    "EWMA alpha must lie in [0, 1], got {alpha}"
-                )))
-            }
-            EstimatorKind::Windowed { window: 0 } => Err(SimError::Estimator(
-                "window must hold at least one sample".to_string(),
-            )),
-            _ => Ok(()),
         }
     }
 }
@@ -283,10 +208,6 @@ pub enum SimError {
     Workload(String),
     /// The number of replicated runs was zero.
     NoRuns,
-    /// The bandwidth model parameters were invalid.
-    BandwidthModel(String),
-    /// The bandwidth estimator parameters were invalid.
-    Estimator(String),
     /// The session-mode egress bin count was zero.
     InvalidEgressBins,
     /// The path fault model parameters were invalid.
@@ -303,8 +224,6 @@ impl fmt::Display for SimError {
             }
             SimError::Workload(why) => write!(f, "invalid workload configuration: {why}"),
             SimError::NoRuns => write!(f, "at least one simulation run is required"),
-            SimError::BandwidthModel(why) => write!(f, "invalid bandwidth model: {why}"),
-            SimError::Estimator(why) => write!(f, "invalid bandwidth estimator: {why}"),
             SimError::InvalidEgressBins => {
                 write!(f, "session egress accumulation needs at least one bin")
             }
@@ -344,6 +263,8 @@ pub struct SimulationConfig {
 }
 
 impl Default for SimulationConfig {
+    /// The paper's default setting (Table 1 workload, constant bandwidth,
+    /// 32 GB cache, PB policy, first half of the trace as warm-up).
     fn default() -> Self {
         SimulationConfig {
             workload: WorkloadConfig::default(),
@@ -360,12 +281,6 @@ impl Default for SimulationConfig {
 }
 
 impl SimulationConfig {
-    /// The paper's default setting (Table 1 workload, constant bandwidth,
-    /// 32 GB cache, PB policy, first half of the trace as warm-up).
-    pub fn paper_default() -> Self {
-        Self::default()
-    }
-
     /// A reduced-scale configuration suitable for unit tests and examples
     /// (500 objects, 5,000 requests).
     pub fn small() -> Self {
@@ -410,8 +325,6 @@ impl SimulationConfig {
         self.policy
             .validate()
             .map_err(|e| SimError::Policy(e.to_string()))?;
-        self.bandwidth_model.validate()?;
-        self.estimator.validate()?;
         if let Some(faults) = &self.path_faults {
             faults.validate()?;
         }
@@ -428,7 +341,7 @@ mod tests {
 
     #[test]
     fn default_matches_paper() {
-        let c = SimulationConfig::paper_default();
+        let c = SimulationConfig::default();
         assert_eq!(c.workload.catalog.objects, 5_000);
         assert_eq!(c.variability, VariabilityKind::Constant);
         assert!(c.validate().is_ok());
@@ -436,14 +349,14 @@ mod tests {
 
     #[test]
     fn expected_total_bytes_is_near_790_gb_at_paper_scale() {
-        let c = SimulationConfig::paper_default();
+        let c = SimulationConfig::default();
         let gb = c.expected_total_bytes() / 1e9;
         assert!((750.0..830.0).contains(&gb), "expected total {gb} GB");
     }
 
     #[test]
     fn cache_fraction_scales_capacity() {
-        let c = SimulationConfig::paper_default().with_cache_fraction(0.01);
+        let c = SimulationConfig::default().with_cache_fraction(0.01);
         assert!((c.cache_size_bytes / c.expected_total_bytes() - 0.01).abs() < 1e-12);
     }
 
@@ -494,9 +407,7 @@ mod tests {
         for kind in [
             VariabilityKind::Constant,
             VariabilityKind::NlanrLike,
-            VariabilityKind::MeasuredLow,
             VariabilityKind::MeasuredModerate,
-            VariabilityKind::MeasuredHigh,
         ] {
             let m = kind.model();
             assert!((m.distribution().mean() - 1.0).abs() < 1e-9);
@@ -557,17 +468,12 @@ mod tests {
     fn sim_error_display() {
         assert!(SimError::NoRuns.to_string().contains("at least one"));
         assert!(SimError::InvalidCacheSize(-2.0).to_string().contains("-2"));
-        assert!(SimError::BandwidthModel("x".into())
-            .to_string()
-            .contains("bandwidth model"));
-        assert!(SimError::Estimator("x".into())
-            .to_string()
-            .contains("estimator"));
+        assert!(SimError::Policy("x".into()).to_string().contains("policy"));
     }
 
     #[test]
     fn default_bandwidth_model_is_iid_with_oracle_estimator() {
-        let c = SimulationConfig::paper_default();
+        let c = SimulationConfig::default();
         assert_eq!(c.bandwidth_model, BandwidthModel::Iid);
         assert_eq!(c.estimator, EstimatorKind::Oracle);
         assert_eq!(c.bandwidth_model.label(), "iid");
@@ -576,52 +482,32 @@ mod tests {
 
     #[test]
     fn bandwidth_model_validation() {
-        assert!(BandwidthModel::Iid.validate().is_ok());
-        assert!(BandwidthModel::ar1_default().validate().is_ok());
-        assert_eq!(BandwidthModel::ar1_default().label(), "ar1");
-        for bad in [
-            BandwidthModel::Ar1 {
-                autocorrelation: 1.0,
-                interval_secs: 240.0,
-            },
-            BandwidthModel::Ar1 {
-                autocorrelation: -0.1,
-                interval_secs: 240.0,
-            },
-            BandwidthModel::Ar1 {
-                autocorrelation: 0.5,
-                interval_secs: 0.0,
-            },
-        ] {
-            assert!(matches!(bad.validate(), Err(SimError::BandwidthModel(_))));
-            let mut c = SimulationConfig::small();
-            c.bandwidth_model = bad;
-            assert!(c.validate().is_err());
+        // Neither model has a parameter left to get wrong.
+        for (model, label) in [(BandwidthModel::Iid, "iid"), (BandwidthModel::Ar1, "ar1")] {
+            assert_eq!(model.label(), label);
+            let c = SimulationConfig {
+                bandwidth_model: model,
+                ..SimulationConfig::small()
+            };
+            assert!(c.validate().is_ok());
         }
     }
 
     #[test]
     fn estimator_kind_validation() {
-        assert!(EstimatorKind::Oracle.validate().is_ok());
-        assert!(EstimatorKind::Probe.validate().is_ok());
-        assert!(EstimatorKind::Ewma { alpha: 0.3 }.validate().is_ok());
-        assert!(EstimatorKind::Windowed { window: 8 }.validate().is_ok());
-        for bad in [
-            EstimatorKind::Ewma { alpha: -0.1 },
-            EstimatorKind::Ewma { alpha: 1.5 },
-            EstimatorKind::Windowed { window: 0 },
+        // No estimator has a parameter left to get wrong.
+        for (estimator, label) in [
+            (EstimatorKind::Oracle, "oracle-mean"),
+            (EstimatorKind::Ewma, "ewma"),
+            (EstimatorKind::Windowed, "windowed"),
+            (EstimatorKind::Probe, "probe"),
         ] {
-            assert!(matches!(bad.validate(), Err(SimError::Estimator(_))));
-            let mut c = SimulationConfig::small();
-            c.estimator = bad;
-            assert!(c.validate().is_err());
-        }
-        for kind in [
-            EstimatorKind::Ewma { alpha: 0.3 },
-            EstimatorKind::Windowed { window: 8 },
-            EstimatorKind::Probe,
-        ] {
-            assert!(!kind.label().is_empty());
+            assert_eq!(estimator.label(), label);
+            let c = SimulationConfig {
+                estimator,
+                ..SimulationConfig::small()
+            };
+            assert!(c.validate().is_ok());
         }
     }
 }

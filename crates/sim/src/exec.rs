@@ -623,7 +623,7 @@ mod tests {
         // rng at the same draw, under either bandwidth model.
         use crate::config::BandwidthModel;
         use rand::Rng;
-        for bandwidth_model in [BandwidthModel::Iid, BandwidthModel::ar1_default()] {
+        for bandwidth_model in [BandwidthModel::Iid, BandwidthModel::Ar1] {
             let config = SimulationConfig {
                 bandwidth_model,
                 ..small(PolicyKind::PartialBandwidth, 0.05)

@@ -19,14 +19,14 @@ use sc_cache::policy::PolicyKind;
 /// The estimator kinds compared by [`fig13`], in series order.
 pub const FIG13_ESTIMATORS: [EstimatorKind; 4] = [
     EstimatorKind::Oracle,
-    EstimatorKind::Ewma { alpha: 0.3 },
-    EstimatorKind::Windowed { window: 8 },
+    EstimatorKind::Ewma,
+    EstimatorKind::Windowed,
     EstimatorKind::Probe,
 ];
 
 /// Figure 13: PB under bandwidth drift, driven by each of the paper's
 /// estimator families. The `figures` driver runs it with
-/// [`BandwidthModel::ar1_default`]; a [`BandwidthModel::Iid`] run is the
+/// [`BandwidthModel::Ar1`]; a [`BandwidthModel::Iid`] run is the
 /// no-drift control (estimators then only add sampling noise) and is
 /// emitted under the id `fig13_iid`.
 ///
@@ -56,7 +56,7 @@ pub fn fig13(scale: ExperimentScale, model: BandwidthModel) -> Result<FigureResu
     // Like fig7/fig8, each bandwidth model gets its own figure id so the
     // drift run and the no-drift control can sit side by side in results/.
     let (id, title) = match model {
-        BandwidthModel::Ar1 { .. } => (
+        BandwidthModel::Ar1 => (
             "fig13",
             "PB under AR(1) bandwidth drift: oracle vs EWMA vs windowed vs probe estimation",
         ),
@@ -77,7 +77,7 @@ mod tests {
 
     #[test]
     fn fig13_produces_one_series_per_estimator() {
-        let fig = fig13(ExperimentScale::Test, BandwidthModel::ar1_default()).unwrap();
+        let fig = fig13(ExperimentScale::Test, BandwidthModel::Ar1).unwrap();
         assert_eq!(fig.id, "fig13");
         assert_eq!(fig.series.len(), FIG13_ESTIMATORS.len());
         for (series, kind) in fig.series.iter().zip(FIG13_ESTIMATORS) {
@@ -102,8 +102,8 @@ mod tests {
 
     #[test]
     fn fig13_is_reproducible() {
-        let a = fig13(ExperimentScale::Test, BandwidthModel::ar1_default()).unwrap();
-        let b = fig13(ExperimentScale::Test, BandwidthModel::ar1_default()).unwrap();
+        let a = fig13(ExperimentScale::Test, BandwidthModel::Ar1).unwrap();
+        let b = fig13(ExperimentScale::Test, BandwidthModel::Ar1).unwrap();
         assert_eq!(a, b);
     }
 

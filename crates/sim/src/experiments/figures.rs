@@ -70,7 +70,7 @@ pub fn fig7(scale: ExperimentScale, model: BandwidthModel) -> Result<FigureResul
             "fig7",
             "IF vs PB vs IB under high (NLANR-like) bandwidth variability",
         ),
-        BandwidthModel::Ar1 { .. } => (
+        BandwidthModel::Ar1 => (
             "fig7_ar1",
             "IF vs PB vs IB under high (NLANR-like) AR(1) bandwidth evolution",
         ),
@@ -93,7 +93,7 @@ pub fn fig8(scale: ExperimentScale, model: BandwidthModel) -> Result<FigureResul
             "fig8",
             "IF vs PB vs IB under measured-path bandwidth variability",
         ),
-        BandwidthModel::Ar1 { .. } => (
+        BandwidthModel::Ar1 => (
             "fig8_ar1",
             "IF vs PB vs IB under measured-path AR(1) bandwidth evolution",
         ),
@@ -216,7 +216,7 @@ mod tests {
 
     #[test]
     fn fig7_and_fig8_run_in_ar1_mode_with_distinct_ids() {
-        let ar1 = BandwidthModel::ar1_default();
+        let ar1 = BandwidthModel::Ar1;
         let f7 = fig7(ExperimentScale::Test, ar1).unwrap();
         assert_eq!(f7.id, "fig7_ar1");
         assert_eq!(f7.series.len(), 3);

@@ -56,7 +56,7 @@ pub enum ExperimentScale {
 impl ExperimentScale {
     /// The workload configuration for this scale.
     pub fn workload(&self) -> WorkloadConfig {
-        let mut w = WorkloadConfig::paper_default();
+        let mut w = WorkloadConfig::default();
         match self {
             ExperimentScale::Paper => {}
             ExperimentScale::Quick => {
@@ -96,7 +96,7 @@ impl ExperimentScale {
     pub fn base_config(&self) -> SimulationConfig {
         SimulationConfig {
             workload: self.workload(),
-            ..SimulationConfig::paper_default()
+            ..SimulationConfig::default()
         }
     }
 }

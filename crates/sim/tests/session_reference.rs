@@ -346,7 +346,7 @@ impl TestCacheHooks {
         let means = scenario.paths.iter().map(|&(_, _, cap)| cap).collect();
         TestCacheHooks {
             cache,
-            estimators: EstimatorBank::new(EstimatorKind::Ewma { alpha: 0.3 }, metas.len()),
+            estimators: EstimatorBank::new(EstimatorKind::Ewma, metas.len()),
             metas,
             means,
         }

@@ -2,15 +2,14 @@
 
 use crate::lognormal::LogNormal;
 use crate::object::{MediaObject, ObjectId};
-use crate::value::{ValueAssigner, ValueModel};
 use crate::WorkloadError;
 use rand::Rng;
 
 /// Configuration of a synthetic object catalog.
 ///
 /// Defaults match Table 1 of the paper (5,000 objects, 48 KB/s CBR encoding,
-/// lognormal durations in minutes with µ = 3.85 and σ = 0.56, uniform
-/// $1–$10 values).
+/// lognormal durations in minutes with µ = 3.85 and σ = 0.56). Object
+/// values are always the paper's (Section 4.4): uniform on $1–$10.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CatalogConfig {
     /// Number of unique objects (`N`).
@@ -21,8 +20,6 @@ pub struct CatalogConfig {
     pub duration_sigma: f64,
     /// CBR bit-rate of every object in bytes per second.
     pub bitrate_bps: f64,
-    /// Value model used for the value-based caching objective.
-    pub value_model: ValueModel,
 }
 
 impl Default for CatalogConfig {
@@ -32,17 +29,11 @@ impl Default for CatalogConfig {
             duration_mu: 3.85,
             duration_sigma: 0.56,
             bitrate_bps: 48_000.0,
-            value_model: ValueModel::default(),
         }
     }
 }
 
 impl CatalogConfig {
-    /// The paper's Table 1 configuration.
-    pub fn paper_default() -> Self {
-        Self::default()
-    }
-
     /// A reduced configuration (500 objects) convenient for unit tests and
     /// doc examples; all distributional parameters match the paper.
     pub fn small() -> Self {
@@ -69,7 +60,6 @@ impl CatalogConfig {
             ));
         }
         LogNormal::new(self.duration_mu, self.duration_sigma)?;
-        self.value_model.validate()?;
         Ok(())
     }
 }
@@ -108,7 +98,8 @@ impl Catalog {
         Ok(Catalog { objects })
     }
 
-    /// Generates a synthetic catalog according to `config`.
+    /// Generates a synthetic catalog according to `config`, drawing each
+    /// object's duration and then its value.
     ///
     /// # Errors
     ///
@@ -119,12 +110,11 @@ impl Catalog {
     ) -> Result<Self, WorkloadError> {
         config.validate()?;
         let durations = LogNormal::new(config.duration_mu, config.duration_sigma)?;
-        let values = ValueAssigner::new(config.value_model)?;
         let n = config.objects;
         let mut objects = Vec::with_capacity(n);
         for i in 0..n {
             let minutes = durations.sample(rng);
-            let value = values.value_for_rank(rng, i + 1, n);
+            let value = rng.gen_range(1.0..=10.0);
             objects.push(MediaObject::new(
                 ObjectId::new(i as u32),
                 minutes * 60.0,
@@ -238,6 +228,23 @@ mod tests {
     }
 
     #[test]
+    fn values_are_uniform_on_one_to_ten_dollars() {
+        // Section 4.4's values: each object draws its duration, then its
+        // value uniformly on [$1, $10], from the one catalog stream.
+        let mut rng = StdRng::seed_from_u64(4);
+        let cat = Catalog::generate(&CatalogConfig::default(), &mut rng).unwrap();
+        let durations = LogNormal::new(3.85, 0.56).unwrap();
+        let mut by_hand = StdRng::seed_from_u64(4);
+        for obj in &cat {
+            assert_eq!(obj.duration_secs, durations.sample(&mut by_hand) * 60.0);
+            assert_eq!(obj.value, by_hand.gen_range(1.0..=10.0));
+        }
+        let mean = cat.iter().map(|o| o.value).sum::<f64>() / cat.len() as f64;
+        assert!((mean - 5.5).abs() < 0.2, "mean {mean}");
+        assert!(cat.iter().all(|o| (1.0..=10.0).contains(&o.value)));
+    }
+
+    #[test]
     fn ids_are_dense_and_in_order() {
         let mut rng = StdRng::seed_from_u64(3);
         let cat = Catalog::generate(&CatalogConfig::small(), &mut rng).unwrap();
@@ -251,7 +258,7 @@ mod tests {
     #[test]
     fn paper_scale_total_bytes_is_roughly_790_gb() {
         let mut rng = StdRng::seed_from_u64(4);
-        let cat = Catalog::generate(&CatalogConfig::paper_default(), &mut rng).unwrap();
+        let cat = Catalog::generate(&CatalogConfig::default(), &mut rng).unwrap();
         let total_gb = cat.total_bytes() / 1e9;
         // Paper: "The total unique object size is 790 GB" (mean duration 55
         // minutes at 48 KB/s for 5,000 objects). Allow sampling noise.

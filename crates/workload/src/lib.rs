@@ -22,16 +22,15 @@
 //! # Quick start
 //!
 //! ```
-//! use sc_workload::WorkloadBuilder;
+//! use sc_workload::WorkloadConfig;
 //!
 //! # fn main() -> Result<(), sc_workload::WorkloadError> {
 //! // A small workload (500 objects, 5,000 requests) for tests/examples.
-//! let workload = WorkloadBuilder::new()
-//!     .objects(500)
-//!     .requests(5_000)
-//!     .zipf_alpha(0.73)
-//!     .seed(42)
-//!     .build()?;
+//! let config = WorkloadConfig {
+//!     seed: 42,
+//!     ..WorkloadConfig::small()
+//! };
+//! let workload = config.generate()?;
 //!
 //! assert_eq!(workload.catalog.len(), 500);
 //! assert_eq!(workload.trace.len(), 5_000);
@@ -39,8 +38,7 @@
 //! # }
 //! ```
 //!
-//! The full paper-scale workload is available through
-//! [`WorkloadConfig::paper_default`].
+//! The full paper-scale workload is [`WorkloadConfig::default`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -54,10 +52,9 @@ mod object;
 mod poisson;
 mod stats;
 mod trace;
-mod value;
 mod zipf;
 
-pub use builder::{Workload, WorkloadBuilder, WorkloadConfig};
+pub use builder::{Workload, WorkloadConfig};
 pub use catalog::{Catalog, CatalogConfig};
 pub use error::WorkloadError;
 pub use lognormal::LogNormal;
@@ -65,5 +62,4 @@ pub use object::{MediaObject, ObjectId};
 pub use poisson::PoissonProcess;
 pub use stats::{CatalogStats, TraceStats};
 pub use trace::{Request, RequestTrace, SessionArrival, TraceConfig};
-pub use value::{ValueAssigner, ValueModel};
 pub use zipf::ZipfLike;

@@ -84,11 +84,10 @@ impl LogNormal {
     }
 }
 
-/// Draws a standard-normal variate using the Box–Muller transform.
-///
-/// Exposed at crate level so other generators (e.g. the bandwidth
-/// time-series models) can reuse it without pulling in `rand_distr`.
-pub(crate) fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+/// Draws a standard-normal variate using the Box–Muller transform (no
+/// `rand_distr` dependency). Only [`LogNormal`] uses it: `sc_netmodel`'s
+/// bandwidth time series keep an identical private copy.
+fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     // Avoid u1 == 0 which would produce ln(0).
     let u1: f64 = loop {
         let v: f64 = rng.gen();

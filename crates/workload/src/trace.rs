@@ -43,11 +43,6 @@ impl Default for TraceConfig {
 }
 
 impl TraceConfig {
-    /// The paper's Table 1 configuration.
-    pub fn paper_default() -> Self {
-        Self::default()
-    }
-
     /// A reduced configuration for tests and examples (5,000 requests).
     pub fn small() -> Self {
         TraceConfig {
@@ -389,7 +384,7 @@ mod tests {
             .map(|seed| {
                 let config = WorkloadConfig {
                     seed,
-                    ..WorkloadConfig::paper_default()
+                    ..WorkloadConfig::default()
                 };
                 trace_hash(&config.generate().unwrap().trace)
             })

@@ -7,8 +7,8 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sc_workload::{
-    Catalog, CatalogConfig, LogNormal, PoissonProcess, RequestTrace, TraceConfig, ValueAssigner,
-    ValueModel, WorkloadBuilder, ZipfLike,
+    Catalog, CatalogConfig, LogNormal, PoissonProcess, RequestTrace, TraceConfig, WorkloadConfig,
+    ZipfLike,
 };
 
 /// Zipf probabilities always sum to one and are non-increasing in rank.
@@ -76,17 +76,20 @@ fn poisson_times_increasing() {
     }
 }
 
-/// Values always respect the configured bounds.
+/// Values always respect the paper's $1–$10 bounds.
 #[test]
 fn values_respect_bounds() {
     let mut rng = StdRng::seed_from_u64(0xBA1);
     for _ in 0..64 {
-        let low = rng.gen_range(0.0..5.0);
-        let high = low + rng.gen_range(0.0..10.0);
-        let a = ValueAssigner::new(ValueModel::Uniform { low, high }).unwrap();
-        for v in a.assign(&mut rng, 100) {
-            assert!(v >= low - 1e-12 && v <= high + 1e-12);
-        }
+        let catalog = Catalog::generate(
+            &CatalogConfig {
+                objects: 100,
+                ..CatalogConfig::small()
+            },
+            &mut rng,
+        )
+        .unwrap();
+        assert!(catalog.iter().all(|o| (1.0..=10.0).contains(&o.value)));
     }
 }
 
@@ -127,24 +130,19 @@ fn traces_are_well_formed() {
     }
 }
 
-/// The builder is deterministic in its seed.
+/// Workload generation is deterministic in its seed.
 #[test]
 fn builder_deterministic() {
     let mut rng = StdRng::seed_from_u64(0xD373);
     for _ in 0..16 {
-        let seed: u64 = rng.gen();
-        let a = WorkloadBuilder::new()
-            .objects(30)
-            .requests(100)
-            .seed(seed)
-            .build()
-            .unwrap();
-        let b = WorkloadBuilder::new()
-            .objects(30)
-            .requests(100)
-            .seed(seed)
-            .build()
-            .unwrap();
+        let mut config = WorkloadConfig {
+            seed: rng.gen(),
+            ..WorkloadConfig::default()
+        };
+        config.catalog.objects = 30;
+        config.trace.requests = 100;
+        let a = config.generate().unwrap();
+        let b = config.generate().unwrap();
         assert_eq!(a.trace, b.trace);
         assert_eq!(a.catalog, b.catalog);
     }

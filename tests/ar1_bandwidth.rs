@@ -8,13 +8,13 @@
 //!   golden metrics pin;
 //! * AR(1) runs are seeded-deterministic and actually different from their
 //!   i.i.d. counterparts;
-//! * every bandwidth a request observes in AR(1) mode stays inside the
-//!   configured floor/ceiling of the underlying time series.
+//! * every bandwidth a request observes in AR(1) mode is a sample of the
+//!   path's series, at or above the series floor.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use streamcache::cache::policy::PolicyKind;
-use streamcache::netmodel::{BandwidthTimeSeries, TimeSeriesConfig};
+use streamcache::netmodel::SAMPLE_INTERVAL_SECS;
 use streamcache::sim::{
     run_simulation, BandwidthModel, BandwidthProvider, EstimatorKind, SimulationConfig,
     VariabilityKind,
@@ -31,7 +31,7 @@ fn small(policy: PolicyKind, cache_fraction: f64) -> SimulationConfig {
 fn ar1_config() -> SimulationConfig {
     SimulationConfig {
         variability: VariabilityKind::MeasuredModerate,
-        bandwidth_model: BandwidthModel::ar1_default(),
+        bandwidth_model: BandwidthModel::Ar1,
         ..small(PolicyKind::PartialBandwidth, 0.05)
     }
 }
@@ -86,8 +86,8 @@ fn estimators_run_deterministically_under_drift() {
     let oracle = run_simulation(&ar1_config()).unwrap().metrics;
     let mut any_divergence = false;
     for estimator in [
-        EstimatorKind::Ewma { alpha: 0.3 },
-        EstimatorKind::Windowed { window: 8 },
+        EstimatorKind::Ewma,
+        EstimatorKind::Windowed,
         EstimatorKind::Probe,
     ] {
         let mut config = ar1_config();
@@ -106,63 +106,38 @@ fn estimators_run_deterministically_under_drift() {
 }
 
 /// Seeded-loop property test: in AR(1) mode, every bandwidth the provider
-/// hands to a request lies inside the configured floor/ceiling band of the
-/// path's series, across a long simulated horizon.
+/// hands to a request is a sample of the path's series, which spans the
+/// whole horizon and never drops below a thousandth of the path mean — a
+/// floor the high-variability NLANR-like paths reach.
 #[test]
 fn ar1_request_bandwidth_stays_within_series_bounds() {
-    let model = BandwidthModel::Ar1 {
-        autocorrelation: 0.9,
-        interval_secs: 120.0,
-    };
+    let mut floored = 0;
     for seed in 0..8u64 {
         let mut rng = StdRng::seed_from_u64(seed);
         let horizon = 200_000.0;
         let provider = BandwidthProvider::generate_with_model(
             40,
-            VariabilityKind::MeasuredHigh,
-            model,
+            VariabilityKind::NlanrLike,
+            BandwidthModel::Ar1,
             horizon,
             &mut rng,
         );
-        let default_bounds = TimeSeriesConfig::default();
         for index in 0..40 {
-            let mean = provider.estimated_bps(index);
-            let lo = mean * default_bounds.floor_ratio;
-            let hi = mean * default_bounds.ceiling_ratio;
+            let floor = provider.estimated_bps(index) * 1e-3;
             let series = provider.series(index).unwrap();
-            assert!(series.len() as f64 * 120.0 >= horizon);
+            assert!(series.len() as f64 * SAMPLE_INTERVAL_SECS >= horizon);
             for step in 0..=2_000 {
                 let t = horizon * step as f64 / 2_000.0;
                 let bw = provider.request_bps(index, t, &mut rng);
                 assert!(
-                    bw >= lo && bw <= hi,
-                    "seed {seed} path {index} t={t}: {bw} outside [{lo}, {hi}]"
+                    bw >= floor && series.samples_bps().contains(&bw),
+                    "seed {seed} path {index} t={t}: {bw} below {floor} or off the series"
                 );
+                if bw == floor {
+                    floored += 1;
+                }
             }
         }
     }
-}
-
-/// The floor/ceiling configuration itself is honoured by the raw series
-/// generator over a long run (the sim uses the defaults; ablations can
-/// tighten them).
-#[test]
-fn configured_floor_and_ceiling_bound_long_series() {
-    for seed in 0..8u64 {
-        let cfg = TimeSeriesConfig {
-            mean_bps: 120_000.0,
-            cov: 0.5,
-            autocorrelation: 0.95,
-            interval_secs: 240.0,
-            floor_ratio: 0.25,
-            ceiling_ratio: 2.0,
-            ..TimeSeriesConfig::default()
-        };
-        let mut rng = StdRng::seed_from_u64(0xF100 + seed);
-        let ts = BandwidthTimeSeries::generate(&cfg, 50_000, &mut rng).unwrap();
-        assert!(ts
-            .samples_bps()
-            .iter()
-            .all(|&x| (30_000.0..=240_000.0).contains(&x)));
-    }
+    assert!(floored > 0, "no request ever met the floor");
 }

@@ -17,11 +17,15 @@ use streamcache::cache::{
     average_service_delay, optimal_partial_allocation, CacheEngine, ObjectKey, ObjectMeta,
     OfflineObject,
 };
-use streamcache::netmodel::{NlanrBandwidthModel, PathSet, VariabilityModel};
-use streamcache::sim::{
-    run_sessions, run_simulation, Metrics, PathFaultModel, SessionWorker, SimulationConfig,
+use streamcache::netmodel::{
+    BandwidthTimeSeries, NlanrBandwidthModel, PathSet, TimeSeriesConfig, VariabilityModel,
 };
-use streamcache::workload::WorkloadBuilder;
+use streamcache::sim::experiments::FIG13_ESTIMATORS;
+use streamcache::sim::{
+    run_sessions, run_simulation, BandwidthModel, Metrics, PathFaultModel, SessionWorker,
+    SimulationConfig, VariabilityKind,
+};
+use streamcache::workload::WorkloadConfig;
 
 fn small(policy: PolicyKind, cache_fraction: f64) -> SimulationConfig {
     SimulationConfig {
@@ -291,6 +295,125 @@ fn golden_session_run_fingerprints_are_bit_exact() {
     );
 }
 
+/// `Debug` form of `run_simulation` on `SimulationConfig::small()` at a 5 %
+/// cache under AR(1) bandwidth drift with measured-moderate variability
+/// (fig13's setting), one string per entry of `FIG13_ESTIMATORS` in order.
+/// Like the session goldens above, string equality is bit equality: these
+/// pin the AR(1) series, the passive estimators and the probe end to end.
+const GOLDEN_AR1_RUNS: [&str; 4] = [
+    "Ok(RunResult { metrics: Metrics { requests: 2500, traffic_reduction_ratio: \
+     0.06756428265714427, avg_service_delay_secs: 1407.732227564378, avg_stream_quality: \
+     0.8831886055278022, total_added_value: 8818.639697645314, hit_ratio: 0.144, \
+     immediate_ratio: 0.6912 }, warmup_requests: 2500, final_cache_used_bytes: \
+     3949416159.2585664, final_cached_objects: 34 })",
+    "Ok(RunResult { metrics: Metrics { requests: 2500, traffic_reduction_ratio: \
+     0.07588849157018333, avg_service_delay_secs: 1413.312323212896, avg_stream_quality: \
+     0.8894076479152656, total_added_value: 9370.722341200772, hit_ratio: 0.154, \
+     immediate_ratio: 0.7384 }, warmup_requests: 2500, final_cache_used_bytes: \
+     3911427122.5774293, final_cached_objects: 32 })",
+    "Ok(RunResult { metrics: Metrics { requests: 2500, traffic_reduction_ratio: \
+     0.07635533816039612, avg_service_delay_secs: 1390.137526748207, avg_stream_quality: \
+     0.8901537815531823, total_added_value: 9357.634787042334, hit_ratio: 0.1572, \
+     immediate_ratio: 0.7376 }, warmup_requests: 2500, final_cache_used_bytes: \
+     3957889149.266642, final_cached_objects: 32 })",
+    "Ok(RunResult { metrics: Metrics { requests: 2500, traffic_reduction_ratio: \
+     0.08078981827728489, avg_service_delay_secs: 1371.5832623717968, avg_stream_quality: \
+     0.893090069559858, total_added_value: 9586.121677757137, hit_ratio: 0.1612, \
+     immediate_ratio: 0.7632 }, warmup_requests: 2500, final_cache_used_bytes: \
+     3956796599.546072, final_cached_objects: 33 })",
+];
+
+/// `Debug` form of `run_simulation` on `SimulationConfig::small()` at a 5 %
+/// cache under i.i.d. bandwidth, once with NLANR-like and once with
+/// measured-moderate variability: the two non-constant ratio streams the
+/// figures run.
+const GOLDEN_IID_RUNS: [&str; 2] = [
+    "Ok(RunResult { metrics: Metrics { requests: 2500, traffic_reduction_ratio: \
+     0.06756428265714427, avg_service_delay_secs: 3010.1567804294923, avg_stream_quality: \
+     0.8440583528918459, total_added_value: 8214.434430884317, hit_ratio: 0.144, \
+     immediate_ratio: 0.6444 }, warmup_requests: 2500, final_cache_used_bytes: \
+     3949416159.2585664, final_cached_objects: 34 })",
+    "Ok(RunResult { metrics: Metrics { requests: 2500, traffic_reduction_ratio: \
+     0.06756428265714427, avg_service_delay_secs: 1382.4400150385554, avg_stream_quality: \
+     0.8891189911616101, total_added_value: 9031.488676767689, hit_ratio: 0.144, \
+     immediate_ratio: 0.7072 }, warmup_requests: 2500, final_cache_used_bytes: \
+     3949416159.2585664, final_cached_objects: 34 })",
+];
+
+/// `Debug` form of the first 12 samples of `BandwidthTimeSeries::generate`
+/// on each of fig4's three path configurations (120 KB/s mean, the
+/// measured-path CoV, autocorrelation 0.9 / 0.8 / 0.7), drawn in order
+/// from one `StdRng` seeded with 4 as fig4 does.
+const GOLDEN_FIG4_SERIES: [&str; 3] = [
+    "[116590.77398026727, 115678.25387305827, 116841.17627819451, 121661.6347526344, \
+     124202.98778023767, 123404.94503725946, 120927.12977799002, 127046.17799924157, \
+     135155.3844899552, 129906.14179520366, 123087.40015857216, 116073.58302040987]",
+    "[118770.51113817215, 127806.30013920987, 137248.86450686716, 143528.33892647707, \
+     153551.42061097, 139490.9201512382, 134698.06640488206, 99558.31114198038, \
+     115443.9202126668, 120261.54560038306, 129875.55153139416, 101967.97436077065]",
+    "[99389.67877429108, 77125.55101128244, 113292.00293680267, 133302.56883230226, \
+     137149.91277114107, 154450.15845328, 160370.9957541502, 188311.9706240532, \
+     126062.49131967383, 134762.49504876346, 96737.43277224872, 71404.03865029899]",
+];
+
+/// Bit-exact request-mode goldens under AR(1) drift with every fig13
+/// estimator, and under the two variable i.i.d. ratio streams.
+#[test]
+fn golden_time_varying_and_estimator_runs_are_bit_exact() {
+    for (estimator, golden) in FIG13_ESTIMATORS.into_iter().zip(GOLDEN_AR1_RUNS) {
+        let config = SimulationConfig {
+            variability: VariabilityKind::MeasuredModerate,
+            bandwidth_model: BandwidthModel::Ar1,
+            estimator,
+            ..SimulationConfig::small()
+        }
+        .with_cache_fraction(0.05);
+        assert_eq!(
+            format!("{:?}", run_simulation(&config)),
+            golden,
+            "{}",
+            estimator.label()
+        );
+    }
+    let kinds = [
+        VariabilityKind::NlanrLike,
+        VariabilityKind::MeasuredModerate,
+    ];
+    for (variability, golden) in kinds.into_iter().zip(GOLDEN_IID_RUNS) {
+        let config = SimulationConfig {
+            variability,
+            ..SimulationConfig::small()
+        }
+        .with_cache_fraction(0.05);
+        assert_eq!(
+            format!("{:?}", run_simulation(&config)),
+            golden,
+            "{}",
+            variability.label()
+        );
+    }
+}
+
+/// Bit-exact AR(1) series on fig4's three measured-path configurations.
+#[test]
+fn golden_fig4_series_are_bit_exact() {
+    let paths = [
+        (VariabilityModel::measured_path_low(), 0.9),
+        (VariabilityModel::measured_path_moderate(), 0.8),
+        (VariabilityModel::measured_path_high(), 0.7),
+    ];
+    let mut rng = StdRng::seed_from_u64(4);
+    for ((variability, autocorrelation), golden) in paths.into_iter().zip(GOLDEN_FIG4_SERIES) {
+        let config = TimeSeriesConfig {
+            mean_bps: 120_000.0,
+            cov: variability.coefficient_of_variation(),
+            autocorrelation,
+        };
+        let series = BandwidthTimeSeries::generate(&config, 12, &mut rng).unwrap();
+        assert_eq!(format!("{:?}", series.samples_bps()), golden);
+    }
+}
+
 /// Rate-weighted delay-reduction utility of an allocation:
 /// `Σ λ_i · (d_i(0) − d_i(x_i))`, the objective the fractional-knapsack
 /// optimum of Section 2.3 maximises.
@@ -321,12 +444,13 @@ fn to_meta(obj: &streamcache::workload::MediaObject) -> ObjectMeta {
 /// knapsack.
 #[test]
 fn optimal_allocation_dominates_every_online_policy_on_total_utility() {
-    let workload = WorkloadBuilder::new()
-        .objects(200)
-        .requests(4_000)
-        .seed(17)
-        .build()
-        .unwrap();
+    let mut config = WorkloadConfig {
+        seed: 17,
+        ..WorkloadConfig::default()
+    };
+    config.catalog.objects = 200;
+    config.trace.requests = 4_000;
+    let workload = config.generate().unwrap();
     let mut rng = StdRng::seed_from_u64(17);
     let paths = PathSet::generate(
         200,
@@ -361,7 +485,6 @@ fn optimal_allocation_dominates_every_online_policy_on_total_utility() {
         PolicyKind::IntegralFrequency,
         PolicyKind::HybridPartialBandwidth { e: 0.5 },
         PolicyKind::Lru,
-        PolicyKind::Lfu,
     ] {
         let mut cache = CacheEngine::new(capacity, kind.build()).unwrap();
         for request in workload.trace.iter() {

@@ -86,8 +86,8 @@ fn sweeps_produce_complete_labelled_series() {
         }
     }
 
-    let single = sweep_policies(&base, &[PolicyKind::Lfu], &[0.05], 1).unwrap();
+    let single = sweep_policies(&base, &[PolicyKind::Lru], &[0.05], 1).unwrap();
     assert_eq!(single.len(), 1);
-    assert_eq!(single[0].label, "LFU");
+    assert_eq!(single[0].label, "LRU");
     assert_eq!(single[0].points.len(), 1);
 }

@@ -185,7 +185,7 @@ fn ar1_mode_is_thread_count_invariant() {
     // for a replicated run and for a flattened policy sweep.
     let mut config = small(PolicyKind::PartialBandwidth, 0.05);
     config.variability = VariabilityKind::MeasuredModerate;
-    config.bandwidth_model = BandwidthModel::ar1_default();
+    config.bandwidth_model = BandwidthModel::Ar1;
     let seq = run_grid(from_ref(&config), 4, &sequential()).unwrap();
     for n in [4, 32] {
         let par = run_grid(from_ref(&config), 4, &threads(n)).unwrap();
@@ -194,7 +194,7 @@ fn ar1_mode_is_thread_count_invariant() {
 
     let base = SimulationConfig {
         variability: VariabilityKind::NlanrLike,
-        bandwidth_model: BandwidthModel::ar1_default(),
+        bandwidth_model: BandwidthModel::Ar1,
         ..SimulationConfig::small()
     };
     let policies = [PolicyKind::PartialBandwidth, PolicyKind::IntegralFrequency];
@@ -209,13 +209,13 @@ fn stateful_estimators_are_thread_count_invariant() {
     // Estimator state lives inside each worker, so even history-dependent
     // estimates cannot couple runs across threads.
     for estimator in [
-        EstimatorKind::Ewma { alpha: 0.3 },
-        EstimatorKind::Windowed { window: 8 },
+        EstimatorKind::Ewma,
+        EstimatorKind::Windowed,
         EstimatorKind::Probe,
     ] {
         let mut config = small(PolicyKind::PartialBandwidth, 0.05);
         config.variability = VariabilityKind::MeasuredModerate;
-        config.bandwidth_model = BandwidthModel::ar1_default();
+        config.bandwidth_model = BandwidthModel::Ar1;
         config.estimator = estimator;
         let seq = run_grid(from_ref(&config), 3, &sequential()).unwrap();
         let par = run_grid(from_ref(&config), 3, &parallel()).unwrap();
@@ -310,7 +310,7 @@ fn session_mode_is_thread_count_invariant() {
 
     let mut ar1 = small(PolicyKind::IntegralBandwidth, 0.05);
     ar1.variability = VariabilityKind::NlanrLike;
-    ar1.bandwidth_model = BandwidthModel::ar1_default();
+    ar1.bandwidth_model = BandwidthModel::Ar1;
     let seq = run_session_grid(from_ref(&ar1), 2, &sequential()).unwrap();
     let par = run_session_grid(from_ref(&ar1), 2, &parallel()).unwrap();
     assert_session_grids_bit_identical(&seq, &par, "session ar1 replicated");

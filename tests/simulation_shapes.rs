@@ -97,10 +97,11 @@ fn fig10_value_based_ordering() {
 
 #[test]
 fn lru_and_lfu_baselines_run_end_to_end() {
-    let configs = [PolicyKind::Lru, PolicyKind::Lfu].map(|policy| {
+    // IF ranks whole objects by request count: it is the LFU baseline.
+    let configs = [PolicyKind::Lru, PolicyKind::IntegralFrequency].map(|policy| {
         SimulationConfig {
             policy,
-            variability: VariabilityKind::MeasuredLow,
+            variability: VariabilityKind::MeasuredModerate,
             ..SimulationConfig::small()
         }
         .with_cache_fraction(0.05)

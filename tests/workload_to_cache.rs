@@ -10,15 +10,16 @@ use streamcache::cache::{
     OfflineObject,
 };
 use streamcache::netmodel::{NlanrBandwidthModel, PathSet, VariabilityModel};
-use streamcache::workload::WorkloadBuilder;
+use streamcache::workload::WorkloadConfig;
 
 fn setup(objects: usize, requests: usize) -> (streamcache::workload::Workload, PathSet) {
-    let workload = WorkloadBuilder::new()
-        .objects(objects)
-        .requests(requests)
-        .seed(11)
-        .build()
-        .expect("valid workload");
+    let mut config = WorkloadConfig {
+        seed: 11,
+        ..WorkloadConfig::default()
+    };
+    config.catalog.objects = objects;
+    config.trace.requests = requests;
+    let workload = config.generate().expect("valid workload");
     let mut rng = StdRng::seed_from_u64(11);
     let paths = PathSet::generate(
         objects,
