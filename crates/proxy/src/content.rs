@@ -4,13 +4,47 @@
 //! deterministic function of the object name and byte offset, so that any
 //! component (origin, proxy, client) can independently generate or verify
 //! any byte range without shipping real media files.
+//!
+//! # The block kernel
+//!
+//! The byte at offset `o` is bits 32..39 of `x·K mod 2^64`, where
+//! `x = h ^ o`, `h` is the name's hash and `K` a fixed odd multiplier
+//! ([`content_byte`]). With `l = h & 0xff` and `j = o & 0xff`, `x`'s low
+//! eight bits are `l ^ j` and the rest are `x & !0xff`; the two parts share
+//! no bits, so `x = (x & !0xff) + (l ^ j)` exactly and, multiplication
+//! distributing over addition mod 2^64,
+//!
+//! ```text
+//! x·K = A + P[j]   where   A = (x & !0xff)·K,   P[j] = (l ^ j)·K.
+//! ```
+//!
+//! `A` depends only on the bits of `o` above the low eight, so it is one
+//! value over a 256-aligned block of offsets, and `P` depends only on `h`
+//! and `j`. [`fill_content`] and [`verify_content`] therefore build `P`
+//! once per call and produce each byte of a block as bits 32..39 of
+//! `A + P[j]`, with no multiply: the same sum `x·K`, so the same bytes as
+//! [`content_byte`]. The sum is taken in 32-bit halves, so that the loop
+//! vectorises on baseline x86-64: bits 32..39 of a 64-bit sum are the low
+//! byte of the high halves' sum plus the carry out of the low halves'.
+//!
+//! Offsets are taken modulo 2^64: a buffer that runs past `u64::MAX`
+//! continues at offset 0, in debug and release builds alike.
+
+use std::ops::Range;
+
+/// The multiplier of the offset hash.
+const MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// Offsets that agree in every bit above the low eight share `A`.
+const BLOCK: usize = 256;
 
 /// Returns the payload byte of object `name` at `offset`.
 ///
 /// The function is a small multiplicative hash mixing the name hash and the
-/// offset; it is stable across processes and platforms.
+/// offset; it is stable across processes and platforms. It is the
+/// definition the buffer functions are tested against.
 pub fn content_byte(name: &str, offset: u64) -> u8 {
-    byte_at(name_hash(name), offset)
+    ((name_hash(name) ^ offset).wrapping_mul(MUL) >> 32) as u8
 }
 
 /// The name's share of [`content_byte`]: FNV-1a over its bytes. The same
@@ -24,27 +58,90 @@ fn name_hash(name: &str) -> u64 {
     h
 }
 
-/// The offset's share of [`content_byte`], on top of a [`name_hash`].
-#[inline]
-fn byte_at(name_hash: u64, offset: u64) -> u8 {
-    ((name_hash ^ offset).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32) as u8
+/// `P[j]` of one name hash, split into the low half and the low byte of
+/// the high half: all of `P[j]` that bits 32..39 of `A + P[j]` depend on.
+struct Table {
+    hash: u64,
+    lo: [u32; BLOCK],
+    hi: [u8; BLOCK],
 }
 
-/// Fills `buf` with the content of object `name` starting at `offset`.
-pub fn fill_content(name: &str, offset: u64, buf: &mut [u8]) {
-    let hash = name_hash(name);
-    for (i, b) in buf.iter_mut().enumerate() {
-        *b = byte_at(hash, offset + i as u64);
+impl Table {
+    /// The entries a buffer of `len` bytes at `offset` reads: those of its
+    /// first `min(len, 256)` offsets, which is all of them once `len`
+    /// reaches a block, and no more than the call's bytes below that.
+    fn new(hash: u64, offset: u64, len: usize) -> Self {
+        let mut table = Table {
+            hash,
+            lo: [0; BLOCK],
+            hi: [0; BLOCK],
+        };
+        let first = (offset & 0xff) as usize;
+        for i in 0..len.min(BLOCK) {
+            let j = (first + i) & 0xff;
+            let p = ((hash & 0xff) ^ j as u64).wrapping_mul(MUL);
+            table.lo[j] = p as u32;
+            table.hi[j] = (p >> 32) as u8;
+        }
+        table
+    }
+
+    /// Writes the content at `offset..offset + run.len()`, a run that stays
+    /// inside one block (see [`runs`]).
+    fn fill_run(&self, offset: u64, run: &mut [u8]) {
+        let a = ((self.hash ^ offset) & !0xff).wrapping_mul(MUL);
+        let (a_lo, a_hi) = (a as u32, (a >> 32) as u8);
+        let first = (offset & 0xff) as usize;
+        let lo = &self.lo[first..first + run.len()];
+        let hi = &self.hi[first..first + run.len()];
+        // Plain indices: the form that vectorises under the optimiser and
+        // is also the fastest without it, where iterator adapters are calls.
+        for k in 0..run.len() {
+            let sum = a_lo.wrapping_add(lo[k]);
+            run[k] = a_hi.wrapping_add(hi[k]).wrapping_add((sum < a_lo) as u8);
+        }
     }
 }
 
-/// Verifies that `buf` matches the content of `name` starting at `offset`.
-/// Returns the index of the first mismatching byte, if any.
+/// Splits the `len` bytes from `offset` at block boundaries: each item is
+/// the offset a run starts at and the run's range in the buffer.
+fn runs(offset: u64, len: usize) -> impl Iterator<Item = (u64, Range<usize>)> {
+    let mut start = 0;
+    std::iter::from_fn(move || {
+        (start < len).then(|| {
+            let at = offset.wrapping_add(start as u64);
+            let end = len.min(start + BLOCK - (at & 0xff) as usize);
+            let run = (at, start..end);
+            start = end;
+            run
+        })
+    })
+}
+
+/// Fills `buf` with the content of object `name` starting at `offset`
+/// (modulo 2^64).
+pub fn fill_content(name: &str, offset: u64, buf: &mut [u8]) {
+    let table = Table::new(name_hash(name), offset, buf.len());
+    for (at, range) in runs(offset, buf.len()) {
+        table.fill_run(at, &mut buf[range]);
+    }
+}
+
+/// Verifies that `buf` matches the content of `name` starting at `offset`
+/// (modulo 2^64). Returns the index of the first mismatching byte, if any.
 pub fn verify_content(name: &str, offset: u64, buf: &[u8]) -> Option<usize> {
-    let hash = name_hash(name);
-    buf.iter()
-        .enumerate()
-        .position(|(i, b)| *b != byte_at(hash, offset + i as u64))
+    let table = Table::new(name_hash(name), offset, buf.len());
+    let mut expected = [0u8; BLOCK];
+    runs(offset, buf.len()).find_map(|(at, range)| {
+        let expected = &mut expected[..range.len()];
+        table.fill_run(at, expected);
+        let got = &buf[range.clone()];
+        if got == expected {
+            return None;
+        }
+        let first = got.iter().zip(expected.iter()).position(|(g, e)| g != e);
+        first.map(|k| range.start + k)
+    })
 }
 
 #[cfg(test)]
@@ -76,33 +173,91 @@ mod tests {
         assert!(distinct.len() > 64);
     }
 
-    /// `fill_content` / `verify_content` hash the name once per buffer;
-    /// the bytes are `content_byte`'s, wherever the buffer lies.
+    /// `content_byte` at `offset + i` modulo 2^64, byte by byte.
+    fn reference(name: &str, offset: u64, len: usize) -> Vec<u8> {
+        (0..len as u64)
+            .map(|i| content_byte(name, offset.wrapping_add(i)))
+            .collect()
+    }
+
+    /// Fills a buffer, checks it against `reference`, and checks that
+    /// `verify_content` accepts it and reports a flip at each of `flips`.
+    fn check(name: &str, offset: u64, len: usize, flips: &[usize]) {
+        let mut buf = vec![0u8; len];
+        fill_content(name, offset, &mut buf);
+        assert!(
+            buf == reference(name, offset, len),
+            "`{name}` at {offset}, {len} bytes"
+        );
+        assert_eq!(verify_content(name, offset, &buf), None);
+        for &flipped in flips {
+            buf[flipped] ^= 0x01;
+            assert_eq!(
+                verify_content(name, offset, &buf),
+                Some(flipped),
+                "`{name}` at {offset}, {len} bytes, byte {flipped} flipped"
+            );
+            buf[flipped] ^= 0x01;
+        }
+    }
+
+    /// `fill_content` / `verify_content` build each block from one table
+    /// per call; the bytes are `content_byte`'s, wherever the buffer lies
+    /// and however it cuts the blocks.
     #[test]
     fn buffer_functions_agree_with_content_byte_at_every_offset() {
-        // The bytes themselves, as computed before the hash was split.
+        // The bytes themselves, as computed before the kernel was split.
         assert_eq!(content_byte("clip", 0), 21);
         assert_eq!(content_byte("clip", (1 << 32) - 3), 131);
         assert_eq!(content_byte("movie", u64::MAX - 64), 30);
         assert_eq!(content_byte("", 7), 157);
-        let offsets = [0, 1, (1u64 << 32) - 3, u64::MAX - 64];
-        for name in ["", "a", "clip-1619", "a much longer object name/ü"] {
+        // Block-aligned, one past, just below 2^32 (the high half of
+        // `h ^ o` changes across it) and just below the u64 wrap.
+        let offsets = [0, 1, (1u64 << 32) - 3, (1u64 << 32) - 300, u64::MAX - 64];
+        let names = ["", "a", "clip-1619", "a much longer object name/ü"];
+        for name in names {
             for offset in offsets {
                 for len in [0usize, 1, 7, 64] {
-                    let expected: Vec<u8> = (0..len as u64)
-                        .map(|i| content_byte(name, offset + i))
-                        .collect();
-                    let mut buf = vec![0u8; len];
-                    fill_content(name, offset, &mut buf);
-                    assert_eq!(buf, expected, "`{name}` at {offset}, {len} bytes");
-                    assert_eq!(verify_content(name, offset, &buf), None);
-                    for flipped in 0..len {
-                        buf[flipped] ^= 0x01;
-                        assert_eq!(verify_content(name, offset, &buf), Some(flipped));
-                        buf[flipped] ^= 0x01;
-                    }
+                    let every: Vec<usize> = (0..len).collect();
+                    check(name, offset, len, &every);
+                }
+                // Around one and two blocks, and many blocks: a flip at
+                // either side of the buffer's first block edge, at
+                // positions 255 and 256, and at the last byte.
+                let edge = BLOCK - (offset & 0xff) as usize;
+                for len in [255usize, 256, 257, 513, 70_000] {
+                    let flips = [0, edge - 1, edge, 255, 256, len - 1].map(|k| k.min(len - 1));
+                    check(name, offset, len, &flips);
+                }
+            }
+            // A short buffer from every residue `o & 0xff` (in steps of 17),
+            // so the table's used entries wrap past 255 for some of them.
+            for residue in (0..256u64).step_by(17) {
+                for len in [1usize, 40, 200] {
+                    let every: Vec<usize> = (0..len).collect();
+                    check(name, 0x1234_5600 + residue, len, &every);
                 }
             }
         }
+        // Across 2^32 and across the u64 wrap, from every residue of a
+        // block.
+        for residue in (0..256u64).step_by(17) {
+            for end in [1u64 << 32, 0] {
+                let offset = end.wrapping_sub(600).wrapping_add(residue);
+                check("clip-7", offset, 1_200, &[0, 599, 600, 1_199]);
+            }
+        }
+    }
+
+    /// Offsets are taken modulo 2^64, in debug and release builds alike: a
+    /// buffer that runs past `u64::MAX` continues at offset 0.
+    #[test]
+    fn a_buffer_past_the_last_offset_wraps_to_offset_zero() {
+        let mut buf = [0u8; 2];
+        fill_content("a", u64::MAX, &mut buf);
+        assert_eq!(buf, [content_byte("a", u64::MAX), content_byte("a", 0)]);
+        assert_eq!(verify_content("a", u64::MAX, &buf), None);
+        buf[1] ^= 0x01;
+        assert_eq!(verify_content("a", u64::MAX, &buf), Some(1));
     }
 }

@@ -76,7 +76,8 @@ impl BandwidthProvider {
     /// [`BandwidthModel`].
     ///
     /// In AR(1) mode every path gets a time series covering `horizon_secs`
-    /// of simulated time (the arrival time of the last request): the path's
+    /// of simulated time (the last request's arrival in the per-request
+    /// mode, the last playback end in the session mode): the path's
     /// NLANR-drawn average becomes the series mean, the marginal coefficient
     /// of variation comes from `kind`. In i.i.d. mode this is exactly [`BandwidthProvider::generate`]
     /// — `horizon_secs` is ignored and no extra random draws are consumed,

@@ -191,11 +191,15 @@ pub(crate) struct RunSetup {
 
 impl RunSetup {
     /// Validates `config` and builds the set-up for `seed` over `workload`,
-    /// generating it from `config.workload` when none is given.
+    /// generating it from `config.workload` when none is given. `horizon`
+    /// is how far into a workload the mode reads path capacity:
+    /// [`last_arrival_secs`] for the per-request mode, the last playback
+    /// end for the session mode.
     pub(crate) fn new(
         config: &SimulationConfig,
         seed: u64,
         workload: Option<&Arc<SharedWorkload>>,
+        horizon: fn(&SharedWorkload) -> f64,
     ) -> Result<Self, SimError> {
         config.validate()?;
         let workload = match workload {
@@ -205,17 +209,15 @@ impl RunSetup {
         let objects = workload.catalog.len();
         // Bandwidth state and the per-request variability stream use a seed
         // derived from the run seed but decoupled from workload generation.
-        // In AR(1) mode the per-path series span the whole trace (the last
-        // arrival time); in i.i.d. mode the horizon is irrelevant and the
-        // rng stream is identical to the seed behaviour.
+        // In AR(1) mode the per-path series span the mode's horizon; in
+        // i.i.d. mode the horizon is irrelevant and the rng stream is
+        // identical to the seed behaviour.
         let mut bw_rng = StdRng::seed_from_u64(bandwidth_seed(seed));
-        let last_arrival = workload.trace.requests().last();
-        let horizon_secs = last_arrival.map_or(0.0, |r| r.time_secs);
         let provider = BandwidthProvider::generate_with_model(
             objects,
             config.variability,
             config.bandwidth_model,
-            horizon_secs,
+            horizon(&workload),
             &mut bw_rng,
         );
         let mut cache = CacheEngine::new(config.cache_size_bytes, config.policy)
@@ -231,6 +233,16 @@ impl RunSetup {
             cache,
         })
     }
+}
+
+/// How far the per-request mode reads path capacity: the last request's
+/// arrival.
+pub(crate) fn last_arrival_secs(workload: &SharedWorkload) -> f64 {
+    workload
+        .trace
+        .requests()
+        .last()
+        .map_or(0.0, |r| r.time_secs)
 }
 
 /// Fraction of a per-request trace that warms the cache before metrics are
@@ -290,7 +302,7 @@ impl SimWorker {
             provider,
             mut estimators,
             mut cache,
-        } = RunSetup::new(config, self.seed, self.workload.as_ref())?;
+        } = RunSetup::new(config, self.seed, self.workload.as_ref(), last_arrival_secs)?;
         // Metadata is precomputed per catalog: the request loop below
         // indexes this table instead of rebuilding an ObjectMeta per
         // request.
@@ -630,8 +642,8 @@ mod tests {
             };
             let seed = config.seed + 3;
             let shared = Arc::new(SharedWorkload::generate(&config.workload, seed).unwrap());
-            let mut given = RunSetup::new(&config, seed, Some(&shared)).unwrap();
-            let mut generated = RunSetup::new(&config, seed, None).unwrap();
+            let mut given = RunSetup::new(&config, seed, Some(&shared), last_arrival_secs).unwrap();
+            let mut generated = RunSetup::new(&config, seed, None, last_arrival_secs).unwrap();
             assert_eq!(*given.workload, *generated.workload);
             assert_eq!(given.provider.len(), shared.catalog.len());
             for path in 0..given.provider.len() {

@@ -784,6 +784,16 @@ fn playback_horizon(specs: &[SessionSpec]) -> f64 {
         .fold(0.0_f64, f64::max)
 }
 
+/// [`playback_horizon`] of a workload's sessions, read from its trace and
+/// catalog: how far the session mode reads path capacity.
+fn last_playback_end_secs(workload: &SharedWorkload) -> f64 {
+    workload
+        .trace
+        .iter()
+        .map(|r| r.time_secs + workload.catalog.object(r.object).duration_secs)
+        .fold(0.0_f64, f64::max)
+}
+
 /// The event loop behind [`simulate_sessions_with_faults`], with the
 /// [`playback_horizon`] of `specs` passed in so a caller that needs it to
 /// draw the outage timeline computes it once.
@@ -1297,18 +1307,30 @@ impl SessionWorker {
         self.run_traced().map(|(result, _)| result)
     }
 
+    /// The run's set-up, its series sized by [`last_playback_end_secs`].
+    fn setup(&self) -> Result<RunSetup, SimError> {
+        RunSetup::new(
+            &self.config,
+            self.seed,
+            self.workload.as_ref(),
+            last_playback_end_secs,
+        )
+    }
+
     /// [`SessionWorker::run`] plus the run's scheduling telemetry.
     fn run_traced(&self) -> Result<(SessionRunResult, SessionTelemetry), SimError> {
         let config = &self.config;
         // The same set-up as the per-request mode, hence the same path
-        // capacities for a seed.
+        // means for a seed; under AR(1) the series run on to the last
+        // playback end, where the per-request mode's series stop at the
+        // last arrival.
         let RunSetup {
             workload,
             provider,
             mut estimators,
             mut cache,
             ..
-        } = RunSetup::new(config, self.seed, self.workload.as_ref())?;
+        } = self.setup()?;
         let (catalog, trace) = (&workload.catalog, &workload.trace);
 
         let specs: Vec<SessionSpec> = trace
@@ -2218,5 +2240,43 @@ mod tests {
         assert!(cached.rebuffer_probability <= none.rebuffer_probability);
         assert!(cached.origin_bytes_total < none.origin_bytes_total);
         assert_eq!(none.traffic_reduction_ratio, 0.0);
+    }
+
+    /// Under AR(1) the session mode reads capacity until the last playback
+    /// end, hours after the last arrival: the series must run that far, or
+    /// every path's capacity freezes at its last sample for the trace's
+    /// tail.
+    #[test]
+    fn ar1_capacity_keeps_varying_after_the_last_arrival() {
+        let config = SimulationConfig {
+            variability: VariabilityKind::MeasuredModerate,
+            bandwidth_model: crate::config::BandwidthModel::Ar1,
+            ..SimulationConfig::small()
+        }
+        .with_cache_fraction(0.05);
+        let setup = SessionWorker::new(config, 7).setup().unwrap();
+        let (catalog, trace) = (&setup.workload.catalog, &setup.workload.trace);
+        let last_end = trace
+            .session_arrivals(catalog)
+            .iter()
+            .map(|s| s.time_secs + s.duration_secs)
+            .fold(0.0_f64, f64::max);
+        let last_arrival = crate::exec::last_arrival_secs(&setup.workload);
+        let tail = last_end - last_arrival;
+        assert!(
+            tail > 10.0 * sc_netmodel::SAMPLE_INTERVAL_SECS,
+            "tail {tail} s"
+        );
+        for path in 0..setup.provider.len() {
+            let mut reads: Vec<u64> = (1..=20)
+                .map(|k| last_arrival + tail * f64::from(k) / 20.0)
+                .map(|t| setup.provider.capacity_bps(path, t).to_bits())
+                .collect();
+            reads.dedup();
+            assert!(
+                reads.len() > 1,
+                "path {path} is frozen after {last_arrival} s"
+            );
+        }
     }
 }

@@ -295,6 +295,40 @@ fn golden_session_run_fingerprints_are_bit_exact() {
     );
 }
 
+/// The run of `GOLDEN_SESSION_RUN_HEALTHY` under AR(1) bandwidth drift
+/// with measured-moderate variability (fig13's setting), captured once
+/// the session mode sized each path's series by the last playback end
+/// instead of the last arrival.
+const GOLDEN_SESSION_RUN_AR1: &str =
+    "Ok(SessionRunResult { metrics: SessionMetrics { sessions: 5000, \
+     viewer_seconds: 17887995.116060242, avg_concurrent_viewers: 1027.4813035423706, \
+     peak_concurrent_viewers: 3267, rebuffer_probability: 0.8526, \
+     avg_rebuffer_secs: 2825.2101423041704, traffic_reduction_ratio: 0.07254352060412562, \
+     origin_bytes_total: 796336174742.0035, egress_bins_bytes: [14081045409.823936, \
+     25047132536.06826, 25874086059.126144, 26936066598.24044, 29268201754.2637, \
+     29639841878.32966, 29466088991.81804, 24731896748.622524, 20423921223.364986, \
+     17043958827.75724, 14624514786.101252, 13915207163.81479, 13224655535.986189, \
+     12349567140.351606, 11426485811.704172, 11051225308.680117, 10273654979.780512, \
+     9700572987.981636, 9400041290.504967, 8931438830.850653, 8146844349.071322, \
+     7700340481.906071, 7430528565.759037, 415648857482.0773], \
+     horizon_secs: 17409.557774325564, outage_secs: 0.0, masked_stall_secs: 0.0 }, \
+     final_cache_used_bytes: 3957889149.266642, final_cached_objects: 39 })";
+
+/// Bit-exact session-mode golden under AR(1) bandwidth.
+#[test]
+fn golden_session_run_under_ar1_is_bit_exact() {
+    let config = SimulationConfig {
+        variability: VariabilityKind::MeasuredModerate,
+        bandwidth_model: BandwidthModel::Ar1,
+        ..SimulationConfig::small()
+    }
+    .with_cache_fraction(0.05);
+    assert_eq!(
+        format!("{:?}", SessionWorker::new(config, 7).run()),
+        GOLDEN_SESSION_RUN_AR1
+    );
+}
+
 /// `Debug` form of `run_simulation` on `SimulationConfig::small()` at a 5 %
 /// cache under AR(1) bandwidth drift with measured-moderate variability
 /// (fig13's setting), one string per entry of `FIG13_ESTIMATORS` in order.
