@@ -12,7 +12,9 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sc_bench::{bandwidth_model_from_args, emit_timed, scale_from_args, FigureMetrics};
+use sc_bench::{
+    bandwidth_model_from_args, emit_timed, peak_rss_note, scale_from_args, FigureMetrics,
+};
 use sc_netmodel::{
     BandwidthTimeSeries, Histogram, NlanrBandwidthModel, TimeSeriesConfig, VariabilityModel,
     BYTES_PER_KB,
@@ -132,8 +134,10 @@ fn table1() -> Result<(), SimError> {
     println!("{table}");
     println!("(scale: {scale:?}; paper values: 5,000 objects, 100,000 requests, 48 KB/s, ~790 GB)");
     println!(
-        "(wall clock: {:.3} s; SC_SIM_THREADS resolves to {} threads)",
-        info.wall_clock_secs, info.threads
+        "(wall clock: {:.3} s; SC_SIM_THREADS resolves to {} threads{})",
+        info.wall_clock_secs,
+        info.threads,
+        peak_rss_note()
     );
     Ok(())
 }
@@ -171,7 +175,11 @@ fn fig2() -> Result<(), SimError> {
         100.0 * hist.fraction_below(50.0),
         100.0 * hist.fraction_below(100.0)
     );
-    println!("(wall clock: {:.3} s)", start.elapsed().as_secs_f64());
+    println!(
+        "(wall clock: {:.3} s{})",
+        start.elapsed().as_secs_f64(),
+        peak_rss_note()
+    );
     Ok(())
 }
 
@@ -203,7 +211,11 @@ fn fig3() -> Result<(), SimError> {
         100.0 * in_band,
         model.coefficient_of_variation()
     );
-    println!("(wall clock: {:.3} s)", start.elapsed().as_secs_f64());
+    println!(
+        "(wall clock: {:.3} s{})",
+        start.elapsed().as_secs_f64(),
+        peak_rss_note()
+    );
     Ok(())
 }
 
@@ -273,6 +285,10 @@ fn fig4() -> Result<(), SimError> {
     println!();
     println!("paper observation reproduced: all measured paths vary far less than the");
     println!("NLANR-log model of fig3 (compare the CoV values above with fig3's).");
-    println!("(wall clock: {:.3} s)", start.elapsed().as_secs_f64());
+    println!(
+        "(wall clock: {:.3} s{})",
+        start.elapsed().as_secs_f64(),
+        peak_rss_note()
+    );
     Ok(())
 }

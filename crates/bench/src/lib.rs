@@ -59,6 +59,30 @@ impl RunInfo {
     }
 }
 
+/// `; peak RSS <x> MB` for a `(wall clock: …)` line: the process's peak
+/// resident set so far (`VmHWM` in `/proc/self/status`, in MB of 10^6
+/// bytes as `benchmark/` reports `peak_rss_mb`), or nothing where that file
+/// is missing.
+pub fn peak_rss_note() -> String {
+    std::fs::read_to_string("/proc/self/status")
+        .ok()
+        .and_then(|status| vm_hwm_mb(&status))
+        .map_or_else(String::new, |mb| format!("; peak RSS {mb:.1} MB"))
+}
+
+/// The `VmHWM` field of a `/proc/<pid>/status` text, in MB.
+fn vm_hwm_mb(status: &str) -> Option<f64> {
+    let kb: u64 = status
+        .lines()
+        .find_map(|line| line.strip_prefix("VmHWM:"))?
+        .trim()
+        .strip_suffix("kB")?
+        .trim()
+        .parse()
+        .ok()?;
+    Some(kb as f64 * 1024.0 / 1e6)
+}
+
 /// Parses the `--scale <paper|quick|test>` command-line option;
 /// defaults to [`ExperimentScale::Quick`]. An unknown value, or `--scale`
 /// with nothing after it, prints the accepted values and exits with
@@ -268,7 +292,8 @@ pub fn to_table<M: FigureMetrics>(figure: &FigureResult<M>) -> String {
 /// fatal), reporting how the experiment ran: the wall-clock time and the
 /// environment-configured executor's thread count are printed and embedded
 /// in the JSON (`wall_clock_secs` / `threads`), and so is a session
-/// figure's scheduling telemetry.
+/// figure's scheduling telemetry. The process's peak resident set
+/// ([`peak_rss_note`]) is printed only.
 pub fn emit_timed<M: FigureMetrics>(figure: &FigureResult<M>, elapsed: Duration) {
     let info = RunInfo::from_elapsed(elapsed);
     println!("{}", to_table(figure));
@@ -285,6 +310,7 @@ pub fn emit_timed<M: FigureMetrics>(figure: &FigureResult<M>, elapsed: Duration)
             t.events_scheduled, t.events_cancelled, t.peak_heap_len, t.redivisions
         );
     }
+    runtime.push_str(&peak_rss_note());
     println!("({runtime})");
     let json = figure_to_json_with_info(figure, Some(info));
     match write_json(Path::new("results"), &figure.id, &json) {
@@ -406,6 +432,14 @@ mod tests {
     #[test]
     fn default_scale_is_quick() {
         assert_eq!(scale_from_args(), ExperimentScale::Quick);
+    }
+
+    #[test]
+    fn peak_rss_is_read_from_vm_hwm_in_kb() {
+        let status = "VmPeak:\t  250000 kB\nVmHWM:\t   51200 kB\nVmRSS:\t   40000 kB\n";
+        assert_eq!(vm_hwm_mb(status), Some(51_200.0 * 1024.0 / 1e6));
+        assert_eq!(vm_hwm_mb("VmRSS:\t 40000 kB\n"), None);
+        assert_eq!(vm_hwm_mb("VmHWM:\t 51200\n"), None);
     }
 
     #[test]

@@ -778,7 +778,11 @@ fn handle_client(stream: TcpStream, state: &ProxyState, scratch: &mut WorkerScra
             store(state, &job, &scratch.retained);
         }
         // Observe: the transfer teaches the estimator for later decisions.
-        state.estimate_after(origin_bps);
+        // A full hit moved no tail and has no sample, so it leaves the
+        // estimator's lock alone.
+        if origin_bps.is_some() {
+            state.estimate_after(origin_bps);
+        }
         state
             .peak_tail_bytes
             .fetch_max(scratch.retained.len() as u64, Ordering::Relaxed);

@@ -16,9 +16,12 @@
 //!   irrelevant to the result. Results come back through the threads' join
 //!   handles, and so does an item's panic.
 //! * [`run_grid`] flattens a `configs × runs` grid into one work list,
-//!   deduplicates workload generation, runs everything through an executor,
-//!   and averages per-configuration metrics in deterministic seed order. The
-//!   session mode runs the same grid with its own per-run closure.
+//!   ordered seed-major: the runs that share a workload are adjacent, the
+//!   first of them generates it and the last lets it go, so a thread holds
+//!   one workload at a time. It runs everything through an executor, puts
+//!   the results back in grid order and averages per-configuration metrics
+//!   in deterministic seed order. The session mode runs the same grid with
+//!   its own per-run closure.
 //!
 //! The thread count comes from [`ExecConfig`]: explicitly, from the
 //! `SC_SIM_THREADS` environment variable, or (by default) from
@@ -34,7 +37,7 @@ use rand::SeedableRng;
 use sc_cache::policy::PolicyKind;
 use sc_cache::{CacheEngine, ObjectKey, ObjectMeta};
 use sc_workload::{Catalog, MediaObject, RequestTrace, WorkloadConfig};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Environment variable controlling the default number of worker threads.
 pub const THREADS_ENV_VAR: &str = "SC_SIM_THREADS";
@@ -379,23 +382,12 @@ impl ParallelExecutor {
     }
 
     /// Applies `f` to every item, sharding across worker threads, and
-    /// returns the results in item order: [`map_consume`](Self::map_consume)
-    /// over references.
-    pub fn map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&T) -> R + Sync,
-    {
-        self.map_consume(items.iter().collect(), f)
-    }
-
-    /// Applies `f` to every item, sharding across worker threads, and
     /// returns the results in item order. The items are consumed: each one
-    /// is dropped as soon as its result is produced. [`run_grid`] relies on
-    /// this to release a shared workload's memory once its last run
-    /// finishes, instead of holding every workload of a large grid until
-    /// the end.
+    /// is dropped as soon as its result is produced. Threads take items in
+    /// list order, so [`run_grid`], whose list is seed-major, holds at most
+    /// `min(threads, distinct workloads)` workloads at once: a workload's
+    /// memory goes as soon as its last run finishes, instead of living for
+    /// the whole grid.
     ///
     /// With one thread (or at most one item) the items are processed inline
     /// on the calling thread, in order, with no synchronisation at all —
@@ -455,10 +447,16 @@ impl Default for ParallelExecutor {
 /// Replicated runs use seeds `config.seed`, `config.seed + 1`, …,
 /// `config.seed + runs - 1` (wrapping: a seed names an RNG stream, it is
 /// not a count). The workload for each distinct
-/// `(workload parameters, seed)` pair is generated exactly once (in
-/// parallel) and shared by every configuration that needs it, so a paired
-/// policy comparison is both faster than regenerating per configuration and
-/// structurally guaranteed to see identical request streams.
+/// `(workload parameters, seed)` pair is generated exactly once and shared
+/// by every configuration that needs it, so a paired policy comparison is
+/// both faster than regenerating per configuration and structurally
+/// guaranteed to see identical request streams.
+///
+/// The runs go seed-major: every run of one workload, in grid order, then
+/// the next workload's, in first-use order. The first run of a workload
+/// generates it (only runs of that workload wait for it) and the last one
+/// takes it out of the grid, so at most `min(threads, distinct workloads)`
+/// workloads are alive at once — one on the sequential executor.
 ///
 /// The merge happens in deterministic `(configuration, seed)` order, so the
 /// result is byte-identical for every thread count, including the
@@ -466,8 +464,9 @@ impl Default for ParallelExecutor {
 ///
 /// # Errors
 ///
-/// Returns [`SimError::NoRuns`] when `runs` is zero, or the first
-/// validation error across the grid in configuration order.
+/// Returns [`SimError::NoRuns`] when `runs` is zero, the first validation
+/// error across the grid in configuration order (before any run starts),
+/// or else the first error of a run in `(configuration, seed)` order.
 pub fn run_grid(
     configs: &[SimulationConfig],
     runs: usize,
@@ -483,16 +482,18 @@ pub fn run_grid(
 
 /// The grid engine behind [`run_grid`] and the session mode's
 /// [`run_session_grid`](crate::session::run_session_grid): the flattening,
-/// workload deduplication and sharding are written (and tested for
-/// thread-count invariance) once, and `run` is the mode's per-run body.
-/// Returns every run's result, configuration by configuration, each
-/// configuration's `runs` results in seed order. See [`run_grid`] for the
-/// seeding, deduplication, and determinism contract.
+/// workload deduplication, seed-major schedule and sharding are written
+/// (and tested for thread-count invariance) once, and `run` is the mode's
+/// per-run body. Returns every run's result, configuration by
+/// configuration, each configuration's `runs` results in seed order. See
+/// [`run_grid`] for the seeding, deduplication, residency and determinism
+/// contract.
 ///
 /// # Errors
 ///
-/// Returns [`SimError::NoRuns`] when `runs` is zero, or the first
-/// validation error across the grid in configuration order.
+/// Returns [`SimError::NoRuns`] when `runs` is zero, the first validation
+/// error across the grid in configuration order (before any run starts),
+/// or else the first error of a run in `(configuration, seed)` order.
 pub(crate) fn run_grid_with<O: Send>(
     configs: &[SimulationConfig],
     runs: usize,
@@ -507,50 +508,83 @@ pub(crate) fn run_grid_with<O: Send>(
     }
 
     // Flatten the grid, configuration by configuration, and deduplicate
-    // workload generation: one generation per distinct (workload
-    // parameters, seed) pair, in first-use order.
-    let mut keys: Vec<WorkloadConfig> = Vec::new();
-    let mut items: Vec<(usize, u64, usize)> = Vec::with_capacity(configs.len() * runs);
+    // workload generation: one slot per distinct (workload parameters,
+    // seed) pair, in first-use order. Each item is (grid index,
+    // configuration, seed, slot).
+    let mut slots: Vec<WorkloadSlot> = Vec::new();
+    let mut items: Vec<(usize, usize, u64, usize)> = Vec::with_capacity(configs.len() * runs);
     for (ci, config) in configs.iter().enumerate() {
         for r in 0..runs {
             let seed = config.seed.wrapping_add(r as u64);
             let mut wl = config.workload;
             wl.seed = seed;
-            let key = match keys.iter().position(|k| *k == wl) {
+            let slot = match slots.iter().position(|s| s.config == wl) {
                 Some(i) => i,
                 None => {
-                    keys.push(wl);
-                    keys.len() - 1
+                    slots.push(WorkloadSlot::new(wl));
+                    slots.len() - 1
                 }
             };
-            items.push((ci, seed, key));
+            slots[slot].uses += 1;
+            items.push((items.len(), ci, seed, slot));
+        }
+    }
+    // Seed-major: a workload's runs are adjacent in the work list (the sort
+    // is stable, so they keep their grid order), and at most one workload
+    // is partly handed out at a time.
+    items.sort_by_key(|&(_, _, _, slot)| slot);
+    let slots: Vec<Mutex<WorkloadSlot>> = slots.into_iter().map(Mutex::new).collect();
+
+    let mut done = executor.map_consume(items, |(index, ci, seed, slot)| {
+        // A run of a workload that is still being generated waits here for
+        // it; no other run does. The guard is gone before the run starts.
+        let workload = slots[slot]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take();
+        (index, workload.and_then(|w| run(&configs[ci], seed, w)))
+    });
+    // Back to (configuration, seed) order: the first error in that order is
+    // the one returned.
+    done.sort_unstable_by_key(|&(index, _)| index);
+    done.into_iter().map(|(_, result)| result).collect()
+}
+
+/// One distinct workload of a grid: generated by the first run that takes
+/// it, and taken out of the slot by the last, so its memory goes with that
+/// run instead of living for the whole grid.
+struct WorkloadSlot {
+    /// The workload parameters, with the run's seed.
+    config: WorkloadConfig,
+    workload: Option<Result<Arc<SharedWorkload>, SimError>>,
+    /// Runs that have not taken the workload yet.
+    uses: usize,
+}
+
+impl WorkloadSlot {
+    fn new(config: WorkloadConfig) -> Self {
+        WorkloadSlot {
+            config,
+            workload: None,
+            uses: 0,
         }
     }
 
-    // Stage 1: generate each distinct workload once, sharded across threads.
-    let workloads = executor
-        .map(&keys, |wl| {
-            SharedWorkload::generate(wl, wl.seed).map(Arc::new)
-        })
-        .into_iter()
-        .collect::<Result<Vec<_>, SimError>>()?;
-
-    // Stage 2: run the flattened (configuration, seed) grid. The work
-    // items hold the only remaining Arcs to the workloads (the lookup
-    // table is dropped before running), and the executor consumes each
-    // item as it completes, so a workload's memory is freed as soon as its
-    // last run finishes instead of living for the whole grid.
-    let work: Vec<(usize, u64, Arc<SharedWorkload>)> = items
-        .into_iter()
-        .map(|(ci, seed, key)| (ci, seed, workloads[key].clone()))
-        .collect();
-    drop(workloads);
-    executor
-        .map_consume(work, |(ci, seed, workload)| {
-            run(&configs[ci], seed, workload)
-        })
-        .into_iter()
-        .collect()
+    /// The workload for one run: generated on the first call, let go of by
+    /// the slot on the last. A generation that panicked left the slot as it
+    /// was, so the next caller generates it again.
+    fn take(&mut self) -> Result<Arc<SharedWorkload>, SimError> {
+        let config = &self.config;
+        let workload = self
+            .workload
+            .get_or_insert_with(|| SharedWorkload::generate(config, config.seed).map(Arc::new))
+            .clone();
+        self.uses -= 1;
+        if self.uses == 0 {
+            self.workload = None;
+        }
+        workload
+    }
 }
 
 #[cfg(test)]
@@ -558,6 +592,7 @@ mod tests {
     use super::*;
     use sc_cache::policy::PolicyKind;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Weak;
 
     fn small(policy: PolicyKind, cache_fraction: f64) -> SimulationConfig {
         SimulationConfig {
@@ -572,7 +607,7 @@ mod tests {
         let items: Vec<usize> = (0..64).collect();
         for threads in [1, 2, 4, 7] {
             let executor = ParallelExecutor::new(ExecConfig::with_threads(threads));
-            let doubled = executor.map(&items, |&i| i * 2);
+            let doubled = executor.map_consume(items.clone(), |i| i * 2);
             assert_eq!(doubled, (0..64).map(|i| i * 2).collect::<Vec<_>>());
         }
     }
@@ -609,7 +644,7 @@ mod tests {
         for threads in [1, 4] {
             let executor = ParallelExecutor::new(ExecConfig::with_threads(threads));
             let payload = std::panic::catch_unwind(|| {
-                executor.map(&[1u32, 2, 3, 4, 5, 6, 7, 8], |&i| {
+                executor.map_consume(vec![1u32, 2, 3, 4, 5, 6, 7, 8], |i| {
                     assert!(i != 5, "item {i} is bad");
                     i
                 })
@@ -695,6 +730,61 @@ mod tests {
             .unwrap();
         assert_eq!(own.metrics, borrowed.metrics);
         assert_eq!(own.final_cached_objects, borrowed.final_cached_objects);
+    }
+
+    #[test]
+    fn a_grid_keeps_one_workload_resident_per_thread() {
+        // Two policies × two cache sizes × three seeds over one set of
+        // workload parameters: three workloads, each used by four runs.
+        let configs: Vec<SimulationConfig> = [PolicyKind::PartialBandwidth, PolicyKind::Lru]
+            .into_iter()
+            .flat_map(|policy| [0.02, 0.05].map(|fraction| small(policy, fraction)))
+            .collect();
+        let runs = 3;
+        // At most one workload per thread: exactly one on the sequential
+        // executor.
+        for threads in [1, 2] {
+            // Every workload the grid has handed out, alive or not: a Weak
+            // keeps the allocation, so addresses stay distinct.
+            let handed: Mutex<Vec<Weak<SharedWorkload>>> = Mutex::new(Vec::new());
+            let executor = ParallelExecutor::new(ExecConfig::with_threads(threads));
+            let per_run = run_grid_with(&configs, runs, &executor, |config, seed, workload| {
+                let mut handed = handed.lock().unwrap();
+                handed.push(Arc::downgrade(&workload));
+                let mut alive: Vec<*const SharedWorkload> = handed
+                    .iter()
+                    .filter(|w| w.strong_count() > 0)
+                    .map(Weak::as_ptr)
+                    .collect();
+                alive.sort_unstable();
+                alive.dedup();
+                Ok((*config, seed, Arc::downgrade(&workload), alive.len()))
+            })
+            .unwrap();
+
+            assert_eq!(per_run.len(), configs.len() * runs);
+            // Back in (configuration, seed) order.
+            for (i, (config, seed, workload, alive)) in per_run.iter().enumerate() {
+                assert_eq!(*config, configs[i / runs], "threads={threads}: run {i}");
+                assert_eq!(
+                    *seed,
+                    config.seed + (i % runs) as u64,
+                    "threads={threads}: run {i}"
+                );
+                assert!(
+                    (1..=threads).contains(alive),
+                    "threads={threads}: run {i}: {alive} alive"
+                );
+                // Generated exactly once per (workload parameters, seed).
+                for (j, (_, other_seed, other, _)) in per_run.iter().enumerate() {
+                    assert_eq!(
+                        Weak::ptr_eq(workload, other),
+                        seed == other_seed,
+                        "threads={threads}: runs {i} and {j}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -1379,7 +1379,8 @@ impl SessionWorker {
 /// Runs the full `configs × runs` grid in session mode and returns one
 /// seed-averaged [`SessionMetrics`] per configuration, in configuration
 /// order — the session-mode analogue of [`crate::exec::run_grid`], with
-/// the same workload deduplication and determinism guarantees.
+/// the same workload deduplication, residency bound and determinism
+/// guarantees.
 ///
 /// # Errors
 ///
