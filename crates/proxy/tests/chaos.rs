@@ -20,7 +20,7 @@ use sc_cache::policy::PolicyKind;
 use sc_proxy::protocol::{read_response, Response};
 use sc_proxy::{
     verify_content, BreakerConfig, CachingProxy, FaultPlan, FaultProfile, ObjectSpec, OriginConfig,
-    OriginServer, ProxyConfig, RetryPolicy, StreamingClient,
+    OriginServer, ProxyConfig, ProxyStats, RetryPolicy, StreamingClient,
 };
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
@@ -236,6 +236,26 @@ fn assert_byte_accounting(proxy: &CachingProxy, capacity_bytes: f64) {
     assert_eq!(stats.cached_objects, holding);
 }
 
+/// The proxy's counters and the `STATS` verb's dump of them, taken between
+/// two equal API snapshots: `proxy.stats()`, the verb, `proxy.stats()`
+/// again, repeated until the two snapshots agree. A request's counters
+/// and its `store` land after its last payload byte and before its
+/// connection closes, so a client that left without reading to the end (a
+/// `DisconnectAfter` action) can leave its handler counting after every
+/// client has returned; a snapshot counts every request only when no
+/// handler is running.
+fn settled_stats(proxy: &CachingProxy, client: &StreamingClient) -> (ProxyStats, String) {
+    for _ in 0..100 {
+        let before = proxy.stats();
+        let json = client.stats(proxy.addr()).unwrap();
+        if proxy.stats() == before {
+            return (before, json);
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    panic!("the proxy's counters kept moving for 2 s after the storm");
+}
+
 /// Short-fused resilient proxy config (the stress suite's, plus the
 /// overload knobs this suite exercises).
 fn chaos_config(origin: SocketAddr, capacity: f64) -> ProxyConfig {
@@ -356,7 +376,7 @@ fn composed_chaos_preserves_invariants_across_seeds() {
         assert!(recovered, "the proxy never recovered after the storm");
 
         // Counter consistency against what the clients observed.
-        let stats = proxy.stats();
+        let (stats, json) = settled_stats(&proxy, &client);
         let served_full = outcomes
             .iter()
             .filter(|o| matches!(o, Outcome::ServedFull))
@@ -376,9 +396,8 @@ fn composed_chaos_preserves_invariants_across_seeds() {
             stats.shed_requests
         );
 
-        // The STATS verb reports the same counters the API snapshot does
-        // (the pool is idle now, so the two snapshots must agree).
-        let json = client.stats(addr).unwrap();
+        // The STATS verb reports the same counters the API snapshot does:
+        // the dump was taken between two equal API snapshots.
         for needle in [
             format!("\"requests\": {}", stats.requests),
             format!("\"shed_requests\": {}", stats.shed_requests),
@@ -390,6 +409,7 @@ fn composed_chaos_preserves_invariants_across_seeds() {
         }
 
         // Byte accounting holds after the storm, and shutdown drains.
+        settled_stats(&proxy, &client);
         assert_byte_accounting(&proxy, capacity);
         proxy.shutdown();
         let after = proxy.stats();
