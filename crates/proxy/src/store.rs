@@ -1,5 +1,5 @@
 //! A standalone name-keyed prefix store. Not on the proxy's request path:
-//! cached bytes live in per-shard object records (`proxy.rs`).
+//! cached bytes live in per-shard object records (`proxy/records.rs`).
 
 use bytes::Bytes;
 use std::collections::HashMap;
