@@ -34,10 +34,11 @@
 //! A request's failures end at the socket: the client gets its `ERR` or a
 //! short stream, a timed-out write is counted, and nothing is returned.
 //!
-//! Each decision has one owner: [`records`] the record layout, [`upstream`]
-//! the origin conversation, [`relay`] the client's socket, and [`config`]
-//! and [`stats`] the knobs and the counters. This module holds the state
-//! they share, [`handle_client`] and the stages it runs between theirs.
+//! Each decision has one owner: [`records`] the record layout,
+//! [`upstream`] the origin conversation, [`relay`](mod@relay) the client's
+//! socket, and [`config`] and [`stats`] the knobs and the counters. This
+//! module holds the state they share, [`handle_client`] and the stages it
+//! runs between theirs.
 
 mod config;
 mod records;
