@@ -52,10 +52,16 @@ pub struct ProxyConfig {
     /// still be listening), and with nothing queued the newcomer itself
     /// is shed.
     pub max_in_flight: usize,
-    /// Per-write timeout on client sockets. A stalled or wedged reader
-    /// turns into a write error after at most this long, counted in
-    /// `client_timeouts`, instead of pinning a worker indefinitely.
-    /// `Duration::ZERO` disables the timeout.
+    /// Write timeout towards the client, per relay step: one ring chunk
+    /// (with the header in front of it) or one pipe's worth of a spliced
+    /// tail. A step not in the client's socket this long after it started
+    /// fails at its next short write, however few bytes each write moved,
+    /// and the socket's send timeout is set to the same: a ring step ends
+    /// within twice this long, and a spliced one can take longer, since
+    /// one `splice` can wait out the send timeout once per batch of pipe
+    /// buffers it sends. So a stalled or wedged reader turns into a write
+    /// error, counted in `client_timeouts`, instead of pinning a worker
+    /// indefinitely. `Duration::ZERO` disables the timeout.
     pub client_write_timeout: Duration,
     /// Per-client token-bucket rate limit in bytes per second (0 =
     /// unlimited): bounds how fast any single client may drain the proxy,

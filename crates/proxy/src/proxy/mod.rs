@@ -28,7 +28,7 @@
 //! On top of that sits the overload layer (see `ARCHITECTURE.md`,
 //! "Overload & admission control"): the pool's queue sheds with `BUSY` a
 //! connection whose wait blew [`ProxyConfig::queue_deadline`] and, with an
-//! in-flight cap, drop-oldest at admission; client sockets get per-write
+//! in-flight cap, drop-oldest at admission; client sockets get per-step
 //! timeouts and an optional per-client token bucket so a slow reader cannot
 //! pin a worker, and the `STATS` verb dumps every counter as one JSON line.
 //! A request's failures end at the socket: the client gets its `ERR` or a
@@ -452,7 +452,10 @@ fn store(state: &ProxyState, job: &Job<'_>, retained: &[u8]) {
 /// Stage 7: the counters count the request, and a transfer teaches the
 /// estimator for later decisions. A full hit moved no tail and has no
 /// sample, so it leaves the estimator's lock alone; a degraded hit, whose
-/// range-correct prefix is all the client got, is counted as one.
+/// range-correct prefix is all the client got, is counted as one. The relay
+/// succeeded once its last byte was written into the client's socket, so
+/// what is counted here is what was written: a client that has gone
+/// without reading it still counts as served.
 fn observe(
     state: &ProxyState,
     job: &Job<'_>,

@@ -73,6 +73,15 @@ fn client_err(state: &ProxyState, err: std::io::Error) -> std::io::Error {
     err
 }
 
+/// When a relay step that starts now must be in the client's socket:
+/// `client_write_timeout` from now, or never with the timeout off.
+fn step_deadline(state: &ProxyState) -> Option<Instant> {
+    let limit = state.config.client_write_timeout;
+    (!limit.is_zero())
+        .then(|| Instant::now().checked_add(limit))
+        .flatten()
+}
+
 /// Stage 1: socket options and one command off the wire. `STATS`,
 /// malformed input and a failed read are answered here or not at all
 /// (`None`); a `GET` comes back as the requested name.
@@ -113,7 +122,8 @@ pub(super) fn parse(mut client: &TcpStream, state: &ProxyState) -> Option<String
 /// header rides in front of the first chunk in one vectored write — one
 /// segment instead of two on a warm hit or a small miss — and goes out
 /// alone only when there is no payload or the payload has to wait for the
-/// bucket.
+/// bucket. Each write of a chunk, or of the header alone, is one relay
+/// step, with its own [`step_deadline`] taken once the bucket has let it go.
 pub(super) fn write_paced<W: Write>(
     state: &ProxyState,
     client: &mut W,
@@ -127,40 +137,44 @@ pub(super) fn write_paced<W: Write>(
     // The header never waits on the token bucket: if the first chunk must,
     // the header goes ahead of it alone.
     if !head.is_empty() && !pace.would_sleep(first.len()).is_zero() {
-        client
-            .write_all(std::mem::take(&mut head))
-            .map_err(classify)?;
+        let head = std::mem::take(&mut head);
+        write_all_pair(client, head, &[], step_deadline(state)).map_err(classify)?;
     }
     pace.acquire(first.len());
-    write_all_pair(client, head, first).map_err(classify)?;
+    write_all_pair(client, head, first, step_deadline(state)).map_err(classify)?;
     for chunk in chunks {
         pace.acquire(chunk.len());
-        client.write_all(chunk).map_err(classify)?;
+        write_all_pair(client, &[], chunk, step_deadline(state)).map_err(classify)?;
     }
     Ok(())
 }
 
-/// `write_all` of `head` followed by `body`, starting with one vectored
-/// write of both (std's `write_all_vectored` is unstable).
-fn write_all_pair<W: Write>(wire: &mut W, head: &[u8], body: &[u8]) -> std::io::Result<()> {
-    if head.is_empty() {
-        return wire.write_all(body);
-    }
-    let written = loop {
-        match wire.write_vectored(&[IoSlice::new(head), IoSlice::new(body)]) {
+/// `write_all` of `head` followed by `body` in vectored writes, the first
+/// of them both at once (std's `write_all_vectored` is unstable). A write
+/// that comes back short is followed by another only before `deadline`:
+/// after it, the step fails as `TimedOut`.
+fn write_all_pair<W: Write>(
+    wire: &mut W,
+    head: &[u8],
+    body: &[u8],
+    deadline: Option<Instant>,
+) -> std::io::Result<()> {
+    let mut slices = [IoSlice::new(head), IoSlice::new(body)];
+    let mut rest = &mut slices[..];
+    // Drops the empty slices in front.
+    IoSlice::advance_slices(&mut rest, 0);
+    while !rest.is_empty() {
+        match wire.write_vectored(rest) {
             Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
-            Ok(n) => break n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Ok(n) => IoSlice::advance_slices(&mut rest, n),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
             Err(e) => return Err(e),
         }
-    };
-    // A short write (full socket buffer): the rest goes out piecewise.
-    if let Some(rest) = head.get(written..) {
-        wire.write_all(rest)?;
-        wire.write_all(body)
-    } else {
-        wire.write_all(&body[written - head.len()..])
+        if !rest.is_empty() && deadline.is_some_and(|at| Instant::now() >= at) {
+            return Err(std::io::ErrorKind::TimedOut.into());
+        }
     }
+    Ok(())
 }
 
 /// Stage 5: answers the client — `head` (the framed response header) with
@@ -279,7 +293,8 @@ pub(super) fn relay<W: ClientWire>(
 /// `left` bytes from the origin socket into the worker's empty pipe — at
 /// most its size, and with an active token bucket at most a ring's worth,
 /// whose tokens are taken before it leaves, as [`write_paced`]'s chunks
-/// do — then all of it out into the client socket. `Ok(0)`: the origin
+/// do — then all of it out into the client socket by its
+/// [`step_deadline`]. `Ok(0)`: the origin
 /// failed or ended, and nothing moved. An error is the client's, and may
 /// leave bytes in the pipe.
 fn splice_step(
@@ -297,7 +312,7 @@ fn splice_step(
     let n = pipe.fill(origin, max).unwrap_or(0);
     if n > 0 {
         pace.acquire(n);
-        pipe.drain(client, n)?;
+        pipe.drain(client, n, step_deadline(state))?;
         state
             .hot
             .spliced_bytes
@@ -331,7 +346,7 @@ mod tests {
         let (head, body) = (b"OK 5 1000\n", b"hello");
         for first in 1..=head.len() + body.len() {
             let mut wire = Wire::taking(first);
-            write_all_pair(&mut wire, head, body).unwrap();
+            write_all_pair(&mut wire, head, body, None).unwrap();
             assert_eq!(
                 wire.writes.concat(),
                 b"OK 5 1000\nhello",
@@ -340,11 +355,31 @@ mod tests {
         }
         // Nothing short: header and body leave in one call.
         let mut whole = Wire::taking(usize::MAX);
-        write_all_pair(&mut whole, head, body).unwrap();
+        write_all_pair(&mut whole, head, body, None).unwrap();
         assert_eq!(whole.writes.len(), 1);
         // A wire that takes nothing is an error, not a spin.
-        let stuck = write_all_pair(&mut Wire::taking(0), head, body).unwrap_err();
+        let stuck = write_all_pair(&mut Wire::taking(0), head, body, None).unwrap_err();
         assert_eq!(stuck.kind(), std::io::ErrorKind::WriteZero);
+    }
+
+    #[test]
+    fn a_step_short_after_its_deadline_fails_as_timed_out() {
+        let (head, body) = (b"OK 5 1000\n", b"hello");
+        let passed = Some(Instant::now());
+        // Written whole by the first call: the deadline is never looked at.
+        let mut whole = Wire::taking(usize::MAX);
+        write_all_pair(&mut whole, head, body, passed).unwrap();
+        assert_eq!(whole.writes.len(), 1);
+        // Short past the deadline: no further write is made.
+        let mut short = Wire::taking(3);
+        let late = write_all_pair(&mut short, head, body, passed).unwrap_err();
+        assert_eq!(late.kind(), std::io::ErrorKind::TimedOut);
+        assert_eq!(short.writes.concat(), b"OK ");
+        // Short before it: the rest follows.
+        let mut short = Wire::taking(3);
+        let later = Instant::now().checked_add(std::time::Duration::from_secs(60));
+        write_all_pair(&mut short, head, body, later).unwrap();
+        assert_eq!(short.writes.concat(), b"OK 5 1000\nhello");
     }
 
     /// Runs `relay` for a 1 000-byte object whose first `cached` bytes are

@@ -16,11 +16,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// while one is, it may be one request behind for each.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ProxyStats {
-    /// Requests handled.
+    /// Requests handled: every request whose relay wrote all it had into
+    /// the client's socket, whether or not the client read it. A client
+    /// that left after the relay's last write is counted here too.
     pub requests: u64,
-    /// Bytes served to clients straight from the prefix store.
+    /// Bytes of the prefix store written into clients' sockets; bytes
+    /// written, not bytes the clients are known to have received.
     pub bytes_from_cache: u64,
-    /// Bytes relayed from the origin server.
+    /// Bytes relayed from the origin server into clients' sockets; bytes
+    /// written, not bytes the clients are known to have received.
     pub bytes_from_origin: u64,
     /// Current number of objects with a cached prefix.
     pub cached_objects: usize,

@@ -8,9 +8,10 @@
 //! [`Pipe::fill`] starts on an empty pipe, so it never waits for room (a
 //! full pipe returns a short count), and [`Pipe::drain`] takes out all the
 //! fill put in. A failed drain leaves bytes behind, so its pipe must be
-//! dropped, never filled again. Both honour `SO_RCVTIMEO` / `SO_SNDTIMEO`;
-//! a write to a closed peer raises `SIGPIPE`, which Rust programs ignore,
-//! so it surfaces as `EPIPE`.
+//! dropped, never filled again. Both honour `SO_RCVTIMEO` / `SO_SNDTIMEO`,
+//! and a drain as a whole is bounded by its deadline; a write to a closed
+//! peer raises `SIGPIPE`, which Rust programs ignore, so it surfaces as
+//! `EPIPE`.
 #![deny(clippy::undocumented_unsafe_blocks)]
 
 #[cfg(target_os = "linux")]
@@ -23,6 +24,7 @@ mod linux {
     use std::net::TcpStream;
     use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
     use std::ptr::null_mut;
+    use std::time::Instant;
 
     /// Asked for with `F_SETPIPE_SZ`, best effort: a step then moves up to
     /// 1 MiB. The kernel's 64 KiB default is just as correct.
@@ -89,12 +91,22 @@ mod linux {
             splice_once(from.as_raw_fd(), self.write.as_raw_fd(), max)
         }
 
-        /// Moves exactly `n` bytes — all a fill put in — out into `to`.
-        pub(crate) fn drain(&mut self, to: &TcpStream, mut n: usize) -> io::Result<()> {
+        /// Moves exactly `n` bytes — all a fill put in — out into `to`. A
+        /// `splice` that comes back short is followed by another only
+        /// before `deadline`: after it, the drain fails as `TimedOut`.
+        pub(crate) fn drain(
+            &mut self,
+            to: &TcpStream,
+            mut n: usize,
+            deadline: Option<Instant>,
+        ) -> io::Result<()> {
             while n > 0 {
                 match splice_once(self.read.as_raw_fd(), to.as_raw_fd(), n)? {
                     0 => return Err(io::ErrorKind::WriteZero.into()),
                     moved => n -= moved,
+                }
+                if n > 0 && deadline.is_some_and(|at| Instant::now() >= at) {
+                    return Err(io::ErrorKind::TimedOut.into());
                 }
             }
             Ok(())
@@ -133,7 +145,12 @@ impl Pipe {
     pub(crate) fn fill(&mut self, _: &std::net::TcpStream, _: usize) -> std::io::Result<usize> {
         match *self {}
     }
-    pub(crate) fn drain(&mut self, _: &std::net::TcpStream, _: usize) -> std::io::Result<()> {
+    pub(crate) fn drain(
+        &mut self,
+        _: &std::net::TcpStream,
+        _: usize,
+        _: Option<std::time::Instant>,
+    ) -> std::io::Result<()> {
         match *self {}
     }
 }

@@ -15,35 +15,14 @@
 //! moving its heap entry up or down to the new `(time, sequence)` with the
 //! sequence number drawn from the same counter as every other push, so the
 //! pop order is exactly the one cancelling the old event and pushing a new
-//! one would give — and no dead entry is left behind.
+//! one would give. Its playback ends are walked from a sorted array; each
+//! only takes its sequence number from the queue's counter when its
+//! session arrives, so it keeps its place in the `(time, sequence)` order
+//! without entering the heap.
 //!
-//! Plain pushes are cancelled the other way. [`EventQueue::cancel`] clears
-//! the event's entry in a table indexed by sequence number (sequences are
-//! dense and monotonic, so the table is a plain vector: no hashing) and
-//! [`EventQueue::pop`] silently discards heap entries whose sequence is no
-//! longer pending, so a cancelled event is never observed by the caller —
-//! but its entry stays in the heap, a tombstone, until it surfaces. The
-//! session core never cancels, so its heap holds no tombstone: only one
-//! completion per path with a transfer in flight. Its playback ends are
-//! walked from a sorted array; each only takes its sequence number from
-//! the queue's counter when its session arrives, so it keeps its place in
-//! the `(time, sequence)` order without entering the heap.
-//!
-//! The table grows by one byte per sequence number handed out — keyed
-//! pushes included, and the numbers the session core's playback ends
-//! reserve, which are never pending — and is never trimmed. It is not a
-//! ring over the live sequence window, and this is why: with the ends out
-//! of the heap, the window runs from the oldest pending completion, and a
-//! path's completion stays pending for as long as nothing re-divides the
-//! path — for a lone long transfer, most of the run. Measured at
-//! `--scale paper`, one thread (the window sampled every 32 events), the
-//! largest single run of `fig_faults` hands out 1 648 214 sequences
-//! (1.6 MB of flags, beside a 68 MB edge array) with a live window of
-//! about 58 000, and the largest of `fig_sessions` 259 790 with about
-//! 180 000 (69 %); across the runs of both figures the window reaches
-//! 93 % of a run's sequences. A ring would save at most 1.6 MB in the
-//! first run and 80 KB in the second, and pay for it with a base offset
-//! on every index and a trim loop in `pop` and `cancel`.
+//! Every heap entry is a pending event: popping removes it, re-keying
+//! moves it, and [`EventQueue::cancel`] — which the session core never
+//! calls — finds it by a scan and takes it out at once.
 
 /// What happened, attached to every scheduled event.
 ///
@@ -127,11 +106,6 @@ impl HeapEntry {
         }
     }
 
-    /// The sequence number, as an index into the pending flags.
-    fn seq(&self) -> usize {
-        self.order as u64 as usize
-    }
-
     /// Whether `self` pops before `other`.
     #[inline]
     fn precedes(&self, other: &HeapEntry) -> bool {
@@ -148,8 +122,8 @@ pub(crate) fn assert_finite_time(time_secs: f64, kind: EventKind) {
     );
 }
 
-/// A binary-heap event queue with deterministic `(time, sequence)` ordering,
-/// seq-indexed cancellation and keyed events re-scheduled in place.
+/// A binary-heap event queue with deterministic `(time, sequence)` ordering
+/// and keyed events re-scheduled in place.
 ///
 /// ```
 /// use sc_sim::event::{EventKind, EventQueue};
@@ -171,21 +145,14 @@ pub(crate) fn assert_finite_time(time_secs: f64, kind: EventKind) {
 /// ```
 #[derive(Debug, Default)]
 pub struct EventQueue {
-    /// The binary min-heap over `(time, seq)`, root at index 0.
+    /// The binary min-heap over `(time, seq)`, root at index 0; every
+    /// entry is a pending event.
     heap: Vec<HeapEntry>,
-    /// `pending[seq]` is true from the push of `seq` until it is popped,
-    /// cancelled or (keyed) replaced; its length is the number of
-    /// sequences handed out. A heap entry whose flag is clear is a
-    /// tombstone. One byte per sequence number handed out buys a
-    /// [`cancel`](Self::cancel) that is an indexed store instead of an
-    /// O(heap) scan or two hash-set updates (the module header has the
-    /// measured size, and why it is not a ring).
-    pending: Vec<bool>,
-    /// Number of set flags in `pending`.
-    live: usize,
     /// `slots[key]` is the heap index of `key`'s entry, or [`ABSENT`];
     /// grown on demand to the largest key pushed.
     slots: Vec<u32>,
+    /// The next sequence number, and so the count handed out.
+    next_seq: u64,
 }
 
 impl EventQueue {
@@ -206,7 +173,6 @@ impl EventQueue {
     pub fn push(&mut self, time_secs: f64, kind: EventKind) -> u64 {
         let event = self.next_event(time_secs, kind);
         let entry = HeapEntry::new(event, PLAIN);
-        self.live += 1;
         self.heap.push(entry);
         self.sift_up(self.heap.len() - 1, entry);
         event.seq
@@ -218,10 +184,10 @@ impl EventQueue {
     /// The event takes the next sequence number, as [`push`](Self::push)
     /// would give it, and the pop order is exactly that of cancelling the
     /// replaced event and pushing this one; but the replaced event's heap
-    /// entry is re-keyed in place, so it leaves no tombstone. Returns the
-    /// new sequence number and whether a pending event was replaced. A
-    /// key's event that has popped (or was cancelled) is not pending: the
-    /// next `push_keyed` of that key schedules afresh.
+    /// entry is re-keyed in place. Returns the new sequence number and
+    /// whether a pending event was replaced. A key's event that has popped
+    /// (or was cancelled) is not pending: the next `push_keyed` of that key
+    /// schedules afresh.
     ///
     /// # Panics
     ///
@@ -236,25 +202,13 @@ impl EventQueue {
         }
         match self.slots[slot] {
             ABSENT => {
-                self.live += 1;
                 self.heap.push(entry);
                 self.sift_up(self.heap.len() - 1, entry);
                 (event.seq, false)
             }
             pos => {
-                let pos = pos as usize;
-                let old = self.heap[pos].seq();
-                let replaced = std::mem::take(&mut self.pending[old]);
-                if !replaced {
-                    // The entry was a cancelled one's tombstone.
-                    self.live += 1;
-                }
-                if pos > 0 && entry.precedes(&self.heap[(pos - 1) / 2]) {
-                    self.sift_up(pos, entry);
-                } else {
-                    self.sift_down(pos, entry);
-                }
-                (event.seq, replaced)
+                self.resift(pos as usize, entry);
+                (event.seq, true)
             }
         }
     }
@@ -263,96 +217,25 @@ impl EventQueue {
     ///
     /// Returns `true` if the event was still pending (it will now never be
     /// popped) and `false` if it had already been popped, cancelled,
-    /// replaced, or was never scheduled.
+    /// replaced, or was never scheduled. O(n) in the pending events: the
+    /// entry is found by a scan of the heap. The session core never
+    /// cancels; it re-keys with [`push_keyed`](Self::push_keyed).
     pub fn cancel(&mut self, seq: u64) -> bool {
-        // An already-popped, already-cancelled or never-scheduled seq has
-        // no set flag: reporting that cancellation as successful would be
-        // a lie.
-        match self.pending.get_mut(seq as usize) {
-            Some(flag) if *flag => {
-                *flag = false;
-                self.live -= 1;
-                true
-            }
-            _ => false,
+        let Some(pos) = self.heap.iter().position(|e| e.order as u64 == seq) else {
+            return false;
+        };
+        let gone = self.heap.swap_remove(pos);
+        if let Some(&moved) = self.heap.get(pos) {
+            self.resift(pos, moved);
         }
+        if gone.key != PLAIN {
+            self.slots[gone.key as usize] = ABSENT;
+        }
+        true
     }
 
-    /// Pops the next pending event in `(time, seq)` order, discarding
-    /// cancelled entries.
+    /// Pops the next pending event in `(time, seq)` order.
     pub fn pop(&mut self) -> Option<Event> {
-        while let Some(entry) = self.pop_entry() {
-            if std::mem::take(&mut self.pending[entry.seq()]) {
-                self.live -= 1;
-                return Some(entry.event());
-            }
-        }
-        None
-    }
-
-    /// The timestamp of the next pending (non-cancelled) event.
-    pub fn peek_time(&mut self) -> Option<f64> {
-        self.peek().map(|event| event.time_secs)
-    }
-
-    /// The next pending (non-cancelled) event, left in the queue.
-    pub(crate) fn peek(&mut self) -> Option<Event> {
-        // Drain cancelled entries off the top so the peek is accurate.
-        while let Some(top) = self.heap.first() {
-            if self.pending[top.seq()] {
-                return Some(top.event());
-            }
-            self.pop_entry();
-        }
-        None
-    }
-
-    /// Takes the next sequence number, as [`push`](Self::push) would,
-    /// without scheduling anything: for an event its caller keeps outside
-    /// the heap and orders against it by `(time, sequence)`. The number
-    /// counts in [`scheduled`](Self::scheduled) and is never pending.
-    pub(crate) fn reserve_seq(&mut self) -> u64 {
-        let seq = self.pending.len() as u64;
-        self.pending.push(false);
-        seq
-    }
-
-    /// Number of pending (non-cancelled) events.
-    pub fn len(&self) -> usize {
-        self.live
-    }
-
-    /// Returns `true` when no pending events remain.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total number of sequence numbers handed out so far.
-    pub fn scheduled(&self) -> u64 {
-        self.pending.len() as u64
-    }
-
-    /// Entries physically in the heap: pending events plus the tombstones
-    /// of cancelled plain pushes that have not surfaced yet.
-    pub(crate) fn heap_len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// The event a push schedules: its time checked, the next sequence
-    /// number taken and flagged pending.
-    fn next_event(&mut self, time_secs: f64, kind: EventKind) -> Event {
-        assert_finite_time(time_secs, kind);
-        let seq = self.pending.len() as u64;
-        self.pending.push(true);
-        Event {
-            time_secs,
-            seq,
-            kind,
-        }
-    }
-
-    /// Removes the root entry, pending or not, and frees its key's slot.
-    fn pop_entry(&mut self) -> Option<HeapEntry> {
         let last = self.heap.pop()?;
         let top = match self.heap.first() {
             Some(&top) => {
@@ -370,7 +253,58 @@ impl EventQueue {
         if top.key != PLAIN {
             self.slots[top.key as usize] = ABSENT;
         }
-        Some(top)
+        Some(top.event())
+    }
+
+    /// The next pending event, left in the queue.
+    pub(crate) fn peek(&self) -> Option<Event> {
+        self.heap.first().map(HeapEntry::event)
+    }
+
+    /// Takes the next sequence number, as [`push`](Self::push) would,
+    /// without scheduling anything: for an event its caller keeps outside
+    /// the heap and orders against it by `(time, sequence)`. The number
+    /// counts in [`scheduled`](Self::scheduled) and is never pending.
+    pub(crate) fn reserve_seq(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
+    }
+
+    /// Number of pending events.
+    pub fn len(&self) -> usize {
+        self.heap.len()
+    }
+
+    /// Returns `true` when no pending events remain.
+    pub fn is_empty(&self) -> bool {
+        self.heap.is_empty()
+    }
+
+    /// Total number of sequence numbers handed out so far.
+    pub fn scheduled(&self) -> u64 {
+        self.next_seq
+    }
+
+    /// The event a push schedules: its time checked and the next sequence
+    /// number taken.
+    fn next_event(&mut self, time_secs: f64, kind: EventKind) -> Event {
+        assert_finite_time(time_secs, kind);
+        Event {
+            time_secs,
+            seq: self.reserve_seq(),
+            kind,
+        }
+    }
+
+    /// Places `entry` at `pos`, which held another entry, moving it up or
+    /// down to where it belongs.
+    fn resift(&mut self, pos: usize, entry: HeapEntry) {
+        if pos > 0 && entry.precedes(&self.heap[(pos - 1) / 2]) {
+            self.sift_up(pos, entry);
+        } else {
+            self.sift_down(pos, entry);
+        }
     }
 
     /// Writes `entry` at `pos` and records the position of a keyed one.
@@ -537,33 +471,6 @@ mod tests {
     }
 
     #[test]
-    fn peek_time_skips_cancelled_entries() {
-        let mut q = EventQueue::new();
-        let head = q.push(1.0, EventKind::Arrival(0));
-        q.push(3.0, EventKind::Arrival(1));
-        assert_eq!(q.peek_time(), Some(1.0));
-        assert!(q.cancel(head));
-        assert_eq!(q.peek_time(), Some(3.0));
-        q.pop();
-        assert_eq!(q.peek_time(), None);
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn cancelled_entries_stay_in_the_heap_until_they_surface() {
-        let mut q = EventQueue::new();
-        let late = q.push(9.0, EventKind::TransferComplete(0));
-        q.push(1.0, EventKind::Arrival(0));
-        assert!(q.cancel(late));
-        assert_eq!((q.len(), q.heap_len()), (1, 2));
-        assert_eq!(q.pop().unwrap().kind, EventKind::Arrival(0));
-        assert_eq!((q.len(), q.heap_len()), (0, 1));
-        assert!(q.pop().is_none());
-        assert_eq!(q.heap_len(), 0);
-        assert_eq!(q.scheduled(), 2);
-    }
-
-    #[test]
     #[should_panic(expected = "finite")]
     fn non_finite_times_are_rejected() {
         let mut q = EventQueue::new();
@@ -639,17 +546,18 @@ mod tests {
         assert!(q.is_empty());
         let (second, replaced) = q.push_keyed(2, 0.5, EventKind::TransferComplete(1));
         assert!(!replaced, "a popped event is not replaced");
-        assert_eq!((q.len(), q.heap_len()), (1, 1));
+        assert_eq!(q.len(), 1);
         assert_eq!(q.pop().unwrap().seq, second);
         assert!(q.pop().is_none());
 
-        // A cancelled keyed event is not replaced either; its entry is
-        // reused for the fresh one.
+        // A cancelled keyed event is not replaced either: the cancel took
+        // its entry out, and the fresh one is inserted.
         let (third, _) = q.push_keyed(2, 4.0, EventKind::TransferComplete(2));
         assert!(q.cancel(third));
+        assert!(q.is_empty());
         let (fourth, replaced) = q.push_keyed(2, 5.0, EventKind::TransferComplete(3));
         assert!(!replaced);
-        assert_eq!((q.len(), q.heap_len()), (1, 1));
+        assert_eq!(q.len(), 1);
         assert_eq!(q.pop().unwrap().seq, fourth);
     }
 
@@ -661,23 +569,9 @@ mod tests {
         let (keyed, _) = q.push_keyed(0, 3.0, EventKind::TransferComplete(1));
         assert!(q.cancel(plain));
         assert!(!q.cancel(plain));
-        assert_eq!(q.peek_time(), Some(3.0));
+        assert_eq!(q.peek().map(|e| e.time_secs), Some(3.0));
         assert_eq!(q.pop().unwrap().seq, keyed);
         assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn the_heap_holds_no_keyed_tombstone() {
-        let mut q = EventQueue::new();
-        for round in 0..50u32 {
-            for key in 0..4u32 {
-                let time = f64::from((round * 7 + key * 13) % 31);
-                q.push_keyed(key, time, EventKind::TransferComplete(key));
-            }
-        }
-        q.push(0.5, EventKind::PlaybackEnd(0));
-        assert_eq!((q.len(), q.heap_len()), (5, 5));
-        assert_eq!(q.scheduled(), 201);
     }
 
     #[test]
@@ -687,8 +581,7 @@ mod tests {
         let reserved = q.reserve_seq();
         let (keyed, _) = q.push_keyed(0, 2.0, EventKind::TransferComplete(0));
         assert_eq!((first, reserved, keyed), (0, 1, 2));
-        assert_eq!((q.scheduled(), q.len(), q.heap_len()), (3, 2, 2));
-        assert!(!q.cancel(reserved));
+        assert_eq!((q.scheduled(), q.len()), (3, 2));
         assert_eq!(q.peek().map(|e| e.seq), Some(first));
         assert_eq!(q.pop().unwrap().seq, first);
         assert_eq!(q.pop().unwrap().seq, keyed);
@@ -739,11 +632,160 @@ mod tests {
                 }
             }
             assert_eq!(keyed.len(), plain.len());
-            assert_eq!(keyed.heap_len(), keyed.len());
         }
         while let Some(event) = keyed.pop() {
             assert_eq!(Some(event), plain.pop());
         }
         assert!(plain.pop().is_none());
+    }
+
+    #[test]
+    fn eager_cancel_matches_a_naive_reference() {
+        // The reference keeps every pending event in a flat list, pops by
+        // a linear `(time, seq)` scan and cancels by removing from it.
+        struct Pending {
+            event: Event,
+            key: Option<u32>,
+        }
+        fn earliest(reference: &[Pending]) -> Option<usize> {
+            (0..reference.len()).min_by(|&a, &b| {
+                let (a, b) = (&reference[a].event, &reference[b].event);
+                a.time_secs.total_cmp(&b.time_secs).then(a.seq.cmp(&b.seq))
+            })
+        }
+        /// The time's bits, so that `-0.0` and `0.0` are told apart.
+        fn exact(event: Option<Event>) -> Option<(u64, u64, EventKind)> {
+            event.map(|e| (e.time_secs.to_bits(), e.seq, e.kind))
+        }
+        #[derive(Clone, Copy, PartialEq)]
+        enum Fate {
+            Pending,
+            Popped,
+            Cancelled,
+            Replaced,
+            Reserved,
+        }
+
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = move |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        // Few distinct times, so ties are common, and both zeros.
+        const TIMES: [f64; 6] = [-0.0, 0.0, 0.0, 1.0, 2.5, -1.0];
+        const KEYS: u64 = 6;
+        let mut q = EventQueue::new();
+        let mut reference: Vec<Pending> = Vec::new();
+        let mut fates: Vec<Fate> = Vec::new();
+        let mut cancelled_key = [false; KEYS as usize];
+        // How often each case the test must reach was reached.
+        let mut fresh_after_cancel = 0;
+        let mut cancels_by_fate = [0; 5];
+        let mut never_issued = 0;
+        let mut zero_ties = 0;
+        for step in 0..40_000u32 {
+            let time = TIMES[next(TIMES.len() as u64) as usize];
+            match next(10) {
+                0 | 1 => {
+                    let kind = EventKind::Arrival(step);
+                    let seq = q.push(time, kind);
+                    assert_eq!(seq, fates.len() as u64);
+                    let event = Event {
+                        time_secs: time,
+                        seq,
+                        kind,
+                    };
+                    reference.push(Pending { event, key: None });
+                    fates.push(Fate::Pending);
+                }
+                2..=4 => {
+                    let key = next(KEYS) as u32;
+                    let kind = EventKind::TransferComplete(step);
+                    let (seq, replaced) = q.push_keyed(key, time, kind);
+                    assert_eq!(seq, fates.len() as u64);
+                    let old = reference.iter().position(|p| p.key == Some(key));
+                    assert_eq!(replaced, old.is_some());
+                    if let Some(old) = old {
+                        fates[reference.remove(old).event.seq as usize] = Fate::Replaced;
+                    } else if std::mem::take(&mut cancelled_key[key as usize]) {
+                        fresh_after_cancel += 1;
+                    }
+                    let event = Event {
+                        time_secs: time,
+                        seq,
+                        kind,
+                    };
+                    reference.push(Pending {
+                        event,
+                        key: Some(key),
+                    });
+                    fates.push(Fate::Pending);
+                }
+                5 => {
+                    assert_eq!(q.reserve_seq(), fates.len() as u64);
+                    fates.push(Fate::Reserved);
+                }
+                6 | 7 => {
+                    // A pending event, any issued sequence number or one
+                    // not issued yet.
+                    let issued = fates.len() as u64;
+                    let seq = match (next(4), reference.len() as u64) {
+                        (0 | 1, live) if live > 0 => reference[next(live) as usize].event.seq,
+                        (3, _) => issued + next(3),
+                        _ => next(issued.max(1)),
+                    };
+                    let at = reference.iter().position(|p| p.event.seq == seq);
+                    assert_eq!(q.cancel(seq), at.is_some(), "cancel({seq})");
+                    match fates.get(seq as usize) {
+                        None => never_issued += 1,
+                        Some(&fate) => cancels_by_fate[fate as usize] += 1,
+                    }
+                    if let Some(at) = at {
+                        let gone = reference.remove(at);
+                        fates[seq as usize] = Fate::Cancelled;
+                        if let Some(key) = gone.key {
+                            cancelled_key[key as usize] = true;
+                        }
+                    }
+                }
+                _ => {
+                    let expected = earliest(&reference).map(|at| reference.remove(at));
+                    if let Some(pending) = &expected {
+                        fates[pending.event.seq as usize] = Fate::Popped;
+                        if let Some(after) = earliest(&reference) {
+                            let (first, then) = (pending.event, reference[after].event);
+                            if first.time_secs == 0.0
+                                && then.time_secs == 0.0
+                                && first.time_secs.to_bits() != then.time_secs.to_bits()
+                            {
+                                zero_ties += 1;
+                            }
+                        }
+                    }
+                    assert_eq!(exact(q.pop()), exact(expected.map(|p| p.event)));
+                }
+            }
+            assert_eq!(q.len(), reference.len());
+            assert_eq!(q.scheduled(), fates.len() as u64);
+            let head = earliest(&reference).map(|at| reference[at].event);
+            assert_eq!(exact(q.peek()), exact(head));
+        }
+        while let Some(pending) = earliest(&reference).map(|at| reference.remove(at)) {
+            assert_eq!(exact(q.pop()), exact(Some(pending.event)));
+        }
+        assert!(q.pop().is_none());
+
+        // Every case was reached many times over.
+        assert!(fresh_after_cancel > 100, "{fresh_after_cancel}");
+        assert!(never_issued > 20, "{never_issued}");
+        assert!(zero_ties > 100, "{zero_ties}");
+        for (fate, count) in ["pending", "popped", "cancelled", "replaced", "reserved"]
+            .iter()
+            .zip(cancels_by_fate)
+        {
+            assert!(count > 100, "cancels of a {fate} event: {count}");
+        }
     }
 }

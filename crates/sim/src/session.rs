@@ -16,7 +16,8 @@
 //!   it anyway — so the path keeps **one** pending completion event on the
 //!   [`EventQueue`] (its earliest member's; ties go to the lowest session
 //!   index), keyed by the path, and each re-division re-keys that one
-//!   event in place ([`EventQueue::push_keyed`]), leaving no tombstone.
+//!   event in place ([`EventQueue::push_keyed`]); it never pushes a plain
+//!   event or cancels one.
 //!   This pops the same events in the same order as scheduling every
 //!   member would: the members' other completions would all have been
 //!   cancelled before they could pop, and the surviving events take their
@@ -932,7 +933,7 @@ where
     loop {
         // The heap only grows while an event is handled, so its length
         // just before each pop is its peak.
-        telemetry.peak_heap_len = telemetry.peak_heap_len.max(queue.heap_len() as u64);
+        telemetry.peak_heap_len = telemetry.peak_heap_len.max(queue.len() as u64);
         // The earliest of the four sources under the heap's own
         // comparator; on a tie, arrival before edge before the two the
         // run schedules, which go by sequence number.

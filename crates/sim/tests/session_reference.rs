@@ -1,9 +1,9 @@
 //! Naive fluid reference model for the session event core.
 //!
 //! The discrete-event core (`sc_sim::session`) earns its speed from
-//! incremental bookkeeping: a binary heap with seq-indexed cancellation,
-//! per-path member lists and arrival rosters, cached shares, and *one*
-//! pending completion event per path (its earliest member's). This
+//! incremental bookkeeping: a binary heap whose keyed events are re-keyed
+//! in place, per-path member lists and arrival rosters, cached shares, and
+//! *one* pending completion event per path (its earliest member's). This
 //! reference model keeps none of that — pending events live in a flat list
 //! popped by linear `(time, seq)` scan, path membership is recomputed from
 //! scratch at every event by scanning all sessions, every re-division
