@@ -91,7 +91,9 @@ impl ProxyConfig {
     /// The first field a proxy cannot start with, as
     /// [`ProxyError::InvalidConfig`]: a zero-sized worker pool, a zero
     /// timeout, retry budget or breaker threshold, a NaN client rate limit
-    /// or policy `e`. The capacity is the engine's to check.
+    /// or policy `e`, or a value-based policy (PB-V, IB-V): the proxy gives
+    /// every object value 0, so their utility is 0 for every object and the
+    /// cache would never turn over. The capacity is the engine's to check.
     pub(super) fn validate(&self) -> Result<(), ProxyError> {
         let checks = [
             (
@@ -135,6 +137,19 @@ impl ProxyConfig {
         }
         self.policy
             .validate()
-            .map_err(|e| ProxyError::InvalidConfig("policy", e.to_string()))
+            .map_err(|e| ProxyError::InvalidConfig("policy", e.to_string()))?;
+        if matches!(
+            self.policy,
+            PolicyKind::PartialBandwidthValue { .. } | PolicyKind::IntegralBandwidthValue
+        ) {
+            return Err(ProxyError::InvalidConfig(
+                "policy",
+                format!(
+                    "{} weighs objects by value, and every object the proxy serves has value 0",
+                    self.policy.label()
+                ),
+            ));
+        }
+        Ok(())
     }
 }

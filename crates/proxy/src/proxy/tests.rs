@@ -172,6 +172,43 @@ fn nan_policy_estimator_is_rejected() {
 }
 
 #[test]
+fn value_policies_are_refused_and_the_others_start() {
+    let addr: SocketAddr = "127.0.0.1:9".parse().unwrap();
+    for policy in [
+        PolicyKind::PartialBandwidthValue { e: 1.0 },
+        PolicyKind::PartialBandwidthValue { e: 0.5 },
+        PolicyKind::IntegralBandwidthValue,
+    ] {
+        let mut cfg = ProxyConfig::new(addr, 1e6);
+        cfg.policy = policy;
+        assert!(
+            matches!(
+                CachingProxy::start(cfg),
+                Err(ProxyError::InvalidConfig("policy", why)) if why.contains("value 0")
+            ),
+            "{} must be refused",
+            policy.label()
+        );
+    }
+    for policy in [
+        PolicyKind::PartialBandwidth,
+        PolicyKind::HybridPartialBandwidth { e: 0.5 },
+        PolicyKind::IntegralBandwidth,
+        PolicyKind::IntegralFrequency,
+        PolicyKind::Lru,
+    ] {
+        let mut cfg = ProxyConfig::new(addr, 1e6);
+        cfg.policy = policy;
+        cfg.worker_threads = 1;
+        assert!(
+            CachingProxy::start(cfg).is_ok(),
+            "{} must start",
+            policy.label()
+        );
+    }
+}
+
+#[test]
 fn engine_shards_default_to_worker_count() {
     let addr: SocketAddr = "127.0.0.1:9".parse().unwrap();
     for workers in [3, 1] {
