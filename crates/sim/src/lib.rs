@@ -79,6 +79,6 @@ pub use report::{FigurePoint, FigureResult, FigureSeries};
 pub use runner::{run_sessions, run_simulation, RunResult};
 pub use session::{
     run_session_grid, simulate_sessions, simulate_sessions_with_faults, NoCacheHooks,
-    PathFaultTimeline, SessionFinal, SessionHooks, SessionRunResult, SessionSimOutput, SessionSpec,
-    SessionState, SessionTelemetry, SessionWorker,
+    PathFaultTimeline, SessionHooks, SessionRunResult, SessionSimOutput, SessionSpec, SessionState,
+    SessionTelemetry, SessionWorker,
 };
