@@ -8,9 +8,12 @@
 //! [`Pipe::fill`] starts on an empty pipe, so it never waits for room (a
 //! full pipe returns a short count), and [`Pipe::drain`] takes out all the
 //! fill put in. A failed drain leaves bytes behind, so its pipe must be
-//! dropped, never filled again. Both honour `SO_RCVTIMEO` / `SO_SNDTIMEO`,
-//! and a drain as a whole is bounded by its deadline; a write to a closed
-//! peer raises `SIGPIPE`, which Rust programs ignore, so it surfaces as
+//! dropped, never filled again. A fill honours `SO_RCVTIMEO`. A drain
+//! does not rely on `SO_SNDTIMEO`: one blocking `splice` into a socket
+//! sends the pipe in batches and waits out the send timeout once per
+//! batch, so the drain splices into the socket non-blocking and waits in
+//! `poll` for what is left of its deadline. A write to a closed peer
+//! raises `SIGPIPE`, which Rust programs ignore, so it surfaces as
 //! `EPIPE`.
 #![deny(clippy::undocumented_unsafe_blocks)]
 
@@ -19,12 +22,12 @@ pub(crate) use linux::Pipe;
 
 #[cfg(target_os = "linux")]
 mod linux {
-    use std::ffi::{c_int, c_uint};
+    use std::ffi::{c_int, c_short, c_uint, c_ulong};
     use std::io;
     use std::net::TcpStream;
     use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
     use std::ptr::null_mut;
-    use std::time::Instant;
+    use std::time::{Duration, Instant};
 
     /// Asked for with `F_SETPIPE_SZ`, best effort: a step then moves up to
     /// 1 MiB. The kernel's 64 KiB default is just as correct.
@@ -32,6 +35,15 @@ mod linux {
     const O_CLOEXEC: c_int = 0o2_000_000;
     const F_SETPIPE_SZ: c_int = 1031;
     const F_GETPIPE_SZ: c_int = 1032;
+    const POLLOUT: c_short = 4;
+
+    /// `struct pollfd`.
+    #[repr(C)]
+    struct PollFd {
+        fd: c_int,
+        events: c_short,
+        revents: c_short,
+    }
 
     extern "C" {
         fn pipe2(fds: *mut c_int, flags: c_int) -> c_int;
@@ -44,6 +56,7 @@ mod linux {
             flags: c_uint,
         ) -> isize;
         fn fcntl(fd: c_int, cmd: c_int, ...) -> c_int;
+        fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
     }
 
     pub(crate) struct Pipe {
@@ -91,26 +104,67 @@ mod linux {
             splice_once(from.as_raw_fd(), self.write.as_raw_fd(), max)
         }
 
-        /// Moves exactly `n` bytes — all a fill put in — out into `to`. A
-        /// `splice` that comes back short is followed by another only
-        /// before `deadline`: after it, the drain fails as `TimedOut`.
+        /// Moves exactly `n` bytes — all a fill put in — out into `to`,
+        /// or fails as `TimedOut` once `deadline` passes with bytes left.
+        /// `to` is non-blocking for the drain and blocking again after it.
         pub(crate) fn drain(
             &mut self,
             to: &TcpStream,
+            n: usize,
+            deadline: Option<Instant>,
+        ) -> io::Result<()> {
+            to.set_nonblocking(true)?;
+            let drained = self.drain_by(to.as_raw_fd(), n, deadline);
+            let restored = to.set_nonblocking(false);
+            drained.and(restored)
+        }
+
+        fn drain_by(
+            &mut self,
+            to: RawFd,
             mut n: usize,
             deadline: Option<Instant>,
         ) -> io::Result<()> {
             while n > 0 {
-                match splice_once(self.read.as_raw_fd(), to.as_raw_fd(), n)? {
-                    0 => return Err(io::ErrorKind::WriteZero.into()),
-                    moved => n -= moved,
-                }
-                if n > 0 && deadline.is_some_and(|at| Instant::now() >= at) {
-                    return Err(io::ErrorKind::TimedOut.into());
+                match splice_once(self.read.as_raw_fd(), to, n) {
+                    Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                    Ok(moved) => n -= moved,
+                    Err(err) if err.kind() == io::ErrorKind::WouldBlock => {
+                        let left = deadline.map(|at| at.saturating_duration_since(Instant::now()));
+                        if left.is_some_and(|left| left.is_zero()) {
+                            return Err(io::ErrorKind::TimedOut.into());
+                        }
+                        wait_writable(to, left)?;
+                    }
+                    Err(err) => return Err(err),
                 }
             }
             Ok(())
         }
+    }
+
+    /// Waits until `fd` has send-buffer room, an error or a hang-up to
+    /// report, or `left` runs out (never, for `None`); the next `splice`
+    /// tells which.
+    fn wait_writable(fd: RawFd, left: Option<Duration>) -> io::Result<()> {
+        // Whole milliseconds, rounded up so a wait never ends early.
+        let timeout = left.map_or(-1, |left| {
+            c_int::try_from(left.as_nanos().div_ceil(1_000_000)).unwrap_or(c_int::MAX)
+        });
+        let mut pollfd = PollFd {
+            fd,
+            events: POLLOUT,
+            revents: 0,
+        };
+        // SAFETY: `pollfd` is one live, writable `struct pollfd`, and `fd`
+        // is borrowed from a live owner for the call.
+        if unsafe { poll(&mut pollfd, 1, timeout) } < 0 {
+            let err = io::Error::last_os_error();
+            if err.kind() != io::ErrorKind::Interrupted {
+                return Err(err);
+            }
+        }
+        Ok(())
     }
 
     /// One `splice` that moves bytes or fails; `EINTR` is retried.

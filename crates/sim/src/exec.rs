@@ -241,11 +241,7 @@ impl RunSetup {
 /// How far the per-request mode reads path capacity: the last request's
 /// arrival.
 pub(crate) fn last_arrival_secs(workload: &SharedWorkload) -> f64 {
-    workload
-        .trace
-        .requests()
-        .last()
-        .map_or(0.0, |r| r.time_secs)
+    workload.trace.times().last().copied().unwrap_or(0.0)
 }
 
 /// Fraction of a per-request trace that warms the cache before metrics are

@@ -91,7 +91,8 @@ pub struct SessionArrival {
     pub size_bytes: f64,
 }
 
-/// A time-ordered sequence of requests over a catalog.
+/// A time-ordered sequence of requests over a catalog, stored as two
+/// columns: arrival times and requested objects, 12 bytes a request.
 ///
 /// ```
 /// use sc_workload::{Catalog, CatalogConfig, RequestTrace, TraceConfig};
@@ -102,12 +103,13 @@ pub struct SessionArrival {
 /// let trace = RequestTrace::generate(&catalog, &TraceConfig::small(), &mut rng)?;
 /// assert_eq!(trace.len(), 5_000);
 /// // Requests are sorted by arrival time.
-/// assert!(trace.requests().windows(2).all(|w| w[0].time_secs <= w[1].time_secs));
+/// assert!(trace.times().windows(2).all(|w| w[0] <= w[1]));
 /// # Ok::<(), sc_workload::WorkloadError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct RequestTrace {
-    requests: Vec<Request>,
+    times: Vec<f64>,
+    objects: Vec<ObjectId>,
 }
 
 impl RequestTrace {
@@ -127,7 +129,10 @@ impl RequestTrace {
                 .partial_cmp(&b.time_secs)
                 .expect("request times are never NaN")
         });
-        Ok(RequestTrace { requests })
+        Ok(RequestTrace {
+            times: requests.iter().map(|r| r.time_secs).collect(),
+            objects: requests.iter().map(|r| r.object).collect(),
+        })
     }
 
     /// Generates a synthetic trace over `catalog` according to `config`.
@@ -135,6 +140,10 @@ impl RequestTrace {
     /// Popularity rank `r` (1-based, drawn from the Zipf-like distribution)
     /// maps to the object with id `r - 1`, so object ids are ordered by
     /// decreasing expected popularity.
+    ///
+    /// The RNG is drawn in a fixed order: every interarrival time first,
+    /// then every popularity rank. Each trace, and every result computed
+    /// from it, rests on that order.
     ///
     /// # Errors
     ///
@@ -148,50 +157,48 @@ impl RequestTrace {
         let zipf = ZipfLike::new(catalog.len(), config.zipf_alpha)?;
         let arrivals = PoissonProcess::new(config.arrival_rate)?;
         let times = arrivals.arrival_times(rng, config.requests);
-        let mut requests = Vec::with_capacity(config.requests);
-        for t in times {
-            let rank = zipf.sample(rng);
-            requests.push(Request {
-                time_secs: t,
-                object: ObjectId::new((rank - 1) as u32),
-            });
-        }
-        Ok(RequestTrace { requests })
+        let objects = (0..config.requests)
+            .map(|_| ObjectId::new((zipf.sample(rng) - 1) as u32))
+            .collect();
+        Ok(RequestTrace { times, objects })
     }
 
     /// Number of requests in the trace.
     pub fn len(&self) -> usize {
-        self.requests.len()
+        self.times.len()
     }
 
     /// Returns `true` if the trace contains no requests (never the case for
     /// a successfully constructed trace).
     pub fn is_empty(&self) -> bool {
-        self.requests.is_empty()
+        self.times.is_empty()
     }
 
-    /// The requests, sorted by arrival time.
-    pub fn requests(&self) -> &[Request] {
-        &self.requests
+    /// The arrival times in seconds, sorted.
+    pub fn times(&self) -> &[f64] {
+        &self.times
     }
 
     /// Iterates over the requests in arrival order.
-    pub fn iter(&self) -> std::slice::Iter<'_, Request> {
-        self.requests.iter()
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = Request> + '_ {
+        self.times
+            .iter()
+            .zip(&self.objects)
+            .map(|(&time_secs, &object)| Request { time_secs, object })
     }
 
     /// Duration in seconds between the first and last request.
     pub fn span_secs(&self) -> f64 {
-        let first = self.requests.first().map(|r| r.time_secs).unwrap_or(0.0);
-        let last = self.requests.last().map(|r| r.time_secs).unwrap_or(0.0);
+        let first = self.times.first().copied().unwrap_or(0.0);
+        let last = self.times.last().copied().unwrap_or(0.0);
         last - first
     }
 
     /// Per-object request counts, indexed by object id.
     pub fn request_counts(&self, catalog_len: usize) -> Vec<u64> {
         let mut counts = vec![0u64; catalog_len];
-        for req in &self.requests {
-            if let Some(c) = counts.get_mut(req.object.index()) {
+        for object in &self.objects {
+            if let Some(c) = counts.get_mut(object.index()) {
                 *c += 1;
             }
         }
@@ -206,8 +213,7 @@ impl RequestTrace {
     ///
     /// Panics if a request references an object outside `catalog`.
     pub fn session_arrivals(&self, catalog: &Catalog) -> Vec<SessionArrival> {
-        self.requests
-            .iter()
+        self.iter()
             .map(|req| {
                 let obj = catalog.object(req.object);
                 SessionArrival {
@@ -219,32 +225,6 @@ impl RequestTrace {
                 }
             })
             .collect()
-    }
-
-    /// Splits the trace into a warm-up prefix and a measurement suffix.
-    ///
-    /// The paper warms the cache with the first half of the workload and
-    /// computes metrics over the second half (`fraction = 0.5`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fraction` is not within `[0, 1]`.
-    pub fn split_at_fraction(&self, fraction: f64) -> (&[Request], &[Request]) {
-        assert!(
-            (0.0..=1.0).contains(&fraction),
-            "fraction must be in [0, 1]"
-        );
-        let idx = ((self.requests.len() as f64) * fraction).round() as usize;
-        self.requests.split_at(idx.min(self.requests.len()))
-    }
-}
-
-impl<'a> IntoIterator for &'a RequestTrace {
-    type Item = &'a Request;
-    type IntoIter = std::slice::Iter<'a, Request>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.requests.iter()
     }
 }
 
@@ -287,10 +267,7 @@ mod tests {
     fn generated_trace_is_sorted_and_in_range() {
         let (catalog, trace) = small_setup();
         assert_eq!(trace.len(), 5_000);
-        assert!(trace
-            .requests()
-            .windows(2)
-            .all(|w| w[0].time_secs <= w[1].time_secs));
+        assert!(trace.times().windows(2).all(|w| w[0] <= w[1]));
         assert!(trace.iter().all(|r| r.object.index() < catalog.len()));
     }
 
@@ -306,22 +283,21 @@ mod tests {
         );
     }
 
-    #[test]
-    fn split_at_fraction_halves() {
-        let (_, trace) = small_setup();
-        let (warm, measure) = trace.split_at_fraction(0.5);
-        assert_eq!(warm.len(), 2_500);
-        assert_eq!(measure.len(), 2_500);
-        let (all, none) = trace.split_at_fraction(1.0);
-        assert_eq!(all.len(), 5_000);
-        assert!(none.is_empty());
+    /// Heap bytes the trace's columns hold, by capacity.
+    fn column_bytes(trace: &RequestTrace) -> usize {
+        std::mem::size_of::<f64>() * trace.times.capacity()
+            + std::mem::size_of::<ObjectId>() * trace.objects.capacity()
     }
 
     #[test]
-    #[should_panic(expected = "fraction")]
-    fn split_at_fraction_rejects_out_of_range() {
-        let (_, trace) = small_setup();
-        let _ = trace.split_at_fraction(1.5);
+    fn a_trace_holds_twelve_bytes_a_request() {
+        let (_, generated) = small_setup();
+        assert_eq!(column_bytes(&generated), 12 * generated.len());
+        let mut requests: Vec<Request> = generated.iter().collect();
+        requests.reverse();
+        let built = RequestTrace::from_requests(requests).unwrap();
+        assert_eq!(built, generated);
+        assert_eq!(column_bytes(&built), 12 * built.len());
     }
 
     #[test]
@@ -337,7 +313,7 @@ mod tests {
             },
         ];
         let trace = RequestTrace::from_requests(reqs).unwrap();
-        assert_eq!(trace.requests()[0].object, ObjectId::new(0));
+        assert_eq!(trace.iter().next().unwrap().object, ObjectId::new(0));
         assert!((trace.span_secs() - 4.0).abs() < 1e-12);
     }
 
@@ -365,7 +341,7 @@ mod tests {
     /// FNV-1a over every request's object id and arrival-time bits.
     fn trace_hash(trace: &RequestTrace) -> u64 {
         let mut hash = 0xcbf2_9ce4_8422_2325_u64;
-        for req in trace {
+        for req in trace.iter() {
             let object = (req.object.index() as u32).to_le_bytes();
             let time = req.time_secs.to_bits().to_le_bytes();
             for byte in object.into_iter().chain(time) {

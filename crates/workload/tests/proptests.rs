@@ -120,10 +120,7 @@ fn traces_are_well_formed() {
         .unwrap();
         assert_eq!(trace.len(), requests);
         assert!(trace.iter().all(|r| r.object.index() < objects));
-        assert!(trace
-            .requests()
-            .windows(2)
-            .all(|w| w[0].time_secs <= w[1].time_secs));
+        assert!(trace.times().windows(2).all(|w| w[0] <= w[1]));
         let counts = trace.request_counts(objects);
         let total: u64 = counts.iter().sum();
         assert_eq!(total as usize, requests);
