@@ -18,8 +18,11 @@
 //! * [`PathSet`] — the per-object cache↔origin paths used by the simulator:
 //!   one mean bandwidth per path beside the one variability model they all
 //!   share (Section 4.3 gives every path the same ratio model).
-//! * [`BandwidthEstimator`] implementations — passive (EWMA, windowed)
-//!   estimation of a path's bandwidth (Section 2.7).
+//! * [`EstimatorBank`] — what a cache knows about each origin path: the
+//!   estimate a placement decision uses and the transfers that teach it,
+//!   per [`EstimatorKind`] (oracle, passive EWMA or windowed
+//!   [`BandwidthEstimator`]s, active probe; Section 2.7). Both simulator
+//!   modes and the runnable proxy decide through it.
 //!
 //! ```
 //! use sc_netmodel::{NlanrBandwidthModel, PathSet, VariabilityModel};
@@ -54,7 +57,9 @@ mod variability;
 
 pub use empirical::EmpiricalDistribution;
 pub use error::NetModelError;
-pub use estimator::{BandwidthEstimator, EwmaEstimator, WindowedEstimator, EWMA_ALPHA};
+pub use estimator::{
+    BandwidthEstimator, EstimatorBank, EstimatorKind, EwmaEstimator, WindowedEstimator,
+};
 pub use hist::Histogram;
 pub use nlanr::{NlanrBandwidthModel, BYTES_PER_KB};
 pub use paths::PathSet;

@@ -60,7 +60,7 @@ use records::{Header, Lookup, ShardRecords};
 use relay::{parse, relay, release, write_paced, WorkerScratch};
 use sc_cache::policy::PolicyKind;
 use sc_cache::{ObjectKey, ObjectMeta, ShardedEngine};
-use sc_netmodel::{BandwidthEstimator, EwmaEstimator, EWMA_ALPHA};
+use sc_netmodel::{EstimatorBank, EstimatorKind};
 use stats::Counters;
 use std::hash::{DefaultHasher, Hasher as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -70,9 +70,13 @@ use std::thread::JoinHandle;
 use upstream::{open_origin, Await, OriginAnswer};
 
 /// Bandwidth assumed towards the origin before any transfer has been
-/// observed (bytes per second), and so the estimate a fresh proxy's first
-/// decision uses. Subsequent transfers feed an EWMA estimator (passive
-/// measurement, Section 2.7 of the paper).
+/// observed (bytes per second): the fallback of the estimator bank, and so
+/// the estimate a fresh proxy's first decision uses. Subsequent transfers
+/// teach its EWMA (passive measurement, Section 2.7 of the paper).
+///
+/// This prior is the one rule in which the proxy's decision differs from
+/// the simulator's, which falls back to the path's long-run mean; Figure 5
+/// run live must set the two equal.
 const ASSUMED_ORIGIN_BPS: f64 = 64_000.0;
 
 /// Capacity of the bounded accept queue. A connection is queued only when
@@ -87,7 +91,8 @@ struct ProxyState {
     /// objects: requests for objects in different shards take different
     /// locks, and one lock covers an object's cache decision and its bytes.
     engine: ShardedEngine<PolicyKind, ShardRecords>,
-    estimator: Mutex<EwmaEstimator>,
+    /// One EWMA path for the one origin.
+    estimator: Mutex<EstimatorBank>,
     /// The pool's accepting count and accept queue: part of the state so
     /// both the stats snapshot and the `STATS` verb can read the
     /// shed/wait/depth counters it maintains.
@@ -101,14 +106,11 @@ struct ProxyState {
 }
 
 impl ProxyState {
-    /// The origin-path bandwidth estimate, after folding in `observed_bps`
-    /// (if any) under the same estimator acquisition.
-    fn estimate_after(&self, observed_bps: Option<f64>) -> f64 {
-        let mut estimator = lock(&self.estimator);
-        if let Some(bps) = observed_bps {
-            estimator.observe(bps);
-        }
-        estimator.estimate_bps().unwrap_or(ASSUMED_ORIGIN_BPS)
+    /// The origin-path bandwidth estimate the next decision uses: the
+    /// bank's, on the assumed rate before any transfer has taught it. The
+    /// proxy cannot probe, so it passes no current rate.
+    fn estimate(&self) -> f64 {
+        lock(&self.estimator).decision_bps(0, ASSUMED_ORIGIN_BPS, None)
     }
 }
 
@@ -152,7 +154,7 @@ impl CachingProxy {
         let addr = listener.local_addr()?;
         let state = Arc::new(ProxyState {
             engine,
-            estimator: Mutex::new(EwmaEstimator::new(EWMA_ALPHA)),
+            estimator: Mutex::new(EstimatorBank::new(EstimatorKind::Ewma, 1)),
             queue: AcceptQueue::new(
                 ACCEPT_QUEUE_LEN,
                 config.max_in_flight,
@@ -405,7 +407,7 @@ struct Job<'a> {
 /// name get here (a key collision that `lookup` could not see yet), the
 /// record is left alone and nothing is kept.
 fn decide(state: &ProxyState, job: &Job<'_>) -> usize {
-    let estimate = state.estimate_after(None);
+    let estimate = state.estimate();
     let key = job.meta.key;
     let header = Header {
         size: job.size,
@@ -467,8 +469,8 @@ fn observe(
     if degraded {
         hot.degraded_hits.fetch_add(1, Ordering::Relaxed);
     } else {
-        if origin_bps.is_some() {
-            state.estimate_after(origin_bps);
+        if let Some(bps) = origin_bps {
+            lock(&state.estimator).observe_transfer(0, bps);
         }
         hot.peak_tail_bytes
             .fetch_max(retained.len() as u64, Ordering::Relaxed);

@@ -32,7 +32,7 @@ pub struct ProxyStats {
     pub cached_bytes: u64,
     /// The origin-path bandwidth estimate in bytes per second: the one the
     /// next cache decision will use (an EWMA of the transfers observed so
-    /// far).
+    /// far, the assumed 64 kB/s before the first).
     pub estimated_origin_bps: f64,
     /// Largest tail-retention buffer any single request has resided in
     /// memory. Together with the fixed per-worker relay ring
@@ -147,7 +147,7 @@ impl ProxyState {
             bytes_from_origin: self.hot.bytes_from_origin.load(Ordering::Relaxed),
             cached_objects,
             cached_bytes,
-            estimated_origin_bps: self.estimate_after(None),
+            estimated_origin_bps: self.estimate(),
             peak_tail_bytes: self.hot.peak_tail_bytes.load(Ordering::Relaxed),
             origin_retries: self.hot.origin_retries.load(Ordering::Relaxed),
             origin_resumes: self.hot.origin_resumes.load(Ordering::Relaxed),

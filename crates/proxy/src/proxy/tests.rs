@@ -299,7 +299,8 @@ fn proxy_at(policy: PolicyKind, capacity: f64, estimate_bps: f64) -> CachingProx
     cfg.policy = policy;
     cfg.worker_threads = 1;
     let proxy = CachingProxy::start(cfg).unwrap();
-    assert_eq!(proxy.state.estimate_after(Some(estimate_bps)), estimate_bps);
+    lock(&proxy.state.estimator).observe_transfer(0, estimate_bps);
+    assert_eq!(proxy.state.estimate(), estimate_bps);
     proxy
 }
 

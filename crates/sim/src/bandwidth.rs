@@ -6,24 +6,19 @@
 //! — plus, per [`BandwidthModel`], either that model's i.i.d. ratio stream
 //! (no stream at all for the constant model, whose ratio is always 1) or
 //! one pre-generated AR(1) [`BandwidthTimeSeries`] per path, sampled at
-//! request time from the simulation clock. [`EstimatorBank`] maintains the
-//! per-path [`sc_netmodel::BandwidthEstimator`] state that stands between
-//! the true bandwidth and what the caching algorithm gets to see.
+//! request time from the simulation clock. What the caching algorithm gets
+//! to see of it is [`sc_netmodel::EstimatorBank`]'s answer, asked in
+//! [`crate::exec`]'s decision step.
 
-use crate::config::{BandwidthModel, EstimatorKind, VariabilityKind};
+use crate::config::{BandwidthModel, VariabilityKind};
 use rand::Rng;
 use sc_netmodel::{
-    BandwidthEstimator, BandwidthTimeSeries, EwmaEstimator, NlanrBandwidthModel, PathSet,
-    TimeSeriesConfig, WindowedEstimator, EWMA_ALPHA, SAMPLE_INTERVAL_SECS,
+    BandwidthTimeSeries, NlanrBandwidthModel, PathSet, TimeSeriesConfig, SAMPLE_INTERVAL_SECS,
 };
 
 /// Autocorrelation of consecutive AR(1) series samples under
 /// [`BandwidthModel::Ar1`].
 const AR1_AUTOCORRELATION: f64 = 0.9;
-
-/// Number of recent transfers the [`EstimatorKind::Windowed`] estimator
-/// averages.
-const WINDOW_TRANSFERS: usize = 8;
 
 /// Supplies the simulator with per-object average bandwidths and per-request
 /// instantaneous bandwidth samples.
@@ -193,72 +188,6 @@ impl BandwidthProvider {
         match &self.source {
             Source::Series(series) => Some(&series[index]),
             Source::Mean | Source::Ratio => None,
-        }
-    }
-}
-
-/// Per-path bandwidth-estimator state for one simulation run.
-///
-/// The bank turns an [`EstimatorKind`] into what the caching algorithm
-/// actually sees on each access: the oracle long-run mean, a passive
-/// (EWMA / windowed) estimate fed by the throughput of completed transfers,
-/// or a fresh active probe of the current bandwidth. Passive estimators
-/// fall back to the oracle mean until their first observation, matching the
-/// paper's proxies falling back to a default before the first transfer
-/// completes.
-#[derive(Debug, Clone)]
-pub struct EstimatorBank {
-    slots: Slots,
-}
-
-#[derive(Debug, Clone)]
-enum Slots {
-    /// No state: always report the long-run mean.
-    Oracle,
-    Ewma(Vec<EwmaEstimator>),
-    Windowed(Vec<WindowedEstimator>),
-    /// No state either: a probe is a fresh measurement of the current
-    /// bandwidth, so only the newest value — which the caller already has
-    /// in hand — would ever be read.
-    Probe,
-}
-
-impl EstimatorBank {
-    /// Creates estimator state for `objects` paths.
-    pub fn new(kind: EstimatorKind, objects: usize) -> Self {
-        let slots = match kind {
-            EstimatorKind::Oracle => Slots::Oracle,
-            EstimatorKind::Ewma => Slots::Ewma(vec![EwmaEstimator::new(EWMA_ALPHA); objects]),
-            EstimatorKind::Windowed => {
-                Slots::Windowed(vec![WindowedEstimator::new(WINDOW_TRANSFERS); objects])
-            }
-            EstimatorKind::Probe => Slots::Probe,
-        };
-        EstimatorBank { slots }
-    }
-
-    /// The bandwidth estimate the caching algorithm uses for a request to
-    /// object `index`: `oracle_bps` is the path's long-run mean (the
-    /// fallback) and `current_bps` the true instantaneous bandwidth this
-    /// request will experience (what an active probe measures).
-    pub fn decision_bps(&mut self, index: usize, oracle_bps: f64, current_bps: f64) -> f64 {
-        match &mut self.slots {
-            Slots::Oracle => oracle_bps,
-            Slots::Ewma(slots) => slots[index].estimate_bps().unwrap_or(oracle_bps),
-            Slots::Windowed(slots) => slots[index].estimate_bps().unwrap_or(oracle_bps),
-            Slots::Probe => current_bps,
-        }
-    }
-
-    /// Records the realised throughput of a completed transfer to object
-    /// `index` — the input of the passive estimators. Active probing
-    /// ignores it (it already measured the path in
-    /// [`decision_bps`](Self::decision_bps)).
-    pub fn observe_transfer(&mut self, index: usize, throughput_bps: f64) {
-        match &mut self.slots {
-            Slots::Oracle | Slots::Probe => {}
-            Slots::Ewma(slots) => slots[index].observe(throughput_bps),
-            Slots::Windowed(slots) => slots[index].observe(throughput_bps),
         }
     }
 }
@@ -460,40 +389,5 @@ mod tests {
             ar1.capacity_bps(1, 1.5 * SAMPLE_INTERVAL_SECS),
             series.samples_bps()[1]
         );
-    }
-
-    #[test]
-    fn estimator_bank_oracle_and_probe() {
-        let mut oracle = EstimatorBank::new(EstimatorKind::Oracle, 4);
-        assert_eq!(oracle.decision_bps(1, 100.0, 40.0), 100.0);
-        oracle.observe_transfer(1, 40.0);
-        assert_eq!(oracle.decision_bps(1, 100.0, 40.0), 100.0);
-
-        let mut probe = EstimatorBank::new(EstimatorKind::Probe, 4);
-        assert_eq!(probe.decision_bps(0, 100.0, 37.5), 37.5);
-        probe.observe_transfer(0, 999.0);
-        assert_eq!(probe.decision_bps(0, 100.0, 50.0), 50.0);
-    }
-
-    #[test]
-    fn estimator_bank_passive_kinds_lag_and_fall_back() {
-        let mut ewma = EstimatorBank::new(EstimatorKind::Ewma, 2);
-        // No observation yet: oracle fallback.
-        assert_eq!(ewma.decision_bps(0, 80.0, 20.0), 80.0);
-        ewma.observe_transfer(0, 20.0);
-        assert_eq!(ewma.decision_bps(0, 80.0, 60.0), 20.0);
-        ewma.observe_transfer(0, 60.0);
-        // 0.3 · 60 + 0.7 · 20: the proxy's EWMA weight.
-        assert!((ewma.decision_bps(0, 80.0, 60.0) - 32.0).abs() < 1e-9);
-        // Per-path state is independent.
-        assert_eq!(ewma.decision_bps(1, 80.0, 60.0), 80.0);
-
-        let mut win = EstimatorBank::new(EstimatorKind::Windowed, 1);
-        assert_eq!(win.decision_bps(0, 80.0, 10.0), 80.0);
-        for i in 1..=10 {
-            win.observe_transfer(0, 10.0 * i as f64);
-        }
-        // The mean of the last eight transfers, 30 … 100.
-        assert_eq!(win.decision_bps(0, 80.0, 10.0), 65.0);
     }
 }

@@ -1,6 +1,7 @@
 //! Simulation configuration.
 
 use sc_cache::policy::PolicyKind;
+use sc_netmodel::EstimatorKind;
 use sc_workload::WorkloadConfig;
 use std::error::Error;
 use std::fmt;
@@ -83,46 +84,6 @@ impl BandwidthModel {
         match self {
             BandwidthModel::Iid => "iid",
             BandwidthModel::Ar1 => "ar1",
-        }
-    }
-}
-
-/// How the caching algorithm estimates each path's bandwidth (Section 2.7
-/// of the paper).
-///
-/// The cache's placement decisions need a bandwidth estimate per origin
-/// path; the transfer itself experiences the *true* instantaneous
-/// bandwidth. Under time-varying bandwidth ([`BandwidthModel::Ar1`]) the
-/// estimator's staleness becomes a first-order effect — the subject of the
-/// fig13 experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EstimatorKind {
-    /// An oracle that always reports the path's long-run mean — the seed
-    /// behaviour, exact under [`BandwidthModel::Iid`], increasingly stale
-    /// under drift.
-    Oracle,
-    /// Passive exponentially-weighted moving average over the throughput of
-    /// past transfers ([`sc_netmodel::EwmaEstimator`]), weighting the newest
-    /// one by [`sc_netmodel::EWMA_ALPHA`] as the runnable proxy does.
-    Ewma,
-    /// Passive sliding-window mean over the last 8 transfers
-    /// ([`sc_netmodel::WindowedEstimator`]).
-    Windowed,
-    /// Active probing: measure the path's current bandwidth just before
-    /// each placement decision — fresh but (in a real proxy) not free. It
-    /// keeps no history, so [`EstimatorBank`](crate::bandwidth::EstimatorBank)
-    /// answers it without state.
-    Probe,
-}
-
-impl EstimatorKind {
-    /// Human-readable label used in reports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            EstimatorKind::Oracle => "oracle-mean",
-            EstimatorKind::Ewma => "ewma",
-            EstimatorKind::Windowed => "windowed",
-            EstimatorKind::Probe => "probe",
         }
     }
 }

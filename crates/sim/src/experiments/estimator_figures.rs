@@ -10,10 +10,11 @@
 //! [`EstimatorKind`], cache fraction on the x-axis, everything else held at
 //! the Figure 8 configuration (PB policy, measured-path variability).
 
-use crate::config::{BandwidthModel, EstimatorKind, SimError, SimulationConfig, VariabilityKind};
+use crate::config::{BandwidthModel, SimError, SimulationConfig, VariabilityKind};
 use crate::exec::{run_grid, ParallelExecutor};
 use crate::experiments::ExperimentScale;
 use crate::report::{assemble_series, FigureResult};
+use crate::EstimatorKind;
 use sc_cache::policy::PolicyKind;
 
 /// The estimator kinds compared by [`fig13`], in series order.

@@ -5,11 +5,15 @@
 //! this experiment replays the same workloads through the discrete-event
 //! session core ([`crate::session`]), where sessions span their playback
 //! duration and share each origin path's bottleneck capacity by processor
-//! sharing. The time-weighted metrics — concurrent viewers, rebuffer
-//! probability, origin egress over time — quantify what partial caching
-//! buys once contention exists: every cached prefix byte both removes
-//! origin traffic *and* frees bottleneck bandwidth for the sessions that
-//! still need it.
+//! sharing. The time-weighted metrics are concurrent viewers, rebuffer
+//! probability and origin egress over time.
+//!
+//! What the figure shows is that PB ranks *last* at every cache size. At
+//! paper scale the rebuffer probability from the smallest to the largest
+//! cache is 0.628 → 0.568 for PB, 0.552 → 0.353 for IB and 0.574 → 0.224
+//! for LRU. The cause is load, not caching: 44–46 % of the requests sit on
+//! paths whose offered load is ρ ≥ 1, where processor sharing has no
+//! steady state (ROADMAP item 20).
 
 use crate::config::{SimError, SimulationConfig, VariabilityKind};
 use crate::exec::ParallelExecutor;

@@ -26,7 +26,9 @@
 //!   clock;
 //! * [`EstimatorKind`] — what the caching algorithm knows about each path:
 //!   an oracle long-run mean, passive EWMA/windowed measurement, or active
-//!   probing;
+//!   probing. The kinds and their per-path [`EstimatorBank`] live in
+//!   [`sc_netmodel`], shared with the runnable proxy, and are re-exported
+//!   here; both modes decide through one estimate → access → learn step;
 //! * [`Metrics`] — the paper's four metrics (traffic-reduction ratio,
 //!   average service delay, average stream quality, total added value);
 //! * [`sweep::sweep_policies`] — policies × cache sizes, one series per
@@ -67,16 +69,15 @@ mod runner;
 pub mod session;
 pub mod sweep;
 
-pub use bandwidth::{BandwidthProvider, EstimatorBank};
-pub use config::{
-    BandwidthModel, EstimatorKind, PathFaultModel, SimError, SimulationConfig, VariabilityKind,
-};
+pub use bandwidth::BandwidthProvider;
+pub use config::{BandwidthModel, PathFaultModel, SimError, SimulationConfig, VariabilityKind};
 pub use delivery::{deliver, DeliveryOutcome};
 pub use event::{Event, EventKind, EventQueue};
 pub use exec::{ExecConfig, ParallelExecutor, SharedWorkload, SimWorker};
 pub use metrics::{Metrics, MetricsCollector, SessionMetrics};
 pub use report::{FigurePoint, FigureResult, FigureSeries};
 pub use runner::{run_sessions, run_simulation, RunResult};
+pub use sc_netmodel::{EstimatorBank, EstimatorKind};
 pub use session::{
     run_session_grid, simulate_sessions, simulate_sessions_with_faults, NoCacheHooks,
     PathFaultTimeline, SessionHooks, SessionRunResult, SessionSimOutput, SessionSpec, SessionState,

@@ -88,13 +88,12 @@ pub use event_loop::{simulate_sessions_with_faults, SessionSimOutput, SessionTel
 pub use faults::PathFaultTimeline;
 pub use state::{SessionState, REBUFFER_EPSILON_SECS};
 
-use crate::bandwidth::{BandwidthProvider, EstimatorBank};
 use crate::config::{SimError, SimulationConfig};
-use crate::exec::{fault_seed, run_grid_with, ParallelExecutor, RunSetup, SharedWorkload};
+use crate::exec::{
+    fault_seed, run_grid_with, DecisionStep, ParallelExecutor, RunSetup, SharedWorkload,
+};
 use crate::metrics::SessionMetrics;
 use event_loop::playback_horizon;
-use sc_cache::policy::PolicyKind;
-use sc_cache::CacheEngine;
 use std::sync::Arc;
 
 /// One streaming session to simulate: a path (bottleneck link) index plus
@@ -233,36 +232,24 @@ pub struct SessionWorker {
     workload: Option<Arc<SharedWorkload>>,
 }
 
-/// The cache + estimator hooks of the workload-driven session mode.
+/// The workload-driven session mode's hooks: the run's decision step.
 ///
 /// A session's path is its object's catalog index: these hooks read it as
-/// one (`metas[path]`, the engine slot), and [`SessionWorker`] sets it
+/// one (the step's object index), and [`SessionWorker`] sets it
 /// (`path: s.object.as_u32()`). Nowhere else in the session core does a
 /// path stand for an object, so letting objects share origin paths
 /// changes only this file.
-struct CacheHooks<'a> {
-    cache: &'a mut CacheEngine<PolicyKind>,
-    estimators: &'a mut EstimatorBank,
-    provider: &'a BandwidthProvider,
-    metas: &'a [sc_cache::ObjectMeta],
-}
-
-impl SessionHooks for CacheHooks<'_> {
+impl SessionHooks for DecisionStep<'_> {
     fn on_arrival(&mut self, _index: usize, spec: &SessionSpec, share_bps: f64) -> f64 {
-        let path = spec.path as usize;
-        let meta = &self.metas[path];
-        let oracle = self.provider.estimated_bps(path);
         // The estimator's "current bandwidth" is the fair share this
         // session would get — what an active probe observes under
         // contention.
-        let estimated = self.estimators.decision_bps(path, oracle, share_bps);
-        let outcome = self.cache.on_access_slot(spec.path, meta, estimated);
-        outcome.cached_bytes_before
+        self.access(spec.path as usize, share_bps)
+            .cached_bytes_before
     }
 
     fn on_transfer_complete(&mut self, _index: usize, spec: &SessionSpec, throughput_bps: f64) {
-        self.estimators
-            .observe_transfer(spec.path as usize, throughput_bps);
+        self.learn(spec.path as usize, throughput_bps);
     }
 }
 
@@ -306,6 +293,8 @@ impl SessionWorker {
     }
 
     /// The run's set-up, its series sized by [`last_playback_end_secs`].
+    /// The session mode draws nothing after set-up, so the bandwidth RNG
+    /// goes.
     fn setup(&self) -> Result<RunSetup, SimError> {
         RunSetup::new(
             &self.config,
@@ -313,6 +302,7 @@ impl SessionWorker {
             self.workload.as_ref(),
             last_playback_end_secs,
         )
+        .map(|(setup, _)| setup)
     }
 
     /// [`SessionWorker::run`] plus the run's scheduling telemetry.
@@ -322,13 +312,9 @@ impl SessionWorker {
         // means for a seed; under AR(1) the series run on to the last
         // playback end, where the per-request mode's series stop at the
         // last arrival.
-        let RunSetup {
-            workload,
-            provider,
-            mut estimators,
-            mut cache,
-            ..
-        } = self.setup()?;
+        let mut setup = self.setup()?;
+        let mut step = setup.step();
+        let (workload, provider) = (step.workload, step.provider);
         let (catalog, trace) = (&workload.catalog, &workload.trace);
 
         let specs: Vec<SessionSpec> = trace
@@ -343,12 +329,6 @@ impl SessionWorker {
             })
             .collect();
 
-        let mut hooks = CacheHooks {
-            cache: &mut cache,
-            estimators: &mut estimators,
-            provider: &provider,
-            metas: workload.metas(),
-        };
         // The outage timeline (if any) is drawn up front from its own
         // derived seed, spanning the playback horizon of the trace.
         let horizon_secs = playback_horizon(&specs);
@@ -359,15 +339,15 @@ impl SessionWorker {
             &specs,
             catalog.len(),
             |path, time| provider.capacity_bps(path, time),
-            &mut hooks,
+            &mut step,
             config.session_egress_bins,
             timeline.as_ref(),
         );
 
         let result = SessionRunResult {
             metrics: output.metrics,
-            final_cache_used_bytes: cache.used_bytes(),
-            final_cached_objects: cache.len(),
+            final_cache_used_bytes: step.cache.used_bytes(),
+            final_cached_objects: step.cache.len(),
         };
         Ok((result, output.telemetry))
     }

@@ -356,7 +356,9 @@ impl TestCacheHooks {
 impl SessionHooks for TestCacheHooks {
     fn on_arrival(&mut self, _index: usize, spec: &SessionSpec, share_bps: f64) -> f64 {
         let p = spec.path as usize;
-        let estimated = self.estimators.decision_bps(p, self.means[p], share_bps);
+        let estimated = self
+            .estimators
+            .decision_bps(p, self.means[p], Some(share_bps));
         self.cache
             .on_access_slot(spec.path, &self.metas[p], estimated)
             .cached_bytes_before
