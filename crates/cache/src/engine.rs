@@ -55,11 +55,12 @@ struct Slot {
 /// Internally all per-object state (frequency, cached bytes, heap
 /// position) lives in a dense slab addressed by `u32` slot handles. Callers
 /// with dense object indices — the simulator, whose catalog ids are already
-/// `0..N` — pre-size the slab with [`ensure_slots`](Self::ensure_slots) and
-/// access it hash-free through [`on_access_slot`](Self::on_access_slot);
-/// other callers use the keyed [`on_access`](Self::on_access), which interns
-/// keys through a thin Fx-hashed key→slot map (one fast hash per access).
-/// In steady state neither path allocates: eviction scratch space is a
+/// `0..N` — size the slab with [`ensure_slots`](Self::ensure_slots), after
+/// which key `i < N` *is* slot `i`: neither
+/// [`on_access_slot`](Self::on_access_slot) nor a keyed
+/// [`on_access`](Self::on_access) of such a key hashes. Any other key is
+/// interned through a thin Fx-hashed key→slot map (one fast hash per
+/// access). In steady state no path allocates: eviction scratch space is a
 /// reusable buffer and the heap writes positions back into a flat table.
 ///
 /// ```
@@ -87,6 +88,11 @@ pub struct CacheEngine<P> {
     used_bytes: f64,
     policy: P,
     slots: Vec<Slot>,
+    /// Keys below this count are their own slot handles
+    /// ([`ensure_slots`](Self::ensure_slots)); they are never in
+    /// `key_to_slot`.
+    dense_keys: u64,
+    /// The slot of every other key seen.
     key_to_slot: FxHashMap<ObjectKey, u32>,
     /// The cached slots by utility: a heap, or a recency list when the
     /// policy's utility is this engine's `clock`.
@@ -117,6 +123,7 @@ impl<P: UtilityPolicy> CacheEngine<P> {
             used_bytes: 0.0,
             policy,
             slots: Vec::new(),
+            dense_keys: 0,
             key_to_slot: FxHashMap::default(),
             order,
             scratch: Vec::new(),
@@ -135,11 +142,6 @@ impl<P: UtilityPolicy> CacheEngine<P> {
         self.used_bytes
     }
 
-    /// Free space in bytes.
-    pub fn free_bytes(&self) -> f64 {
-        (self.capacity_bytes - self.used_bytes).max(0.0)
-    }
-
     /// Number of objects with a cached prefix.
     pub fn len(&self) -> usize {
         self.order.len()
@@ -155,19 +157,15 @@ impl<P: UtilityPolicy> CacheEngine<P> {
         &self.stats
     }
 
-    /// Resets the statistics counters without touching cache contents
-    /// (used at the warm-up/measurement boundary).
-    pub fn reset_stats(&mut self) {
-        self.stats.reset();
-    }
-
-    /// Pre-sizes the slab so that slot handle `i` denotes
-    /// `ObjectKey::new(i)` for every `i < n` — the layout produced by dense
-    /// catalogs, whose object ids are already indices `0..N`.
+    /// Sizes the slab so that slot handle `i` denotes `ObjectKey::new(i)`
+    /// for every `i < n` — the layout produced by dense catalogs, whose
+    /// object ids are already indices `0..N`.
     ///
-    /// After this call, [`on_access_slot`](Self::on_access_slot) with the
-    /// catalog index is equivalent to the keyed [`on_access`](Self::on_access)
-    /// but performs **no hashing at all**. Growing an existing slab is fine;
+    /// The slab and the eviction order's handle table are reserved exactly;
+    /// the keys are not interned. A key below `n` resolves to its slot
+    /// arithmetically, so [`on_access_slot`](Self::on_access_slot) with the
+    /// catalog index and the keyed [`on_access`](Self::on_access) are
+    /// equivalent and **neither hashes**. Growing an existing slab is fine;
     /// already-allocated slots are left untouched.
     ///
     /// # Panics
@@ -180,8 +178,10 @@ impl<P: UtilityPolicy> CacheEngine<P> {
         assert!(n <= u32::MAX as usize, "slot handles are u32");
         // The dense guarantee must hold for every slot below n, including
         // ones allocated earlier: a sparse key interned before this call
-        // would silently alias a different object onto a dense handle.
-        // The scan is setup-time only (ensure_slots runs once per run).
+        // would silently alias a different object onto a dense handle. A
+        // key in `slots.len()..n` interned earlier sits at a slot below
+        // `slots.len()`, so this scan finds it too. The scan is setup-time
+        // only (ensure_slots runs once per run).
         for (i, slot) in self.slots.iter().enumerate().take(n) {
             assert!(
                 slot.key == ObjectKey::new(i as u64),
@@ -191,30 +191,29 @@ impl<P: UtilityPolicy> CacheEngine<P> {
             );
         }
         self.order.reserve_handles(n);
-        self.key_to_slot.reserve(n.saturating_sub(self.slots.len()));
+        self.slots.reserve_exact(n.saturating_sub(self.slots.len()));
         for i in self.slots.len()..n {
-            let key = ObjectKey::new(i as u64);
-            let previous = self.key_to_slot.insert(key, i as u32);
-            assert!(
-                previous.is_none(),
-                "key {key} already interned at a non-dense slot"
-            );
             self.slots.push(Slot {
-                key,
+                key: ObjectKey::new(i as u64),
                 frequency: 0,
                 cached_bytes: 0.0,
             });
         }
+        self.dense_keys = self.dense_keys.max(n as u64);
     }
 
-    /// The slot handle a key is interned at, if any.
+    /// The slot handle a key is interned at, if any: the key itself below
+    /// the [`ensure_slots`](Self::ensure_slots) count, else the map's entry.
     pub fn slot_of(&self, key: ObjectKey) -> Option<u32> {
+        if key.as_u64() < self.dense_keys {
+            return Some(key.as_u64() as u32);
+        }
         self.key_to_slot.get(&key).copied()
     }
 
     /// Interns `key`, allocating a fresh slot on first sight.
     fn slot_for(&mut self, key: ObjectKey) -> u32 {
-        if let Some(&slot) = self.key_to_slot.get(&key) {
+        if let Some(slot) = self.slot_of(key) {
             return slot;
         }
         let slot = self.slots.len() as u32;
@@ -280,9 +279,9 @@ impl<P: UtilityPolicy> CacheEngine<P> {
     /// object's allocation to the policy's target by evicting
     /// strictly-lower-utility objects.
     ///
-    /// Unknown keys are interned on first sight (one Fx-hash lookup per
-    /// access); callers whose keys are dense indices should prefer
-    /// [`on_access_slot`](Self::on_access_slot), which skips even that.
+    /// A key below the [`ensure_slots`](Self::ensure_slots) count is its
+    /// own slot; any other key costs one Fx-hash lookup, and is interned on
+    /// first sight.
     pub fn on_access(&mut self, meta: &ObjectMeta, bandwidth_bps: f64) -> AccessOutcome {
         let slot = self.slot_for(meta.key);
         self.access_slot(slot, meta, bandwidth_bps)
@@ -667,17 +666,6 @@ mod tests {
         let contents = cache.contents();
         assert_eq!(contents.len(), 1);
         assert_eq!(contents[0].0, o.key);
-        assert!(cache.free_bytes() < cache.capacity_bytes());
-    }
-
-    #[test]
-    fn reset_stats_keeps_contents() {
-        let mut cache = CacheEngine::new(1e9, PolicyKind::PartialBandwidth).unwrap();
-        let o = obj(1, 100.0);
-        cache.on_access(&o, R / 2.0);
-        cache.reset_stats();
-        assert_eq!(cache.stats().requests, 0);
-        assert!(cache.contains(o.key));
     }
 
     #[test]
@@ -809,6 +797,57 @@ mod tests {
         cache.ensure_slots(4);
         assert_eq!(cache.slot_of(ObjectKey::new(3)), Some(3));
         assert_eq!(cache.frequency(ObjectKey::new(0)), 1);
+    }
+
+    #[test]
+    fn keys_on_either_side_of_the_dense_count_find_their_slots() {
+        // Below the ensure_slots count a key is its own slot; at and above
+        // it, keys are interned in first-seen order after the dense slots.
+        let mut keyed = CacheEngine::new(1e9, PolicyKind::PartialBandwidth).unwrap();
+        let mut slotted = CacheEngine::new(1e9, PolicyKind::PartialBandwidth).unwrap();
+        keyed.ensure_slots(4);
+        slotted.ensure_slots(4);
+        for key in [0, 3] {
+            let o = obj(key, 100.0);
+            let a = keyed.on_access(&o, R / 2.0);
+            let b = slotted.on_access_slot(key as u32, &o, R / 2.0);
+            assert_eq!(a, b);
+            assert_eq!(keyed.slot_of(o.key), Some(key as u32));
+            assert_eq!(keyed.cached_bytes(o.key), slotted.cached_bytes(o.key));
+        }
+        let four = obj(4, 50.0);
+        let far = obj(u64::MAX, 200.0);
+        keyed.on_access(&four, R / 2.0);
+        keyed.on_access(&far, R / 2.0);
+        assert_eq!(keyed.slot_of(four.key), Some(4));
+        assert_eq!(keyed.slot_of(far.key), Some(5));
+        assert_eq!(keyed.slot_of(ObjectKey::new(6)), None);
+
+        let mut contents = keyed.contents();
+        contents.sort_by_key(|&(key, _)| key.as_u64());
+        let half = |o: &ObjectMeta| o.size_bytes() / 2.0;
+        assert_eq!(
+            contents,
+            vec![
+                (ObjectKey::new(0), half(&obj(0, 100.0))),
+                (ObjectKey::new(3), half(&obj(3, 100.0))),
+                (four.key, half(&four)),
+                (far.key, half(&far)),
+            ]
+        );
+
+        // Slot 4 holds key 4, so the dense count may grow over it; slot 5
+        // holds a sparse key, so it may not grow over that.
+        keyed.ensure_slots(5);
+        assert_eq!(keyed.slot_of(four.key), Some(4));
+        assert_eq!(keyed.frequency(four.key), 1);
+        let grown =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| keyed.ensure_slots(7)));
+        let payload = grown.expect_err("slot 5 holds a sparse key");
+        let message = payload
+            .downcast_ref::<String>()
+            .expect("a formatted panic message");
+        assert!(message.contains("dense"), "{message}");
     }
 
     #[test]

@@ -74,13 +74,12 @@ impl UtilityHeap {
     }
 
     /// Grows the position table to cover handles `0..n` without inserting
-    /// anything, so subsequent operations on those handles never reallocate.
+    /// anything. The entries are not reserved: they grow with the set of
+    /// handles actually inserted, so a heap stops allocating once that set
+    /// stops growing.
     pub fn reserve_handles(&mut self, n: usize) {
         if self.positions.len() < n {
             self.positions.resize(n, ABSENT);
-        }
-        if self.entries.capacity() < n {
-            self.entries.reserve(n - self.entries.len());
         }
     }
 

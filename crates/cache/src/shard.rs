@@ -194,13 +194,6 @@ impl<P: UtilityPolicy, S> ShardedEngine<P, S> {
         total
     }
 
-    /// Resets every shard's counters (warm-up/measurement boundary).
-    pub fn reset_stats(&self) {
-        for shard in &self.shards {
-            lock(shard).0.reset_stats();
-        }
-    }
-
     /// Runs `f` with the engine shard that `key` routes to and its
     /// companion, under that shard's lock. The engine is read-only here —
     /// accesses go through [`access_with`](Self::access_with), which brings

@@ -118,29 +118,22 @@ impl Default for ExecConfig {
 /// A workload generated once and shared (via [`Arc`]) by every run that
 /// needs the identical catalog and request stream.
 ///
-/// The catalog's [`ObjectMeta`] table is precomputed here, once per
-/// workload, so the simulation loop indexes metadata instead of
-/// reconstructing an `ObjectMeta` from the catalog on every request — and
-/// paired policy comparisons sharing a workload share the table too.
+/// The catalog is the one per-object table: a run builds an object's
+/// cache-side [`ObjectMeta`] from its catalog entry where it needs it (four
+/// field copies), so paired policy comparisons sharing a workload share
+/// nothing but the catalog and the trace.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SharedWorkload {
     /// The object catalog.
     pub catalog: Catalog,
     /// The request trace.
     pub trace: RequestTrace,
-    /// Cache-side metadata of catalog object `i` at index `i`.
-    metas: Vec<ObjectMeta>,
 }
 
 impl SharedWorkload {
-    /// Bundles a catalog and trace, precomputing the meta table.
+    /// Bundles a catalog and trace.
     pub fn new(catalog: Catalog, trace: RequestTrace) -> Self {
-        let metas = meta_table(&catalog);
-        SharedWorkload {
-            catalog,
-            trace,
-            metas,
-        }
+        SharedWorkload { catalog, trace }
     }
 
     /// Generates the workload described by `config` under `seed`
@@ -157,14 +150,10 @@ impl SharedWorkload {
             .map_err(|e| SimError::Workload(e.to_string()))?;
         Ok(Self::new(workload.catalog, workload.trace))
     }
-
-    /// The precomputed per-object metadata, indexed by catalog index.
-    pub fn metas(&self) -> &[ObjectMeta] {
-        &self.metas
-    }
 }
 
-/// Converts a workload [`MediaObject`] into the cache's [`ObjectMeta`].
+/// Converts a workload [`MediaObject`] into the cache's [`ObjectMeta`],
+/// keyed by its dense catalog index (== its cache slot handle).
 pub(crate) fn to_meta(obj: &MediaObject) -> ObjectMeta {
     ObjectMeta::new(
         ObjectKey::new(obj.id.index() as u64),
@@ -174,20 +163,14 @@ pub(crate) fn to_meta(obj: &MediaObject) -> ObjectMeta {
     )
 }
 
-/// Precomputes the cache-side metadata of every catalog object, indexed by
-/// the object's dense catalog index (== its cache slot handle).
-pub(crate) fn meta_table(catalog: &Catalog) -> Vec<ObjectMeta> {
-    catalog.iter().map(to_meta).collect()
-}
-
 /// What a run of either mode starts from: the workload, the path state
 /// drawn from the bandwidth RNG, the estimators, and a cache whose slab is
 /// addressed by catalog index. Both modes decide through its
 /// [`step`](Self::step).
 ///
 /// Fields drop in declaration order, so the cache goes first and the
-/// workload last. The reverse order leaves the allocator's heap larger over
-/// repeated runs: `sim_sessions` peaks at 7.1 MB instead of 6.4 MB.
+/// workload last. Without a second per-object table the reverse order
+/// peaks alike: `sim_sessions` 6.18 MB either way.
 pub(crate) struct RunSetup {
     cache: CacheEngine<PolicyKind>,
     estimators: EstimatorBank,
@@ -232,8 +215,9 @@ impl RunSetup {
         );
         let mut cache = CacheEngine::new(config.cache_size_bytes, config.policy)
             .map_err(|e| SimError::Workload(e.to_string()))?;
-        // Catalog ids are dense, so the engine's slab can be slot-addressed
-        // by catalog index: the request path performs no hashing.
+        // Catalog ids are dense, so the engine's slab is slot-addressed by
+        // catalog index: the request path performs no hashing, and no key
+        // is interned.
         cache.ensure_slots(objects);
         let setup = RunSetup {
             cache,
@@ -256,9 +240,9 @@ impl RunSetup {
 }
 
 /// The estimate → access → learn step both modes decide through, over a
-/// run's cache, estimators, paths and workload: a request for the object
-/// at catalog index `index` is decided on the estimator's view of its
-/// path, and a completed transfer teaches the estimator. What differs
+/// run's cache, estimators, paths and workload: a request for an object is
+/// decided on the estimator's view of its path, and a completed transfer
+/// teaches the estimator. What differs
 /// between the modes stays with them: where the current rate comes from (a
 /// bandwidth draw, or the fair share at arrival) and when a transfer has
 /// completed.
@@ -270,17 +254,22 @@ pub(crate) struct DecisionStep<'a> {
 }
 
 impl DecisionStep<'_> {
-    /// One engine access for object `index`, on the estimate the request
-    /// starts with: the bank's, with the path mean as the fallback and
-    /// `current_bps` as what a probe reads.
+    /// One engine access for `meta`, the object at catalog index `index`
+    /// (see [`to_meta`]), on the estimate the request starts with: the
+    /// bank's, with the path mean as the fallback and `current_bps` as what
+    /// a probe reads.
     // Always inlined: left to the optimiser, it stays one call per request
     // in the per-request loop that `sim_grid` times.
     #[inline(always)]
-    pub(crate) fn access(&mut self, index: usize, current_bps: f64) -> AccessOutcome {
+    pub(crate) fn access(
+        &mut self,
+        index: usize,
+        meta: &ObjectMeta,
+        current_bps: f64,
+    ) -> AccessOutcome {
         let mean = self.provider.estimated_bps(index);
         let estimated = self.estimators.decision_bps(index, mean, Some(current_bps));
-        self.cache
-            .on_access_slot(index as u32, &self.workload.metas[index], estimated)
+        self.cache.on_access_slot(index as u32, meta, estimated)
     }
 
     /// Teaches the estimator of object `index`'s path the throughput of a
@@ -355,24 +344,24 @@ impl SimWorker {
         )?;
         let mut step = setup.step();
         let (workload, provider) = (step.workload, step.provider);
-        // Metadata is precomputed per catalog: the request loop below
-        // indexes this table instead of rebuilding an ObjectMeta per
-        // request.
-        let (trace, metas) = (&workload.trace, workload.metas());
+        let (catalog, trace) = (&workload.catalog, &workload.trace);
 
         let warmup_len = ((trace.len() as f64) * WARMUP_FRACTION).round() as usize;
         let mut collector = MetricsCollector::new();
 
         for (i, request) in trace.iter().enumerate() {
             let index = request.object.index();
+            // The request's metadata, built once from its catalog entry for
+            // both the engine and the delivery.
+            let meta = to_meta(catalog.object(request.object));
             // The caching algorithm sees the configured estimator's view of
             // the path; the actual transfer experiences the instantaneous
             // bandwidth at the request's arrival time.
             let instantaneous = provider.request_bps(index, request.time_secs, &mut bw_rng);
-            let outcome = step.access(index, instantaneous);
+            let outcome = step.access(index, &meta, instantaneous);
 
             if i >= warmup_len {
-                let delivery = deliver(&metas[index], outcome.cached_bytes_before, instantaneous);
+                let delivery = deliver(&meta, outcome.cached_bytes_before, instantaneous);
                 collector.record(&delivery);
             }
 

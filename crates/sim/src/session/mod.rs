@@ -90,10 +90,11 @@ pub use state::{SessionState, REBUFFER_EPSILON_SECS};
 
 use crate::config::{SimError, SimulationConfig};
 use crate::exec::{
-    fault_seed, run_grid_with, DecisionStep, ParallelExecutor, RunSetup, SharedWorkload,
+    fault_seed, run_grid_with, to_meta, DecisionStep, ParallelExecutor, RunSetup, SharedWorkload,
 };
 use crate::metrics::SessionMetrics;
 use event_loop::playback_horizon;
+use sc_workload::ObjectId;
 use std::sync::Arc;
 
 /// One streaming session to simulate: a path (bottleneck link) index plus
@@ -244,7 +245,8 @@ impl SessionHooks for DecisionStep<'_> {
         // The estimator's "current bandwidth" is the fair share this
         // session would get — what an active probe observes under
         // contention.
-        self.access(spec.path as usize, share_bps)
+        let meta = to_meta(self.workload.catalog.object(ObjectId::new(spec.path)));
+        self.access(spec.path as usize, &meta, share_bps)
             .cached_bytes_before
     }
 
