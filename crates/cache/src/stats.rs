@@ -47,11 +47,6 @@ impl CacheStats {
             0.0
         }
     }
-
-    /// Resets all counters (used when switching from warm-up to measurement).
-    pub fn reset(&mut self) {
-        *self = CacheStats::default();
-    }
 }
 
 /// Field-wise sum: how [`ShardedEngine::stats`](crate::ShardedEngine::stats)
@@ -93,15 +88,5 @@ mod tests {
         };
         assert!((s.traffic_reduction_ratio() - 0.25).abs() < 1e-12);
         assert!((s.hit_ratio() - 0.4).abs() < 1e-12);
-    }
-
-    #[test]
-    fn reset_clears_everything() {
-        let mut s = CacheStats {
-            requests: 5,
-            ..Default::default()
-        };
-        s.reset();
-        assert_eq!(s, CacheStats::default());
     }
 }

@@ -19,13 +19,21 @@
 //! ```
 //!
 //! `A` depends only on the bits of `o` above the low eight, so it is one
-//! value over a 256-aligned block of offsets, and `P` depends only on `h`
-//! and `j`. [`fill_content`] and [`verify_content`] therefore build `P`
-//! once per call and produce each byte of a block as bits 32..39 of
-//! `A + P[j]`, with no multiply: the same sum `x·K`, so the same bytes as
-//! [`content_byte`]. The sum is taken in 32-bit halves, so that the loop
-//! vectorises on baseline x86-64: bits 32..39 of a 64-bit sum are the low
-//! byte of the high halves' sum plus the carry out of the low halves'.
+//! value over a 256-aligned block of offsets, and `P[j]` is the product
+//! `i·K` of the small factor `i = l ^ j < 256`. Bits 32..39 of `A + P[j]`
+//! are the low byte of the high halves' sum plus the carry out of the low
+//! halves' sum, and the carry fires exactly when `i·K mod 2^32 > !A_lo`.
+//! The 256 low halves `i·K mod 2^32` are distinct, because `K` is odd, and
+//! a compile-time table (`PRODUCTS`) holds them sorted, each `i`'s place
+//! in that order, and each `i`'s high byte. With `c` the number of low
+//! halves at most `!A_lo`, found by one binary search per block, the carry
+//! fires exactly when `i`'s place is at least `c`, and `c ≥ 1` because
+//! `0·K = 0`. So [`fill_content`] and [`verify_content`] produce each byte
+//! of a block as `A_hi + hi[i] + (place[i] > c − 1)`, with no multiply and
+//! one byte compare: the same sum `x·K`, so the same bytes as
+//! [`content_byte`]. The loop runs on bytes, and keeps the places less
+//! 128 so that the compare is a signed one, the form baseline x86-64 has
+//! as one vector instruction.
 //!
 //! Offsets are taken modulo 2^64: a buffer that runs past `u64::MAX`
 //! continues at offset 0, in debug and release builds alike.
@@ -58,12 +66,57 @@ fn name_hash(name: &str) -> u64 {
     h
 }
 
-/// `P[j]` of one name hash, split into the low half and the low byte of
-/// the high half: all of `P[j]` that bits 32..39 of `A + P[j]` depend on.
+/// The products `i·K` of the 256 factors `i` a block's low byte can take:
+/// their low halves in ascending order, `i`'s place in that order, and the
+/// low byte of `i`'s high half.
+struct Products {
+    sorted_lo: [u32; BLOCK],
+    place: [u8; BLOCK],
+    hi: [u8; BLOCK],
+}
+
+/// [`Products`], built at compile time.
+const PRODUCTS: &Products = &{
+    let mut products = Products {
+        sorted_lo: [0; BLOCK],
+        place: [0; BLOCK],
+        hi: [0; BLOCK],
+    };
+    let mut i = 0;
+    while i < BLOCK {
+        let p = (i as u64).wrapping_mul(MUL);
+        let lo = p as u32;
+        // The low halves are distinct, so `i`'s place is the number of
+        // them below its own.
+        let mut below = 0;
+        let mut m = 0;
+        while m < BLOCK {
+            let other = (m as u64).wrapping_mul(MUL) as u32;
+            below += (other < lo) as usize;
+            m += 1;
+        }
+        products.sorted_lo[below] = lo;
+        products.place[i] = below as u8;
+        products.hi[i] = (p >> 32) as u8;
+        i += 1;
+    }
+    products
+};
+
+/// [`PRODUCTS`]' place and high byte of `i = l ^ j`, indexed by a block's
+/// `j` for one name hash. The places are kept as [`signed`] bytes.
 struct Table {
     hash: u64,
-    lo: [u32; BLOCK],
+    place: [i8; BLOCK],
     hi: [u8; BLOCK],
+}
+
+/// A place less 128, as an `i8`: `p > q` exactly when
+/// `signed(p) > signed(q)`, and baseline x86-64 compares signed bytes in one
+/// vector instruction but unsigned ones only through a min and an equality
+/// test.
+const fn signed(place: u8) -> i8 {
+    place.wrapping_sub(128) as i8
 }
 
 impl Table {
@@ -73,15 +126,15 @@ impl Table {
     fn new(hash: u64, offset: u64, len: usize) -> Self {
         let mut table = Table {
             hash,
-            lo: [0; BLOCK],
+            place: [0; BLOCK],
             hi: [0; BLOCK],
         };
         let first = (offset & 0xff) as usize;
-        for i in 0..len.min(BLOCK) {
-            let j = (first + i) & 0xff;
-            let p = ((hash & 0xff) ^ j as u64).wrapping_mul(MUL);
-            table.lo[j] = p as u32;
-            table.hi[j] = (p >> 32) as u8;
+        for k in 0..len.min(BLOCK) {
+            let j = (first + k) & 0xff;
+            let i = (hash & 0xff) as usize ^ j;
+            table.place[j] = signed(PRODUCTS.place[i]);
+            table.hi[j] = PRODUCTS.hi[i];
         }
         table
     }
@@ -91,14 +144,19 @@ impl Table {
     fn fill_run(&self, offset: u64, run: &mut [u8]) {
         let a = ((self.hash ^ offset) & !0xff).wrapping_mul(MUL);
         let (a_lo, a_hi) = (a as u32, (a >> 32) as u8);
+        // The places of the products whose low half carries past `!a_lo`
+        // are those above `last`; `sorted_lo[0] = 0` keeps `c ≥ 1`.
+        let c = PRODUCTS.sorted_lo.partition_point(|&lo| lo <= !a_lo);
+        let last = signed((c - 1) as u8);
         let first = (offset & 0xff) as usize;
-        let lo = &self.lo[first..first + run.len()];
+        let place = &self.place[first..first + run.len()];
         let hi = &self.hi[first..first + run.len()];
         // Plain indices: the form that vectorises under the optimiser and
         // is also the fastest without it, where iterator adapters are calls.
         for k in 0..run.len() {
-            let sum = a_lo.wrapping_add(lo[k]);
-            run[k] = a_hi.wrapping_add(hi[k]).wrapping_add((sum < a_lo) as u8);
+            run[k] = a_hi
+                .wrapping_add(hi[k])
+                .wrapping_add((place[k] > last) as u8);
         }
     }
 }
@@ -247,6 +305,60 @@ mod tests {
                 check("clip-7", offset, 1_200, &[0, 599, 600, 1_199]);
             }
         }
+    }
+
+    /// The carry of a block is `place > c − 1`, with `c` the count of
+    /// sorted low halves at most `!A_lo`; every count `c` is reached just
+    /// below its threshold, at it where that is reachable, and just above.
+    #[test]
+    fn the_carry_rule_holds_on_either_side_of_every_threshold() {
+        let sorted = &PRODUCTS.sorted_lo;
+        assert!(sorted.windows(2).all(|w| w[0] < w[1]));
+        let mut seen = [false; BLOCK];
+        for i in 0..BLOCK {
+            let p = (i as u64).wrapping_mul(MUL);
+            let place = usize::from(PRODUCTS.place[i]);
+            assert!(!seen[place], "place {place} taken twice");
+            seen[place] = true;
+            assert_eq!(sorted[place], p as u32);
+            assert_eq!(PRODUCTS.hi[i], (p >> 32) as u8);
+        }
+        // `K⁻¹ mod 2^64` by Newton's iteration: each step doubles the
+        // correct low bits, and `K·K ≡ 1 mod 8` gives the first three.
+        let inverse = (0..5).fold(MUL, |inv, _| {
+            inv.wrapping_mul(2u64.wrapping_sub(MUL.wrapping_mul(inv)))
+        });
+        assert_eq!(MUL.wrapping_mul(inverse), 1);
+        // A block's `x & !0xff` is a multiple of 256, so `A_lo` is one
+        // too and `!A_lo` ends in 0xff: `y = A_lo·K⁻¹` is a block's
+        // `x & !0xff`, and any bits above 32 added to it leave `A_lo` be.
+        let mut counts = [0; BLOCK + 1];
+        for (place, &threshold) in sorted.iter().enumerate() {
+            let at = (threshold & 0xff == 0xff).then_some(threshold);
+            let above = match at {
+                Some(_) => threshold.checked_add(0x100),
+                None => Some(threshold | 0xff),
+            };
+            let below = (threshold & !0xff).checked_sub(1);
+            let targets = [(below, place), (at, place + 1), (above, place + 1)];
+            for (not_a_lo, c) in targets {
+                let Some(not_a_lo) = not_a_lo else { continue };
+                assert_eq!(sorted.partition_point(|&lo| lo <= not_a_lo), c);
+                counts[c] += 1;
+                let y = u64::from(!not_a_lo)
+                    .wrapping_mul(inverse)
+                    .wrapping_add((place as u64) << 40);
+                assert_eq!(y & 0xff, 0);
+                assert_eq!(y.wrapping_mul(MUL) as u32, !not_a_lo);
+                for name in ["clip", "a much longer object name/ü"] {
+                    let start = y ^ (name_hash(name) & !0xff);
+                    check(name, start, BLOCK, &[0, BLOCK - 1]);
+                }
+            }
+        }
+        // Every count from 1 to 256 is reached, and 0 never is.
+        assert_eq!(counts[0], 0);
+        assert!(counts[1..].iter().all(|&n| n >= 1));
     }
 
     /// Offsets are taken modulo 2^64, in debug and release builds alike: a
